@@ -21,6 +21,7 @@ from .report import Report
 from .statespace import (
     SectorElement,
     build_state_space,
+    diff_tables,
     frac_str,
     poincare_table,
 )
@@ -101,9 +102,6 @@ class BVModel:
     def slots(self):
         return (self.slot1, self.slot2)
 
-    def block_components(self, g: GroupElement):
-        return g.components[: self.n1], g.components[self.n1 :]
-
     def mirror(self) -> "BVModel":
         if self._mirror is None:
             self._mirror = mirror_pair(self)
@@ -118,8 +116,13 @@ class BVModel:
         return f"BVModel({self.w1} | {self.w2}, |sigmaG|={self.sigma_group.order})"
 
 
-def _block_age(components) -> Fraction:
-    return sum(components, Fraction(0)) % 1
+def block_j_elements(ws1: WeightSystem, ws2: WeightSystem):
+    """J1 = (j(W1), 0) and J2 = (0, j(W2)) over the combined variables."""
+    j1, j2 = j_element(ws1), j_element(ws2)
+    return [
+        GroupElement._raw(j1.num + (0,) * len(j2.num), j1.den),
+        GroupElement._raw((0,) * len(j1.num) + j2.num, j2.den),
+    ]
 
 
 def build_bv(w1: Polynomial, w2: Polynomial, gens) -> BVModel:
@@ -148,20 +151,16 @@ def build_bv(w1: Polynomial, w2: Polynomial, gens) -> BVModel:
     n1 = w1.nvars
     n = poly.nvars
     slot1, slot2 = i1, n1 + i2
-    j1 = GroupElement(list(j_element(ws1).components) + [Fraction(0)] * w2.nvars)
-    j2 = GroupElement([Fraction(0)] * n1 + list(j_element(ws2).components))
+    j1, j2 = block_j_elements(ws1, ws2)
     group = span(n, list(gens))
     if j1 not in group or j2 not in group:
         raise GroupOutOfRange("J1 x J2 is not contained in G")
     for h in group.gens:
-        bx, by = h.components[:n1], h.components[n1:]
-        if _block_age(bx) != 0 or _block_age(by) != 0:
+        if sum(h.num[:n1]) % h.den or sum(h.num[n1:]) % h.den:
             raise GroupOutOfRange(f"generator {h} leaves SL(W1) x SL(W2)")
         if not element_in_gmax(poly, h):
             raise GroupOutOfRange(f"generator {h} is not a symmetry of W1 + W2")
-    sigma = GroupElement(
-        [Fraction(1, 2) if k in (slot1, slot2) else Fraction(0) for k in range(n)]
-    )
+    sigma = GroupElement._raw([int(k in (slot1, slot2)) for k in range(n)], 2)
     if sigma in group:
         raise GroupOutOfRange("sigma already lies in G")
     elements = list(group.elements) + [sigma + g for g in group.elements]
@@ -243,9 +242,8 @@ def twist_group(model: BVModel, tw_poly: Polynomial, keep) -> SymmetryGroup:
     s1, s2 = model.slots
     projected = []
     for g in model.sigma_group.elements:
-        c = g.components
-        if c[s1] == 0 and c[s2] == 0:
-            projected.append(GroupElement(c[k] for k in keep))
+        if g.num[s1] == 0 and g.num[s2] == 0:
+            projected.append(GroupElement._raw([g.num[k] for k in keep], g.den))
     group = group_from_elements(len(keep), projected)
     for h in group.gens:
         if not element_in_gmax(tw_poly, h):
@@ -264,11 +262,10 @@ def twist_model(model: BVModel) -> TwistModel:
 
 
 def _sector_epsilon(model: BVModel, g: GroupElement) -> int:
-    c = g.components
-    pair = (c[model.slot1], c[model.slot2])
+    pair = (2 * g.num[model.slot1], 2 * g.num[model.slot2])
     if pair == (0, 0):
         return 0
-    if pair == (Fraction(1, 2), Fraction(1, 2)):
+    if pair == (g.den, g.den):
         return 1
     raise MalformedSector(f"sector {g} fixes exactly one distinguished variable")
 
@@ -279,13 +276,9 @@ def tw_a_map(e: SectorElement, model: BVModel, tw: TwistModel):
     for s in model.slots:
         if e.monomial[s]:
             raise MalformedSector("monomial touches a distinguished variable")
-    sector = GroupElement(e.sector.components[k] for k in tw.keep)
+    sector = GroupElement._raw([e.sector.num[k] for k in tw.keep], e.sector.den)
     mono = tuple(e.monomial[k] for k in tw.keep)
     return Fraction(2) ** (1 - eps), SectorElement(sector, mono, e.flavor)
-
-
-def tw_b_map(e: SectorElement, model: BVModel, tw: TwistModel):
-    return tw_a_map(e, model, tw)
 
 
 def verify_twist_iso(model: BVModel, flavor: str, tw_group_override=None) -> Report:
@@ -349,18 +342,6 @@ def verify_group_lemma(model: BVModel) -> Report:
     )
 
 
-def _table_mismatches(lhs: dict, rhs: dict):
-    out = []
-    for key in sorted(set(lhs) | set(rhs)):
-        a = lhs.get(key, 0)
-        b = rhs.get(key, 0)
-        if a != b:
-            out.append(
-                {"p": frac_str(key[0]), "q": frac_str(key[1]), "lhs": a, "rhs": b}
-            )
-    return out
-
-
 def verify_theorem1(model: BVModel) -> Report:
     """Exact bigraded equality of A(W, sigma G) and B(W^T, sigma(G^T))."""
     a_space = build_state_space(model.poly, model.sigma_group, "A")
@@ -368,7 +349,7 @@ def verify_theorem1(model: BVModel) -> Report:
     b_space = build_state_space(mirror.poly, mirror.sigma_group, "B")
     lhs = poincare_table(a_space)
     rhs = poincare_table(b_space)
-    mismatches = _table_mismatches(lhs, rhs)
+    mismatches = diff_tables(lhs, rhs, "lhs", "rhs")
     return Report(
         "theorem1",
         not mismatches,

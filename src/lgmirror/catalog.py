@@ -287,7 +287,6 @@ def sample_polynomial(ws: WeightSystem) -> Polynomial:
         terms = build([sorted(b) for b in sorted(partition)])
         if terms is None:
             continue
-        poly_terms = {tuple(0 for _ in weights): Fraction(0)}
         mono = [0] * len(weights)
         mono[dist] = 2
         poly_terms = {tuple(mono): Fraction(1)}
@@ -318,14 +317,16 @@ def sample_polynomial(ws: WeightSystem) -> Polynomial:
 CSV_HEADER = "w0,w1,w2,w3,d,quasismooth,bv_admissible,sample_poly"
 
 
+def csv_row(r: WeightSystemRecord) -> str:
+    w = r.weights
+    return (
+        f"{w[0]},{w[1]},{w[2]},{w[3]},{r.degree},"
+        f"{int(r.quasismooth)},{int(r.bv_admissible)},{r.sample_poly}"
+    )
+
+
 def save_catalog(records, path):
-    lines = [CSV_HEADER]
-    for r in records:
-        w = list(r.weights)
-        lines.append(
-            f"{w[0]},{w[1]},{w[2]},{w[3]},{r.degree},"
-            f"{int(r.quasismooth)},{int(r.bv_admissible)},{r.sample_poly}"
-        )
+    lines = [CSV_HEADER] + [csv_row(r) for r in records]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -13,15 +13,14 @@ Primitive pieces come from the graded dimensions of the Milnor ring
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .bvlg import BVModel
 from .milnor import milnor_ring
 from .polyring import Polynomial, WeightSystem, restrict, weight_system
 from .report import Report
-from .statespace import build_state_space, frac_str, poincare_table
-from .symmetry import GroupElement, bv_cosets, span
+from .statespace import build_state_space, diff_tables, frac_str, poincare_table
+from .symmetry import GroupElement, age, bv_cosets, fixed_indices, int_vectors, span
 
 AMBIENT = "ambient"
 PRIMITIVE = "primitive"
@@ -108,7 +107,7 @@ def _block_classes(poly: Polynomial, fixed, ws: WeightSystem):
 def age_shift(s1: GroupElement, s2: GroupElement, theta1, theta2, d1: int, d2: int) -> Fraction:
     """Tangent-space age: ambient age of (s1, s2) minus the angles by which the
     two defining polynomials are scaled (one normal direction per factor)."""
-    total = sum(s1.components, Fraction(0)) + sum(s2.components, Fraction(0))
+    total = age(s1) + age(s2)
     total -= (d1 * Fraction(theta1)) % 1
     total -= (d2 * Fraction(theta2)) % 1
     return total
@@ -144,9 +143,9 @@ def cr_table(model: BVModel) -> CRTable:
     j_group = span(model.poly.nvars, [model.j1, model.j2])
     decomposition = bv_cosets(model.sigma_group, j_group, model.slots, model.sigma)
     gens = model.sigma_group.gens
-    L = math.lcm(*(c.denominator for h in gens for c in h.components), 1)
-    gen_blocks1 = [tuple(int(c * L) for c in h.components[:n1]) for h in gens]
-    gen_blocks2 = [tuple(int(c * L) for c in h.components[n1:]) for h in gens]
+    L, gen_vecs = int_vectors(gens)
+    gen_blocks1 = [v[:n1] for v in gen_vecs]
+    gen_blocks2 = [v[n1:] for v in gen_vecs]
 
     cls_cache: dict = {}
 
@@ -177,13 +176,13 @@ def cr_table(model: BVModel) -> CRTable:
         g2 = rep.components[n1:]
         for theta1 in lambda_set(g1, model.ws1):
             s1 = scaled_element(g1, theta1, model.ws1)
-            fixed1 = tuple(i for i, c in enumerate(s1.components) if c == 0)
+            fixed1 = fixed_indices(s1)
             cls1 = classes_with_weights(1, fixed1)
             if not cls1:
                 continue
             for theta2 in lambda_set(g2, model.ws2):
                 s2 = scaled_element(g2, theta2, model.ws2)
-                fixed2 = tuple(i for i, c in enumerate(s2.components) if c == 0)
+                fixed2 = fixed_indices(s2)
                 cls2 = classes_with_weights(2, fixed2)
                 if not cls2:
                     continue
@@ -233,7 +232,7 @@ def verify_lgcy(model: BVModel) -> Report:
     cr = cr_table(model)
     a_space = build_state_space(model.poly, model.sigma_group, "A")
     a_table = poincare_table(a_space)
-    mismatches = _diff_tables(cr.table, a_table, "cr", "fjrw")
+    mismatches = diff_tables(cr.table, a_table, "cr", "fjrw")
     return Report(
         "lgcy",
         not mismatches,
@@ -248,7 +247,7 @@ def verify_bv_mirror(model: BVModel) -> Report:
     cr = cr_table(model)
     mirror_cr = cr_table(model.mirror())
     rotated = {(n - p, q): d for (p, q), d in mirror_cr.table.items()}
-    mismatches = _diff_tables(cr.table, rotated, "cr", "rotated_mirror")
+    mismatches = diff_tables(cr.table, rotated, "cr", "rotated_mirror")
     return Report(
         "bvms",
         not mismatches,
@@ -265,22 +264,10 @@ def verify_twist_corollary(model: BVModel, tw_group_override=None) -> Report:
     group = tw_group_override if tw_group_override is not None else tw.group
     tw_space = build_state_space(tw.poly, group, "A")
     tw_table = poincare_table(tw_space)
-    mismatches = _diff_tables(cr.table, tw_table, "cr", "twist_lg")
+    mismatches = diff_tables(cr.table, tw_table, "cr", "twist_lg")
     return Report(
         "twist-corollary",
         not mismatches,
         {"cr_total": cr.total, "twist_total": tw_space.dim},
         mismatches,
     )
-
-
-def _diff_tables(lhs: dict, rhs: dict, lname: str, rname: str):
-    out = []
-    for key in sorted(set(lhs) | set(rhs)):
-        a = lhs.get(key, 0)
-        b = rhs.get(key, 0)
-        if a != b:
-            out.append(
-                {"p": frac_str(key[0]), "q": frac_str(key[1]), lname: a, rname: b}
-            )
-    return out

@@ -9,11 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import bvlg, catalog, chenruan, frobenius, milnor, polyring, statespace, symmetry
 from .polyring import PolyError, parse_polynomial, weight_system
-from .symmetry import GroupError, GroupElement, parse_group_elements
+from .symmetry import GroupError, parse_group_elements
 
 USAGE_ERROR = 2
 MATH_ERROR = 3
@@ -79,7 +78,7 @@ def cmd_state_space(args) -> int:
     poly = parse_polynomial(args.w)
     gens = parse_group_elements(args.gens, poly.nvars) if args.gens else []
     group = symmetry.span(poly.nvars, gens)
-    space = statespace.build_state_space(poly, group, args.flavor, jobs=args.jobs)
+    space = statespace.build_state_space(poly, group, args.flavor)
     data = statespace.table_to_json(statespace.poincare_table(space), args.flavor)
     if args.json:
         _print_json(data)
@@ -91,18 +90,10 @@ def cmd_state_space(args) -> int:
 def _build_model(args) -> bvlg.BVModel:
     w1 = parse_polynomial(args.w1)
     w2 = parse_polynomial(args.w2)
-    n = w1.nvars + w2.nvars
     if args.gens:
-        gens = parse_group_elements(args.gens, n)
+        gens = parse_group_elements(args.gens, w1.nvars + w2.nvars)
     else:
-        ws1, ws2 = weight_system(w1), weight_system(w2)
-        j1 = GroupElement(
-            [Fraction(w, ws1.degree) for w in ws1.weights] + [0] * w2.nvars
-        )
-        j2 = GroupElement(
-            [0] * w1.nvars + [Fraction(w, ws2.degree) for w in ws2.weights]
-        )
-        gens = [j1, j2]
+        gens = bvlg.block_j_elements(weight_system(w1), weight_system(w2))
     return bvlg.build_bv(w1, w2, gens)
 
 
@@ -214,11 +205,7 @@ def cmd_catalog(args) -> int:
         else:
             print(catalog.CSV_HEADER)
             for r in records:
-                w = r.weights
-                print(
-                    f"{w[0]},{w[1]},{w[2]},{w[3]},{r.degree},"
-                    f"{int(r.quasismooth)},{int(r.bv_admissible)},{r.sample_poly}"
-                )
+                print(catalog.csv_row(r))
         return 0
     if args.action == "genericity":
         import random
@@ -254,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for sector sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analyze", help="weights, symmetry orders, CY flag, atomic blocks")
@@ -319,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    statespace.DEFAULT_JOBS = max(1, args.jobs)
     try:
         return args.func(args)
     except PolyError as exc:
@@ -328,8 +313,6 @@ def main(argv=None) -> int:
     except _PRECONDITIONS as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return MATH_ERROR
-    finally:
-        statespace.DEFAULT_JOBS = 1
 
 
 if __name__ == "__main__":

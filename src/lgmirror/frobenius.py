@@ -23,6 +23,9 @@ from .statespace import (
 from .symmetry import GroupElement, fixed_indices, transpose_group
 
 
+_ZERO = Fraction(0)
+
+
 class FrobeniusError(Exception):
     pass
 
@@ -41,6 +44,23 @@ class OddElement(FrobeniusError):
 
 class NotBasisElement(FrobeniusError):
     pass
+
+
+class HypothesisFailed(FrobeniusError):
+    """The all-or-nothing property (property 1) of Theorem 2 fails; carries
+    the first few violations."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        shown = "; ".join(
+            f"{v['side']} sector {v['sector']} fixes {v['fixed_in_block']} of {v['block']}"
+            for v in self.violations[:3]
+        )
+        more = len(self.violations) - 3
+        super().__init__(
+            f"Theorem 2 needs property 1 (all-or-nothing fixing of atomic "
+            f"blocks): {shown}" + (f"; and {more} more" if more > 0 else "")
+        )
 
 
 def z2_grading(e: SectorElement, nvars: int) -> int:
@@ -64,20 +84,20 @@ class AlgebraElement:
         self.space = space
         self.coeffs = {}
         for e, c in (coeffs or {}).items():
-            c = Fraction(c)
+            c = c if isinstance(c, Fraction) else Fraction(c)
             if c:
                 self.coeffs[e] = c
 
     @classmethod
     def basis(cls, space, e, coeff=1):
-        return cls(space, {e: Fraction(coeff)})
+        return cls(space, {e: coeff})
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if self.space is not other.space:
             raise MixedSpaces("cannot add elements of different state spaces")
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, _ZERO) + c
         return AlgebraElement(self.space, out)
 
     def scale(self, c) -> "AlgebraElement":
@@ -116,6 +136,7 @@ class BAlgebra:
         self._hessians: dict = {}
         self._gamma: dict = {}
         self._products: dict = {}
+        self._pairings: dict = {}
 
     def ring(self, subset) -> MilnorRing:
         subset = tuple(sorted(subset))
@@ -226,16 +247,20 @@ class BAlgebra:
 
     def pairing_basis(self, e1: SectorElement, e2: SectorElement) -> Fraction:
         if e2.sector != -e1.sector:
-            return Fraction(0)
-        ring = self.ring(fixed_indices(e1.sector))
-        m = Polynomial(self.poly.variables, {e1.monomial: 1})
-        n = Polynomial(self.poly.variables, {e2.monomial: 1})
-        return residue_pairing(m, n, ring)
+            return _ZERO
+        key = (e1, e2)
+        hit = self._pairings.get(key)
+        if hit is None:
+            ring = self.ring(fixed_indices(e1.sector))
+            m = Polynomial(self.poly.variables, {e1.monomial: 1})
+            n = Polynomial(self.poly.variables, {e2.monomial: 1})
+            hit = self._pairings[key] = residue_pairing(m, n, ring)
+        return hit
 
     def pairing(self, a: AlgebraElement, b: AlgebraElement) -> Fraction:
         if a.space is not self.space or b.space is not self.space:
             raise MixedSpaces("operands belong to a different state space")
-        total = Fraction(0)
+        total = _ZERO
         for e1, c1 in a.coeffs.items():
             for e2, c2 in b.coeffs.items():
                 if e2.sector == -e1.sector:
@@ -274,8 +299,8 @@ def phi_map(
     moved = SectorElement(sigma + e.sector, e.monomial, "B")
     if moved not in bv_space.basis_set:
         raise NotBasisElement(f"neither {e!r} nor its sigma-shift is in the BV basis")
-    slots = [k for k, c in enumerate(sigma.components) if c != 0]
-    fixes = all(e.sector.components[k] == 0 for k in slots)
+    slots = [k for k, a in enumerate(sigma.num) if a]
+    fixes = all(e.sector.num[k] == 0 for k in slots)
     if not rescaled:
         return Fraction(1), moved
     return (Fraction(1, 2) if fixes else Fraction(2)), moved
@@ -334,15 +359,14 @@ def _extend_phi(alg_from, alg_to, mapping):
 def gamma_lemma_cases(algebra: BAlgebra, sigma: GroupElement, sectors):
     """Factor of gamma(g,h) against gamma(g, sigma h) per the slot pattern of
     (g, h): (1/2,1/2)x(1/2,1/2) -> 4, (1/2,1/2)x(0,0) -> 1/4, else 1."""
-    slots = [k for k, c in enumerate(sigma.components) if c != 0]
-    half = Fraction(1, 2)
+    slots = [k for k, a in enumerate(sigma.num) if a]
     failures = []
     checked = 0
     for g in sectors:
-        g_half = all(g.components[k] == half for k in slots)
+        g_half = all(2 * g.num[k] == g.den for k in slots)
         for h in sectors:
-            h_half = all(h.components[k] == half for k in slots)
-            h_zero = all(h.components[k] == 0 for k in slots)
+            h_half = all(2 * h.num[k] == h.den for k in slots)
+            h_zero = all(h.num[k] == 0 for k in slots)
             lhs = algebra.gamma(g, h)
             rhs = algebra.gamma(g, sigma + h)
             if g_half and h_half:
@@ -368,12 +392,11 @@ def gamma_lemma_cases(algebra: BAlgebra, sigma: GroupElement, sectors):
 def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
     """phi-bar preserves products and pairings between the even subspaces of
     the two mirror B-models; also checks unit, associativity, the Frobenius
-    identity, and the gamma-factor lemma."""
+    identity, and the gamma-factor lemma.  Raises HypothesisFailed when the
+    model lacks property 1, on which the theorem rests."""
     prop = check_property1(model.poly, model.sigma_group, ws=model.ws)
     if not prop.passed:
-        return Report(
-            "theorem2", False, {"hypothesis": "property1 failed"}, prop.mismatches
-        )
+        raise HypothesisFailed(prop.mismatches)
     mirror = model.mirror()
     bhk_group = transpose_group(model.sigma_group, model.poly)
     shared_rings: dict = {}

@@ -8,8 +8,6 @@ generators with integer arithmetic.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .milnor import MilnorRing, milnor_ring
@@ -19,6 +17,7 @@ from .symmetry import (
     SymmetryGroup,
     age,
     fixed_indices,
+    int_vectors,
     is_b_admissible,
     j_element,
 )
@@ -28,19 +27,16 @@ class NotAdmissible(Exception):
     pass
 
 
-# default worker count for sector sweeps; the CLI --jobs flag sets this
-DEFAULT_JOBS = 1
-
-
 class SectorElement:
     """<m; g> with flavor tag; the form over Fix(g) is implicit."""
 
-    __slots__ = ("sector", "monomial", "flavor")
+    __slots__ = ("sector", "monomial", "flavor", "_hash")
 
     def __init__(self, sector: GroupElement, monomial, flavor: str):
         self.sector = sector
         self.monomial = tuple(monomial)
         self.flavor = flavor
+        self._hash = hash((sector.num, sector.den, self.monomial, flavor))
 
     def fixed(self):
         return fixed_indices(self.sector)
@@ -54,7 +50,7 @@ class SectorElement:
         )
 
     def __hash__(self):
-        return hash((self.sector, self.monomial, self.flavor))
+        return self._hash
 
     def __lt__(self, other):
         return (self.sector, self.monomial) < (other.sector, other.monomial)
@@ -65,10 +61,8 @@ class SectorElement:
 
 def action_weight(h: GroupElement, e: SectorElement) -> Fraction:
     """Weight of h on m * omega_g: sum over fixed j of (a_j + 1) h_j mod 1."""
-    total = Fraction(0)
-    for j in fixed_indices(e.sector):
-        total += (e.monomial[j] + 1) * h.components[j]
-    return total % 1
+    total = sum((e.monomial[j] + 1) * h.num[j] for j in fixed_indices(e.sector))
+    return Fraction(total % h.den, h.den)
 
 
 class StateSpace:
@@ -103,13 +97,6 @@ class StateSpace:
     def ring(self, e: SectorElement) -> MilnorRing:
         return self.rings[e.fixed()]
 
-    def deg_m(self, e: SectorElement) -> Fraction:
-        q = self.ws.q
-        fixed = fixed_indices(e.sector)
-        return sum((e.monomial[j] * q[j] for j in fixed), Fraction(0)) + sum(
-            (q[j] for j in fixed), Fraction(0)
-        )
-
     def bidegree(self, e: SectorElement):
         if e.flavor == "A":
             return a_bidegree(e, self.ws, self.age_j)
@@ -142,11 +129,6 @@ def b_bidegree(e: SectorElement, ws: WeightSystem, age_j: Fraction):
     return (dm + age(e.sector) - age_j, dm + age(-e.sector) - age_j)
 
 
-def _ring_task(args):
-    poly, active, ws = args
-    return active, milnor_ring(poly, active=active, ws=ws)
-
-
 def build_sector(
     poly: Polynomial,
     group: SymmetryGroup,
@@ -154,18 +136,19 @@ def build_sector(
     flavor: str,
     ws: WeightSystem,
     rings: dict,
+    int_gens=None,
 ):
-    """Invariant standard monomials of Milnor(W_g), as sector elements."""
+    """Invariant standard monomials of Milnor(W_g), as sector elements.
+
+    int_gens is int_vectors(group.gens), which a sweep computes once."""
     fixed = fixed_indices(g)
     ring = rings.get(fixed)
     if ring is None:
         ring = milnor_ring(poly, active=fixed, ws=ws)
         rings[fixed] = ring
-    gens = group.gens
-    if not gens:
+    if not group.gens:
         return [SectorElement(g, m, flavor) for m in ring.basis]
-    L = math.lcm(*(c.denominator for h in gens for c in h.components), 1)
-    gen_vecs = [tuple(int(c * L) for c in h.components) for h in gens]
+    L, gen_vecs = int_gens or int_vectors(group.gens)
     kept = []
     for m in ring.basis:
         ok = True
@@ -187,11 +170,8 @@ def build_state_space(
     flavor: str,
     ws: WeightSystem | None = None,
     rings: dict | None = None,
-    jobs: int | None = None,
 ) -> StateSpace:
     """Sweep all sectors of (W, G); raises NotAdmissible on a flavor mismatch."""
-    if jobs is None:
-        jobs = DEFAULT_JOBS
     if flavor not in ("A", "B"):
         raise ValueError(f"unknown flavor {flavor!r}")
     if ws is None:
@@ -205,17 +185,11 @@ def build_state_space(
     age_j = sum(ws.q, Fraction(0))
     if rings is None:
         rings = {}
-    subsets = sorted({fixed_indices(g) for g in group.elements})
-    missing = [s for s in subsets if s not in rings]
-    if jobs > 1 and len(missing) > 1:
-        tasks = [(poly, s, ws) for s in missing]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for active, ring in pool.map(_ring_task, tasks):
-                rings[active] = ring
+    int_gens = int_vectors(group.gens)
     basis = []
     sector_dims = {}
     for g in group.elements:
-        got = build_sector(poly, group, g, flavor, ws, rings)
+        got = build_sector(poly, group, g, flavor, ws, rings, int_gens)
         sector_dims[g] = len(got)
         basis.extend(got)
     return StateSpace(poly, ws, group, flavor, age_j, basis, rings, sector_dims)
@@ -228,6 +202,19 @@ def poincare_table(space: StateSpace) -> dict:
         key = space.bidegree(e)
         table[key] = table.get(key, 0) + 1
     return table
+
+
+def diff_tables(lhs: dict, rhs: dict, lname: str, rname: str):
+    """Entries where two bigraded tables differ, as JSON-ready records."""
+    out = []
+    for key in sorted(set(lhs) | set(rhs)):
+        a = lhs.get(key, 0)
+        b = rhs.get(key, 0)
+        if a != b:
+            out.append(
+                {"p": frac_str(key[0]), "q": frac_str(key[1]), lname: a, rname: b}
+            )
+    return out
 
 
 def krawitz_dimension_check(poly: Polynomial, group: SymmetryGroup):

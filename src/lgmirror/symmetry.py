@@ -1,6 +1,10 @@
 """Finite diagonal symmetry groups in (Q/Z)^n.
 
-Group elements are vectors of exact rationals canonicalized to [0, 1).
+A group element g = (g_1, ..., g_n) is stored as an integer numerator vector
+over one positive denominator: g_i = num[i] / den with 0 <= num[i] < den.
+The form is canonical (den is the order of g and gcd(den, *num) = 1), so
+equality, hashing, ordering and the group law all run on ints.  Fractions
+appear only at the edges: parsing, `components`, `str` and ages.
 Enumeration-heavy paths (G^max via Smith normal form, dual-group filtering,
 span closures) run on integer vectors over a common denominator.
 """
@@ -42,70 +46,114 @@ def _cap() -> int:
 
 
 class GroupElement:
-    """A diagonal symmetry (g_1, ..., g_n) with each g_i in [0, 1)."""
+    """A diagonal symmetry (g_1, ..., g_n) with each g_i in [0, 1), stored as
+    the canonical int numerators `num` over the order `den`."""
 
-    __slots__ = ("components",)
+    __slots__ = ("num", "den")
 
     def __init__(self, components):
-        self.components = tuple(Fraction(c) % 1 for c in components)
+        fracs = [Fraction(c) for c in components]
+        den = math.lcm(*(f.denominator for f in fracs))
+        self._canonical([f.numerator * (den // f.denominator) for f in fracs], den)
+
+    def _canonical(self, num, den):
+        num = [a % den for a in num]
+        d = math.gcd(den, *num)
+        self.num = tuple(a // d for a in num)
+        self.den = den // d
+
+    @classmethod
+    def _raw(cls, num, den: int) -> "GroupElement":
+        """The element (num[i] / den)_i; num need not be reduced."""
+        g = cls.__new__(cls)
+        g._canonical(num, den)
+        return g
 
     @classmethod
     def identity(cls, n: int) -> "GroupElement":
-        return cls([Fraction(0)] * n)
+        return cls._raw((0,) * n, 1)
+
+    @property
+    def components(self):
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.num)
 
     @property
     def n(self) -> int:
-        return len(self.components)
+        return len(self.num)
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(a + b for a, b in zip(self.components, other.components))
+        den = math.lcm(self.den, other.den)
+        s1, s2 = den // self.den, den // other.den
+        return GroupElement._raw(
+            [a * s1 + b * s2 for a, b in zip(self.num, other.num)], den
+        )
 
     def __neg__(self) -> "GroupElement":
-        return GroupElement(-c for c in self.components)
+        # -a mod den keeps gcd(den, *num) = 1, so the result is canonical
+        g = GroupElement.__new__(GroupElement)
+        g.num = tuple(-a % self.den for a in self.num)
+        g.den = self.den
+        return g
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return self + (-other)
 
     def __mul__(self, k: int) -> "GroupElement":
-        return GroupElement(c * k for c in self.components)
+        return GroupElement._raw([a * k for a in self.num], self.den)
 
     __rmul__ = __mul__
 
     def is_identity(self) -> bool:
-        return all(c == 0 for c in self.components)
+        return self.den == 1
 
     def order(self) -> int:
-        return math.lcm(*(c.denominator for c in self.components))
+        return self.den
 
     def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.components == other.components
+        return (
+            isinstance(other, GroupElement)
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self):
-        return hash(self.components)
+        return hash(self.num) ^ self.den
 
     def __lt__(self, other):
-        return self.components < other.components
+        """Lexicographic order of the components as rationals."""
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return self.num < other.num
+        return tuple(a * d2 for a in self.num) < tuple(b * d1 for b in other.num)
 
     def __str__(self):
-        return ",".join(str(c) for c in self.components)
+        den = self.den
+        return ",".join(str(Fraction(a, den)) for a in self.num)
 
     def __repr__(self):
         return f"GroupElement({self})"
 
 
+def int_vectors(elements):
+    """(L, [g * L]) for the elements over their common denominator L."""
+    L = math.lcm(*(g.den for g in elements))
+    return L, [tuple(a * (L // g.den) for a in g.num) for g in elements]
+
+
 def age(g: GroupElement) -> Fraction:
     """Sum of the [0, 1) representatives."""
-    return sum(g.components, Fraction(0))
+    return Fraction(sum(g.num), g.den)
 
 
 def fixed_indices(g: GroupElement):
     """Indices of coordinates fixed by g (component zero)."""
-    return tuple(i for i, c in enumerate(g.components) if c == 0)
+    return tuple(i for i, a in enumerate(g.num) if a == 0)
 
 
 def j_element(ws: WeightSystem) -> GroupElement:
-    """Exponential grading operator (q_1, ..., q_n)."""
-    return GroupElement(ws.q)
+    """Exponential grading operator (q_1, ..., q_n) = (w_1, ..., w_n) / d."""
+    return GroupElement._raw(ws.weights, ws.degree)
 
 
 def parse_group_elements(text: str, n: int):
@@ -125,14 +173,13 @@ def parse_group_elements(text: str, n: int):
 class SymmetryGroup:
     """Finitely enumerated subgroup of (Q/Z)^n, immutable after construction."""
 
-    __slots__ = ("n", "elements", "element_set", "gens", "_int_cache")
+    __slots__ = ("n", "elements", "element_set", "gens")
 
     def __init__(self, n, elements, gens):
         self.n = n
         self.elements = tuple(sorted(elements))
         self.element_set = frozenset(self.elements)
         self.gens = tuple(gens)
-        self._int_cache = None
 
     @property
     def order(self) -> int:
@@ -152,19 +199,6 @@ class SymmetryGroup:
 
     def identity(self) -> GroupElement:
         return GroupElement.identity(self.n)
-
-    def denominator(self) -> int:
-        return math.lcm(*(c.denominator for g in self.gens for c in g.components), 1)
-
-    def int_elements(self):
-        """(L, list of integer tuples g*L) cached; used by hot filters."""
-        if self._int_cache is None:
-            L = math.lcm(
-                *(c.denominator for g in self.elements for c in g.components), 1
-            )
-            vecs = [tuple(int(c * L) for c in g.components) for g in self.elements]
-            self._int_cache = (L, vecs)
-        return self._int_cache
 
     def __repr__(self):
         return f"SymmetryGroup(n={self.n}, order={self.order})"
@@ -197,11 +231,9 @@ def span(n: int, gens, cap: int | None = None) -> SymmetryGroup:
         cap = _cap()
     if not gens:
         return SymmetryGroup(n, [GroupElement.identity(n)], [])
-    L = math.lcm(*(c.denominator for g in gens for c in g.components))
-    gen_vecs = [tuple(int(c * L) for c in g.components) for g in gens]
-    zero = tuple([0] * n)
-    seen = _close_int([zero], gen_vecs, L, n, cap)
-    elements = [GroupElement(Fraction(v, L) for v in vec) for vec in seen]
+    L, gen_vecs = int_vectors(gens)
+    seen = _close_int([(0,) * n], gen_vecs, L, n, cap)
+    elements = [GroupElement._raw(vec, L) for vec in seen]
     return SymmetryGroup(n, elements, gens)
 
 
@@ -217,13 +249,10 @@ def minimal_generators(n: int, elements):
     elements = sorted(elements)
     if len(elements) <= 1:
         return []
-    L = math.lcm(*(c.denominator for g in elements for c in g.components))
-    vec_of = {g: tuple(int(c * L) for c in g.components) for g in elements}
-    zero = tuple([0] * n)
-    spanned = {zero}
+    L, vecs = int_vectors(elements)
+    spanned = {(0,) * n}
     gens = []
-    for g in elements:
-        v = vec_of[g]
+    for g, v in zip(elements, vecs):
         if v in spanned:
             continue
         gens.append(g)
@@ -331,8 +360,8 @@ _GMAX_RAW_CACHE: dict = {}
 def _gmax_raw(poly: Polynomial):
     """(L, element int-vectors mod L, generator int-vectors) for Gmax(W).
 
-    Integer-level enumeration via Smith normal form, memoized; Fractions are
-    only materialized by the callers that need them.
+    Integer-level enumeration via Smith normal form, memoized; group elements
+    are only built by the callers that need them.
     """
     cached = _GMAX_RAW_CACHE.get(poly)
     if cached is not None:
@@ -387,8 +416,8 @@ def gmax(poly: Polynomial) -> SymmetryGroup:
     if cached is not None:
         return cached
     L, vecs, gen_vecs = _gmax_raw(poly)
-    elements = [GroupElement(Fraction(c, L) for c in vec) for vec in vecs]
-    gens = [GroupElement(Fraction(c, L) for c in vec) for vec in gen_vecs]
+    elements = [GroupElement._raw(vec, L) for vec in vecs]
+    gens = [GroupElement._raw(vec, L) for vec in gen_vecs]
     group = SymmetryGroup(poly.nvars, elements, gens)
     _GMAX_CACHE[poly] = group
     return group
@@ -396,11 +425,9 @@ def gmax(poly: Polynomial) -> SymmetryGroup:
 
 def element_in_gmax(poly: Polynomial, g: GroupElement) -> bool:
     """Direct definition check: every monomial has integral g-weight."""
-    for m in poly.terms:
-        w = sum(Fraction(e) * c for e, c in zip(m, g.components))
-        if w % 1 != 0:
-            return False
-    return True
+    return all(
+        sum(e * a for e, a in zip(m, g.num)) % g.den == 0 for m in poly.terms
+    )
 
 
 def sl_subgroup(group: SymmetryGroup) -> SymmetryGroup:
@@ -436,10 +463,9 @@ def transpose_group(group: SymmetryGroup, poly: Polynomial) -> SymmetryGroup:
     L, vecs, _ = _gmax_raw(transpose(poly))
     constraints = []
     for h in group.gens:
-        c = [sum(Fraction(aligned[i][j]) * h.components[j] for j in range(poly.nvars))
-             for i in range(poly.nvars)]
-        D = math.lcm(*(x.denominator for x in c), 1)
-        constraints.append(([int(x * D) for x in c], L * D))
+        # sum_k vec_k / L * (A_W h)_k is integral; (A_W h)_k = cnum_k / h.den
+        cnum = [sum(a * b for a, b in zip(row, h.num)) for row in aligned]
+        constraints.append((cnum, L * h.den))
     kept = []
     for vec in vecs:
         ok = True
@@ -448,7 +474,7 @@ def transpose_group(group: SymmetryGroup, poly: Polynomial) -> SymmetryGroup:
                 ok = False
                 break
         if ok:
-            kept.append(GroupElement(Fraction(c, L) for c in vec))
+            kept.append(GroupElement._raw(vec, L))
     return group_from_elements(group.n, kept)
 
 
@@ -496,7 +522,7 @@ def bv_cosets(sigma_group: SymmetryGroup, j_group: SymmetryGroup, slots, sigma) 
         if key in paired:
             continue
         coset = by_key[key]
-        zero_slot = [e for e in coset if e.components[i0] == 0 and e.components[j0] == 0]
+        zero_slot = [e for e in coset if e.num[i0] == 0 and e.num[j0] == 0]
         if not zero_slot:
             raise GroupError("coset without a representative fixing the distinguished slots")
         rep = min(zero_slot)

@@ -153,3 +153,15 @@ def test_catalog_genericity(capsys):
     code, out, err = run(capsys, "--seed", "5", "catalog", "genericity", "--count", "2")
     assert code == 0
     assert out.count("ok") == 2
+
+
+def test_bv_theorem2_without_property1_exits_3(capsys):
+    # y1^4*y2 is a chain: the group fixes y2 alone in some sectors, so the
+    # all-or-nothing hypothesis of Theorem 2 fails; that is a precondition
+    code, out, err = run(
+        capsys, "bv", "theorem2", "--w1", "x0^2+x1^3+x2^6",
+        "--w2", "y0^2+y1^4*y2+y2^7+y3^7",
+    )
+    assert code == 3
+    assert out == ""
+    assert "property 1" in err

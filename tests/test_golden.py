@@ -1,0 +1,60 @@
+"""Byte-for-byte golden reports of the CLI.
+
+Each case is a CLI invocation whose ``--json`` output is stored in
+``tests/golden/<name>.json``.  The stored outputs pin the reports, including
+the order of every list in them, across refactors of the engine.  To rewrite
+them after a deliberate change of a report, run
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import pathlib
+import sys
+
+import pytest
+
+from lgmirror.cli import main
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+
+E1 = "x0^2+x1^3+x2^6"
+E2 = "x0^2+x1^4+x2^4"
+K3A = "y0^2+y1^6+y2^6+y3^6"
+NONPRODUCT = "1/2,1/4,1/4,0,0,0,0;0,0,0,1/2,1/6,1/6,1/6;0,1/4,3/4,0,1/6,5/6,0"
+VERBS = (
+    "theorem1", "bvms", "twist-iso", "group-lemma", "lgcy",
+    "twist-corollary", "mirror", "twist", "theorem2",
+)
+
+CASES = {
+    "analyze_e1": ["analyze", E1, "--json"],
+    "analyze_k3a": ["analyze", K3A, "--json"],
+    "state_space_a_k3a": ["state-space", "A", "--w", K3A, "--gens", "1/2,1/6,1/6,1/6", "--json"],
+    "state_space_b_k3a": ["state-space", "B", "--w", K3A, "--gens", "0,1/6,1/6,2/3;1/2,1/2,0,0", "--json"],
+}
+for _verb in VERBS:
+    CASES[f"e1k3a_{_verb}"] = ["bv", _verb, "--w1", E1, "--w2", K3A, "--json"]
+    CASES[f"nonproduct_{_verb}"] = ["bv", _verb, "--w1", E2, "--w2", K3A, "--gens", NONPRODUCT, "--json"]
+
+
+def run_case(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name):
+    code, out = run_case(CASES[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    for name, argv in sorted(CASES.items()):
+        code, out = run_case(argv)
+        (GOLDEN / f"{name}.json").write_text(out, encoding="utf-8")
+        print(f"{name}: exit {code}", file=sys.stderr)

@@ -178,12 +178,6 @@ def test_sector_dims_record_empty_sectors():
     assert 0 in space.sector_dims.values()  # e.g. the j^2 sector is empty
 
 
-def test_parallel_ring_warmup_matches_serial():
-    serial = build_state_space(K3, J2, "A", jobs=1)
-    parallel = build_state_space(K3, J2, "A", jobs=2)
-    assert serial.basis == parallel.basis
-
-
 def test_krawitz_check_helper():
     from lgmirror.statespace import krawitz_dimension_check
 
