@@ -197,51 +197,64 @@ class MilnorRing:
         self.socle = self._socle()
 
     def _standard_basis(self):
+        """Monomials outside the leading-term ideal, sorted by (wdeg, m).
+
+        A staircase walk over the active variables that extends a prefix
+        only while it stays standard.  The bound of a variable is its least
+        exponent among the leading terms that divide the prefix and vanish
+        on the later variables; the last variable's whole range is emitted
+        at once, with the weighted degree carried along.
+        """
         n = self.poly.nvars
-        if not self.active:
+        active = self.active
+        if not active:
             return (tuple([0] * n),)
-        bounds = {}
-        for i in self.active:
-            pure = [
-                lt[i]
-                for lt in self.lead_monomials
-                if lt[i] > 0 and all(e == 0 for j, e in enumerate(lt) if j != i)
-            ]
-            if not pure:
+        lead = self.lead_monomials
+        for i in active:
+            if not any(
+                lt[i] > 0 and all(e == 0 for j, e in enumerate(lt) if j != i)
+                for lt in lead
+            ):
                 raise DegenerateSingularity(
                     f"no pure power of variable {self.poly.variables[i]} in the "
                     f"leading-term ideal of {self.poly}"
                 )
-            bounds[i] = min(pure)
-        lead = self.lead_monomials
+        # the level of a leading term is that of its last nonzero active exponent
+        levels = [
+            max((k for k, i in enumerate(active) if lt[i]), default=-1) for lt in lead
+        ]
+        weights = self.weights
+        last = len(active) - 1
         out = []
         mono = [0] * n
-        active = self.active
 
-        def rec(k: int):
-            if k == len(active):
-                m = tuple(mono)
-                if not any(_divides(lt, m) for lt in lead):
-                    out.append(m)
-                return
+        def rec(k: int, divisors, deg: int):
             i = active[k]
-            for e in range(bounds[i]):
-                mono[i] = e
-                rec(k + 1)
+            w = weights[i]
+            bound = min(lt[i] for lt, level in divisors if level <= k)
+            if k == last:
+                for e in range(bound):
+                    mono[i] = e
+                    out.append((deg + e * w, tuple(mono)))
+            else:
+                for e in range(bound):
+                    mono[i] = e
+                    rec(k + 1, [d for d in divisors if d[0][i] <= e], deg + e * w)
             mono[i] = 0
 
-        rec(0)
-        out.sort(key=lambda m: (self.wdeg(m), m))
-        return tuple(out)
+        rec(0, list(zip(lead, levels)), 0)
+        out.sort()
+        return tuple(m for _, m in out)
 
     def _socle(self):
-        top = max(self.wdeg(m) for m in self.basis)
-        at_top = [m for m in self.basis if self.wdeg(m) == top]
-        if len(at_top) != 1:
+        # the basis is sorted by weighted degree, so the socle comes last
+        top = self.wdeg(self.basis[-1])
+        if len(self.basis) > 1 and self.wdeg(self.basis[-2]) == top:
+            at_top = [m for m in self.basis if self.wdeg(m) == top]
             raise MilnorError(
                 f"socle not unique for {self.poly} on {self.active}: {at_top}"
             )
-        return at_top[0]
+        return self.basis[-1]
 
     def wdeg(self, mono) -> int:
         return sum(e * w for e, w in zip(mono, self.weights))

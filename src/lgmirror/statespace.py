@@ -3,7 +3,7 @@
 A basis element is a sector group element g together with a standard monomial
 of the Milnor ring of W restricted to Fix(g); the volume form over the fixed
 coordinates is implicit.  Invariance under the acting group is checked on
-generators with integer arithmetic.
+generators with integer arithmetic, once per fixed locus.
 """
 
 from __future__ import annotations
@@ -137,31 +137,33 @@ def build_sector(
     ws: WeightSystem,
     rings: dict,
     int_gens=None,
+    invariant: dict | None = None,
 ):
     """Invariant standard monomials of Milnor(W_g), as sector elements.
 
-    int_gens is int_vectors(group.gens), which a sweep computes once."""
+    Invariance depends on g only through Fix(g), so a sweep passes
+    int_gens = int_vectors(group.gens) and an `invariant` dict that keeps
+    the monomials found for each fixed locus."""
     fixed = fixed_indices(g)
-    ring = rings.get(fixed)
-    if ring is None:
-        ring = milnor_ring(poly, active=fixed, ws=ws)
-        rings[fixed] = ring
-    if not group.gens:
-        return [SectorElement(g, m, flavor) for m in ring.basis]
-    L, gen_vecs = int_gens or int_vectors(group.gens)
-    kept = []
-    for m in ring.basis:
-        ok = True
-        for hv in gen_vecs:
-            total = 0
-            for j in fixed:
-                total += (m[j] + 1) * hv[j]
-            if total % L:
-                ok = False
-                break
-        if ok:
-            kept.append(SectorElement(g, m, flavor))
-    return kept
+    if invariant is None:
+        invariant = {}
+    kept = invariant.get(fixed)
+    if kept is None:
+        ring = rings.get(fixed)
+        if ring is None:
+            ring = rings[fixed] = milnor_ring(poly, active=fixed, ws=ws)
+        L, gen_vecs = int_gens or int_vectors(group.gens)
+        kept = invariant[fixed] = []
+        for m in ring.basis:
+            for hv in gen_vecs:
+                total = 0
+                for j in fixed:
+                    total += (m[j] + 1) * hv[j]
+                if total % L:
+                    break
+            else:
+                kept.append(m)
+    return [SectorElement(g, m, flavor) for m in kept]
 
 
 def build_state_space(
@@ -186,10 +188,11 @@ def build_state_space(
     if rings is None:
         rings = {}
     int_gens = int_vectors(group.gens)
+    invariant: dict = {}
     basis = []
     sector_dims = {}
     for g in group.elements:
-        got = build_sector(poly, group, g, flavor, ws, rings, int_gens)
+        got = build_sector(poly, group, g, flavor, ws, rings, int_gens, invariant)
         sector_dims[g] = len(got)
         basis.extend(got)
     return StateSpace(poly, ws, group, flavor, age_j, basis, rings, sector_dims)

@@ -5,8 +5,10 @@ over one positive denominator: g_i = num[i] / den with 0 <= num[i] < den.
 The form is canonical (den is the order of g and gcd(den, *num) = 1), so
 equality, hashing, ordering and the group law all run on ints.  Fractions
 appear only at the edges: parsing, `components`, `str` and ages.
-Enumeration-heavy paths (G^max via Smith normal form, dual-group filtering,
-span closures) run on integer vectors over a common denominator.
+Closures (spans, G^max from its Smith normal form generators) run on integer
+vectors over a common denominator.  A dual group is built from the integer
+kernel of its constraint congruences, so G^max(W^T) is never enumerated and
+the cap applies to the groups that are kept.
 """
 
 from __future__ import annotations
@@ -218,7 +220,7 @@ def _close_int(seed_vecs, gen_vecs, L, n, cap):
                     new.append(f)
                     if len(seen) > cap:
                         raise EnumerationCapExceeded(
-                            f"group enumeration exceeded cap {cap}"
+                            f"group enumeration exceeded cap {cap} (set LGMIRROR_MAX_GROUP)"
                         )
         frontier = new
     return seen
@@ -353,74 +355,49 @@ def smith_normal_form(matrix):
     return diag, v
 
 
-_GMAX_CACHE: dict = {}
-_GMAX_RAW_CACHE: dict = {}
+def _kernel_basis(rows, ncols: int):
+    """Z-basis of the integer kernel {x : rows x = 0}: the columns of V
+    beyond the rank, where U * rows * V is the Smith normal form."""
+    if not rows:
+        return [tuple(int(i == j) for i in range(ncols)) for j in range(ncols)]
+    diag, v = smith_normal_form(rows)
+    rank = sum(1 for d in diag if d)
+    return [tuple(v[i][j] for i in range(ncols)) for j in range(rank, ncols)]
 
 
-def _gmax_raw(poly: Polynomial):
-    """(L, element int-vectors mod L, generator int-vectors) for Gmax(W).
-
-    Integer-level enumeration via Smith normal form, memoized; group elements
-    are only built by the callers that need them.
-    """
-    cached = _GMAX_RAW_CACHE.get(poly)
-    if cached is not None:
-        return cached
+def _gmax_generators(poly: Polynomial):
+    """(|Gmax|, L, [v_i]): the SNF generators v_i of Gmax(W) as int vectors
+    mod L = exponent of Gmax.  Nothing is enumerated."""
     rows = exponent_matrix(poly)
     n = poly.nvars
     diag, v = smith_normal_form(rows)
     if len(diag) < n or any(d == 0 for d in diag):
         raise RankDeficient(f"exponent matrix of {poly} has rank < {n}")
-    order = 1
-    for d in diag:
-        order *= d
-    if order > _cap():
-        raise EnumerationCapExceeded(
-            f"|Gmax| = {order} exceeds cap {_cap()} (set LGMIRROR_MAX_GROUP)"
-        )
     L = math.lcm(*diag)
-    gen_vecs = []
-    for i in range(n):
-        if diag[i] == 1:
-            continue
-        step = L // diag[i]
-        gen_vecs.append((diag[i], tuple((v[j][i] * step) % L for j in range(n))))
-    # direct-product enumeration: each SNF generator contributes Z/d_i
-    elems = [tuple([0] * n)]
-    for d, vec in gen_vecs:
-        layer = []
-        shift = tuple([0] * n)
-        shifts = []
-        for _ in range(d):
-            shifts.append(shift)
-            shift = tuple((a + b) % L for a, b in zip(shift, vec))
-        for base in elems:
-            for s in shifts:
-                layer.append(tuple((a + b) % L for a, b in zip(base, s)))
-        elems = layer
-    unique = set(elems)
-    if len(unique) != order:
-        raise GroupError(f"SNF enumeration produced {len(unique)} != {order}")
-    out = (L, sorted(unique), [vec for _, vec in gen_vecs])
-    _GMAX_RAW_CACHE[poly] = out
-    return out
+    gens = [
+        tuple((v[j][i] * (L // d)) % L for j in range(n))
+        for i, d in enumerate(diag)
+        if d != 1
+    ]
+    return math.prod(diag), L, gens
 
 
 def gmax(poly: Polynomial) -> SymmetryGroup:
     """Maximal diagonal symmetry group {g : A_W g integral} via SNF.
 
-    Requires the exponent matrix to have full column rank; the result is
-    memoized per polynomial.
+    Requires the exponent matrix to have full column rank; |Gmax| = |det A_W|
+    is checked against the cap before anything is enumerated.
     """
-    cached = _GMAX_CACHE.get(poly)
-    if cached is not None:
-        return cached
-    L, vecs, gen_vecs = _gmax_raw(poly)
-    elements = [GroupElement._raw(vec, L) for vec in vecs]
-    gens = [GroupElement._raw(vec, L) for vec in gen_vecs]
-    group = SymmetryGroup(poly.nvars, elements, gens)
-    _GMAX_CACHE[poly] = group
-    return group
+    order, L, gens = _gmax_generators(poly)
+    if order > _cap():
+        raise EnumerationCapExceeded(
+            f"|Gmax| = {order} exceeds cap {_cap()} (set LGMIRROR_MAX_GROUP)"
+        )
+    n = poly.nvars
+    vecs = _close_int([(0,) * n], gens, L, n, order)
+    return SymmetryGroup(
+        n, [GroupElement._raw(v, L) for v in vecs], [GroupElement._raw(v, L) for v in gens]
+    )
 
 
 def element_in_gmax(poly: Polynomial, g: GroupElement) -> bool:
@@ -448,8 +425,12 @@ def is_b_admissible(group: SymmetryGroup) -> bool:
 def transpose_group(group: SymmetryGroup, poly: Polynomial) -> SymmetryGroup:
     """Dual group {g in Gmax(W^T) : g A_W h integral for all h in G}.
 
-    Implemented as a filter over the enumeration of Gmax(W^T); the pairing
-    uses the head-aligned square exponent matrix.
+    Built from its constraint lattice, without enumerating Gmax(W^T): with
+    the SNF generators v_i of Gmax(W^T), g = sum k_i v_i is in the dual group
+    iff sum k_i (v_i A_W h) is integral for each generator h of G.  The
+    kernel of these congruences, stacked as [C | -diag(M)], maps onto
+    generators of the dual group; their closure is the only enumeration, so
+    the cap bounds |G^T|.  The pairing uses the head-aligned exponent matrix.
     """
     from .polyring import transpose  # local: avoids cycle at import time
 
@@ -460,22 +441,20 @@ def transpose_group(group: SymmetryGroup, poly: Polynomial) -> SymmetryGroup:
     for h in group.gens:
         if not element_in_gmax(poly, h):
             raise NotSubgroup(f"{h} is not a symmetry of {poly}")
-    L, vecs, _ = _gmax_raw(transpose(poly))
-    constraints = []
-    for h in group.gens:
-        # sum_k vec_k / L * (A_W h)_k is integral; (A_W h)_k = cnum_k / h.den
+    n, m = group.n, len(group.gens)
+    _, L, vecs = _gmax_generators(transpose(poly))
+    stacked = []
+    for row_index, h in enumerate(group.gens):
+        # v / L * (A_W h) is integral; (A_W h)_k = cnum_k / h.den
         cnum = [sum(a * b for a, b in zip(row, h.num)) for row in aligned]
-        constraints.append((cnum, L * h.den))
-    kept = []
-    for vec in vecs:
-        ok = True
-        for cnum, modulus in constraints:
-            if sum(a * b for a, b in zip(vec, cnum)) % modulus:
-                ok = False
-                break
-        if ok:
-            kept.append(GroupElement._raw(vec, L))
-    return group_from_elements(group.n, kept)
+        coeffs = [sum(a * b for a, b in zip(vec, cnum)) for vec in vecs]
+        stacked.append(coeffs + [-L * h.den if j == row_index else 0 for j in range(m)])
+    dual_vecs = {
+        tuple(sum(c * v[j] for c, v in zip(k, vecs)) % L for j in range(n))
+        for k in _kernel_basis(stacked, len(vecs) + m)
+    }
+    kept = _close_int([(0,) * n], list(dual_vecs), L, n, _cap())
+    return group_from_elements(n, [GroupElement._raw(vec, L) for vec in kept])
 
 
 class CosetDecomposition:

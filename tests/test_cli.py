@@ -165,3 +165,34 @@ def test_bv_theorem2_without_property1_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "property 1" in err
+
+
+# |Gmax(W1 + W2)| = 1,327,104 is over the default cap of 10^6, but no step
+# enumerates Gmax: the largest group built is G^T, of order 13,824
+OVER_GMAX_CAP = (
+    "--w1", "x0^2+x1^4+x2^4", "--w2", "y0^2+y1^3+y2^12+y3^24+y4^24", "--json",
+)
+
+
+@pytest.mark.parametrize(
+    "verb, totals",
+    [
+        ("theorem1", ("lhs_total", "rhs_total")),
+        ("lgcy", ("cr_total", "fjrw_total")),
+        ("bvms", ("lhs_total", "rhs_total")),
+    ],
+)
+def test_bv_past_the_gmax_cap(capsys, verb, totals):
+    code, out, err = run(capsys, "bv", verb, *OVER_GMAX_CAP)
+    assert code == 0
+    data = json.loads(out)
+    assert data["pass"] is True
+    assert [data[key] for key in totals] == [2976, 2976]
+
+
+def test_bv_theorem1_cap_below_dual_order_exits_3(capsys, monkeypatch):
+    monkeypatch.setenv("LGMIRROR_MAX_GROUP", "13823")
+    code, out, err = run(capsys, "bv", "theorem1", *OVER_GMAX_CAP)
+    assert code == 3
+    assert out == ""
+    assert "cap 13823" in err

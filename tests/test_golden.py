@@ -22,6 +22,7 @@ GOLDEN = pathlib.Path(__file__).with_name("golden")
 E1 = "x0^2+x1^3+x2^6"
 E2 = "x0^2+x1^4+x2^4"
 K3A = "y0^2+y1^6+y2^6+y3^6"
+OCTIC = "y0^2+y1^8+y2^8+y3^8+y4^8"
 NONPRODUCT = "1/2,1/4,1/4,0,0,0,0;0,0,0,1/2,1/6,1/6,1/6;0,1/4,3/4,0,1/6,5/6,0"
 VERBS = (
     "theorem1", "bvms", "twist-iso", "group-lemma", "lgcy",
@@ -37,6 +38,9 @@ CASES = {
 for _verb in VERBS:
     CASES[f"e1k3a_{_verb}"] = ["bv", _verb, "--w1", E1, "--w2", K3A, "--json"]
     CASES[f"nonproduct_{_verb}"] = ["bv", _verb, "--w1", E2, "--w2", K3A, "--gens", NONPRODUCT, "--json"]
+# the large model: its dual groups and Milnor bases are the biggest built
+for _verb in ("theorem1", "bvms", "twist-iso", "mirror"):
+    CASES[f"e1octic_{_verb}"] = ["bv", _verb, "--w1", E1, "--w2", OCTIC, "--json"]
 
 
 def run_case(argv):
