@@ -9,6 +9,7 @@ monomials x^M * x_e (M supported on I) with |I| distinct outside variables e.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -54,31 +55,23 @@ class WeightSystemRecord:
         return bool(self.sample_poly)
 
 
-_REPR_MEMO: dict = {}
-
-
 def representable(target: int, weights) -> bool:
     """Is target a non-negative integer combination of the weights?"""
-    weights = tuple(sorted(weights))
+    return _representable(target, tuple(sorted(weights)))
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _representable(target: int, weights: tuple) -> bool:
     if target < 0:
         return False
     if target == 0:
         return True
-    key = (weights, target)
-    hit = _REPR_MEMO.get(key)
-    if hit is not None:
-        return hit
     if len(weights) == 1:
-        out = target % weights[0] == 0
-    else:
-        head = weights[0]
-        rest = weights[1:]
-        out = any(
-            representable(target - head * k, rest)
-            for k in range(target // head + 1)
-        )
-    _REPR_MEMO[key] = out
-    return out
+        return target % weights[0] == 0
+    head, rest = weights[0], weights[1:]
+    return any(
+        _representable(target - head * k, rest) for k in range(target // head + 1)
+    )
 
 
 def quasismooth_general(weights, degree: int) -> bool:

@@ -5,6 +5,11 @@ Frobenius-isomorphism verifier.
 Products follow the convention <m;g> * <n;h> = gamma_{g,h} nf(mn) <1;gh>,
 with mn carried into the Milnor ring of W restricted to Fix(gh) (monomials
 whose support leaves the fixed locus map to zero).
+
+`BAlgebra` indexes the even basis and holds its algebra as sparse tables
+over the indices: C[i] = {j: {k: c}} with e_i e_j = sum_k c e_k, and
+P[i] = {j: <e_i, e_j>}.  `verify_theorem2` contracts these tables;
+`AlgebraElement` with `BAlgebra.product`/`pairing` is the element API on them.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bvlg import BVModel
-from .milnor import MilnorRing, hessian, milnor_ring, residue_pairing
+from .milnor import MilnorRing, milnor_ring, residue_pairing
 from .polyring import Polynomial, atomic_decomposition, restrict, transpose
 from .report import Report
 from .statespace import (
@@ -100,10 +105,6 @@ class AlgebraElement:
             out[e] = out.get(e, _ZERO) + c
         return AlgebraElement(self.space, out)
 
-    def scale(self, c) -> "AlgebraElement":
-        c = Fraction(c)
-        return AlgebraElement(self.space, {e: c * v for e, v in self.coeffs.items()})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -113,9 +114,6 @@ class AlgebraElement:
             and self.space is other.space
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self):
         if not self.coeffs:
@@ -133,9 +131,10 @@ class BAlgebra:
         self.poly = space.poly
         self.nvars = space.poly.nvars
         self.rings = space.rings  # shared subset-keyed Milnor cache
-        self._hessians: dict = {}
+        self.even = even_basis(space)
+        self.index = {e: i for i, e in enumerate(self.even)}
         self._gamma: dict = {}
-        self._products: dict = {}
+        self._products: dict = {}  # (i, j) -> {k: c} over even indices
         self._pairings: dict = {}
 
     def ring(self, subset) -> MilnorRing:
@@ -145,14 +144,6 @@ class BAlgebra:
             ring = milnor_ring(self.poly, active=subset, ws=self.space.ws)
             self.rings[subset] = ring
         return ring
-
-    def _hessian(self, subset) -> Polynomial:
-        subset = tuple(sorted(subset))
-        h = self._hessians.get(subset)
-        if h is None:
-            h = hessian(restrict(self.poly, subset), subset)
-            self._hessians[subset] = h
-        return h
 
     def _gamma_data(self, g: GroupElement, h: GroupElement):
         """Solve gamma * Hess(W_{g n h}) / mu_{g n h} = Hess(W_{gh}) / mu_{gh}.
@@ -201,49 +192,57 @@ class BAlgebra:
             raise NotBasisElement("identity-sector unit missing from the basis")
         return AlgebraElement.basis(self.space, e)
 
-    def _product_basis(self, e1: SectorElement, e2: SectorElement) -> AlgebraElement:
-        key = (e1, e2)
+    def _product_index(self, i: int, j: int) -> dict:
+        """{k: c} with e_i e_j = sum_k c e_k over the even basis; empty when
+        the product vanishes."""
+        key = (i, j)
         hit = self._products.get(key)
         if hit is not None:
             return hit
-        for e in (e1, e2):
-            if e not in self.space.basis_set:
-                raise NotBasisElement(f"{e!r} is not a basis element")
-            if z2_grading(e, self.nvars):
-                raise OddElement("products are defined on the even subspace")
+        e1, e2 = self.even[i], self.even[j]
         g, h = e1.sector, e2.sector
         coeff, extra_socle = self._gamma_data(g, h)
-        out = AlgebraElement(self.space)
+        out = {}
         if coeff:
             gh = g + h
             igh = fixed_indices(gh)
-            mono = tuple(
-                a + b + s
-                for a, b, s in zip(e1.monomial, e2.monomial, extra_socle)
-            )
+            mono = tuple(map(sum, zip(e1.monomial, e2.monomial, extra_socle)))
             if all(e == 0 or k in set(igh) for k, e in enumerate(mono)):
                 ring = self.ring(igh)
                 nf = ring.normal_form(Polynomial(self.poly.variables, {mono: 1}))
-                terms = {}
                 for b_mono, c in nf.terms.items():
                     target = SectorElement(gh, b_mono, "B")
-                    if target not in self.space.basis_set:
+                    k = self.index.get(target)
+                    if k is None:
                         raise NotBasisElement(
-                            f"product lands outside the invariant basis: {target!r}"
+                            f"product lands outside the even invariant basis: {target!r}"
                         )
-                    terms[target] = coeff * c
-                out = AlgebraElement(self.space, terms)
+                    out[k] = coeff * c
         self._products[key] = out
         return out
+
+    def _even_index(self, e: SectorElement) -> int:
+        if e not in self.space.basis_set:
+            raise NotBasisElement(f"{e!r} is not a basis element")
+        if z2_grading(e, self.nvars):
+            raise OddElement("products are defined on the even subspace")
+        return self.index[e]
+
+    def structure_constants(self) -> list:
+        """C[i] = {j: {k: c}}: e_i e_j = sum_k c e_k, nonzero products only."""
+        idx = range(len(self.even))
+        return [{j: row for j in idx if (row := self._product_index(i, j))} for i in idx]
 
     def product(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         if a.space is not self.space or b.space is not self.space:
             raise MixedSpaces("operands belong to a different state space")
-        out = AlgebraElement(self.space)
+        out: dict = {}
         for e1, c1 in a.coeffs.items():
             for e2, c2 in b.coeffs.items():
-                out = out + self._product_basis(e1, e2).scale(c1 * c2)
-        return out
+                row = self._product_index(self._even_index(e1), self._even_index(e2))
+                for k, c in row.items():
+                    out[self.even[k]] = out.get(self.even[k], 0) + c1 * c2 * c
+        return AlgebraElement(self.space, out)
 
     def pairing_basis(self, e1: SectorElement, e2: SectorElement) -> Fraction:
         if e2.sector != -e1.sector:
@@ -263,9 +262,15 @@ class BAlgebra:
         total = _ZERO
         for e1, c1 in a.coeffs.items():
             for e2, c2 in b.coeffs.items():
-                if e2.sector == -e1.sector:
-                    total += c1 * c2 * self.pairing_basis(e1, e2)
+                total += c1 * c2 * self.pairing_basis(e1, e2)
         return total
+
+    def pairing_table(self) -> list:
+        """P[i] = {j: <e_i, e_j>}, nonzero pairings only."""
+        return [
+            {j: p for j, f in enumerate(self.even) if (p := self.pairing_basis(e, f))}
+            for e in self.even
+        ]
 
     def export_gamma_csv(self, path, sectors=None):
         """Rows (g, h, gamma) over the given sectors (basis sectors by default)."""
@@ -345,17 +350,6 @@ def check_property1(poly: Polynomial, group, ws=None) -> Report:
     )
 
 
-def _extend_phi(alg_from, alg_to, mapping):
-    def apply(elt: AlgebraElement) -> AlgebraElement:
-        out = AlgebraElement(alg_to.space)
-        for e, c in elt.coeffs.items():
-            k, image = mapping[e]
-            out = out + AlgebraElement.basis(alg_to.space, image, k * c)
-        return out
-
-    return apply
-
-
 def gamma_lemma_cases(algebra: BAlgebra, sigma: GroupElement, sectors):
     """Factor of gamma(g,h) against gamma(g, sigma h) per the slot pattern of
     (g, h): (1/2,1/2)x(1/2,1/2) -> 4, (1/2,1/2)x(0,0) -> 1/4, else 1."""
@@ -389,11 +383,51 @@ def gamma_lemma_cases(algebra: BAlgebra, sigma: GroupElement, sectors):
     return checked, failures
 
 
+def _differing(a: dict, b: dict) -> set:
+    """The keys at which two sparse vectors differ; a missing key reads as 0."""
+    return {key for key in a.keys() | b.keys() if a.get(key, 0) != b.get(key, 0)}
+
+
+def associativity_and_frobenius(C: list, P: list):
+    """Count the triples (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), and
+    those with <e_i e_j, e_k> != <e_i, e_j e_k>, from the tables C and P of
+    one algebra.  For each pair (i, j) all k are contracted at once over
+    nonzero entries: (e_i e_j) e_k = sum_l C_ij^l C_lk, e_i (e_j e_k) =
+    sum_l C_jk^l C_il, and likewise with P_lk and P_il for the pairings."""
+    assoc_fail = frob_fail = 0
+    for ci, pi in zip(C, P):
+        for j, cj in enumerate(C):
+            left: dict = {}  # (k, m) -> coefficient of e_m in (e_i e_j) e_k
+            right: dict = {}  # (k, m) -> coefficient of e_m in e_i (e_j e_k)
+            pleft: dict = {}  # k -> <e_i e_j, e_k>
+            pright: dict = {}  # k -> <e_i, e_j e_k>
+            for l, c in ci.get(j, {}).items():
+                for k, row in C[l].items():
+                    for m, d in row.items():
+                        left[k, m] = left.get((k, m), 0) + c * d
+                for k, p in P[l].items():
+                    pleft[k] = pleft.get(k, 0) + c * p
+            for k, jk in cj.items():
+                for l, c in jk.items():
+                    for m, d in ci.get(l, {}).items():
+                        right[k, m] = right.get((k, m), 0) + c * d
+                    pright[k] = pright.get(k, 0) + c * pi.get(l, 0)
+            assoc_fail += len({k for k, _ in _differing(left, right)})
+            frob_fail += len(_differing(pleft, pright))
+    return assoc_fail, frob_fail
+
+
 def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
     """phi-bar preserves products and pairings between the even subspaces of
     the two mirror B-models; also checks unit, associativity, the Frobenius
     identity, and the gamma-factor lemma.  Raises HypothesisFailed when the
-    model lacks property 1, on which the theorem rests."""
+    model lacks property 1, on which the theorem rests.
+
+    Each even algebra is built once as its tables C, P (see `BAlgebra`), and
+    phi-bar as the index map i -> (s_i, phi(i)).  For every pair (i, j) it
+    checks phi(C2_ij) = s_i s_j C0_phi(i)phi(j) and P2_ij = s_i s_j
+    P0_phi(i)phi(j); then C0_ui = C0_iu = e_i for the unit u, and
+    `associativity_and_frobenius` on C0, P0."""
     prop = check_property1(model.poly, model.sigma_group, ws=model.ws)
     if not prop.passed:
         raise HypothesisFailed(prop.mismatches)
@@ -402,8 +436,9 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
     shared_rings: dict = {}
     b2_space = build_state_space(mirror.poly, bhk_group, "B", rings=shared_rings)
     b0_space = build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared_rings)
-    even2 = even_basis(b2_space)
-    even0 = even_basis(b0_space)
+    alg2 = BAlgebra(b2_space)
+    alg0 = BAlgebra(b0_space)
+    even2, even0 = alg2.even, alg0.even
     mismatches = []
     details = {
         "dim_b2_even": len(even2),
@@ -414,79 +449,49 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
     if len(even2) != len(even0):
         mismatches.append({"reason": "even subspace dimensions differ"})
 
-    mapping = {}
+    phi = []  # even2 index -> (scale, even0 index)
     images = set()
     for e in even2:
         k, image = phi_map(e, b2_space, b0_space, mirror.sigma, rescaled=rescaled)
-        mapping[e] = (k, image)
         if image in images:
             mismatches.append({"reason": "phi image duplicated", "element": repr(e)})
         images.add(image)
-        if z2_grading(image, b0_space.poly.nvars):
-            mismatches.append({"reason": "phi image is odd", "element": repr(e)})
         if b2_space.bidegree(e) != b0_space.bidegree(image):
             mismatches.append({"reason": "phi changed the bidegree", "element": repr(e)})
+        phi.append((k, alg0._even_index(image)))  # raises OddElement for an odd image
     if images != set(even0):
         mismatches.append({"reason": "phi is not onto the even BV basis"})
 
-    alg2 = BAlgebra(b2_space)
-    alg0 = BAlgebra(b0_space)
-    phi = _extend_phi(alg2, alg0, mapping)
+    C2, P2 = alg2.structure_constants(), alg2.pairing_table()
+    C0, P0 = alg0.structure_constants(), alg0.pairing_table()
+    fails = {"product": 0, "pairing": 0}
+    for i, (s1, t1) in enumerate(phi):
+        for j, (s2, t2) in enumerate(phi):
+            lhs: dict = {}
+            for k, c in C2[i].get(j, {}).items():
+                s, t = phi[k]
+                lhs[t] = lhs.get(t, 0) + s * c
+            scale = s1 * s2
+            rhs = {t: scale * c for t, c in C0[t1].get(t2, {}).items()}
+            for what, bad in (
+                ("product", _differing(lhs, rhs)),
+                ("pairing", P2[i].get(j, 0) != scale * P0[t1].get(t2, 0)),
+            ):
+                if bad:
+                    fails[what] += 1
+                    if len(mismatches) < 20:
+                        pair = [repr(even2[i]), repr(even2[j])]
+                        mismatches.append({"reason": f"{what} not preserved", "pair": pair})
+    details["product_failures"] = fails["product"]
+    details["pairing_failures"] = fails["pairing"]
 
-    product_fail = pairing_fail = 0
-    for e1 in even2:
-        a1 = AlgebraElement.basis(b2_space, e1)
-        for e2 in even2:
-            a2 = AlgebraElement.basis(b2_space, e2)
-            lhs = phi(alg2.product(a1, a2))
-            k1, im1 = mapping[e1]
-            k2, im2 = mapping[e2]
-            rhs = alg0.product(
-                AlgebraElement.basis(b0_space, im1, k1),
-                AlgebraElement.basis(b0_space, im2, k2),
-            )
-            if lhs != rhs:
-                product_fail += 1
-                if len(mismatches) < 20:
-                    mismatches.append(
-                        {"reason": "product not preserved", "pair": [repr(e1), repr(e2)]}
-                    )
-            lp = alg2.pairing(a1, a2)
-            rp = alg0.pairing(
-                AlgebraElement.basis(b0_space, im1, k1),
-                AlgebraElement.basis(b0_space, im2, k2),
-            )
-            if lp != rp:
-                pairing_fail += 1
-                if len(mismatches) < 20:
-                    mismatches.append(
-                        {"reason": "pairing not preserved", "pair": [repr(e1), repr(e2)]}
-                    )
-    details["product_failures"] = product_fail
-    details["pairing_failures"] = pairing_fail
-
-    unit = alg0.unit()
-    for e in even0:
-        a = AlgebraElement.basis(b0_space, e)
-        if alg0.product(unit, a) != a or alg0.product(a, unit) != a:
+    (unit,) = alg0.unit().coeffs
+    u = alg0.index[unit]
+    for i, e in enumerate(even0):
+        if C0[u].get(i) != {i: 1} or C0[i].get(u) != {i: 1}:
             mismatches.append({"reason": "unit fails", "element": repr(e)})
 
-    assoc_fail = frob_fail = 0
-    cache = {
-        (e1, e2): alg0._product_basis(e1, e2) for e1 in even0 for e2 in even0
-    }
-    for e1 in even0:
-        a = AlgebraElement.basis(b0_space, e1)
-        for e2 in even0:
-            ab = cache[(e1, e2)]
-            b = AlgebraElement.basis(b0_space, e2)
-            for e3 in even0:
-                c = AlgebraElement.basis(b0_space, e3)
-                bc = cache[(e2, e3)]
-                if alg0.product(ab, c) != alg0.product(a, bc):
-                    assoc_fail += 1
-                if alg0.pairing(ab, c) != alg0.pairing(a, bc):
-                    frob_fail += 1
+    assoc_fail, frob_fail = associativity_and_frobenius(C0, P0)
     details["associativity_failures"] = assoc_fail
     details["frobenius_failures"] = frob_fail
     if assoc_fail:

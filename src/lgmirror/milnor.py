@@ -7,6 +7,7 @@ degree + reverse lexicographic, which respects the quasihomogeneous grading.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from .polyring import (
@@ -106,15 +107,15 @@ def groebner(gens, order: TermOrder):
             basis.append((_leading(t, order), t))
     basis.sort(key=lambda e: order.key(e[0]))
 
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
-
-    def pair_key(p):
-        i, j = p
+    # a pair's key (weighted degree of the lcm, i, j) never changes once the
+    # pair exists, so a heap pops pairs in the order a sorted list would
+    def pair_key(i, j):
         return (order.wdeg(_lcm_mono(basis[i][0], basis[j][0])), i, j)
 
+    pairs = [pair_key(i, j) for j in range(len(basis)) for i in range(j)]
+    heapq.heapify(pairs)
     while pairs:
-        pairs.sort(key=pair_key)
-        i, j = pairs.pop(0)
+        _, i, j = heapq.heappop(pairs)
         lti, gi = basis[i]
         ltj, gj = basis[j]
         lcm = _lcm_mono(lti, ltj)
@@ -138,7 +139,8 @@ def groebner(gens, order: TermOrder):
             t = _monic(rem, order)
             basis.append((_leading(t, order), t))
             k = len(basis) - 1
-            pairs.extend((i2, k) for i2 in range(k))
+            for i2 in range(k):
+                heapq.heappush(pairs, pair_key(i2, k))
 
     # minimalize, then tail-reduce
     basis.sort(key=lambda e: order.key(e[0]))

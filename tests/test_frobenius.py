@@ -162,7 +162,7 @@ def test_z2_additive_on_products():
     ev = even_basis(b0)
     for e1 in ev:
         for e2 in ev:
-            out = alg._product_basis(e1, e2)
+            out = alg.product(AlgebraElement.basis(b0, e1), AlgebraElement.basis(b0, e2))
             for target in out.coeffs:
                 assert z2_grading(target, 7) == 0
 

@@ -6,16 +6,25 @@ the order of every list in them, across refactors of the engine.  To rewrite
 them after a deliberate change of a report, run
 
     PYTHONPATH=src python tests/test_golden.py
+
+The unscaled Theorem 2 control has no CLI verb; its reports are stored the
+same way from ``verify_theorem2(model, rescaled=False)``, so its failure
+counts and the order of its mismatches are pinned too.
 """
 
 import contextlib
 import io
+import json
 import pathlib
 import sys
 
 import pytest
 
+from lgmirror.bvlg import block_j_elements, build_bv
 from lgmirror.cli import main
+from lgmirror.frobenius import verify_theorem2
+from lgmirror.polyring import parse_polynomial, weight_system
+from lgmirror.symmetry import parse_group_elements
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 
@@ -43,11 +52,29 @@ for _verb in ("theorem1", "bvms", "twist-iso", "mirror"):
     CASES[f"e1octic_{_verb}"] = ["bv", _verb, "--w1", E1, "--w2", OCTIC, "--json"]
 
 
+# (w1, w2, generators or "" for J1 x J2) of the unscaled Theorem 2 control
+UNSCALED = {
+    "e1k3a_theorem2_unscaled": (E1, K3A, ""),
+    "nonproduct_theorem2_unscaled": (E2, K3A, NONPRODUCT),
+}
+
+
 def run_case(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(list(argv))
     return code, out.getvalue()
+
+
+def run_unscaled(w1, w2, gens):
+    """The report of the unscaled control, written as ``--json`` writes one."""
+    p1, p2 = parse_polynomial(w1), parse_polynomial(w2)
+    if gens:
+        elements = parse_group_elements(gens, p1.nvars + p2.nvars)
+    else:
+        elements = block_j_elements(weight_system(p1), weight_system(p2))
+    report = verify_theorem2(build_bv(p1, p2, elements), rescaled=False)
+    return json.dumps(report.to_json(), sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -57,8 +84,17 @@ def test_golden_report(name):
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", sorted(UNSCALED))
+def test_golden_unscaled_theorem2(name):
+    out = run_unscaled(*UNSCALED[name])
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     for name, argv in sorted(CASES.items()):
         code, out = run_case(argv)
         (GOLDEN / f"{name}.json").write_text(out, encoding="utf-8")
         print(f"{name}: exit {code}", file=sys.stderr)
+    for name, args in sorted(UNSCALED.items()):
+        (GOLDEN / f"{name}.json").write_text(run_unscaled(*args), encoding="utf-8")
+        print(f"{name}: written", file=sys.stderr)

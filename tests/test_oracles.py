@@ -1,4 +1,5 @@
-"""The dual groups and Milnor bases against the filters they replaced.
+"""The dual groups, Milnor bases and Theorem 2 checks against the code they
+replaced.
 
 `transpose_group` builds G^T from the kernel of its constraint lattice and
 `MilnorRing` walks the staircase of its leading-term ideal.  The oracles
@@ -6,6 +7,12 @@ here are the enumerate-then-filter versions: G^T as the elements of an
 enumerated Gmax(W^T) that pair integrally with every generator of G, and
 the standard monomials as the monomials of the pure-power box that no
 leading term divides.  Elements, generators and basis order must agree.
+
+`verify_theorem2` contracts sparse structure-constant and pairing tables.
+Its oracle is the elementwise verifier: every pair and triple of basis
+elements as `AlgebraElement` objects, multiplied and paired one at a time
+through `BAlgebra.product` and `BAlgebra.pairing`.  The two reports must be
+equal, mismatch order included.
 """
 
 import math
@@ -14,8 +21,22 @@ from itertools import product
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import pytest
+
 from lgmirror.bvlg import block_j_elements, build_bv
 from lgmirror.catalog import _block_polynomials
+from lgmirror.frobenius import (
+    AlgebraElement,
+    BAlgebra,
+    HypothesisFailed,
+    associativity_and_frobenius,
+    check_property1,
+    even_basis,
+    gamma_lemma_cases,
+    phi_map,
+    verify_theorem2,
+    z2_grading,
+)
 from lgmirror.milnor import fermat_milnor_number, milnor_ring
 from lgmirror.polyring import (
     Polynomial,
@@ -27,6 +48,8 @@ from lgmirror.polyring import (
     transpose,
     weight_system,
 )
+from lgmirror.report import Report
+from lgmirror.statespace import build_state_space
 from lgmirror.symmetry import (
     GroupElement,
     fixed_indices,
@@ -43,6 +66,7 @@ from lgmirror.symmetry import (
 E1 = parse_polynomial("x0^2+x1^3+x2^6")
 E2 = parse_polynomial("x0^2+x1^4+x2^4")
 K3A = parse_polynomial("y0^2+y1^6+y2^6+y3^6")
+MINI = parse_polynomial("y0^2+y1^2")
 NONPRODUCT = "1/2,1/4,1/4,0,0,0,0;0,0,0,1/2,1/6,1/6,1/6;0,1/4,3/4,0,1/6,5/6,0"
 
 
@@ -220,3 +244,203 @@ def test_random_invertible_models_match_oracles(model):
     assert back.elements == group.elements
     assert_same_bases(poly, group, ws)
     assert_same_bases(transpose(poly), dual, weight_system(transpose(poly)))
+
+
+def elementwise_theorem2(model, rescaled=True):
+    """Theorem 2 checked one basis pair and one basis triple at a time."""
+    prop = check_property1(model.poly, model.sigma_group, ws=model.ws)
+    if not prop.passed:
+        raise HypothesisFailed(prop.mismatches)
+    mirror = model.mirror()
+    bhk_group = transpose_group(model.sigma_group, model.poly)
+    shared_rings: dict = {}
+    b2_space = build_state_space(mirror.poly, bhk_group, "B", rings=shared_rings)
+    b0_space = build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared_rings)
+    even2 = even_basis(b2_space)
+    even0 = even_basis(b0_space)
+    mismatches = []
+    details = {
+        "dim_b2_even": len(even2),
+        "dim_b0_even": len(even0),
+        "b2_total": b2_space.dim,
+        "b0_total": b0_space.dim,
+    }
+    if len(even2) != len(even0):
+        mismatches.append({"reason": "even subspace dimensions differ"})
+
+    mapping = {}
+    images = set()
+    for e in even2:
+        k, image = phi_map(e, b2_space, b0_space, mirror.sigma, rescaled=rescaled)
+        mapping[e] = (k, image)
+        if image in images:
+            mismatches.append({"reason": "phi image duplicated", "element": repr(e)})
+        images.add(image)
+        if z2_grading(image, b0_space.poly.nvars):
+            mismatches.append({"reason": "phi image is odd", "element": repr(e)})
+        if b2_space.bidegree(e) != b0_space.bidegree(image):
+            mismatches.append({"reason": "phi changed the bidegree", "element": repr(e)})
+    if images != set(even0):
+        mismatches.append({"reason": "phi is not onto the even BV basis"})
+
+    alg2 = BAlgebra(b2_space)
+    alg0 = BAlgebra(b0_space)
+
+    def phi(elt):
+        out = AlgebraElement(b0_space)
+        for e, c in elt.coeffs.items():
+            k, image = mapping[e]
+            out = out + AlgebraElement.basis(b0_space, image, k * c)
+        return out
+
+    product_fail = pairing_fail = 0
+    for e1 in even2:
+        a1 = AlgebraElement.basis(b2_space, e1)
+        for e2 in even2:
+            a2 = AlgebraElement.basis(b2_space, e2)
+            lhs = phi(alg2.product(a1, a2))
+            k1, im1 = mapping[e1]
+            k2, im2 = mapping[e2]
+            rhs = alg0.product(
+                AlgebraElement.basis(b0_space, im1, k1),
+                AlgebraElement.basis(b0_space, im2, k2),
+            )
+            if lhs != rhs:
+                product_fail += 1
+                if len(mismatches) < 20:
+                    mismatches.append(
+                        {"reason": "product not preserved", "pair": [repr(e1), repr(e2)]}
+                    )
+            lp = alg2.pairing(a1, a2)
+            rp = alg0.pairing(
+                AlgebraElement.basis(b0_space, im1, k1),
+                AlgebraElement.basis(b0_space, im2, k2),
+            )
+            if lp != rp:
+                pairing_fail += 1
+                if len(mismatches) < 20:
+                    mismatches.append(
+                        {"reason": "pairing not preserved", "pair": [repr(e1), repr(e2)]}
+                    )
+    details["product_failures"] = product_fail
+    details["pairing_failures"] = pairing_fail
+
+    unit = alg0.unit()
+    for e in even0:
+        a = AlgebraElement.basis(b0_space, e)
+        if alg0.product(unit, a) != a or alg0.product(a, unit) != a:
+            mismatches.append({"reason": "unit fails", "element": repr(e)})
+
+    assoc_fail = frob_fail = 0
+    cache = {
+        (e1, e2): alg0.product(
+            AlgebraElement.basis(b0_space, e1), AlgebraElement.basis(b0_space, e2)
+        )
+        for e1 in even0
+        for e2 in even0
+    }
+    for e1 in even0:
+        a = AlgebraElement.basis(b0_space, e1)
+        for e2 in even0:
+            ab = cache[(e1, e2)]
+            for e3 in even0:
+                c = AlgebraElement.basis(b0_space, e3)
+                bc = cache[(e2, e3)]
+                if alg0.product(ab, c) != alg0.product(a, bc):
+                    assoc_fail += 1
+                if alg0.pairing(ab, c) != alg0.pairing(a, bc):
+                    frob_fail += 1
+    details["associativity_failures"] = assoc_fail
+    details["frobenius_failures"] = frob_fail
+    if assoc_fail:
+        mismatches.append({"reason": f"{assoc_fail} associativity failures"})
+    if frob_fail:
+        mismatches.append({"reason": f"{frob_fail} Frobenius-identity failures"})
+
+    sectors = sorted({e.sector for e in even0})
+    checked, gamma_failures = gamma_lemma_cases(alg0, mirror.sigma, sectors)
+    details["gamma_pairs_checked"] = checked
+    if gamma_failures:
+        mismatches.append({"reason": "gamma lemma failures", "cases": gamma_failures[:10]})
+
+    return Report("theorem2", not mismatches, details, mismatches)
+
+
+THEOREM2_MODELS = {
+    "e1mini": lambda: build_bv(E1, MINI, block_j_elements(weight_system(E1), weight_system(MINI))),
+    "e1k3a": lambda: _models()["e1k3a"],
+    "nonproduct": lambda: _models()["nonproduct"],
+}
+
+
+@pytest.mark.parametrize("rescaled", [True, False])
+@pytest.mark.parametrize("name", sorted(THEOREM2_MODELS))
+def test_theorem2_matches_elementwise_oracle(name, rescaled):
+    model = THEOREM2_MODELS[name]()
+    report = verify_theorem2(model, rescaled=rescaled).to_json()
+    assert report == elementwise_theorem2(model, rescaled=rescaled).to_json()
+
+
+def _corrupt_one_gamma(monkeypatch):
+    """Double gamma(1, h) in every BAlgebra, h the first nonidentity even
+    sector of the E1 x K3A BV mirror; returns the model."""
+    model = _models()["e1k3a"]
+    mirror = model.mirror()
+    space = build_state_space(mirror.poly, mirror.sigma_group, "B")
+    one = GroupElement.identity(space.poly.nvars)
+    h = next(e.sector for e in even_basis(space) if not e.sector.is_identity())
+    original = BAlgebra._gamma_data
+
+    def corrupted(self, g2, h2):
+        scalar, socle = original(self, g2, h2)
+        return (2 * scalar if (g2, h2) == (one, h) else scalar), socle
+
+    monkeypatch.setattr(BAlgebra, "_gamma_data", corrupted)
+    return model
+
+
+def test_theorem2_corrupted_gamma_fails_like_the_oracle(monkeypatch):
+    model = _corrupt_one_gamma(monkeypatch)
+    report = verify_theorem2(model).to_json()
+    assert report["associativity_failures"] > 0
+    assert report["frobenius_failures"] > 0
+    assert not report["pass"]
+    assert report == elementwise_theorem2(model).to_json()
+
+
+def dense_triple_counts(C, P, n):
+    """The failure counts of associativity_and_frobenius from dense arrays,
+    one triple at a time."""
+    T = [[[C[i].get(j, {}).get(k, 0) for k in range(n)] for j in range(n)] for i in range(n)]
+    Q = [[P[i].get(j, 0) for j in range(n)] for i in range(n)]
+    assoc = frob = 0
+    for i, j, k in product(range(n), repeat=3):
+        left = [sum(T[i][j][l] * T[l][k][m] for l in range(n)) for m in range(n)]
+        right = [sum(T[j][k][l] * T[i][l][m] for l in range(n)) for m in range(n)]
+        assoc += left != right
+        frob += sum(T[i][j][l] * Q[l][k] for l in range(n)) != sum(
+            T[j][k][l] * Q[i][l] for l in range(n)
+        )
+    return assoc, frob
+
+
+@st.composite
+def sparse_tables(draw):
+    """Random sparse tables C, P on n <= 4 indices; products have up to
+    three terms, so rows add several contributions per k."""
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, n - 1)
+    coeff = st.integers(-2, 2).filter(bool).map(Fraction)
+    C = [
+        draw(st.dictionaries(index, st.dictionaries(index, coeff, min_size=1, max_size=3), max_size=n))
+        for _ in range(n)
+    ]
+    P = [draw(st.dictionaries(index, coeff, max_size=n)) for _ in range(n)]
+    return C, P, n
+
+
+@settings(deadline=None, max_examples=200)
+@given(sparse_tables())
+def test_sparse_contraction_matches_dense_triples(tables):
+    C, P, n = tables
+    assert associativity_and_frobenius(C, P) == dense_triple_counts(C, P, n)
