@@ -50,10 +50,6 @@ class WeightSystemRecord:
     def weight_system(self) -> WeightSystem:
         return WeightSystem(self.weights, self.degree)
 
-    @property
-    def has_invertible_bv_polynomial(self) -> bool:
-        return bool(self.sample_poly)
-
 
 def representable(target: int, weights) -> bool:
     """Is target a non-negative integer combination of the weights?"""

@@ -7,6 +7,7 @@ Exit codes: 0 check passed, 1 verification failure, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -157,7 +158,9 @@ def cmd_catalog(args) -> int:
         print(poly)
         return 0
 
-    records = catalog.enumerate_k3_systems(max_weight=args.max_weight)
+    records = catalog.enumerate_k3_systems(
+        max_weight=args.max_weight, with_samples=args.with_samples
+    )
     if args.action == "filter":
         if args.half_degree_only:
             records = catalog.filter_bv(records)
@@ -171,37 +174,11 @@ def cmd_catalog(args) -> int:
                 )
             records = catalog.filter_bv_invertible(records)
     if args.action in ("list", "filter"):
-        if args.with_samples:
-            refreshed = []
-            for r in records:
-                sample = r.sample_poly
-                if r.bv_admissible and not sample:
-                    try:
-                        sample = str(catalog.sample_polynomial(r.weight_system))
-                    except catalog.NoInvertibleRepresentative:
-                        sample = ""
-                refreshed.append(
-                    catalog.WeightSystemRecord(
-                        r.weights, r.degree, r.quasismooth, r.bv_admissible, sample
-                    )
-                )
-            records = refreshed
         if args.out:
             catalog.save_catalog(records, args.out)
             print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
         elif args.json:
-            _print_json(
-                [
-                    {
-                        "weights": list(r.weights),
-                        "degree": r.degree,
-                        "quasismooth": r.quasismooth,
-                        "bv_admissible": r.bv_admissible,
-                        "sample_poly": r.sample_poly,
-                    }
-                    for r in records
-                ]
-            )
+            _print_json([dataclasses.asdict(r) for r in records])
         else:
             print(catalog.CSV_HEADER)
             for r in records:

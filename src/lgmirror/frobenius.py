@@ -272,17 +272,6 @@ class BAlgebra:
             for e in self.even
         ]
 
-    def export_gamma_csv(self, path, sectors=None):
-        """Rows (g, h, gamma) over the given sectors (basis sectors by default)."""
-        if sectors is None:
-            sectors = sorted({e.sector for e in self.space.basis})
-        lines = ["g,h,gamma"]
-        for g in sectors:
-            for h in sectors:
-                lines.append(f"\"{g}\",\"{h}\",{self.gamma(g, h)}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def phi_map(
     e: SectorElement,
@@ -499,7 +488,8 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
     if frob_fail:
         mismatches.append({"reason": f"{frob_fail} Frobenius-identity failures"})
 
-    sectors = sorted({e.sector for e in even0})
+    # the basis runs over the group's sorted elements, so this is in order
+    sectors = list(dict.fromkeys(e.sector for e in even0))
     checked, gamma_failures = gamma_lemma_cases(alg0, mirror.sigma, sectors)
     details["gamma_pairs_checked"] = checked
     if gamma_failures:

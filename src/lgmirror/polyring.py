@@ -318,11 +318,6 @@ class WeightSystem:
         if any(w >= self.degree for w in self.weights):
             raise NonPositiveWeight(f"weight quotient not in (0,1) for {self}")
 
-    @property
-    def q(self):
-        """Weight quotients q_j = w_j / d as exact rationals."""
-        return tuple(Fraction(w, self.degree) for w in self.weights)
-
     def __str__(self):
         return "(" + ",".join(str(w) for w in self.weights) + f";{self.degree})"
 
@@ -380,10 +375,6 @@ def weight_system(poly: Polynomial) -> WeightSystem:
 def check_cy(ws: WeightSystem) -> bool:
     """Calabi-Yau condition: the weights sum to the degree."""
     return sum(ws.weights) == ws.degree
-
-
-def weighted_degree(mono: Monomial, ws: WeightSystem) -> int:
-    return sum(e * w for e, w in zip(mono, ws.weights))
 
 
 def exponent_matrix(poly: Polynomial):
@@ -608,10 +599,9 @@ def has_half_weight_chain(poly: Polynomial, ws: WeightSystem | None = None) -> b
     """True when some chain block contains a variable of weight 1/2."""
     if ws is None:
         ws = weight_system(poly)
-    half = Fraction(1, 2)
     for block in atomic_decomposition(poly):
         if block.kind == "chain" and any(
-            Fraction(ws.weights[v], ws.degree) == half for v in block.variables
+            2 * ws.weights[v] == ws.degree for v in block.variables
         ):
             return True
     return False

@@ -3,14 +3,16 @@
 A basis element is a sector group element g together with a standard monomial
 of the Milnor ring of W restricted to Fix(g); the volume form over the fixed
 coordinates is implicit.  Invariance under the acting group is checked on
-generators with integer arithmetic, once per fixed locus.
+generators with integer arithmetic, once per fixed locus.  The bidegree of an
+element is one formula on integer sums (`StateSpace.bidegree`); Fractions are
+built only for its result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .milnor import MilnorRing, milnor_ring
+from .milnor import milnor_ring
 from .polyring import Polynomial, WeightSystem, weight_system
 from .symmetry import (
     GroupElement,
@@ -37,9 +39,6 @@ class SectorElement:
         self.monomial = tuple(monomial)
         self.flavor = flavor
         self._hash = hash((sector.num, sector.den, self.monomial, flavor))
-
-    def fixed(self):
-        return fixed_indices(self.sector)
 
     def __eq__(self, other):
         return (
@@ -94,39 +93,22 @@ class StateSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def ring(self, e: SectorElement) -> MilnorRing:
-        return self.rings[e.fixed()]
-
     def bidegree(self, e: SectorElement):
+        """(p, q) of <m; g>, with deg m counting the volume-form weights:
+        deg m = sum over j in Fix g of (m_j + 1) w_j / d.
+
+        A-model: (deg m + age g - age J, N_g - deg m + age g - age J).
+        B-model: (deg m + age g - age J, deg m + age g^{-1} - age J), where
+        age g^{-1} = (n - N_g) - age g."""
+        g = e.sector
+        fixed = fixed_indices(g)
+        w = self.ws.weights
+        dm = Fraction(sum((e.monomial[j] + 1) * w[j] for j in fixed), self.ws.degree)
+        age_g = age(g)
+        p = dm + age_g - self.age_j
         if e.flavor == "A":
-            return a_bidegree(e, self.ws, self.age_j)
-        return b_bidegree(e, self.ws, self.age_j)
-
-    def contains(self, e: SectorElement) -> bool:
-        return e in self.basis_set
-
-
-def _deg_m(e: SectorElement, ws: WeightSystem) -> Fraction:
-    q = ws.q
-    fixed = fixed_indices(e.sector)
-    return sum((e.monomial[j] * q[j] for j in fixed), Fraction(0)) + sum(
-        (q[j] for j in fixed), Fraction(0)
-    )
-
-
-def a_bidegree(e: SectorElement, ws: WeightSystem, age_j: Fraction):
-    """(deg m + age g - age j, N_g - deg m + age g - age j); deg m counts the
-    volume-form weights."""
-    dm = _deg_m(e, ws)
-    a = age(e.sector)
-    ng = len(fixed_indices(e.sector))
-    return (dm + a - age_j, ng - dm + a - age_j)
-
-
-def b_bidegree(e: SectorElement, ws: WeightSystem, age_j: Fraction):
-    """(deg m + age g - age j, deg m + age g^{-1} - age j)."""
-    dm = _deg_m(e, ws)
-    return (dm + age(e.sector) - age_j, dm + age(-e.sector) - age_j)
+            return p, len(fixed) - dm + age_g - self.age_j
+        return p, dm + (g.n - len(fixed)) - age_g - self.age_j
 
 
 def build_sector(
@@ -184,7 +166,7 @@ def build_state_space(
         raise NotAdmissible("A-model requires the exponential grading operator in G")
     if flavor == "B" and not is_b_admissible(group):
         raise NotAdmissible("B-model requires G inside SL (integral ages)")
-    age_j = sum(ws.q, Fraction(0))
+    age_j = Fraction(sum(ws.weights), ws.degree)
     if rings is None:
         rings = {}
     int_gens = int_vectors(group.gens)

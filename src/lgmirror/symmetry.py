@@ -3,8 +3,11 @@
 A group element g = (g_1, ..., g_n) is stored as an integer numerator vector
 over one positive denominator: g_i = num[i] / den with 0 <= num[i] < den.
 The form is canonical (den is the order of g and gcd(den, *num) = 1), so
-equality, hashing, ordering and the group law all run on ints.  Fractions
-appear only at the edges: parsing, `components`, `str` and ages.
+equality, hashing and the group law all run on ints.  Fractions appear only
+at the edges: parsing, `components`, `str` and ages.
+A group's order is fixed once, when the `SymmetryGroup` is built: its
+elements are sorted by their int vectors over the lcm of their
+denominators, which is the lexicographic order of the components.
 Closures (spans, G^max from its Smith normal form generators) run on integer
 vectors over a common denominator.  A dual group is built from the integer
 kernel of its constraint congruences, so G^max(W^T) is never enumerated and
@@ -123,7 +126,8 @@ class GroupElement:
         return hash(self.num) ^ self.den
 
     def __lt__(self, other):
-        """Lexicographic order of the components as rationals."""
+        """Lexicographic order of the components as rationals (groups sort
+        by `int_vectors` instead; this serves `SectorElement` and tests)."""
         d1, d2 = self.den, other.den
         if d1 == d2:
             return self.num < other.num
@@ -140,7 +144,11 @@ class GroupElement:
 def int_vectors(elements):
     """(L, [g * L]) for the elements over their common denominator L."""
     L = math.lcm(*(g.den for g in elements))
-    return L, [tuple(a * (L // g.den) for a in g.num) for g in elements]
+    vecs = []
+    for g in elements:
+        scale = L // g.den
+        vecs.append(g.num if scale == 1 else tuple([a * scale for a in g.num]))
+    return L, vecs
 
 
 def age(g: GroupElement) -> Fraction:
@@ -173,13 +181,19 @@ def parse_group_elements(text: str, n: int):
 
 
 class SymmetryGroup:
-    """Finitely enumerated subgroup of (Q/Z)^n, immutable after construction."""
+    """Finitely enumerated subgroup of (Q/Z)^n, immutable after construction.
+
+    `elements` is sorted here, and only here, by the int vectors over the
+    common denominator: the lexicographic order of the components."""
 
     __slots__ = ("n", "elements", "element_set", "gens")
 
     def __init__(self, n, elements, gens):
         self.n = n
-        self.elements = tuple(sorted(elements))
+        elements = tuple(elements)
+        _, vecs = int_vectors(elements)
+        order = sorted(range(len(elements)), key=vecs.__getitem__)
+        self.elements = tuple(elements[i] for i in order)
         self.element_set = frozenset(self.elements)
         self.gens = tuple(gens)
 
@@ -198,9 +212,6 @@ class SymmetryGroup:
 
     def is_subgroup_of(self, other: "SymmetryGroup") -> bool:
         return self.element_set <= other.element_set
-
-    def identity(self) -> GroupElement:
-        return GroupElement.identity(self.n)
 
     def __repr__(self):
         return f"SymmetryGroup(n={self.n}, order={self.order})"
@@ -241,14 +252,14 @@ def span(n: int, gens, cap: int | None = None) -> SymmetryGroup:
 
 def group_from_elements(n: int, elements) -> SymmetryGroup:
     """Wrap an already-closed element set (closure is the caller's contract)."""
-    elements = sorted(set(elements))
-    gens = minimal_generators(n, elements)
-    return SymmetryGroup(n, elements, gens)
+    group = SymmetryGroup(n, set(elements), ())
+    group.gens = tuple(minimal_generators(n, group.elements))
+    return group
 
 
 def minimal_generators(n: int, elements):
-    """Greedy small generating set: add elements not yet spanned, in order."""
-    elements = sorted(elements)
+    """Greedy small generating set: add elements not yet spanned, in the
+    given order (a group's sorted `elements`)."""
     if len(elements) <= 1:
         return []
     L, vecs = int_vectors(elements)
@@ -410,7 +421,7 @@ def element_in_gmax(poly: Polynomial, g: GroupElement) -> bool:
 def sl_subgroup(group: SymmetryGroup) -> SymmetryGroup:
     """Elements of integral age (the SL subgroup)."""
     return group_from_elements(
-        group.n, [g for g in group.elements if age(g).denominator == 1]
+        group.n, [g for g in group.elements if sum(g.num) % g.den == 0]
     )
 
 
@@ -419,7 +430,7 @@ def is_a_admissible(group: SymmetryGroup, ws: WeightSystem) -> bool:
 
 
 def is_b_admissible(group: SymmetryGroup) -> bool:
-    return all(age(g).denominator == 1 for g in group.elements)
+    return all(sum(g.num) % g.den == 0 for g in group.elements)
 
 
 def transpose_group(group: SymmetryGroup, poly: Polynomial) -> SymmetryGroup:
@@ -487,31 +498,42 @@ def cosets(group: SymmetryGroup, subgroup: SymmetryGroup) -> CosetDecomposition:
 
 def bv_cosets(sigma_group: SymmetryGroup, j_group: SymmetryGroup, slots, sigma) -> CosetDecomposition:
     """Cosets of J in sigma*G, normalized so the first M representatives fix
-    both distinguished coordinates and the last M are sigma times the first."""
-    base = cosets(sigma_group, j_group)
+    both distinguished coordinates and the last M are sigma times the first.
+
+    One walk over the sorted elements of sigma*G keys each element by its
+    coset minimum (the first element met) and keeps the first element of
+    each coset that fixes both slots; the sigma partner of the coset with
+    minimum k is the coset of sigma + k."""
+    if not j_group.is_subgroup_of(sigma_group):
+        raise NotSubgroup("H is not contained in G")
     i0, j0 = slots
-    by_key = {}
-    for rep in base.representatives:
-        coset = sorted(rep + h for h in j_group.elements)
-        key = coset[0]
-        by_key[key] = coset
+    key_of = {}
+    keys = []
+    zero_slot = {}
+    for g in sigma_group.elements:
+        key = key_of.get(g)
+        if key is None:
+            key = g
+            keys.append(g)
+            for h in j_group.elements:
+                key_of[g + h] = g
+        if key not in zero_slot and g.num[i0] == 0 and g.num[j0] == 0:
+            zero_slot[key] = g
     paired = set()
     first = []
-    for key in sorted(by_key):
+    for key in keys:
         if key in paired:
             continue
-        coset = by_key[key]
-        zero_slot = [e for e in coset if e.num[i0] == 0 and e.num[j0] == 0]
-        if not zero_slot:
+        rep = zero_slot.get(key)
+        if rep is None:
             raise GroupError("coset without a representative fixing the distinguished slots")
-        rep = min(zero_slot)
-        partner_key = min(sigma + e for e in coset)
+        partner_key = key_of[sigma + key]
         if partner_key == key:
             raise GroupError("sigma stabilizes a J-coset")
         first.append(rep)
         paired.add(key)
         paired.add(partner_key)
     second = [sigma + r for r in first]
-    if 2 * len(first) != len(base.representatives):
+    if 2 * len(first) != len(keys):
         raise GroupError("sigma pairing did not halve the cosets")
     return CosetDecomposition(sigma_group, j_group, first + second)

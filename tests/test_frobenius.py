@@ -302,16 +302,3 @@ def test_gamma_lemma_factors():
     checked, failures = gamma_lemma_cases(alg, mirror.sigma, sectors)
     assert checked == len(sectors) ** 2
     assert not failures
-
-
-def test_gamma_csv_export(tmp_path):
-    m = build_bv(E1, MINI, jgens(E1, MINI))
-    mirror = m.mirror()
-    b0 = build_state_space(mirror.poly, mirror.sigma_group, "B")
-    alg = BAlgebra(b0)
-    path = tmp_path / "gamma.csv"
-    sectors = sorted({e.sector for e in even_basis(b0)})
-    alg.export_gamma_csv(path, sectors)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "g,h,gamma"
-    assert len(lines) == 1 + len(sectors) ** 2

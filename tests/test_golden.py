@@ -1,8 +1,9 @@
 """Byte-for-byte golden reports of the CLI.
 
-Each case is a CLI invocation whose ``--json`` output is stored in
-``tests/golden/<name>.json``.  The stored outputs pin the reports, including
-the order of every list in them, across refactors of the engine.  To rewrite
+Each case is a CLI invocation whose standard output is stored in
+``tests/golden/<name>.json`` (``<name>.csv`` for the catalog's CSV output).
+The stored outputs pin the reports, including the order of every list in
+them, across refactors of the engine.  To rewrite
 them after a deliberate change of a report, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -50,6 +51,12 @@ for _verb in VERBS:
 # the large model: its dual groups and Milnor bases are the biggest built
 for _verb in ("theorem1", "bvms", "twist-iso", "mirror"):
     CASES[f"e1octic_{_verb}"] = ["bv", _verb, "--w1", E1, "--w2", OCTIC, "--json"]
+# the K3 catalog with the invertible sample of each half-degree system
+CASES["catalog_list_samples"] = ["catalog", "list", "--with-samples", "--json"]
+CASES["catalog_filter_samples"] = ["catalog", "filter", "--with-samples"]
+CASES["catalog_filter_half_samples"] = [
+    "catalog", "filter", "--half-degree-only", "--with-samples", "--json",
+]
 
 
 # (w1, w2, generators or "" for J1 x J2) of the unscaled Theorem 2 control
@@ -57,6 +64,11 @@ UNSCALED = {
     "e1k3a_theorem2_unscaled": (E1, K3A, ""),
     "nonproduct_theorem2_unscaled": (E2, K3A, NONPRODUCT),
 }
+
+
+def golden_path(name):
+    suffix = ".json" if "--json" in CASES.get(name, ["--json"]) else ".csv"
+    return GOLDEN / f"{name}{suffix}"
 
 
 def run_case(argv):
@@ -81,20 +93,20 @@ def run_unscaled(w1, w2, gens):
 def test_golden_report(name):
     code, out = run_case(CASES[name])
     assert code == 0
-    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert out == golden_path(name).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", sorted(UNSCALED))
 def test_golden_unscaled_theorem2(name):
     out = run_unscaled(*UNSCALED[name])
-    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert out == golden_path(name).read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
     for name, argv in sorted(CASES.items()):
         code, out = run_case(argv)
-        (GOLDEN / f"{name}.json").write_text(out, encoding="utf-8")
+        golden_path(name).write_text(out, encoding="utf-8")
         print(f"{name}: exit {code}", file=sys.stderr)
     for name, args in sorted(UNSCALED.items()):
-        (GOLDEN / f"{name}.json").write_text(run_unscaled(*args), encoding="utf-8")
+        golden_path(name).write_text(run_unscaled(*args), encoding="utf-8")
         print(f"{name}: written", file=sys.stderr)

@@ -1,5 +1,5 @@
-"""The dual groups, Milnor bases and Theorem 2 checks against the code they
-replaced.
+"""The dual groups, Milnor bases, bidegrees, group orders, BV cosets and
+Theorem 2 checks against the code they replaced.
 
 `transpose_group` builds G^T from the kernel of its constraint lattice and
 `MilnorRing` walks the staircase of its leading-term ideal.  The oracles
@@ -13,6 +13,11 @@ Its oracle is the elementwise verifier: every pair and triple of basis
 elements as `AlgebraElement` objects, multiplied and paired one at a time
 through `BAlgebra.product` and `BAlgebra.pairing`.  The two reports must be
 equal, mismatch order included.
+
+`StateSpace.bidegree` grades on integer sums; its oracle sums the weight
+quotients as Fractions.  `SymmetryGroup` sorts its elements by their int
+vectors; the oracle is `sorted` under `GroupElement.__lt__`.  `bv_cosets`
+walks sigma*G once; its oracle sorts every coset and takes minima.
 """
 
 import math
@@ -52,10 +57,16 @@ from lgmirror.report import Report
 from lgmirror.statespace import build_state_space
 from lgmirror.symmetry import (
     GroupElement,
+    GroupError,
+    SymmetryGroup,
+    age,
+    bv_cosets,
+    cosets,
     fixed_indices,
     gmax,
     group_from_elements,
     j_element,
+    minimal_generators,
     parse_group_elements,
     sl_subgroup,
     smith_normal_form,
@@ -67,6 +78,7 @@ E1 = parse_polynomial("x0^2+x1^3+x2^6")
 E2 = parse_polynomial("x0^2+x1^4+x2^4")
 K3A = parse_polynomial("y0^2+y1^6+y2^6+y3^6")
 MINI = parse_polynomial("y0^2+y1^2")
+OCTIC = parse_polynomial("y0^2+y1^8+y2^8+y3^8+y4^8")
 NONPRODUCT = "1/2,1/4,1/4,0,0,0,0;0,0,0,1/2,1/6,1/6,1/6;0,1/4,3/4,0,1/6,5/6,0"
 
 
@@ -162,6 +174,109 @@ def _models():
     return {"e1k3a": e1k3a, "nonproduct": nonproduct}
 
 
+def _golden_models():
+    """The models of the golden reports: E1 x K3A, the nonproduct model and
+    E1 x OCTIC."""
+    octic = build_bv(E1, OCTIC, block_j_elements(weight_system(E1), weight_system(OCTIC)))
+    return {**_models(), "e1octic": octic}
+
+
+def oracle_deg_m(e, q):
+    fixed = fixed_indices(e.sector)
+    return sum((e.monomial[j] * q[j] for j in fixed), Fraction(0)) + sum(
+        (q[j] for j in fixed), Fraction(0)
+    )
+
+
+def oracle_a_bidegree(e, q, age_j):
+    dm = oracle_deg_m(e, q)
+    a = age(e.sector)
+    ng = len(fixed_indices(e.sector))
+    return (dm + a - age_j, ng - dm + a - age_j)
+
+
+def oracle_b_bidegree(e, q, age_j):
+    dm = oracle_deg_m(e, q)
+    return (dm + age(e.sector) - age_j, dm + age(-e.sector) - age_j)
+
+
+def assert_same_bidegrees(poly, group):
+    """Every basis element of A(W, G) and B(W, G): the integer bidegree is
+    the Fraction-sum one."""
+    ws = weight_system(poly)
+    q = [Fraction(w, ws.degree) for w in ws.weights]
+    age_j = sum(q, Fraction(0))
+    rings: dict = {}
+    for flavor, oracle in (("A", oracle_a_bidegree), ("B", oracle_b_bidegree)):
+        space = build_state_space(poly, group, flavor, ws=ws, rings=rings)
+        assert space.dim > 0
+        for e in space.basis:
+            assert space.bidegree(e) == oracle(e, q, age_j)
+
+
+def oracle_bv_cosets(sigma_group, j_group, slots, sigma):
+    """Coset representatives from sorted cosets and minima."""
+    base = cosets(sigma_group, j_group)
+    i0, j0 = slots
+    by_key = {}
+    for rep in base.representatives:
+        coset = sorted(rep + h for h in j_group.elements)
+        by_key[coset[0]] = coset
+    paired = set()
+    first = []
+    for key in sorted(by_key):
+        if key in paired:
+            continue
+        coset = by_key[key]
+        zero_slot = [e for e in coset if e.num[i0] == 0 and e.num[j0] == 0]
+        if not zero_slot:
+            raise GroupError("coset without a representative fixing the distinguished slots")
+        partner_key = min(sigma + e for e in coset)
+        if partner_key == key:
+            raise GroupError("sigma stabilizes a J-coset")
+        first.append(min(zero_slot))
+        paired.add(key)
+        paired.add(partner_key)
+    if 2 * len(first) != len(base.representatives):
+        raise GroupError("sigma pairing did not halve the cosets")
+    return tuple(first + [sigma + r for r in first])
+
+
+@pytest.mark.parametrize("name", ["e1k3a", "nonproduct", "e1octic"])
+def test_bidegrees_and_bv_cosets_match_oracles(name):
+    model = _golden_models()[name]
+    for side in (model, model.mirror()):
+        assert_same_bidegrees(side.poly, side.sigma_group)
+        j_group = span(side.poly.nvars, [side.j1, side.j2])
+        args = (side.sigma_group, j_group, side.slots, side.sigma)
+        assert bv_cosets(*args).representatives == oracle_bv_cosets(*args)
+
+
+COMPONENT = st.builds(Fraction, st.integers(0, 23), st.sampled_from([1, 2, 3, 4, 6, 12]))
+
+
+@st.composite
+def mixed_groups(draw):
+    """The span of up to three elements whose components have mixed
+    denominators, so its elements do too (order at most 12^3)."""
+    n = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.lists(COMPONENT, min_size=n, max_size=n), min_size=1, max_size=3))
+    return span(n, [GroupElement(c) for c in gens])
+
+
+@settings(deadline=None, max_examples=60)
+@given(mixed_groups(), st.randoms(use_true_random=False))
+def test_group_order_is_the_component_order(group, rng):
+    """One sort by int vectors gives the order of `sorted` under
+    `GroupElement.__lt__`, and `group_from_elements` needs no second sort."""
+    elements = list(group.elements)
+    rng.shuffle(elements)
+    assert SymmetryGroup(group.n, elements, ()).elements == tuple(sorted(elements))
+    rebuilt = group_from_elements(group.n, elements)
+    assert rebuilt.elements == group.elements
+    assert rebuilt.gens == tuple(minimal_generators(group.n, sorted(elements)))
+
+
 def test_dual_groups_match_filter_on_bv_models():
     for model in _models().values():
         for group in (model.group, model.sigma_group):
@@ -244,6 +359,8 @@ def test_random_invertible_models_match_oracles(model):
     assert back.elements == group.elements
     assert_same_bases(poly, group, ws)
     assert_same_bases(transpose(poly), dual, weight_system(transpose(poly)))
+    assert_same_bidegrees(poly, group)
+    assert_same_bidegrees(transpose(poly), dual)
 
 
 def elementwise_theorem2(model, rescaled=True):
