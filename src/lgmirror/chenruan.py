@@ -13,6 +13,7 @@ Primitive pieces come from the graded dimensions of the Milnor ring
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .bvlg import BVModel
@@ -20,26 +21,29 @@ from .milnor import milnor_ring
 from .polyring import Polynomial, WeightSystem, restrict, weight_system
 from .report import Report
 from .statespace import build_state_space, diff_tables, frac_str, poincare_table
-from .symmetry import GroupElement, age, bv_cosets, fixed_indices, int_vectors, span
+from .symmetry import GroupElement, bv_cosets, fixed_indices, int_vectors, span
 
 AMBIENT = "ambient"
 PRIMITIVE = "primitive"
 
 
-def lambda_set(components, ws: WeightSystem):
-    """Rational angles t with w_k * t + g_k integral for some coordinate k."""
+def lambda_set(num, den: int, ws: WeightSystem):
+    """Angles t in [0, 1) with w_k * t + g_k integral for some coordinate k,
+    for g = num / den: (D, sorted numerators of t over D = den * lcm(w))."""
+    D = den * math.lcm(*ws.weights)
     out = set()
-    for g_k, w in zip(components, ws.weights):
+    for a, w in zip(num, ws.weights):
+        scale = D // (w * den)
         for t in range(w):
-            out.add((Fraction(t) - Fraction(g_k)) / w % 1)
-    return tuple(sorted(out))
+            out.add((t * den - a) * scale % D)
+    return D, sorted(out)
 
 
-def scaled_element(components, theta: Fraction, ws: WeightSystem) -> GroupElement:
-    """g composed with the scaling of angle theta (acting by theta * w_k)."""
-    return GroupElement(
-        Fraction(c) + theta * w for c, w in zip(components, ws.weights)
-    )
+def scaled_element(num, den: int, t: int, D: int, ws: WeightSystem) -> GroupElement:
+    """g = num / den composed with the scaling of angle t / D (acting by
+    t * w_k / D); den divides D."""
+    scale = D // den
+    return GroupElement._raw([a * scale + t * w for a, w in zip(num, ws.weights)], D)
 
 
 def ambient_classes(dim: int):
@@ -104,13 +108,16 @@ def _block_classes(poly: Polynomial, fixed, ws: WeightSystem):
     return classes
 
 
-def age_shift(s1: GroupElement, s2: GroupElement, theta1, theta2, d1: int, d2: int) -> Fraction:
-    """Tangent-space age: ambient age of (s1, s2) minus the angles by which the
-    two defining polynomials are scaled (one normal direction per factor)."""
-    total = age(s1) + age(s2)
-    total -= (d1 * Fraction(theta1)) % 1
-    total -= (d2 * Fraction(theta2)) % 1
-    return total
+def age_shift(
+    s1: GroupElement, s2: GroupElement, t1: int, D1: int, t2: int, D2: int, d1: int, d2: int
+) -> Fraction:
+    """Tangent-space age: ambient age of (s1, s2) minus the angles t1 / D1 and
+    t2 / D2 by which the two defining polynomials are scaled (one normal
+    direction per factor); s1.den divides D1 and s2.den divides D2."""
+    M = math.lcm(D1, D2)
+    total = (sum(s1.num) * (D1 // s1.den) - d1 * t1 % D1) * (M // D1)
+    total += (sum(s2.num) * (D2 // s2.den) - d2 * t2 % D2) * (M // D2)
+    return Fraction(total, M)
 
 
 class CRTable:
@@ -171,27 +178,27 @@ def cr_table(model: BVModel) -> CRTable:
 
     table: dict = {}
     sectors = []
+    ws1, ws2 = model.ws1, model.ws2
     for rep in decomposition.representatives:
-        g1 = rep.components[:n1]
-        g2 = rep.components[n1:]
-        for theta1 in lambda_set(g1, model.ws1):
-            s1 = scaled_element(g1, theta1, model.ws1)
-            fixed1 = fixed_indices(s1)
-            cls1 = classes_with_weights(1, fixed1)
-            if not cls1:
-                continue
-            for theta2 in lambda_set(g2, model.ws2):
-                s2 = scaled_element(g2, theta2, model.ws2)
-                fixed2 = fixed_indices(s2)
-                cls2 = classes_with_weights(2, fixed2)
-                if not cls2:
-                    continue
-                shift = age_shift(
-                    s1, s2, theta1, theta2, model.ws1.degree, model.ws2.degree
-                )
+        g1, g2 = rep.num[:n1], rep.num[n1:]
+        D1, thetas1 = lambda_set(g1, rep.den, ws1)
+        D2, thetas2 = lambda_set(g2, rep.den, ws2)
+        side2 = []
+        for t2 in thetas2:
+            s2 = scaled_element(g2, rep.den, t2, D2, ws2)
+            cls2 = classes_with_weights(2, fixed_indices(s2))
+            if cls2:
                 buckets: dict = {}
                 for p2, q2, kind2, sig2 in cls2:
                     buckets.setdefault(sig2, []).append((p2, q2, kind2))
+                side2.append((t2, s2, buckets))
+        for t1 in thetas1:
+            s1 = scaled_element(g1, rep.den, t1, D1, ws1)
+            cls1 = classes_with_weights(1, fixed_indices(s1))
+            if not cls1:
+                continue
+            for t2, s2, buckets in side2:
+                shift = age_shift(s1, s2, t1, D1, t2, D2, ws1.degree, ws2.degree)
                 count = 0
                 tags = set()
                 for p1, q1, kind1, sig1 in cls1:
@@ -205,8 +212,8 @@ def cr_table(model: BVModel) -> CRTable:
                     sectors.append(
                         {
                             "rep": str(rep),
-                            "lambda1": frac_str(theta1),
-                            "lambda2": frac_str(theta2),
+                            "lambda1": frac_str(Fraction(t1, D1)),
+                            "lambda2": frac_str(Fraction(t2, D2)),
                             "age": frac_str(shift),
                             "dim": count,
                             "tags": sorted(tags),

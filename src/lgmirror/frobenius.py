@@ -141,7 +141,7 @@ class BAlgebra:
         subset = tuple(sorted(subset))
         ring = self.rings.get(subset)
         if ring is None:
-            ring = milnor_ring(self.poly, active=subset, ws=self.space.ws)
+            ring = milnor_ring(self.poly, active=subset, ws=self.space.ws, rings=self.rings)
             self.rings[subset] = ring
         return ring
 

@@ -3,11 +3,21 @@ Hessians, and the residue pairing.
 
 Everything is computed with `fractions.Fraction`; term orders are weighted
 degree + reverse lexicographic, which respects the quasihomogeneous grading.
+
+A potential whose variables split into connected blocks (variables joined
+when they share a monomial) is a Thom-Sebastiani sum, and its Milnor ring is
+the tensor product of the rings of its blocks.  `milnor_ring` builds one
+Groebner basis per block, keeps the block rings in the caller's
+subset-keyed cache, and assembles the ring of the sum from them: the union
+of the block bases is the reduced basis of the sum, mu is the product and
+the socle the sum of the block socles.  The standard monomials of an
+assembled ring are walked only when `basis` is read.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 
 from .polyring import (
@@ -180,23 +190,39 @@ class MilnorRing:
         "order",
         "basis_entries",
         "lead_monomials",
-        "basis",
+        "parts",
         "socle",
         "mu",
+        "_basis",
         "_hess_socle_coeff",
     )
 
-    def __init__(self, poly: Polynomial, active, weights, order, basis_entries):
+    def __init__(self, poly: Polynomial, active, weights, order, basis_entries, parts=()):
+        """`parts` are the rings of the connected blocks when there are two
+        or more; their reduced bases make up `basis_entries`."""
         self.poly = poly
         self.active = tuple(sorted(active))
         self.weights = tuple(weights)
         self.order = order
         self.basis_entries = basis_entries
         self.lead_monomials = [lt for lt, _ in basis_entries]
+        self.parts = tuple(parts)
         self._hess_socle_coeff = None
-        self.basis = self._standard_basis()
-        self.mu = len(self.basis)
-        self.socle = self._socle()
+        if self.parts:
+            self._basis = None
+            self.mu = math.prod(p.mu for p in self.parts)
+            self.socle = tuple(map(sum, zip(*(p.socle for p in self.parts))))
+        else:
+            self._basis = self._standard_basis()
+            self.mu = len(self._basis)
+            self.socle = self._socle()
+
+    @property
+    def basis(self):
+        """Standard monomials sorted by (wdeg, m); walked on first read."""
+        if self._basis is None:
+            self._basis = self._standard_basis()
+        return self._basis
 
     def _standard_basis(self):
         """Monomials outside the leading-term ideal, sorted by (wdeg, m).
@@ -282,13 +308,17 @@ class MilnorRing:
         return self._hess_socle_coeff
 
 
-def milnor_ring(poly: Polynomial, active=None, ws: WeightSystem | None = None) -> MilnorRing:
+def milnor_ring(
+    poly: Polynomial, active=None, ws: WeightSystem | None = None, rings: dict | None = None
+) -> MilnorRing:
     """Build the Milnor ring of `poly` restricted to `active` variables.
 
     Raises DegenerateSingularity when the quotient is infinite dimensional.
     `ws` supplies the grading; by default the weight system is solved from
     the restricted polynomial itself (all-ones fallback when non-unique, the
-    order is still valid).
+    order is still valid).  With two or more connected blocks the ring is
+    assembled from block rings, which are looked up in and added to the
+    subset-keyed cache `rings`.
     """
     n = poly.nvars
     if active is None:
@@ -296,15 +326,50 @@ def milnor_ring(poly: Polynomial, active=None, ws: WeightSystem | None = None) -
     active = tuple(sorted(active))
     restricted = restrict(poly, active)
     if ws is not None:
-        weights = ws.weights
+        weights = tuple(ws.weights)
     else:
         weights = _grading_weights(restricted, active)
-    if active and restricted.is_zero():
-        raise DegenerateSingularity(f"{poly} vanishes on the active variables {active}")
     order = TermOrder(weights)
-    gens = jacobian_ideal(restricted, active)
-    basis_entries = groebner(gens, order)
-    return MilnorRing(restricted, active, weights, order, basis_entries)
+    blocks = components(restricted, active)
+    if len(blocks) < 2:
+        return _block_ring(restricted, active, weights, order)
+    if rings is None:
+        rings = {}
+    parts = []
+    for block in blocks:
+        part = rings.get(block)
+        if part is None or part.weights != weights:
+            part = _block_ring(restricted, block, weights, order)
+            rings.setdefault(block, part)
+        parts.append(part)
+    basis_entries = sorted(
+        (e for part in parts for e in part.basis_entries), key=lambda e: order.key(e[0])
+    )
+    return MilnorRing(restricted, active, weights, order, basis_entries, parts)
+
+
+def _block_ring(poly: Polynomial, block, weights, order: TermOrder) -> MilnorRing:
+    """The one-shot ring of `poly` on `block`, in the order of the locus.
+    A variable in no monomial is a block of its own, and raises here."""
+    restricted = restrict(poly, block)
+    if block and restricted.is_zero():
+        raise DegenerateSingularity(f"{poly} vanishes on the active variables {block}")
+    basis_entries = groebner(jacobian_ideal(restricted, block), order)
+    return MilnorRing(restricted, block, weights, order, basis_entries)
+
+
+def components(poly: Polynomial, active):
+    """Connected blocks of the active variables, two variables joined when
+    they share a monomial of `poly` restricted to them; sorted tuples."""
+    block = {i: (i,) for i in active}
+    for m in poly.terms:
+        used = [i for i, e in enumerate(m) if e]
+        if not all(i in block for i in used):
+            continue
+        merged = tuple(sorted({j for i in used for j in block[i]}))
+        for j in merged:
+            block[j] = merged
+    return sorted(set(block.values()))
 
 
 def _grading_weights(poly: Polynomial, active):
@@ -336,29 +401,8 @@ def hessian(poly: Polynomial, active=None) -> Polynomial:
     if active is None:
         active = tuple(range(n))
     active = tuple(sorted(active))
-    one = Polynomial(poly.variables, {tuple([0] * n): Fraction(1)})
-    if not active:
-        return one
-
-    # connected components of "appear in a common monomial"
-    parent = {i: i for i in active}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for m in restrict(poly, active).terms:
-        used = [i for i in active if m[i] > 0]
-        for a, b in zip(used, used[1:]):
-            parent[find(a)] = find(b)
-    comps: dict = {}
-    for i in active:
-        comps.setdefault(find(i), []).append(i)
-
-    result = one
-    for comp in sorted(comps.values()):
+    result = Polynomial(poly.variables, {tuple([0] * n): Fraction(1)})
+    for comp in components(poly, active):
         rows = [[poly.diff(i).diff(j) for j in comp] for i in comp]
         result = result * _poly_det(rows, poly.variables)
     return result

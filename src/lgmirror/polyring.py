@@ -76,6 +76,16 @@ class Polynomial:
     def zero(cls, variables):
         return cls(variables, {})
 
+    @classmethod
+    def _clean(cls, variables: tuple, terms: dict) -> "Polynomial":
+        """A polynomial from terms that are already canonical: int exponent
+        tuples of the right length mapped to nonzero Fractions."""
+        p = cls.__new__(cls)
+        p.variables = variables
+        p.terms = terms
+        p._hash = None
+        return p
+
     @property
     def nvars(self) -> int:
         return len(self.variables)
@@ -463,7 +473,7 @@ def restrict(poly: Polynomial, fixed) -> Polynomial:
         for m, c in poly.terms.items()
         if all(e == 0 or i in fixed for i, e in enumerate(m))
     }
-    return Polynomial(poly.variables, terms)
+    return Polynomial._clean(poly.variables, terms)
 
 
 def is_bv_form(poly: Polynomial):

@@ -2,8 +2,12 @@
 
 A basis element is a sector group element g together with a standard monomial
 of the Milnor ring of W restricted to Fix(g); the volume form over the fixed
-coordinates is implicit.  Invariance under the acting group is checked on
-generators with integer arithmetic, once per fixed locus.  The bidegree of an
+coordinates is implicit.  W restricted to Fix(g) is a sum of connected
+blocks, its Milnor ring the tensor product of theirs, and the character of a
+monomial under the acting group the sum of the characters of its block
+factors.  So the invariant monomials of a fixed locus come from a join of the
+blocks' monomials on characters that sum to 0, in integer arithmetic, and no
+locus basis is walked (`Invariants`).  The bidegree of an
 element is one formula on integer sums (`StateSpace.bidegree`); Fractions are
 built only for its result.
 """
@@ -11,6 +15,7 @@ built only for its result.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .milnor import milnor_ring
 from .polyring import Polynomial, WeightSystem, weight_system
@@ -111,6 +116,87 @@ class StateSpace:
         return p, dm + (g.n - len(fixed)) - age_g - self.age_j
 
 
+class Invariants:
+    """One sweep's invariant standard monomials, fixed locus by fixed locus.
+
+    The character of a monomial m of a block ring under a generator h of
+    the group is sum over the block of (m_j + 1) h_j mod L, one entry per
+    generator.  The standard monomials of a locus ring are the products of
+    those of its block rings, and m * omega_g is invariant exactly when the
+    characters of its factors sum to 0.  So each block ring's monomials are
+    bucketed by character once per sweep, the blocks of a locus are split
+    into two halves of balanced size, each half is multiplied out by
+    bucket, and the halves are joined on characters that sum to 0.  No
+    locus basis is walked."""
+
+    __slots__ = ("L", "gen_vecs", "loci", "buckets")
+
+    def __init__(self, group: SymmetryGroup):
+        self.L, self.gen_vecs = int_vectors(group.gens)
+        self.loci: dict = {}
+        self.buckets: dict = {}
+
+    def kept(self, ring) -> list:
+        """Invariant standard monomials of `ring`, sorted by (wdeg, m)."""
+        got = self.loci.get(ring.active)
+        if got is None:
+            halves: tuple = ([], [])
+            sizes = [1, 1]
+            for part in sorted(ring.parts or (ring,), key=lambda r: -r.mu):
+                k = sizes[1] < sizes[0]
+                halves[k].append(part)
+                sizes[k] *= part.mu
+            zero = (0,) * ring.poly.nvars
+            left, right = (self._product(h, zero) for h in halves)
+            L = self.L
+            out = []
+            for ch, terms in left.items():
+                partner = right.get(tuple(-a % L for a in ch))
+                if partner:
+                    out.extend(_products(terms, partner))
+            out.sort()
+            got = self.loci[ring.active] = [m for _, m in out]
+        return got
+
+    def _product(self, parts, zero) -> dict:
+        """{character: [(wdeg, m)]} over the monomials of the product of
+        the block rings `parts`."""
+        if not parts:
+            return {(0,) * len(self.gen_vecs): [(0, zero)]}
+        L = self.L
+        acc = self._buckets(parts[0])
+        for part in parts[1:]:
+            buckets = self._buckets(part)
+            nxt: dict = {}
+            for c1, terms1 in acc.items():
+                for c2, terms2 in buckets.items():
+                    key = tuple([(a + b) % L for a, b in zip(c1, c2)])
+                    nxt.setdefault(key, []).extend(_products(terms1, terms2))
+            acc = nxt
+        return acc
+
+    def _buckets(self, part) -> dict:
+        """{character: [(wdeg, m)]} over the standard monomials of a block."""
+        got = self.buckets.get(part.active)
+        if got is None:
+            L, block = self.L, part.active
+            got = self.buckets[block] = {}
+            for m in part.basis:
+                ch = tuple(
+                    [sum([(m[j] + 1) * hv[j] for j in block]) % L for hv in self.gen_vecs]
+                )
+                got.setdefault(ch, []).append((part.wdeg(m), m))
+        return got
+
+
+def _products(terms1, terms2):
+    """(d1 + d2, m1 + m2) for each pair; the monomials live on disjoint
+    variables."""
+    return [
+        (d1 + d2, tuple(map(add, m1, m2))) for d1, m1 in terms1 for d2, m2 in terms2
+    ]
+
+
 def build_sector(
     poly: Polynomial,
     group: SymmetryGroup,
@@ -118,34 +204,20 @@ def build_sector(
     flavor: str,
     ws: WeightSystem,
     rings: dict,
-    int_gens=None,
-    invariant: dict | None = None,
+    invariant: Invariants | None = None,
 ):
     """Invariant standard monomials of Milnor(W_g), as sector elements.
 
-    Invariance depends on g only through Fix(g), so a sweep passes
-    int_gens = int_vectors(group.gens) and an `invariant` dict that keeps
-    the monomials found for each fixed locus."""
+    Invariance depends on g only through Fix(g); a sweep passes one
+    `Invariants` of the group for all its sectors.  The ring of every
+    locus, and of each of its blocks, is kept in the subset-keyed `rings`."""
     fixed = fixed_indices(g)
+    ring = rings.get(fixed)
+    if ring is None:
+        ring = rings[fixed] = milnor_ring(poly, active=fixed, ws=ws, rings=rings)
     if invariant is None:
-        invariant = {}
-    kept = invariant.get(fixed)
-    if kept is None:
-        ring = rings.get(fixed)
-        if ring is None:
-            ring = rings[fixed] = milnor_ring(poly, active=fixed, ws=ws)
-        L, gen_vecs = int_gens or int_vectors(group.gens)
-        kept = invariant[fixed] = []
-        for m in ring.basis:
-            for hv in gen_vecs:
-                total = 0
-                for j in fixed:
-                    total += (m[j] + 1) * hv[j]
-                if total % L:
-                    break
-            else:
-                kept.append(m)
-    return [SectorElement(g, m, flavor) for m in kept]
+        invariant = Invariants(group)
+    return [SectorElement(g, m, flavor) for m in invariant.kept(ring)]
 
 
 def build_state_space(
@@ -169,12 +241,11 @@ def build_state_space(
     age_j = Fraction(sum(ws.weights), ws.degree)
     if rings is None:
         rings = {}
-    int_gens = int_vectors(group.gens)
-    invariant: dict = {}
+    invariant = Invariants(group)
     basis = []
     sector_dims = {}
     for g in group.elements:
-        got = build_sector(poly, group, g, flavor, ws, rings, int_gens, invariant)
+        got = build_sector(poly, group, g, flavor, ws, rings, invariant)
         sector_dims[g] = len(got)
         basis.extend(got)
     return StateSpace(poly, ws, group, flavor, age_j, basis, rings, sector_dims)

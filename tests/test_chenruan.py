@@ -39,20 +39,38 @@ def model(w1=E1, w2=K3):
 
 
 def test_lambda_set_identity():
-    got = lambda_set((Fraction(0),) * 3, WS1)
-    assert set(got) == {Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1, 2)}
+    D, got = lambda_set((0,) * 3, 1, WS1)
+    assert {Fraction(t, D) for t in got} == {
+        Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1, 2)
+    }
 
 
 def test_lambda_set_counting_bound():
-    for comps in ((Fraction(0),) * 3, (Fraction(1, 2), Fraction(1, 3), Fraction(5, 6))):
-        assert len(lambda_set(comps, WS1)) <= sum(WS1.weights)
+    for num, den in (((0,) * 3, 1), ((3, 2, 5), 6)):  # 0 and (1/2, 1/3, 5/6)
+        assert len(lambda_set(num, den, WS1)[1]) <= sum(WS1.weights)
 
 
 def test_lambda_set_membership_criterion():
-    comps = (Fraction(1, 2), Fraction(1, 3), Fraction(5, 6))
-    for theta in lambda_set(comps, WS1):
-        s = scaled_element(comps, theta, WS1)
-        assert any(c == 0 for c in s.components)
+    num, den = (3, 2, 5), 6  # (1/2, 1/3, 5/6)
+    D, angles = lambda_set(num, den, WS1)
+    for t in angles:
+        s = scaled_element(num, den, t, D, WS1)
+        assert any(a == 0 for a in s.num)
+
+
+@pytest.mark.parametrize("num, den", [((0, 0, 0), 1), ((3, 2, 5), 6), ((1, 0, 7), 12)])
+def test_int_angles_match_fraction_angles(num, den):
+    """The int angles and scaled elements are the Fraction formulas
+    (t - g_k) / w_k mod 1 and g + t * w."""
+    comps = [Fraction(a, den) for a in num]
+    want = sorted(
+        {(Fraction(t) - g) / w % 1 for g, w in zip(comps, WS1.weights) for t in range(w)}
+    )
+    D, angles = lambda_set(num, den, WS1)
+    assert [Fraction(t, D) for t in angles] == want
+    for t, theta in zip(angles, want):
+        s = scaled_element(num, den, t, D, WS1)
+        assert s == GroupElement(c + theta * w for c, w in zip(comps, WS1.weights))
 
 
 def test_primitive_hodge_k3():
@@ -78,13 +96,13 @@ def test_age_shift_sigma():
     m = model()
     s1 = GroupElement([Fraction(1, 2), 0, 0])
     s2 = GroupElement([Fraction(1, 2), 0, 0, 0])
-    assert age_shift(s1, s2, Fraction(0), Fraction(0), 6, 6) == 1
+    assert age_shift(s1, s2, 0, 2, 0, 2, 6, 6) == 1
 
 
 def test_age_shift_identity():
     s1 = GroupElement([0, 0, 0])
     s2 = GroupElement([0, 0, 0, 0])
-    assert age_shift(s1, s2, Fraction(0), Fraction(0), 6, 6) == 0
+    assert age_shift(s1, s2, 0, 1, 0, 1, 6, 6) == 0
 
 
 def test_age_shift_additive_over_blocks():
@@ -93,10 +111,10 @@ def test_age_shift_additive_over_blocks():
     s2 = GroupElement([0, Fraction(1, 2), Fraction(1, 2), 0])
     zero1 = GroupElement([0, 0, 0])
     zero2 = GroupElement([0, 0, 0, 0])
-    t1, t2 = Fraction(1, 3), Fraction(1, 2)
-    total = age_shift(s1, s2, t1, t2, 6, 6)
-    left = age_shift(s1, zero2, t1, Fraction(0), 6, 6)
-    right = age_shift(zero1, s2, Fraction(0), t2, 6, 6)
+    # angles 1/3 and 1/2, as numerators over 3 and 2
+    total = age_shift(s1, s2, 1, 3, 1, 2, 6, 6)
+    left = age_shift(s1, zero2, 1, 3, 0, 2, 6, 6)
+    right = age_shift(zero1, s2, 0, 3, 1, 2, 6, 6)
     assert total == left + right
 
 
@@ -199,7 +217,7 @@ def test_chain_model_lgcy():
 
 def test_corrupted_age_shift_fails(monkeypatch):
     # drop the normal-direction correction: the LG/CY match must break
-    def bad_shift(s1, s2, theta1, theta2, d1, d2):
+    def bad_shift(s1, s2, t1, D1, t2, D2, d1, d2):
         return sum(s1.components, Fraction(0)) + sum(s2.components, Fraction(0))
 
     m = chain_model_with_extended_group()

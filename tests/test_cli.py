@@ -64,6 +64,17 @@ def test_state_space_inadmissible(capsys):
     assert code == 3
 
 
+def test_state_space_degenerate_locus_exits_3(capsys):
+    # (0, 1/3, 0) fixes x0 and x2, and x0 is in no monomial of W there
+    code, out, err = run(
+        capsys, "state-space", "A", "--w", "x0^2*x1+x1^3+x2^2",
+        "--gens", "1/3,1/3,1/2;0,1/3,0", "--json",
+    )
+    assert code == 3
+    assert out == ""
+    assert "precondition violated" in err
+
+
 def test_bv_theorem1_pass(capsys):
     code, out, err = run(
         capsys, "bv", "theorem1",

@@ -33,6 +33,7 @@ E1 = "x0^2+x1^3+x2^6"
 E2 = "x0^2+x1^4+x2^4"
 K3A = "y0^2+y1^6+y2^6+y3^6"
 OCTIC = "y0^2+y1^8+y2^8+y3^8+y4^8"
+OVERCAP = "y0^2+y1^3+y2^12+y3^24+y4^24"
 NONPRODUCT = "1/2,1/4,1/4,0,0,0,0;0,0,0,1/2,1/6,1/6,1/6;0,1/4,3/4,0,1/6,5/6,0"
 VERBS = (
     "theorem1", "bvms", "twist-iso", "group-lemma", "lgcy",
@@ -51,6 +52,8 @@ for _verb in VERBS:
 # the large model: its dual groups and Milnor bases are the biggest built
 for _verb in ("theorem1", "bvms", "twist-iso", "mirror"):
     CASES[f"e1octic_{_verb}"] = ["bv", _verb, "--w1", E1, "--w2", OCTIC, "--json"]
+# the rung past the Gmax cap: |Gmax(W1 + W2)| = 1,327,104, |G^T| = 13,824
+CASES["e2overcap_theorem1"] = ["bv", "theorem1", "--w1", E2, "--w2", OVERCAP, "--json"]
 # the K3 catalog with the invertible sample of each half-degree system
 CASES["catalog_list_samples"] = ["catalog", "list", "--with-samples", "--json"]
 CASES["catalog_filter_samples"] = ["catalog", "filter", "--with-samples"]

@@ -4,6 +4,7 @@ from fractions import Fraction
 from lgmirror.milnor import (
     DegenerateSingularity,
     TermOrder,
+    components,
     fermat_milnor_number,
     groebner,
     hessian,
@@ -116,6 +117,27 @@ def test_mu_multiplicative_disjoint_sum():
     p = parse_polynomial("x0^2+x1^3+x2^6")
     q = parse_polynomial("y0^2+y1^6+y2^6+y3^6")
     assert milnor_ring(direct_sum(p, q)).mu == milnor_ring(p).mu * milnor_ring(q).mu
+
+
+def test_components_split_on_shared_monomials():
+    p = parse_polynomial("x0^2*x1+x1^3+x2^4+x3^3*x4+x4^3*x3")
+    assert components(p, range(5)) == [(0, 1), (2,), (3, 4)]
+    # x0^2*x1 is not a monomial on {x0, x2}: x0 is a block of its own
+    assert components(p, (0, 2)) == [(0,), (2,)]
+    assert components(p, ()) == []
+
+
+def test_block_rings_go_to_the_cache():
+    p = parse_polynomial("x0^2*x1+x1^3+x2^4")
+    rings = {}
+    r = milnor_ring(p, ws=weight_system(p), rings=rings)
+    assert sorted(rings) == [(0, 1), (2,)]
+    assert [part.active for part in r.parts] == [(0, 1), (2,)]
+    assert r.mu == rings[(0, 1)].mu * rings[(2,)].mu == 4 * 3
+    assert r.socle == (0, 2, 2)  # x1^2 times x2^2
+    assert len(r.basis) == r.mu
+    with pytest.raises(DegenerateSingularity):
+        milnor_ring(p, active=(0, 2), ws=weight_system(p), rings=rings)
 
 
 def test_fermat_formula():

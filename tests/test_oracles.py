@@ -14,6 +14,14 @@ elements as `AlgebraElement` objects, multiplied and paired one at a time
 through `BAlgebra.product` and `BAlgebra.pairing`.  The two reports must be
 equal, mismatch order included.
 
+`milnor_ring` assembles the ring of a locus with several connected blocks
+from one Groebner basis per block.  Its oracle is the one-shot ring: one
+Buchberger run on the whole locus and its staircase walked at once.  Bases,
+the lazily walked standard monomials, mu, socle, Hessian and normal forms
+must agree.  `build_sector` joins the character buckets of the block rings;
+its oracle walks the one-shot basis of the locus and tests every monomial on
+the generators.  The kept monomials must agree, in order.
+
 `StateSpace.bidegree` grades on integer sums; its oracle sums the weight
 quotients as Fractions.  `SymmetryGroup` sorts its elements by their int
 vectors; the oracle is `sorted` under `GroupElement.__lt__`.  `bv_cosets`
@@ -22,7 +30,7 @@ walks sigma*G once; its oracle sorts every coset and takes minima.
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
@@ -42,7 +50,15 @@ from lgmirror.frobenius import (
     verify_theorem2,
     z2_grading,
 )
-from lgmirror.milnor import fermat_milnor_number, milnor_ring
+from lgmirror.milnor import (
+    DegenerateSingularity,
+    MilnorRing,
+    TermOrder,
+    fermat_milnor_number,
+    groebner,
+    jacobian_ideal,
+    milnor_ring,
+)
 from lgmirror.polyring import (
     Polynomial,
     WeightSystem,
@@ -50,11 +66,12 @@ from lgmirror.polyring import (
     exponent_matrix,
     is_invertible,
     parse_polynomial,
+    restrict,
     transpose,
     weight_system,
 )
 from lgmirror.report import Report
-from lgmirror.statespace import build_state_space
+from lgmirror.statespace import Invariants, build_sector, build_state_space
 from lgmirror.symmetry import (
     GroupElement,
     GroupError,
@@ -65,6 +82,7 @@ from lgmirror.symmetry import (
     fixed_indices,
     gmax,
     group_from_elements,
+    int_vectors,
     j_element,
     minimal_generators,
     parse_group_elements,
@@ -561,3 +579,112 @@ def sparse_tables(draw):
 def test_sparse_contraction_matches_dense_triples(tables):
     C, P, n = tables
     assert associativity_and_frobenius(C, P) == dense_triple_counts(C, P, n)
+
+
+def one_shot_ring(poly, active, ws):
+    """The ring of the locus from one Buchberger run, its basis walked."""
+    active = tuple(sorted(active))
+    restricted = restrict(poly, active)
+    order = TermOrder(ws.weights)
+    entries = groebner(jacobian_ideal(restricted, active), order)
+    return MilnorRing(restricted, active, ws.weights, order, entries)
+
+
+def walk_and_filter(poly, group, fixed, ws):
+    """Invariant standard monomials of a locus: every monomial of the
+    one-shot basis, tested on every generator."""
+    L, gen_vecs = int_vectors(group.gens)
+    return [
+        m
+        for m in one_shot_ring(poly, fixed, ws).basis
+        if all(sum((m[j] + 1) * hv[j] for j in fixed) % L == 0 for hv in gen_vecs)
+    ]
+
+
+def assert_same_sectors(poly, group, ws):
+    """Every locus of G: the character join keeps the monomials the walk
+    keeps, in the same order.  Returns the number of loci."""
+    rings: dict = {}
+    invariant = Invariants(group)
+    loci = {fixed_indices(g): g for g in group}
+    for fixed, g in sorted(loci.items()):
+        got = build_sector(poly, group, g, "B", ws, rings, invariant)
+        assert [e.monomial for e in got] == walk_and_filter(poly, group, fixed, ws)
+    return len(loci)
+
+
+@st.composite
+def block_sums(draw):
+    """A sum of two or three chain and loop blocks (a block of one variable
+    is Fermat) on at most five variables, at least one block of several
+    variables, the variables shuffled so blocks interleave."""
+    blocks = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["chain", "loop"]),
+                st.lists(st.integers(2, 4), min_size=1, max_size=3),
+            ),
+            min_size=2,
+            max_size=3,
+        )
+    )
+    assume(sum(len(exps) for _, exps in blocks) <= 5)
+    assume(any(len(exps) > 1 for _, exps in blocks))
+    n = sum(len(exps) for _, exps in blocks)
+    perm = draw(st.permutations(range(n)))
+    terms = {}
+    offset = 0
+    for kind, exps in blocks:
+        k = len(exps)
+        for i, e in enumerate(exps):
+            mono = [0] * n
+            mono[perm[offset + i]] = e
+            if kind == "loop" and k > 1:
+                mono[perm[offset + (i + 1) % k]] = 1
+            elif i + 1 < k:
+                mono[perm[offset + i + 1]] = 1
+            terms[tuple(mono)] = Fraction(1)
+        offset += k
+    poly = Polynomial(tuple(f"x{i}" for i in range(n)), terms)
+    ws = weight_system(poly)
+    extra = draw(st.lists(st.sampled_from(gmax(poly).elements), max_size=2))
+    return poly, ws, span(n, [j_element(ws)] + extra)
+
+
+@settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.filter_too_much])
+@given(block_sums(), st.randoms(use_true_random=False))
+def test_assembled_rings_match_one_shot_rings(model, rng):
+    """Every subset of the variables: the ring assembled from block rings is
+    the one-shot ring, or both raise DegenerateSingularity."""
+    poly, ws, _ = model
+    n = poly.nvars
+    rings: dict = {}
+    for size in range(n + 1):
+        for active in combinations(range(n), size):
+            try:
+                want = one_shot_ring(poly, active, ws)
+            except DegenerateSingularity:
+                with pytest.raises(DegenerateSingularity):
+                    milnor_ring(poly, active, ws, rings)
+                continue
+            got = milnor_ring(poly, active, ws, rings)
+            assert got.basis_entries == want.basis_entries
+            assert (got.mu, got.socle) == (want.mu, want.socle)
+            assert got.basis == want.basis
+            assert got.hessian_socle_coefficient() == want.hessian_socle_coefficient()
+            for _ in range(3):
+                mono = tuple(rng.randrange(6) if i in active else 0 for i in range(n))
+                p = Polynomial(poly.variables, {mono: Fraction(1)})
+                assert got.normal_form(p) == want.normal_form(p)
+
+
+@settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.filter_too_much])
+@given(block_sums())
+def test_character_join_matches_walk_and_filter(model):
+    poly, ws, group = model
+    assert_same_sectors(poly, group, ws)
+
+
+def test_character_join_matches_walk_and_filter_on_octic_mirror():
+    mirror = _golden_models()["e1octic"].mirror()
+    assert assert_same_sectors(mirror.poly, mirror.sigma_group, mirror.ws) == 172

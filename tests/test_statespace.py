@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+import lgmirror.bvlg as bvlg
+from lgmirror.bvlg import block_j_elements, build_bv, verify_theorem1
+from lgmirror.milnor import DegenerateSingularity
 from lgmirror.polyring import direct_sum, parse_polynomial, transpose, weight_system
 from lgmirror.statespace import (
     NotAdmissible,
@@ -200,3 +203,40 @@ def test_krawitz_check_skips_half_weight_chain():
         checked, _, _ = krawitz_dimension_check(chain, grp)
     assert not checked
     assert any("weight 1/2" in str(w.message) for w in caught)
+
+
+def test_locus_with_a_variable_in_no_monomial_raises():
+    """(0, 1/3, 0) is no symmetry of W, which the sweep does not check: it
+    fixes x0 and x2, and W restricted to them is x2^2, with x0 in no
+    monomial, so the Milnor ring of that locus is infinite dimensional."""
+    poly = parse_polynomial("x0^2*x1+x1^3+x2^2")
+    ws = weight_system(poly)
+    g = GroupElement([0, Fraction(1, 3), 0])
+    group = span(3, [j_element(ws), g])
+    with pytest.raises(DegenerateSingularity):
+        build_sector(poly, group, g, "A", ws, {})
+    with pytest.raises(DegenerateSingularity):
+        build_state_space(poly, group, "A", ws=ws)
+
+
+def test_theorem1_walks_no_assembled_locus_basis(monkeypatch):
+    """The sweeps read block rings only: after Theorem 1 on E1 x OCTIC no
+    ring assembled from two or more blocks has walked its standard
+    monomials (the walk over a whole locus is what the character join
+    replaces)."""
+    spaces = []
+
+    def recording(*args, **kwargs):
+        space = build_state_space(*args, **kwargs)
+        spaces.append(space)
+        return space
+
+    monkeypatch.setattr(bvlg, "build_state_space", recording)
+    octic = parse_polynomial("y0^2+y1^8+y2^8+y3^8+y4^8")
+    model = build_bv(E1, octic, block_j_elements(WS1, weight_system(octic)))
+    assert verify_theorem1(model).passed
+    assert len(spaces) == 2
+    for space in spaces:
+        assembled = [ring for ring in space.rings.values() if ring.parts]
+        assert assembled
+        assert all(ring._basis is None for ring in assembled)
