@@ -29,9 +29,9 @@ from .symmetry import (
     GroupElement,
     SymmetryGroup,
     element_in_gmax,
-    group_from_elements,
     j_element,
     span,
+    subgroup_on,
     transpose_group,
 )
 
@@ -163,8 +163,7 @@ def build_bv(w1: Polynomial, w2: Polynomial, gens) -> BVModel:
     sigma = GroupElement._raw([int(k in (slot1, slot2)) for k in range(n)], 2)
     if sigma in group:
         raise GroupOutOfRange("sigma already lies in G")
-    elements = list(group.elements) + [sigma + g for g in group.elements]
-    sigma_group = SymmetryGroup(n, elements, tuple(group.gens) + (sigma,))
+    sigma_group = span(n, group.gens + (sigma,))
     return BVModel(w1, w2, poly, ws, ws1, ws2, slot1, slot2, group, sigma, sigma_group, j1, j2)
 
 
@@ -239,12 +238,7 @@ def twist_polynomial(w1: Polynomial, w2: Polynomial):
 
 def twist_group(model: BVModel, tw_poly: Polynomial, keep) -> SymmetryGroup:
     """Elements of sigma*G vanishing on both distinguished slots, projected."""
-    s1, s2 = model.slots
-    projected = []
-    for g in model.sigma_group.elements:
-        if g.num[s1] == 0 and g.num[s2] == 0:
-            projected.append(GroupElement._raw([g.num[k] for k in keep], g.den))
-    group = group_from_elements(len(keep), projected)
+    group = subgroup_on(model.sigma_group, keep)
     for h in group.gens:
         if not element_in_gmax(tw_poly, h):
             raise BVError(f"projected element {h} is not a symmetry of {tw_poly}")
@@ -331,8 +325,8 @@ def verify_group_lemma(model: BVModel) -> Report:
     mirror_tw = mirror.twist()
     lhs = mirror_tw.group  # tw(G^T)
     rhs = transpose_group(tw.group, tw.poly)  # (tw G)^T
-    only_l = sorted(str(g) for g in lhs.element_set - rhs.element_set)
-    only_r = sorted(str(g) for g in rhs.element_set - lhs.element_set)
+    only_l = sorted(str(g) for g in lhs if g not in rhs)
+    only_r = sorted(str(g) for g in rhs if g not in lhs)
     mismatches = [{"only_in_tw_of_dual": only_l, "only_in_dual_of_tw": only_r}] if (only_l or only_r) else []
     return Report(
         "group-lemma",

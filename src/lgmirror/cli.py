@@ -287,6 +287,9 @@ def main(argv=None) -> int:
     except PolyError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except symmetry.BadCapSetting as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except _PRECONDITIONS as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return MATH_ERROR

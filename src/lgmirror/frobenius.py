@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bvlg import BVModel
-from .milnor import MilnorRing, milnor_ring, residue_pairing
+from .milnor import MilnorRing, milnor_ring
 from .polyring import Polynomial, atomic_decomposition, restrict, transpose
 from .report import Report
 from .statespace import (
@@ -207,10 +207,9 @@ class BAlgebra:
             gh = g + h
             igh = fixed_indices(gh)
             mono = tuple(map(sum, zip(e1.monomial, e2.monomial, extra_socle)))
-            if all(e == 0 or k in set(igh) for k, e in enumerate(mono)):
-                ring = self.ring(igh)
-                nf = ring.normal_form(Polynomial(self.poly.variables, {mono: 1}))
-                for b_mono, c in nf.terms.items():
+            if all(e == 0 or gh.num[k] == 0 for k, e in enumerate(mono)):
+                nf = self.ring(igh).monomial_normal_form(mono)
+                for b_mono, c in nf.items():
                     target = SectorElement(gh, b_mono, "B")
                     k = self.index.get(target)
                     if k is None:
@@ -251,9 +250,9 @@ class BAlgebra:
         hit = self._pairings.get(key)
         if hit is None:
             ring = self.ring(fixed_indices(e1.sector))
-            m = Polynomial(self.poly.variables, {e1.monomial: 1})
-            n = Polynomial(self.poly.variables, {e2.monomial: 1})
-            hit = self._pairings[key] = residue_pairing(m, n, ring)
+            mono = tuple(map(sum, zip(e1.monomial, e2.monomial)))
+            c = ring.monomial_normal_form(mono).get(ring.socle, _ZERO)
+            hit = self._pairings[key] = ring.residue(c)
         return hit
 
     def pairing(self, a: AlgebraElement, b: AlgebraElement) -> Fraction:

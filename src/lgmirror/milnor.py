@@ -293,6 +293,16 @@ class MilnorRing:
         rem = _reduce_terms(p.terms, self.basis_entries, self.order)
         return Polynomial(p.variables, rem)
 
+    def monomial_normal_form(self, mono) -> dict:
+        """{m: c}: the normal form of the monomial with exponent tuple
+        `mono`, with no Polynomial built on either side."""
+        return _reduce_terms({mono: Fraction(1)}, self.basis_entries, self.order)
+
+    def residue(self, socle_coeff) -> Fraction:
+        """The pairing value of a product whose normal form has this socle
+        coefficient: mu * c / socle-coeff(nf(Hess(W)))."""
+        return Fraction(self.mu) * socle_coeff / self.hessian_socle_coefficient()
+
     def socle_coefficient(self, p: Polynomial) -> Fraction:
         return self.normal_form(p).coefficient(self.socle)
 
@@ -439,9 +449,7 @@ def _poly_det(rows, variables) -> Polynomial:
 
 def residue_pairing(f: Polynomial, g: Polynomial, ring: MilnorRing) -> Fraction:
     """<f, g> = mu * socle-coeff(nf(f*g)) / socle-coeff(nf(Hess(W)))."""
-    ch = ring.hessian_socle_coefficient()
-    cf = ring.socle_coefficient(f * g)
-    return Fraction(ring.mu) * cf / ch
+    return ring.residue(ring.socle_coefficient(f * g))
 
 
 def fermat_milnor_number(ws: WeightSystem) -> int:

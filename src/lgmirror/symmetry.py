@@ -5,13 +5,14 @@ over one positive denominator: g_i = num[i] / den with 0 <= num[i] < den.
 The form is canonical (den is the order of g and gcd(den, *num) = 1), so
 equality, hashing and the group law all run on ints.  Fractions appear only
 at the edges: parsing, `components`, `str` and ages.
-A group's order is fixed once, when the `SymmetryGroup` is built: its
-elements are sorted by their int vectors over the lcm of their
-denominators, which is the lexicographic order of the components.
-Closures (spans, G^max from its Smith normal form generators) run on integer
-vectors over a common denominator.  A dual group is built from the integer
-kernel of its constraint congruences, so G^max(W^T) is never enumerated and
-the cap applies to the groups that are kept.
+A group is a lattice, span_Z(gens) + L*Z^n over its exponent L, held by
+an echelon (Hermite) basis whose pivots divide L (Cohen, GTM 138, §2.4).
+Its order, the product of L / pivot, is checked against the cap before any
+element is built.  Its elements come from one mixed-radix walk of the basis,
+already in the lexicographic order of the components; membership, subgroup
+tests and coset minima are reductions by the basis.  G^max, SL subgroups,
+dual groups and the twist projection are kernels of characters on such
+lattices, so G^max(W^T) is never walked and the cap bounds what is.
 """
 
 from __future__ import annotations
@@ -46,8 +47,21 @@ class EnumerationCapExceeded(GroupError):
     pass
 
 
+class BadCapSetting(ValueError):
+    """LGMIRROR_MAX_GROUP is set to something other than an integer >= 1."""
+
+
 def _cap() -> int:
-    return int(os.environ.get("LGMIRROR_MAX_GROUP", 10**6))
+    text = os.environ.get("LGMIRROR_MAX_GROUP")
+    if text is None:
+        return 10**6
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise BadCapSetting(f"LGMIRROR_MAX_GROUP must be an integer >= 1, got {text!r}")
+    return cap
 
 
 class GroupElement:
@@ -64,7 +78,7 @@ class GroupElement:
     def _canonical(self, num, den):
         num = [a % den for a in num]
         d = math.gcd(den, *num)
-        self.num = tuple(a // d for a in num)
+        self.num = tuple(num) if d == 1 else tuple([a // d for a in num])
         self.den = den // d
 
     @classmethod
@@ -126,8 +140,8 @@ class GroupElement:
         return hash(self.num) ^ self.den
 
     def __lt__(self, other):
-        """Lexicographic order of the components as rationals (groups sort
-        by `int_vectors` instead; this serves `SectorElement` and tests)."""
+        """Lexicographic order of the components as rationals (a group's walk
+        emits its elements in this order; this serves `SectorElement`)."""
         d1, d2 = self.den, other.den
         if d1 == d2:
             return self.num < other.num
@@ -181,234 +195,211 @@ def parse_group_elements(text: str, n: int):
 
 
 class SymmetryGroup:
-    """Finitely enumerated subgroup of (Q/Z)^n, immutable after construction.
+    """Finite subgroup of (Q/Z)^n, immutable after construction.
 
-    `elements` is sorted here, and only here, by the int vectors over the
-    common denominator: the lexicographic order of the components."""
+    The group is the lattice span_Z(gens) + L*Z^n over its exponent L,
+    held as an echelon basis: row i of `basis` vanishes before column i and
+    its pivot basis[i][i] divides L, so |G| = prod L / pivot.  Membership
+    and subgroup tests reduce by the basis; `elements` is walked from it on
+    first read, already sorted by the int vectors over L (the lexicographic
+    order of the components)."""
 
-    __slots__ = ("n", "elements", "element_set", "gens")
+    __slots__ = ("n", "L", "basis", "order", "gens", "_elements")
 
-    def __init__(self, n, elements, gens):
+    def __init__(self, n, L, basis, gens):
         self.n = n
-        elements = tuple(elements)
-        _, vecs = int_vectors(elements)
-        order = sorted(range(len(elements)), key=vecs.__getitem__)
-        self.elements = tuple(elements[i] for i in order)
-        self.element_set = frozenset(self.elements)
+        self.L = L
+        self.basis = tuple(basis)
+        self.order = _order(self.basis, L)
         self.gens = tuple(gens)
+        self._elements = None
 
     @property
-    def order(self) -> int:
-        return len(self.elements)
+    def elements(self):
+        if self._elements is None:
+            L = self.L
+            self._elements = tuple(GroupElement._raw(v, L) for v in _walk(self.basis, L))
+        return self._elements
 
     def __len__(self):
-        return len(self.elements)
+        return self.order
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, g: GroupElement) -> bool:
-        return g in self.element_set
+        scale, rest = divmod(self.L, g.den)
+        return rest == 0 and not any(_reduce([a * scale for a in g.num], self.basis))
 
     def is_subgroup_of(self, other: "SymmetryGroup") -> bool:
-        return self.element_set <= other.element_set
+        scale, rest = divmod(other.L, self.L)
+        return rest == 0 and not any(
+            any(_reduce([a * scale for a in row], other.basis)) for row in self.basis
+        )
 
     def __repr__(self):
         return f"SymmetryGroup(n={self.n}, order={self.order})"
 
 
-def _close_int(seed_vecs, gen_vecs, L, n, cap):
-    """BFS closure of seed under addition of gens, all mod L (integer tuples)."""
-    seen = set(seed_vecs)
-    frontier = list(seed_vecs)
-    while frontier:
-        new = []
-        for e in frontier:
-            for g in gen_vecs:
-                f = tuple((a + b) % L for a, b in zip(e, g))
-                if f not in seen:
-                    seen.add(f)
-                    new.append(f)
-                    if len(seen) > cap:
-                        raise EnumerationCapExceeded(
-                            f"group enumeration exceeded cap {cap} (set LGMIRROR_MAX_GROUP)"
-                        )
-        frontier = new
-    return seen
+def _xgcd(a: int, b: int):
+    """(g, u, w) with u*a + w*b = g = gcd(a, b)."""
+    u0, u1, w0, w1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        u0, u1 = u1, u0 - q * u1
+        w0, w1 = w1, w0 - q * w1
+    return a, u0, w0
+
+
+def _order(basis, L: int) -> int:
+    return math.prod(L // row[i] for i, row in enumerate(basis))
+
+
+def _insert(basis: list, v, L: int):
+    """Add v to the lattice of the echelon basis, in place: at each column
+    the pivot row and v are replaced by the unimodular combinations whose
+    pivot is their gcd and whose entry there is 0 (Cohen, GTM 138, §2.4)."""
+    v = [a % L for a in v]
+    for i, h in enumerate(basis):
+        a = v[i]
+        if a == 0:
+            continue
+        p = h[i]
+        g, u, w = _xgcd(p, a)
+        basis[i] = tuple((u * y + w * x) % L for x, y in zip(v, h))
+        v = [(a // g * y - p // g * x) % L for x, y in zip(v, h)]
+
+
+def _lattice(n: int, L: int, vecs, chars=()):
+    """(exponent, echelon basis) of {x in span_Z(vecs) + L*Z^n : c.x = 0
+    mod L for each c in chars}.  With m characters, the vectors (c.v, v)
+    go into an echelon basis on m + n columns; its last n rows span the
+    vectors whose first m entries vanish, the kernel.  The basis is rescaled
+    so that L is the exponent of the group."""
+    m = len(chars)
+    basis = [tuple(L * (i == j) for j in range(m + n)) for i in range(m + n)]
+    for v in vecs:
+        _insert(basis, [sum(a * b for a, b in zip(c, v)) for c in chars] + list(v), L)
+    rows = [row[m:] for row in basis[m:]]
+    e = math.gcd(L, *(a for row in rows for a in row))
+    return L // e, [tuple(a // e for a in row) for row in rows]
+
+
+def _reduce(v, basis, start: int = 0) -> tuple:
+    """The least vector of v + lattice, mod L: coordinate i is brought into
+    [0, pivot_i) by row i, in column order from `start`.  Zero exactly when
+    v is in the lattice; on a coset of a subgroup, its minimum."""
+    v = list(v)
+    for i in range(start, len(v)):
+        h = basis[i]
+        q = v[i] // h[i]
+        if q:
+            v[i:] = [a - q * b for a, b in zip(v[i:], h[i:])]
+    return tuple(v)
+
+
+def _walk(basis, L: int) -> list:
+    """Every vector sum c_i h_i mod L with 0 <= c_i < L / pivot_i, once each
+    and in lexicographic order: before stepping along h_i, coordinate i is
+    reduced into [0, pivot_i), so the steps visit its values in increasing
+    order.  A row with pivot L is L*e_i and adds nothing."""
+    vecs = [(0,) * len(basis)]
+    for i, h in enumerate(basis):
+        p = h[i]
+        if p == L:
+            continue
+        tail = h[i:]
+        steps = [[c * b for b in tail] for c in range(L // p)]
+        out = []
+        for v in vecs:
+            head = v[:i]
+            q = v[i] // p
+            base = [a - q * b for a, b in zip(v[i:], tail)]
+            out.extend([head + tuple([(a + s) % L for a, s in zip(base, step)]) for step in steps])
+        vecs = out
+    return vecs
+
+
+def _check_cap(order: int, cap: int | None = None):
+    """Raise before a group of `order` elements over the cap is walked."""
+    if cap is None:
+        cap = _cap()
+    if order > cap:
+        raise EnumerationCapExceeded(
+            f"|G| = {order} exceeds cap {cap} (set LGMIRROR_MAX_GROUP)"
+        )
 
 
 def span(n: int, gens, cap: int | None = None) -> SymmetryGroup:
-    """Smallest subgroup of (Q/Z)^n containing the generators (BFS closure)."""
+    """Smallest subgroup of (Q/Z)^n containing the generators, as a lattice;
+    its order is checked against the cap, and nothing is walked."""
     gens = [g for g in gens if not g.is_identity()]
-    if cap is None:
-        cap = _cap()
-    if not gens:
-        return SymmetryGroup(n, [GroupElement.identity(n)], [])
-    L, gen_vecs = int_vectors(gens)
-    seen = _close_int([(0,) * n], gen_vecs, L, n, cap)
-    elements = [GroupElement._raw(vec, L) for vec in seen]
-    return SymmetryGroup(n, elements, gens)
-
-
-def group_from_elements(n: int, elements) -> SymmetryGroup:
-    """Wrap an already-closed element set (closure is the caller's contract)."""
-    group = SymmetryGroup(n, set(elements), ())
-    group.gens = tuple(minimal_generators(n, group.elements))
+    L, vecs = int_vectors(gens)
+    group = SymmetryGroup(n, *_lattice(n, L, vecs), gens)
+    _check_cap(group.order, cap)
     return group
 
 
-def minimal_generators(n: int, elements):
-    """Greedy small generating set: add elements not yet spanned, in the
-    given order (a group's sorted `elements`)."""
-    if len(elements) <= 1:
-        return []
-    L, vecs = int_vectors(elements)
-    spanned = {(0,) * n}
+def _greedy_group(n: int, L: int, vecs, chars=()) -> SymmetryGroup:
+    """The group of `_lattice(n, L, vecs, chars)`, its order checked against
+    the cap, with `minimal_generators`."""
+    group = SymmetryGroup(n, *_lattice(n, L, vecs, chars), ())
+    _check_cap(group.order)
+    group.gens = tuple(minimal_generators(group))
+    return group
+
+
+def group_from_elements(n: int, elements) -> SymmetryGroup:
+    """The group an already-closed element set spans (closure is the
+    caller's contract), with greedy generators."""
+    return _greedy_group(n, *int_vectors(list(elements)))
+
+
+def minimal_generators(group: SymmetryGroup):
+    """The greedy generators over the sorted elements: each is the least
+    element not yet spanned.  With S the span so far, that element is found
+    on the lattices without a walk: at the last column j where the pivots of
+    S and G differ, it is G's row j reduced by G's later rows (every column
+    after j agrees, so nothing smaller lies outside S)."""
+    n, L, basis = group.n, group.L, group.basis
+    spanned = [tuple(L * (i == j) for j in range(n)) for i in range(n)]
     gens = []
-    for g, v in zip(elements, vecs):
-        if v in spanned:
-            continue
-        gens.append(g)
-        # abelian: new span = old span + multiples of v
-        shifts = []
-        acc = v
-        while acc not in spanned:
-            shifts.append(acc)
-            acc = tuple((a + b) % L for a, b in zip(acc, v))
-        spanned |= {
-            tuple((s + t) % L for s, t in zip(base, shift))
-            for base in list(spanned)
-            for shift in shifts
-        }
-        if len(spanned) == len(elements):
-            break
-    return gens
+    while True:
+        differ = [j for j in range(n) if spanned[j][j] != basis[j][j]]
+        if not differ:
+            return gens
+        j = differ[-1]
+        v = _reduce(basis[j], basis, j + 1)
+        gens.append(GroupElement._raw(v, L))
+        _insert(spanned, v, L)
 
 
-def smith_normal_form(matrix):
-    """U*A*V = D with U, V unimodular; returns (diagonal of D, V).
-
-    Only V is tracked (row operations do not affect it).
-    """
-    a = [row[:] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_op_sub(j, k, q):  # col_j -= q * col_k
-        for i in range(m):
-            a[i][j] -= q * a[i][k]
-        for i in range(n):
-            v[i][j] -= q * v[i][k]
-
-    def col_swap(j, k):
-        for i in range(m):
-            a[i][j], a[i][k] = a[i][k], a[i][j]
-        for i in range(n):
-            v[i][j], v[i][k] = v[i][k], v[i][j]
-
-    t = 0
-    while t < min(m, n):
-        # locate a minimal nonzero pivot in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            col_swap(t, pj)
-        if a[t][t] < 0:
-            for j in range(n):
-                a[t][j] = -a[t][j]
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    for j in range(n):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t] != 0:  # remainder smaller than pivot: swap up
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op_sub(j, t, q)
-                    if a[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
-            if a[t][t] < 0:
-                for j in range(n):
-                    a[t][j] = -a[t][j]
-        # divisibility: every entry of the trailing block divisible by pivot
-        fix = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t]:
-                    fix = i
-                    break
-            if fix is not None:
-                break
-        if fix is not None:
-            for j in range(n):
-                a[t][j] += a[fix][j]
-            continue  # redo this pivot
-        t += 1
-    diag = [a[i][i] for i in range(min(m, n))]
-    return diag, v
-
-
-def _kernel_basis(rows, ncols: int):
-    """Z-basis of the integer kernel {x : rows x = 0}: the columns of V
-    beyond the rank, where U * rows * V is the Smith normal form."""
-    if not rows:
-        return [tuple(int(i == j) for i in range(ncols)) for j in range(ncols)]
-    diag, v = smith_normal_form(rows)
-    rank = sum(1 for d in diag if d)
-    return [tuple(v[i][j] for i in range(ncols)) for j in range(rank, ncols)]
-
-
-def _gmax_generators(poly: Polynomial):
-    """(|Gmax|, L, [v_i]): the SNF generators v_i of Gmax(W) as int vectors
-    mod L = exponent of Gmax.  Nothing is enumerated."""
+def _gmax_lattice(poly: Polynomial):
+    """(exponent, echelon basis) of Gmax(W) = {x / L : A_W x = 0 mod L}, the
+    kernel of the rows of A_W.  L = det(A^T A) is a multiple of the exponent
+    (A g integral gives A^T A g integral), and 0 exactly when the rank is
+    short.  Nothing is walked."""
     rows = exponent_matrix(poly)
     n = poly.nvars
-    diag, v = smith_normal_form(rows)
-    if len(diag) < n or any(d == 0 for d in diag):
+    L = abs(_int_det([[sum(r[i] * r[j] for r in rows) for j in range(n)] for i in range(n)]))
+    if L == 0:
         raise RankDeficient(f"exponent matrix of {poly} has rank < {n}")
-    L = math.lcm(*diag)
-    gens = [
-        tuple((v[j][i] * (L // d)) % L for j in range(n))
-        for i, d in enumerate(diag)
-        if d != 1
-    ]
-    return math.prod(diag), L, gens
+    return _lattice(n, L, [[int(i == j) for j in range(n)] for i in range(n)], rows)
 
 
 def gmax(poly: Polynomial) -> SymmetryGroup:
-    """Maximal diagonal symmetry group {g : A_W g integral} via SNF.
+    """Maximal diagonal symmetry group {g : A_W g integral}, generated by
+    the rows of its echelon basis.
 
-    Requires the exponent matrix to have full column rank; |Gmax| = |det A_W|
-    is checked against the cap before anything is enumerated.
+    Requires the exponent matrix to have full column rank; |Gmax| is checked
+    against the cap before anything is walked.
     """
-    order, L, gens = _gmax_generators(poly)
-    if order > _cap():
-        raise EnumerationCapExceeded(
-            f"|Gmax| = {order} exceeds cap {_cap()} (set LGMIRROR_MAX_GROUP)"
-        )
     n = poly.nvars
-    vecs = _close_int([(0,) * n], gens, L, n, order)
-    return SymmetryGroup(
-        n, [GroupElement._raw(v, L) for v in vecs], [GroupElement._raw(v, L) for v in gens]
-    )
+    L, basis = _gmax_lattice(poly)
+    gens = [g for g in (GroupElement._raw(row, L) for row in basis) if not g.is_identity()]
+    group = SymmetryGroup(n, L, basis, gens)
+    _check_cap(group.order)
+    return group
 
 
 def element_in_gmax(poly: Polynomial, g: GroupElement) -> bool:
@@ -419,10 +410,18 @@ def element_in_gmax(poly: Polynomial, g: GroupElement) -> bool:
 
 
 def sl_subgroup(group: SymmetryGroup) -> SymmetryGroup:
-    """Elements of integral age (the SL subgroup)."""
-    return group_from_elements(
-        group.n, [g for g in group.elements if sum(g.num) % g.den == 0]
-    )
+    """Elements of integral age (the SL subgroup): the kernel of the sum of
+    the coordinates mod L."""
+    return _greedy_group(group.n, group.L, group.basis, [(1,) * group.n])
+
+
+def subgroup_on(group: SymmetryGroup, keep) -> SymmetryGroup:
+    """The elements of G that vanish off the coordinates `keep`, as a group
+    on those coordinates: the kernel of the other coordinates, projected."""
+    n = group.n
+    off = [[int(k == j) for j in range(n)] for k in range(n) if k not in keep]
+    L, basis = _lattice(n, group.L, group.basis, off)
+    return _greedy_group(len(keep), L, [[row[k] for k in keep] for row in basis])
 
 
 def is_a_admissible(group: SymmetryGroup, ws: WeightSystem) -> bool:
@@ -430,18 +429,19 @@ def is_a_admissible(group: SymmetryGroup, ws: WeightSystem) -> bool:
 
 
 def is_b_admissible(group: SymmetryGroup) -> bool:
-    return all(sum(g.num) % g.den == 0 for g in group.elements)
+    """Every element has integral age: so does every basis row, as age mod 1
+    is a character."""
+    return all(sum(row) % group.L == 0 for row in group.basis)
 
 
 def transpose_group(group: SymmetryGroup, poly: Polynomial) -> SymmetryGroup:
     """Dual group {g in Gmax(W^T) : g A_W h integral for all h in G}.
 
-    Built from its constraint lattice, without enumerating Gmax(W^T): with
-    the SNF generators v_i of Gmax(W^T), g = sum k_i v_i is in the dual group
-    iff sum k_i (v_i A_W h) is integral for each generator h of G.  The
-    kernel of these congruences, stacked as [C | -diag(M)], maps onto
-    generators of the dual group; their closure is the only enumeration, so
-    the cap bounds |G^T|.  The pairing uses the head-aligned exponent matrix.
+    Built from its constraint lattice, without walking Gmax(W^T): for each
+    generator h of G, A_W h is an integral vector c, and the dual group is
+    the kernel of x -> c.x mod L on the echelon basis of Gmax(W^T) over its
+    exponent L.  Its order is checked against the cap; nothing is walked.
+    The pairing uses the head-aligned exponent matrix.
     """
     from .polyring import transpose  # local: avoids cycle at import time
 
@@ -452,20 +452,11 @@ def transpose_group(group: SymmetryGroup, poly: Polynomial) -> SymmetryGroup:
     for h in group.gens:
         if not element_in_gmax(poly, h):
             raise NotSubgroup(f"{h} is not a symmetry of {poly}")
-    n, m = group.n, len(group.gens)
-    _, L, vecs = _gmax_generators(transpose(poly))
-    stacked = []
-    for row_index, h in enumerate(group.gens):
-        # v / L * (A_W h) is integral; (A_W h)_k = cnum_k / h.den
-        cnum = [sum(a * b for a, b in zip(row, h.num)) for row in aligned]
-        coeffs = [sum(a * b for a, b in zip(vec, cnum)) for vec in vecs]
-        stacked.append(coeffs + [-L * h.den if j == row_index else 0 for j in range(m)])
-    dual_vecs = {
-        tuple(sum(c * v[j] for c, v in zip(k, vecs)) % L for j in range(n))
-        for k in _kernel_basis(stacked, len(vecs) + m)
-    }
-    kept = _close_int([(0,) * n], list(dual_vecs), L, n, _cap())
-    return group_from_elements(n, [GroupElement._raw(vec, L) for vec in kept])
+    chars = [
+        [sum(a * b for a, b in zip(row, h.num)) // h.den for row in aligned] for h in group.gens
+    ]
+    L, basis = _gmax_lattice(transpose(poly))
+    return _greedy_group(group.n, L, basis, chars)
 
 
 class CosetDecomposition:
@@ -500,25 +491,29 @@ def bv_cosets(sigma_group: SymmetryGroup, j_group: SymmetryGroup, slots, sigma) 
     """Cosets of J in sigma*G, normalized so the first M representatives fix
     both distinguished coordinates and the last M are sigma times the first.
 
-    One walk over the sorted elements of sigma*G keys each element by its
-    coset minimum (the first element met) and keeps the first element of
-    each coset that fixes both slots; the sigma partner of the coset with
-    minimum k is the coset of sigma + k."""
+    A coset is keyed by its minimum, to which J's echelon basis reduces any
+    of its elements; an element is a minimum when each coordinate is below
+    J's pivot there.  One walk over the sorted elements of sigma*G lists the
+    minima in order and keeps the first element of each coset that fixes
+    both slots; the sigma partner of the coset keyed k is keyed by the
+    reduction of sigma + k."""
     if not j_group.is_subgroup_of(sigma_group):
         raise NotSubgroup("H is not contained in G")
     i0, j0 = slots
-    key_of = {}
+    L = sigma_group.L
+    scale = L // j_group.L
+    rows = [tuple(a * scale for a in row) for row in j_group.basis]
+    pivots = [row[i] for i, row in enumerate(rows)]
     keys = []
     zero_slot = {}
     for g in sigma_group.elements:
-        key = key_of.get(g)
-        if key is None:
-            key = g
-            keys.append(g)
-            for h in j_group.elements:
-                key_of[g + h] = g
-        if key not in zero_slot and g.num[i0] == 0 and g.num[j0] == 0:
-            zero_slot[key] = g
+        s = L // g.den
+        v = [a * s for a in g.num]
+        if all(a < p for a, p in zip(v, pivots)):
+            keys.append(tuple(v))
+        if v[i0] == 0 and v[j0] == 0:
+            zero_slot.setdefault(_reduce(v, rows), g)
+    shift = [a * (L // sigma.den) for a in sigma.num]
     paired = set()
     first = []
     for key in keys:
@@ -527,7 +522,7 @@ def bv_cosets(sigma_group: SymmetryGroup, j_group: SymmetryGroup, slots, sigma) 
         rep = zero_slot.get(key)
         if rep is None:
             raise GroupError("coset without a representative fixing the distinguished slots")
-        partner_key = key_of[sigma + key]
+        partner_key = _reduce([a + b for a, b in zip(key, shift)], rows)
         if partner_key == key:
             raise GroupError("sigma stabilizes a J-coset")
         first.append(rep)

@@ -246,7 +246,7 @@ def test_criterion_09_duality_properties():
             sub = span(poly.nvars, gens)
             dual = transpose_group(sub, poly)
             back = transpose_group(dual, transpose(poly))
-            assert back.element_set == sub.element_set
+            assert back.elements == sub.elements
             assert (j in sub) == dual.is_subgroup_of(sl_t)
             checked += 1
     assert checked >= 50

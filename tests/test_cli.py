@@ -207,3 +207,14 @@ def test_bv_theorem1_cap_below_dual_order_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "cap 13823" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_bv_malformed_group_cap_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("LGMIRROR_MAX_GROUP", value)
+    code, out, err = run(
+        capsys, "bv", "theorem1", "--w1", "x0^2+x1^3+x2^6", "--w2", "y0^2+y1^6+y2^6+y3^6"
+    )
+    assert code == 2
+    assert out == ""
+    assert "LGMIRROR_MAX_GROUP" in err and repr(value) in err

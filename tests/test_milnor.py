@@ -250,3 +250,29 @@ def test_gram_nondegenerate():
     for text in ("x^3", "x0^2+x1^3+x2^6", "x^3*y+y^4"):
         r = ring(text)
         assert exact_det(gram_matrix(r)) != 0
+
+
+def test_monomial_normal_form_matches_polynomial_normal_form():
+    """Every ring of the E1 x K3A state spaces, the A model and the two
+    B models Theorem 2 compares: the normal form on exponent tuples is that
+    of the one-term Polynomial, on random monomials of the ring's variables."""
+    import random
+
+    from lgmirror.bvlg import block_j_elements, build_bv
+    from lgmirror.statespace import build_state_space
+    from lgmirror.symmetry import transpose_group
+
+    e1 = parse_polynomial("x0^2+x1^3+x2^6")
+    k3a = parse_polynomial("y0^2+y1^6+y2^6+y3^6")
+    model = build_bv(e1, k3a, block_j_elements(weight_system(e1), weight_system(k3a)))
+    mirror = model.mirror()
+    rings = list(build_state_space(model.poly, model.sigma_group, "A").rings.values())
+    for group in (mirror.sigma_group, transpose_group(model.sigma_group, model.poly)):
+        rings += build_state_space(mirror.poly, group, "B").rings.values()
+    assert len(rings) > 10
+    rng = random.Random(7)
+    for r in rings:
+        for _ in range(30):
+            mono = tuple(rng.randint(0, 8) if k in r.active else 0 for k in range(r.poly.nvars))
+            want = r.normal_form(Polynomial(r.poly.variables, {mono: 1})).terms
+            assert r.monomial_normal_form(mono) == want

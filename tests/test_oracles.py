@@ -23,9 +23,15 @@ its oracle walks the one-shot basis of the locus and tests every monomial on
 the generators.  The kept monomials must agree, in order.
 
 `StateSpace.bidegree` grades on integer sums; its oracle sums the weight
-quotients as Fractions.  `SymmetryGroup` sorts its elements by their int
-vectors; the oracle is `sorted` under `GroupElement.__lt__`.  `bv_cosets`
-walks sigma*G once; its oracle sorts every coset and takes minima.
+quotients as Fractions.  A `SymmetryGroup` is an echelon lattice basis:
+its elements come from a mixed-radix walk, membership from reduction, and
+its greedy generators from the lattices.  The oracles are the BFS closure
+it replaced, sorted under `GroupElement.__lt__`, its element sets, and the
+greedy rule on those sets.  G^max is an echelon kernel; its oracle is the
+product of the cyclic groups of a Smith normal form.  SL subgroups and the
+twist projection are kernels too; their oracles filter elements.
+`bv_cosets` keys cosets by their minima, the reductions by J's basis; its
+oracle sorts every coset and takes minima.
 """
 
 import math
@@ -75,7 +81,6 @@ from lgmirror.statespace import Invariants, build_sector, build_state_space
 from lgmirror.symmetry import (
     GroupElement,
     GroupError,
-    SymmetryGroup,
     age,
     bv_cosets,
     cosets,
@@ -87,8 +92,8 @@ from lgmirror.symmetry import (
     minimal_generators,
     parse_group_elements,
     sl_subgroup,
-    smith_normal_form,
     span,
+    subgroup_on,
     transpose_group,
 )
 
@@ -98,6 +103,95 @@ K3A = parse_polynomial("y0^2+y1^6+y2^6+y3^6")
 MINI = parse_polynomial("y0^2+y1^2")
 OCTIC = parse_polynomial("y0^2+y1^8+y2^8+y3^8+y4^8")
 NONPRODUCT = "1/2,1/4,1/4,0,0,0,0;0,0,0,1/2,1/6,1/6,1/6;0,1/4,3/4,0,1/6,5/6,0"
+
+
+def smith_normal_form(matrix):
+    """U*A*V = D with U, V unimodular; returns (diagonal of D, V).  The
+    oracle for G^max, which the package builds as an echelon kernel.
+
+    Only V is tracked (row operations do not affect it).
+    """
+    a = [row[:] for row in matrix]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def col_op_sub(j, k, q):  # col_j -= q * col_k
+        for i in range(m):
+            a[i][j] -= q * a[i][k]
+        for i in range(n):
+            v[i][j] -= q * v[i][k]
+
+    def col_swap(j, k):
+        for i in range(m):
+            a[i][j], a[i][k] = a[i][k], a[i][j]
+        for i in range(n):
+            v[i][j], v[i][k] = v[i][k], v[i][j]
+
+    t = 0
+    while t < min(m, n):
+        # locate a minimal nonzero pivot in the trailing block
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
+                    best = abs(a[i][j])
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            col_swap(t, pj)
+        if a[t][t] < 0:
+            for j in range(n):
+                a[t][j] = -a[t][j]
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, m):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    for j in range(n):
+                        a[i][j] -= q * a[t][j]
+                    if a[i][t] != 0:  # remainder smaller than pivot: swap up
+                        a[t], a[i] = a[i], a[t]
+                        dirty = True
+            for j in range(t + 1, n):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    col_op_sub(j, t, q)
+                    if a[t][j] != 0:
+                        col_swap(t, j)
+                        dirty = True
+            if a[t][t] < 0:
+                for j in range(n):
+                    a[t][j] = -a[t][j]
+        # divisibility: every entry of the trailing block divisible by pivot
+        fix = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if a[i][j] % a[t][t]:
+                    fix = i
+                    break
+            if fix is not None:
+                break
+        if fix is not None:
+            for j in range(n):
+                a[t][j] += a[fix][j]
+            continue  # redo this pivot
+        t += 1
+    diag = [a[i][i] for i in range(min(m, n))]
+    return diag, v
+
+
+def test_smith_normal_form_identity_like():
+    diag, v = smith_normal_form([[2, 0], [0, 3]])
+    assert sorted(diag) == [1, 6] or sorted(diag) == [2, 3]
+    # divisibility chain
+    assert diag[1] % diag[0] == 0
 
 
 def enumerated_gmax(poly):
@@ -116,6 +210,21 @@ def enumerated_gmax(poly):
         ]
     assert len(set(elems)) == math.prod(diag)
     return L, elems
+
+
+def assert_same_gmax(poly):
+    """The echelon kernel of A_W walks the elements of the Smith normal
+    form product, sorted."""
+    L, vecs = enumerated_gmax(poly)
+    assert gmax(poly).elements == tuple(sorted(GroupElement._raw(v, L) for v in vecs))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x^3+x*y^4", "x^2*y+y^3*z+z^4", "x^3*y+y^3*z+z^3*x", "x^3+y^3+x*y^2", "x^4+y^4+x^2*y^2"],
+)
+def test_gmax_matches_smith_normal_form(text):
+    assert_same_gmax(parse_polynomial(text))
 
 
 def filtered_dual(group, poly):
@@ -273,11 +382,54 @@ def test_bidegrees_and_bv_cosets_match_oracles(name):
 COMPONENT = st.builds(Fraction, st.integers(0, 23), st.sampled_from([1, 2, 3, 4, 6, 12]))
 
 
+def close_int(gens, n):
+    """The BFS closure the lattice walk replaced: every generator added to
+    every element until nothing is new, mod the common denominator.  The
+    elements are sorted under `GroupElement.__lt__`."""
+    L, gen_vecs = int_vectors(gens)
+    seen = {(0,) * n}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for e in frontier:
+            for g in gen_vecs:
+                f = tuple((a + b) % L for a, b in zip(e, g))
+                if f not in seen:
+                    seen.add(f)
+                    new.append(f)
+        frontier = new
+    return sorted(GroupElement._raw(v, L) for v in seen)
+
+
+def oracle_minimal_generators(n, elements):
+    """The greedy rule on element sets: an element is spanned when it lies
+    in the set closed so far."""
+    L, vecs = int_vectors(elements)
+    spanned = {(0,) * n}
+    gens = []
+    for g, v in zip(elements, vecs):
+        if v in spanned:
+            continue
+        gens.append(g)
+        shifts = []
+        acc = v
+        while acc not in spanned:
+            shifts.append(acc)
+            acc = tuple((a + b) % L for a, b in zip(acc, v))
+        spanned |= {
+            tuple((s + t) % L for s, t in zip(base, shift))
+            for base in list(spanned)
+            for shift in shifts
+        }
+    return gens
+
+
 @st.composite
-def mixed_groups(draw):
+def mixed_groups(draw, n=None):
     """The span of up to three elements whose components have mixed
     denominators, so its elements do too (order at most 12^3)."""
-    n = draw(st.integers(1, 4))
+    if n is None:
+        n = draw(st.integers(1, 4))
     gens = draw(st.lists(st.lists(COMPONENT, min_size=n, max_size=n), min_size=1, max_size=3))
     return span(n, [GroupElement(c) for c in gens])
 
@@ -285,14 +437,81 @@ def mixed_groups(draw):
 @settings(deadline=None, max_examples=60)
 @given(mixed_groups(), st.randoms(use_true_random=False))
 def test_group_order_is_the_component_order(group, rng):
-    """One sort by int vectors gives the order of `sorted` under
-    `GroupElement.__lt__`, and `group_from_elements` needs no second sort."""
-    elements = list(group.elements)
+    """The lattice walk gives the elements of the BFS closure, sorted under
+    `GroupElement.__lt__`; `group_from_elements` rebuilds the same group
+    from them in any order, with the oracle's greedy generators."""
+    oracle = close_int(group.gens, group.n)
+    assert group.elements == tuple(oracle)
+    assert group.order == len(oracle)
+    assert minimal_generators(group) == oracle_minimal_generators(group.n, oracle)
+    elements = list(oracle)
     rng.shuffle(elements)
-    assert SymmetryGroup(group.n, elements, ()).elements == tuple(sorted(elements))
     rebuilt = group_from_elements(group.n, elements)
     assert rebuilt.elements == group.elements
-    assert rebuilt.gens == tuple(minimal_generators(group.n, sorted(elements)))
+    assert rebuilt.gens == tuple(oracle_minimal_generators(group.n, oracle))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_kernel_subgroups_match_filters(data):
+    """`sl_subgroup` and `subgroup_on` are kernels of characters on the
+    lattice; the oracles filter the closed element set and project it."""
+    group = data.draw(mixed_groups())
+    n = group.n
+    closed = close_int(group.gens, n)
+    sl = [g for g in closed if sum(g.num) % g.den == 0]
+    got = sl_subgroup(group)
+    assert got.elements == tuple(sl)
+    assert got.gens == tuple(oracle_minimal_generators(n, sl))
+    keep = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    projected = sorted(
+        GroupElement._raw([g.num[k] for k in keep], g.den)
+        for g in closed
+        if all(g.num[k] == 0 for k in range(n) if k not in keep)
+    )
+    got = subgroup_on(group, keep)
+    assert got.elements == tuple(projected)
+    assert got.gens == tuple(oracle_minimal_generators(len(keep), projected))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_membership_and_subgroups_by_reduction(data):
+    """`in` and `is_subgroup_of` reduce by the echelon basis; the oracle
+    looks up the closed element set."""
+    group = data.draw(mixed_groups())
+    n = group.n
+    closed = set(close_int(group.gens, n))
+    assert all(g in group for g in closed)
+    for _ in range(20):
+        g = GroupElement(data.draw(st.lists(COMPONENT, min_size=n, max_size=n)))
+        assert (g in group) == (g in closed)
+        shifted = g + data.draw(st.sampled_from(sorted(closed)))
+        assert (shifted in group) == (shifted in closed)
+    other = data.draw(mixed_groups(n))
+    assert group.is_subgroup_of(other) == (closed <= set(close_int(other.gens, n)))
+    assert group.is_subgroup_of(span(n, group.gens + other.gens))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_bv_cosets_by_reduction_match_oracle(data):
+    """Random J <= sigma*J': the coset minima by reduction give the oracle's
+    representatives, or both raise GroupError."""
+    n = data.draw(st.integers(2, 4))
+    i0, j0 = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    sigma = GroupElement([Fraction(int(k in (i0, j0)), 2) for k in range(n)])
+    j_group = data.draw(mixed_groups(n))
+    extra = data.draw(mixed_groups(n))
+    sigma_group = span(n, j_group.gens + extra.gens + (sigma,))
+    args = (sigma_group, j_group, (i0, j0), sigma)
+    try:
+        want = oracle_bv_cosets(*args)
+    except GroupError:
+        with pytest.raises(GroupError):
+            bv_cosets(*args)
+    else:
+        assert bv_cosets(*args).representatives == want
 
 
 def test_dual_groups_match_filter_on_bv_models():
@@ -371,6 +590,7 @@ def invertible_models(draw):
 @given(invertible_models())
 def test_random_invertible_models_match_oracles(model):
     poly, ws, group = model
+    assert_same_gmax(poly)
     assert group.is_subgroup_of(sl_subgroup(gmax(poly)))
     dual = assert_same_dual(group, poly)
     back = assert_same_dual(dual, transpose(poly))

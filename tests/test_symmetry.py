@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from lgmirror import symmetry
 from lgmirror.polyring import WeightSystem, parse_polynomial, transpose, weight_system
 from lgmirror.symmetry import (
+    EnumerationCapExceeded,
     GroupElement,
     NotSubgroup,
     age,
@@ -20,7 +22,6 @@ from lgmirror.symmetry import (
     minimal_generators,
     parse_group_elements,
     sl_subgroup,
-    smith_normal_form,
     span,
     transpose_group,
 )
@@ -47,13 +48,6 @@ def test_parse_group_elements():
     gens = parse_group_elements("1/2,1/3,1/6;0,1/3,1/3", 3)
     assert len(gens) == 2
     assert gens[0].components == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
-
-
-def test_smith_normal_form_identity_like():
-    diag, v = smith_normal_form([[2, 0], [0, 3]])
-    assert sorted(diag) == [1, 6] or sorted(diag) == [2, 3]
-    # divisibility chain
-    assert diag[1] % diag[0] == 0
 
 
 def test_gmax_orders():
@@ -149,7 +143,7 @@ def test_transpose_group_j_is_sl():
         j_grp = span(poly.nvars, [j_element(ws)])
         dual = transpose_group(j_grp, poly)
         expected = sl_subgroup(gmax(transpose(poly)))
-        assert dual.element_set == expected.element_set
+        assert dual.elements == expected.elements
 
 
 def test_transpose_group_gmax_is_trivial():
@@ -168,7 +162,7 @@ def test_transpose_involution_on_random_subgroups():
             sub = span(poly.nvars, gens)
             dual = transpose_group(sub, poly)
             back = transpose_group(dual, transpose(poly))
-            assert back.element_set == sub.element_set
+            assert back.elements == sub.elements
 
 
 def test_duality_exchanges_admissibility():
@@ -209,16 +203,16 @@ def test_cosets_not_subgroup():
 
 def test_minimal_generators_respan():
     g = gmax(K3)
-    gens = minimal_generators(4, g.elements)
-    assert span(4, gens).element_set == g.element_set
+    gens = minimal_generators(g)
+    assert span(4, gens).elements == g.elements
     assert len(gens) <= 5
 
 
 def test_group_from_elements():
     sl = sl_subgroup(gmax(E1))
     rebuilt = group_from_elements(3, sl.elements)
-    assert rebuilt.element_set == sl.element_set
-    assert span(3, rebuilt.gens).element_set == sl.element_set
+    assert rebuilt.elements == sl.elements
+    assert span(3, rebuilt.gens).elements == sl.elements
 
 
 def test_admissibility_predicates():
@@ -251,3 +245,60 @@ def test_bv_cosets_structure():
     for a, b in zip(reps[:m], reps[m:]):
         assert b == sigma + a
     assert 2 * m * j_grp.order == sg.order
+
+
+def count_walks(monkeypatch):
+    """Orders of the lattices `SymmetryGroup.elements` walks from now on."""
+    walked = []
+    walk = symmetry._walk
+
+    def counted(basis, L):
+        vecs = walk(basis, L)
+        walked.append(len(vecs))
+        return vecs
+
+    monkeypatch.setattr(symmetry, "_walk", counted)
+    return walked
+
+
+def test_cap_is_checked_on_the_order_before_any_walk(monkeypatch):
+    """span, gmax and transpose_group pass at cap |G| and raise at |G| - 1,
+    walking nothing when they raise."""
+    ws = weight_system(K3)
+    j_grp = span(4, [j_element(ws)])
+    order = span(4, gmax(K3).gens).order
+    dual_order = transpose_group(j_grp, K3).order
+    walked = count_walks(monkeypatch)
+    assert span(4, gmax(K3).gens, cap=order).order == order
+    with pytest.raises(EnumerationCapExceeded, match=f"{order} exceeds cap {order - 1}"):
+        span(4, gmax(K3).gens, cap=order - 1)
+    monkeypatch.setenv("LGMIRROR_MAX_GROUP", str(order))
+    assert gmax(K3).order == order
+    monkeypatch.setenv("LGMIRROR_MAX_GROUP", str(order - 1))
+    with pytest.raises(EnumerationCapExceeded, match=f"{order} exceeds cap {order - 1}"):
+        gmax(K3)
+    assert walked == []
+    monkeypatch.setenv("LGMIRROR_MAX_GROUP", str(dual_order - 1))
+    with pytest.raises(EnumerationCapExceeded, match=f"{dual_order} exceeds cap"):
+        transpose_group(j_grp, K3)
+    assert walked == []
+    monkeypatch.setenv("LGMIRROR_MAX_GROUP", str(dual_order))
+    assert transpose_group(j_grp, K3).order == dual_order
+    assert walked == []
+
+
+def test_mirror_walks_no_dual_lattice(monkeypatch):
+    """E1 x OCTIC: the 6,144-element dual G^T gets its greedy generators
+    from its lattice, and the mirror model spans them as sigma(G^T); no
+    group is walked."""
+    from lgmirror.bvlg import block_j_elements, build_bv
+
+    octic = parse_polynomial("y0^2+y1^8+y2^8+y3^8+y4^8")
+    model = build_bv(E1, octic, block_j_elements(weight_system(E1), weight_system(octic)))
+    walked = count_walks(monkeypatch)
+    mirror = model.mirror()
+    assert (mirror.group.order, mirror.sigma_group.order) == (6144, 12288)
+    assert walked == []
+    assert len(mirror.sigma_group.elements) == 12288
+    assert walked == [12288]
+    assert not hasattr(symmetry, "_close_int")
