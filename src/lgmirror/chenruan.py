@@ -21,7 +21,7 @@ from .milnor import milnor_ring
 from .polyring import Polynomial, WeightSystem, restrict, weight_system
 from .report import Report
 from .statespace import build_state_space, diff_tables, frac_str, poincare_table
-from .symmetry import GroupElement, bv_cosets, fixed_indices, int_vectors, span
+from .symmetry import bv_cosets, int_vectors, span, vector_locus
 
 AMBIENT = "ambient"
 PRIMITIVE = "primitive"
@@ -39,11 +39,11 @@ def lambda_set(num, den: int, ws: WeightSystem):
     return D, sorted(out)
 
 
-def scaled_element(num, den: int, t: int, D: int, ws: WeightSystem) -> GroupElement:
+def scaled_element(num, den: int, t: int, D: int, ws: WeightSystem) -> tuple:
     """g = num / den composed with the scaling of angle t / D (acting by
-    t * w_k / D); den divides D."""
+    t * w_k / D), as int numerators over D in [0, D); den divides D."""
     scale = D // den
-    return GroupElement._raw([a * scale + t * w for a, w in zip(num, ws.weights)], D)
+    return tuple([(a * scale + t * w) % D for a, w in zip(num, ws.weights)])
 
 
 def ambient_classes(dim: int):
@@ -108,15 +108,13 @@ def _block_classes(poly: Polynomial, fixed, ws: WeightSystem):
     return classes
 
 
-def age_shift(
-    s1: GroupElement, s2: GroupElement, t1: int, D1: int, t2: int, D2: int, d1: int, d2: int
-) -> Fraction:
-    """Tangent-space age: ambient age of (s1, s2) minus the angles t1 / D1 and
-    t2 / D2 by which the two defining polynomials are scaled (one normal
-    direction per factor); s1.den divides D1 and s2.den divides D2."""
+def age_shift(s1, s2, t1: int, D1: int, t2: int, D2: int, d1: int, d2: int) -> Fraction:
+    """Tangent-space age: ambient age of (s1 / D1, s2 / D2), the int
+    numerators of `scaled_element`, minus the angles t1 / D1 and t2 / D2 by
+    which the two defining polynomials are scaled (one normal direction per
+    factor)."""
     M = math.lcm(D1, D2)
-    total = (sum(s1.num) * (D1 // s1.den) - d1 * t1 % D1) * (M // D1)
-    total += (sum(s2.num) * (D2 // s2.den) - d2 * t2 % D2) * (M // D2)
+    total = (sum(s1) - d1 * t1 % D1) * (M // D1) + (sum(s2) - d2 * t2 % D2) * (M // D2)
     return Fraction(total, M)
 
 
@@ -176,17 +174,19 @@ def cr_table(model: BVModel) -> CRTable:
         cls_cache[key] = out
         return out
 
-    table: dict = {}
+    table: dict = {}  # (p, q) as int numerators over T, a multiple of every age's denominator
+    T = model.sigma_group.L * math.lcm(*model.ws1.weights, *model.ws2.weights)
     sectors = []
     ws1, ws2 = model.ws1, model.ws2
     for rep in decomposition.representatives:
+        rep_str = str(rep)
         g1, g2 = rep.num[:n1], rep.num[n1:]
         D1, thetas1 = lambda_set(g1, rep.den, ws1)
         D2, thetas2 = lambda_set(g2, rep.den, ws2)
         side2 = []
         for t2 in thetas2:
             s2 = scaled_element(g2, rep.den, t2, D2, ws2)
-            cls2 = classes_with_weights(2, fixed_indices(s2))
+            cls2 = classes_with_weights(2, vector_locus(s2))
             if cls2:
                 buckets: dict = {}
                 for p2, q2, kind2, sig2 in cls2:
@@ -194,32 +194,33 @@ def cr_table(model: BVModel) -> CRTable:
                 side2.append((t2, s2, buckets))
         for t1 in thetas1:
             s1 = scaled_element(g1, rep.den, t1, D1, ws1)
-            cls1 = classes_with_weights(1, fixed_indices(s1))
+            cls1 = classes_with_weights(1, vector_locus(s1))
             if not cls1:
                 continue
             for t2, s2, buckets in side2:
                 shift = age_shift(s1, s2, t1, D1, t2, D2, ws1.degree, ws2.degree)
+                over_t = shift.numerator * (T // shift.denominator)
                 count = 0
                 tags = set()
                 for p1, q1, kind1, sig1 in cls1:
                     want = tuple((-s) % L for s in sig1)
                     for p2, q2, kind2 in buckets.get(want, ()):
-                        key = (p1 + p2 + shift, q1 + q2 + shift)
+                        key = ((p1 + p2) * T + over_t, (q1 + q2) * T + over_t)
                         table[key] = table.get(key, 0) + 1
                         count += 1
-                        tags.add(f"{kind1}*{kind2}")
+                        tags.add((kind1, kind2))
                 if count:
                     sectors.append(
                         {
-                            "rep": str(rep),
+                            "rep": rep_str,
                             "lambda1": frac_str(Fraction(t1, D1)),
                             "lambda2": frac_str(Fraction(t2, D2)),
                             "age": frac_str(shift),
                             "dim": count,
-                            "tags": sorted(tags),
+                            "tags": sorted(f"{k1}*{k2}" for k1, k2 in tags),
                         }
                     )
-    return CRTable(table, sectors)
+    return CRTable({(Fraction(p, T), Fraction(q, T)): c for (p, q), c in table.items()}, sectors)
 
 
 def hodge_diamond(poly: Polynomial, ws: WeightSystem | None = None):

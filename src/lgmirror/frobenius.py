@@ -302,40 +302,31 @@ def phi_map(
 def check_property1(poly: Polynomial, group, ws=None) -> Report:
     """All-or-nothing fixing of atomic blocks across the nonempty sectors of
     A(W, G) and B(W^T, G^T)."""
-    blocks = atomic_decomposition(poly)
-    violations = []
-
-    def sweep(space: StateSpace, poly_blocks, side: str):
-        seen = set()
-        for e in space.basis:
-            if e.sector in seen:
-                continue
-            seen.add(e.sector)
-            fixed = set(fixed_indices(e.sector))
-            for block in poly_blocks:
-                inside = fixed & set(block.variables)
-                if inside and inside != set(block.variables):
-                    violations.append(
-                        {
-                            "side": side,
-                            "sector": str(e.sector),
-                            "block": str(block),
-                            "fixed_in_block": sorted(inside),
-                        }
-                    )
-
     a_space = build_state_space(poly, group, "A", ws=ws)
-    sweep(a_space, blocks, "A")
-    dual = transpose_group(group, poly)
-    mirror_poly = transpose(poly)
-    b_space = build_state_space(mirror_poly, dual, "B")
-    sweep(b_space, atomic_decomposition(mirror_poly), "B-mirror")
-    return Report(
-        "property1",
-        not violations,
-        {"blocks": [str(b) for b in blocks], "a_dim": a_space.dim, "b_dim": b_space.dim},
-        violations,
-    )
+    b_space = build_state_space(transpose(poly), transpose_group(group, poly), "B")
+    return property1(a_space, b_space)
+
+
+def property1(a_space: StateSpace, b_space: StateSpace) -> Report:
+    """`check_property1` on A(W, G) and B(W^T, G^T) already built: the
+    nonempty loci that split a block are read from the sector classes, and
+    each sector on one is reported, in group order."""
+    violations = []
+    for space, side in ((a_space, "A"), (b_space, "B-mirror")):
+        blocks = [(b, set(b.variables)) for b in atomic_decomposition(space.poly)]
+        split = {
+            locus: [(b, sorted(v & set(locus))) for b, v in blocks if 0 < len(v & set(locus)) < len(v)]
+            for locus, kept in space.kept.items()
+            if kept
+        }
+        for g in space.group.elements:
+            for block, inside in split.get(fixed_indices(g), ()):
+                violations.append(
+                    {"side": side, "sector": str(g), "block": str(block), "fixed_in_block": inside}
+                )
+    blocks = [str(b) for b in atomic_decomposition(a_space.poly)]
+    details = {"blocks": blocks, "a_dim": a_space.dim, "b_dim": b_space.dim}
+    return Report("property1", not violations, details, violations)
 
 
 def gamma_lemma_cases(algebra: BAlgebra, sigma: GroupElement, sectors):
@@ -416,13 +407,14 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
     checks phi(C2_ij) = s_i s_j C0_phi(i)phi(j) and P2_ij = s_i s_j
     P0_phi(i)phi(j); then C0_ui = C0_iu = e_i for the unit u, and
     `associativity_and_frobenius` on C0, P0."""
-    prop = check_property1(model.poly, model.sigma_group, ws=model.ws)
+    a_space = build_state_space(model.poly, model.sigma_group, "A", ws=model.ws)
+    bhk_group = transpose_group(model.sigma_group, model.poly)
+    shared_rings: dict = {}
+    b2_space = build_state_space(transpose(model.poly), bhk_group, "B", rings=shared_rings)
+    prop = property1(a_space, b2_space)
     if not prop.passed:
         raise HypothesisFailed(prop.mismatches)
     mirror = model.mirror()
-    bhk_group = transpose_group(model.sigma_group, model.poly)
-    shared_rings: dict = {}
-    b2_space = build_state_space(mirror.poly, bhk_group, "B", rings=shared_rings)
     b0_space = build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared_rings)
     alg2 = BAlgebra(b2_space)
     alg0 = BAlgebra(b0_space)

@@ -1,4 +1,4 @@
-"""A- and B-model state spaces: sector-by-sector bases and bigraded tables.
+"""A- and B-model state spaces: sector classes, bigraded tables, a lazy basis.
 
 A basis element is a sector group element g together with a standard monomial
 of the Milnor ring of W restricted to Fix(g); the volume form over the fixed
@@ -7,13 +7,18 @@ blocks, its Milnor ring the tensor product of theirs, and the character of a
 monomial under the acting group the sum of the characters of its block
 factors.  So the invariant monomials of a fixed locus come from a join of the
 blocks' monomials on characters that sum to 0, in integer arithmetic, and no
-locus basis is walked (`Invariants`).  The bidegree of an
-element is one formula on integer sums (`StateSpace.bidegree`); Fractions are
-built only for its result.
+locus basis is walked (`Invariants`).  A sector enters the bigraded table
+only through its locus and age (Krawitz, arXiv:0906.0796, §2), so a sweep
+counts the sectors of each class (Fix g, age g) on the group's int vectors,
+and the table sums count times the degree histogram of the locus.  It shares
+one integer grade formula with the bidegree of one element
+(`StateSpace._grade`).  The basis is built only when read.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from fractions import Fraction
 from operator import add
 
@@ -22,11 +27,11 @@ from .polyring import Polynomial, WeightSystem, weight_system
 from .symmetry import (
     GroupElement,
     SymmetryGroup,
-    age,
     fixed_indices,
     int_vectors,
     is_b_admissible,
     j_element,
+    vector_locus,
 )
 
 
@@ -70,50 +75,77 @@ def action_weight(h: GroupElement, e: SectorElement) -> Fraction:
 
 
 class StateSpace:
-    __slots__ = (
-        "poly",
-        "ws",
-        "group",
-        "flavor",
-        "age_j",
-        "basis",
-        "basis_set",
-        "rings",
-        "sector_dims",
-    )
+    """The sectors of (W, G) by class.  `classes` maps (Fix g, a) to the
+    number of sectors g with that locus and age a / L, L the exponent of G;
+    `kept` maps each locus to its invariant standard monomials, sorted by
+    (wdeg, m).  `basis`, `basis_set` and `sector_dims` are built from these
+    when read."""
 
-    def __init__(self, poly, ws, group, flavor, age_j, basis, rings, sector_dims=None):
+    __slots__ = ("poly", "ws", "group", "flavor", "rings", "classes", "kept", "D", "_basis", "_set")
+
+    def __init__(self, poly, ws, group, flavor, rings, classes, kept):
         self.poly = poly
         self.ws = ws
         self.group = group
         self.flavor = flavor
-        self.age_j = age_j
-        self.basis = tuple(basis)
-        self.basis_set = frozenset(self.basis)
         self.rings = rings
-        # every sector is recorded, empty ones with dimension 0
-        self.sector_dims = dict(sector_dims or {})
+        self.classes = classes
+        self.kept = kept
+        self.D = math.lcm(ws.degree, group.L)  # grades are int numerators over D
+        self._basis = self._set = None
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return sum(n * len(self.kept[locus]) for (locus, _), n in self.classes.items())
 
-    def bidegree(self, e: SectorElement):
-        """(p, q) of <m; g>, with deg m counting the volume-form weights:
-        deg m = sum over j in Fix g of (m_j + 1) w_j / d.
+    @property
+    def basis(self) -> tuple:
+        """<m; g> over the sorted elements g, each sector in kept order."""
+        if self._basis is None:
+            kept, flavor = self.kept, self.flavor
+            self._basis = tuple(
+                SectorElement(g, m, flavor) for g in self.group.elements for m in kept[fixed_indices(g)]
+            )
+        return self._basis
+
+    @property
+    def basis_set(self) -> frozenset:
+        if self._set is None:
+            self._set = frozenset(self.basis)
+        return self._set
+
+    @property
+    def sector_dims(self) -> dict:
+        """{g: dimension} over every sector in group order, empty ones with 0."""
+        return {g: len(self.kept[fixed_indices(g)]) for g in self.group.elements}
+
+    def _grade(self, deg: int, age: int, nfixed: int):
+        """(p, q) as numerators over D in a sector of age g = age / L fixing
+        nfixed coordinates, for deg m = deg / d (see `_degree`):
 
         A-model: (deg m + age g - age J, N_g - deg m + age g - age J).
         B-model: (deg m + age g - age J, deg m + age g^{-1} - age J), where
         age g^{-1} = (n - N_g) - age g."""
+        D, d = self.D, self.ws.degree
+        dm = deg * (D // d)
+        a = age * (D // self.group.L)
+        p = dm + a - sum(self.ws.weights) * (D // d)
+        if self.flavor == "A":
+            return p, p + nfixed * D - 2 * dm
+        return p, p + (self.poly.nvars - nfixed) * D - 2 * a
+
+    def bidegree(self, e: SectorElement):
+        """(p, q) of a basis element <m; g>."""
         g = e.sector
         fixed = fixed_indices(g)
-        w = self.ws.weights
-        dm = Fraction(sum((e.monomial[j] + 1) * w[j] for j in fixed), self.ws.degree)
-        age_g = age(g)
-        p = dm + age_g - self.age_j
-        if e.flavor == "A":
-            return p, len(fixed) - dm + age_g - self.age_j
-        return p, dm + (g.n - len(fixed)) - age_g - self.age_j
+        deg = _degree(e.monomial, fixed, self.ws.weights)
+        p, q = self._grade(deg, sum(g.num) * (self.group.L // g.den), len(fixed))
+        return Fraction(p, self.D), Fraction(q, self.D)
+
+
+def _degree(m, locus, weights) -> int:
+    """d * deg m of <m; g>, Fix g = locus, form included: sum (m_j + 1) w_j."""
+    return sum([(m[j] + 1) * weights[j] for j in locus])
 
 
 class Invariants:
@@ -129,34 +161,30 @@ class Invariants:
     bucket, and the halves are joined on characters that sum to 0.  No
     locus basis is walked."""
 
-    __slots__ = ("L", "gen_vecs", "loci", "buckets")
+    __slots__ = ("L", "gen_vecs", "buckets")
 
     def __init__(self, group: SymmetryGroup):
         self.L, self.gen_vecs = int_vectors(group.gens)
-        self.loci: dict = {}
         self.buckets: dict = {}
 
     def kept(self, ring) -> list:
         """Invariant standard monomials of `ring`, sorted by (wdeg, m)."""
-        got = self.loci.get(ring.active)
-        if got is None:
-            halves: tuple = ([], [])
-            sizes = [1, 1]
-            for part in sorted(ring.parts or (ring,), key=lambda r: -r.mu):
-                k = sizes[1] < sizes[0]
-                halves[k].append(part)
-                sizes[k] *= part.mu
-            zero = (0,) * ring.poly.nvars
-            left, right = (self._product(h, zero) for h in halves)
-            L = self.L
-            out = []
-            for ch, terms in left.items():
-                partner = right.get(tuple(-a % L for a in ch))
-                if partner:
-                    out.extend(_products(terms, partner))
-            out.sort()
-            got = self.loci[ring.active] = [m for _, m in out]
-        return got
+        halves: tuple = ([], [])
+        sizes = [1, 1]
+        for part in sorted(ring.parts or (ring,), key=lambda r: -r.mu):
+            k = sizes[1] < sizes[0]
+            halves[k].append(part)
+            sizes[k] *= part.mu
+        zero = (0,) * ring.poly.nvars
+        left, right = (self._product(h, zero) for h in halves)
+        L = self.L
+        out = []
+        for ch, terms in left.items():
+            partner = right.get(tuple(-a % L for a in ch))
+            if partner:
+                out.extend(_products(terms, partner))
+        out.sort()
+        return [m for _, m in out]
 
     def _product(self, parts, zero) -> dict:
         """{character: [(wdeg, m)]} over the monomials of the product of
@@ -197,29 +225,6 @@ def _products(terms1, terms2):
     ]
 
 
-def build_sector(
-    poly: Polynomial,
-    group: SymmetryGroup,
-    g: GroupElement,
-    flavor: str,
-    ws: WeightSystem,
-    rings: dict,
-    invariant: Invariants | None = None,
-):
-    """Invariant standard monomials of Milnor(W_g), as sector elements.
-
-    Invariance depends on g only through Fix(g); a sweep passes one
-    `Invariants` of the group for all its sectors.  The ring of every
-    locus, and of each of its blocks, is kept in the subset-keyed `rings`."""
-    fixed = fixed_indices(g)
-    ring = rings.get(fixed)
-    if ring is None:
-        ring = rings[fixed] = milnor_ring(poly, active=fixed, ws=ws, rings=rings)
-    if invariant is None:
-        invariant = Invariants(group)
-    return [SectorElement(g, m, flavor) for m in invariant.kept(ring)]
-
-
 def build_state_space(
     poly: Polynomial,
     group: SymmetryGroup,
@@ -227,7 +232,9 @@ def build_state_space(
     ws: WeightSystem | None = None,
     rings: dict | None = None,
 ) -> StateSpace:
-    """Sweep all sectors of (W, G); raises NotAdmissible on a flavor mismatch."""
+    """Sweep all sectors of (W, G) by class on the group's int vectors, each
+    locus once, its ring and those of its blocks kept in the subset-keyed
+    `rings`; raises NotAdmissible on a flavor mismatch."""
     if flavor not in ("A", "B"):
         raise ValueError(f"unknown flavor {flavor!r}")
     if ws is None:
@@ -238,26 +245,30 @@ def build_state_space(
         raise NotAdmissible("A-model requires the exponential grading operator in G")
     if flavor == "B" and not is_b_admissible(group):
         raise NotAdmissible("B-model requires G inside SL (integral ages)")
-    age_j = Fraction(sum(ws.weights), ws.degree)
     if rings is None:
         rings = {}
+    classes = Counter([(vector_locus(v), sum(v)) for v in group.vectors])
     invariant = Invariants(group)
-    basis = []
-    sector_dims = {}
-    for g in group.elements:
-        got = build_sector(poly, group, g, flavor, ws, rings, invariant)
-        sector_dims[g] = len(got)
-        basis.extend(got)
-    return StateSpace(poly, ws, group, flavor, age_j, basis, rings, sector_dims)
+    kept: dict = {}
+    for locus in dict.fromkeys(locus for locus, _ in classes):
+        if locus not in rings:
+            rings[locus] = milnor_ring(poly, active=locus, ws=ws, rings=rings)
+        kept[locus] = invariant.kept(rings[locus])
+    return StateSpace(poly, ws, group, flavor, rings, classes, kept)
 
 
 def poincare_table(space: StateSpace) -> dict:
-    """Map (p, q) -> dimension over exact rationals."""
-    table: dict = {}
-    for e in space.basis:
-        key = space.bidegree(e)
-        table[key] = table.get(key, 0) + 1
-    return table
+    """Map (p, q) -> dimension over exact rationals.  Every sector class
+    adds its count times the histogram of the degrees kept on its locus, on
+    int numerators; Fractions are built for the keys only."""
+    w = space.ws.weights
+    degrees = {locus: Counter([_degree(m, locus, w) for m in ms]) for locus, ms in space.kept.items()}
+    counts: Counter = Counter()
+    for (locus, age), count in space.classes.items():
+        for deg, k in degrees[locus].items():
+            counts[space._grade(deg, age, len(locus))] += count * k
+    D = space.D
+    return {(Fraction(p, D), Fraction(q, D)): c for (p, q), c in counts.items()}
 
 
 def diff_tables(lhs: dict, rhs: dict, lname: str, rname: str):

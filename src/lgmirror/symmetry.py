@@ -9,8 +9,8 @@ A group is a lattice, span_Z(gens) + L*Z^n over its exponent L, held by
 an echelon (Hermite) basis whose pivots divide L (Cohen, GTM 138, §2.4).
 Its order, the product of L / pivot, is checked against the cap before any
 element is built.  Its elements come from one mixed-radix walk of the basis,
-already in the lexicographic order of the components; membership, subgroup
-tests and coset minima are reductions by the basis.  G^max, SL subgroups,
+already sorted, as int vectors over L that become `GroupElement`s only when
+read; membership, subgroup tests and coset minima are reductions by the basis.  G^max, SL subgroups,
 dual groups and the twist projection are kernels of characters on such
 lattices, so G^max(W^T) is never walked and the cap bounds what is.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from operator import lt
 
 from .polyring import (
     NotInvertible,
@@ -172,7 +173,12 @@ def age(g: GroupElement) -> Fraction:
 
 def fixed_indices(g: GroupElement):
     """Indices of coordinates fixed by g (component zero)."""
-    return tuple(i for i, a in enumerate(g.num) if a == 0)
+    return vector_locus(g.num)
+
+
+def vector_locus(v) -> tuple:
+    """`fixed_indices` of the element with int numerator vector v."""
+    return tuple([i for i, a in enumerate(v) if not a])
 
 
 def j_element(ws: WeightSystem) -> GroupElement:
@@ -200,11 +206,11 @@ class SymmetryGroup:
     The group is the lattice span_Z(gens) + L*Z^n over its exponent L,
     held as an echelon basis: row i of `basis` vanishes before column i and
     its pivot basis[i][i] divides L, so |G| = prod L / pivot.  Membership
-    and subgroup tests reduce by the basis; `elements` is walked from it on
-    first read, already sorted by the int vectors over L (the lexicographic
-    order of the components)."""
+    and subgroup tests reduce by the basis.  `vectors`, the int vectors over
+    L, is walked from it on first read, already sorted (the lexicographic
+    order of the components); `elements` wraps them only when read."""
 
-    __slots__ = ("n", "L", "basis", "order", "gens", "_elements")
+    __slots__ = ("n", "L", "basis", "order", "gens", "_vectors", "_elements")
 
     def __init__(self, n, L, basis, gens):
         self.n = n
@@ -212,13 +218,19 @@ class SymmetryGroup:
         self.basis = tuple(basis)
         self.order = _order(self.basis, L)
         self.gens = tuple(gens)
-        self._elements = None
+        self._vectors = self._elements = None
+
+    @property
+    def vectors(self) -> list:
+        """The elements as int vectors over L, sorted; walked on first read."""
+        if self._vectors is None:
+            self._vectors = _walk(self.basis, self.L)
+        return self._vectors
 
     @property
     def elements(self):
         if self._elements is None:
-            L = self.L
-            self._elements = tuple(GroupElement._raw(v, L) for v in _walk(self.basis, L))
+            self._elements = tuple(GroupElement._raw(v, self.L) for v in self.vectors)
         return self._elements
 
     def __len__(self):
@@ -473,30 +485,16 @@ class CosetDecomposition:
         return len(self.representatives)
 
 
-def cosets(group: SymmetryGroup, subgroup: SymmetryGroup) -> CosetDecomposition:
-    if not subgroup.is_subgroup_of(group):
-        raise NotSubgroup("H is not contained in G")
-    seen = set()
-    reps = []
-    for g in group.elements:  # sorted, so reps are coset minima
-        if g in seen:
-            continue
-        reps.append(g)
-        for h in subgroup.elements:
-            seen.add(g + h)
-    return CosetDecomposition(group, subgroup, reps)
-
-
 def bv_cosets(sigma_group: SymmetryGroup, j_group: SymmetryGroup, slots, sigma) -> CosetDecomposition:
     """Cosets of J in sigma*G, normalized so the first M representatives fix
     both distinguished coordinates and the last M are sigma times the first.
 
     A coset is keyed by its minimum, to which J's echelon basis reduces any
     of its elements; an element is a minimum when each coordinate is below
-    J's pivot there.  One walk over the sorted elements of sigma*G lists the
-    minima in order and keeps the first element of each coset that fixes
+    J's pivot there.  One pass over the sorted int vectors of sigma*G lists
+    the minima in order and keeps the first vector of each coset that fixes
     both slots; the sigma partner of the coset keyed k is keyed by the
-    reduction of sigma + k."""
+    reduction of sigma + k.  Only the representatives become elements."""
     if not j_group.is_subgroup_of(sigma_group):
         raise NotSubgroup("H is not contained in G")
     i0, j0 = slots
@@ -506,13 +504,11 @@ def bv_cosets(sigma_group: SymmetryGroup, j_group: SymmetryGroup, slots, sigma) 
     pivots = [row[i] for i, row in enumerate(rows)]
     keys = []
     zero_slot = {}
-    for g in sigma_group.elements:
-        s = L // g.den
-        v = [a * s for a in g.num]
-        if all(a < p for a, p in zip(v, pivots)):
-            keys.append(tuple(v))
+    for v in sigma_group.vectors:
+        if all(map(lt, v, pivots)):
+            keys.append(v)
         if v[i0] == 0 and v[j0] == 0:
-            zero_slot.setdefault(_reduce(v, rows), g)
+            zero_slot.setdefault(_reduce(v, rows), v)
     shift = [a * (L // sigma.den) for a in sigma.num]
     paired = set()
     first = []
@@ -525,7 +521,7 @@ def bv_cosets(sigma_group: SymmetryGroup, j_group: SymmetryGroup, slots, sigma) 
         partner_key = _reduce([a + b for a, b in zip(key, shift)], rows)
         if partner_key == key:
             raise GroupError("sigma stabilizes a J-coset")
-        first.append(rep)
+        first.append(GroupElement._raw(rep, L))
         paired.add(key)
         paired.add(partner_key)
     second = [sigma + r for r in first]

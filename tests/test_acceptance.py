@@ -33,6 +33,7 @@ from lgmirror.polyring import (
 )
 from lgmirror.statespace import build_state_space, poincare_table
 from lgmirror.symmetry import (
+    EnumerationCapExceeded,
     GroupElement,
     gmax,
     j_element,
@@ -40,6 +41,7 @@ from lgmirror.symmetry import (
     span,
     transpose_group,
 )
+from test_oracles import fermat_total
 
 E1 = parse_polynomial("x0^2+x1^3+x2^6")        # (3,2,1;6)
 E2 = parse_polynomial("x0^2+x1^4+x2^4")        # (2,1,1;4)
@@ -48,6 +50,7 @@ K3C = parse_polynomial("y0^2+y1^4+y2^8+y3^8")  # (4,2,1,1;8)
 K3D = parse_polynomial("y0^2+y1^5+y2^5+y3^10") # (5,2,2,1;10)
 K3E = parse_polynomial("y0^2+y1^4*y2+y2^7+y3^7")  # (7,3,2,2;14), chain block
 OCTIC = parse_polynomial("y0^2+y1^8+y2^8+y3^8+y4^8")  # (4,1,1,1,1;8), CY 3-fold block
+OVERCAP = parse_polynomial("y0^2+y1^3+y2^12+y3^24+y4^24")  # (12,8,2,1,1;24)
 
 
 def j_blocks(w1, w2):
@@ -321,3 +324,22 @@ def test_criterion_11_catalog_counts():
         + ", ".join(f"{r.weights};{r.degree}" for r in gap)
         + ")"
     )
+
+
+def test_criterion_13_overcap_rung():
+    """E2 x OVERCAP: |Gmax(W1 + W2)| = 1,327,104 is over the group cap, and
+    |sigma G^T| = 27,648; both totals come from the Fermat character count."""
+    model = build_bv(E2, OVERCAP, j_blocks(E2, OVERCAP))
+    with pytest.raises(EnumerationCapExceeded):
+        gmax(model.poly)
+    mirror = model.mirror()
+    assert mirror.sigma_group.order == 27648
+    lhs = fermat_total(model.poly, model.sigma_group)
+    rhs = fermat_total(mirror.poly, mirror.sigma_group)
+    assert lhs == rhs == 2976
+    start = time.perf_counter()
+    report = verify_theorem1(model)
+    elapsed = time.perf_counter() - start
+    assert report.passed, report.mismatches
+    assert report.details == {"lhs_total": lhs, "rhs_total": rhs}
+    print(f"PASS criterion 13: theorem 1 on the over-cap rung, total {lhs} ({elapsed:.2f}s)")

@@ -18,12 +18,19 @@ equal, mismatch order included.
 from one Groebner basis per block.  Its oracle is the one-shot ring: one
 Buchberger run on the whole locus and its staircase walked at once.  Bases,
 the lazily walked standard monomials, mu, socle, Hessian and normal forms
-must agree.  `build_sector` joins the character buckets of the block rings;
+must agree.  `Invariants` joins the character buckets of the block rings;
 its oracle walks the one-shot basis of the locus and tests every monomial on
 the generators.  The kept monomials must agree, in order.
 
-`StateSpace.bidegree` grades on integer sums; its oracle sums the weight
-quotients as Fractions.  A `SymmetryGroup` is an echelon lattice basis:
+A `StateSpace` counts its sectors by class (fixed locus, age) and grades on
+integer sums.  Its oracle is the eager sweep it replaced: one `SectorElement`
+per kept monomial per sector (`build_sector`), each graded by summing the
+weight quotients as Fractions.  Tables, dimensions, bases, basis sets,
+sector dimensions and bidegrees must agree.  On all-Fermat models a second
+oracle needs no Groebner basis: each sector's dimension is a character sum
+over the group (`fermat_locus_dims`).
+
+A `SymmetryGroup` is an echelon lattice basis:
 its elements come from a mixed-radix walk, membership from reduction, and
 its greedy generators from the lattices.  The oracles are the BFS closure
 it replaced, sorted under `GroupElement.__lt__`, its element sets, and the
@@ -31,10 +38,12 @@ greedy rule on those sets.  G^max is an echelon kernel; its oracle is the
 product of the cyclic groups of a Smith normal form.  SL subgroups and the
 twist projection are kernels too; their oracles filter elements.
 `bv_cosets` keys cosets by their minima, the reductions by J's basis; its
-oracle sorts every coset and takes minima.
+oracle sorts every coset, listed from a set of covered elements (`cosets`),
+and takes minima.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -77,13 +86,14 @@ from lgmirror.polyring import (
     weight_system,
 )
 from lgmirror.report import Report
-from lgmirror.statespace import Invariants, build_sector, build_state_space
+from lgmirror.statespace import Invariants, SectorElement, build_state_space, poincare_table
 from lgmirror.symmetry import (
+    CosetDecomposition,
     GroupElement,
     GroupError,
+    NotSubgroup,
     age,
     bv_cosets,
-    cosets,
     fixed_indices,
     gmax,
     group_from_elements,
@@ -102,6 +112,7 @@ E2 = parse_polynomial("x0^2+x1^4+x2^4")
 K3A = parse_polynomial("y0^2+y1^6+y2^6+y3^6")
 MINI = parse_polynomial("y0^2+y1^2")
 OCTIC = parse_polynomial("y0^2+y1^8+y2^8+y3^8+y4^8")
+OVERCAP = parse_polynomial("y0^2+y1^3+y2^12+y3^24+y4^24")
 NONPRODUCT = "1/2,1/4,1/4,0,0,0,0;0,0,0,1/2,1/6,1/6,1/6;0,1/4,3/4,0,1/6,5/6,0"
 
 
@@ -327,18 +338,96 @@ def oracle_b_bidegree(e, q, age_j):
     return (dm + age(e.sector) - age_j, dm + age(-e.sector) - age_j)
 
 
-def assert_same_bidegrees(poly, group):
-    """Every basis element of A(W, G) and B(W, G): the integer bidegree is
-    the Fraction-sum one."""
+def build_sector(poly, group, g, flavor, ws, rings, invariant=None):
+    """The invariant standard monomials of Milnor(W_g) as sector elements,
+    the ring of Fix g kept in the subset-keyed `rings`; one `Invariants` of
+    the group may serve all its sectors."""
+    if invariant is None:
+        invariant = Invariants(group)
+    fixed = fixed_indices(g)
+    ring = rings.get(fixed)
+    if ring is None:
+        ring = rings[fixed] = milnor_ring(poly, active=fixed, ws=ws, rings=rings)
+    return [SectorElement(g, m, flavor) for m in invariant.kept(ring)]
+
+
+def eager_sweep(poly, group, flavor, ws, rings):
+    """The sweep that built one `SectorElement` per kept monomial per
+    sector: (basis, sector dimensions), over the sorted elements.  The
+    monomials of each locus are found once."""
+    invariant = Invariants(group)
+    kept = {}
+    basis = []
+    sector_dims = {}
+    for g in group.elements:
+        fixed = fixed_indices(g)
+        if fixed not in kept:
+            kept[fixed] = [e.monomial for e in build_sector(poly, group, g, flavor, ws, rings, invariant)]
+        got = [SectorElement(g, m, flavor) for m in kept[fixed]]
+        sector_dims[g] = len(got)
+        basis.extend(got)
+    return basis, sector_dims
+
+
+def assert_same_as_eager_sweep(poly, group):
+    """A(W, G) and B(W, G) against the eager sweep: the class table is the
+    count of the Fraction-sum bidegrees, the dimension and the lazy basis,
+    basis set and sector dimensions (in group order) are the sweep's, and
+    the integer bidegree of every element is the Fraction-sum one."""
     ws = weight_system(poly)
     q = [Fraction(w, ws.degree) for w in ws.weights]
     age_j = sum(q, Fraction(0))
     rings: dict = {}
     for flavor, oracle in (("A", oracle_a_bidegree), ("B", oracle_b_bidegree)):
         space = build_state_space(poly, group, flavor, ws=ws, rings=rings)
-        assert space.dim > 0
-        for e in space.basis:
-            assert space.bidegree(e) == oracle(e, q, age_j)
+        basis, sector_dims = eager_sweep(poly, group, flavor, ws, rings)
+        grades = [oracle(e, q, age_j) for e in basis]
+        table: dict = {}
+        for key in grades:
+            table[key] = table.get(key, 0) + 1
+        assert space.dim == len(basis) > 0
+        assert poincare_table(space) == table
+        assert list(space.sector_dims.items()) == list(sector_dims.items())
+        assert space.basis == tuple(basis)
+        assert space.basis_set == frozenset(basis)
+        assert [space.bidegree(e) for e in basis] == grades
+
+
+def cosets(group, subgroup) -> CosetDecomposition:
+    """Coset representatives of H in G, each the least element of its coset,
+    from a set of the elements already covered."""
+    if not subgroup.is_subgroup_of(group):
+        raise NotSubgroup("H is not contained in G")
+    seen = set()
+    reps = []
+    for g in group.elements:  # sorted, so reps are coset minima
+        if g in seen:
+            continue
+        reps.append(g)
+        for h in subgroup.elements:
+            seen.add(g + h)
+    return CosetDecomposition(group, subgroup, reps)
+
+
+def test_cosets_lagrange():
+    g = gmax(E1)
+    sl = sl_subgroup(g)
+    dec = cosets(g, sl)
+    assert len(dec) == g.order // sl.order
+    covered = set()
+    for rep in dec.representatives:
+        covered |= {rep + h for h in sl.elements}
+    assert covered == set(g.elements)
+
+
+def test_cosets_whole_group():
+    g = gmax(E1)
+    assert len(cosets(g, g)) == 1
+
+
+def test_cosets_not_subgroup():
+    with pytest.raises(NotSubgroup):
+        cosets(sl_subgroup(gmax(E1)), gmax(E1))
 
 
 def oracle_bv_cosets(sigma_group, j_group, slots, sigma):
@@ -373,7 +462,7 @@ def oracle_bv_cosets(sigma_group, j_group, slots, sigma):
 def test_bidegrees_and_bv_cosets_match_oracles(name):
     model = _golden_models()[name]
     for side in (model, model.mirror()):
-        assert_same_bidegrees(side.poly, side.sigma_group)
+        assert_same_as_eager_sweep(side.poly, side.sigma_group)
         j_group = span(side.poly.nvars, [side.j1, side.j2])
         args = (side.sigma_group, j_group, side.slots, side.sigma)
         assert bv_cosets(*args).representatives == oracle_bv_cosets(*args)
@@ -558,6 +647,68 @@ CY_WEIGHTS = sorted(
 )
 
 
+def fermat_locus_dims(poly, group):
+    """({Fix h: count}, {locus: dimension of each of its sectors}) for an
+    all-Fermat W = sum x_j^a_j, from characters alone, with no Groebner
+    basis.  h acts on Jac(x_j^a_j) dx_j with trace a_j - 1 when h_j = 0 and
+    -1 otherwise, so with count(T) the number of h in G with Fix h = T, the
+    invariants of a sector with locus F have dimension
+    (1/|G|) sum_T count(T) prod_{j in F n T} (a_j - 1) (-1)^|F - T|."""
+    a = [0] * poly.nvars
+    for m in poly.terms:
+        (j,) = [i for i, e in enumerate(m) if e]
+        a[j] = m[j]
+    count = Counter(fixed_indices(h) for h in group.elements)
+    dims = {}
+    for locus in count:
+        total = sum(
+            c * math.prod(a[j] - 1 if j in fixed else -1 for j in locus)
+            for fixed, c in count.items()
+        )
+        dims[locus], rest = divmod(total, group.order)
+        assert rest == 0
+    return count, dims
+
+
+def fermat_total(poly, group) -> int:
+    count, dims = fermat_locus_dims(poly, group)
+    return sum(c * dims[locus] for locus, c in count.items())
+
+
+def _fermat_golden_sides():
+    """(W, G, flavor) of every all-Fermat golden model: both sides of the
+    BV models and the two K3A state spaces."""
+    models = _golden_models()
+    models["e2overcap"] = build_bv(
+        E2, OVERCAP, block_j_elements(weight_system(E2), weight_system(OVERCAP))
+    )
+    sides = {}
+    for name, model in models.items():
+        mirror = model.mirror()
+        sides[name + "-A"] = (model.poly, model.sigma_group, "A")
+        sides[name + "-B"] = (mirror.poly, mirror.sigma_group, "B")
+    sides["k3a-A"] = (K3A, span(4, parse_group_elements("1/2,1/6,1/6,1/6", 4)), "A")
+    sides["k3a-B"] = (K3A, span(4, parse_group_elements("0,1/6,1/6,2/3;1/2,1/2,0,0", 4)), "B")
+    return sides
+
+
+FERMAT_SIDES = [
+    f"{name}-{side}"
+    for name in ("e1k3a", "nonproduct", "e1octic", "e2overcap", "k3a")
+    for side in "AB"
+]
+
+
+@pytest.mark.parametrize("name", FERMAT_SIDES)
+def test_sector_dims_match_fermat_characters(name):
+    poly, group, flavor = _fermat_golden_sides()[name]
+    assert all(sum(1 for e in m if e) == 1 for m in poly.terms)
+    space = build_state_space(poly, group, flavor)
+    count, dims = fermat_locus_dims(poly, group)
+    assert space.sector_dims == {g: dims[fixed_indices(g)] for g in group.elements}
+    assert space.dim == sum(c * dims[locus] for locus, c in count.items())
+
+
 @st.composite
 def invertible_models(draw):
     """(W, G): W a sum of Fermat, chain and loop blocks of a CY weight
@@ -597,8 +748,8 @@ def test_random_invertible_models_match_oracles(model):
     assert back.elements == group.elements
     assert_same_bases(poly, group, ws)
     assert_same_bases(transpose(poly), dual, weight_system(transpose(poly)))
-    assert_same_bidegrees(poly, group)
-    assert_same_bidegrees(transpose(poly), dual)
+    assert_same_as_eager_sweep(poly, group)
+    assert_same_as_eager_sweep(transpose(poly), dual)
 
 
 def elementwise_theorem2(model, rescaled=True):

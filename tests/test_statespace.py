@@ -1,28 +1,35 @@
+import importlib.util
+import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
 
 import lgmirror.bvlg as bvlg
+import lgmirror.frobenius as frobenius
+import lgmirror.milnor as milnor
 from lgmirror.bvlg import block_j_elements, build_bv, verify_theorem1
+from lgmirror.chenruan import verify_bv_mirror, verify_lgcy
 from lgmirror.milnor import DegenerateSingularity
 from lgmirror.polyring import direct_sum, parse_polynomial, transpose, weight_system
 from lgmirror.statespace import (
     NotAdmissible,
     SectorElement,
     action_weight,
-    build_sector,
     build_state_space,
     poincare_table,
     table_to_json,
 )
 from lgmirror.symmetry import (
     GroupElement,
+    bv_cosets,
     gmax,
     j_element,
     sl_subgroup,
     span,
     transpose_group,
 )
+from test_oracles import build_sector
 
 E1 = parse_polynomial("x0^2+x1^3+x2^6")
 K3 = parse_polynomial("y0^2+y1^6+y2^6+y3^6")
@@ -240,3 +247,89 @@ def test_theorem1_walks_no_assembled_locus_basis(monkeypatch):
         assembled = [ring for ring in space.rings.values() if ring.parts]
         assert assembled
         assert all(ring._basis is None for ring in assembled)
+
+
+OCTIC = parse_polynomial("y0^2+y1^8+y2^8+y3^8+y4^8")
+WS_OCTIC = weight_system(OCTIC)
+
+
+def _allowed_elements(model):
+    """The elements a sweep of either side may build: the generators of its
+    groups and of the dual group its mirror is built from, sigma, the
+    grading elements and the BV coset representatives."""
+    out = set()
+    for side in (model, model.mirror()):
+        out.update(side.group.gens, side.sigma_group.gens)
+        out.update(transpose_group(side.group, side.poly).gens)
+        out.update([side.sigma, side.j1, side.j2])
+        out.update(j_element(ws) for ws in (side.ws, side.ws1, side.ws2))
+        j_group = span(side.poly.nvars, [side.j1, side.j2])
+        out.update(bv_cosets(side.sigma_group, j_group, side.slots, side.sigma).representatives)
+    return out
+
+
+@pytest.mark.parametrize("verdict", [verify_theorem1, verify_lgcy, verify_bv_mirror])
+def test_cold_verdicts_build_no_sector_elements(monkeypatch, verdict):
+    """theorem1, lgcy and bvms on a fresh E1 x OCTIC model count sector
+    classes: no `SectorElement` is built, and the only `GroupElement`s
+    built are generators, grading elements and coset representatives (the
+    12,288 elements of the mirror's sigma G are never wrapped)."""
+    sectors = []
+    built = []
+    canonical, neg = GroupElement._canonical, GroupElement.__neg__
+
+    def counting_canonical(self, num, den):
+        canonical(self, num, den)
+        built.append(self)
+
+    def counting_neg(self):
+        built.append(neg(self))
+        return built[-1]
+
+    monkeypatch.setattr(SectorElement, "__init__", lambda self, *args: sectors.append(args))
+    monkeypatch.setattr(GroupElement, "_canonical", counting_canonical)
+    monkeypatch.setattr(GroupElement, "__neg__", counting_neg)
+    model = build_bv(E1, OCTIC, block_j_elements(WS1, WS_OCTIC))
+    assert verdict(model).passed
+    monkeypatch.undo()
+    assert sectors == []
+    allowed = _allowed_elements(build_bv(E1, OCTIC, block_j_elements(WS1, WS_OCTIC)))
+    assert set(built) <= allowed
+    assert len(built) <= 2 * len(allowed)
+
+
+def _load_tracer():
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_still_binds_the_sweep(monkeypatch):
+    """The benchmark's tracer wraps `build_state_space` and `poincare_table`
+    by name and reads `sector_dims`, `rings` and `dim` of every space; on
+    Theorem 1 for E1 x K3A its counters keep the values they had when every
+    sector was swept one by one."""
+    tracer_module = _load_tracer()
+    # let monkeypatch restore every binding the tracer replaces
+    for name, module in list(sys.modules.items()):
+        if name == "lgmirror" or name.startswith("lgmirror."):
+            for var, value in list(vars(module).items()):
+                if callable(value):
+                    monkeypatch.setattr(module, var, value)
+    for klass in (frobenius.BAlgebra, milnor.MilnorRing):
+        for attr, value in list(vars(klass).items()):
+            if callable(value):
+                monkeypatch.setattr(klass, attr, value)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    model = build_bv(E1, K3, block_j_elements(WS1, WS2))
+    assert verify_theorem1(model).passed
+    summary = tracer.summary()
+    assert summary["bindings"]["statespace.build_state_space"] >= 1
+    assert summary["bindings"]["statespace.poincare_table"] >= 1
+    counts = summary["counts"]
+    assert counts["statespace.sectors"] == 936
+    assert counts["statespace.fixed_loci"] == 100
+    assert counts["statespace.basis_dim"] == 272

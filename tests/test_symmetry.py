@@ -8,10 +8,8 @@ from lgmirror.polyring import WeightSystem, parse_polynomial, transpose, weight_
 from lgmirror.symmetry import (
     EnumerationCapExceeded,
     GroupElement,
-    NotSubgroup,
     age,
     bv_cosets,
-    cosets,
     element_in_gmax,
     fixed_indices,
     gmax,
@@ -178,27 +176,6 @@ def test_duality_exchanges_admissibility():
             sub = span(poly.nvars, gens)
             dual = transpose_group(sub, poly)
             assert (j in sub) == dual.is_subgroup_of(sl_t)
-
-
-def test_cosets_lagrange():
-    g = gmax(E1)
-    sl = sl_subgroup(g)
-    dec = cosets(g, sl)
-    assert len(dec) == g.order // sl.order
-    covered = set()
-    for rep in dec.representatives:
-        covered |= {rep + h for h in sl.elements}
-    assert covered == set(g.elements)
-
-
-def test_cosets_whole_group():
-    g = gmax(E1)
-    assert len(cosets(g, g)) == 1
-
-
-def test_cosets_not_subgroup():
-    with pytest.raises(NotSubgroup):
-        cosets(sl_subgroup(gmax(E1)), gmax(E1))
 
 
 def test_minimal_generators_respan():
