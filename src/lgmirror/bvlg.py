@@ -20,6 +20,7 @@ from .polyring import (
 from .report import Report
 from .statespace import (
     SectorElement,
+    _degree,
     build_state_space,
     diff_tables,
     frac_str,
@@ -33,6 +34,7 @@ from .symmetry import (
     span,
     subgroup_on,
     transpose_group,
+    vector_locus,
 )
 
 
@@ -277,32 +279,52 @@ def tw_a_map(e: SectorElement, model: BVModel, tw: TwistModel):
 
 def verify_twist_iso(model: BVModel, flavor: str, tw_group_override=None) -> Report:
     """tw maps the (W, sigma G) basis bijectively onto the twist basis,
-    preserving bidegrees; a corrupted twist group makes this fail."""
+    preserving bidegrees; a corrupted twist group makes this fail.
+
+    The map runs on int vectors and monomials, sector by sector of the
+    source group, and bidegrees are compared as `StateSpace._grade`
+    numerators; basis elements are built for mismatch records only."""
     tw = model.twist()
     group = tw_group_override if tw_group_override is not None else tw.group
     source = build_state_space(model.poly, model.sigma_group, flavor)
     target = build_state_space(tw.poly, group, flavor)
+    L, Lt, D, Dt = source.group.L, target.group.L, source.D, target.D
+    weights, tw_weights = source.ws.weights, target.ws.weights
+    kept = {locus: set(ms) for locus, ms in target.kept.items()}
     mismatches = []
     images = set()
-    for e in source.basis:
-        coeff, image = tw_a_map(e, model, tw)
-        if image not in target.basis_set:
-            mismatches.append({"element": repr(e), "reason": "image not in twist basis"})
+    for v in source.group.vectors:
+        locus = vector_locus(v)
+        if not source.kept[locus]:
             continue
-        if image in images:
-            mismatches.append({"element": repr(e), "reason": "image duplicated"})
-            continue
-        images.add(image)
-        if source.bidegree(e) != target.bidegree(image):
-            mismatches.append(
-                {
-                    "element": repr(e),
-                    "reason": "bidegree changed",
-                    "source": [frac_str(x) for x in source.bidegree(e)],
-                    "target": [frac_str(x) for x in target.bidegree(image)],
-                }
-            )
-    unmatched = len(target.basis_set) - len(images)
+        g = GroupElement._raw(v, L)
+        _sector_epsilon(model, g)
+        image_v = tuple([v[k] for k in tw.keep])
+        image_g = GroupElement._raw(image_v, L)
+        image_locus = vector_locus(image_v)
+        image_kept = kept[image_locus] if image_g in target.group else ()
+        age, image_age = sum(v), sum(image_v) * Lt // L
+        # the distinguished slots are z^2 blocks: no kept monomial touches them
+        for m in source.kept[locus]:
+            mono = tuple([m[k] for k in tw.keep])
+            if mono not in image_kept or (image_v, mono) in images:
+                reason = "image duplicated" if mono in image_kept else "image not in twist basis"
+                mismatches.append({"element": repr(SectorElement(g, m, flavor)), "reason": reason})
+                continue
+            images.add((image_v, mono))
+            p, q = source._grade(_degree(m, locus, weights), age, len(locus))
+            pt, qt = target._grade(_degree(mono, image_locus, tw_weights), image_age, len(image_locus))
+            if p * Dt != pt * D or q * Dt != qt * D:
+                e, image = SectorElement(g, m, flavor), SectorElement(image_g, mono, flavor)
+                mismatches.append(
+                    {
+                        "element": repr(e),
+                        "reason": "bidegree changed",
+                        "source": [frac_str(x) for x in source.bidegree(e)],
+                        "target": [frac_str(x) for x in target.bidegree(image)],
+                    }
+                )
+    unmatched = target.dim - len(images)
     if unmatched:
         mismatches.append({"reason": f"{unmatched} twist basis elements unmatched"})
     return Report(

@@ -8,27 +8,26 @@ whose support leaves the fixed locus map to zero).
 
 `BAlgebra` indexes the even basis and holds its algebra as sparse tables
 over the indices: C[i] = {j: {k: c}} with e_i e_j = sum_k c e_k, and
-P[i] = {j: <e_i, e_j>}.  `verify_theorem2` contracts these tables;
-`AlgebraElement` with `BAlgebra.product`/`pairing` is the element API on them.
+P[i] = {j: <e_i, e_j>}.  Both are built sector pair by sector pair and hold
+nonzero entries only.  A pair (g, h) enters the product only through its
+locus triple (Fix g, Fix h, Fix gh), on which gamma is keyed, and only when
+it meets the index condition I_g u I_h u I_gh = everything; g pairs only
+with -g (Krawitz, arXiv:0906.0796, section 2).  `verify_theorem2` contracts
+these tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .bvlg import BVModel
 from .milnor import MilnorRing, milnor_ring
-from .polyring import Polynomial, atomic_decomposition, restrict, transpose
+from .polyring import Polynomial, atomic_decomposition, transpose
 from .report import Report
-from .statespace import (
-    SectorElement,
-    StateSpace,
-    build_state_space,
-)
-from .symmetry import GroupElement, fixed_indices, transpose_group
+from .statespace import SectorElement, StateSpace, build_state_space
+from .symmetry import GroupElement, fixed_indices, transpose_group, vector_locus
 
-
-_ZERO = Fraction(0)
 
 
 class FrobeniusError(Exception):
@@ -80,49 +79,11 @@ def even_basis(space: StateSpace):
     return tuple(e for e in space.basis if z2_grading(e, space.poly.nvars) == 0)
 
 
-class AlgebraElement:
-    """Finitely supported rational combination of one space's basis elements."""
-
-    __slots__ = ("space", "coeffs")
-
-    def __init__(self, space: StateSpace, coeffs=None):
-        self.space = space
-        self.coeffs = {}
-        for e, c in (coeffs or {}).items():
-            c = c if isinstance(c, Fraction) else Fraction(c)
-            if c:
-                self.coeffs[e] = c
-
-    @classmethod
-    def basis(cls, space, e, coeff=1):
-        return cls(space, {e: coeff})
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.space is not other.space:
-            raise MixedSpaces("cannot add elements of different state spaces")
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, _ZERO) + c
-        return AlgebraElement(self.space, out)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraElement)
-            and self.space is other.space
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c}*{e!r}" for e, c in sorted(self.coeffs.items(), key=lambda t: t[0]))
-
-
 class BAlgebra:
-    """Krawitz product and residue pairing on one B-model state space."""
+    """Krawitz product and residue pairing on the even part of one B-model
+    state space, as sparse tables over the even indices.  A sector is its
+    int vector over L, the exponent of the group; `sectors` maps each even
+    sector, in group order, to its [(index, monomial)]."""
 
     def __init__(self, space: StateSpace):
         if space.flavor != "B":
@@ -130,146 +91,138 @@ class BAlgebra:
         self.space = space
         self.poly = space.poly
         self.nvars = space.poly.nvars
+        self.L = space.group.L
         self.rings = space.rings  # shared subset-keyed Milnor cache
         self.even = even_basis(space)
         self.index = {e: i for i, e in enumerate(self.even)}
+        self.sectors: dict = {}
+        for i, e in enumerate(self.even):
+            self.sectors.setdefault(self.vector(e.sector), []).append((i, e.monomial))
         self._gamma: dict = {}
-        self._products: dict = {}  # (i, j) -> {k: c} over even indices
-        self._pairings: dict = {}
 
-    def ring(self, subset) -> MilnorRing:
-        subset = tuple(sorted(subset))
-        ring = self.rings.get(subset)
-        if ring is None:
-            ring = milnor_ring(self.poly, active=subset, ws=self.space.ws, rings=self.rings)
-            self.rings[subset] = ring
-        return ring
+    def vector(self, g: GroupElement) -> tuple:
+        """The int numerators of g over L."""
+        scale = self.L // g.den
+        return tuple([a * scale for a in g.num])
 
-    def _gamma_data(self, g: GroupElement, h: GroupElement):
-        """Solve gamma * Hess(W_{g n h}) / mu_{g n h} = Hess(W_{gh}) / mu_{gh}.
+    def _add(self, g, h) -> tuple:
+        L = self.L
+        return tuple([(a + b) % L for a, b in zip(g, h)])
+
+    def ring(self, locus) -> MilnorRing:
+        if locus not in self.rings:
+            self.rings[locus] = milnor_ring(self.poly, active=locus, ws=self.space.ws, rings=self.rings)
+        return self.rings[locus]
+
+    def pairs(self, gs, hs):
+        """The pairs (g, h) of int vectors, g in gs and h in hs, that meet the
+        index condition I_g u I_h u I_gh = everything: h = -g off Fix g u
+        Fix h.  For each pair of loci the h are looked up by their entries
+        there, so no other pair is visited."""
+        L = self.L
+        by_g: dict = {}
+        by_h: dict = {}
+        for vectors, by in ((gs, by_g), (hs, by_h)):
+            for v in vectors:
+                by.setdefault(vector_locus(v), []).append(v)
+        for g_list in by_g.values():
+            for h_list in by_h.values():
+                off = [k for k, (a, b) in enumerate(zip(g_list[0], h_list[0])) if a and b]
+                at: dict = {}
+                for h in h_list:
+                    at.setdefault(tuple([h[k] for k in off]), []).append(h)
+                for g in g_list:
+                    for h in at.get(tuple([-g[k] % L for k in off]), ()):
+                        yield g, h
+
+    def _gamma_data(self, fg, fh, fgh):
+        """Solve gamma * Hess(W_{g n h}) / mu_{g n h} = Hess(W_{gh}) / mu_{gh}
+        on the locus triple (Fix g, Fix h, Fix gh) of a pair that meets the
+        index condition.
 
         Fix(gh) contains Fix(g) n Fix(h); the defining relation is solved by
         the class Hess(W_extra) / mu_extra on the complementary block, whose
         normal form is (scalar) * (socle of the extra ring).  Returns
-        (scalar, extra socle monomial), or (0, None) when the index condition
-        I_g u I_h u I_gh = everything fails.  Requires W_{gh} to split as
-        W_{g n h} + W_extra (guaranteed under the all-or-nothing property);
-        raises NonProportional otherwise.
+        (scalar, extra socle monomial).  Requires W_{gh} to split as
+        W_{g n h} + W_extra, no monomial on Fix gh meeting both (guaranteed
+        under the all-or-nothing property); raises NonProportional otherwise.
         """
-        key = (g, h)
+        key = (fg, fh, fgh)
         hit = self._gamma.get(key)
-        if hit is not None:
-            return hit
-        ig = set(fixed_indices(g))
-        ih = set(fixed_indices(h))
-        igh = set(fixed_indices(g + h))
-        if ig | ih | igh != set(range(self.nvars)):
-            self._gamma[key] = (Fraction(0), None)
-            return self._gamma[key]
-        meet = ig & ih
-        extra = tuple(sorted(igh - meet))
-        whole = restrict(self.poly, igh)
-        split = restrict(self.poly, meet) + restrict(self.poly, extra)
-        if whole != split:
-            raise NonProportional(
-                f"W restricted to {sorted(igh)} has cross terms between "
-                f"{sorted(meet)} and {list(extra)}"
-            )
-        ring_extra = self.ring(extra)
-        scalar = ring_extra.hessian_socle_coefficient() / ring_extra.mu
-        self._gamma[key] = (scalar, ring_extra.socle)
-        return self._gamma[key]
-
-    def gamma(self, g: GroupElement, h: GroupElement) -> Fraction:
-        """Scalar coefficient of the structure class (on the extra-block socle)."""
-        return self._gamma_data(g, h)[0]
-
-    def unit(self) -> AlgebraElement:
-        e = SectorElement(
-            GroupElement.identity(self.nvars), (0,) * self.nvars, "B"
-        )
-        if e not in self.space.basis_set:
-            raise NotBasisElement("identity-sector unit missing from the basis")
-        return AlgebraElement.basis(self.space, e)
-
-    def _product_index(self, i: int, j: int) -> dict:
-        """{k: c} with e_i e_j = sum_k c e_k over the even basis; empty when
-        the product vanishes."""
-        key = (i, j)
-        hit = self._products.get(key)
-        if hit is not None:
-            return hit
-        e1, e2 = self.even[i], self.even[j]
-        g, h = e1.sector, e2.sector
-        coeff, extra_socle = self._gamma_data(g, h)
-        out = {}
-        if coeff:
-            gh = g + h
-            igh = fixed_indices(gh)
-            mono = tuple(map(sum, zip(e1.monomial, e2.monomial, extra_socle)))
-            if all(e == 0 or gh.num[k] == 0 for k, e in enumerate(mono)):
-                nf = self.ring(igh).monomial_normal_form(mono)
-                for b_mono, c in nf.items():
-                    target = SectorElement(gh, b_mono, "B")
-                    k = self.index.get(target)
-                    if k is None:
-                        raise NotBasisElement(
-                            f"product lands outside the even invariant basis: {target!r}"
-                        )
-                    out[k] = coeff * c
-        self._products[key] = out
-        return out
-
-    def _even_index(self, e: SectorElement) -> int:
-        if e not in self.space.basis_set:
-            raise NotBasisElement(f"{e!r} is not a basis element")
-        if z2_grading(e, self.nvars):
-            raise OddElement("products are defined on the even subspace")
-        return self.index[e]
-
-    def structure_constants(self) -> list:
-        """C[i] = {j: {k: c}}: e_i e_j = sum_k c e_k, nonzero products only."""
-        idx = range(len(self.even))
-        return [{j: row for j in idx if (row := self._product_index(i, j))} for i in idx]
-
-    def product(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-        if a.space is not self.space or b.space is not self.space:
-            raise MixedSpaces("operands belong to a different state space")
-        out: dict = {}
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
-                row = self._product_index(self._even_index(e1), self._even_index(e2))
-                for k, c in row.items():
-                    out[self.even[k]] = out.get(self.even[k], 0) + c1 * c2 * c
-        return AlgebraElement(self.space, out)
-
-    def pairing_basis(self, e1: SectorElement, e2: SectorElement) -> Fraction:
-        if e2.sector != -e1.sector:
-            return _ZERO
-        key = (e1, e2)
-        hit = self._pairings.get(key)
         if hit is None:
-            ring = self.ring(fixed_indices(e1.sector))
-            mono = tuple(map(sum, zip(e1.monomial, e2.monomial)))
-            c = ring.monomial_normal_form(mono).get(ring.socle, _ZERO)
-            hit = self._pairings[key] = ring.residue(c)
+            meet = set(fg) & set(fh)
+            extra = tuple(sorted(set(fgh) - meet))
+            inside = set(fgh)
+            supports = ({k for k, e in enumerate(m) if e} for m in self.poly.terms)
+            if any(used <= inside and used & meet and not used <= meet for used in supports):
+                raise NonProportional(
+                    f"W restricted to {list(fgh)} has cross terms between "
+                    f"{sorted(meet)} and {list(extra)}"
+                )
+            ring_extra = self.ring(extra)
+            scalar = ring_extra.hessian_socle_coefficient() / ring_extra.mu
+            hit = self._gamma[key] = (scalar, ring_extra.socle)
         return hit
 
-    def pairing(self, a: AlgebraElement, b: AlgebraElement) -> Fraction:
-        if a.space is not self.space or b.space is not self.space:
-            raise MixedSpaces("operands belong to a different state space")
-        total = _ZERO
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
-                total += c1 * c2 * self.pairing_basis(e1, e2)
-        return total
+    def gamma(self, g, h) -> Fraction:
+        """Scalar coefficient of the structure class (on the extra-block
+        socle) of the int vectors g, h; 0 when the index condition fails."""
+        gh = self._add(g, h)
+        if any(a and b and c for a, b, c in zip(g, h, gh)):
+            return Fraction(0)
+        return self._gamma_data(vector_locus(g), vector_locus(h), vector_locus(gh))[0]
+
+    def unit(self) -> int:
+        """The index of the unit <1; 0>, invariant since G <= SL."""
+        n = self.nvars
+        return self.index[SectorElement(GroupElement.identity(n), (0,) * n, "B")]
+
+    def structure_constants(self) -> list:
+        """C[i] = {j: {k: c}}: e_i e_j = sum_k c e_k, nonzero products only.
+
+        Only the sector pairs (g, h) of `pairs` are visited.  Per pair, gh,
+        gamma and the ring of Fix gh are found once, and only the factors
+        that vanish where gh does not are multiplied; a target index is read
+        from (sector, monomial)."""
+        at = {(g, m): i for g, elems in self.sectors.items() for i, m in elems}
+        C: list = [{} for _ in self.even]
+        for g, h in self.pairs(self.sectors, self.sectors):
+            gh = self._add(g, h)
+            fgh = vector_locus(gh)
+            scalar, socle = self._gamma_data(vector_locus(g), vector_locus(h), fgh)
+            normal_form = self.ring(fgh).monomial_normal_form
+            gone = [k for k, a in enumerate(gh) if a]
+            left = [(i, m) for i, m in self.sectors[g] if not any([m[k] for k in gone])]
+            right = [(j, m) for j, m in self.sectors[h] if not any([m[k] for k in gone])]
+            for i, m1 in left:
+                m1, row = tuple(map(add, m1, socle)), C[i]
+                for j, m2 in right:
+                    terms = normal_form(tuple(map(add, m1, m2)))
+                    if terms:
+                        try:
+                            row[j] = {at[gh, b]: scalar * c for b, c in terms.items()}
+                        except KeyError as missing:
+                            raise NotBasisElement(f"a product lands outside the even basis: {missing}") from None
+        return C
 
     def pairing_table(self) -> list:
-        """P[i] = {j: <e_i, e_j>}, nonzero pairings only."""
-        return [
-            {j: p for j, f in enumerate(self.even) if (p := self.pairing_basis(e, f))}
-            for e in self.even
-        ]
+        """P[i] = {j: <e_i, e_j>}, nonzero pairings only.  Sector g pairs
+        only with -g, on the ring of Fix g: its residue scale times the socle
+        coefficient of the product."""
+        L = self.L
+        P: list = [{} for _ in self.even]
+        for g, elems in self.sectors.items():
+            partner = self.sectors.get(tuple([-a % L for a in g]), ())
+            ring = self.ring(vector_locus(g))
+            scale = ring.residue(1)
+            normal_form = ring.monomial_normal_form
+            for i, m1 in elems:
+                row = P[i]
+                for j, m2 in partner:
+                    c = normal_form(tuple(map(add, m1, m2))).get(ring.socle)
+                    if c:
+                        row[j] = scale * c
+        return P
 
 
 def phi_map(
@@ -329,37 +282,40 @@ def property1(a_space: StateSpace, b_space: StateSpace) -> Report:
     return Report("property1", not violations, details, violations)
 
 
-def gamma_lemma_cases(algebra: BAlgebra, sigma: GroupElement, sectors):
-    """Factor of gamma(g,h) against gamma(g, sigma h) per the slot pattern of
-    (g, h): (1/2,1/2)x(1/2,1/2) -> 4, (1/2,1/2)x(0,0) -> 1/4, else 1."""
-    slots = [k for k, a in enumerate(sigma.num) if a]
+def gamma_lemma_cases(algebra: BAlgebra, sigma: GroupElement):
+    """Factor of gamma(g,h) against gamma(g, sigma h) over all pairs of even
+    sectors, per the slot pattern of (g, h): (1/2,1/2)x(1/2,1/2) -> 4,
+    (1/2,1/2)x(0,0) -> 1/4, else 1.  Where neither (g, h) nor (g, sigma h)
+    meets the index condition both read 0, so only the pairs `pairs` finds
+    for h or sigma h are evaluated, in sector order; every pair is counted."""
+    L = algebra.L
+    s = algebra.vector(sigma)
+    slots = [k for k, a in enumerate(s) if a]
+    sectors = list(algebra.sectors)
+    shifted = {algebra._add(s, h): h for h in sectors}
+    candidates = set(algebra.pairs(sectors, sectors))
+    candidates.update((g, shifted[h]) for g, h in algebra.pairs(sectors, shifted))
     failures = []
-    checked = 0
-    for g in sectors:
-        g_half = all(2 * g.num[k] == g.den for k in slots)
-        for h in sectors:
-            h_half = all(2 * h.num[k] == h.den for k in slots)
-            h_zero = all(h.num[k] == 0 for k in slots)
-            lhs = algebra.gamma(g, h)
-            rhs = algebra.gamma(g, sigma + h)
-            if g_half and h_half:
+    for g, h in sorted(candidates):  # int vectors over L sort in group order
+        lhs = algebra.gamma(g, h)
+        rhs = algebra.gamma(g, algebra._add(s, h))
+        factor = Fraction(1)
+        if all(2 * g[k] == L for k in slots):
+            if all(2 * h[k] == L for k in slots):
                 factor = Fraction(4)
-            elif g_half and h_zero:
+            elif not any(h[k] for k in slots):
                 factor = Fraction(1, 4)
-            else:
-                factor = Fraction(1)
-            checked += 1
-            if lhs != factor * rhs:
-                failures.append(
-                    {
-                        "g": str(g),
-                        "h": str(h),
-                        "gamma": str(lhs),
-                        "gamma_sigma": str(rhs),
-                        "expected_factor": str(factor),
-                    }
-                )
-    return checked, failures
+        if lhs != factor * rhs:
+            failures.append(
+                {
+                    "g": str(GroupElement._raw(g, L)),
+                    "h": str(GroupElement._raw(h, L)),
+                    "gamma": str(lhs),
+                    "gamma_sigma": str(rhs),
+                    "expected_factor": str(factor),
+                }
+            )
+    return len(sectors) ** 2, failures
 
 
 def _differing(a: dict, b: dict) -> set:
@@ -370,29 +326,38 @@ def _differing(a: dict, b: dict) -> set:
 def associativity_and_frobenius(C: list, P: list):
     """Count the triples (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), and
     those with <e_i e_j, e_k> != <e_i, e_j e_k>, from the tables C and P of
-    one algebra.  For each pair (i, j) all k are contracted at once over
-    nonzero entries: (e_i e_j) e_k = sum_l C_ij^l C_lk, e_i (e_j e_k) =
-    sum_l C_jk^l C_il, and likewise with P_lk and P_il for the pairings."""
+    one algebra.  One row i at a time, over nonzero entries only:
+    (e_i e_j) e_k = sum_l C_ij^l C_lk runs over the l in C_ij, and
+    e_i (e_j e_k) = sum_l C_jk^l C_il over the l in C_i, each through the
+    inverse index l -> [(j, k, C_jk^l)]; likewise with P_lk and P_il for
+    the pairings."""
+    inverse: dict = {}
+    for j, cj in enumerate(C):
+        for k, jk in cj.items():
+            for l, c in jk.items():
+                inverse.setdefault(l, []).append((j, k, c))
     assoc_fail = frob_fail = 0
     for ci, pi in zip(C, P):
-        for j, cj in enumerate(C):
-            left: dict = {}  # (k, m) -> coefficient of e_m in (e_i e_j) e_k
-            right: dict = {}  # (k, m) -> coefficient of e_m in e_i (e_j e_k)
-            pleft: dict = {}  # k -> <e_i e_j, e_k>
-            pright: dict = {}  # k -> <e_i, e_j e_k>
-            for l, c in ci.get(j, {}).items():
+        left: dict = {}  # (j, k, m) -> coefficient of e_m in (e_i e_j) e_k
+        right: dict = {}  # (j, k, m) -> coefficient of e_m in e_i (e_j e_k)
+        pleft: dict = {}  # (j, k) -> <e_i e_j, e_k>
+        pright: dict = {}  # (j, k) -> <e_i, e_j e_k>
+        for j, ij in ci.items():
+            for l, c in ij.items():
                 for k, row in C[l].items():
                     for m, d in row.items():
-                        left[k, m] = left.get((k, m), 0) + c * d
+                        left[j, k, m] = left.get((j, k, m), 0) + c * d
                 for k, p in P[l].items():
-                    pleft[k] = pleft.get(k, 0) + c * p
-            for k, jk in cj.items():
-                for l, c in jk.items():
-                    for m, d in ci.get(l, {}).items():
-                        right[k, m] = right.get((k, m), 0) + c * d
-                    pright[k] = pright.get(k, 0) + c * pi.get(l, 0)
-            assoc_fail += len({k for k, _ in _differing(left, right)})
-            frob_fail += len(_differing(pleft, pright))
+                    pleft[j, k] = pleft.get((j, k), 0) + c * p
+        for l, il in ci.items():
+            for j, k, c in inverse.get(l, ()):
+                for m, d in il.items():
+                    right[j, k, m] = right.get((j, k, m), 0) + c * d
+        for l, p in pi.items():
+            for j, k, c in inverse.get(l, ()):
+                pright[j, k] = pright.get((j, k), 0) + c * p
+        assoc_fail += len({(j, k) for j, k, _ in _differing(left, right)})
+        frob_fail += len(_differing(pleft, pright))
     return assoc_fail, frob_fail
 
 
@@ -402,11 +367,12 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
     identity, and the gamma-factor lemma.  Raises HypothesisFailed when the
     model lacks property 1, on which the theorem rests.
 
-    Each even algebra is built once as its tables C, P (see `BAlgebra`), and
-    phi-bar as the index map i -> (s_i, phi(i)).  For every pair (i, j) it
-    checks phi(C2_ij) = s_i s_j C0_phi(i)phi(j) and P2_ij = s_i s_j
-    P0_phi(i)phi(j); then C0_ui = C0_iu = e_i for the unit u, and
-    `associativity_and_frobenius` on C0, P0."""
+    Each even algebra is built once as its tables C, P (see `BAlgebra`),
+    and phi-bar as the index map i -> (s_i, phi(i)).  For each i, only the
+    j in the nonzero supports of C2_i, P2_i, C0_phi(i), P0_phi(i) (pulled
+    back by phi) are checked, in order: phi(C2_ij) = s_i s_j
+    C0_phi(i)phi(j) and P2_ij = s_i s_j P0_phi(i)phi(j).  Then the unit,
+    `associativity_and_frobenius` on C0, P0, and `gamma_lemma_cases`."""
     a_space = build_state_space(model.poly, model.sigma_group, "A", ws=model.ws)
     bhk_group = transpose_group(model.sigma_group, model.poly)
     shared_rings: dict = {}
@@ -416,37 +382,39 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
         raise HypothesisFailed(prop.mismatches)
     mirror = model.mirror()
     b0_space = build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared_rings)
-    alg2 = BAlgebra(b2_space)
-    alg0 = BAlgebra(b0_space)
+    alg2, alg0 = BAlgebra(b2_space), BAlgebra(b0_space)
     even2, even0 = alg2.even, alg0.even
     mismatches = []
-    details = {
-        "dim_b2_even": len(even2),
-        "dim_b0_even": len(even0),
-        "b2_total": b2_space.dim,
-        "b0_total": b0_space.dim,
-    }
+    details = {"dim_b2_even": len(even2), "dim_b0_even": len(even0)}
+    details.update(b2_total=b2_space.dim, b0_total=b0_space.dim)
     if len(even2) != len(even0):
         mismatches.append({"reason": "even subspace dimensions differ"})
 
     phi = []  # even2 index -> (scale, even0 index)
-    images = set()
-    for e in even2:
+    preimages: dict = {}  # even0 index -> [even2 index]
+    for i, e in enumerate(even2):
         k, image = phi_map(e, b2_space, b0_space, mirror.sigma, rescaled=rescaled)
-        if image in images:
+        t = alg0.index.get(image)
+        if t is None:
+            raise OddElement(f"phi maps {e!r} to the odd element {image!r}")
+        if t in preimages:
             mismatches.append({"reason": "phi image duplicated", "element": repr(e)})
-        images.add(image)
         if b2_space.bidegree(e) != b0_space.bidegree(image):
             mismatches.append({"reason": "phi changed the bidegree", "element": repr(e)})
-        phi.append((k, alg0._even_index(image)))  # raises OddElement for an odd image
-    if images != set(even0):
+        phi.append((k, t))
+        preimages.setdefault(t, []).append(i)
+    if len(preimages) != len(even0):
         mismatches.append({"reason": "phi is not onto the even BV basis"})
 
     C2, P2 = alg2.structure_constants(), alg2.pairing_table()
     C0, P0 = alg0.structure_constants(), alg0.pairing_table()
     fails = {"product": 0, "pairing": 0}
     for i, (s1, t1) in enumerate(phi):
-        for j, (s2, t2) in enumerate(phi):
+        support = C2[i].keys() | P2[i].keys()
+        for t in C0[t1].keys() | P0[t1].keys():
+            support.update(preimages.get(t, ()))
+        for j in sorted(support):
+            s2, t2 = phi[j]
             lhs: dict = {}
             for k, c in C2[i].get(j, {}).items():
                 s, t = phi[k]
@@ -465,8 +433,7 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
     details["product_failures"] = fails["product"]
     details["pairing_failures"] = fails["pairing"]
 
-    (unit,) = alg0.unit().coeffs
-    u = alg0.index[unit]
+    u = alg0.unit()
     for i, e in enumerate(even0):
         if C0[u].get(i) != {i: 1} or C0[i].get(u) != {i: 1}:
             mismatches.append({"reason": "unit fails", "element": repr(e)})
@@ -479,9 +446,7 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
     if frob_fail:
         mismatches.append({"reason": f"{frob_fail} Frobenius-identity failures"})
 
-    # the basis runs over the group's sorted elements, so this is in order
-    sectors = list(dict.fromkeys(e.sector for e in even0))
-    checked, gamma_failures = gamma_lemma_cases(alg0, mirror.sigma, sectors)
+    checked, gamma_failures = gamma_lemma_cases(alg0, mirror.sigma)
     details["gamma_pairs_checked"] = checked
     if gamma_failures:
         mismatches.append({"reason": "gamma lemma failures", "cases": gamma_failures[:10]})

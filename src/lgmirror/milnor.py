@@ -195,6 +195,7 @@ class MilnorRing:
         "mu",
         "_basis",
         "_hess_socle_coeff",
+        "_nf",
     )
 
     def __init__(self, poly: Polynomial, active, weights, order, basis_entries, parts=()):
@@ -208,6 +209,7 @@ class MilnorRing:
         self.lead_monomials = [lt for lt, _ in basis_entries]
         self.parts = tuple(parts)
         self._hess_socle_coeff = None
+        self._nf: dict = {}  # monomial -> its normal form, read-only
         if self.parts:
             self._basis = None
             self.mu = math.prod(p.mu for p in self.parts)
@@ -295,8 +297,12 @@ class MilnorRing:
 
     def monomial_normal_form(self, mono) -> dict:
         """{m: c}: the normal form of the monomial with exponent tuple
-        `mono`, with no Polynomial built on either side."""
-        return _reduce_terms({mono: Fraction(1)}, self.basis_entries, self.order)
+        `mono`, with no Polynomial built on either side; remembered by this
+        ring, so the dict is shared and must not be changed."""
+        nf = self._nf.get(mono)
+        if nf is None:
+            nf = self._nf[mono] = _reduce_terms({mono: Fraction(1)}, self.basis_entries, self.order)
+        return nf
 
     def residue(self, socle_coeff) -> Fraction:
         """The pairing value of a product whose normal form has this socle
@@ -307,9 +313,15 @@ class MilnorRing:
         return self.normal_form(p).coefficient(self.socle)
 
     def hessian_socle_coefficient(self) -> Fraction:
+        """Socle coefficient of nf(Hess(W)).  On an assembled ring it is the
+        product over the blocks: the Hessian is block diagonal, and the
+        normal form of a product of polynomials on disjoint blocks is the
+        product of their normal forms."""
         if self._hess_socle_coeff is None:
-            h = hessian(self.poly, self.active)
-            c = self.socle_coefficient(h)
+            if self.parts:
+                c = math.prod(p.hessian_socle_coefficient() for p in self.parts)
+            else:
+                c = self.socle_coefficient(hessian(self.poly, self.active))
             if c == 0:
                 raise DegenerateHessian(
                     f"Hessian of {self.poly} on {self.active} reduces to zero socle"

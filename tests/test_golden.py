@@ -50,7 +50,7 @@ for _verb in VERBS:
     CASES[f"e1k3a_{_verb}"] = ["bv", _verb, "--w1", E1, "--w2", K3A, "--json"]
     CASES[f"nonproduct_{_verb}"] = ["bv", _verb, "--w1", E2, "--w2", K3A, "--gens", NONPRODUCT, "--json"]
 # the large model: its dual groups and Milnor bases are the biggest built
-for _verb in ("theorem1", "bvms", "twist-iso", "mirror"):
+for _verb in ("theorem1", "bvms", "twist-iso", "mirror", "theorem2"):
     CASES[f"e1octic_{_verb}"] = ["bv", _verb, "--w1", E1, "--w2", OCTIC, "--json"]
 # the rung past the Gmax cap: |Gmax(W1 + W2)| = 1,327,104, |G^T| = 13,824
 CASES["e2overcap_theorem1"] = ["bv", "theorem1", "--w1", E2, "--w2", OVERCAP, "--json"]

@@ -1,5 +1,6 @@
 import pytest
 from fractions import Fraction
+from itertools import product
 
 from lgmirror.milnor import (
     DegenerateSingularity,
@@ -153,6 +154,19 @@ def test_normal_form_examples():
     assert r2.normal_form(m) == m
     for gen in jacobian_ideal(parse_polynomial("x0^2+x1^3+x2^6")):
         assert r2.normal_form(gen).is_zero()
+
+
+def test_monomial_normal_form_remembered_per_ring():
+    # the same exponent tuple reduces differently in different rings
+    cube, quintic = ring("x^3"), ring("x^5")
+    for _ in range(2):
+        assert cube.monomial_normal_form((2,)) == {}
+        assert quintic.monomial_normal_form((2,)) == {(2,): 1}
+    r = ring("x^3*y+y^4")
+    for _ in range(2):
+        for mono in product(range(5), repeat=2):
+            expected = r.normal_form(Polynomial(r.poly.variables, {mono: 1}))
+            assert r.monomial_normal_form(mono) == expected.terms
 
 
 def test_normal_form_idempotent_and_graded():

@@ -8,11 +8,13 @@ enumerated Gmax(W^T) that pair integrally with every generator of G, and
 the standard monomials as the monomials of the pure-power box that no
 leading term divides.  Elements, generators and basis order must agree.
 
-`verify_theorem2` contracts sparse structure-constant and pairing tables.
-Its oracle is the elementwise verifier: every pair and triple of basis
-elements as `AlgebraElement` objects, multiplied and paired one at a time
-through `BAlgebra.product` and `BAlgebra.pairing`.  The two reports must be
-equal, mismatch order included.
+`verify_theorem2` contracts sparse structure-constant and pairing tables,
+built sector pair by sector pair from nonzero entries only.  Its oracle is
+the elementwise verifier with its own algebra (`ElementwiseAlgebra`): gamma
+solved per pair of group elements, every basis pair multiplied and paired,
+and every pair and triple of basis elements checked as `AlgebraElement`
+objects.  Its basis-pair tables must equal the sector-pair tables entry for
+entry, and the two reports must be equal, mismatch order included.
 
 `milnor_ring` assembles the ring of a locus with several connected blocks
 from one Groebner basis per block.  Its oracle is the one-shot ring: one
@@ -51,16 +53,17 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import pytest
 
-from lgmirror.bvlg import block_j_elements, build_bv
+from lgmirror.bvlg import block_j_elements, build_bv, tw_a_map, verify_twist_iso
 from lgmirror.catalog import _block_polynomials
 from lgmirror.frobenius import (
-    AlgebraElement,
     BAlgebra,
     HypothesisFailed,
+    MixedSpaces,
+    NotBasisElement,
+    OddElement,
     associativity_and_frobenius,
     check_property1,
     even_basis,
-    gamma_lemma_cases,
     phi_map,
     verify_theorem2,
     z2_grading,
@@ -69,6 +72,7 @@ from lgmirror.milnor import (
     DegenerateSingularity,
     MilnorRing,
     TermOrder,
+    _reduce_terms,
     fermat_milnor_number,
     groebner,
     jacobian_ideal,
@@ -86,7 +90,7 @@ from lgmirror.polyring import (
     weight_system,
 )
 from lgmirror.report import Report
-from lgmirror.statespace import Invariants, SectorElement, build_state_space, poincare_table
+from lgmirror.statespace import Invariants, SectorElement, build_state_space, frac_str, poincare_table
 from lgmirror.symmetry import (
     CosetDecomposition,
     GroupElement,
@@ -752,6 +756,193 @@ def test_random_invertible_models_match_oracles(model):
     assert_same_as_eager_sweep(transpose(poly), dual)
 
 
+class AlgebraElement:
+    """Finitely supported rational combination of one space's basis elements."""
+
+    __slots__ = ("space", "coeffs")
+
+    def __init__(self, space, coeffs=None):
+        self.space = space
+        self.coeffs = {}
+        for e, c in (coeffs or {}).items():
+            c = c if isinstance(c, Fraction) else Fraction(c)
+            if c:
+                self.coeffs[e] = c
+
+    @classmethod
+    def basis(cls, space, e, coeff=1):
+        return cls(space, {e: coeff})
+
+    def __add__(self, other):
+        if self.space is not other.space:
+            raise MixedSpaces("cannot add elements of different state spaces")
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return AlgebraElement(self.space, out)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, AlgebraElement)
+            and self.space is other.space
+            and self.coeffs == other.coeffs
+        )
+
+
+class ElementwiseAlgebra:
+    """The Krawitz product and residue pairing of one B-model space, one
+    pair of basis elements at a time, with gamma solved per pair of group
+    elements and every normal form reduced afresh (no memo)."""
+
+    def __init__(self, space):
+        self.space = space
+        self.poly = space.poly
+        self.nvars = space.poly.nvars
+        self.even = even_basis(space)
+        self.index = {e: i for i, e in enumerate(self.even)}
+        self._gamma = {}
+        self._products = {}
+
+    def ring(self, subset):
+        subset = tuple(sorted(subset))
+        if subset not in self.space.rings:
+            self.space.rings[subset] = milnor_ring(
+                self.poly, active=subset, ws=self.space.ws, rings=self.space.rings
+            )
+        return self.space.rings[subset]
+
+    @staticmethod
+    def normal_form(ring, mono):
+        return _reduce_terms({mono: Fraction(1)}, ring.basis_entries, ring.order)
+
+    def _gamma_data(self, g, h):
+        """(scalar, extra socle), or (0, None) when the index condition
+        fails; see `BAlgebra._gamma_data`."""
+        key = (g, h)
+        if key not in self._gamma:
+            ig, ih, igh = (set(fixed_indices(x)) for x in (g, h, g + h))
+            if ig | ih | igh != set(range(self.nvars)):
+                self._gamma[key] = (Fraction(0), None)
+            else:
+                meet = ig & ih
+                extra = tuple(sorted(igh - meet))
+                assert restrict(self.poly, igh) == restrict(self.poly, meet) + restrict(self.poly, extra)
+                ring = self.ring(extra)
+                self._gamma[key] = (ring.hessian_socle_coefficient() / ring.mu, ring.socle)
+        return self._gamma[key]
+
+    def gamma(self, g, h):
+        return self._gamma_data(g, h)[0]
+
+    def unit(self):
+        e = SectorElement(GroupElement.identity(self.nvars), (0,) * self.nvars, "B")
+        if e not in self.space.basis_set:
+            raise NotBasisElement("identity-sector unit missing from the basis")
+        return AlgebraElement.basis(self.space, e)
+
+    def _product_index(self, i, j):
+        """{k: c} with e_i e_j = sum_k c e_k over the even basis."""
+        key = (i, j)
+        if key in self._products:
+            return self._products[key]
+        e1, e2 = self.even[i], self.even[j]
+        g, h = e1.sector, e2.sector
+        coeff, extra_socle = self._gamma_data(g, h)
+        out = {}
+        if coeff:
+            gh = g + h
+            mono = tuple(map(sum, zip(e1.monomial, e2.monomial, extra_socle)))
+            if all(e == 0 or gh.num[k] == 0 for k, e in enumerate(mono)):
+                for b_mono, c in self.normal_form(self.ring(fixed_indices(gh)), mono).items():
+                    target = SectorElement(gh, b_mono, "B")
+                    if target not in self.index:
+                        raise NotBasisElement(f"product lands outside the even basis: {target!r}")
+                    out[self.index[target]] = coeff * c
+        self._products[key] = out
+        return out
+
+    def _even_index(self, e):
+        if e not in self.space.basis_set:
+            raise NotBasisElement(f"{e!r} is not a basis element")
+        if z2_grading(e, self.nvars):
+            raise OddElement("products are defined on the even subspace")
+        return self.index[e]
+
+    def product(self, a, b):
+        if a.space is not self.space or b.space is not self.space:
+            raise MixedSpaces("operands belong to a different state space")
+        out = {}
+        for e1, c1 in a.coeffs.items():
+            for e2, c2 in b.coeffs.items():
+                row = self._product_index(self._even_index(e1), self._even_index(e2))
+                for k, c in row.items():
+                    out[self.even[k]] = out.get(self.even[k], 0) + c1 * c2 * c
+        return AlgebraElement(self.space, out)
+
+    def pairing_basis(self, e1, e2):
+        if e2.sector != -e1.sector:
+            return Fraction(0)
+        ring = self.ring(fixed_indices(e1.sector))
+        mono = tuple(map(sum, zip(e1.monomial, e2.monomial)))
+        return ring.residue(self.normal_form(ring, mono).get(ring.socle, Fraction(0)))
+
+    def pairing(self, a, b):
+        if a.space is not self.space or b.space is not self.space:
+            raise MixedSpaces("operands belong to a different state space")
+        total = Fraction(0)
+        for e1, c1 in a.coeffs.items():
+            for e2, c2 in b.coeffs.items():
+                total += c1 * c2 * self.pairing_basis(e1, e2)
+        return total
+
+    def structure_constants(self):
+        """C[i] = {j: {k: c}} over every basis pair, nonzero products only."""
+        idx = range(len(self.even))
+        return [{j: row for j in idx if (row := self._product_index(i, j))} for i in idx]
+
+    def pairing_table(self):
+        """P[i] = {j: <e_i, e_j>} over every basis pair, nonzero only."""
+        return [
+            {j: p for j, f in enumerate(self.even) if (p := self.pairing_basis(e, f))}
+            for e in self.even
+        ]
+
+
+def elementwise_gamma_lemma(algebra, sigma, sectors):
+    """`gamma_lemma_cases` over every pair of sectors, evaluated."""
+    slots = [k for k, a in enumerate(sigma.num) if a]
+    failures = []
+    checked = 0
+    for g in sectors:
+        g_half = all(2 * g.num[k] == g.den for k in slots)
+        for h in sectors:
+            h_half = all(2 * h.num[k] == h.den for k in slots)
+            h_zero = all(h.num[k] == 0 for k in slots)
+            lhs = algebra.gamma(g, h)
+            rhs = algebra.gamma(g, sigma + h)
+            if g_half and h_half:
+                factor = Fraction(4)
+            elif g_half and h_zero:
+                factor = Fraction(1, 4)
+            else:
+                factor = Fraction(1)
+            checked += 1
+            if lhs != factor * rhs:
+                failures.append(
+                    {
+                        "g": str(g),
+                        "h": str(h),
+                        "gamma": str(lhs),
+                        "gamma_sigma": str(rhs),
+                        "expected_factor": str(factor),
+                    }
+                )
+    return checked, failures
+
+
 def elementwise_theorem2(model, rescaled=True):
     """Theorem 2 checked one basis pair and one basis triple at a time."""
     prop = check_property1(model.poly, model.sigma_group, ws=model.ws)
@@ -789,9 +980,8 @@ def elementwise_theorem2(model, rescaled=True):
     if images != set(even0):
         mismatches.append({"reason": "phi is not onto the even BV basis"})
 
-    alg2 = BAlgebra(b2_space)
-    alg0 = BAlgebra(b0_space)
-
+    alg2 = ElementwiseAlgebra(b2_space)
+    alg0 = ElementwiseAlgebra(b0_space)
     def phi(elt):
         out = AlgebraElement(b0_space)
         for e, c in elt.coeffs.items():
@@ -864,7 +1054,7 @@ def elementwise_theorem2(model, rescaled=True):
         mismatches.append({"reason": f"{frob_fail} Frobenius-identity failures"})
 
     sectors = sorted({e.sector for e in even0})
-    checked, gamma_failures = gamma_lemma_cases(alg0, mirror.sigma, sectors)
+    checked, gamma_failures = elementwise_gamma_lemma(alg0, mirror.sigma, sectors)
     details["gamma_pairs_checked"] = checked
     if gamma_failures:
         mismatches.append({"reason": "gamma lemma failures", "cases": gamma_failures[:10]})
@@ -887,21 +1077,46 @@ def test_theorem2_matches_elementwise_oracle(name, rescaled):
     assert report == elementwise_theorem2(model, rescaled=rescaled).to_json()
 
 
+@pytest.mark.parametrize("name", sorted(THEOREM2_MODELS))
+def test_tables_match_basis_pair_oracle(name):
+    """C and P of both mirror B-models, built sector pair by sector pair,
+    equal the basis-pair tables entry for entry.  The tables do not depend
+    on the rescaling, which acts only on phi-bar."""
+    model = THEOREM2_MODELS[name]()
+    mirror = model.mirror()
+    bhk_group = transpose_group(model.sigma_group, model.poly)
+    for group in (bhk_group, mirror.sigma_group):
+        space = build_state_space(mirror.poly, group, "B")
+        alg, oracle = BAlgebra(space), ElementwiseAlgebra(space)
+        assert alg.even == oracle.even
+        C = alg.structure_constants()
+        assert any(C)
+        assert C == oracle.structure_constants()
+        assert alg.pairing_table() == oracle.pairing_table()
+
+
 def _corrupt_one_gamma(monkeypatch):
-    """Double gamma(1, h) in every BAlgebra, h the first nonidentity even
-    sector of the E1 x K3A BV mirror; returns the model."""
+    """Double gamma on one locus triple, (everything, Fix h, Fix h) for h
+    the first nonidentity even sector of the E1 x K3A BV mirror, in
+    `BAlgebra` and in the oracle alike; returns the model."""
     model = _models()["e1k3a"]
     mirror = model.mirror()
     space = build_state_space(mirror.poly, mirror.sigma_group, "B")
-    one = GroupElement.identity(space.poly.nvars)
     h = next(e.sector for e in even_basis(space) if not e.sector.is_identity())
-    original = BAlgebra._gamma_data
+    triple = (tuple(range(space.poly.nvars)), fixed_indices(h), fixed_indices(h))
+    original, oracle = BAlgebra._gamma_data, ElementwiseAlgebra._gamma_data
 
-    def corrupted(self, g2, h2):
-        scalar, socle = original(self, g2, h2)
-        return (2 * scalar if (g2, h2) == (one, h) else scalar), socle
+    def corrupted(self, fg, fh, fgh):
+        scalar, socle = original(self, fg, fh, fgh)
+        return (2 * scalar if (fg, fh, fgh) == triple else scalar), socle
+
+    def corrupted_oracle(self, g2, h2):
+        scalar, socle = oracle(self, g2, h2)
+        loci = (fixed_indices(g2), fixed_indices(h2), fixed_indices(g2 + h2))
+        return (2 * scalar if loci == triple else scalar), socle
 
     monkeypatch.setattr(BAlgebra, "_gamma_data", corrupted)
+    monkeypatch.setattr(ElementwiseAlgebra, "_gamma_data", corrupted_oracle)
     return model
 
 
@@ -912,6 +1127,55 @@ def test_theorem2_corrupted_gamma_fails_like_the_oracle(monkeypatch):
     assert report["frobenius_failures"] > 0
     assert not report["pass"]
     assert report == elementwise_theorem2(model).to_json()
+
+
+def elementwise_twist_iso(model, flavor, tw_group_override=None):
+    """`verify_twist_iso` one basis element at a time: each mapped by
+    `tw_a_map`, looked up in the twist basis and graded by Fraction
+    bidegrees."""
+    tw = model.twist()
+    group = tw_group_override if tw_group_override is not None else tw.group
+    source = build_state_space(model.poly, model.sigma_group, flavor)
+    target = build_state_space(tw.poly, group, flavor)
+    mismatches = []
+    images = set()
+    for e in source.basis:
+        _, image = tw_a_map(e, model, tw)
+        if image not in target.basis_set:
+            mismatches.append({"element": repr(e), "reason": "image not in twist basis"})
+            continue
+        if image in images:
+            mismatches.append({"element": repr(e), "reason": "image duplicated"})
+            continue
+        images.add(image)
+        if source.bidegree(e) != target.bidegree(image):
+            mismatches.append(
+                {
+                    "element": repr(e),
+                    "reason": "bidegree changed",
+                    "source": [frac_str(x) for x in source.bidegree(e)],
+                    "target": [frac_str(x) for x in target.bidegree(image)],
+                }
+            )
+    unmatched = len(target.basis_set) - len(images)
+    if unmatched:
+        mismatches.append({"reason": f"{unmatched} twist basis elements unmatched"})
+    details = {"flavor": flavor, "source_dim": source.dim, "target_dim": target.dim, "delta": tw.delta}
+    return Report(f"twist-iso-{flavor}", not mismatches, details, mismatches)
+
+
+@pytest.mark.parametrize("flavor", ["A", "B"])
+@pytest.mark.parametrize("name", ["e1k3a", "nonproduct"])
+def test_twist_iso_matches_elementwise_map(name, flavor):
+    """The same reports, and under a twist group cut down (to its J
+    subgroup for A, to the identity for B) the same mismatches, in order."""
+    model = THEOREM2_MODELS[name]()
+    assert verify_twist_iso(model, flavor).to_json() == elementwise_twist_iso(model, flavor).to_json()
+    tw = model.twist()
+    smaller = span(tw.group.n, [j_element(tw.ws)] if flavor == "A" else [])
+    bad = verify_twist_iso(model, flavor, tw_group_override=smaller).to_json()
+    assert not bad["pass"]
+    assert bad == elementwise_twist_iso(model, flavor, tw_group_override=smaller).to_json()
 
 
 def dense_triple_counts(C, P, n):
