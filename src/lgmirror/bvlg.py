@@ -17,7 +17,7 @@ from .polyring import (
     transpose,
     weight_system,
 )
-from .report import Report
+from .report import PreconditionError, Report
 from .statespace import (
     SectorElement,
     _degree,
@@ -38,7 +38,7 @@ from .symmetry import (
 )
 
 
-class BVError(Exception):
+class BVError(PreconditionError):
     pass
 
 

@@ -12,21 +12,22 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from .milnor import DegenerateSingularity, milnor_ring
 from .polyring import (
+    Frozen,
     Polynomial,
     WeightSystem,
     is_invertible,
     parse_polynomial,
     weight_system,
 )
+from .report import PreconditionError
 
 
-class CatalogError(Exception):
+class CatalogError(PreconditionError):
     pass
 
 
@@ -38,13 +39,11 @@ class NoInvertibleRepresentative(CatalogError):
     pass
 
 
-@dataclass(frozen=True)
-class WeightSystemRecord:
-    weights: tuple  # descending
-    degree: int
-    quasismooth: bool
-    bv_admissible: bool
-    sample_poly: str  # polynomial text, empty when no invertible sample exists
+class WeightSystemRecord(Frozen):
+    """Weights in descending order; sample_poly is the text of an invertible
+    sample polynomial, empty when there is none."""
+
+    __slots__ = ("weights", "degree", "quasismooth", "bv_admissible", "sample_poly")
 
     @property
     def weight_system(self) -> WeightSystem:

@@ -24,13 +24,13 @@ from operator import add
 from .bvlg import BVModel
 from .milnor import MilnorRing, milnor_ring
 from .polyring import Polynomial, atomic_decomposition, transpose
-from .report import Report
+from .report import PreconditionError, Report
 from .statespace import SectorElement, StateSpace, build_state_space
 from .symmetry import GroupElement, fixed_indices, transpose_group, vector_locus
 
 
 
-class FrobeniusError(Exception):
+class FrobeniusError(PreconditionError):
     pass
 
 
@@ -83,7 +83,7 @@ class BAlgebra:
     """Krawitz product and residue pairing on the even part of one B-model
     state space, as sparse tables over the even indices.  A sector is its
     int vector over L, the exponent of the group; `sectors` maps each even
-    sector, in group order, to its [(index, monomial)]."""
+    sector, in group order, to its locus (Fix g) and [(index, monomial)]."""
 
     def __init__(self, space: StateSpace):
         if space.flavor != "B":
@@ -97,13 +97,21 @@ class BAlgebra:
         self.index = {e: i for i, e in enumerate(self.even)}
         self.sectors: dict = {}
         for i, e in enumerate(self.even):
-            self.sectors.setdefault(self.vector(e.sector), []).append((i, e.monomial))
+            g = self.vector(e.sector)
+            if g not in self.sectors:
+                self.sectors[g] = (vector_locus(g), [])
+            self.sectors[g][1].append((i, e.monomial))
         self._gamma: dict = {}
 
     def vector(self, g: GroupElement) -> tuple:
         """The int numerators of g over L."""
         scale = self.L // g.den
         return tuple([a * scale for a in g.num])
+
+    def locus(self, g) -> tuple:
+        """Fix g of the int vector g, read from `sectors` when g is one."""
+        hit = self.sectors.get(g)
+        return vector_locus(g) if hit is None else hit[0]
 
     def _add(self, g, h) -> tuple:
         L = self.L
@@ -124,7 +132,7 @@ class BAlgebra:
         by_h: dict = {}
         for vectors, by in ((gs, by_g), (hs, by_h)):
             for v in vectors:
-                by.setdefault(vector_locus(v), []).append(v)
+                by.setdefault(self.locus(v), []).append(v)
         for g_list in by_g.values():
             for h_list in by_h.values():
                 off = [k for k, (a, b) in enumerate(zip(g_list[0], h_list[0])) if a and b]
@@ -170,7 +178,7 @@ class BAlgebra:
         gh = self._add(g, h)
         if any(a and b and c for a, b, c in zip(g, h, gh)):
             return Fraction(0)
-        return self._gamma_data(vector_locus(g), vector_locus(h), vector_locus(gh))[0]
+        return self._gamma_data(self.locus(g), self.locus(h), vector_locus(gh))[0]
 
     def unit(self) -> int:
         """The index of the unit <1; 0>, invariant since G <= SL."""
@@ -184,16 +192,18 @@ class BAlgebra:
         gamma and the ring of Fix gh are found once, and only the factors
         that vanish where gh does not are multiplied; a target index is read
         from (sector, monomial)."""
-        at = {(g, m): i for g, elems in self.sectors.items() for i, m in elems}
+        sectors = self.sectors
+        at = {(g, m): i for g, (_, elems) in sectors.items() for i, m in elems}
         C: list = [{} for _ in self.even]
-        for g, h in self.pairs(self.sectors, self.sectors):
+        for g, h in self.pairs(sectors, sectors):
+            (fg, g_elems), (fh, h_elems) = sectors[g], sectors[h]
             gh = self._add(g, h)
             fgh = vector_locus(gh)
-            scalar, socle = self._gamma_data(vector_locus(g), vector_locus(h), fgh)
+            scalar, socle = self._gamma_data(fg, fh, fgh)
             normal_form = self.ring(fgh).monomial_normal_form
             gone = [k for k, a in enumerate(gh) if a]
-            left = [(i, m) for i, m in self.sectors[g] if not any([m[k] for k in gone])]
-            right = [(j, m) for j, m in self.sectors[h] if not any([m[k] for k in gone])]
+            left = [(i, m) for i, m in g_elems if not any([m[k] for k in gone])]
+            right = [(j, m) for j, m in h_elems if not any([m[k] for k in gone])]
             for i, m1 in left:
                 m1, row = tuple(map(add, m1, socle)), C[i]
                 for j, m2 in right:
@@ -211,9 +221,9 @@ class BAlgebra:
         coefficient of the product."""
         L = self.L
         P: list = [{} for _ in self.even]
-        for g, elems in self.sectors.items():
-            partner = self.sectors.get(tuple([-a % L for a in g]), ())
-            ring = self.ring(vector_locus(g))
+        for g, (locus, elems) in self.sectors.items():
+            partner = self.sectors.get(tuple([-a % L for a in g]), (None, ()))[1]
+            ring = self.ring(locus)
             scale = ring.residue(1)
             normal_form = ring.monomial_normal_form
             for i, m1 in elems:

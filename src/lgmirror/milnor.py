@@ -27,9 +27,10 @@ from .polyring import (
     restrict,
     weight_system,
 )
+from .report import PreconditionError
 
 
-class MilnorError(Exception):
+class MilnorError(PreconditionError):
     pass
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -44,6 +43,41 @@ class NotClassifiable(PolyError):
 
 
 Monomial = tuple  # tuple[int, ...], length == number of ambient variables
+
+
+class Frozen:
+    """An immutable value with the fields named by its ``__slots__``, in
+    order: equal only within its class, hashed and shown by those fields, as
+    a frozen dataclass is."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.fields() == other.fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.fields())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self.fields()
 
 
 def _mono_sort_key(m: Monomial):
@@ -313,14 +347,13 @@ def parse_polynomial(text: str) -> Polynomial:
     return Polynomial(tuple(var_index), terms)
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(Frozen):
     """Integer weight system (w_1, ..., w_n; d) with gcd(w) = 1."""
 
-    weights: tuple
-    degree: int
+    __slots__ = ("weights", "degree")
 
-    def __post_init__(self):
+    def __init__(self, weights: tuple, degree: int):
+        super().__init__(weights, degree)
         if self.degree <= 0 or any(w <= 0 for w in self.weights):
             raise NonPositiveWeight(f"bad weight system {self}")
         if math.gcd(*self.weights) != 1:
@@ -490,10 +523,10 @@ def is_bv_form(poly: Polynomial):
     return False, None
 
 
-@dataclass(frozen=True)
-class AtomicBlock:
-    kind: str  # "fermat" | "chain" | "loop"
-    variables: tuple  # variable indices, in chain/loop order
+class AtomicBlock(Frozen):
+    """kind "fermat", "chain" or "loop"; variable indices in chain/loop order."""
+
+    __slots__ = ("kind", "variables")
 
     def __str__(self):
         return f"{self.kind}{list(self.variables)}"

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 
+class PreconditionError(Exception):
+    """A mathematical precondition of a check is not met (CLI exit 3)."""
+
+
 class Report:
     __slots__ = ("check", "passed", "details", "mismatches")
 

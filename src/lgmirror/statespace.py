@@ -24,6 +24,7 @@ from operator import add
 
 from .milnor import milnor_ring
 from .polyring import Polynomial, WeightSystem, weight_system
+from .report import PreconditionError
 from .symmetry import (
     GroupElement,
     SymmetryGroup,
@@ -35,7 +36,7 @@ from .symmetry import (
 )
 
 
-class NotAdmissible(Exception):
+class NotAdmissible(PreconditionError):
     pass
 
 

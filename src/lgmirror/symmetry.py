@@ -30,9 +30,10 @@ from .polyring import (
     _int_det,
     exponent_matrix,
 )
+from .report import PreconditionError
 
 
-class GroupError(Exception):
+class GroupError(PreconditionError):
     pass
 
 

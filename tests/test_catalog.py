@@ -6,6 +6,7 @@ from lgmirror.catalog import (
     BoundTooSmall,
     CatalogError,
     NoInvertibleRepresentative,
+    WeightSystemRecord,
     bv_discrepancy,
     elliptic_systems,
     enumerate_k3_systems,
@@ -31,6 +32,21 @@ from lgmirror.polyring import (
 @pytest.fixture(scope="module")
 def records():
     return enumerate_k3_systems()
+
+
+def test_record_value_semantics():
+    r = elliptic_systems()[0]
+    shown = (
+        "WeightSystemRecord(weights=(3, 2, 1), degree=6, quasismooth=True, "
+        "bv_admissible=True, sample_poly='x0^2+x1^3+x2^6')"
+    )
+    assert repr(r) == str(r) == shown
+    fields = ((3, 2, 1), 6, True, True, "x0^2+x1^3+x2^6")
+    assert r == WeightSystemRecord(*fields) != WeightSystemRecord(*fields[:4], "")
+    assert hash(r) == hash(fields)
+    # the field order of the CLI's JSON records
+    assert r.__slots__ == ("weights", "degree", "quasismooth", "bv_admissible", "sample_poly")
+    assert r.fields() == fields
 
 
 def test_elliptic_systems():

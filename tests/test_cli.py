@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lgmirror
 from lgmirror.cli import main
 
 
@@ -218,3 +222,82 @@ def test_bv_malformed_group_cap_is_a_usage_error(capsys, monkeypatch, value):
     assert code == 2
     assert out == ""
     assert "LGMIRROR_MAX_GROUP" in err and repr(value) in err
+
+
+# Cold processes: pytest has imported every lgmirror module by now, so the
+# lazy verifier imports of the CLI and their exit codes are checked in fresh
+# interpreters.  The snapshot of sys.modules is taken before lgmirror.cli is
+# imported, so modules that start-up already loaded do not count.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(lgmirror.__file__)))
+COLD_MAIN = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import lgmirror.cli
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    try:
+        rc = lgmirror.cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        rc = exc.code
+print(json.dumps({"rc": rc, "err": err.getvalue(), "added": sorted(set(sys.modules) - before)}))
+"""
+VERIFIERS = {"lgmirror.chenruan", "lgmirror.frobenius", "lgmirror.catalog"}
+E1K3A = ("--w1", "x0^2+x1^3+x2^6", "--w2", "y0^2+y1^6+y2^6+y3^6")
+
+
+def cold(*argv):
+    """lgmirror.cli.main(argv) in a fresh interpreter: its exit code, its
+    standard error and the modules that importing the CLI and the run added."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_MAIN, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    result = json.loads(done.stdout)
+    return result["rc"], result["err"], set(result["added"])
+
+
+@pytest.mark.parametrize(
+    "verb, loaded",
+    [
+        ("theorem1", set()),
+        ("twist-iso", set()),
+        ("bvms", {"lgmirror.chenruan"}),
+        ("theorem2", {"lgmirror.frobenius"}),
+    ],
+)
+def test_cold_verb_loads_only_its_verifier(verb, loaded):
+    code, err, added = cold("bv", verb, *E1K3A, "--json")
+    assert code == 0, err
+    assert added & VERIFIERS == loaded
+    assert not added & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded",
+    [
+        # HypothesisFailed, raised in the lazily imported frobenius
+        (
+            ("bv", "theorem2", "--w1", "x0^2+x1^3+x2^6", "--w2", "y0^2+y1^4*y2+y2^7+y3^7"),
+            3,
+            {"lgmirror.frobenius"},
+        ),
+        # NoInvertibleRepresentative, a CatalogError from the lazy catalog
+        (("catalog", "sample", "11,5,4,2,22"), 3, {"lgmirror.catalog"}),
+        # NotCY, a BVError raised while the model is built
+        (("bv", "bvms", "--w1", "x0^2+x1^5", "--w2", "y0^2+y1^2"), 3, set()),
+        # DegenerateSingularity, a MilnorError on the locus {x0, x2}
+        (
+            ("state-space", "A", "--w", "x0^2*x1+x1^3+x2^2", "--gens", "1/3,1/3,1/2;0,1/3,0"),
+            3,
+            set(),
+        ),
+        # a parse error is a usage error
+        (("bv", "theorem2", "--w1", "x0^2 - x1^-1", *E1K3A[2:]), 2, set()),
+    ],
+)
+def test_cold_exit_codes(argv, code, loaded):
+    rc, err, added = cold(*argv)
+    assert rc == code
+    assert ("precondition violated" in err) == (code == 3)
+    assert added & VERIFIERS == loaded

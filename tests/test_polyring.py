@@ -1,9 +1,11 @@
+import copy
 import random
 
 import pytest
 from fractions import Fraction
 
 from lgmirror.polyring import (
+    AtomicBlock,
     NonPositiveWeight,
     NonUniqueWeights,
     NotQuasihomogeneous,
@@ -102,6 +104,49 @@ def test_weight_system_inconsistent():
 def test_weight_system_nonpositive():
     with pytest.raises((NonPositiveWeight, NotQuasihomogeneous)):
         weight_system(parse_polynomial("x^2*y + y"))
+
+
+# the values a frozen dataclass gave these classes before they became
+# __slots__ classes over `Frozen`
+def test_weight_system_value_semantics():
+    ws = WeightSystem((3, 1, 1, 1), 6)
+    assert repr(ws) == "WeightSystem(weights=(3, 1, 1, 1), degree=6)"
+    assert str(ws) == "(3,1,1,1;6)"
+    assert ws == WeightSystem((3, 1, 1, 1), 6)
+    assert ws != WeightSystem((2, 1, 1), 4)
+    assert ws != ((3, 1, 1, 1), 6)
+    assert hash(ws) == hash(((3, 1, 1, 1), 6))
+    assert len({ws, WeightSystem((3, 1, 1, 1), 6)}) == 1
+    with pytest.raises(AttributeError, match="cannot assign to field 'degree'"):
+        ws.degree = 5
+    assert copy.deepcopy(ws) == ws
+
+
+@pytest.mark.parametrize(
+    "weights, degree, message",
+    [
+        ((3, 1, 1, 1), 0, "bad weight system (3,1,1,1;0)"),
+        ((3, 0, 1, 1), 6, "bad weight system (3,0,1,1;6)"),
+        ((3, -1, 1), 6, "bad weight system (3,-1,1;6)"),
+        ((2, 2, 2), 6, "weights (2, 2, 2) not primitive"),
+        ((6, 1, 1), 6, "weight quotient not in (0,1) for (6,1,1;6)"),
+    ],
+)
+def test_non_positive_weight_messages(weights, degree, message):
+    with pytest.raises(NonPositiveWeight) as exc:
+        WeightSystem(weights, degree)
+    assert str(exc.value) == message
+
+
+def test_atomic_block_value_semantics():
+    chain, fermat = atomic_decomposition(parse_polynomial("x0^2*x1+x1^3+x2^2"))
+    assert repr(chain) == "AtomicBlock(kind='chain', variables=(0, 1))"
+    assert repr(fermat) == "AtomicBlock(kind='fermat', variables=(2,))"
+    assert [str(chain), str(fermat)] == ["chain[0, 1]", "fermat[2]"]
+    assert chain == AtomicBlock("chain", (0, 1)) != AtomicBlock("loop", (0, 1))
+    assert hash(fermat) == hash(("fermat", (2,)))
+    # equal only within a class, as dataclasses are, even on equal fields
+    assert AtomicBlock((2, 1, 1), 4) != WeightSystem((2, 1, 1), 4)
 
 
 def test_every_monomial_has_degree_d():
