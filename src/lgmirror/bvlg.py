@@ -286,8 +286,8 @@ def verify_twist_iso(model: BVModel, flavor: str, tw_group_override=None) -> Rep
     numerators; basis elements are built for mismatch records only."""
     tw = model.twist()
     group = tw_group_override if tw_group_override is not None else tw.group
-    source = build_state_space(model.poly, model.sigma_group, flavor)
-    target = build_state_space(tw.poly, group, flavor)
+    source = build_state_space(model.poly, model.sigma_group, flavor, ws=model.ws)
+    target = build_state_space(tw.poly, group, flavor, ws=tw.ws)
     L, Lt, D, Dt = source.group.L, target.group.L, source.D, target.D
     weights, tw_weights = source.ws.weights, target.ws.weights
     kept = {locus: set(ms) for locus, ms in target.kept.items()}
@@ -360,9 +360,9 @@ def verify_group_lemma(model: BVModel) -> Report:
 
 def verify_theorem1(model: BVModel) -> Report:
     """Exact bigraded equality of A(W, sigma G) and B(W^T, sigma(G^T))."""
-    a_space = build_state_space(model.poly, model.sigma_group, "A")
+    a_space = build_state_space(model.poly, model.sigma_group, "A", ws=model.ws)
     mirror = model.mirror()
-    b_space = build_state_space(mirror.poly, mirror.sigma_group, "B")
+    b_space = build_state_space(mirror.poly, mirror.sigma_group, "B", ws=mirror.ws)
     lhs = poincare_table(a_space)
     rhs = poincare_table(b_space)
     mismatches = diff_tables(lhs, rhs, "lhs", "rhs")

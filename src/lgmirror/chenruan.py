@@ -4,21 +4,29 @@ The table is assembled from the coset decomposition of sigma*G: for each
 representative and each pair of scaling angles with nontrivial fixed locus,
 the summand is (ambient + primitive) x (ambient + primitive) cohomology of
 the two restricted hypersurfaces, group invariants taken on the tensor
-product, everything shifted by the tangent-space age of the sector.
+product (Chen-Ruan, CMP 248, 2004), everything shifted by the tangent-space
+age of the sector.
 
-Primitive pieces come from the graded dimensions of the Milnor ring
-(monodromy-invariant Milnor-fiber cohomology); ambient pieces are the
-(i, i) ladder of the ambient weighted projective space.
+Ambient pieces are the (i, i) ladder of the ambient weighted projective
+space, of trivial character; primitive pieces are graded pieces of the
+Milnor ring (Griffiths-Steenbrink).  The Milnor ring of a locus is the
+tensor product of those of its connected blocks (Krawitz, arXiv:0906.0796,
+§2), and a class counts only through its character and degree.  So the
+standard monomials of each block ring are counted by (character, degree)
+once per table (`block_counts`), the classes of a locus come from
+convolving its blocks' counts (`FactorClasses`), and the table multiplies
+the counts of complementary characters.  No locus basis is walked.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 from .bvlg import BVModel
-from .milnor import milnor_ring
-from .polyring import Polynomial, WeightSystem, restrict, weight_system
+from .milnor import TermOrder, _block_ring, components
+from .polyring import WeightSystem, restrict
 from .report import Report
 from .statespace import build_state_space, diff_tables, frac_str, poincare_table
 from .symmetry import bv_cosets, int_vectors, span, vector_locus
@@ -46,66 +54,82 @@ def scaled_element(num, den: int, t: int, D: int, ws: WeightSystem) -> tuple:
     return tuple([(a * scale + t * w) % D for a, w in zip(num, ws.weights)])
 
 
-def ambient_classes(dim: int):
-    """One (i, i) class for i = 0..dim; empty when dim < 0."""
-    return [(i, i) for i in range(dim + 1)]
-
-
-def primitive_hodge(poly: Polynomial, active=None, ws: WeightSystem | None = None):
-    """Primitive Hodge numbers of the degree-d hypersurface on the active
-    coordinates: h^{D-q, q} = dim of the Milnor-ring graded piece whose
-    monomial-plus-form weight is the integer q + 1 (Griffiths-Steenbrink)."""
-    if ws is None:
-        ws = weight_system(poly)
-    if active is None:
-        active = tuple(range(poly.nvars))
-    active = tuple(sorted(active))
-    table: dict = {}
-    for p, q, _ in _primitive_classes(poly, active, ws):
-        table[(p, q)] = table.get((p, q), 0) + 1
-    return table
-
-
-def _primitive_classes(poly: Polynomial, active, ws: WeightSystem):
-    """(p, q, monomial) for each primitive class of the restricted hypersurface."""
-    d = ws.degree
-    dim = len(active) - 2
-    if dim < 0:
-        return []
-    ring = milnor_ring(poly, active=active, ws=ws)
-    form_weight = sum(ws.weights[k] for k in active)
-    out = []
+def block_counts(ring, gen_vecs, L: int) -> dict:
+    """{character: Counter(w)} over the standard monomials m of a block
+    ring: the character has one entry per generator h, sum over the block of
+    (m_j + 1) h_j mod L, and w = sum over the block of (m_j + 1) w_j."""
+    block = ring.active
+    form = sum(ring.weights[j] for j in block)
+    out: dict = {}
     for m in ring.basis:
-        total = ring.wdeg(m) + form_weight
-        if total % d:
-            continue
-        q = total // d - 1
-        if not 0 <= q <= dim:
-            raise ValueError(
-                f"Griffiths-Steenbrink grade {q} outside 0..{dim} for {poly}"
-            )
-        out.append((dim - q, q, m))
+        ch = tuple([sum([(m[j] + 1) * h[j] for j in block]) % L for h in gen_vecs])
+        out.setdefault(ch, Counter())[ring.wdeg(m) + form] += 1
     return out
 
 
-def _block_classes(poly: Polynomial, fixed, ws: WeightSystem):
-    """Cohomology classes of X_{W | fixed}: list of (p, q, kind, monomial)."""
-    fixed = tuple(sorted(fixed))
-    if not fixed:
-        return []
-    restricted = restrict(poly, fixed)
-    if restricted.is_zero():
-        # the polynomial vanishes on the fixed locus: ambient cohomology of
-        # the weighted projective space of dimension |fixed| - 1
-        return [(i, i, AMBIENT, None) for i, _ in ambient_classes(len(fixed) - 1)]
-    dim = len(fixed) - 2
-    if dim < 0:
-        return []  # z^a = 0 inside a weighted point: empty hypersurface
-    classes = [(i, i, AMBIENT, None) for i, _ in ambient_classes(dim)]
-    classes.extend(
-        (p, q, PRIMITIVE, m) for p, q, m in _primitive_classes(poly, fixed, ws)
-    )
-    return classes
+class FactorClasses:
+    """The cohomology classes of the fixed loci X_{W | fixed} of one factor
+    W, counted by character under the generators `gen_vecs` (int vectors
+    over L on the factor's variables): `classes(fixed)` is
+    {character: Counter((p, q, kind))}, kept per locus, from the counts of
+    the block rings, kept per block."""
+
+    __slots__ = ("poly", "ws", "gen_vecs", "L", "blocks", "loci")
+
+    def __init__(self, poly, ws: WeightSystem, gen_vecs, L: int):
+        self.poly, self.ws, self.gen_vecs, self.L = poly, ws, gen_vecs, L
+        self.blocks: dict = {}
+        self.loci: dict = {}
+
+    def classes(self, fixed) -> dict:
+        if fixed not in self.loci:
+            self.loci[fixed] = self._classes(fixed)
+        return self.loci[fixed]
+
+    def _classes(self, fixed) -> dict:
+        if not fixed:
+            return {}
+        zero = (0,) * len(self.gen_vecs)
+        restricted = restrict(self.poly, fixed)
+        if restricted.is_zero():
+            # the polynomial vanishes on the fixed locus: ambient cohomology
+            # of the weighted projective space of dimension |fixed| - 1
+            return {zero: _ambient(len(fixed) - 1)}
+        dim = len(fixed) - 2
+        if dim < 0:
+            return {}  # z^a = 0 inside a weighted point: empty hypersurface
+        L, weights = self.L, self.ws.weights
+        totals = {zero: Counter({0: 1})}  # character -> Counter(sum of (m_j + 1) w_j)
+        for block in components(restricted, fixed):
+            if block not in self.blocks:
+                ring = _block_ring(restricted, block, weights, TermOrder(weights))
+                self.blocks[block] = block_counts(ring, self.gen_vecs, L)
+            nxt: dict = {}
+            for c1, hist1 in totals.items():
+                for c2, hist2 in self.blocks[block].items():
+                    acc = nxt.setdefault(tuple([(a + b) % L for a, b in zip(c1, c2)]), Counter())
+                    for w1, k1 in hist1.items():
+                        for w2, k2 in hist2.items():
+                            acc[w1 + w2] += k1 * k2
+            totals = nxt
+        # Griffiths-Steenbrink: monomial-plus-form weight (q + 1) d gives h^{dim-q, q}
+        d = self.ws.degree
+        bad = [w for hist in totals.values() for w in hist if w % d == 0 and not 0 < w // d <= dim + 1]
+        if bad:
+            q = min(bad) // d - 1
+            raise ValueError(f"Griffiths-Steenbrink grade {q} outside 0..{dim} for {self.poly}")
+        out = {zero: _ambient(dim)}
+        for ch, hist in totals.items():
+            for w, n in hist.items():
+                if w % d == 0:
+                    q = w // d - 1
+                    out.setdefault(ch, Counter())[(dim - q, q, PRIMITIVE)] += n
+        return out
+
+
+def _ambient(dim: int) -> Counter:
+    """One (i, i) class for i = 0..dim."""
+    return Counter({(i, i, AMBIENT): 1 for i in range(dim + 1)})
 
 
 def age_shift(s1, s2, t1: int, D1: int, t2: int, D2: int, d1: int, d2: int) -> Fraction:
@@ -147,72 +171,45 @@ def cr_table(model: BVModel) -> CRTable:
     n1 = model.n1
     j_group = span(model.poly.nvars, [model.j1, model.j2])
     decomposition = bv_cosets(model.sigma_group, j_group, model.slots, model.sigma)
-    gens = model.sigma_group.gens
-    L, gen_vecs = int_vectors(gens)
-    gen_blocks1 = [v[:n1] for v in gen_vecs]
-    gen_blocks2 = [v[n1:] for v in gen_vecs]
-
-    cls_cache: dict = {}
-
-    def classes_with_weights(block: int, fixed):
-        key = (block, fixed)
-        hit = cls_cache.get(key)
-        if hit is not None:
-            return hit
-        poly = model.w1 if block == 1 else model.w2
-        ws = model.ws1 if block == 1 else model.ws2
-        gen_blocks = gen_blocks1 if block == 1 else gen_blocks2
-        out = []
-        for p, q, kind, mono in _block_classes(poly, fixed, ws):
-            if kind == AMBIENT:
-                sig = (0,) * len(gens)
-            else:
-                sig = tuple(
-                    sum((mono[k] + 1) * h[k] for k in fixed) % L for h in gen_blocks
-                )
-            out.append((p, q, kind, sig))
-        cls_cache[key] = out
-        return out
+    L, gen_vecs = int_vectors(model.sigma_group.gens)
+    ws1, ws2 = model.ws1, model.ws2
+    side1 = FactorClasses(model.w1, ws1, [v[:n1] for v in gen_vecs], L)
+    side2 = FactorClasses(model.w2, ws2, [v[n1:] for v in gen_vecs], L)
 
     table: dict = {}  # (p, q) as int numerators over T, a multiple of every age's denominator
-    T = model.sigma_group.L * math.lcm(*model.ws1.weights, *model.ws2.weights)
+    T = model.sigma_group.L * math.lcm(*ws1.weights, *ws2.weights)
     sectors = []
-    ws1, ws2 = model.ws1, model.ws2
     for rep in decomposition.representatives:
-        rep_str = str(rep)
         g1, g2 = rep.num[:n1], rep.num[n1:]
         D1, thetas1 = lambda_set(g1, rep.den, ws1)
         D2, thetas2 = lambda_set(g2, rep.den, ws2)
-        side2 = []
+        partners = []  # per angle t2: the classes of side 2 keyed by minus their character
         for t2 in thetas2:
             s2 = scaled_element(g2, rep.den, t2, D2, ws2)
-            cls2 = classes_with_weights(2, vector_locus(s2))
+            cls2 = side2.classes(vector_locus(s2))
             if cls2:
-                buckets: dict = {}
-                for p2, q2, kind2, sig2 in cls2:
-                    buckets.setdefault(sig2, []).append((p2, q2, kind2))
-                side2.append((t2, s2, buckets))
+                partners.append((t2, s2, {tuple([-c % L for c in ch]): n for ch, n in cls2.items()}))
         for t1 in thetas1:
             s1 = scaled_element(g1, rep.den, t1, D1, ws1)
-            cls1 = classes_with_weights(1, vector_locus(s1))
+            cls1 = side1.classes(vector_locus(s1))
             if not cls1:
                 continue
-            for t2, s2, buckets in side2:
+            for t2, s2, cls2 in partners:
                 shift = age_shift(s1, s2, t1, D1, t2, D2, ws1.degree, ws2.degree)
                 over_t = shift.numerator * (T // shift.denominator)
                 count = 0
                 tags = set()
-                for p1, q1, kind1, sig1 in cls1:
-                    want = tuple((-s) % L for s in sig1)
-                    for p2, q2, kind2 in buckets.get(want, ()):
-                        key = ((p1 + p2) * T + over_t, (q1 + q2) * T + over_t)
-                        table[key] = table.get(key, 0) + 1
-                        count += 1
-                        tags.add((kind1, kind2))
+                for ch in cls1.keys() & cls2.keys():
+                    for (p1, q1, kind1), k1 in cls1[ch].items():
+                        for (p2, q2, kind2), k2 in cls2[ch].items():
+                            key = ((p1 + p2) * T + over_t, (q1 + q2) * T + over_t)
+                            table[key] = table.get(key, 0) + k1 * k2
+                            count += k1 * k2
+                            tags.add((kind1, kind2))
                 if count:
                     sectors.append(
                         {
-                            "rep": rep_str,
+                            "rep": str(rep),
                             "lambda1": frac_str(Fraction(t1, D1)),
                             "lambda2": frac_str(Fraction(t2, D2)),
                             "age": frac_str(shift),
@@ -223,22 +220,10 @@ def cr_table(model: BVModel) -> CRTable:
     return CRTable({(Fraction(p, T), Fraction(q, T)): c for (p, q), c in table.items()}, sectors)
 
 
-def hodge_diamond(poly: Polynomial, ws: WeightSystem | None = None):
-    """Hodge table of the single quasismooth hypersurface X_W (no quotient):
-    ambient (i, i) ladder plus the Griffiths-Steenbrink primitive part."""
-    if ws is None:
-        ws = weight_system(poly)
-    table: dict = {}
-    for p, q, kind, _ in _block_classes(poly, tuple(range(poly.nvars)), ws):
-        key = (Fraction(p), Fraction(q))
-        table[key] = table.get(key, 0) + 1
-    return table
-
-
 def verify_lgcy(model: BVModel) -> Report:
     """State-space isomorphism: the CR table equals the A-model table."""
     cr = cr_table(model)
-    a_space = build_state_space(model.poly, model.sigma_group, "A")
+    a_space = build_state_space(model.poly, model.sigma_group, "A", ws=model.ws)
     a_table = poincare_table(a_space)
     mismatches = diff_tables(cr.table, a_table, "cr", "fjrw")
     return Report(
@@ -270,7 +255,7 @@ def verify_twist_corollary(model: BVModel, tw_group_override=None) -> Report:
     cr = cr_table(model)
     tw = model.twist()
     group = tw_group_override if tw_group_override is not None else tw.group
-    tw_space = build_state_space(tw.poly, group, "A")
+    tw_space = build_state_space(tw.poly, group, "A", ws=tw.ws)
     tw_table = poincare_table(tw_space)
     mismatches = diff_tables(cr.table, tw_table, "cr", "twist_lg")
     return Report(

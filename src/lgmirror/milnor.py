@@ -11,7 +11,8 @@ Groebner basis per block, keeps the block rings in the caller's
 subset-keyed cache, and assembles the ring of the sum from them: the union
 of the block bases is the reduced basis of the sum, mu is the product and
 the socle the sum of the block socles.  The standard monomials of an
-assembled ring are walked only when `basis` is read.
+assembled ring are walked only when `basis` is read, and the union of its
+blocks' bases is sorted only when a normal form or the walk reads it.
 """
 
 from __future__ import annotations
@@ -189,8 +190,7 @@ class MilnorRing:
         "active",
         "weights",
         "order",
-        "basis_entries",
-        "lead_monomials",
+        "_entries",
         "parts",
         "socle",
         "mu",
@@ -201,13 +201,13 @@ class MilnorRing:
 
     def __init__(self, poly: Polynomial, active, weights, order, basis_entries, parts=()):
         """`parts` are the rings of the connected blocks when there are two
-        or more; their reduced bases make up `basis_entries`."""
+        or more; their reduced bases make up `basis_entries`, which is then
+        None here."""
         self.poly = poly
         self.active = tuple(sorted(active))
         self.weights = tuple(weights)
         self.order = order
-        self.basis_entries = basis_entries
-        self.lead_monomials = [lt for lt, _ in basis_entries]
+        self._entries = basis_entries
         self.parts = tuple(parts)
         self._hess_socle_coeff = None
         self._nf: dict = {}  # monomial -> its normal form, read-only
@@ -219,6 +219,15 @@ class MilnorRing:
             self._basis = self._standard_basis()
             self.mu = len(self._basis)
             self.socle = self._socle()
+
+    @property
+    def basis_entries(self):
+        """The reduced Groebner basis as (lt, monic terms), sorted by leading
+        term; an assembled ring sorts its blocks' bases on first read."""
+        if self._entries is None:
+            entries = [e for part in self.parts for e in part.basis_entries]
+            self._entries = sorted(entries, key=lambda e: self.order.key(e[0]))
+        return self._entries
 
     @property
     def basis(self):
@@ -240,7 +249,7 @@ class MilnorRing:
         active = self.active
         if not active:
             return (tuple([0] * n),)
-        lead = self.lead_monomials
+        lead = [lt for lt, _ in self.basis_entries]
         for i in active:
             if not any(
                 lt[i] > 0 and all(e == 0 for j, e in enumerate(lt) if j != i)
@@ -365,10 +374,7 @@ def milnor_ring(
             part = _block_ring(restricted, block, weights, order)
             rings.setdefault(block, part)
         parts.append(part)
-    basis_entries = sorted(
-        (e for part in parts for e in part.basis_entries), key=lambda e: order.key(e[0])
-    )
-    return MilnorRing(restricted, active, weights, order, basis_entries, parts)
+    return MilnorRing(restricted, active, weights, order, None, parts)
 
 
 def _block_ring(poly: Polynomial, block, weights, order: TermOrder) -> MilnorRing:

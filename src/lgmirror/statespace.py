@@ -159,14 +159,16 @@ class Invariants:
     characters of its factors sum to 0.  So each block ring's monomials are
     bucketed by character once per sweep, the blocks of a locus are split
     into two halves of balanced size, each half is multiplied out by
-    bucket, and the halves are joined on characters that sum to 0.  No
-    locus basis is walked."""
+    bucket, and the halves are joined on characters that sum to 0.  Loci
+    share blocks, so a half is multiplied out once per sweep for each tuple
+    of blocks.  No locus basis is walked."""
 
-    __slots__ = ("L", "gen_vecs", "buckets")
+    __slots__ = ("L", "gen_vecs", "buckets", "halves")
 
     def __init__(self, group: SymmetryGroup):
         self.L, self.gen_vecs = int_vectors(group.gens)
         self.buckets: dict = {}
+        self.halves: dict = {}
 
     def kept(self, ring) -> list:
         """Invariant standard monomials of `ring`, sorted by (wdeg, m)."""
@@ -177,15 +179,22 @@ class Invariants:
             halves[k].append(part)
             sizes[k] *= part.mu
         zero = (0,) * ring.poly.nvars
-        left, right = (self._product(h, zero) for h in halves)
+        left, right = (self._half(h, zero) for h in halves)
         L = self.L
         out = []
         for ch, terms in left.items():
-            partner = right.get(tuple(-a % L for a in ch))
+            partner = right.get(tuple([-a % L for a in ch]))
             if partner:
                 out.extend(_products(terms, partner))
         out.sort()
         return [m for _, m in out]
+
+    def _half(self, parts, zero) -> dict:
+        """`_product` of `parts`, remembered under the tuple of their blocks."""
+        key = tuple([part.active for part in parts])
+        if key not in self.halves:
+            self.halves[key] = self._product(parts, zero)
+        return self.halves[key]
 
     def _product(self, parts, zero) -> dict:
         """{character: [(wdeg, m)]} over the monomials of the product of

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,8 @@ import lgmirror.chenruan as chenruan
 from lgmirror.bvlg import build_bv
 from lgmirror.chenruan import (
     age_shift,
-    ambient_classes,
     cr_table,
-    hodge_diamond,
     lambda_set,
-    primitive_hodge,
     scaled_element,
     verify_bv_mirror,
     verify_lgcy,
@@ -18,6 +16,7 @@ from lgmirror.chenruan import (
 )
 from lgmirror.polyring import parse_polynomial, weight_system
 from lgmirror.symmetry import GroupElement
+from test_oracles import ambient_classes, hodge_diamond, primitive_hodge
 
 E1 = parse_polynomial("x0^2+x1^3+x2^6")
 E2 = parse_polynomial("x0^2+x1^4+x2^4")
@@ -226,3 +225,58 @@ def test_corrupted_age_shift_fails(monkeypatch):
     report = verify_lgcy(m)
     assert not report.passed
     assert report.mismatches
+
+
+E1K3A_ARGS = ("--w1", "x0^2+x1^3+x2^6", "--w2", "y0^2+y1^6+y2^6+y3^6")
+
+
+@pytest.mark.parametrize("verb", ["lgcy", "bvms"])
+def test_corrupted_block_counts_fail(monkeypatch, capsys, verb):
+    """One class of the first block ring built moves to a shifted
+    character: lgcy and bvms must report a mismatch (exit 1), not a
+    precondition."""
+    from lgmirror.cli import main
+
+    original = chenruan.block_counts
+    built = []
+
+    def corrupted(ring, gen_vecs, L):
+        counts = original(ring, gen_vecs, L)
+        if not built:
+            ch, hist = next(iter(counts.items()))
+            w = next(iter(hist))
+            hist[w] -= 1
+            if not hist[w]:
+                del hist[w]
+            if not hist:
+                del counts[ch]
+            counts.setdefault(tuple((c + 1) % L for c in ch), Counter())[w] += 1
+        built.append(ring.active)
+        return counts
+
+    monkeypatch.setattr(chenruan, "block_counts", corrupted)
+    assert main(["bv", verb, *E1K3A_ARGS, "--json"]) == 1
+    out = capsys.readouterr().out
+    assert '"pass": false' in out
+    built.clear()
+    report = (verify_lgcy if verb == "lgcy" else verify_bv_mirror)(model())
+    assert not report.passed and report.mismatches
+
+
+def test_cr_table_builds_each_block_ring_once(monkeypatch):
+    """One `cr_table` builds the ring of each block of each factor once,
+    however many loci share it."""
+    original = chenruan._block_ring
+    calls = Counter()
+
+    def counting(poly, block, weights, order):
+        calls[poly.variables, block] += 1
+        return original(poly, block, weights, order)
+
+    monkeypatch.setattr(chenruan, "_block_ring", counting)
+    octic = parse_polynomial("y0^2+y1^8+y2^8+y3^8+y4^8")
+    for m in (chain_model_with_extended_group(), model(E1, octic)):
+        calls.clear()
+        cr_table(m)
+        assert calls and set(calls.values()) == {1}
+        assert {variables for variables, _ in calls} == {m.w1.variables, m.w2.variables}

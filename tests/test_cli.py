@@ -245,10 +245,11 @@ VERIFIERS = {"lgmirror.chenruan", "lgmirror.frobenius", "lgmirror.catalog"}
 E1K3A = ("--w1", "x0^2+x1^3+x2^6", "--w2", "y0^2+y1^6+y2^6+y3^6")
 
 
-def cold(*argv):
-    """lgmirror.cli.main(argv) in a fresh interpreter: its exit code, its
-    standard error and the modules that importing the CLI and the run added."""
-    env = dict(os.environ, PYTHONPATH=SRC)
+def cold(*argv, env=()):
+    """lgmirror.cli.main(argv) in a fresh interpreter, with the variables
+    `env` set: its exit code, its standard error and the modules that
+    importing the CLI and the run added."""
+    env = dict(os.environ, PYTHONPATH=SRC, **dict(env))
     done = subprocess.run(
         [sys.executable, "-c", COLD_MAIN, *argv],
         env=env, capture_output=True, text=True, check=True, timeout=120,
@@ -301,3 +302,39 @@ def test_cold_exit_codes(argv, code, loaded):
     assert rc == code
     assert ("precondition violated" in err) == (code == 3)
     assert added & VERIFIERS == loaded
+
+
+NOT_IN_SL = "1/2,1/3,1/6,0,0,0,0;0,0,0,1/2,1/6,1/6,1/6;0,1/3,0,0,0,0,0"
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        # EnumerationCapExceeded, a GroupError raised by the verifier itself:
+        # |sigma G| = 72 fits the cap, the dual group G^T of order 432 does not
+        (("bv", "group-lemma", *E1K3A), {"LGMIRROR_MAX_GROUP": "100"}, "exceeds cap 100"),
+        # GroupOutOfRange: a generator of G outside SL(W1) x SL(W2)
+        (("bv", "twist-iso", *E1K3A, "--gens", NOT_IN_SL), {}, "leaves SL(W1) x SL(W2)"),
+        # GroupOutOfRange: G = <J1> does not contain J2
+        (
+            ("bv", "lgcy", *E1K3A, "--gens", "1/2,1/3,1/6,0,0,0,0"),
+            {},
+            "J1 x J2 is not contained in G",
+        ),
+        # BadForm: W1 has no z0^2 summand
+        (
+            ("bv", "twist-corollary", "--w1", "x0^3+x1^3+x2^3", *E1K3A[2:]),
+            {},
+            "is not of the form z0^2 + f",
+        ),
+    ],
+)
+def test_cold_verb_preconditions_exit_3(argv, env, message):
+    """A precondition exits 3 with its message and loads none of the lazily
+    imported verifier modules: group-lemma's verifier lives in bvlg, and the
+    other three fail while the model is built, before their verifier is
+    imported."""
+    rc, err, added = cold(*argv, env=env)
+    assert rc == 3
+    assert "precondition violated" in err and message in err
+    assert not added & VERIFIERS

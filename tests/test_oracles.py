@@ -32,6 +32,15 @@ sector dimensions and bidegrees must agree.  On all-Fermat models a second
 oracle needs no Groebner basis: each sector's dimension is a character sum
 over the group (`fermat_locus_dims`).
 
+`cr_table` counts the Chen-Ruan classes of a fixed locus by convolving the
+(character, degree) counts of its block rings (`chenruan.FactorClasses`).
+Its oracle is the basis walk it replaced: the Milnor ring of the whole locus,
+every standard monomial graded by Griffiths-Steenbrink and its character
+computed on the generators (`block_classes`, `walked_classes`), and every
+pair of classes counted one by one (`walked_cr_table`).  Classes, tables and
+sector provenance must agree; the Hodge-number tests read the walk
+(`primitive_hodge`, `hodge_diamond`).
+
 A `SymmetryGroup` is an echelon lattice basis:
 its elements come from a mixed-radix walk, membership from reduction, and
 its greedy generators from the lattices.  The oracles are the BFS closure
@@ -45,6 +54,7 @@ and takes minima.
 """
 
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -54,7 +64,13 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import pytest
 
 from lgmirror.bvlg import block_j_elements, build_bv, tw_a_map, verify_twist_iso
-from lgmirror.catalog import _block_polynomials
+import lgmirror.chenruan as chenruan
+from lgmirror.catalog import (
+    _block_polynomials,
+    enumerate_k3_systems,
+    filter_bv_invertible,
+    sample_polynomial,
+)
 from lgmirror.frobenius import (
     BAlgebra,
     HypothesisFailed,
@@ -109,6 +125,7 @@ from lgmirror.symmetry import (
     span,
     subgroup_on,
     transpose_group,
+    vector_locus,
 )
 
 E1 = parse_polynomial("x0^2+x1^3+x2^6")
@@ -264,7 +281,7 @@ def box_basis(ring):
     n = ring.poly.nvars
     if not ring.active:
         return ((0,) * n,)
-    lead = ring.lead_monomials
+    lead = [lt for lt, _ in ring.basis_entries]
     ranges = []
     for i in ring.active:
         pure = [
@@ -1323,3 +1340,242 @@ def test_character_join_matches_walk_and_filter(model):
 def test_character_join_matches_walk_and_filter_on_octic_mirror():
     mirror = _golden_models()["e1octic"].mirror()
     assert assert_same_sectors(mirror.poly, mirror.sigma_group, mirror.ws) == 172
+
+
+AMBIENT, PRIMITIVE = chenruan.AMBIENT, chenruan.PRIMITIVE
+
+
+def ambient_classes(dim: int):
+    """One (i, i) class for i = 0..dim; empty when dim < 0."""
+    return [(i, i) for i in range(dim + 1)]
+
+
+def primitive_hodge(poly, active=None, ws=None):
+    """Primitive Hodge numbers of the degree-d hypersurface on the active
+    coordinates: h^{D-q, q} = dim of the Milnor-ring graded piece whose
+    monomial-plus-form weight is the integer q + 1 (Griffiths-Steenbrink)."""
+    if ws is None:
+        ws = weight_system(poly)
+    if active is None:
+        active = tuple(range(poly.nvars))
+    active = tuple(sorted(active))
+    table: dict = {}
+    for p, q, _ in primitive_classes(poly, active, ws):
+        table[(p, q)] = table.get((p, q), 0) + 1
+    return table
+
+
+def primitive_classes(poly, active, ws):
+    """(p, q, monomial) for each primitive class of the restricted
+    hypersurface, from a walk over the basis of the whole locus ring."""
+    d = ws.degree
+    dim = len(active) - 2
+    if dim < 0:
+        return []
+    ring = milnor_ring(poly, active=active, ws=ws)
+    form_weight = sum(ws.weights[k] for k in active)
+    out = []
+    for m in ring.basis:
+        total = ring.wdeg(m) + form_weight
+        if total % d:
+            continue
+        q = total // d - 1
+        if not 0 <= q <= dim:
+            raise ValueError(
+                f"Griffiths-Steenbrink grade {q} outside 0..{dim} for {poly}"
+            )
+        out.append((dim - q, q, m))
+    return out
+
+
+def block_classes(poly, fixed, ws):
+    """Cohomology classes of X_{W | fixed}: list of (p, q, kind, monomial)."""
+    fixed = tuple(sorted(fixed))
+    if not fixed:
+        return []
+    restricted = restrict(poly, fixed)
+    if restricted.is_zero():
+        return [(i, i, AMBIENT, None) for i, _ in ambient_classes(len(fixed) - 1)]
+    dim = len(fixed) - 2
+    if dim < 0:
+        return []
+    classes = [(i, i, AMBIENT, None) for i, _ in ambient_classes(dim)]
+    classes.extend((p, q, PRIMITIVE, m) for p, q, m in primitive_classes(poly, fixed, ws))
+    return classes
+
+
+def hodge_diamond(poly, ws=None):
+    """Hodge table of the single quasismooth hypersurface X_W (no quotient):
+    ambient (i, i) ladder plus the Griffiths-Steenbrink primitive part."""
+    if ws is None:
+        ws = weight_system(poly)
+    table: dict = {}
+    for p, q, kind, _ in block_classes(poly, tuple(range(poly.nvars)), ws):
+        key = (Fraction(p), Fraction(q))
+        table[key] = table.get(key, 0) + 1
+    return table
+
+
+def walked_classes(poly, ws, gen_vecs, L, fixed):
+    """[(p, q, kind, character)] of X_{W | fixed}: every class of the walk,
+    its character under each generator computed from its monomial."""
+    out = []
+    for p, q, kind, mono in block_classes(poly, fixed, ws):
+        if kind == AMBIENT:
+            sig = (0,) * len(gen_vecs)
+        else:
+            sig = tuple(sum((mono[k] + 1) * h[k] for k in fixed) % L for h in gen_vecs)
+        out.append((p, q, kind, sig))
+    return out
+
+
+def walked_cr_table(model):
+    """The Chen-Ruan table and its provenance from class lists: the classes
+    of each locus walked, and every pair of classes with characters summing
+    to 0 counted one by one.  Returns the table, the sectors and the
+    walked classes by (factor, locus)."""
+    n1 = model.n1
+    j_group = span(model.poly.nvars, [model.j1, model.j2])
+    decomposition = bv_cosets(model.sigma_group, j_group, model.slots, model.sigma)
+    L, gen_vecs = int_vectors(model.sigma_group.gens)
+    sides = {
+        1: (model.w1, model.ws1, [v[:n1] for v in gen_vecs]),
+        2: (model.w2, model.ws2, [v[n1:] for v in gen_vecs]),
+    }
+    cache: dict = {}
+
+    def classes(side, fixed):
+        if (side, fixed) not in cache:
+            cache[side, fixed] = walked_classes(*sides[side], L, fixed)
+        return cache[side, fixed]
+
+    table: dict = {}
+    sectors = []
+    ws1, ws2 = model.ws1, model.ws2
+    for rep in decomposition.representatives:
+        g1, g2 = rep.num[:n1], rep.num[n1:]
+        D1, thetas1 = chenruan.lambda_set(g1, rep.den, ws1)
+        D2, thetas2 = chenruan.lambda_set(g2, rep.den, ws2)
+        side2 = []
+        for t2 in thetas2:
+            s2 = chenruan.scaled_element(g2, rep.den, t2, D2, ws2)
+            cls2 = classes(2, vector_locus(s2))
+            if cls2:
+                buckets: dict = {}
+                for p2, q2, kind2, sig2 in cls2:
+                    buckets.setdefault(sig2, []).append((p2, q2, kind2))
+                side2.append((t2, s2, buckets))
+        for t1 in thetas1:
+            s1 = chenruan.scaled_element(g1, rep.den, t1, D1, ws1)
+            cls1 = classes(1, vector_locus(s1))
+            if not cls1:
+                continue
+            for t2, s2, buckets in side2:
+                shift = chenruan.age_shift(s1, s2, t1, D1, t2, D2, ws1.degree, ws2.degree)
+                count = 0
+                tags = set()
+                for p1, q1, kind1, sig1 in cls1:
+                    want = tuple((-s) % L for s in sig1)
+                    for p2, q2, kind2 in buckets.get(want, ()):
+                        key = (p1 + p2 + shift, q1 + q2 + shift)
+                        table[key] = table.get(key, 0) + 1
+                        count += 1
+                        tags.add((kind1, kind2))
+                if count:
+                    sectors.append(
+                        {
+                            "rep": str(rep),
+                            "lambda1": frac_str(Fraction(t1, D1)),
+                            "lambda2": frac_str(Fraction(t2, D2)),
+                            "age": frac_str(shift),
+                            "dim": count,
+                            "tags": sorted(f"{k1}*{k2}" for k1, k2 in tags),
+                        }
+                    )
+    return table, sectors, cache
+
+
+def _census_models():
+    """Every third of the invertible K3 samples of the catalog, as in the
+    benchmark's census, times E1 and E2, with G = J1 x J2."""
+    out = []
+    for record in filter_bv_invertible(enumerate_k3_systems())[::3]:
+        k3 = sample_polynomial(record.weight_system)
+        for curve in (E1, E2):
+            out.append(build_bv(curve, k3, block_j_elements(weight_system(curve), weight_system(k3))))
+    return out
+
+
+def _factors(model):
+    """(W, its weight system, the generator vectors on its variables) for
+    both factors, and L."""
+    L, gen_vecs = int_vectors(model.sigma_group.gens)
+    n1 = model.n1
+    return L, [
+        (model.w1, model.ws1, [v[:n1] for v in gen_vecs]),
+        (model.w2, model.ws2, [v[n1:] for v in gen_vecs]),
+    ]
+
+
+def _counted(walked):
+    out: dict = {}
+    for p, q, kind, sig in walked:
+        out.setdefault(sig, Counter())[(p, q, kind)] += 1
+    return out
+
+
+def assert_same_cr_table(model):
+    """The table and sectors of `cr_table` are those of the walk, and so
+    are the block-count classes of every locus the walk visits."""
+    cr = chenruan.cr_table(model)
+    table, sectors, walked = walked_cr_table(model)
+    assert cr.table == table
+    assert cr.sectors == sectors
+    L, factors = _factors(model)
+    counted = [chenruan.FactorClasses(poly, ws, vecs, L) for poly, ws, vecs in factors]
+    for (side, fixed), classes in walked.items():
+        assert counted[side - 1].classes(fixed) == _counted(classes)
+
+
+def assert_same_factor_classes(model):
+    """Both factors, every subset of their variables: the classes counted
+    from block counts are the walked classes, or both raise alike."""
+    L, factors = _factors(model)
+    for poly, ws, vecs in factors:
+        factor = chenruan.FactorClasses(poly, ws, vecs, L)
+        for size in range(poly.nvars + 1):
+            for fixed in combinations(range(poly.nvars), size):
+                try:
+                    walked = walked_classes(poly, ws, vecs, L, fixed)
+                except DegenerateSingularity as exc:
+                    with pytest.raises(DegenerateSingularity, match=re.escape(str(exc))):
+                        factor.classes(fixed)
+                    continue
+                assert factor.classes(fixed) == _counted(walked)
+
+
+def test_cr_tables_match_the_walk_on_the_census():
+    models = _census_models()
+    assert len(models) == 30
+    for model in models:
+        for side in (model, model.mirror()):
+            assert_same_cr_table(side)
+
+
+def test_cr_classes_and_tables_match_the_walk_on_e1_octic():
+    model = _golden_models()["e1octic"]
+    for side in (model, model.mirror()):
+        assert_same_factor_classes(side)
+        assert_same_cr_table(side)
+
+
+def test_cr_classes_match_the_walk_on_every_locus_of_a_chain():
+    """A chain factor and an extended group: loci where the polynomial
+    vanishes, and subsets where a variable lies in no monomial and both
+    raise."""
+    chain = parse_polynomial("y0^2+y1^4*y2+y2^7+y3^7")
+    j1, j2 = block_j_elements(weight_system(E1), weight_system(chain))
+    lift = [GroupElement._raw((0,) * 3 + g.num, g.den) for g in sl_subgroup(gmax(chain)).gens]
+    model = build_bv(E1, chain, [j1, j2] + lift)
+    assert_same_factor_classes(model)
+    assert_same_cr_table(model)

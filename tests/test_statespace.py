@@ -333,3 +333,42 @@ def test_benchmark_tracer_still_binds_the_sweep(monkeypatch):
     assert counts["statespace.sectors"] == 936
     assert counts["statespace.fixed_loci"] == 100
     assert counts["statespace.basis_dim"] == 272
+
+
+def test_half_products_keyed_without_blocks_fail(monkeypatch, capsys):
+    """A half-product memo keyed by the number of blocks, not the blocks,
+    lets loci share stale halves: Theorem 1 on E1 x K3A must report a
+    mismatch (exit 1), not a precondition."""
+    from lgmirror.cli import main
+    from lgmirror.statespace import Invariants
+
+    def stale(self, parts, zero):
+        got = self.halves.get(len(parts))
+        if got is None:
+            got = self.halves[len(parts)] = self._product(parts, zero)
+        return got
+
+    monkeypatch.setattr(Invariants, "_half", stale)
+    argv = ["bv", "theorem1", "--w1", str(E1), "--w2", str(K3), "--json"]
+    assert main(argv) == 1
+    assert '"pass": false' in capsys.readouterr().out
+
+
+def test_verdicts_sort_and_walk_no_assembled_ring(monkeypatch):
+    """After Theorem 1 and bvms on E1 x OCTIC, no ring assembled from two or
+    more blocks has walked its standard monomials or sorted the union of
+    its blocks' reduced bases: neither is read by a count."""
+    made = []
+    init = milnor.MilnorRing.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(milnor.MilnorRing, "__init__", recording)
+    model = build_bv(E1, OCTIC, block_j_elements(WS1, WS_OCTIC))
+    assert verify_theorem1(model).passed
+    assert verify_bv_mirror(model).passed
+    assembled = [ring for ring in made if ring.parts]
+    assert assembled
+    assert all(ring._basis is None and ring._entries is None for ring in assembled)
