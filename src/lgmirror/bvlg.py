@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from fractions import Fraction
 
 from .polyring import (
     Polynomial,
@@ -264,17 +263,6 @@ def _sector_epsilon(model: BVModel, g: GroupElement) -> int:
     if pair == (g.den, g.den):
         return 1
     raise MalformedSector(f"sector {g} fixes exactly one distinguished variable")
-
-
-def tw_a_map(e: SectorElement, model: BVModel, tw: TwistModel):
-    """Image of a basis element under the twist map, with its 2^(1-eps) factor."""
-    eps = _sector_epsilon(model, e.sector)
-    for s in model.slots:
-        if e.monomial[s]:
-            raise MalformedSector("monomial touches a distinguished variable")
-    sector = GroupElement._raw([e.sector.num[k] for k in tw.keep], e.sector.den)
-    mono = tuple(e.monomial[k] for k in tw.keep)
-    return Fraction(2) ** (1 - eps), SectorElement(sector, mono, e.flavor)
 
 
 def verify_twist_iso(model: BVModel, flavor: str, tw_group_override=None) -> Report:

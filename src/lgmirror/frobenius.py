@@ -6,14 +6,17 @@ Products follow the convention <m;g> * <n;h> = gamma_{g,h} nf(mn) <1;gh>,
 with mn carried into the Milnor ring of W restricted to Fix(gh) (monomials
 whose support leaves the fixed locus map to zero).
 
-`BAlgebra` indexes the even basis and holds its algebra as sparse tables
-over the indices: C[i] = {j: {k: c}} with e_i e_j = sum_k c e_k, and
-P[i] = {j: <e_i, e_j>}.  Both are built sector pair by sector pair and hold
-nonzero entries only.  A pair (g, h) enters the product only through its
-locus triple (Fix g, Fix h, Fix gh), on which gamma is keyed, and only when
-it meets the index condition I_g u I_h u I_gh = everything; g pairs only
-with -g (Krawitz, arXiv:0906.0796, section 2).  `verify_theorem2` contracts
-these tables.
+`BAlgebra` numbers the even elements (g, m), g an int vector, and holds
+its algebra as sparse tables of nonzero entries: C[i] = {j: (k, c)} with
+e_i e_j = c e_k, and P[i] = {j: <e_i, e_j>}, c exact and an int when
+integral.  One term suffices: the Jacobian ideal of an invertible potential
+is binomial, so a monomial normalizes to one term (Eisenbud-Sturmfels,
+"Binomial ideals", Duke Math. J. 84, 1996); `MultiTermProduct` if not.
+A pair (g, h) enters the product only through its locus triple
+(Fix g, Fix h, Fix gh), on which gamma is keyed, and only when it meets the
+index condition I_g u I_h u I_gh = everything; g pairs only with -g
+(Krawitz, arXiv:0906.0796, section 2).  `verify_theorem2` maps the even
+elements by phi-bar on their int vectors and contracts these tables.
 """
 
 from __future__ import annotations
@@ -23,11 +26,10 @@ from operator import add
 
 from .bvlg import BVModel
 from .milnor import MilnorRing, milnor_ring
-from .polyring import Polynomial, atomic_decomposition, transpose
+from .polyring import atomic_decomposition, transpose
 from .report import PreconditionError, Report
-from .statespace import SectorElement, StateSpace, build_state_space
+from .statespace import SectorElement, StateSpace, _degree, build_state_space
 from .symmetry import GroupElement, fixed_indices, transpose_group, vector_locus
-
 
 
 class FrobeniusError(PreconditionError):
@@ -36,6 +38,10 @@ class FrobeniusError(PreconditionError):
 
 class NonProportional(FrobeniusError):
     """The two Hessian normal forms are not scalar multiples of the socle."""
+
+
+class MultiTermProduct(FrobeniusError):
+    """A product of two basis elements normalizes to more than one term."""
 
 
 class MixedSpaces(FrobeniusError):
@@ -67,46 +73,45 @@ class HypothesisFailed(FrobeniusError):
         )
 
 
-def z2_grading(e: SectorElement, nvars: int) -> int:
-    """A-model: N_g mod 2; B-model: N - N_g mod 2."""
-    ng = len(fixed_indices(e.sector))
-    if e.flavor == "A":
-        return ng % 2
-    return (nvars - ng) % 2
-
-
-def even_basis(space: StateSpace):
-    return tuple(e for e in space.basis if z2_grading(e, space.poly.nvars) == 0)
+def _exact(c: Fraction):
+    """c as an int when it is integral: the contraction multiplies ints."""
+    return c.numerator if c.denominator == 1 else c
 
 
 class BAlgebra:
     """Krawitz product and residue pairing on the even part of one B-model
-    state space, as sparse tables over the even indices.  A sector is its
-    int vector over L, the exponent of the group; `sectors` maps each even
-    sector, in group order, to its locus (Fix g) and [(index, monomial)]."""
+    state space.  A sector g is an int vector over L, the group's exponent,
+    even when n - |Fix g| is; `at` numbers the even (g, m) in group order,
+    then kept order, and `sectors` maps g to (Fix g, [(index, m)])."""
 
     def __init__(self, space: StateSpace):
         if space.flavor != "B":
             raise MixedSpaces("Frobenius structure is built on B-model spaces")
         self.space = space
         self.poly = space.poly
-        self.nvars = space.poly.nvars
+        self.nvars = n = space.poly.nvars
         self.L = space.group.L
         self.rings = space.rings  # shared subset-keyed Milnor cache
-        self.even = even_basis(space)
-        self.index = {e: i for i, e in enumerate(self.even)}
+        self.at: dict = {}
         self.sectors: dict = {}
-        for i, e in enumerate(self.even):
-            g = self.vector(e.sector)
-            if g not in self.sectors:
-                self.sectors[g] = (vector_locus(g), [])
-            self.sectors[g][1].append((i, e.monomial))
+        for g in space.group.vectors:
+            locus = vector_locus(g)
+            kept = space.kept[locus]
+            if kept and (n - len(locus)) % 2 == 0:
+                elems = [(len(self.at) + k, m) for k, m in enumerate(kept)]
+                self.sectors[g] = (locus, elems)
+                self.at.update({(g, m): i for i, m in elems})
+        self.dim = len(self.at)
         self._gamma: dict = {}
 
-    def vector(self, g: GroupElement) -> tuple:
-        """The int numerators of g over L."""
-        scale = self.L // g.den
-        return tuple([a * scale for a in g.num])
+    def element(self, g, m) -> SectorElement:
+        """The basis element <m; g> of the int vector g, for mismatch records."""
+        return SectorElement(GroupElement._raw(g, self.L), m, "B")
+
+    def grade(self, g, m):
+        """`StateSpace._grade` of <m; g>: (p, q) as numerators over space.D."""
+        locus = vector_locus(g)
+        return self.space._grade(_degree(m, locus, self.space.ws.weights), sum(g), len(locus))
 
     def locus(self, g) -> tuple:
         """Fix g of the int vector g, read from `sectors` when g is one."""
@@ -144,17 +149,12 @@ class BAlgebra:
                         yield g, h
 
     def _gamma_data(self, fg, fh, fgh):
-        """Solve gamma * Hess(W_{g n h}) / mu_{g n h} = Hess(W_{gh}) / mu_{gh}
-        on the locus triple (Fix g, Fix h, Fix gh) of a pair that meets the
-        index condition.
-
-        Fix(gh) contains Fix(g) n Fix(h); the defining relation is solved by
-        the class Hess(W_extra) / mu_extra on the complementary block, whose
-        normal form is (scalar) * (socle of the extra ring).  Returns
-        (scalar, extra socle monomial).  Requires W_{gh} to split as
-        W_{g n h} + W_extra, no monomial on Fix gh meeting both (guaranteed
-        under the all-or-nothing property); raises NonProportional otherwise.
-        """
+        """(scalar, extra socle monomial) solving gamma * Hess(W_{g n h}) /
+        mu_{g n h} = Hess(W_{gh}) / mu_{gh} on the locus triple (Fix g, Fix h,
+        Fix gh) of a pair that meets the index condition: the class
+        Hess(W_extra) / mu_extra of the complementary block, a scalar times
+        its socle.  W_{gh} must split as W_{g n h} + W_extra, as it does under
+        the all-or-nothing property; NonProportional is raised otherwise."""
         key = (fg, fh, fgh)
         hit = self._gamma.get(key)
         if hit is None:
@@ -182,19 +182,15 @@ class BAlgebra:
 
     def unit(self) -> int:
         """The index of the unit <1; 0>, invariant since G <= SL."""
-        n = self.nvars
-        return self.index[SectorElement(GroupElement.identity(n), (0,) * n, "B")]
+        return self.at[(0,) * self.nvars, (0,) * self.nvars]
 
     def structure_constants(self) -> list:
-        """C[i] = {j: {k: c}}: e_i e_j = sum_k c e_k, nonzero products only.
-
-        Only the sector pairs (g, h) of `pairs` are visited.  Per pair, gh,
-        gamma and the ring of Fix gh are found once, and only the factors
-        that vanish where gh does not are multiplied; a target index is read
-        from (sector, monomial)."""
-        sectors = self.sectors
-        at = {(g, m): i for g, (_, elems) in sectors.items() for i, m in elems}
-        C: list = [{} for _ in self.even]
+        """C[i] = {j: (k, c)}: e_i e_j = c e_k, nonzero products only, over
+        the sector pairs (g, h) of `pairs`.  Per pair, gh, gamma and the ring
+        of Fix gh are found once, and only the factors that vanish where gh
+        does not are multiplied."""
+        sectors, at = self.sectors, self.at
+        C: list = [{} for _ in range(self.dim)]
         for g, h in self.pairs(sectors, sectors):
             (fg, g_elems), (fh, h_elems) = sectors[g], sectors[h]
             gh = self._add(g, h)
@@ -205,14 +201,16 @@ class BAlgebra:
             left = [(i, m) for i, m in g_elems if not any([m[k] for k in gone])]
             right = [(j, m) for j, m in h_elems if not any([m[k] for k in gone])]
             for i, m1 in left:
-                m1, row = tuple(map(add, m1, socle)), C[i]
+                shifted, row = tuple(map(add, m1, socle)), C[i]
                 for j, m2 in right:
-                    terms = normal_form(tuple(map(add, m1, m2)))
-                    if terms:
-                        try:
-                            row[j] = {at[gh, b]: scalar * c for b, c in terms.items()}
-                        except KeyError as missing:
-                            raise NotBasisElement(f"a product lands outside the even basis: {missing}") from None
+                    terms = normal_form(tuple(map(add, shifted, m2)))
+                    if len(terms) > 1:
+                        pair = f"{self.element(g, m1)!r} and {self.element(h, m2)!r}"
+                        raise MultiTermProduct(f"the product of {pair} has {len(terms)} terms")
+                    for b, c in terms.items():
+                        if (gh, b) not in at:
+                            raise NotBasisElement(f"a product lands outside the even basis: {(gh, b)!r}")
+                        row[j] = (at[gh, b], _exact(scalar * c))
         return C
 
     def pairing_table(self) -> list:
@@ -220,7 +218,7 @@ class BAlgebra:
         only with -g, on the ring of Fix g: its residue scale times the socle
         coefficient of the product."""
         L = self.L
-        P: list = [{} for _ in self.even]
+        P: list = [{} for _ in range(self.dim)]
         for g, (locus, elems) in self.sectors.items():
             partner = self.sectors.get(tuple([-a % L for a in g]), (None, ()))[1]
             ring = self.ring(locus)
@@ -231,49 +229,40 @@ class BAlgebra:
                 for j, m2 in partner:
                     c = normal_form(tuple(map(add, m1, m2))).get(ring.socle)
                     if c:
-                        row[j] = scale * c
+                        row[j] = _exact(scale * c)
         return P
 
 
-def phi_map(
-    e: SectorElement,
-    bhk_space: StateSpace,
-    bv_space: StateSpace,
-    sigma: GroupElement,
-    rescaled: bool = True,
-):
-    """Rescaling map B(W^T, (sigma G)^T) -> B(W^T, sigma (G^T)).
-
-    Shared basis elements map to themselves; the others move to the sigma-
-    shifted sector (the volume form toggles dx0+dy0) with factor 1/2 when g
-    fixes the distinguished slots and 2 otherwise.
-    """
-    if e not in bhk_space.basis_set:
-        raise NotBasisElement(f"{e!r} is not in the BHK-mirror basis")
-    if e in bv_space.basis_set:
-        return Fraction(1), e
-    moved = SectorElement(sigma + e.sector, e.monomial, "B")
-    if moved not in bv_space.basis_set:
-        raise NotBasisElement(f"neither {e!r} nor its sigma-shift is in the BV basis")
-    slots = [k for k, a in enumerate(sigma.num) if a]
-    fixes = all(e.sector.num[k] == 0 for k in slots)
-    if not rescaled:
-        return Fraction(1), moved
-    return (Fraction(1, 2) if fixes else Fraction(2)), moved
-
-
-def check_property1(poly: Polynomial, group, ws=None) -> Report:
-    """All-or-nothing fixing of atomic blocks across the nonempty sectors of
-    A(W, G) and B(W^T, G^T)."""
-    a_space = build_state_space(poly, group, "A", ws=ws)
-    b_space = build_state_space(transpose(poly), transpose_group(group, poly), "B")
-    return property1(a_space, b_space)
+def phi_bar(alg2: BAlgebra, alg0: BAlgebra, sigma: GroupElement, rescaled: bool = True) -> list:
+    """Rescaling map B(W^T, (sigma G)^T) -> B(W^T, sigma (G^T)) on the even
+    elements as the list i -> (2 s_i, index in alg0).  (g, m) maps to itself
+    (s = 1) when alg0 holds it, else to its sigma-shift (g + sigma, m), the
+    volume form toggling dx0+dy0, with s = 1/2 when g fixes the slots and 2
+    otherwise (1 unscaled).  (sigma G)^T <= G^T <= sigma (G^T): L2 | L0."""
+    L0, up, at0, space0 = alg0.L, alg0.L // alg2.L, alg0.at, alg0.space
+    s = tuple([a * (L0 // sigma.den) for a in sigma.num])
+    phi = []
+    for g, (_, elems) in alg2.sectors.items():
+        g0 = tuple([a * up for a in g])
+        moved = tuple([(a + b) % L0 for a, b in zip(g0, s)])
+        scale = (4 if any([a and b for a, b in zip(g0, s)]) else 1) if rescaled else 2
+        for _, m in elems:
+            if (g0, m) in at0:
+                phi.append((2, at0[g0, m]))
+            elif (moved, m) in at0:
+                phi.append((scale, at0[moved, m]))
+            elif GroupElement._raw(moved, L0) in space0.group and m in space0.kept[vector_locus(moved)]:
+                raise OddElement(f"phi maps {alg2.element(g, m)!r} to the odd element {alg0.element(moved, m)!r}")
+            else:
+                raise NotBasisElement(f"neither {alg2.element(g, m)!r} nor its sigma-shift is in the BV basis")
+    return phi
 
 
 def property1(a_space: StateSpace, b_space: StateSpace) -> Report:
-    """`check_property1` on A(W, G) and B(W^T, G^T) already built: the
-    nonempty loci that split a block are read from the sector classes, and
-    each sector on one is reported, in group order."""
+    """All-or-nothing fixing of atomic blocks across the nonempty sectors of
+    A(W, G) and B(W^T, G^T), already built: the nonempty loci that split a
+    block are read from the sector classes, and each sector on one is
+    reported, in group order."""
     violations = []
     for space, side in ((a_space, "A"), (b_space, "B-mirror")):
         blocks = [(b, set(b.variables)) for b in atomic_decomposition(space.poly)]
@@ -299,7 +288,7 @@ def gamma_lemma_cases(algebra: BAlgebra, sigma: GroupElement):
     meets the index condition both read 0, so only the pairs `pairs` finds
     for h or sigma h are evaluated, in sector order; every pair is counted."""
     L = algebra.L
-    s = algebra.vector(sigma)
+    s = tuple([a * (L // sigma.den) for a in sigma.num])
     slots = [k for k, a in enumerate(s) if a]
     sectors = list(algebra.sectors)
     shifted = {algebra._add(s, h): h for h in sectors}
@@ -316,58 +305,44 @@ def gamma_lemma_cases(algebra: BAlgebra, sigma: GroupElement):
             elif not any(h[k] for k in slots):
                 factor = Fraction(1, 4)
         if lhs != factor * rhs:
-            failures.append(
-                {
-                    "g": str(GroupElement._raw(g, L)),
-                    "h": str(GroupElement._raw(h, L)),
-                    "gamma": str(lhs),
-                    "gamma_sigma": str(rhs),
-                    "expected_factor": str(factor),
-                }
-            )
+            case = (GroupElement._raw(g, L), GroupElement._raw(h, L), lhs, rhs, factor)
+            failures.append(dict(zip(("g", "h", "gamma", "gamma_sigma", "expected_factor"), map(str, case))))
     return len(sectors) ** 2, failures
 
 
-def _differing(a: dict, b: dict) -> set:
-    """The keys at which two sparse vectors differ; a missing key reads as 0."""
-    return {key for key in a.keys() | b.keys() if a.get(key, 0) != b.get(key, 0)}
+def _differing(a: dict, b: dict) -> int:
+    """The number of keys at which two sparse tables differ (missing: 0)."""
+    return 0 if a == b else sum([a.get(key, 0) != b.get(key, 0) for key in a.keys() | b.keys()])
 
 
 def associativity_and_frobenius(C: list, P: list):
     """Count the triples (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), and
-    those with <e_i e_j, e_k> != <e_i, e_j e_k>, from the tables C and P of
-    one algebra.  One row i at a time, over nonzero entries only:
-    (e_i e_j) e_k = sum_l C_ij^l C_lk runs over the l in C_ij, and
-    e_i (e_j e_k) = sum_l C_jk^l C_il over the l in C_i, each through the
-    inverse index l -> [(j, k, C_jk^l)]; likewise with P_lk and P_il for
-    the pairings."""
+    with <e_i e_j, e_k> != <e_i, e_j e_k>, from the single-term tables C, P
+    of one algebra, one row i at a time: with e_i e_j = c e_l, (e_i e_j) e_k
+    = c C_lk over C_l, and e_i (e_j e_k) = c C_il over the inverse index
+    l -> [(j, k, c)] of the l in C_i; likewise with P.  Each side sets one
+    value per (j, k)."""
     inverse: dict = {}
     for j, cj in enumerate(C):
-        for k, jk in cj.items():
-            for l, c in jk.items():
-                inverse.setdefault(l, []).append((j, k, c))
+        for k, (l, c) in cj.items():
+            inverse.setdefault(l, []).append((j, k, c))
     assoc_fail = frob_fail = 0
     for ci, pi in zip(C, P):
-        left: dict = {}  # (j, k, m) -> coefficient of e_m in (e_i e_j) e_k
-        right: dict = {}  # (j, k, m) -> coefficient of e_m in e_i (e_j e_k)
-        pleft: dict = {}  # (j, k) -> <e_i e_j, e_k>
-        pright: dict = {}  # (j, k) -> <e_i, e_j e_k>
-        for j, ij in ci.items():
-            for l, c in ij.items():
-                for k, row in C[l].items():
-                    for m, d in row.items():
-                        left[j, k, m] = left.get((j, k, m), 0) + c * d
-                for k, p in P[l].items():
-                    pleft[j, k] = pleft.get((j, k), 0) + c * p
-        for l, il in ci.items():
+        # (j, k) -> (e_i e_j) e_k and e_i (e_j e_k) as (m, c), and the pairings
+        left, right, pleft, pright = {}, {}, {}, {}
+        for j, (l, c) in ci.items():
+            for k, (m, d) in C[l].items():
+                left[j, k] = (m, c * d)
+            for k, p in P[l].items():
+                pleft[j, k] = c * p
+        for l, (m, d) in ci.items():
             for j, k, c in inverse.get(l, ()):
-                for m, d in il.items():
-                    right[j, k, m] = right.get((j, k, m), 0) + c * d
+                right[j, k] = (m, c * d)
         for l, p in pi.items():
             for j, k, c in inverse.get(l, ()):
-                pright[j, k] = pright.get((j, k), 0) + c * p
-        assoc_fail += len({(j, k) for j, k, _ in _differing(left, right)})
-        frob_fail += len(_differing(pleft, pright))
+                pright[j, k] = c * p
+        assoc_fail += _differing(left, right)
+        frob_fail += _differing(pleft, pright)
     return assoc_fail, frob_fail
 
 
@@ -377,12 +352,13 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
     identity, and the gamma-factor lemma.  Raises HypothesisFailed when the
     model lacks property 1, on which the theorem rests.
 
-    Each even algebra is built once as its tables C, P (see `BAlgebra`),
-    and phi-bar as the index map i -> (s_i, phi(i)).  For each i, only the
-    j in the nonzero supports of C2_i, P2_i, C0_phi(i), P0_phi(i) (pulled
-    back by phi) are checked, in order: phi(C2_ij) = s_i s_j
-    C0_phi(i)phi(j) and P2_ij = s_i s_j P0_phi(i)phi(j).  Then the unit,
-    `associativity_and_frobenius` on C0, P0, and `gamma_lemma_cases`."""
+    Each even algebra is built once as its tables C, P (see `BAlgebra`) and
+    phi-bar as the index map i -> (2 s_i, phi(i)) (`phi_bar`).  For each i,
+    the j in the nonzero supports of C2_i, P2_i, C0_phi(i), P0_phi(i) (pulled
+    back by phi) are checked in order, times 4 to stay on ints: phi(C2_ij) =
+    s_i s_j C0_phi(i)phi(j) and P2_ij = s_i s_j P0_phi(i)phi(j).  Then the
+    unit, `associativity_and_frobenius` on C0, P0, and `gamma_lemma_cases`.
+    `SectorElement`s are built for mismatch records only."""
     a_space = build_state_space(model.poly, model.sigma_group, "A", ws=model.ws)
     bhk_group = transpose_group(model.sigma_group, model.poly)
     shared_rings: dict = {}
@@ -393,64 +369,58 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
     mirror = model.mirror()
     b0_space = build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared_rings)
     alg2, alg0 = BAlgebra(b2_space), BAlgebra(b0_space)
-    even2, even0 = alg2.even, alg0.even
     mismatches = []
-    details = {"dim_b2_even": len(even2), "dim_b0_even": len(even0)}
+    details = {"dim_b2_even": alg2.dim, "dim_b0_even": alg0.dim}
     details.update(b2_total=b2_space.dim, b0_total=b0_space.dim)
-    if len(even2) != len(even0):
+    if alg2.dim != alg0.dim:
         mismatches.append({"reason": "even subspace dimensions differ"})
 
-    phi = []  # even2 index -> (scale, even0 index)
+    phi = phi_bar(alg2, alg0, mirror.sigma, rescaled)
+    elements2, elements0 = list(alg2.at), list(alg0.at)
+    D2, D0 = b2_space.D, b0_space.D
     preimages: dict = {}  # even0 index -> [even2 index]
-    for i, e in enumerate(even2):
-        k, image = phi_map(e, b2_space, b0_space, mirror.sigma, rescaled=rescaled)
-        t = alg0.index.get(image)
-        if t is None:
-            raise OddElement(f"phi maps {e!r} to the odd element {image!r}")
+    for i, ((g, m), (_, t)) in enumerate(zip(elements2, phi)):
         if t in preimages:
-            mismatches.append({"reason": "phi image duplicated", "element": repr(e)})
-        if b2_space.bidegree(e) != b0_space.bidegree(image):
-            mismatches.append({"reason": "phi changed the bidegree", "element": repr(e)})
-        phi.append((k, t))
+            mismatches.append({"reason": "phi image duplicated", "element": repr(alg2.element(g, m))})
+        (p2, q2), (p0, q0) = alg2.grade(g, m), alg0.grade(*elements0[t])
+        if p2 * D0 != p0 * D2 or q2 * D0 != q0 * D2:
+            mismatches.append({"reason": "phi changed the bidegree", "element": repr(alg2.element(g, m))})
         preimages.setdefault(t, []).append(i)
-    if len(preimages) != len(even0):
+    if len(preimages) != alg0.dim:
         mismatches.append({"reason": "phi is not onto the even BV basis"})
 
     C2, P2 = alg2.structure_constants(), alg2.pairing_table()
     C0, P0 = alg0.structure_constants(), alg0.pairing_table()
     fails = {"product": 0, "pairing": 0}
-    for i, (s1, t1) in enumerate(phi):
-        support = C2[i].keys() | P2[i].keys()
-        for t in C0[t1].keys() | P0[t1].keys():
+    for i, (w1, t1) in enumerate(phi):
+        row2, prow2, row0, prow0 = C2[i], P2[i], C0[t1], P0[t1]
+        support = row2.keys() | prow2.keys()
+        for t in row0.keys() | prow0.keys():
             support.update(preimages.get(t, ()))
         for j in sorted(support):
-            s2, t2 = phi[j]
-            lhs: dict = {}
-            for k, c in C2[i].get(j, {}).items():
-                s, t = phi[k]
-                lhs[t] = lhs.get(t, 0) + s * c
-            scale = s1 * s2
-            rhs = {t: scale * c for t, c in C0[t1].get(t2, {}).items()}
+            w2, t2 = phi[j]
+            w12 = w1 * w2  # 4 s_i s_j
+            k, c = row2.get(j, (0, 0))
+            w, t = phi[k]  # 4 phi(C2_ij) = 2 w c e_t
+            k0, c0 = row0.get(t2, (0, 0))
             for what, bad in (
-                ("product", _differing(lhs, rhs)),
-                ("pairing", P2[i].get(j, 0) != scale * P0[t1].get(t2, 0)),
+                ("product", 2 * w * c != w12 * c0 or (c and t != k0)),
+                ("pairing", 4 * prow2.get(j, 0) != w12 * prow0.get(t2, 0)),
             ):
                 if bad:
                     fails[what] += 1
                     if len(mismatches) < 20:
-                        pair = [repr(even2[i]), repr(even2[j])]
+                        pair = [repr(alg2.element(*elements2[i])), repr(alg2.element(*elements2[j]))]
                         mismatches.append({"reason": f"{what} not preserved", "pair": pair})
-    details["product_failures"] = fails["product"]
-    details["pairing_failures"] = fails["pairing"]
+    details.update(product_failures=fails["product"], pairing_failures=fails["pairing"])
 
     u = alg0.unit()
-    for i, e in enumerate(even0):
-        if C0[u].get(i) != {i: 1} or C0[i].get(u) != {i: 1}:
-            mismatches.append({"reason": "unit fails", "element": repr(e)})
+    for i, (g, m) in enumerate(alg0.at):
+        if C0[u].get(i) != (i, 1) or C0[i].get(u) != (i, 1):
+            mismatches.append({"reason": "unit fails", "element": repr(alg0.element(g, m))})
 
     assoc_fail, frob_fail = associativity_and_frobenius(C0, P0)
-    details["associativity_failures"] = assoc_fail
-    details["frobenius_failures"] = frob_fail
+    details.update(associativity_failures=assoc_fail, frobenius_failures=frob_fail)
     if assoc_fail:
         mismatches.append({"reason": f"{assoc_fail} associativity failures"})
     if frob_fail:

@@ -464,18 +464,3 @@ def _poly_det(rows, variables) -> Polynomial:
         return acc
 
     return rec((1 << n) - 1)
-
-
-def residue_pairing(f: Polynomial, g: Polynomial, ring: MilnorRing) -> Fraction:
-    """<f, g> = mu * socle-coeff(nf(f*g)) / socle-coeff(nf(Hess(W)))."""
-    return ring.residue(ring.socle_coefficient(f * g))
-
-
-def fermat_milnor_number(ws: WeightSystem) -> int:
-    """Product formula for sums of Fermat monomials: mu = prod(d/w_i - 1)."""
-    total = 1
-    for w in ws.weights:
-        if ws.degree % w:
-            raise ValueError("not a Fermat weight system")
-        total *= ws.degree // w - 1
-    return total

@@ -186,11 +186,6 @@ class Polynomial:
         """Same monomials with every coefficient set to 1."""
         return Polynomial(self.variables, {m: Fraction(1) for m in self.terms})
 
-    def rename(self, variables) -> "Polynomial":
-        if len(variables) != self.nvars:
-            raise ValueError("variable count mismatch")
-        return Polynomial(variables, dict(self.terms))
-
     def _key(self):
         return (self.variables, frozenset(self.terms.items()))
 
@@ -636,18 +631,6 @@ def atomic_decomposition(poly: Polynomial):
             blocks.append(AtomicBlock("loop", tuple(path)))
     blocks.sort(key=lambda b: b.variables[0])
     return blocks
-
-
-def has_half_weight_chain(poly: Polynomial, ws: WeightSystem | None = None) -> bool:
-    """True when some chain block contains a variable of weight 1/2."""
-    if ws is None:
-        ws = weight_system(poly)
-    for block in atomic_decomposition(poly):
-        if block.kind == "chain" and any(
-            2 * ws.weights[v] == ws.degree for v in block.variables
-        ):
-            return True
-    return False
 
 
 def direct_sum(p1: Polynomial, p2: Polynomial) -> Polynomial:

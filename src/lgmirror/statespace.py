@@ -69,12 +69,6 @@ class SectorElement:
         return f"<{self.monomial}; {self.sector}>{self.flavor}"
 
 
-def action_weight(h: GroupElement, e: SectorElement) -> Fraction:
-    """Weight of h on m * omega_g: sum over fixed j of (a_j + 1) h_j mod 1."""
-    total = sum((e.monomial[j] + 1) * h.num[j] for j in fixed_indices(e.sector))
-    return Fraction(total % h.den, h.den)
-
-
 class StateSpace:
     """The sectors of (W, G) by class.  `classes` maps (Fix g, a) to the
     number of sectors g with that locus and age a / L, L the exponent of G;
@@ -292,32 +286,6 @@ def diff_tables(lhs: dict, rhs: dict, lname: str, rname: str):
                 {"p": frac_str(key[0]), "q": frac_str(key[1]), lname: a, rname: b}
             )
     return out
-
-
-def krawitz_dimension_check(poly: Polynomial, group: SymmetryGroup):
-    """Bigraded tables of A(W, G) and B(W^T, G^T) agree for invertible W.
-
-    Returns (checked, lhs_table, rhs_table); a chain summand of weight 1/2 is
-    outside the supported range, so the check is skipped with a warning and
-    checked=False.
-    """
-    import warnings
-
-    from .polyring import has_half_weight_chain, transpose
-    from .symmetry import transpose_group
-
-    ws = weight_system(poly)
-    if has_half_weight_chain(poly, ws):
-        warnings.warn(
-            f"{poly} has a chain variable of weight 1/2; the bigraded "
-            "dimension comparison is not guaranteed there",
-            stacklevel=2,
-        )
-        return False, {}, {}
-    a_space = build_state_space(poly, group, "A", ws=ws)
-    dual = transpose_group(group, poly)
-    b_space = build_state_space(transpose(poly), dual, "B")
-    return True, poincare_table(a_space), poincare_table(b_space)
 
 
 def frac_str(x) -> str:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import lt
 
 from .polyring import (
-    NotInvertible,
+    PolyError,
     Polynomial,
     WeightSystem,
     _head_aligned_rows,
@@ -47,6 +47,10 @@ class NotSubgroup(GroupError):
 
 class EnumerationCapExceeded(GroupError):
     pass
+
+
+class NoDualGroup(GroupError):
+    """W is not invertible, so the dual group G^T is not defined."""
 
 
 class BadCapSetting(ValueError):
@@ -437,10 +441,6 @@ def subgroup_on(group: SymmetryGroup, keep) -> SymmetryGroup:
     return _greedy_group(len(keep), L, [[row[k] for k in keep] for row in basis])
 
 
-def is_a_admissible(group: SymmetryGroup, ws: WeightSystem) -> bool:
-    return j_element(ws) in group
-
-
 def is_b_admissible(group: SymmetryGroup) -> bool:
     """Every element has integral age: so does every basis row, as age mod 1
     is a character."""
@@ -454,21 +454,26 @@ def transpose_group(group: SymmetryGroup, poly: Polynomial) -> SymmetryGroup:
     generator h of G, A_W h is an integral vector c, and the dual group is
     the kernel of x -> c.x mod L on the echelon basis of Gmax(W^T) over its
     exponent L.  Its order is checked against the cap; nothing is walked.
-    The pairing uses the head-aligned exponent matrix.
+    The pairing uses the head-aligned exponent matrix.  A W that is not
+    invertible has no dual group: NoDualGroup, a precondition of the mirror.
     """
     from .polyring import transpose  # local: avoids cycle at import time
 
     rows = exponent_matrix(poly)
     if len(rows) != poly.nvars or _int_det(rows) == 0:
-        raise NotInvertible(f"{poly} is not invertible")
-    aligned = _head_aligned_rows(poly, rows)
+        raise NoDualGroup(f"{poly} is not invertible")
+    try:
+        aligned = _head_aligned_rows(poly, rows)
+        dual_poly = transpose(poly)
+    except PolyError as exc:
+        raise NoDualGroup(str(exc)) from None
     for h in group.gens:
         if not element_in_gmax(poly, h):
             raise NotSubgroup(f"{h} is not a symmetry of {poly}")
     chars = [
         [sum(a * b for a, b in zip(row, h.num)) // h.den for row in aligned] for h in group.gens
     ]
-    L, basis = _gmax_lattice(transpose(poly))
+    L, basis = _gmax_lattice(dual_poly)
     return _greedy_group(group.n, L, basis, chars)
 
 

@@ -22,7 +22,7 @@ from lgmirror.catalog import (
 )
 from lgmirror.chenruan import verify_bv_mirror, verify_lgcy
 from lgmirror.frobenius import verify_theorem2
-from lgmirror.milnor import fermat_milnor_number, milnor_ring, residue_pairing
+from lgmirror.milnor import milnor_ring
 from lgmirror.polyring import (
     Polynomial,
     atomic_decomposition,
@@ -41,7 +41,7 @@ from lgmirror.symmetry import (
     span,
     transpose_group,
 )
-from test_oracles import fermat_total
+from test_oracles import fermat_milnor_number, fermat_total, residue_pairing
 
 E1 = parse_polynomial("x0^2+x1^3+x2^6")        # (3,2,1;6)
 E2 = parse_polynomial("x0^2+x1^4+x2^4")        # (2,1,1;4)

@@ -9,7 +9,6 @@ from lgmirror.bvlg import (
     NotCY,
     build_bv,
     mirror_pair,
-    tw_a_map,
     twist_polynomial,
     verify_group_lemma,
     verify_theorem1,
@@ -18,6 +17,7 @@ from lgmirror.bvlg import (
 from lgmirror.polyring import is_bv_form, parse_polynomial, weight_system
 from lgmirror.statespace import build_state_space, poincare_table
 from lgmirror.symmetry import GroupElement, span, transpose_group
+from test_oracles import tw_a_map
 
 E1 = parse_polynomial("x0^2+x1^3+x2^6")
 E2 = parse_polynomial("x0^2+x1^4+x2^4")

@@ -338,3 +338,30 @@ def test_cold_verb_preconditions_exit_3(argv, env, message):
     assert rc == 3
     assert "precondition violated" in err and message in err
     assert not added & VERIFIERS
+
+
+NOT_INVERTIBLE = ("--w1", "x0^2+x1^3+x2^6", "--w2", "y0^2+y1^6+y2^6+y3^6+y1^3*y2^3")
+
+
+@pytest.mark.parametrize("verb", ["mirror", "group-lemma", "theorem1", "theorem2", "bvms"])
+def test_cold_non_invertible_potential_exits_3(verb):
+    """W2 has five monomials in four variables, so it is not invertible.
+    The model is built, and the dual group the mirror needs does not exist:
+    a precondition (exit 3), not a usage error (exit 2)."""
+    rc, err, _ = cold("bv", verb, *NOT_INVERTIBLE)
+    assert rc == 3
+    assert "precondition violated" in err and "is not invertible" in err
+
+
+def test_cold_non_invertible_potential_passes_lgcy():
+    rc, err, _ = cold("bv", "lgcy", *NOT_INVERTIBLE)
+    assert rc == 0, err
+
+
+def test_cold_unclassifiable_potential_exits_3_in_mirror():
+    """A square exponent matrix of nonzero determinant whose monomial
+    y1^6*y3^2 fits no Fermat, chain or loop block: transposing it fails
+    while the dual group is built."""
+    rc, err, _ = cold("bv", "mirror", "--w1", "x0^2+x1^3+x2^6", "--w2", "y0^2+y3^3+y2^3*y3^2+y1^6*y3^2")
+    assert rc == 3
+    assert "precondition violated" in err and "fits no block" in err

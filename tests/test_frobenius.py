@@ -3,22 +3,31 @@ from fractions import Fraction
 import pytest
 
 from lgmirror.bvlg import build_bv
+from lgmirror.cli import main
 import lgmirror.frobenius as frobenius
 from lgmirror.frobenius import (
     BAlgebra,
     MixedSpaces,
+    MultiTermProduct,
     NotBasisElement,
     OddElement,
+    associativity_and_frobenius,
+    gamma_lemma_cases,
+    phi_bar,
+    verify_theorem2,
+)
+from lgmirror.milnor import MilnorRing
+from lgmirror.polyring import parse_polynomial, weight_system
+from lgmirror.statespace import SectorElement, build_state_space
+from lgmirror.symmetry import GroupElement, j_element, span, transpose_group
+from test_oracles import (
+    action_weight,
     check_property1,
     even_basis,
-    gamma_lemma_cases,
     phi_map,
-    verify_theorem2,
+    sector_vector,
     z2_grading,
 )
-from lgmirror.polyring import parse_polynomial, weight_system
-from lgmirror.statespace import SectorElement, action_weight, build_state_space
-from lgmirror.symmetry import GroupElement, j_element, span, transpose_group
 
 E1 = parse_polynomial("x0^2+x1^3+x2^6")
 K3 = parse_polynomial("y0^2+y1^6+y2^6+y3^6")
@@ -38,6 +47,11 @@ def x3_algebra():
     return space, BAlgebra(space)
 
 
+def even_elements(alg):
+    """The even basis of `alg` as `SectorElement`s, in index order."""
+    return [alg.element(g, m) for g, m in alg.at]
+
+
 def test_z2_grading_examples():
     narrow = SectorElement(GroupElement([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]), (0, 0, 0), "A")
     assert z2_grading(narrow, 3) == 0  # N_g = 0
@@ -49,16 +63,16 @@ def test_z2_grading_examples():
 
 def test_gamma_identity_is_one():
     space, alg = x3_algebra()
-    e = alg.vector(GroupElement.identity(1))
+    e = sector_vector(alg, GroupElement.identity(1))
     assert alg.gamma(e, e) == 1
 
     m = build_bv(E1, K3, jgens(E1, K3))
     mirror = m.mirror()
     b0 = build_state_space(mirror.poly, mirror.sigma_group, "B")
     alg0 = BAlgebra(b0)
-    ident = alg0.vector(GroupElement.identity(7))
+    ident = sector_vector(alg0, GroupElement.identity(7))
     for g in list(sorted({e.sector for e in b0.basis}))[:6]:
-        assert alg0.gamma(ident, alg0.vector(g)) == 1
+        assert alg0.gamma(ident, sector_vector(alg0, g)) == 1
 
 
 def test_gamma_condition_fails_to_zero():
@@ -75,24 +89,24 @@ def test_gamma_condition_fails_to_zero():
     h = next(h for h in narrow if not (g + h).is_identity())
     # both narrow and gh narrow: the union of fixed sets misses everything
     if not [c for c in (g + h).components if c == 0]:
-        assert alg0.gamma(alg0.vector(g), alg0.vector(h)) == 0
+        assert alg0.gamma(sector_vector(alg0, g), sector_vector(alg0, h)) == 0
 
 
 def test_product_unit_and_nilpotent():
     space, alg = x3_algebra()
     C = alg.structure_constants()
     u = alg.unit()
-    x = alg.index[SectorElement(GroupElement.identity(1), (1,), "B")]
-    assert C[u][x] == {x: 1}
-    assert C[x][u] == {x: 1}
+    x = alg.at[(0,), (1,)]
+    assert C[u][x] == (x, 1)
+    assert C[x][u] == (x, 1)
     assert x not in C[x]  # nf(x^2) = 0 in Q(x^3)
 
 
 def test_pairing_examples():
     space, alg = x3_algebra()
     P = alg.pairing_table()
-    one = alg.index[SectorElement(GroupElement.identity(1), (0,), "B")]
-    x = alg.index[SectorElement(GroupElement.identity(1), (1,), "B")]
+    one = alg.at[(0,), (0,)]
+    x = alg.at[(0,), (1,)]
     assert P[one][x] == Fraction(1, 3)
     assert one not in P[one]
 
@@ -104,9 +118,10 @@ def test_pairing_sector_orthogonality():
     alg = BAlgebra(b0)
     P = alg.pairing_table()
     assert any(P)
+    even = even_elements(alg)
     for i, row in enumerate(P):
         for j in row:
-            assert alg.even[j].sector == -alg.even[i].sector
+            assert even[j].sector == -even[i].sector
 
 
 def test_even_gram_nondegenerate():
@@ -115,7 +130,7 @@ def test_even_gram_nondegenerate():
     b0 = build_state_space(mirror.poly, mirror.sigma_group, "B")
     alg = BAlgebra(b0)
     P = alg.pairing_table()
-    n = len(alg.even)
+    n = alg.dim
     gram = [[P[i].get(j, Fraction(0)) for j in range(n)] for i in range(n)]
     # exact determinant via fraction Gaussian elimination
     det = Fraction(1)
@@ -142,11 +157,36 @@ def test_odd_operands_rejected(monkeypatch):
     alg = BAlgebra(b0)
     odd = [e for e in b0.basis if z2_grading(e, 5)]
     assert odd
-    assert not any(e in alg.index for e in odd)
-    # a rescaling map onto an odd element stops Theorem 2
-    monkeypatch.setattr(frobenius, "phi_map", lambda *args, **kwargs: (Fraction(1), odd[0]))
-    with pytest.raises(OddElement):
+    assert not any((sector_vector(alg, e.sector), e.monomial) in alg.at for e in odd)
+    # a rescaling map onto an element outside the even basis stops Theorem
+    # 2: here the BV algebra of E1 x K3A leaves out every sigma-shifted one
+    m = build_bv(E1, K3, jgens(E1, K3))
+    mirror = m.mirror()
+    bhk = transpose_group(m.sigma_group, m.poly)
+
+    class OddShifts(BAlgebra):
+        def __init__(self, space):
+            super().__init__(space)
+            if space.group is mirror.sigma_group:
+                for g, mono in list(self.at):
+                    if GroupElement._raw(g, self.L) not in bhk:
+                        del self.at[g, mono]
+
+    monkeypatch.setattr(frobenius, "BAlgebra", OddShifts)
+    with pytest.raises(OddElement, match="to the odd element"):
         verify_theorem2(m)
+
+
+def test_phi_bar_without_sigma_leaves_the_basis():
+    """With the identity for sigma, an element that the two mirrors do not
+    share has no image."""
+    m = build_bv(E1, K3, jgens(E1, K3))
+    mirror = m.mirror()
+    alg2 = BAlgebra(build_state_space(mirror.poly, transpose_group(m.sigma_group, m.poly), "B"))
+    alg0 = BAlgebra(build_state_space(mirror.poly, mirror.sigma_group, "B"))
+    assert phi_bar(alg2, alg0, mirror.sigma)
+    with pytest.raises(NotBasisElement, match="nor its sigma-shift"):
+        phi_bar(alg2, alg0, GroupElement.identity(7))
 
 
 def test_mixed_spaces_rejected():
@@ -162,10 +202,11 @@ def test_z2_additive_on_products():
     alg = BAlgebra(b0)
     # a product landing outside the even basis raises NotBasisElement
     C = alg.structure_constants()
-    targets = {k for row in C for out in row.values() for k in out}
+    targets = {k for row in C for k, _ in row.values()}
     assert targets
+    even = even_elements(alg)
     for k in targets:
-        assert z2_grading(alg.even[k], 7) == 0
+        assert z2_grading(even[k], 7) == 0
 
 
 def test_phi_map_cases():
@@ -303,3 +344,60 @@ def test_gamma_lemma_factors():
     checked, failures = gamma_lemma_cases(alg, mirror.sigma)
     assert checked == len(sectors) ** 2
     assert not failures
+
+
+E1K3A_ARGV = ("bv", "theorem2", "--w1", "x0^2+x1^3+x2^6", "--w2", "y0^2+y1^6+y2^6+y3^6")
+
+
+def test_two_term_product_raises(monkeypatch, capsys):
+    """A normal form with a second term (here the constant 1, added to every
+    nonzero one) names the pair and exits 3."""
+    original = MilnorRing.monomial_normal_form
+
+    def two_terms(self, mono):
+        nf = original(self, mono)
+        zero = (0,) * len(mono)
+        return {**nf, zero: Fraction(1)} if nf and zero not in nf else nf
+
+    monkeypatch.setattr(MilnorRing, "monomial_normal_form", two_terms)
+    m = build_bv(E1, K3, jgens(E1, K3))
+    with pytest.raises(MultiTermProduct, match=r"the product of <.*>B and <.*>B has 2 terms"):
+        verify_theorem2(m)
+    assert main(list(E1K3A_ARGV)) == 3
+    assert "has 2 terms" in capsys.readouterr().err
+
+
+def corrupt_one_entry(C):
+    """C with the first entry off the unit row and column doubled."""
+    for i, row in enumerate(C[1:], 1):
+        for j, (k, c) in row.items():
+            if j:
+                C[i] = {**row, j: (k, 2 * c)}
+                return C
+    raise AssertionError("no entry off the unit")
+
+
+def test_corrupted_single_term_entry_fails_the_contraction(monkeypatch, capsys):
+    m = build_bv(E1, K3, jgens(E1, K3))
+    mirror = m.mirror()
+    alg = BAlgebra(build_state_space(mirror.poly, mirror.sigma_group, "B"))
+    assert alg.unit() == 0
+    C, P = alg.structure_constants(), alg.pairing_table()
+    assert associativity_and_frobenius(C, P) == (0, 0)
+    assoc, frob = associativity_and_frobenius(corrupt_one_entry(C), P)
+    assert assoc > 0 and frob > 0
+
+    original = BAlgebra.structure_constants
+    monkeypatch.setattr(BAlgebra, "structure_constants", lambda self: corrupt_one_entry(original(self)))
+    report = verify_theorem2(m)
+    assert not report.passed
+    assert report.details["associativity_failures"] > 0
+    assert main([*E1K3A_ARGV, "--json"]) == 1
+    capsys.readouterr()
+
+
+def test_passing_theorem2_builds_no_sector_element(monkeypatch):
+    built = []
+    monkeypatch.setattr(SectorElement, "__init__", lambda self, *args: built.append(args))
+    assert verify_theorem2(nonproduct_model()).passed
+    assert built == []

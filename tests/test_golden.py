@@ -52,6 +52,12 @@ for _verb in VERBS:
 # the large model: its dual groups and Milnor bases are the biggest built
 for _verb in ("theorem1", "bvms", "twist-iso", "mirror", "theorem2"):
     CASES[f"e1octic_{_verb}"] = ["bv", _verb, "--w1", E1, "--w2", OCTIC, "--json"]
+# the largest admissible group on the octic rung, G = SL(W1) x SL(W2)
+SL_OCTIC = (
+    "0,1/3,2/3,0,0,0,0,0;1/2,0,1/2,0,0,0,0,0;0,0,0,0,0,0,1/8,7/8;"
+    "0,0,0,0,0,1/8,0,7/8;0,0,0,0,1/8,0,0,7/8;0,0,0,1/2,0,0,0,1/2"
+)
+CASES["e1octic_sl_theorem2"] = ["bv", "theorem2", "--w1", E1, "--w2", OCTIC, "--gens", SL_OCTIC, "--json"]
 # the rung past the Gmax cap: |Gmax(W1 + W2)| = 1,327,104, |G^T| = 13,824
 CASES["e2overcap_theorem1"] = ["bv", "theorem1", "--w1", E2, "--w2", OVERCAP, "--json"]
 # the K3 catalog with the invertible sample of each half-degree system

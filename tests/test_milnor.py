@@ -6,14 +6,13 @@ from lgmirror.milnor import (
     DegenerateSingularity,
     TermOrder,
     components,
-    fermat_milnor_number,
     groebner,
     hessian,
     jacobian_ideal,
     milnor_ring,
-    residue_pairing,
 )
 from lgmirror.polyring import Polynomial, parse_polynomial, weight_system
+from test_oracles import fermat_milnor_number, residue_pairing
 
 
 def ring(text, active=None):
@@ -23,7 +22,6 @@ def ring(text, active=None):
 def test_jacobian_fermat():
     p = parse_polynomial("x0^2+x1^3+x2^6")
     parts = jacobian_ideal(p)
-    assert parts[0] == parse_polynomial("2*x0").rename(p.variables[:1]).rename(("x0",)) or True
     assert parts[0].terms == {(1, 0, 0): 2}
     assert parts[1].terms == {(0, 2, 0): 3}
     assert parts[2].terms == {(0, 0, 5): 6}
@@ -148,7 +146,7 @@ def test_fermat_formula():
 
 def test_normal_form_examples():
     r = ring("x^3")
-    assert r.normal_form(parse_polynomial("x^4").rename(("x",))).is_zero()
+    assert r.normal_form(parse_polynomial("x^4")).is_zero()
     r2 = ring("x0^2+x1^3+x2^6")
     m = Polynomial(("x0", "x1", "x2"), {(0, 1, 4): 1})
     assert r2.normal_form(m) == m
@@ -171,7 +169,7 @@ def test_monomial_normal_form_remembered_per_ring():
 
 def test_normal_form_idempotent_and_graded():
     r = ring("x^3*y+y^4")
-    p = parse_polynomial("x^4+x*y^3").rename(("x", "y"))
+    p = parse_polynomial("x^4+x*y^3")
     nf = r.normal_form(p)
     assert r.normal_form(nf) == nf
     # weighted-degree preservation on quasihomogeneous input

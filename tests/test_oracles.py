@@ -8,13 +8,22 @@ enumerated Gmax(W^T) that pair integrally with every generator of G, and
 the standard monomials as the monomials of the pure-power box that no
 leading term divides.  Elements, generators and basis order must agree.
 
-`verify_theorem2` contracts sparse structure-constant and pairing tables,
-built sector pair by sector pair from nonzero entries only.  Its oracle is
+`verify_theorem2` contracts sparse single-term structure-constant and
+pairing tables, built sector pair by sector pair from nonzero entries only,
+and maps the even elements by phi-bar on their int vectors.  Its oracle is
 the elementwise verifier with its own algebra (`ElementwiseAlgebra`): gamma
 solved per pair of group elements, every basis pair multiplied and paired,
-and every pair and triple of basis elements checked as `AlgebraElement`
-objects.  Its basis-pair tables must equal the sector-pair tables entry for
-entry, and the two reports must be equal, mismatch order included.
+every pair and triple of basis elements checked as `AlgebraElement`
+objects, and phi-bar applied one `SectorElement` at a time (`phi_map`).
+Its basis-pair tables, unpacked to their one term, must equal the
+sector-pair tables entry for entry, phi-bar must equal `phi_map`, and the
+two reports must be equal, mismatch order included.
+
+Helpers that the package no longer calls are kept below as oracles: the
+Fermat Milnor number, the residue pairing of two polynomials, the action
+weight of a group element, the Krawitz dimension check, the twist map of one
+basis element, the Z/2 grading and even basis, `phi_map` and
+`check_property1`.
 
 `milnor_ring` assembles the ring of a locus with several connected blocks
 from one Groebner basis per block.  Its oracle is the one-shot ring: one
@@ -55,6 +64,7 @@ and takes minima.
 
 import math
 import re
+import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -63,7 +73,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import pytest
 
-from lgmirror.bvlg import block_j_elements, build_bv, tw_a_map, verify_twist_iso
+from lgmirror.bvlg import MalformedSector, _sector_epsilon, block_j_elements, build_bv, verify_twist_iso
 import lgmirror.chenruan as chenruan
 from lgmirror.catalog import (
     _block_polynomials,
@@ -75,21 +85,19 @@ from lgmirror.frobenius import (
     BAlgebra,
     HypothesisFailed,
     MixedSpaces,
+    NonProportional,
     NotBasisElement,
     OddElement,
     associativity_and_frobenius,
-    check_property1,
-    even_basis,
-    phi_map,
+    phi_bar,
+    property1,
     verify_theorem2,
-    z2_grading,
 )
 from lgmirror.milnor import (
     DegenerateSingularity,
     MilnorRing,
     TermOrder,
     _reduce_terms,
-    fermat_milnor_number,
     groebner,
     jacobian_ideal,
     milnor_ring,
@@ -98,6 +106,7 @@ from lgmirror.polyring import (
     Polynomial,
     WeightSystem,
     _head_aligned_rows,
+    atomic_decomposition,
     exponent_matrix,
     is_invertible,
     parse_polynomial,
@@ -135,6 +144,123 @@ MINI = parse_polynomial("y0^2+y1^2")
 OCTIC = parse_polynomial("y0^2+y1^8+y2^8+y3^8+y4^8")
 OVERCAP = parse_polynomial("y0^2+y1^3+y2^12+y3^24+y4^24")
 NONPRODUCT = "1/2,1/4,1/4,0,0,0,0;0,0,0,1/2,1/6,1/6,1/6;0,1/4,3/4,0,1/6,5/6,0"
+
+
+# Helpers with no caller in the package, kept here as oracles.
+
+
+def fermat_milnor_number(ws):
+    """Product formula for sums of Fermat monomials: mu = prod(d/w_i - 1)."""
+    total = 1
+    for w in ws.weights:
+        if ws.degree % w:
+            raise ValueError("not a Fermat weight system")
+        total *= ws.degree // w - 1
+    return total
+
+
+def residue_pairing(f, g, ring):
+    """<f, g> = mu * socle-coeff(nf(f*g)) / socle-coeff(nf(Hess(W)))."""
+    return ring.residue(ring.socle_coefficient(f * g))
+
+
+def action_weight(h, e):
+    """Weight of h on m * omega_g: sum over fixed j of (a_j + 1) h_j mod 1."""
+    total = sum((e.monomial[j] + 1) * h.num[j] for j in fixed_indices(e.sector))
+    return Fraction(total % h.den, h.den)
+
+
+def has_half_weight_chain(poly, ws):
+    """True when some chain block contains a variable of weight 1/2."""
+    for block in atomic_decomposition(poly):
+        if block.kind == "chain" and any(2 * ws.weights[v] == ws.degree for v in block.variables):
+            return True
+    return False
+
+
+def krawitz_dimension_check(poly, group):
+    """Bigraded tables of A(W, G) and B(W^T, G^T) agree for invertible W.
+
+    Returns (checked, lhs_table, rhs_table); a chain summand of weight 1/2 is
+    outside the supported range, so the check is skipped with a warning and
+    checked=False.
+    """
+    ws = weight_system(poly)
+    if has_half_weight_chain(poly, ws):
+        warnings.warn(
+            f"{poly} has a chain variable of weight 1/2; the bigraded "
+            "dimension comparison is not guaranteed there",
+            stacklevel=2,
+        )
+        return False, {}, {}
+    a_space = build_state_space(poly, group, "A", ws=ws)
+    dual = transpose_group(group, poly)
+    b_space = build_state_space(transpose(poly), dual, "B")
+    return True, poincare_table(a_space), poincare_table(b_space)
+
+
+def tw_a_map(e, model, tw):
+    """Image of a basis element under the twist map, with its 2^(1-eps) factor."""
+    eps = _sector_epsilon(model, e.sector)
+    for s in model.slots:
+        if e.monomial[s]:
+            raise MalformedSector("monomial touches a distinguished variable")
+    sector = GroupElement._raw([e.sector.num[k] for k in tw.keep], e.sector.den)
+    mono = tuple(e.monomial[k] for k in tw.keep)
+    return Fraction(2) ** (1 - eps), SectorElement(sector, mono, e.flavor)
+
+
+def z2_grading(e, nvars):
+    """A-model: N_g mod 2; B-model: N - N_g mod 2."""
+    ng = len(fixed_indices(e.sector))
+    if e.flavor == "A":
+        return ng % 2
+    return (nvars - ng) % 2
+
+
+def even_basis(space):
+    return tuple(e for e in space.basis if z2_grading(e, space.poly.nvars) == 0)
+
+
+def sector_vector(alg, g):
+    """The int numerators of the group element g over the exponent of the
+    group of `alg`: a sector of a `BAlgebra`."""
+    return tuple(a * (alg.L // g.den) for a in g.num)
+
+
+def element_key(alg, e):
+    """The key of the basis element e in `BAlgebra.at`."""
+    return sector_vector(alg, e.sector), e.monomial
+
+
+def phi_map(e, bhk_space, bv_space, sigma, rescaled=True):
+    """Rescaling map B(W^T, (sigma G)^T) -> B(W^T, sigma (G^T)) on one basis
+    element, as (scale, image).
+
+    Shared basis elements map to themselves; the others move to the sigma-
+    shifted sector (the volume form toggles dx0+dy0) with factor 1/2 when g
+    fixes the distinguished slots and 2 otherwise.
+    """
+    if e not in bhk_space.basis_set:
+        raise NotBasisElement(f"{e!r} is not in the BHK-mirror basis")
+    if e in bv_space.basis_set:
+        return Fraction(1), e
+    moved = SectorElement(sigma + e.sector, e.monomial, "B")
+    if moved not in bv_space.basis_set:
+        raise NotBasisElement(f"neither {e!r} nor its sigma-shift is in the BV basis")
+    slots = [k for k, a in enumerate(sigma.num) if a]
+    fixes = all(e.sector.num[k] == 0 for k in slots)
+    if not rescaled:
+        return Fraction(1), moved
+    return (Fraction(1, 2) if fixes else Fraction(2)), moved
+
+
+def check_property1(poly, group, ws=None):
+    """All-or-nothing fixing of atomic blocks across the nonempty sectors of
+    A(W, G) and B(W^T, G^T), both built here."""
+    a_space = build_state_space(poly, group, "A", ws=ws)
+    b_space = build_state_space(transpose(poly), transpose_group(group, poly), "B")
+    return property1(a_space, b_space)
 
 
 def smith_normal_form(matrix):
@@ -916,9 +1042,17 @@ class ElementwiseAlgebra:
         return total
 
     def structure_constants(self):
-        """C[i] = {j: {k: c}} over every basis pair, nonzero products only."""
+        """C[i] = {j: (k, c)} over every basis pair, nonzero products only;
+        unpacking the one term of each product fails on a second."""
         idx = range(len(self.even))
-        return [{j: row for j in idx if (row := self._product_index(i, j))} for i in idx]
+        C = [{} for _ in idx]
+        for i in idx:
+            for j in idx:
+                row = self._product_index(i, j)
+                if row:
+                    ((k, c),) = row.items()
+                    C[i][j] = (k, c)
+        return C
 
     def pairing_table(self):
         """P[i] = {j: <e_i, e_j>} over every basis pair, nonzero only."""
@@ -1105,11 +1239,86 @@ def test_tables_match_basis_pair_oracle(name):
     for group in (bhk_group, mirror.sigma_group):
         space = build_state_space(mirror.poly, group, "B")
         alg, oracle = BAlgebra(space), ElementwiseAlgebra(space)
-        assert alg.even == oracle.even
+        assert alg.at == {element_key(alg, e): i for i, e in enumerate(oracle.even)}
+        assert alg.dim == len(oracle.even)
         C = alg.structure_constants()
         assert any(C)
         assert C == oracle.structure_constants()
         assert alg.pairing_table() == oracle.pairing_table()
+
+
+CHAIN_K3 = parse_polynomial("y0^2+y1^3*y2+y2^10+y3^10")
+PHI_MODELS = {
+    "e1k3a": THEOREM2_MODELS["e1k3a"],
+    "nonproduct": THEOREM2_MODELS["nonproduct"],
+    "e1chain": lambda: build_bv(E1, CHAIN_K3, block_j_elements(weight_system(E1), weight_system(CHAIN_K3))),
+}
+
+
+def _mirror_algebras(model):
+    """The spaces and algebras of B(W^T, (sigma G)^T) and B(W^T, sigma(G^T))."""
+    mirror = model.mirror()
+    shared = {}
+    bhk = build_state_space(mirror.poly, transpose_group(model.sigma_group, model.poly), "B", rings=shared)
+    bv = build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared)
+    return bhk, bv, BAlgebra(bhk), BAlgebra(bv)
+
+
+@pytest.mark.parametrize("rescaled", [True, False])
+@pytest.mark.parametrize("name", sorted(PHI_MODELS))
+def test_phi_bar_matches_phi_map(name, rescaled):
+    """phi-bar on int vectors sends each even element of the BHK mirror to
+    the image of `phi_map`, with twice its scale."""
+    model = PHI_MODELS[name]()
+    bhk, bv, alg2, alg0 = _mirror_algebras(model)
+    phi = phi_bar(alg2, alg0, model.mirror().sigma, rescaled)
+    even2 = even_basis(bhk)
+    assert len(phi) == len(even2) == alg2.dim
+    scales = set()
+    for e in even2:
+        k, image = phi_map(e, bhk, bv, model.mirror().sigma, rescaled=rescaled)
+        assert phi[alg2.at[element_key(alg2, e)]] == (2 * k, alg0.at[element_key(alg0, image)])
+        scales.add(k)
+    assert len(scales) > 1 if rescaled else scales == {1}
+
+
+def test_chain_tables_keep_fractions():
+    """The chain model passes Theorem 2 with exact coefficients: its tables
+    hold non-integral Fractions, and ints everywhere else."""
+    model = PHI_MODELS["e1chain"]()
+    assert verify_theorem2(model).passed
+    _, _, alg2, alg0 = _mirror_algebras(model)
+    products = pairings = 0
+    for alg in (alg2, alg0):
+        C = [c for row in alg.structure_constants() for _, c in row.values()]
+        P = [c for row in alg.pairing_table() for c in row.values()]
+        assert all(type(c) is int or c.denominator > 1 for c in C + P)
+        products += sum(type(c) is Fraction for c in C)
+        pairings += sum(type(c) is Fraction for c in P)
+    assert (products, pairings) == (34, 52)
+
+
+def test_census_tables_have_single_terms():
+    """Both B-algebras of every third census model: every product has one
+    term (`structure_constants` raises MultiTermProduct on a second), a
+    target inside the even basis and a nonzero exact coefficient.  Off
+    property 1, W on some Fix gh has cross terms and gamma is undefined."""
+    built = undefined = 0
+    for model in _census_models():
+        _, _, alg2, alg0 = _mirror_algebras(model)
+        for alg in (alg2, alg0):
+            try:
+                C = alg.structure_constants()
+            except NonProportional:
+                assert not check_property1(model.poly, model.sigma_group, ws=model.ws).passed
+                undefined += 1
+                continue
+            built += 1
+            assert any(C)
+            for row in C:
+                for k, c in row.values():
+                    assert 0 <= k < alg.dim and c
+    assert (built, undefined) == (56, 4)
 
 
 def _corrupt_one_gamma(monkeypatch):
@@ -1198,7 +1407,10 @@ def test_twist_iso_matches_elementwise_map(name, flavor):
 def dense_triple_counts(C, P, n):
     """The failure counts of associativity_and_frobenius from dense arrays,
     one triple at a time."""
-    T = [[[C[i].get(j, {}).get(k, 0) for k in range(n)] for j in range(n)] for i in range(n)]
+    T = [[[0] * n for j in range(n)] for i in range(n)]
+    for i, row in enumerate(C):
+        for j, (k, c) in row.items():
+            T[i][j][k] = c
     Q = [[P[i].get(j, 0) for j in range(n)] for i in range(n)]
     assoc = frob = 0
     for i, j, k in product(range(n), repeat=3):
@@ -1213,15 +1425,12 @@ def dense_triple_counts(C, P, n):
 
 @st.composite
 def sparse_tables(draw):
-    """Random sparse tables C, P on n <= 4 indices; products have up to
-    three terms, so rows add several contributions per k."""
+    """Random sparse single-term tables C, P on n <= 4 indices, with ints
+    and Fractions as `BAlgebra` holds them."""
     n = draw(st.integers(1, 4))
     index = st.integers(0, n - 1)
-    coeff = st.integers(-2, 2).filter(bool).map(Fraction)
-    C = [
-        draw(st.dictionaries(index, st.dictionaries(index, coeff, min_size=1, max_size=3), max_size=n))
-        for _ in range(n)
-    ]
+    coeff = st.integers(-2, 2).filter(bool) | st.integers(-2, 2).filter(bool).map(lambda a: Fraction(a, 3))
+    C = [draw(st.dictionaries(index, st.tuples(index, coeff), max_size=n)) for _ in range(n)]
     P = [draw(st.dictionaries(index, coeff, max_size=n)) for _ in range(n)]
     return C, P, n
 

@@ -15,7 +15,6 @@ from lgmirror.polyring import direct_sum, parse_polynomial, transpose, weight_sy
 from lgmirror.statespace import (
     NotAdmissible,
     SectorElement,
-    action_weight,
     build_state_space,
     poincare_table,
     table_to_json,
@@ -29,7 +28,7 @@ from lgmirror.symmetry import (
     span,
     transpose_group,
 )
-from test_oracles import build_sector
+from test_oracles import action_weight, build_sector, krawitz_dimension_check
 
 E1 = parse_polynomial("x0^2+x1^3+x2^6")
 K3 = parse_polynomial("y0^2+y1^6+y2^6+y3^6")
@@ -189,16 +188,12 @@ def test_sector_dims_record_empty_sectors():
 
 
 def test_krawitz_check_helper():
-    from lgmirror.statespace import krawitz_dimension_check
-
     checked, lhs, rhs = krawitz_dimension_check(E1, J1)
     assert checked and lhs == rhs
 
 
 def test_krawitz_check_skips_half_weight_chain():
     import warnings
-
-    from lgmirror.statespace import krawitz_dimension_check
 
     # chain x^2 y + y^2: weights (1,2;4), so the chain variable y has q = 1/2
     chain = parse_polynomial("x^2*y+y^2")

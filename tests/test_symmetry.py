@@ -14,7 +14,6 @@ from lgmirror.symmetry import (
     fixed_indices,
     gmax,
     group_from_elements,
-    is_a_admissible,
     is_b_admissible,
     j_element,
     minimal_generators,
@@ -195,7 +194,7 @@ def test_group_from_elements():
 def test_admissibility_predicates():
     ws = weight_system(E1)
     j_grp = span(3, [j_element(ws)])
-    assert is_a_admissible(j_grp, ws)
+    assert j_element(ws) in j_grp
     assert is_b_admissible(j_grp)  # CY: age j = 1, all powers integral age
     assert not is_b_admissible(gmax(E1))
 
