@@ -88,14 +88,6 @@ def quasismooth_general(weights, degree: int) -> bool:
     return True
 
 
-def elliptic_systems():
-    """The two elliptic-curve weight systems with their Fermat samples."""
-    return [
-        WeightSystemRecord((3, 2, 1), 6, True, True, "x0^2+x1^3+x2^6"),
-        WeightSystemRecord((2, 1, 1), 4, True, True, "x0^2+x1^4+x2^4"),
-    ]
-
-
 def enumerate_k3_systems(max_weight: int = 40, with_samples: bool = False):
     """All CY quadruples (w0 >= ... >= w3; d = sum w) passing the
     quasismoothness criterion, deduplicated up to permutation.

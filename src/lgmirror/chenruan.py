@@ -143,11 +143,28 @@ def age_shift(s1, s2, t1: int, D1: int, t2: int, D2: int, d1: int, d2: int) -> F
 
 
 class CRTable:
-    __slots__ = ("table", "sectors")
+    """A Chen-Ruan table and its sector provenance, kept as raw tuples
+    (rep, t1, D1, t2, D2, age shift, dim, tags) and formatted when read."""
+
+    __slots__ = ("table", "_sectors")
 
     def __init__(self, table, sectors):
         self.table = dict(table)
-        self.sectors = list(sectors)
+        self._sectors = sectors
+
+    @property
+    def sectors(self) -> list:
+        return [
+            {
+                "rep": str(rep),
+                "lambda1": frac_str(Fraction(t1, D1)),
+                "lambda2": frac_str(Fraction(t2, D2)),
+                "age": frac_str(shift),
+                "dim": count,
+                "tags": sorted(f"{k1}*{k2}" for k1, k2 in tags),
+            }
+            for rep, t1, D1, t2, D2, shift, count, tags in self._sectors
+        ]
 
     @property
     def total(self) -> int:
@@ -207,16 +224,7 @@ def cr_table(model: BVModel) -> CRTable:
                             count += k1 * k2
                             tags.add((kind1, kind2))
                 if count:
-                    sectors.append(
-                        {
-                            "rep": str(rep),
-                            "lambda1": frac_str(Fraction(t1, D1)),
-                            "lambda2": frac_str(Fraction(t2, D2)),
-                            "age": frac_str(shift),
-                            "dim": count,
-                            "tags": sorted(f"{k1}*{k2}" for k1, k2 in tags),
-                        }
-                    )
+                    sectors.append((rep, t1, D1, t2, D2, shift, count, tags))
     return CRTable({(Fraction(p, T), Fraction(q, T)): c for (p, q), c in table.items()}, sectors)
 
 

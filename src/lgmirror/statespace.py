@@ -9,10 +9,10 @@ factors.  So the invariant monomials of a fixed locus come from a join of the
 blocks' monomials on characters that sum to 0, in integer arithmetic, and no
 locus basis is walked (`Invariants`).  A sector enters the bigraded table
 only through its locus and age (Krawitz, arXiv:0906.0796, §2), so a sweep
-counts the sectors of each class (Fix g, age g) on the group's int vectors,
-and the table sums count times the degree histogram of the locus.  It shares
-one integer grade formula with the bidegree of one element
-(`StateSpace._grade`).  The basis is built only when read.
+counts the sectors of each class (Fix g, age g) on the group's lattice
+(`sector_classes`), and the table sums count times the degree histogram of
+the locus.  It shares one integer grade formula with the bidegree of one
+element (`StateSpace._grade`).  The basis is built only when read.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .symmetry import (
     int_vectors,
     is_b_admissible,
     j_element,
-    vector_locus,
+    sector_classes,
 )
 
 
@@ -236,9 +236,10 @@ def build_state_space(
     ws: WeightSystem | None = None,
     rings: dict | None = None,
 ) -> StateSpace:
-    """Sweep all sectors of (W, G) by class on the group's int vectors, each
-    locus once, its ring and those of its blocks kept in the subset-keyed
-    `rings`; raises NotAdmissible on a flavor mismatch."""
+    """Sweep all sectors of (W, G) by class, counted on the group's lattice
+    without listing its elements, each locus once, its ring and those of its
+    blocks kept in the subset-keyed `rings`; raises NotAdmissible on a
+    flavor mismatch."""
     if flavor not in ("A", "B"):
         raise ValueError(f"unknown flavor {flavor!r}")
     if ws is None:
@@ -251,7 +252,7 @@ def build_state_space(
         raise NotAdmissible("B-model requires G inside SL (integral ages)")
     if rings is None:
         rings = {}
-    classes = Counter([(vector_locus(v), sum(v)) for v in group.vectors])
+    classes = sector_classes(group)
     invariant = Invariants(group)
     kept: dict = {}
     for locus in dict.fromkeys(locus for locus, _ in classes):

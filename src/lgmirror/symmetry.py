@@ -10,8 +10,11 @@ an echelon (Hermite) basis whose pivots divide L (Cohen, GTM 138, §2.4).
 Its order, the product of L / pivot, is checked against the cap before any
 element is built.  Its elements come from one mixed-radix walk of the basis,
 already sorted, as int vectors over L that become `GroupElement`s only when
-read; membership, subgroup tests and coset minima are reductions by the basis.  G^max, SL subgroups,
-dual groups and the twist projection are kernels of characters on such
+read.  Column i of the walk is final once row i is applied, so sector
+classes are counted on merged partial vectors (`sector_classes`) and coset
+minima come from walks bounded by a subgroup's pivots; membership and
+subgroup tests are reductions by the basis.  G^max, SL subgroups, dual
+groups and the twist projection are kernels of characters on such
 lattices, so G^max(W^T) is never walked and the cap bounds what is.
 """
 
@@ -20,7 +23,6 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from operator import lt
 
 from .polyring import (
     PolyError,
@@ -246,11 +248,11 @@ class SymmetryGroup:
 
     def __contains__(self, g: GroupElement) -> bool:
         scale, rest = divmod(self.L, g.den)
-        return rest == 0 and not any(_reduce([a * scale for a in g.num], self.basis))
+        return g.n == self.n and rest == 0 and not any(_reduce([a * scale for a in g.num], self.basis))
 
     def is_subgroup_of(self, other: "SymmetryGroup") -> bool:
         scale, rest = divmod(other.L, self.L)
-        return rest == 0 and not any(
+        return self.n == other.n and rest == 0 and not any(
             any(_reduce([a * scale for a in row], other.basis)) for row in self.basis
         )
 
@@ -315,18 +317,20 @@ def _reduce(v, basis, start: int = 0) -> tuple:
     return tuple(v)
 
 
-def _walk(basis, L: int) -> list:
+def _walk(basis, L: int, bound=None) -> list:
     """Every vector sum c_i h_i mod L with 0 <= c_i < L / pivot_i, once each
     and in lexicographic order: before stepping along h_i, coordinate i is
     reduced into [0, pivot_i), so the steps visit its values in increasing
-    order.  A row with pivot L is L*e_i and adds nothing."""
+    order.  A row with pivot L is L*e_i and adds nothing.  Column i is final
+    once row i is applied, so with `bound` (multiples of the pivots) only the
+    vectors with every coordinate i below bound[i] are stepped to."""
     vecs = [(0,) * len(basis)]
     for i, h in enumerate(basis):
         p = h[i]
         if p == L:
             continue
         tail = h[i:]
-        steps = [[c * b for b in tail] for c in range(L // p)]
+        steps = [[c * b for b in tail] for c in range((L if bound is None else bound[i]) // p)]
         out = []
         for v in vecs:
             head = v[:i]
@@ -335,6 +339,36 @@ def _walk(basis, L: int) -> list:
             out.extend([head + tuple([(a + s) % L for a, s in zip(base, step)]) for step in steps])
         vecs = out
     return vecs
+
+
+def sector_classes(group: SymmetryGroup) -> dict:
+    """{(Fix v, sum v): count} over the int vectors v of the group, in the
+    order of their least members, without listing them.  The steps are
+    those of `_walk`, on partial vectors; column i is final once row i is
+    applied, so the partial vectors that share the mask of their fixed
+    columns, their sum and their unfinished columns are merged and counted."""
+    L, n = group.L, group.n
+    states = {(0, 0) + (0,) * n: 1}
+    for i, h in enumerate(group.basis):
+        p, tail, bit = h[i], h[i + 1 :], 1 << i
+        out: dict = {}
+        if p == L:  # the row adds nothing: column i is final as it stands
+            for state, k in states.items():
+                a = state[2]
+                key = (state[0] if a else state[0] | bit, state[1] + a, *state[3:])
+                out[key] = out.get(key, 0) + k
+        else:
+            steps = [(c * p, [c * b for b in tail]) for c in range(L // p)]
+            for state, k in states.items():
+                mask, total = state[0], state[1]
+                q, r = divmod(state[2], p)
+                base = [a - q * b for a, b in zip(state[3:], tail)]
+                for s, step in steps:
+                    a = r + s
+                    key = (mask if a else mask | bit, total + a, *[(x + y) % L for x, y in zip(base, step)])
+                    out[key] = out.get(key, 0) + k
+        states = out
+    return {(tuple([i for i in range(n) if mask >> i & 1]), total): k for (mask, total), k in states.items()}
 
 
 def _check_cap(order: int, cap: int | None = None):
@@ -497,24 +531,26 @@ def bv_cosets(sigma_group: SymmetryGroup, j_group: SymmetryGroup, slots, sigma) 
 
     A coset is keyed by its minimum, to which J's echelon basis reduces any
     of its elements; an element is a minimum when each coordinate is below
-    J's pivot there.  One pass over the sorted int vectors of sigma*G lists
-    the minima in order and keeps the first vector of each coset that fixes
-    both slots; the sigma partner of the coset keyed k is keyed by the
-    reduction of sigma + k.  Only the representatives become elements."""
+    J's pivot there, so a walk of sigma*G bounded by those pivots lists the
+    keys in order.  The vectors of a coset that fix both slots are a coset
+    of J n K in K = {v in sigma*G : v_i0 = v_j0 = 0}, and the least of them
+    is its minimum, so a walk of K bounded by the pivots of J n K lists the
+    representatives, each keyed by its reduction by J.  The sigma partner of
+    the coset keyed k is keyed by the reduction of sigma + k.  Only the
+    representatives become elements."""
     if not j_group.is_subgroup_of(sigma_group):
         raise NotSubgroup("H is not contained in G")
-    i0, j0 = slots
-    L = sigma_group.L
+    n, L = sigma_group.n, sigma_group.L
     scale = L // j_group.L
     rows = [tuple(a * scale for a in row) for row in j_group.basis]
-    pivots = [row[i] for i, row in enumerate(rows)]
-    keys = []
+    keys = _walk(sigma_group.basis, L, [row[i] for i, row in enumerate(rows)])
+    slots_off = [[int(k == s) for k in range(n)] for s in slots]
+    Lk, k_basis = _lattice(n, L, sigma_group.basis, slots_off)
+    Ljk, jk_basis = _lattice(n, L, rows, slots_off)
     zero_slot = {}
-    for v in sigma_group.vectors:
-        if all(map(lt, v, pivots)):
-            keys.append(v)
-        if v[i0] == 0 and v[j0] == 0:
-            zero_slot.setdefault(_reduce(v, rows), v)
+    for v in _walk(k_basis, Lk, [row[i] * (Lk // Ljk) for i, row in enumerate(jk_basis)]):
+        v = tuple([a * (L // Lk) for a in v])
+        zero_slot[_reduce(v, rows)] = v
     shift = [a * (L // sigma.den) for a in sigma.num]
     paired = set()
     first = []

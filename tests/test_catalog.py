@@ -8,7 +8,6 @@ from lgmirror.catalog import (
     NoInvertibleRepresentative,
     WeightSystemRecord,
     bv_discrepancy,
-    elliptic_systems,
     enumerate_k3_systems,
     filter_bv,
     filter_bv_invertible,
@@ -27,6 +26,14 @@ from lgmirror.polyring import (
     parse_polynomial,
     weight_system,
 )
+
+
+def elliptic_systems():
+    """The two elliptic-curve weight systems with their Fermat samples."""
+    return [
+        WeightSystemRecord((3, 2, 1), 6, True, True, "x0^2+x1^3+x2^6"),
+        WeightSystemRecord((2, 1, 1), 4, True, True, "x0^2+x1^4+x2^4"),
+    ]
 
 
 @pytest.fixture(scope="module")

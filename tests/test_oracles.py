@@ -59,7 +59,12 @@ product of the cyclic groups of a Smith normal form.  SL subgroups and the
 twist projection are kernels too; their oracles filter elements.
 `bv_cosets` keys cosets by their minima, the reductions by J's basis; its
 oracle sorts every coset, listed from a set of covered elements (`cosets`),
-and takes minima.
+and takes minima.  It walks only the coset minima of sigma G and of the
+slot-fixing kernel, by walks bounded by the pivots of J and of its
+slot-fixing part; its second oracle is the walk of every element of sigma G
+it replaced (`walked_bv_cosets`).  A state space counts its sector classes on
+the lattice (`sector_classes`); the oracle counts (Fix v, sum v) over the
+full walk.
 """
 
 import math
@@ -73,8 +78,16 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import pytest
 
-from lgmirror.bvlg import MalformedSector, _sector_epsilon, block_j_elements, build_bv, verify_twist_iso
+from lgmirror.bvlg import (
+    MalformedSector,
+    _sector_epsilon,
+    block_j_elements,
+    build_bv,
+    verify_theorem1,
+    verify_twist_iso,
+)
 import lgmirror.chenruan as chenruan
+import lgmirror.statespace as statespace
 from lgmirror.catalog import (
     _block_polynomials,
     enumerate_k3_systems,
@@ -121,6 +134,8 @@ from lgmirror.symmetry import (
     GroupElement,
     GroupError,
     NotSubgroup,
+    _reduce,
+    _walk,
     age,
     bv_cosets,
     fixed_indices,
@@ -130,6 +145,7 @@ from lgmirror.symmetry import (
     j_element,
     minimal_generators,
     parse_group_elements,
+    sector_classes,
     sl_subgroup,
     span,
     subgroup_on,
@@ -603,6 +619,95 @@ def oracle_bv_cosets(sigma_group, j_group, slots, sigma):
     if 2 * len(first) != len(base.representatives):
         raise GroupError("sigma pairing did not halve the cosets")
     return tuple(first + [sigma + r for r in first])
+
+
+def walked_bv_cosets(sigma_group, j_group, slots, sigma):
+    """The representatives from one pass over every sorted int vector of
+    sigma*G: each vector below J's pivots in every coordinate is a coset
+    minimum, and the first vector of each coset that fixes both slots is its
+    representative."""
+    if not j_group.is_subgroup_of(sigma_group):
+        raise NotSubgroup("H is not contained in G")
+    i0, j0 = slots
+    L = sigma_group.L
+    scale = L // j_group.L
+    rows = [tuple(a * scale for a in row) for row in j_group.basis]
+    pivots = [row[i] for i, row in enumerate(rows)]
+    keys = []
+    zero_slot = {}
+    for v in sigma_group.vectors:
+        if all(a < p for a, p in zip(v, pivots)):
+            keys.append(v)
+        if v[i0] == 0 and v[j0] == 0:
+            zero_slot.setdefault(_reduce(v, rows), v)
+    shift = [a * (L // sigma.den) for a in sigma.num]
+    paired = set()
+    first = []
+    for key in keys:
+        if key in paired:
+            continue
+        rep = zero_slot.get(key)
+        if rep is None:
+            raise GroupError("coset without a representative fixing the distinguished slots")
+        partner_key = _reduce([a + b for a, b in zip(key, shift)], rows)
+        if partner_key == key:
+            raise GroupError("sigma stabilizes a J-coset")
+        first.append(GroupElement._raw(rep, L))
+        paired.add(key)
+        paired.add(partner_key)
+    if 2 * len(first) != len(keys):
+        raise GroupError("sigma pairing did not halve the cosets")
+    return tuple(first + [sigma + r for r in first])
+
+
+def test_bounded_bv_cosets_match_the_walk():
+    """Both sides of the 30 census models, E1 x OCTIC, the nonproduct model
+    and E2 x the over-cap block: the coset minima from bounded walks give
+    the representatives of the walk over all of sigma G, in order."""
+    models = _census_models()
+    assert len(models) == 30
+    models += [_golden_models()["e1octic"], _models()["nonproduct"]]
+    models.append(build_bv(E2, OVERCAP, block_j_elements(weight_system(E2), weight_system(OVERCAP))))
+    for model in models:
+        for side in (model, model.mirror()):
+            j_group = span(side.poly.nvars, [side.j1, side.j2])
+            args = (side.sigma_group, j_group, side.slots, side.sigma)
+            assert bv_cosets(*args).representatives == walked_bv_cosets(*args)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_class_count_and_bounded_walk_match_the_full_walk(data):
+    """Random spans on up to six variables: the classes counted on the
+    lattice are Counter((Fix v, sum v)) over the full walk, in the same
+    order, and a walk bounded by multiples of the pivots is the full walk
+    filtered by the bound."""
+    group = data.draw(mixed_groups(data.draw(st.integers(1, 6))))
+    full = _walk(group.basis, group.L)
+    assert len(full) == group.order
+    want = Counter([(vector_locus(v), sum(v)) for v in full])
+    assert list(sector_classes(group).items()) == list(want.items())
+    L = group.L
+    bound = [row[i] * data.draw(st.integers(1, L // row[i])) for i, row in enumerate(group.basis)]
+    assert _walk(group.basis, L, bound) == [v for v in full if all(a < b for a, b in zip(v, bound))]
+
+
+def test_class_count_off_by_one_fails_theorem1(monkeypatch):
+    """One narrow sector too many in the A-model count of E1 x K3A: Theorem
+    1 must report a mismatch."""
+    model = _models()["e1k3a"]
+
+    def off_by_one(group):
+        classes = sector_classes(group)
+        if group is model.sigma_group:
+            classes[next(key for key in classes if not key[0])] += 1
+        return classes
+
+    monkeypatch.setattr(statespace, "sector_classes", off_by_one)
+    report = verify_theorem1(model)
+    assert not report.passed
+    assert report.details["lhs_total"] == report.details["rhs_total"] + 1
+    assert report.mismatches
 
 
 @pytest.mark.parametrize("name", ["e1k3a", "nonproduct", "e1octic"])

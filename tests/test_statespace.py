@@ -29,6 +29,7 @@ from lgmirror.symmetry import (
     transpose_group,
 )
 from test_oracles import action_weight, build_sector, krawitz_dimension_check
+from test_symmetry import count_walks
 
 E1 = parse_polynomial("x0^2+x1^3+x2^6")
 K3 = parse_polynomial("y0^2+y1^6+y2^6+y3^6")
@@ -291,6 +292,18 @@ def test_cold_verdicts_build_no_sector_elements(monkeypatch, verdict):
     allowed = _allowed_elements(build_bv(E1, OCTIC, block_j_elements(WS1, WS_OCTIC)))
     assert set(built) <= allowed
     assert len(built) <= 2 * len(allowed)
+
+
+@pytest.mark.parametrize("verdict", [verify_theorem1, verify_bv_mirror, verify_lgcy])
+def test_cold_verdicts_walk_no_group_in_full(monkeypatch, verdict):
+    """theorem1, bvms and lgcy on a fresh E1 x OCTIC model count sector
+    classes on the lattice and list only coset minima: every `_walk` they
+    make is bounded, and the 12,288 elements of the mirror's sigma G are
+    never listed."""
+    walked = count_walks(monkeypatch)
+    model = build_bv(E1, OCTIC, block_j_elements(WS1, WS_OCTIC))
+    assert verdict(model).passed
+    assert walked == []
 
 
 def _load_tracer():

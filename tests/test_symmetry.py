@@ -199,6 +199,20 @@ def test_admissibility_predicates():
     assert not is_b_admissible(gmax(E1))
 
 
+def test_membership_needs_the_same_variable_count():
+    """An element or a group on a different number of variables is never a
+    member or a subgroup, in either direction, and nothing raises."""
+    half = Fraction(1, 2)
+    short = span(2, [GroupElement([half, half])])
+    long = span(3, [GroupElement([half, half, half])])
+    assert GroupElement([half, half]) not in long
+    assert GroupElement([half, half, half]) not in short
+    assert GroupElement([half, half, half, 0]) not in long
+    assert not short.is_subgroup_of(long)
+    assert not long.is_subgroup_of(short)
+    assert short.is_subgroup_of(short) and long.is_subgroup_of(long)
+
+
 def test_bv_cosets_structure():
     # sigma-extension of J1 x J2 for the Fermat elliptic x K3 pair
     from lgmirror.polyring import direct_sum
@@ -224,13 +238,15 @@ def test_bv_cosets_structure():
 
 
 def count_walks(monkeypatch):
-    """Orders of the lattices `SymmetryGroup.elements` walks from now on."""
+    """Orders of the lattices walked in full (`_walk` without a bound, as
+    `SymmetryGroup.elements` does) from now on."""
     walked = []
     walk = symmetry._walk
 
-    def counted(basis, L):
-        vecs = walk(basis, L)
-        walked.append(len(vecs))
+    def counted(basis, L, bound=None):
+        vecs = walk(basis, L, bound)
+        if bound is None:
+            walked.append(len(vecs))
         return vecs
 
     monkeypatch.setattr(symmetry, "_walk", counted)
