@@ -1,5 +1,5 @@
 """Weight-system catalog: K3 hypersurface systems, the half-degree filter,
-sample potentials of the shape z0^2 + f, and CSV persistence.
+sample potentials of the shape z0^2 + f, and CSV output.
 
 Quasismoothness of the general degree-d hypersurface in P(w0..w3) is decided
 by the standard combinatorial criterion over nonempty variable subsets I:
@@ -9,9 +9,7 @@ monomials x^M * x_e (M supported on I) with |I| distinct outside variables e.
 
 from __future__ import annotations
 
-import functools
 import math
-import warnings
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -52,21 +50,14 @@ class WeightSystemRecord(Frozen):
 
 def representable(target: int, weights) -> bool:
     """Is target a non-negative integer combination of the weights?"""
-    return _representable(target, tuple(sorted(weights)))
-
-
-@functools.lru_cache(maxsize=1 << 14)
-def _representable(target: int, weights: tuple) -> bool:
     if target < 0:
         return False
     if target == 0:
         return True
-    if len(weights) == 1:
-        return target % weights[0] == 0
-    head, rest = weights[0], weights[1:]
-    return any(
-        _representable(target - head * k, rest) for k in range(target // head + 1)
-    )
+    head, *rest = weights
+    if not rest:
+        return target % head == 0
+    return any(representable(target - head * k, rest) for k in range(target // head + 1))
 
 
 def quasismooth_general(weights, degree: int) -> bool:
@@ -309,35 +300,6 @@ def save_catalog(records, path):
     lines = [CSV_HEADER] + [csv_row(r) for r in records]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_catalog(path):
-    records = []
-    seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise CatalogError(f"{path}:1: bad or missing header")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",", 7)
-        if len(parts) != 8:
-            raise CatalogError(f"{path}:{lineno}: expected 8 columns")
-        try:
-            weights = tuple(int(p) for p in parts[:4])
-            degree = int(parts[4])
-            quasismooth = bool(int(parts[5]))
-            bv = bool(int(parts[6]))
-        except ValueError as exc:
-            raise CatalogError(f"{path}:{lineno}: {exc}") from exc
-        key = (weights, degree)
-        if key in seen:
-            warnings.warn(f"{path}:{lineno}: duplicate row for {key}", stacklevel=2)
-            continue
-        seen.add(key)
-        records.append(WeightSystemRecord(weights, degree, quasismooth, bv, parts[7]))
-    return records
 
 
 def genericity_spot_check(record: WeightSystemRecord, seed: int = 0) -> bool:

@@ -11,11 +11,14 @@ Ambient pieces are the (i, i) ladder of the ambient weighted projective
 space, of trivial character; primitive pieces are graded pieces of the
 Milnor ring (Griffiths-Steenbrink).  The Milnor ring of a locus is the
 tensor product of those of its connected blocks (Krawitz, arXiv:0906.0796,
-§2), and a class counts only through its character and degree.  So the
-standard monomials of each block ring are counted by (character, degree)
-once per table (`block_counts`), the classes of a locus come from
-convolving its blocks' counts (`FactorClasses`), and the table multiplies
-the counts of complementary characters.  No locus basis is walked.
+§2), and a class counts only through its character and degree.  So a
+locus is taken in the model's variables, its ring comes from the
+subset-keyed cache that the A-model sweep shares (`milnor_ring`), the
+standard monomials of each block ring are bucketed by character once per
+table (`statespace.Invariants`), the classes of a locus come from
+convolving its blocks' (character, degree) counts (`locus_classes`), and
+the table multiplies the counts of complementary characters.  No locus
+basis is walked.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ from collections import Counter
 from fractions import Fraction
 
 from .bvlg import BVModel
-from .milnor import TermOrder, _block_ring, components
+from .milnor import milnor_ring
 from .polyring import WeightSystem, restrict
 from .report import Report
-from .statespace import build_state_space, diff_tables, frac_str, poincare_table
-from .symmetry import bv_cosets, int_vectors, span, vector_locus
+from .statespace import Invariants, build_state_space, diff_tables, frac_str, poincare_table
+from .symmetry import bv_cosets, span, vector_locus
 
 AMBIENT = "ambient"
 PRIMITIVE = "primitive"
@@ -54,77 +57,50 @@ def scaled_element(num, den: int, t: int, D: int, ws: WeightSystem) -> tuple:
     return tuple([(a * scale + t * w) % D for a, w in zip(num, ws.weights)])
 
 
-def block_counts(ring, gen_vecs, L: int) -> dict:
-    """{character: Counter(w)} over the standard monomials m of a block
-    ring: the character has one entry per generator h, sum over the block of
-    (m_j + 1) h_j mod L, and w = sum over the block of (m_j + 1) w_j."""
-    block = ring.active
-    form = sum(ring.weights[j] for j in block)
-    out: dict = {}
-    for m in ring.basis:
-        ch = tuple([sum([(m[j] + 1) * h[j] for j in block]) % L for h in gen_vecs])
-        out.setdefault(ch, Counter())[ring.wdeg(m) + form] += 1
-    return out
-
-
-class FactorClasses:
-    """The cohomology classes of the fixed loci X_{W | fixed} of one factor
-    W, counted by character under the generators `gen_vecs` (int vectors
-    over L on the factor's variables): `classes(fixed)` is
-    {character: Counter((p, q, kind))}, kept per locus, from the counts of
-    the block rings, kept per block."""
-
-    __slots__ = ("poly", "ws", "gen_vecs", "L", "blocks", "loci")
-
-    def __init__(self, poly, ws: WeightSystem, gen_vecs, L: int):
-        self.poly, self.ws, self.gen_vecs, self.L = poly, ws, gen_vecs, L
-        self.blocks: dict = {}
-        self.loci: dict = {}
-
-    def classes(self, fixed) -> dict:
-        if fixed not in self.loci:
-            self.loci[fixed] = self._classes(fixed)
-        return self.loci[fixed]
-
-    def _classes(self, fixed) -> dict:
-        if not fixed:
-            return {}
-        zero = (0,) * len(self.gen_vecs)
-        restricted = restrict(self.poly, fixed)
-        if restricted.is_zero():
-            # the polynomial vanishes on the fixed locus: ambient cohomology
-            # of the weighted projective space of dimension |fixed| - 1
-            return {zero: _ambient(len(fixed) - 1)}
-        dim = len(fixed) - 2
-        if dim < 0:
-            return {}  # z^a = 0 inside a weighted point: empty hypersurface
-        L, weights = self.L, self.ws.weights
-        totals = {zero: Counter({0: 1})}  # character -> Counter(sum of (m_j + 1) w_j)
-        for block in components(restricted, fixed):
-            if block not in self.blocks:
-                ring = _block_ring(restricted, block, weights, TermOrder(weights))
-                self.blocks[block] = block_counts(ring, self.gen_vecs, L)
-            nxt: dict = {}
+def locus_classes(model: BVModel, locus, rings: dict, invariant: Invariants) -> dict:
+    """The cohomology classes of X_{W | locus}, for `locus` a set of the
+    model's variables inside one factor W, counted by character under the
+    generators of `invariant`: {character: Counter((p, q, kind))}.  The
+    locus ring comes from the subset-keyed cache `rings`, and the classes
+    from convolving the (character, degree) counts of its blocks' buckets."""
+    if not locus:
+        return {}
+    zero = (0,) * len(invariant.gen_vecs)
+    if restrict(model.poly, locus).is_zero():
+        # the polynomial vanishes on the fixed locus: ambient cohomology
+        # of the weighted projective space of dimension |locus| - 1
+        return {zero: _ambient(len(locus) - 1)}
+    dim = len(locus) - 2
+    if dim < 0:
+        return {}  # z^a = 0 inside a weighted point: empty hypersurface
+    ring = milnor_ring(model.poly, locus, model.ws, rings)
+    L, weights = invariant.L, model.ws.weights
+    totals = {zero: Counter({0: 1})}  # character -> Counter(sum of (m_j + 1) w_j)
+    for part in ring.parts or (ring,):
+        form = sum([weights[j] for j in part.active])
+        nxt: dict = {}
+        for c2, terms in invariant.buckets(part).items():
             for c1, hist1 in totals.items():
-                for c2, hist2 in self.blocks[block].items():
-                    acc = nxt.setdefault(tuple([(a + b) % L for a, b in zip(c1, c2)]), Counter())
-                    for w1, k1 in hist1.items():
-                        for w2, k2 in hist2.items():
-                            acc[w1 + w2] += k1 * k2
-            totals = nxt
-        # Griffiths-Steenbrink: monomial-plus-form weight (q + 1) d gives h^{dim-q, q}
-        d = self.ws.degree
-        bad = [w for hist in totals.values() for w in hist if w % d == 0 and not 0 < w // d <= dim + 1]
-        if bad:
-            q = min(bad) // d - 1
-            raise ValueError(f"Griffiths-Steenbrink grade {q} outside 0..{dim} for {self.poly}")
-        out = {zero: _ambient(dim)}
-        for ch, hist in totals.items():
-            for w, n in hist.items():
-                if w % d == 0:
-                    q = w // d - 1
-                    out.setdefault(ch, Counter())[(dim - q, q, PRIMITIVE)] += n
-        return out
+                acc = nxt.setdefault(tuple([(a + b) % L for a, b in zip(c1, c2)]), Counter())
+                for w1, k1 in hist1.items():
+                    w1 += form
+                    for w2, _ in terms:
+                        acc[w1 + w2] += k1
+        totals = nxt
+    # Griffiths-Steenbrink: monomial-plus-form weight (q + 1) d gives h^{dim-q, q};
+    # each factor has degree d in the model's weights
+    d = model.ws.degree
+    bad = [w for hist in totals.values() for w in hist if w % d == 0 and not 0 < w // d <= dim + 1]
+    if bad:
+        q = min(bad) // d - 1
+        raise ValueError(f"Griffiths-Steenbrink grade {q} outside 0..{dim} for {ring.poly}")
+    out = {zero: _ambient(dim)}
+    for ch, hist in totals.items():
+        for w, n in hist.items():
+            if w % d == 0:
+                q = w // d - 1
+                out.setdefault(ch, Counter())[(dim - q, q, PRIMITIVE)] += n
+    return out
 
 
 def _ambient(dim: int) -> Counter:
@@ -183,15 +159,23 @@ class CRTable:
         }
 
 
-def cr_table(model: BVModel) -> CRTable:
-    """Bigraded Chen-Ruan table of the model's orbifold, with provenance."""
+def cr_table(model: BVModel, rings: dict | None = None) -> CRTable:
+    """Bigraded Chen-Ruan table of the model's orbifold, with provenance;
+    the Milnor rings of its loci are kept in the subset-keyed `rings`."""
     n1 = model.n1
     j_group = span(model.poly.nvars, [model.j1, model.j2])
     decomposition = bv_cosets(model.sigma_group, j_group, model.slots, model.sigma)
-    L, gen_vecs = int_vectors(model.sigma_group.gens)
+    if rings is None:
+        rings = {}
+    invariant = Invariants(model.sigma_group)
+    L = invariant.L
     ws1, ws2 = model.ws1, model.ws2
-    side1 = FactorClasses(model.w1, ws1, [v[:n1] for v in gen_vecs], L)
-    side2 = FactorClasses(model.w2, ws2, [v[n1:] for v in gen_vecs], L)
+    loci: dict = {}
+
+    def classes(locus):
+        if locus not in loci:
+            loci[locus] = locus_classes(model, locus, rings, invariant)
+        return loci[locus]
 
     table: dict = {}  # (p, q) as int numerators over T, a multiple of every age's denominator
     T = model.sigma_group.L * math.lcm(*ws1.weights, *ws2.weights)
@@ -203,12 +187,12 @@ def cr_table(model: BVModel) -> CRTable:
         partners = []  # per angle t2: the classes of side 2 keyed by minus their character
         for t2 in thetas2:
             s2 = scaled_element(g2, rep.den, t2, D2, ws2)
-            cls2 = side2.classes(vector_locus(s2))
+            cls2 = classes(tuple([n1 + i for i in vector_locus(s2)]))
             if cls2:
                 partners.append((t2, s2, {tuple([-c % L for c in ch]): n for ch, n in cls2.items()}))
         for t1 in thetas1:
             s1 = scaled_element(g1, rep.den, t1, D1, ws1)
-            cls1 = side1.classes(vector_locus(s1))
+            cls1 = classes(vector_locus(s1))
             if not cls1:
                 continue
             for t2, s2, cls2 in partners:
@@ -230,8 +214,9 @@ def cr_table(model: BVModel) -> CRTable:
 
 def verify_lgcy(model: BVModel) -> Report:
     """State-space isomorphism: the CR table equals the A-model table."""
-    cr = cr_table(model)
-    a_space = build_state_space(model.poly, model.sigma_group, "A", ws=model.ws)
+    rings: dict = {}
+    cr = cr_table(model, rings)
+    a_space = build_state_space(model.poly, model.sigma_group, "A", ws=model.ws, rings=rings)
     a_table = poincare_table(a_space)
     mismatches = diff_tables(cr.table, a_table, "cr", "fjrw")
     return Report(

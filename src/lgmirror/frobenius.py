@@ -123,9 +123,7 @@ class BAlgebra:
         return tuple([(a + b) % L for a, b in zip(g, h)])
 
     def ring(self, locus) -> MilnorRing:
-        if locus not in self.rings:
-            self.rings[locus] = milnor_ring(self.poly, active=locus, ws=self.space.ws, rings=self.rings)
-        return self.rings[locus]
+        return milnor_ring(self.poly, locus, self.space.ws, self.rings)
 
     def pairs(self, gs, hs):
         """The pairs (g, h) of int vectors, g in gs and h in hs, that meet the

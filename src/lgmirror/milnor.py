@@ -7,7 +7,7 @@ degree + reverse lexicographic, which respects the quasihomogeneous grading.
 A potential whose variables split into connected blocks (variables joined
 when they share a monomial) is a Thom-Sebastiani sum, and its Milnor ring is
 the tensor product of the rings of its blocks.  `milnor_ring` builds one
-Groebner basis per block, keeps the block rings in the caller's
+Groebner basis per block, keeps block and locus rings in the caller's
 subset-keyed cache, and assembles the ring of the sum from them: the union
 of the block bases is the reduced basis of the sum, mu is the product and
 the socle the sum of the block socles.  The standard monomials of an
@@ -348,9 +348,11 @@ def milnor_ring(
     Raises DegenerateSingularity when the quotient is infinite dimensional.
     `ws` supplies the grading; by default the weight system is solved from
     the restricted polynomial itself (all-ones fallback when non-unique, the
-    order is still valid).  With two or more connected blocks the ring is
-    assembled from block rings, which are looked up in and added to the
-    subset-keyed cache `rings`.
+    order is still valid).  `rings` is the caller's subset-keyed cache for
+    one polynomial, read and written here only: the ring of `active` is
+    served from it when its weights match, and otherwise the ring is built
+    and kept there, with two or more connected blocks assembled from block
+    rings that are looked up in and added to the same cache.
     """
     n = poly.nvars
     if active is None:
@@ -361,20 +363,26 @@ def milnor_ring(
         weights = tuple(ws.weights)
     else:
         weights = _grading_weights(restricted, active)
+    if rings is None:
+        rings = {}
+    ring = rings.get(active)
+    if ring is not None and ring.weights == weights:
+        return ring
     order = TermOrder(weights)
     blocks = components(restricted, active)
     if len(blocks) < 2:
-        return _block_ring(restricted, active, weights, order)
-    if rings is None:
-        rings = {}
-    parts = []
-    for block in blocks:
-        part = rings.get(block)
-        if part is None or part.weights != weights:
-            part = _block_ring(restricted, block, weights, order)
-            rings.setdefault(block, part)
-        parts.append(part)
-    return MilnorRing(restricted, active, weights, order, None, parts)
+        ring = _block_ring(restricted, active, weights, order)
+    else:
+        parts = []
+        for block in blocks:
+            part = rings.get(block)
+            if part is None or part.weights != weights:
+                part = _block_ring(restricted, block, weights, order)
+                rings.setdefault(block, part)
+            parts.append(part)
+        ring = MilnorRing(restricted, active, weights, order, None, parts)
+    rings.setdefault(active, ring)
+    return ring
 
 
 def _block_ring(poly: Polynomial, block, weights, order: TermOrder) -> MilnorRing:

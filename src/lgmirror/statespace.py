@@ -157,11 +157,11 @@ class Invariants:
     share blocks, so a half is multiplied out once per sweep for each tuple
     of blocks.  No locus basis is walked."""
 
-    __slots__ = ("L", "gen_vecs", "buckets", "halves")
+    __slots__ = ("L", "gen_vecs", "by_block", "halves")
 
     def __init__(self, group: SymmetryGroup):
         self.L, self.gen_vecs = int_vectors(group.gens)
-        self.buckets: dict = {}
+        self.by_block: dict = {}
         self.halves: dict = {}
 
     def kept(self, ring) -> list:
@@ -196,9 +196,9 @@ class Invariants:
         if not parts:
             return {(0,) * len(self.gen_vecs): [(0, zero)]}
         L = self.L
-        acc = self._buckets(parts[0])
+        acc = self.buckets(parts[0])
         for part in parts[1:]:
-            buckets = self._buckets(part)
+            buckets = self.buckets(part)
             nxt: dict = {}
             for c1, terms1 in acc.items():
                 for c2, terms2 in buckets.items():
@@ -207,17 +207,18 @@ class Invariants:
             acc = nxt
         return acc
 
-    def _buckets(self, part) -> dict:
-        """{character: [(wdeg, m)]} over the standard monomials of a block."""
-        got = self.buckets.get(part.active)
+    def buckets(self, part) -> dict:
+        """{character: [(wdeg, m)]} over the standard monomials of a block
+        ring, kept per block."""
+        got = self.by_block.get(part.active)
         if got is None:
-            L, block = self.L, part.active
-            got = self.buckets[block] = {}
+            L, block, w = self.L, part.active, part.weights
+            got = self.by_block[block] = {}
             for m in part.basis:
                 ch = tuple(
                     [sum([(m[j] + 1) * hv[j] for j in block]) % L for hv in self.gen_vecs]
                 )
-                got.setdefault(ch, []).append((part.wdeg(m), m))
+                got.setdefault(ch, []).append((sum([m[j] * w[j] for j in block]), m))
         return got
 
 
@@ -256,9 +257,7 @@ def build_state_space(
     invariant = Invariants(group)
     kept: dict = {}
     for locus in dict.fromkeys(locus for locus, _ in classes):
-        if locus not in rings:
-            rings[locus] = milnor_ring(poly, active=locus, ws=ws, rings=rings)
-        kept[locus] = invariant.kept(rings[locus])
+        kept[locus] = invariant.kept(milnor_ring(poly, locus, ws, rings))
     return StateSpace(poly, ws, group, flavor, rings, classes, kept)
 
 

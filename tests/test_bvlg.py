@@ -180,6 +180,38 @@ def test_group_lemma_small():
         assert verify_group_lemma(m).passed
 
 
+def test_corrupted_dual_of_twist_fails_group_lemma(monkeypatch, capsys):
+    """(tw G)^T loses a generator: group-lemma must exit 1 and name the
+    elements of tw(G^T) that the corrupted side lacks."""
+    import json
+
+    import lgmirror.bvlg as bvlg
+    from lgmirror.cli import main
+
+    m = model()
+    tw = m.twist()
+
+    def corrupted(group, poly):
+        dual = transpose_group(group, poly)
+        if poly.nvars != tw.poly.nvars:
+            return dual  # the mirror's dual group stays intact
+        return span(dual.n, dual.gens[1:])
+
+    monkeypatch.setattr(bvlg, "transpose_group", corrupted)
+    lhs = m.mirror().twist().group
+    rhs = corrupted(tw.group, tw.poly)
+    assert rhs.order < lhs.order
+    missing = sorted(str(g) for g in lhs if g not in rhs)
+    report = verify_group_lemma(m)
+    assert not report.passed
+    assert report.mismatches == [{"only_in_tw_of_dual": missing, "only_in_dual_of_tw": []}]
+    argv = ["bv", "group-lemma", "--w1", "x0^2+x1^3+x2^6", "--w2", "y0^2+y1^6+y2^6+y3^6", "--json"]
+    assert main(argv) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["pass"] is False
+    assert out["mismatches"] == report.mismatches
+
+
 def test_theorem1_small():
     report = verify_theorem1(model(E1, MINI))
     assert report.passed

@@ -1,10 +1,7 @@
-import warnings
-
 import pytest
 
 from lgmirror.catalog import (
     BoundTooSmall,
-    CatalogError,
     NoInvertibleRepresentative,
     WeightSystemRecord,
     bv_discrepancy,
@@ -12,11 +9,9 @@ from lgmirror.catalog import (
     filter_bv,
     filter_bv_invertible,
     genericity_spot_check,
-    load_catalog,
     quasismooth_general,
     representable,
     sample_polynomial,
-    save_catalog,
 )
 from lgmirror.polyring import (
     WeightSystem,
@@ -162,41 +157,6 @@ def test_sample_chain_emitted_when_fermat_impossible():
     kinds = [b.kind for b in atomic_decomposition(poly)]
     assert "chain" in kinds
     assert is_invertible(poly)
-
-
-def test_csv_roundtrip(tmp_path, records):
-    sub = filter_bv(records)[:10]
-    path = tmp_path / "catalog.csv"
-    save_catalog(sub, path)
-    back = load_catalog(path)
-    assert back == sub
-
-
-def test_csv_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("nope\n1,1,1,1,4,1,0,\n")
-    with pytest.raises(CatalogError):
-        load_catalog(path)
-
-
-def test_csv_bad_column_count(tmp_path):
-    from lgmirror.catalog import CSV_HEADER
-
-    path = tmp_path / "bad2.csv"
-    path.write_text(CSV_HEADER + "\n1,1,1,4\n")
-    with pytest.raises(CatalogError):
-        load_catalog(path)
-
-
-def test_csv_duplicate_warns(tmp_path, records):
-    sub = filter_bv(records)[:1]
-    path = tmp_path / "dup.csv"
-    save_catalog(sub + sub, path)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        back = load_catalog(path)
-    assert len(back) == 1
-    assert any("duplicate" in str(w.message) for w in caught)
 
 
 def test_genericity_spot_check(records):

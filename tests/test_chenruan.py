@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import lgmirror.chenruan as chenruan
+import lgmirror.milnor as milnor
 from lgmirror.bvlg import build_bv
 from lgmirror.chenruan import (
     age_shift,
@@ -232,51 +233,64 @@ E1K3A_ARGS = ("--w1", "x0^2+x1^3+x2^6", "--w2", "y0^2+y1^6+y2^6+y3^6")
 
 @pytest.mark.parametrize("verb", ["lgcy", "bvms"])
 def test_corrupted_block_counts_fail(monkeypatch, capsys, verb):
-    """One class of the first block ring built moves to a shifted
-    character: lgcy and bvms must report a mismatch (exit 1), not a
-    precondition."""
+    """One class of the first locus whose classes `cr_table` counts moves
+    to a shifted character: lgcy and bvms must report a mismatch (exit 1),
+    not a precondition.  Only the CR side reads these counts; the buckets
+    that the A-model sweep shares stay intact."""
     from lgmirror.cli import main
 
-    original = chenruan.block_counts
-    built = []
+    original = chenruan.locus_classes
+    corrupted_loci = []
 
-    def corrupted(ring, gen_vecs, L):
-        counts = original(ring, gen_vecs, L)
-        if not built:
-            ch, hist = next(iter(counts.items()))
-            w = next(iter(hist))
-            hist[w] -= 1
-            if not hist[w]:
-                del hist[w]
+    def corrupted(m, locus, rings, invariant):
+        classes = original(m, locus, rings, invariant)
+        if classes and not corrupted_loci:
+            ch, hist = next(iter(classes.items()))
+            key = next(iter(hist))
+            hist[key] -= 1
+            if not hist[key]:
+                del hist[key]
             if not hist:
-                del counts[ch]
-            counts.setdefault(tuple((c + 1) % L for c in ch), Counter())[w] += 1
-        built.append(ring.active)
-        return counts
+                del classes[ch]
+            classes.setdefault(tuple((c + 1) % invariant.L for c in ch), Counter())[key] += 1
+            corrupted_loci.append(locus)
+        return classes
 
-    monkeypatch.setattr(chenruan, "block_counts", corrupted)
+    monkeypatch.setattr(chenruan, "locus_classes", corrupted)
     assert main(["bv", verb, *E1K3A_ARGS, "--json"]) == 1
     out = capsys.readouterr().out
     assert '"pass": false' in out
-    built.clear()
+    assert len(corrupted_loci) == 1
+    corrupted_loci.clear()
     report = (verify_lgcy if verb == "lgcy" else verify_bv_mirror)(model())
     assert not report.passed and report.mismatches
 
 
 def test_cr_table_builds_each_block_ring_once(monkeypatch):
     """One `cr_table` builds the ring of each block of each factor once,
-    however many loci share it."""
-    original = chenruan._block_ring
+    however many loci share it, and one `verify_lgcy` builds each block
+    ring once across the CR table and the A-model sweep; on a model and on
+    its mirror."""
+    original = milnor._block_ring
     calls = Counter()
 
     def counting(poly, block, weights, order):
         calls[poly.variables, block] += 1
         return original(poly, block, weights, order)
 
-    monkeypatch.setattr(chenruan, "_block_ring", counting)
+    monkeypatch.setattr(milnor, "_block_ring", counting)
     octic = parse_polynomial("y0^2+y1^8+y2^8+y3^8+y4^8")
-    for m in (chain_model_with_extended_group(), model(E1, octic)):
-        calls.clear()
-        cr_table(m)
-        assert calls and set(calls.values()) == {1}
-        assert {variables for variables, _ in calls} == {m.w1.variables, m.w2.variables}
+    for base in (chain_model_with_extended_group(), model(E1, octic)):
+        for m in (base, base.mirror()):
+            factors = [set(range(m.n1)), set(range(m.n1, m.poly.nvars))]
+            calls.clear()
+            cr_table(m)
+            assert calls and set(calls.values()) == {1}
+            assert {variables for variables, _ in calls} == {m.poly.variables}
+            for factor in factors:
+                assert any(set(block) <= factor for _, block in calls)
+            cr_blocks = set(calls)
+            calls.clear()
+            assert verify_lgcy(m).passed
+            assert set(calls.values()) == {1}
+            assert cr_blocks <= set(calls)

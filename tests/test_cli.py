@@ -159,9 +159,11 @@ def test_catalog_out_file(tmp_path, capsys):
     path = tmp_path / "cat.csv"
     code, out, err = run(capsys, "catalog", "filter", "--out", str(path))
     assert code == 0
-    from lgmirror.catalog import load_catalog
-
-    assert len(load_catalog(path)) == 44
+    assert out == ""
+    code, out, err = run(capsys, "catalog", "filter")
+    assert code == 0
+    assert path.read_text(encoding="utf-8") == out
+    assert len(out.splitlines()) == 1 + 44
 
 
 def test_catalog_genericity(capsys):
@@ -365,3 +367,27 @@ def test_cold_unclassifiable_potential_exits_3_in_mirror():
     rc, err, _ = cold("bv", "mirror", "--w1", "x0^2+x1^3+x2^6", "--w2", "y0^2+y3^3+y2^3*y3^2+y1^6*y3^2")
     assert rc == 3
     assert "precondition violated" in err and "fits no block" in err
+
+
+def test_no_module_global_mutable_state():
+    """No lgmirror module defines a module-level dict, list or set, or a
+    memoized function (one with `cache_info`), at module or class level:
+    every cache belongs to the call or object that fills it."""
+    import importlib
+    import pkgutil
+
+    found = []
+    for info in pkgutil.iter_modules(lgmirror.__path__):
+        module = importlib.import_module(f"lgmirror.{info.name}")
+        owners = [(info.name, vars(module))] + [
+            (f"{info.name}.{name}", vars(value))
+            for name, value in vars(module).items()
+            if isinstance(value, type) and value.__module__ == module.__name__
+        ]
+        for owner, namespace in owners:
+            for name, value in namespace.items():
+                if name.startswith("__"):
+                    continue
+                if isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"):
+                    found.append(f"{owner}.{name}")
+    assert not found

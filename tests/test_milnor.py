@@ -11,7 +11,7 @@ from lgmirror.milnor import (
     jacobian_ideal,
     milnor_ring,
 )
-from lgmirror.polyring import Polynomial, parse_polynomial, weight_system
+from lgmirror.polyring import Polynomial, WeightSystem, parse_polynomial, weight_system
 from test_oracles import fermat_milnor_number, residue_pairing
 
 
@@ -129,12 +129,23 @@ def test_components_split_on_shared_monomials():
 def test_block_rings_go_to_the_cache():
     p = parse_polynomial("x0^2*x1+x1^3+x2^4")
     rings = {}
-    r = milnor_ring(p, ws=weight_system(p), rings=rings)
-    assert sorted(rings) == [(0, 1), (2,)]
+    ws = weight_system(p)
+    r = milnor_ring(p, ws=ws, rings=rings)
+    assert sorted(rings) == [(0, 1), (0, 1, 2), (2,)]
+    assert rings[(0, 1, 2)] is r
     assert [part.active for part in r.parts] == [(0, 1), (2,)]
     assert r.mu == rings[(0, 1)].mu * rings[(2,)].mu == 4 * 3
     assert r.socle == (0, 2, 2)  # x1^2 times x2^2
     assert len(r.basis) == r.mu
+    # a second call is served from the cache, a block ring too
+    assert milnor_ring(p, ws=ws, rings=rings) is r
+    assert milnor_ring(p, active=(2,), ws=ws, rings=rings) is rings[(2,)]
+    # a different weight system is not: the ring and its blocks are rebuilt
+    flat = WeightSystem((1, 1, 1), 2)
+    other = milnor_ring(p, ws=flat, rings=rings)
+    assert other is not r and other.weights == flat.weights
+    assert all(part.weights == flat.weights for part in other.parts)
+    assert other.mu == r.mu
     with pytest.raises(DegenerateSingularity):
         milnor_ring(p, active=(0, 2), ws=weight_system(p), rings=rings)
 

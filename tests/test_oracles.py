@@ -41,14 +41,16 @@ sector dimensions and bidegrees must agree.  On all-Fermat models a second
 oracle needs no Groebner basis: each sector's dimension is a character sum
 over the group (`fermat_locus_dims`).
 
-`cr_table` counts the Chen-Ruan classes of a fixed locus by convolving the
-(character, degree) counts of its block rings (`chenruan.FactorClasses`).
-Its oracle is the basis walk it replaced: the Milnor ring of the whole locus,
-every standard monomial graded by Griffiths-Steenbrink and its character
-computed on the generators (`block_classes`, `walked_classes`), and every
-pair of classes counted one by one (`walked_cr_table`).  Classes, tables and
-sector provenance must agree; the Hodge-number tests read the walk
-(`primitive_hodge`, `hodge_diamond`).
+`cr_table` counts the Chen-Ruan classes of a fixed locus, in the model's
+variables, by convolving the (character, degree) counts of its block rings,
+read from the ring cache and the character buckets that the A-model sweep
+uses (`chenruan.locus_classes`).  Its oracle is the basis walk it replaced:
+the Milnor ring of the whole locus, every standard monomial graded by
+Griffiths-Steenbrink and its character computed on the generators
+(`block_classes`, `walked_classes`), and every pair of classes counted one
+by one (`walked_cr_table`).  Classes, tables and sector provenance must
+agree; the Hodge-number tests read the walk (`primitive_hodge`,
+`hodge_diamond`).
 
 A `SymmetryGroup` is an echelon lattice basis:
 its elements come from a mixed-radix walk, membership from reduction, and
@@ -1745,23 +1747,19 @@ def walked_classes(poly, ws, gen_vecs, L, fixed):
 
 def walked_cr_table(model):
     """The Chen-Ruan table and its provenance from class lists: the classes
-    of each locus walked, and every pair of classes with characters summing
-    to 0 counted one by one.  Returns the table, the sectors and the
-    walked classes by (factor, locus)."""
+    of each locus walked, in the model's variables, and every pair of
+    classes with characters summing to 0 counted one by one.  Returns the
+    table, the sectors and the walked classes by locus."""
     n1 = model.n1
     j_group = span(model.poly.nvars, [model.j1, model.j2])
     decomposition = bv_cosets(model.sigma_group, j_group, model.slots, model.sigma)
     L, gen_vecs = int_vectors(model.sigma_group.gens)
-    sides = {
-        1: (model.w1, model.ws1, [v[:n1] for v in gen_vecs]),
-        2: (model.w2, model.ws2, [v[n1:] for v in gen_vecs]),
-    }
     cache: dict = {}
 
-    def classes(side, fixed):
-        if (side, fixed) not in cache:
-            cache[side, fixed] = walked_classes(*sides[side], L, fixed)
-        return cache[side, fixed]
+    def classes(fixed):
+        if fixed not in cache:
+            cache[fixed] = walked_classes(model.poly, model.ws, gen_vecs, L, fixed)
+        return cache[fixed]
 
     table: dict = {}
     sectors = []
@@ -1773,7 +1771,7 @@ def walked_cr_table(model):
         side2 = []
         for t2 in thetas2:
             s2 = chenruan.scaled_element(g2, rep.den, t2, D2, ws2)
-            cls2 = classes(2, vector_locus(s2))
+            cls2 = classes(tuple(n1 + i for i in vector_locus(s2)))
             if cls2:
                 buckets: dict = {}
                 for p2, q2, kind2, sig2 in cls2:
@@ -1781,7 +1779,7 @@ def walked_cr_table(model):
                 side2.append((t2, s2, buckets))
         for t1 in thetas1:
             s1 = chenruan.scaled_element(g1, rep.den, t1, D1, ws1)
-            cls1 = classes(1, vector_locus(s1))
+            cls1 = classes(vector_locus(s1))
             if not cls1:
                 continue
             for t2, s2, buckets in side2:
@@ -1820,17 +1818,6 @@ def _census_models():
     return out
 
 
-def _factors(model):
-    """(W, its weight system, the generator vectors on its variables) for
-    both factors, and L."""
-    L, gen_vecs = int_vectors(model.sigma_group.gens)
-    n1 = model.n1
-    return L, [
-        (model.w1, model.ws1, [v[:n1] for v in gen_vecs]),
-        (model.w2, model.ws2, [v[n1:] for v in gen_vecs]),
-    ]
-
-
 def _counted(walked):
     out: dict = {}
     for p, q, kind, sig in walked:
@@ -1840,32 +1827,34 @@ def _counted(walked):
 
 def assert_same_cr_table(model):
     """The table and sectors of `cr_table` are those of the walk, and so
-    are the block-count classes of every locus the walk visits."""
-    cr = chenruan.cr_table(model)
+    are the counted classes of every locus the walk visits."""
+    rings: dict = {}
+    cr = chenruan.cr_table(model, rings)
     table, sectors, walked = walked_cr_table(model)
     assert cr.table == table
     assert cr.sectors == sectors
-    L, factors = _factors(model)
-    counted = [chenruan.FactorClasses(poly, ws, vecs, L) for poly, ws, vecs in factors]
-    for (side, fixed), classes in walked.items():
-        assert counted[side - 1].classes(fixed) == _counted(classes)
+    invariant = Invariants(model.sigma_group)
+    for locus, classes in walked.items():
+        assert chenruan.locus_classes(model, locus, rings, invariant) == _counted(classes)
 
 
 def assert_same_factor_classes(model):
-    """Both factors, every subset of their variables: the classes counted
-    from block counts are the walked classes, or both raise alike."""
-    L, factors = _factors(model)
-    for poly, ws, vecs in factors:
-        factor = chenruan.FactorClasses(poly, ws, vecs, L)
-        for size in range(poly.nvars + 1):
-            for fixed in combinations(range(poly.nvars), size):
+    """Every subset of either factor's variables, taken in the model's
+    variables: the classes counted from the block buckets are the walked
+    classes, or both raise alike."""
+    L, gen_vecs = int_vectors(model.sigma_group.gens)
+    rings: dict = {}
+    invariant = Invariants(model.sigma_group)
+    for factor in (range(model.n1), range(model.n1, model.poly.nvars)):
+        for size in range(len(factor) + 1):
+            for locus in combinations(factor, size):
                 try:
-                    walked = walked_classes(poly, ws, vecs, L, fixed)
+                    walked = walked_classes(model.poly, model.ws, gen_vecs, L, locus)
                 except DegenerateSingularity as exc:
                     with pytest.raises(DegenerateSingularity, match=re.escape(str(exc))):
-                        factor.classes(fixed)
+                        chenruan.locus_classes(model, locus, rings, invariant)
                     continue
-                assert factor.classes(fixed) == _counted(walked)
+                assert chenruan.locus_classes(model, locus, rings, invariant) == _counted(walked)
 
 
 def test_cr_tables_match_the_walk_on_the_census():
