@@ -58,7 +58,9 @@ class MalformedSector(BVError):
 
 
 class BVModel:
-    """(W1 + W2, sigma*G) with J1 x J2 <= G <= SL(W1) x SL(W2)."""
+    """(W1 + W2, sigma*G) with J1 x J2 <= G <= SL(W1) x SL(W2).  `rings` is
+    the subset-keyed Milnor cache of `poly` (see `milnor_ring`); `mirror()`,
+    `twist()` and `a_space()` are built on first call and kept."""
 
     __slots__ = (
         "w1",
@@ -76,8 +78,10 @@ class BVModel:
         "sigma_group",
         "j1",
         "j2",
+        "rings",
         "_mirror",
         "_twist",
+        "_a_space",
     )
 
     def __init__(self, w1, w2, poly, ws, ws1, ws2, slot1, slot2, group, sigma, sigma_group, j1, j2):
@@ -96,8 +100,10 @@ class BVModel:
         self.sigma_group = sigma_group
         self.j1 = j1
         self.j2 = j2
+        self.rings = {}
         self._mirror = None
         self._twist = None
+        self._a_space = None
 
     @property
     def slots(self):
@@ -112,6 +118,12 @@ class BVModel:
         if self._twist is None:
             self._twist = twist_model(self)
         return self._twist
+
+    def a_space(self):
+        """The A-model state space A(W, sigma G), swept over `rings`."""
+        if self._a_space is None:
+            self._a_space = build_state_space(self.poly, self.sigma_group, "A", ws=self.ws, rings=self.rings)
+        return self._a_space
 
     def __repr__(self):
         return f"BVModel({self.w1} | {self.w2}, |sigmaG|={self.sigma_group.order})"
@@ -274,7 +286,7 @@ def verify_twist_iso(model: BVModel, flavor: str, tw_group_override=None) -> Rep
     numerators; basis elements are built for mismatch records only."""
     tw = model.twist()
     group = tw_group_override if tw_group_override is not None else tw.group
-    source = build_state_space(model.poly, model.sigma_group, flavor, ws=model.ws)
+    source = build_state_space(model.poly, model.sigma_group, flavor, ws=model.ws, rings=model.rings)
     target = build_state_space(tw.poly, group, flavor, ws=tw.ws)
     L, Lt, D, Dt = source.group.L, target.group.L, source.D, target.D
     weights, tw_weights = source.ws.weights, target.ws.weights
@@ -352,7 +364,7 @@ def verify_group_lemma(model: BVModel) -> Report:
 
 def verify_theorem1(model: BVModel) -> Report:
     """Exact bigraded equality of A(W, sigma G) and B(W^T, sigma(G^T))."""
-    a_space = build_state_space(model.poly, model.sigma_group, "A", ws=model.ws)
+    a_space = model.a_space()
     mirror = model.mirror()
     b_space = build_state_space(mirror.poly, mirror.sigma_group, "B", ws=mirror.ws)
     lhs = poincare_table(a_space)

@@ -13,7 +13,7 @@ Milnor ring (Griffiths-Steenbrink).  The Milnor ring of a locus is the
 tensor product of those of its connected blocks (Krawitz, arXiv:0906.0796,
 §2), and a class counts only through its character and degree.  So a
 locus is taken in the model's variables, its ring comes from the
-subset-keyed cache that the A-model sweep shares (`milnor_ring`), the
+model's cache that its A-model sweep shares (`BVModel.rings`), the
 standard monomials of each block ring are bucketed by character once per
 table (`statespace.Invariants`), the classes of a locus come from
 convolving its blocks' (character, degree) counts (`locus_classes`), and
@@ -57,11 +57,11 @@ def scaled_element(num, den: int, t: int, D: int, ws: WeightSystem) -> tuple:
     return tuple([(a * scale + t * w) % D for a, w in zip(num, ws.weights)])
 
 
-def locus_classes(model: BVModel, locus, rings: dict, invariant: Invariants) -> dict:
+def locus_classes(model: BVModel, locus, invariant: Invariants) -> dict:
     """The cohomology classes of X_{W | locus}, for `locus` a set of the
     model's variables inside one factor W, counted by character under the
     generators of `invariant`: {character: Counter((p, q, kind))}.  The
-    locus ring comes from the subset-keyed cache `rings`, and the classes
+    locus ring comes from the model's cache `model.rings`, and the classes
     from convolving the (character, degree) counts of its blocks' buckets."""
     if not locus:
         return {}
@@ -73,7 +73,7 @@ def locus_classes(model: BVModel, locus, rings: dict, invariant: Invariants) -> 
     dim = len(locus) - 2
     if dim < 0:
         return {}  # z^a = 0 inside a weighted point: empty hypersurface
-    ring = milnor_ring(model.poly, locus, model.ws, rings)
+    ring = milnor_ring(model.poly, locus, model.ws, model.rings)
     L, weights = invariant.L, model.ws.weights
     totals = {zero: Counter({0: 1})}  # character -> Counter(sum of (m_j + 1) w_j)
     for part in ring.parts or (ring,):
@@ -159,14 +159,12 @@ class CRTable:
         }
 
 
-def cr_table(model: BVModel, rings: dict | None = None) -> CRTable:
+def cr_table(model: BVModel) -> CRTable:
     """Bigraded Chen-Ruan table of the model's orbifold, with provenance;
-    the Milnor rings of its loci are kept in the subset-keyed `rings`."""
+    the Milnor rings of its loci are kept in `model.rings`."""
     n1 = model.n1
     j_group = span(model.poly.nvars, [model.j1, model.j2])
     decomposition = bv_cosets(model.sigma_group, j_group, model.slots, model.sigma)
-    if rings is None:
-        rings = {}
     invariant = Invariants(model.sigma_group)
     L = invariant.L
     ws1, ws2 = model.ws1, model.ws2
@@ -174,7 +172,7 @@ def cr_table(model: BVModel, rings: dict | None = None) -> CRTable:
 
     def classes(locus):
         if locus not in loci:
-            loci[locus] = locus_classes(model, locus, rings, invariant)
+            loci[locus] = locus_classes(model, locus, invariant)
         return loci[locus]
 
     table: dict = {}  # (p, q) as int numerators over T, a multiple of every age's denominator
@@ -214,9 +212,8 @@ def cr_table(model: BVModel, rings: dict | None = None) -> CRTable:
 
 def verify_lgcy(model: BVModel) -> Report:
     """State-space isomorphism: the CR table equals the A-model table."""
-    rings: dict = {}
-    cr = cr_table(model, rings)
-    a_space = build_state_space(model.poly, model.sigma_group, "A", ws=model.ws, rings=rings)
+    cr = cr_table(model)
+    a_space = model.a_space()
     a_table = poincare_table(a_space)
     mismatches = diff_tables(cr.table, a_table, "cr", "fjrw")
     return Report(

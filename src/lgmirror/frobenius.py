@@ -357,7 +357,7 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
     s_i s_j C0_phi(i)phi(j) and P2_ij = s_i s_j P0_phi(i)phi(j).  Then the
     unit, `associativity_and_frobenius` on C0, P0, and `gamma_lemma_cases`.
     `SectorElement`s are built for mismatch records only."""
-    a_space = build_state_space(model.poly, model.sigma_group, "A", ws=model.ws)
+    a_space = model.a_space()
     bhk_group = transpose_group(model.sigma_group, model.poly)
     shared_rings: dict = {}
     b2_space = build_state_space(transpose(model.poly), bhk_group, "B", rings=shared_rings)

@@ -348,11 +348,11 @@ def milnor_ring(
     Raises DegenerateSingularity when the quotient is infinite dimensional.
     `ws` supplies the grading; by default the weight system is solved from
     the restricted polynomial itself (all-ones fallback when non-unique, the
-    order is still valid).  `rings` is the caller's subset-keyed cache for
-    one polynomial, read and written here only: the ring of `active` is
-    served from it when its weights match, and otherwise the ring is built
-    and kept there, with two or more connected blocks assembled from block
-    rings that are looked up in and added to the same cache.
+    order is still valid).  `rings` is the subset-keyed cache of one
+    polynomial (a model's is `BVModel.rings`), read and written here only:
+    the ring of `active` is served from it when its weights match, and
+    otherwise built and kept there, with two or more connected blocks
+    assembled from block rings looked up in and added to the same cache.
     """
     n = poly.nvars
     if active is None:

@@ -1,7 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import lgmirror.bvlg as bvlg
+import lgmirror.cli as cli
 from lgmirror.bvlg import (
     BadForm,
     GroupOutOfRange,
@@ -14,15 +17,17 @@ from lgmirror.bvlg import (
     verify_theorem1,
     verify_twist_iso,
 )
-from lgmirror.polyring import is_bv_form, parse_polynomial, weight_system
+from lgmirror.chenruan import verify_lgcy
+from lgmirror.polyring import is_bv_form, parse_polynomial, restrict, weight_system
 from lgmirror.statespace import build_state_space, poincare_table
 from lgmirror.symmetry import GroupElement, span, transpose_group
-from test_oracles import tw_a_map
+from test_oracles import _models, tw_a_map
 
 E1 = parse_polynomial("x0^2+x1^3+x2^6")
 E2 = parse_polynomial("x0^2+x1^4+x2^4")
 K3 = parse_polynomial("y0^2+y1^6+y2^6+y3^6")
 MINI = parse_polynomial("y0^2+y1^2")
+CHAIN_K3 = parse_polynomial("y0^2+y1^3*y2+y2^10+y3^10")  # a census sample, weights (5,3,1,1;10)
 
 
 def jgens(w1, w2):
@@ -333,3 +338,66 @@ def test_random_intermediate_groups_theorem1_and_lgcy():
         assert verify_theorem1(m).passed
         assert verify_lgcy(m).passed
         checked += 1
+
+
+@pytest.mark.parametrize("curve, k3", [(E1, K3), (E2, CHAIN_K3)])
+def test_theorem1_and_lgcy_share_one_a_space(monkeypatch, block_ring_calls, curve, k3):
+    """Theorem 1 and then LG/CY on one model sweep A(W, sigma G) once: the
+    A side calls `build_state_space` once, and across the two verdicts each
+    block ring of the model's polynomial is built once, beside those of the
+    mirror's B sweep, which builds its own."""
+    spaces = []
+
+    def recording(*args, **kwargs):
+        spaces.append(build_state_space(*args, **kwargs))
+        return spaces[-1]
+
+    monkeypatch.setattr(bvlg, "build_state_space", recording)
+    m = model(curve, k3)
+    mirror = m.mirror()
+    assert verify_theorem1(m).passed
+    assert verify_lgcy(m).passed
+    assert [space.flavor for space in spaces] == ["A", "B"]
+    assert spaces[0] is m.a_space() and spaces[0].rings is m.rings
+    built = Counter(block_ring_calls)
+    block_ring_calls.clear()
+    build_state_space(mirror.poly, mirror.sigma_group, "B", ws=mirror.ws)
+    b_side = Counter(block_ring_calls)
+    a_side = Counter({(m.poly.variables, k): 1 for k, ring in m.rings.items() if not ring.parts})
+    assert a_side and built == a_side + b_side
+
+
+BV_VERBS = [
+    "mirror",
+    "twist",
+    "twist-iso",
+    "twist-iso-b",
+    "group-lemma",
+    "theorem1",
+    "theorem2",
+    "lgcy",
+    "bvms",
+    "twist-corollary",
+]
+
+
+@pytest.mark.parametrize("name", ["e1k3a", "nonproduct", "chain"])
+def test_every_verb_keeps_only_the_model_rings(monkeypatch, capsys, name):
+    """After every `bv` verb on one model object, the ring caches of the
+    model and of its mirror hold rings of their own polynomial in their
+    own weights only.  So no ring of the twist (other variables) enters,
+    and on the chain model, whose transpose differs, no ring of the
+    transposed or mirror polynomial where it differs from the model's."""
+    m = model(E2, CHAIN_K3) if name == "chain" else _models()[name]
+    monkeypatch.setattr(cli, "_build_model", lambda args: m)
+    for verb in BV_VERBS:
+        assert cli.main(["bv", verb, "--w1", str(m.w1), "--w2", str(m.w2), "--json"]) == 0
+    capsys.readouterr()
+    tw = m.twist()
+    for side in (m, m.mirror()):
+        assert side.rings
+        for active, ring in side.rings.items():
+            assert ring.active == active
+            assert ring.poly == restrict(side.poly, active)
+            assert ring.poly.variables != tw.poly.variables
+            assert ring.weights == side.ws.weights

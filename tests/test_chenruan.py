@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 import lgmirror.chenruan as chenruan
-import lgmirror.milnor as milnor
-from lgmirror.bvlg import build_bv
+from lgmirror.bvlg import build_bv, verify_theorem1
 from lgmirror.chenruan import (
     age_shift,
     cr_table,
@@ -235,15 +234,16 @@ E1K3A_ARGS = ("--w1", "x0^2+x1^3+x2^6", "--w2", "y0^2+y1^6+y2^6+y3^6")
 def test_corrupted_block_counts_fail(monkeypatch, capsys, verb):
     """One class of the first locus whose classes `cr_table` counts moves
     to a shifted character: lgcy and bvms must report a mismatch (exit 1),
-    not a precondition.  Only the CR side reads these counts; the buckets
-    that the A-model sweep shares stay intact."""
+    not a precondition, also on a model whose A space Theorem 1 has
+    already swept and the model holds.  Only the CR side reads these
+    counts; the buckets that the A-model sweep shares stay intact."""
     from lgmirror.cli import main
 
     original = chenruan.locus_classes
     corrupted_loci = []
 
-    def corrupted(m, locus, rings, invariant):
-        classes = original(m, locus, rings, invariant)
+    def corrupted(m, locus, invariant):
+        classes = original(m, locus, invariant)
         if classes and not corrupted_loci:
             ch, hist = next(iter(classes.items()))
             key = next(iter(hist))
@@ -262,23 +262,18 @@ def test_corrupted_block_counts_fail(monkeypatch, capsys, verb):
     assert '"pass": false' in out
     assert len(corrupted_loci) == 1
     corrupted_loci.clear()
-    report = (verify_lgcy if verb == "lgcy" else verify_bv_mirror)(model())
+    m = model()
+    assert verify_theorem1(m).passed
+    report = (verify_lgcy if verb == "lgcy" else verify_bv_mirror)(m)
     assert not report.passed and report.mismatches
 
 
-def test_cr_table_builds_each_block_ring_once(monkeypatch):
+def test_cr_table_builds_each_block_ring_once(block_ring_calls):
     """One `cr_table` builds the ring of each block of each factor once,
-    however many loci share it, and one `verify_lgcy` builds each block
-    ring once across the CR table and the A-model sweep; on a model and on
-    its mirror."""
-    original = milnor._block_ring
-    calls = Counter()
-
-    def counting(poly, block, weights, order):
-        calls[poly.variables, block] += 1
-        return original(poly, block, weights, order)
-
-    monkeypatch.setattr(milnor, "_block_ring", counting)
+    however many loci share it, and one `verify_lgcy` on an equal model
+    with an empty ring cache builds each block ring once across the CR
+    table and the A-model sweep; on a model and on its mirror."""
+    calls = block_ring_calls
     octic = parse_polynomial("y0^2+y1^8+y2^8+y3^8+y4^8")
     for base in (chain_model_with_extended_group(), model(E1, octic)):
         for m in (base, base.mirror()):
@@ -291,6 +286,6 @@ def test_cr_table_builds_each_block_ring_once(monkeypatch):
                 assert any(set(block) <= factor for _, block in calls)
             cr_blocks = set(calls)
             calls.clear()
-            assert verify_lgcy(m).passed
+            assert verify_lgcy(build_bv(m.w1, m.w2, m.group.gens)).passed
             assert set(calls.values()) == {1}
             assert cr_blocks <= set(calls)

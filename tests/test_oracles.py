@@ -695,8 +695,9 @@ def test_class_count_and_bounded_walk_match_the_full_walk(data):
 
 
 def test_class_count_off_by_one_fails_theorem1(monkeypatch):
-    """One narrow sector too many in the A-model count of E1 x K3A: Theorem
-    1 must report a mismatch."""
+    """One narrow sector too many in the A-model count of E1 x K3A, patched
+    before the first verdict: Theorem 1 must report a mismatch, and so must
+    LG/CY on the same model object, which reads the A space it holds."""
     model = _models()["e1k3a"]
 
     def off_by_one(group):
@@ -710,6 +711,9 @@ def test_class_count_off_by_one_fails_theorem1(monkeypatch):
     assert not report.passed
     assert report.details["lhs_total"] == report.details["rhs_total"] + 1
     assert report.mismatches
+    report = chenruan.verify_lgcy(model)
+    assert not report.passed and report.mismatches
+    assert report.details["fjrw_total"] == report.details["cr_total"] + 1
 
 
 @pytest.mark.parametrize("name", ["e1k3a", "nonproduct", "e1octic"])
@@ -1828,14 +1832,13 @@ def _counted(walked):
 def assert_same_cr_table(model):
     """The table and sectors of `cr_table` are those of the walk, and so
     are the counted classes of every locus the walk visits."""
-    rings: dict = {}
-    cr = chenruan.cr_table(model, rings)
+    cr = chenruan.cr_table(model)
     table, sectors, walked = walked_cr_table(model)
     assert cr.table == table
     assert cr.sectors == sectors
     invariant = Invariants(model.sigma_group)
     for locus, classes in walked.items():
-        assert chenruan.locus_classes(model, locus, rings, invariant) == _counted(classes)
+        assert chenruan.locus_classes(model, locus, invariant) == _counted(classes)
 
 
 def assert_same_factor_classes(model):
@@ -1843,7 +1846,6 @@ def assert_same_factor_classes(model):
     variables: the classes counted from the block buckets are the walked
     classes, or both raise alike."""
     L, gen_vecs = int_vectors(model.sigma_group.gens)
-    rings: dict = {}
     invariant = Invariants(model.sigma_group)
     for factor in (range(model.n1), range(model.n1, model.poly.nvars)):
         for size in range(len(factor) + 1):
@@ -1852,9 +1854,9 @@ def assert_same_factor_classes(model):
                     walked = walked_classes(model.poly, model.ws, gen_vecs, L, locus)
                 except DegenerateSingularity as exc:
                     with pytest.raises(DegenerateSingularity, match=re.escape(str(exc))):
-                        chenruan.locus_classes(model, locus, rings, invariant)
+                        chenruan.locus_classes(model, locus, invariant)
                     continue
-                assert chenruan.locus_classes(model, locus, rings, invariant) == _counted(walked)
+                assert chenruan.locus_classes(model, locus, invariant) == _counted(walked)
 
 
 def test_cr_tables_match_the_walk_on_the_census():

@@ -226,7 +226,8 @@ def test_theorem1_walks_no_assembled_locus_basis(monkeypatch):
     """The sweeps read block rings only: after Theorem 1 on E1 x OCTIC no
     ring assembled from two or more blocks has walked its standard
     monomials (the walk over a whole locus is what the character join
-    replaces)."""
+    replaces).  The A sweep runs inside `BVModel.a_space()`, through
+    `bvlg.build_state_space`, so both sweeps are recorded."""
     spaces = []
 
     def recording(*args, **kwargs):
