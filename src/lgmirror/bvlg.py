@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 from .polyring import (
     Polynomial,
@@ -60,7 +61,7 @@ class MalformedSector(BVError):
 class BVModel:
     """(W1 + W2, sigma*G) with J1 x J2 <= G <= SL(W1) x SL(W2).  `rings` is
     the subset-keyed Milnor cache of `poly` (see `milnor_ring`); `mirror()`,
-    `twist()` and `a_space()` are built on first call and kept."""
+    `twist()` and each flavor's `space()` are built on first call and kept."""
 
     __slots__ = (
         "w1",
@@ -81,7 +82,7 @@ class BVModel:
         "rings",
         "_mirror",
         "_twist",
-        "_a_space",
+        "_spaces",
     )
 
     def __init__(self, w1, w2, poly, ws, ws1, ws2, slot1, slot2, group, sigma, sigma_group, j1, j2):
@@ -103,7 +104,7 @@ class BVModel:
         self.rings = {}
         self._mirror = None
         self._twist = None
-        self._a_space = None
+        self._spaces = {}
 
     @property
     def slots(self):
@@ -119,11 +120,12 @@ class BVModel:
             self._twist = twist_model(self)
         return self._twist
 
-    def a_space(self):
-        """The A-model state space A(W, sigma G), swept over `rings`."""
-        if self._a_space is None:
-            self._a_space = build_state_space(self.poly, self.sigma_group, "A", ws=self.ws, rings=self.rings)
-        return self._a_space
+    def space(self, flavor: str):
+        """The state space of (W, sigma G) of `flavor`, swept over `rings`."""
+        if flavor not in self._spaces:
+            space = build_state_space(self.poly, self.sigma_group, flavor, ws=self.ws, rings=self.rings)
+            self._spaces[flavor] = space
+        return self._spaces[flavor]
 
     def __repr__(self):
         return f"BVModel({self.w1} | {self.w2}, |sigmaG|={self.sigma_group.order})"
@@ -283,10 +285,11 @@ def verify_twist_iso(model: BVModel, flavor: str, tw_group_override=None) -> Rep
 
     The map runs on int vectors and monomials, sector by sector of the
     source group, and bidegrees are compared as `StateSpace._grade`
-    numerators; basis elements are built for mismatch records only."""
+    numerators; basis elements are built for mismatch records only.  The
+    source is the model's own space of `flavor`."""
     tw = model.twist()
     group = tw_group_override if tw_group_override is not None else tw.group
-    source = build_state_space(model.poly, model.sigma_group, flavor, ws=model.ws, rings=model.rings)
+    source = model.space(flavor)
     target = build_state_space(tw.poly, group, flavor, ws=tw.ws)
     L, Lt, D, Dt = source.group.L, target.group.L, source.D, target.D
     weights, tw_weights = source.ws.weights, target.ws.weights
@@ -315,13 +318,12 @@ def verify_twist_iso(model: BVModel, flavor: str, tw_group_override=None) -> Rep
             p, q = source._grade(_degree(m, locus, weights), age, len(locus))
             pt, qt = target._grade(_degree(mono, image_locus, tw_weights), image_age, len(image_locus))
             if p * Dt != pt * D or q * Dt != qt * D:
-                e, image = SectorElement(g, m, flavor), SectorElement(image_g, mono, flavor)
                 mismatches.append(
                     {
-                        "element": repr(e),
+                        "element": repr(SectorElement(g, m, flavor)),
                         "reason": "bidegree changed",
-                        "source": [frac_str(x) for x in source.bidegree(e)],
-                        "target": [frac_str(x) for x in target.bidegree(image)],
+                        "source": [frac_str(Fraction(x, D)) for x in (p, q)],
+                        "target": [frac_str(Fraction(x, Dt)) for x in (pt, qt)],
                     }
                 )
     unmatched = target.dim - len(images)
@@ -364,7 +366,7 @@ def verify_group_lemma(model: BVModel) -> Report:
 
 def verify_theorem1(model: BVModel) -> Report:
     """Exact bigraded equality of A(W, sigma G) and B(W^T, sigma(G^T))."""
-    a_space = model.a_space()
+    a_space = model.space("A")
     mirror = model.mirror()
     b_space = build_state_space(mirror.poly, mirror.sigma_group, "B", ws=mirror.ws)
     lhs = poincare_table(a_space)

@@ -213,7 +213,7 @@ def cr_table(model: BVModel) -> CRTable:
 def verify_lgcy(model: BVModel) -> Report:
     """State-space isomorphism: the CR table equals the A-model table."""
     cr = cr_table(model)
-    a_space = model.a_space()
+    a_space = model.space("A")
     a_table = poincare_table(a_space)
     mismatches = diff_tables(cr.table, a_table, "cr", "fjrw")
     return Report(

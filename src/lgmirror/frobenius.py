@@ -29,7 +29,7 @@ from .milnor import MilnorRing, milnor_ring
 from .polyring import atomic_decomposition, transpose
 from .report import PreconditionError, Report
 from .statespace import SectorElement, StateSpace, _degree, build_state_space
-from .symmetry import GroupElement, fixed_indices, transpose_group, vector_locus
+from .symmetry import GroupElement, transpose_group, vector_locus
 
 
 class FrobeniusError(PreconditionError):
@@ -259,21 +259,23 @@ def phi_bar(alg2: BAlgebra, alg0: BAlgebra, sigma: GroupElement, rescaled: bool 
 def property1(a_space: StateSpace, b_space: StateSpace) -> Report:
     """All-or-nothing fixing of atomic blocks across the nonempty sectors of
     A(W, G) and B(W^T, G^T), already built: the nonempty loci that split a
-    block are read from the sector classes, and each sector on one is
-    reported, in group order."""
+    block are read from `kept`, and only when there is one are the group's
+    int vectors walked, each sector on such a locus reported in group
+    order."""
     violations = []
     for space, side in ((a_space, "A"), (b_space, "B-mirror")):
         blocks = [(b, set(b.variables)) for b in atomic_decomposition(space.poly)]
-        split = {
-            locus: [(b, sorted(v & set(locus))) for b, v in blocks if 0 < len(v & set(locus)) < len(v)]
-            for locus, kept in space.kept.items()
-            if kept
-        }
-        for g in space.group.elements:
-            for block, inside in split.get(fixed_indices(g), ()):
-                violations.append(
-                    {"side": side, "sector": str(g), "block": str(block), "fixed_in_block": inside}
-                )
+        split = {}
+        for locus, kept in space.kept.items():
+            fixed = set(locus)
+            cut = [(b, sorted(v & fixed)) for b, v in blocks if 0 < len(v & fixed) < len(v)]
+            if kept and cut:
+                split[locus] = cut
+        L = space.group.L
+        for v in space.group.vectors if split else ():
+            for block, inside in split.get(vector_locus(v), ()):
+                sector = str(GroupElement._raw(v, L))
+                violations.append({"side": side, "sector": sector, "block": str(block), "fixed_in_block": inside})
     blocks = [str(b) for b in atomic_decomposition(a_space.poly)]
     details = {"blocks": blocks, "a_dim": a_space.dim, "b_dim": b_space.dim}
     return Report("property1", not violations, details, violations)
@@ -357,7 +359,7 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
     s_i s_j C0_phi(i)phi(j) and P2_ij = s_i s_j P0_phi(i)phi(j).  Then the
     unit, `associativity_and_frobenius` on C0, P0, and `gamma_lemma_cases`.
     `SectorElement`s are built for mismatch records only."""
-    a_space = model.a_space()
+    a_space = model.space("A")
     bhk_group = transpose_group(model.sigma_group, model.poly)
     shared_rings: dict = {}
     b2_space = build_state_space(transpose(model.poly), bhk_group, "B", rings=shared_rings)

@@ -1,18 +1,18 @@
-"""A- and B-model state spaces: sector classes, bigraded tables, a lazy basis.
+"""A- and B-model state spaces by sector class, and their bigraded tables.
 
-A basis element is a sector group element g together with a standard monomial
-of the Milnor ring of W restricted to Fix(g); the volume form over the fixed
+A state is a sector group element g together with a standard monomial of
+the Milnor ring of W restricted to Fix(g); the volume form over the fixed
 coordinates is implicit.  W restricted to Fix(g) is a sum of connected
 blocks, its Milnor ring the tensor product of theirs, and the character of a
 monomial under the acting group the sum of the characters of its block
-factors.  So the invariant monomials of a fixed locus come from a join of the
-blocks' monomials on characters that sum to 0, in integer arithmetic, and no
-locus basis is walked (`Invariants`).  A sector enters the bigraded table
-only through its locus and age (Krawitz, arXiv:0906.0796, §2), so a sweep
-counts the sectors of each class (Fix g, age g) on the group's lattice
+factors.  So the invariant monomials of a fixed locus come from a join of
+the blocks' monomials on characters that sum to 0, in integer arithmetic,
+and no locus basis is walked (`Invariants`).  A sector enters the bigraded
+table only through its locus and age (Krawitz, arXiv:0906.0796, §2), so a
+sweep counts the sectors of each class (Fix g, age g) on the group's lattice
 (`sector_classes`), and the table sums count times the degree histogram of
-the locus.  It shares one integer grade formula with the bidegree of one
-element (`StateSpace._grade`).  The basis is built only when read.
+the locus on integer grades (`StateSpace._grade`).  There is no basis of
+elements: a verdict that needs states reads them off int vectors and `kept`.
 """
 
 from __future__ import annotations
@@ -73,10 +73,9 @@ class StateSpace:
     """The sectors of (W, G) by class.  `classes` maps (Fix g, a) to the
     number of sectors g with that locus and age a / L, L the exponent of G;
     `kept` maps each locus to its invariant standard monomials, sorted by
-    (wdeg, m).  `basis`, `basis_set` and `sector_dims` are built from these
-    when read."""
+    (wdeg, m).  The states of a sector g, in order, are kept[Fix g]."""
 
-    __slots__ = ("poly", "ws", "group", "flavor", "rings", "classes", "kept", "D", "_basis", "_set")
+    __slots__ = ("poly", "ws", "group", "flavor", "rings", "classes", "kept", "D")
 
     def __init__(self, poly, ws, group, flavor, rings, classes, kept):
         self.poly = poly
@@ -87,31 +86,15 @@ class StateSpace:
         self.classes = classes
         self.kept = kept
         self.D = math.lcm(ws.degree, group.L)  # grades are int numerators over D
-        self._basis = self._set = None
 
     @property
     def dim(self) -> int:
         return sum(n * len(self.kept[locus]) for (locus, _), n in self.classes.items())
 
     @property
-    def basis(self) -> tuple:
-        """<m; g> over the sorted elements g, each sector in kept order."""
-        if self._basis is None:
-            kept, flavor = self.kept, self.flavor
-            self._basis = tuple(
-                SectorElement(g, m, flavor) for g in self.group.elements for m in kept[fixed_indices(g)]
-            )
-        return self._basis
-
-    @property
-    def basis_set(self) -> frozenset:
-        if self._set is None:
-            self._set = frozenset(self.basis)
-        return self._set
-
-    @property
     def sector_dims(self) -> dict:
-        """{g: dimension} over every sector in group order, empty ones with 0."""
+        """{g: dimension} over every sector in group order, empty ones with 0.
+        It wraps every group element; only the benchmark tracer reads it."""
         return {g: len(self.kept[fixed_indices(g)]) for g in self.group.elements}
 
     def _grade(self, deg: int, age: int, nfixed: int):
@@ -128,14 +111,6 @@ class StateSpace:
         if self.flavor == "A":
             return p, p + nfixed * D - 2 * dm
         return p, p + (self.poly.nvars - nfixed) * D - 2 * a
-
-    def bidegree(self, e: SectorElement):
-        """(p, q) of a basis element <m; g>."""
-        g = e.sector
-        fixed = fixed_indices(g)
-        deg = _degree(e.monomial, fixed, self.ws.weights)
-        p, q = self._grade(deg, sum(g.num) * (self.group.L // g.den), len(fixed))
-        return Fraction(p, self.D), Fraction(q, self.D)
 
 
 def _degree(m, locus, weights) -> int:

@@ -400,12 +400,6 @@ def _greedy_group(n: int, L: int, vecs, chars=()) -> SymmetryGroup:
     return group
 
 
-def group_from_elements(n: int, elements) -> SymmetryGroup:
-    """The group an already-closed element set spans (closure is the
-    caller's contract), with greedy generators."""
-    return _greedy_group(n, *int_vectors(list(elements)))
-
-
 def minimal_generators(group: SymmetryGroup):
     """The greedy generators over the sorted elements: each is the least
     element not yet spanned.  With S the span so far, that element is found

@@ -21,7 +21,7 @@ from lgmirror.chenruan import verify_lgcy
 from lgmirror.polyring import is_bv_form, parse_polynomial, restrict, weight_system
 from lgmirror.statespace import build_state_space, poincare_table
 from lgmirror.symmetry import GroupElement, span, transpose_group
-from test_oracles import _models, tw_a_map
+from test_oracles import EagerSpace, _models, tw_a_map
 
 E1 = parse_polynomial("x0^2+x1^3+x2^6")
 E2 = parse_polynomial("x0^2+x1^4+x2^4")
@@ -125,7 +125,7 @@ def test_twist_group_identity_present():
 def test_all_or_nothing_lemma():
     # nonempty sectors of A(W, sigma G) fix both distinguished slots or neither
     m = model()
-    space = build_state_space(m.poly, m.sigma_group, "A")
+    space = EagerSpace(build_state_space(m.poly, m.sigma_group, "A"))
     seen = set()
     for e in space.basis:
         c = e.sector.components
@@ -138,7 +138,7 @@ def test_all_or_nothing_lemma():
 def test_tw_map_factor_and_sector():
     m = model()
     tw = m.twist()
-    space = build_state_space(m.poly, m.sigma_group, "A")
+    space = EagerSpace(build_state_space(m.poly, m.sigma_group, "A"))
     for e in space.basis:
         coeff, image = tw_a_map(e, m, tw)
         eps_zero = e.sector.components[m.slot1] == 0
@@ -345,7 +345,8 @@ def test_theorem1_and_lgcy_share_one_a_space(monkeypatch, block_ring_calls, curv
     """Theorem 1 and then LG/CY on one model sweep A(W, sigma G) once: the
     A side calls `build_state_space` once, and across the two verdicts each
     block ring of the model's polynomial is built once, beside those of the
-    mirror's B sweep, which builds its own."""
+    mirror's B sweep, which builds its own.  Twist-iso after them reads the
+    same A space and sweeps only the twist."""
     spaces = []
 
     def recording(*args, **kwargs):
@@ -358,13 +359,15 @@ def test_theorem1_and_lgcy_share_one_a_space(monkeypatch, block_ring_calls, curv
     assert verify_theorem1(m).passed
     assert verify_lgcy(m).passed
     assert [space.flavor for space in spaces] == ["A", "B"]
-    assert spaces[0] is m.a_space() and spaces[0].rings is m.rings
+    assert spaces[0] is m.space("A") and spaces[0].rings is m.rings
     built = Counter(block_ring_calls)
     block_ring_calls.clear()
     build_state_space(mirror.poly, mirror.sigma_group, "B", ws=mirror.ws)
     b_side = Counter(block_ring_calls)
     a_side = Counter({(m.poly.variables, k): 1 for k, ring in m.rings.items() if not ring.parts})
     assert a_side and built == a_side + b_side
+    assert verify_twist_iso(m, "A").passed
+    assert [(space.poly, space.flavor) for space in spaces[2:]] == [(m.twist().poly, "A")]
 
 
 BV_VERBS = [
@@ -382,16 +385,17 @@ BV_VERBS = [
 
 
 @pytest.mark.parametrize("name", ["e1k3a", "nonproduct", "chain"])
-def test_every_verb_keeps_only_the_model_rings(monkeypatch, capsys, name):
-    """After every `bv` verb on one model object, the ring caches of the
-    model and of its mirror hold rings of their own polynomial in their
-    own weights only.  So no ring of the twist (other variables) enters,
-    and on the chain model, whose transpose differs, no ring of the
-    transposed or mirror polynomial where it differs from the model's."""
+def test_every_verb_keeps_only_the_model_rings(monkeypatch, capsys, no_group_elements, name):
+    """Every `bv` verb passes on one model object without reading any
+    group's `elements`, and after them the ring caches of the model and of
+    its mirror hold rings of their own polynomial in their own weights
+    only.  So no ring of the twist (other variables) enters, and on the
+    chain model, whose transpose differs, no ring of the transposed or
+    mirror polynomial where it differs from the model's."""
     m = model(E2, CHAIN_K3) if name == "chain" else _models()[name]
     monkeypatch.setattr(cli, "_build_model", lambda args: m)
     for verb in BV_VERBS:
-        assert cli.main(["bv", verb, "--w1", str(m.w1), "--w2", str(m.w2), "--json"]) == 0
+        assert cli.main(["bv", verb, "--w1", str(m.w1), "--w2", str(m.w2), "--json"]) == 0, verb
     capsys.readouterr()
     tw = m.twist()
     for side in (m, m.mirror()):

@@ -21,6 +21,7 @@ from lgmirror.polyring import parse_polynomial, weight_system
 from lgmirror.statespace import SectorElement, build_state_space
 from lgmirror.symmetry import GroupElement, j_element, span, transpose_group
 from test_oracles import (
+    EagerSpace,
     action_weight,
     check_property1,
     even_basis,
@@ -71,7 +72,7 @@ def test_gamma_identity_is_one():
     b0 = build_state_space(mirror.poly, mirror.sigma_group, "B")
     alg0 = BAlgebra(b0)
     ident = sector_vector(alg0, GroupElement.identity(7))
-    for g in list(sorted({e.sector for e in b0.basis}))[:6]:
+    for g in list(sorted({e.sector for e in EagerSpace(b0).basis}))[:6]:
         assert alg0.gamma(ident, sector_vector(alg0, g)) == 1
 
 
@@ -82,7 +83,7 @@ def test_gamma_condition_fails_to_zero():
     alg0 = BAlgebra(b0)
     narrow = [
         e.sector
-        for e in b0.basis
+        for e in EagerSpace(b0).basis
         if not [c for c in e.sector.components if c == 0]
     ]
     g = narrow[0]
@@ -155,7 +156,7 @@ def test_odd_operands_rejected(monkeypatch):
     mirror = m.mirror()
     b0 = build_state_space(mirror.poly, mirror.sigma_group, "B")
     alg = BAlgebra(b0)
-    odd = [e for e in b0.basis if z2_grading(e, 5)]
+    odd = [e for e in EagerSpace(b0).basis if z2_grading(e, 5)]
     assert odd
     assert not any((sector_vector(alg, e.sector), e.monomial) in alg.at for e in odd)
     # a rescaling map onto an element outside the even basis stops Theorem
@@ -213,10 +214,8 @@ def test_phi_map_cases():
     m = build_bv(E1, K3, jgens(E1, K3))
     mirror = m.mirror()
     shared = {}
-    bhk = build_state_space(
-        mirror.poly, transpose_group(m.sigma_group, m.poly), "B", rings=shared
-    )
-    bv = build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared)
+    bhk = EagerSpace(build_state_space(mirror.poly, transpose_group(m.sigma_group, m.poly), "B", rings=shared))
+    bv = EagerSpace(build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared))
     half = Fraction(1, 2)
     saw = set()
     for e in bhk.basis:
@@ -241,10 +240,8 @@ def test_phi_membership_criterion():
     m = build_bv(E1, K3, jgens(E1, K3))
     mirror = m.mirror()
     shared = {}
-    bhk = build_state_space(
-        mirror.poly, transpose_group(m.sigma_group, m.poly), "B", rings=shared
-    )
-    bv = build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared)
+    bhk = EagerSpace(build_state_space(mirror.poly, transpose_group(m.sigma_group, m.poly), "B", rings=shared))
+    bv = EagerSpace(build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared))
     for e in bhk.basis:
         fixes = action_weight(mirror.j1, e) == 0
         assert fixes == (e in bv.basis_set)
@@ -262,10 +259,8 @@ def test_phi_map_all_three_cases_on_nonproduct_model():
     m = nonproduct_model()
     mirror = m.mirror()
     shared = {}
-    bhk = build_state_space(
-        mirror.poly, transpose_group(m.sigma_group, m.poly), "B", rings=shared
-    )
-    bv = build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared)
+    bhk = EagerSpace(build_state_space(mirror.poly, transpose_group(m.sigma_group, m.poly), "B", rings=shared))
+    bv = EagerSpace(build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared))
     saw = set()
     for e in bhk.basis:
         k, image = phi_map(e, bhk, bv, mirror.sigma)
@@ -288,10 +283,8 @@ def test_phi_not_basis_element():
     m = build_bv(E1, MINI, jgens(E1, MINI))
     mirror = m.mirror()
     shared = {}
-    bhk = build_state_space(
-        mirror.poly, transpose_group(m.sigma_group, m.poly), "B", rings=shared
-    )
-    bv = build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared)
+    bhk = EagerSpace(build_state_space(mirror.poly, transpose_group(m.sigma_group, m.poly), "B", rings=shared))
+    bv = EagerSpace(build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared))
     fake = SectorElement(GroupElement.identity(5), (4, 4, 4, 4, 4), "B")
     with pytest.raises(NotBasisElement):
         phi_map(fake, bhk, bv, mirror.sigma)
@@ -340,7 +333,7 @@ def test_gamma_lemma_factors():
     mirror = m.mirror()
     b0 = build_state_space(mirror.poly, mirror.sigma_group, "B")
     alg = BAlgebra(b0)
-    sectors = sorted({e.sector for e in even_basis(b0)})
+    sectors = sorted({e.sector for e in even_basis(EagerSpace(b0))})
     checked, failures = gamma_lemma_cases(alg, mirror.sigma)
     assert checked == len(sectors) ** 2
     assert not failures

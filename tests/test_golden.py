@@ -10,7 +10,9 @@ them after a deliberate change of a report, run
 
 The unscaled Theorem 2 control has no CLI verb; its reports are stored the
 same way from ``verify_theorem2(model, rescaled=False)``, so its failure
-counts and the order of its mismatches are pinned too.
+counts and the order of its mismatches are pinned too.  So is the report
+of twist-iso B on E1 x K3A with the first two weights of the twist swapped,
+the control whose mismatches are ``bidegree changed`` records.
 """
 
 import contextlib
@@ -21,10 +23,10 @@ import sys
 
 import pytest
 
-from lgmirror.bvlg import block_j_elements, build_bv
+from lgmirror.bvlg import TwistModel, block_j_elements, build_bv, verify_twist_iso
 from lgmirror.cli import main
 from lgmirror.frobenius import verify_theorem2
-from lgmirror.polyring import parse_polynomial, weight_system
+from lgmirror.polyring import WeightSystem, parse_polynomial, weight_system
 from lgmirror.symmetry import parse_group_elements
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
@@ -98,6 +100,22 @@ def run_unscaled(w1, w2, gens):
     return json.dumps(report.to_json(), sort_keys=True) + "\n"
 
 
+def run_swapped_twist_weights():
+    """twist-iso B on E1 x K3A, its twist weight system (2,1,1,1,1;6) read
+    as (1,2,1,1,1;6), written as ``--json`` writes one."""
+    p1, p2 = parse_polynomial(E1), parse_polynomial(K3A)
+    model = build_bv(p1, p2, block_j_elements(weight_system(p1), weight_system(p2)))
+    tw = model.twist()
+    w = tw.ws.weights
+    swapped = WeightSystem((w[1], w[0]) + w[2:], tw.ws.degree)
+    model._twist = TwistModel(tw.poly, swapped, tw.delta, tw.group, tw.keep, tw.source)
+    report = verify_twist_iso(model, "B")
+    return json.dumps(report.to_json(), sort_keys=True) + "\n"
+
+
+SWAPPED = "e1k3a_twist-iso-b_swapped_weights"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report(name):
     code, out = run_case(CASES[name])
@@ -111,6 +129,14 @@ def test_golden_unscaled_theorem2(name):
     assert out == golden_path(name).read_text(encoding="utf-8")
 
 
+def test_golden_swapped_twist_weights():
+    out = run_swapped_twist_weights()
+    report = json.loads(out)
+    assert not report["pass"]
+    assert [m["reason"] for m in report["mismatches"]] == ["bidegree changed"] * 43
+    assert out == golden_path(SWAPPED).read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     for name, argv in sorted(CASES.items()):
         code, out = run_case(argv)
@@ -119,3 +145,5 @@ if __name__ == "__main__":
     for name, args in sorted(UNSCALED.items()):
         golden_path(name).write_text(run_unscaled(*args), encoding="utf-8")
         print(f"{name}: written", file=sys.stderr)
+    golden_path(SWAPPED).write_text(run_swapped_twist_weights(), encoding="utf-8")
+    print(f"{SWAPPED}: written", file=sys.stderr)

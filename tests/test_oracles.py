@@ -22,8 +22,10 @@ two reports must be equal, mismatch order included.
 Helpers that the package no longer calls are kept below as oracles: the
 Fermat Milnor number, the residue pairing of two polynomials, the action
 weight of a group element, the Krawitz dimension check, the twist map of one
-basis element, the Z/2 grading and even basis, `phi_map` and
-`check_property1`.
+basis element, the Z/2 grading and even basis, `phi_map`,
+`check_property1` and `elementwise_property1`, the property 1 check over
+every group element that `property1` replaced (it walks the group only
+when some nonempty locus splits a block).
 
 `milnor_ring` assembles the ring of a locus with several connected blocks
 from one Groebner basis per block.  Its oracle is the one-shot ring: one
@@ -36,10 +38,13 @@ the generators.  The kept monomials must agree, in order.
 A `StateSpace` counts its sectors by class (fixed locus, age) and grades on
 integer sums.  Its oracle is the eager sweep it replaced: one `SectorElement`
 per kept monomial per sector (`build_sector`), each graded by summing the
-weight quotients as Fractions.  Tables, dimensions, bases, basis sets,
-sector dimensions and bidegrees must agree.  On all-Fermat models a second
-oracle needs no Groebner basis: each sector's dimension is a character sum
-over the group (`fermat_locus_dims`).
+weight quotients as Fractions.  Tables, dimensions, the states read off
+`kept`, sector dimensions and integer bidegrees must agree.  The package has
+no element-level view of a space; tests that read states one by one wrap a
+space in `EagerSpace`, the eager sweep as `basis`, `basis_set` and
+`bidegree`.  On all-Fermat models a second oracle needs no Groebner basis:
+each sector's dimension is a character sum over the group
+(`fermat_locus_dims`).
 
 `cr_table` counts the Chen-Ruan classes of a fixed locus, in the model's
 variables, by convolving the (character, degree) counts of its block rings,
@@ -54,11 +59,13 @@ agree; the Hodge-number tests read the walk (`primitive_hodge`,
 
 A `SymmetryGroup` is an echelon lattice basis:
 its elements come from a mixed-radix walk, membership from reduction, and
-its greedy generators from the lattices.  The oracles are the BFS closure
-it replaced, sorted under `GroupElement.__lt__`, its element sets, and the
-greedy rule on those sets.  G^max is an echelon kernel; its oracle is the
-product of the cyclic groups of a Smith normal form.  SL subgroups and the
-twist projection are kernels too; their oracles filter elements.
+its greedy generators from the lattices (`_greedy_group` of the int
+vectors of an element set rebuilds a group from its elements).  The oracles
+are the BFS closure it replaced, sorted under `GroupElement.__lt__`, its
+element sets, and the greedy rule on those sets.  G^max is an echelon
+kernel; its oracle is the product of the cyclic groups of a Smith normal
+form.  SL subgroups and the twist projection are kernels too; their oracles
+filter elements.
 `bv_cosets` keys cosets by their minima, the reductions by J's basis; its
 oracle sorts every coset, listed from a set of covered elements (`cosets`),
 and takes minima.  It walks only the coset minima of sigma G and of the
@@ -136,13 +143,13 @@ from lgmirror.symmetry import (
     GroupElement,
     GroupError,
     NotSubgroup,
+    _greedy_group,
     _reduce,
     _walk,
     age,
     bv_cosets,
     fixed_indices,
     gmax,
-    group_from_elements,
     int_vectors,
     j_element,
     minimal_generators,
@@ -237,6 +244,7 @@ def z2_grading(e, nvars):
 
 
 def even_basis(space):
+    """The even states of an `EagerSpace`, in basis order."""
     return tuple(e for e in space.basis if z2_grading(e, space.poly.nvars) == 0)
 
 
@@ -253,7 +261,7 @@ def element_key(alg, e):
 
 def phi_map(e, bhk_space, bv_space, sigma, rescaled=True):
     """Rescaling map B(W^T, (sigma G)^T) -> B(W^T, sigma (G^T)) on one basis
-    element, as (scale, image).
+    element, as (scale, image); the spaces are `EagerSpace`s.
 
     Shared basis elements map to themselves; the others move to the sigma-
     shifted sector (the volume form toggles dx0+dy0) with factor 1/2 when g
@@ -279,6 +287,25 @@ def check_property1(poly, group, ws=None):
     a_space = build_state_space(poly, group, "A", ws=ws)
     b_space = build_state_space(transpose(poly), transpose_group(group, poly), "B")
     return property1(a_space, b_space)
+
+
+def elementwise_property1(a_space, b_space):
+    """`property1` over every group element: each sector wrapped as a
+    `GroupElement` and its locus looked up among those that split a block."""
+    violations = []
+    for space, side in ((a_space, "A"), (b_space, "B-mirror")):
+        blocks = [(b, set(b.variables)) for b in atomic_decomposition(space.poly)]
+        split = {
+            locus: [(b, sorted(v & set(locus))) for b, v in blocks if 0 < len(v & set(locus)) < len(v)]
+            for locus, kept in space.kept.items()
+            if kept
+        }
+        for g in space.group.elements:
+            for block, inside in split.get(fixed_indices(g), ()):
+                violations.append({"side": side, "sector": str(g), "block": str(block), "fixed_in_block": inside})
+    blocks = [str(b) for b in atomic_decomposition(a_space.poly)]
+    details = {"blocks": blocks, "a_dim": a_space.dim, "b_dim": b_space.dim}
+    return Report("property1", not violations, details, violations)
 
 
 def smith_normal_form(matrix):
@@ -416,7 +443,7 @@ def filtered_dual(group, poly):
         for vec in vecs
         if all(sum(a * b for a, b in zip(vec, c)) % m == 0 for c, m in constraints)
     ]
-    return group_from_elements(group.n, kept)
+    return _greedy_group(group.n, *int_vectors(kept))
 
 
 def box_basis(ring):
@@ -534,11 +561,40 @@ def eager_sweep(poly, group, flavor, ws, rings):
     return basis, sector_dims
 
 
+def space_bidegree(space, e):
+    """(p, q) of the state <m; g> of `space`, from its integer grades."""
+    g = e.sector
+    fixed = fixed_indices(g)
+    deg = statespace._degree(e.monomial, fixed, space.ws.weights)
+    p, q = space._grade(deg, sum(g.num) * (space.group.L // g.den), len(fixed))
+    return Fraction(p, space.D), Fraction(q, space.D)
+
+
+class EagerSpace:
+    """The element-level view of a `StateSpace`: `basis`, one
+    `SectorElement` per state from the eager sweep over the space's rings
+    (group order, then kept order), `basis_set`, and `bidegree` of one
+    element (`space_bidegree`).  Every other attribute is the space's.
+    Build one per space, where a test reads states one by one."""
+
+    def __init__(self, space):
+        self.space = space
+        self.basis = tuple(eager_sweep(space.poly, space.group, space.flavor, space.ws, space.rings)[0])
+        self.basis_set = frozenset(self.basis)
+
+    def __getattr__(self, name):
+        return getattr(self.space, name)
+
+    def bidegree(self, e):
+        return space_bidegree(self.space, e)
+
+
 def assert_same_as_eager_sweep(poly, group):
     """A(W, G) and B(W, G) against the eager sweep: the class table is the
-    count of the Fraction-sum bidegrees, the dimension and the lazy basis,
-    basis set and sector dimensions (in group order) are the sweep's, and
-    the integer bidegree of every element is the Fraction-sum one."""
+    count of the Fraction-sum bidegrees, the dimension, the states read off
+    `kept` in group order and the sector dimensions (in group order) are
+    the sweep's, and the integer bidegree of every element is the
+    Fraction-sum one."""
     ws = weight_system(poly)
     q = [Fraction(w, ws.degree) for w in ws.weights]
     age_j = sum(q, Fraction(0))
@@ -553,9 +609,9 @@ def assert_same_as_eager_sweep(poly, group):
         assert space.dim == len(basis) > 0
         assert poincare_table(space) == table
         assert list(space.sector_dims.items()) == list(sector_dims.items())
-        assert space.basis == tuple(basis)
-        assert space.basis_set == frozenset(basis)
-        assert [space.bidegree(e) for e in basis] == grades
+        states = [SectorElement(g, m, flavor) for g in group.elements for m in space.kept[fixed_indices(g)]]
+        assert states == basis
+        assert [space_bidegree(space, e) for e in basis] == grades
 
 
 def cosets(group, subgroup) -> CosetDecomposition:
@@ -785,15 +841,15 @@ def mixed_groups(draw, n=None):
 @given(mixed_groups(), st.randoms(use_true_random=False))
 def test_group_order_is_the_component_order(group, rng):
     """The lattice walk gives the elements of the BFS closure, sorted under
-    `GroupElement.__lt__`; `group_from_elements` rebuilds the same group
-    from them in any order, with the oracle's greedy generators."""
+    `GroupElement.__lt__`; `_greedy_group` rebuilds the same group from
+    their int vectors in any order, with the oracle's greedy generators."""
     oracle = close_int(group.gens, group.n)
     assert group.elements == tuple(oracle)
     assert group.order == len(oracle)
     assert minimal_generators(group) == oracle_minimal_generators(group.n, oracle)
     elements = list(oracle)
     rng.shuffle(elements)
-    rebuilt = group_from_elements(group.n, elements)
+    rebuilt = _greedy_group(group.n, *int_vectors(elements))
     assert rebuilt.elements == group.elements
     assert rebuilt.gens == tuple(oracle_minimal_generators(group.n, oracle))
 
@@ -1047,9 +1103,10 @@ class AlgebraElement:
 
 
 class ElementwiseAlgebra:
-    """The Krawitz product and residue pairing of one B-model space, one
-    pair of basis elements at a time, with gamma solved per pair of group
-    elements and every normal form reduced afresh (no memo)."""
+    """The Krawitz product and residue pairing of one B-model space (an
+    `EagerSpace`), one pair of basis elements at a time, with gamma solved
+    per pair of group elements and every normal form reduced afresh (no
+    memo)."""
 
     def __init__(self, space):
         self.space = space
@@ -1213,8 +1270,8 @@ def elementwise_theorem2(model, rescaled=True):
     mirror = model.mirror()
     bhk_group = transpose_group(model.sigma_group, model.poly)
     shared_rings: dict = {}
-    b2_space = build_state_space(mirror.poly, bhk_group, "B", rings=shared_rings)
-    b0_space = build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared_rings)
+    b2_space = EagerSpace(build_state_space(mirror.poly, bhk_group, "B", rings=shared_rings))
+    b0_space = EagerSpace(build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared_rings))
     even2 = even_basis(b2_space)
     even0 = even_basis(b0_space)
     mismatches = []
@@ -1349,7 +1406,7 @@ def test_tables_match_basis_pair_oracle(name):
     bhk_group = transpose_group(model.sigma_group, model.poly)
     for group in (bhk_group, mirror.sigma_group):
         space = build_state_space(mirror.poly, group, "B")
-        alg, oracle = BAlgebra(space), ElementwiseAlgebra(space)
+        alg, oracle = BAlgebra(space), ElementwiseAlgebra(EagerSpace(space))
         assert alg.at == {element_key(alg, e): i for i, e in enumerate(oracle.even)}
         assert alg.dim == len(oracle.even)
         C = alg.structure_constants()
@@ -1382,6 +1439,7 @@ def test_phi_bar_matches_phi_map(name, rescaled):
     the image of `phi_map`, with twice its scale."""
     model = PHI_MODELS[name]()
     bhk, bv, alg2, alg0 = _mirror_algebras(model)
+    bhk, bv = EagerSpace(bhk), EagerSpace(bv)
     phi = phi_bar(alg2, alg0, model.mirror().sigma, rescaled)
     even2 = even_basis(bhk)
     assert len(phi) == len(even2) == alg2.dim
@@ -1432,13 +1490,31 @@ def test_census_tables_have_single_terms():
     assert (built, undefined) == (56, 4)
 
 
+def test_property1_matches_the_element_walk():
+    """On E1 and E2 times each of the 44 invertible K3 samples, with
+    G = J1 x J2, `property1` gives the report of the walk over every
+    element, violations in order; 38 of the 88 models fail it."""
+    failed = 0
+    for record in filter_bv_invertible(enumerate_k3_systems()):
+        k3 = sample_polynomial(record.weight_system)
+        for curve in (E1, E2):
+            model = build_bv(curve, k3, block_j_elements(weight_system(curve), weight_system(k3)))
+            a_space = model.space("A")
+            dual = transpose_group(model.sigma_group, model.poly)
+            b_space = build_state_space(transpose(model.poly), dual, "B")
+            report = property1(a_space, b_space).to_json()
+            assert report == elementwise_property1(a_space, b_space).to_json()
+            failed += not report["pass"]
+    assert failed == 38
+
+
 def _corrupt_one_gamma(monkeypatch):
     """Double gamma on one locus triple, (everything, Fix h, Fix h) for h
     the first nonidentity even sector of the E1 x K3A BV mirror, in
     `BAlgebra` and in the oracle alike; returns the model."""
     model = _models()["e1k3a"]
     mirror = model.mirror()
-    space = build_state_space(mirror.poly, mirror.sigma_group, "B")
+    space = EagerSpace(build_state_space(mirror.poly, mirror.sigma_group, "B"))
     h = next(e.sector for e in even_basis(space) if not e.sector.is_identity())
     triple = (tuple(range(space.poly.nvars)), fixed_indices(h), fixed_indices(h))
     original, oracle = BAlgebra._gamma_data, ElementwiseAlgebra._gamma_data
@@ -1472,8 +1548,8 @@ def elementwise_twist_iso(model, flavor, tw_group_override=None):
     bidegrees."""
     tw = model.twist()
     group = tw_group_override if tw_group_override is not None else tw.group
-    source = build_state_space(model.poly, model.sigma_group, flavor)
-    target = build_state_space(tw.poly, group, flavor)
+    source = EagerSpace(build_state_space(model.poly, model.sigma_group, flavor))
+    target = EagerSpace(build_state_space(tw.poly, group, flavor))
     mismatches = []
     images = set()
     for e in source.basis:

@@ -8,12 +8,13 @@ from lgmirror.polyring import WeightSystem, parse_polynomial, transpose, weight_
 from lgmirror.symmetry import (
     EnumerationCapExceeded,
     GroupElement,
+    _greedy_group,
     age,
     bv_cosets,
     element_in_gmax,
     fixed_indices,
     gmax,
-    group_from_elements,
+    int_vectors,
     is_b_admissible,
     j_element,
     minimal_generators,
@@ -186,7 +187,7 @@ def test_minimal_generators_respan():
 
 def test_group_from_elements():
     sl = sl_subgroup(gmax(E1))
-    rebuilt = group_from_elements(3, sl.elements)
+    rebuilt = _greedy_group(3, *int_vectors(sl.elements))
     assert rebuilt.elements == sl.elements
     assert span(3, rebuilt.gens).elements == sl.elements
 
