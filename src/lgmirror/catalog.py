@@ -5,6 +5,10 @@ Quasismoothness of the general degree-d hypersurface in P(w0..w3) is decided
 by the standard combinatorial criterion over nonempty variable subsets I:
 either some monomial in the I-variables has degree d, or there are |I|
 monomials x^M * x_e (M supported on I) with |I| distinct outside variables e.
+For I = {i} it asks for x_i^a or x_i^a * x_e of degree d, so the largest
+weight w0 divides s or s - w_e, where s is the sum of the other three.  The
+enumeration solves for w0 from these (s/1, s/2, s/3, (s - w_e)/1 and
+(s - w_e)/2) instead of scanning it, before the full subset sweep.
 """
 
 from __future__ import annotations
@@ -83,13 +87,26 @@ def enumerate_k3_systems(max_weight: int = 40, with_samples: bool = False):
     """All CY quadruples (w0 >= ... >= w3; d = sum w) passing the
     quasismoothness criterion, deduplicated up to permutation.
 
+    The largest weight w0 is solved for, not scanned.  With s = w1 + w2 + w3,
+    the screen below needs w0 to divide d = w0 + s or some d - w_e, that is
+    s or s - w_e; as 0 < s <= 3 w0 and 0 < s - w_e <= 2 w0, w0 is one of
+    s/k (k = 1, 2, 3) or (s - w_e)/k (k = 1, 2), at most 9 candidates per
+    triple, of which the integers in [w1, max_weight] are screened.
+
     Raises BoundTooSmall when fewer than 95 systems are found."""
     found = []
     for w3 in range(1, max_weight + 1):
         for w2 in range(w3, max_weight + 1):
             for w1 in range(w2, max_weight + 1):
-                for w0 in range(w1, max_weight + 1):
-                    d = w0 + w1 + w2 + w3
+                s = w1 + w2 + w3
+                candidates = {s // k for k in (1, 2, 3) if s % k == 0}
+                candidates.update(
+                    (s - w) // k for w in (w1, w2, w3) for k in (1, 2) if (s - w) % k == 0
+                )
+                for w0 in candidates:
+                    if not w1 <= w0 <= max_weight:
+                        continue
+                    d = w0 + s
                     if math.gcd(w0, w1, w2, w3) != 1:
                         continue
                     weights = (w0, w1, w2, w3)

@@ -157,11 +157,14 @@ def cmd_catalog(args) -> int:
     from . import catalog
 
     if args.action == "sample":
-        parts = args.weights.replace(",", " ").split()
-        if len(parts) < 2:
+        try:
+            numbers = [int(p) for p in args.weights.replace(",", " ").split()]
+        except ValueError:
+            numbers = []
+        if len(numbers) < 2:
             print("expected weights and degree, e.g. 3,1,1,1,6", file=sys.stderr)
             return USAGE_ERROR
-        *weights, degree = (int(p) for p in parts)
+        *weights, degree = numbers
         ws = polyring.WeightSystem(tuple(sorted(weights, reverse=True)), degree)
         poly = catalog.sample_polynomial(ws)
         print(poly)

@@ -358,16 +358,19 @@ def milnor_ring(
     if active is None:
         active = tuple(range(n))
     active = tuple(sorted(active))
-    restricted = restrict(poly, active)
     if ws is not None:
         weights = tuple(ws.weights)
+        restricted = None  # a cache hit needs no restriction
     else:
+        restricted = restrict(poly, active)
         weights = _grading_weights(restricted, active)
     if rings is None:
         rings = {}
     ring = rings.get(active)
     if ring is not None and ring.weights == weights:
         return ring
+    if restricted is None:
+        restricted = restrict(poly, active)
     order = TermOrder(weights)
     blocks = components(restricted, active)
     if len(blocks) < 2:

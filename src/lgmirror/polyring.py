@@ -363,44 +363,44 @@ class WeightSystem(Frozen):
 def weight_system(poly: Polynomial) -> WeightSystem:
     """Solve A q = 1 for the unique primitive integer weight system.
 
-    Raises NotQuasihomogeneous when inconsistent, NonUniqueWeights when the
-    exponent matrix has rank < n, NonPositiveWeight when a quotient leaves
-    (0, 1).
+    Gauss-Jordan elimination runs on the int rows of the augmented matrix,
+    each row cross-multiplied by the pivot and divided by its gcd, so only
+    the n quotients are built as Fractions.  Raises NotQuasihomogeneous when
+    inconsistent, NonUniqueWeights when the exponent matrix has rank < n,
+    NonPositiveWeight when a quotient leaves (0, 1).
     """
     if poly.is_zero():
         raise NotQuasihomogeneous("zero polynomial")
     n = poly.nvars
-    rows = [[Fraction(e) for e in m] + [Fraction(1)] for m in poly.monomials()]
-    # exact Gaussian elimination on the augmented matrix
-    pivot_cols = []
-    r = 0
+    rows = [[*m, 1] for m in poly.monomials()]
+    r = 0  # rank so far
     for col in range(n):
         pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_cols.append(col)
+        prow = rows[r]
+        pv = prow[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and f != 0:
+                row = [pv * a - f * b for a, b in zip(row, prow)]
+                g = math.gcd(*row)
+                rows[i] = [a // g for a in row] if g > 1 else row
         r += 1
     for i in range(r, len(rows)):
         if rows[i][n] != 0:
             raise NotQuasihomogeneous(f"no weight solution for {poly}")
-    if len(pivot_cols) < n:
-        raise NonUniqueWeights(f"rank {len(pivot_cols)} < {n} variables")
-    q = [Fraction(0)] * n
-    for i, col in enumerate(pivot_cols):
-        q[col] = rows[i][n]
+    if r < n:
+        raise NonUniqueWeights(f"rank {r} < {n} variables")
+    # rank n: the pivot columns are 0..n-1, row i solves q_i
+    q = [Fraction(rows[i][n], rows[i][i]) for i in range(n)]
     if any(x <= 0 for x in q):
         raise NonPositiveWeight(f"non-positive weight quotient in {q}")
     if any(x >= 1 for x in q):
         raise NonPositiveWeight(f"weight quotient >= 1 in {q}")
     d = math.lcm(*(x.denominator for x in q))
-    weights = [int(x * d) for x in q]
+    weights = [x.numerator * (d // x.denominator) for x in q]
     g = math.gcd(*weights)
     if g > 1:
         if d % g:
@@ -454,7 +454,7 @@ def square_matrix_det(poly: Polynomial):
 def is_invertible(poly: Polynomial) -> bool:
     """Square exponent matrix, nonzero determinant, and finite Milnor number."""
     try:
-        weight_system(poly)
+        ws = weight_system(poly)
     except PolyError:
         return False
     det = square_matrix_det(poly)
@@ -463,7 +463,7 @@ def is_invertible(poly: Polynomial) -> bool:
     from . import milnor
 
     try:
-        milnor.milnor_ring(poly)
+        milnor.milnor_ring(poly, ws=ws)
     except milnor.DegenerateSingularity:
         return False
     return True

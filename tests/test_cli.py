@@ -150,6 +150,14 @@ def test_catalog_sample(capsys):
     assert out.strip() == "y1^6 + y2^6 + y3^6 + y0^2"
 
 
+@pytest.mark.parametrize("weights", ["", "6", "3,x,1,1,6", "3,1.5,1,1,6"])
+def test_catalog_sample_malformed_weights_is_a_usage_error(capsys, weights):
+    code, out, err = run(capsys, "catalog", "sample", weights)
+    assert code == 2
+    assert out == ""
+    assert "expected weights and degree" in err
+
+
 def test_catalog_sample_no_invertible(capsys):
     code, out, err = run(capsys, "catalog", "sample", "11,5,4,2,22")
     assert code == 3

@@ -150,6 +150,29 @@ def test_block_rings_go_to_the_cache():
         milnor_ring(p, active=(0, 2), ws=weight_system(p), rings=rings)
 
 
+def test_cache_hit_restricts_nothing(monkeypatch):
+    import lgmirror.milnor as milnor
+
+    p = parse_polynomial("x0^2*x1+x1^3+x2^4")
+    ws = weight_system(p)
+    rings = {}
+    r = milnor_ring(p, ws=ws, rings=rings)
+    calls = []
+    original = milnor.restrict
+
+    def counting(poly, fixed):
+        calls.append(tuple(fixed))
+        return original(poly, fixed)
+
+    monkeypatch.setattr(milnor, "restrict", counting)
+    assert milnor_ring(p, ws=ws, rings=rings) is r
+    assert milnor_ring(p, active=(2,), ws=ws, rings=rings) is rings[(2,)]
+    assert calls == []
+    # a miss still restricts
+    milnor_ring(p, active=(1,), ws=ws, rings=rings)
+    assert calls
+
+
 def test_fermat_formula():
     assert fermat_milnor_number(weight_system(parse_polynomial("x0^2+x1^3+x2^6"))) == 10
     assert fermat_milnor_number(weight_system(parse_polynomial("y0^2+y1^6+y2^6+y3^6"))) == 125

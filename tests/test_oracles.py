@@ -74,6 +74,13 @@ slot-fixing part; its second oracle is the walk of every element of sigma G
 it replaced (`walked_bv_cosets`).  A state space counts its sector classes on
 the lattice (`sector_classes`); the oracle counts (Fix v, sum v) over the
 full walk.
+
+`enumerate_k3_systems` solves for the largest weight from the divisibility
+its screen asks of it; its oracle is the scan of every sorted quadruple up
+to the bound (`oracle_enumerate_k3_systems`).  `weight_system` eliminates on
+int rows; its oracle is the same Gauss-Jordan elimination on Fraction rows
+(`oracle_weight_system`).  Records, weight systems, and exception classes
+and messages must agree.
 """
 
 import math
@@ -98,9 +105,12 @@ from lgmirror.bvlg import (
 import lgmirror.chenruan as chenruan
 import lgmirror.statespace as statespace
 from lgmirror.catalog import (
+    BoundTooSmall,
+    WeightSystemRecord,
     _block_polynomials,
     enumerate_k3_systems,
     filter_bv_invertible,
+    quasismooth_general,
     sample_polynomial,
 )
 from lgmirror.frobenius import (
@@ -125,10 +135,15 @@ from lgmirror.milnor import (
     milnor_ring,
 )
 from lgmirror.polyring import (
+    NonPositiveWeight,
+    NonUniqueWeights,
+    NotQuasihomogeneous,
     Polynomial,
+    PolyError,
     WeightSystem,
     _head_aligned_rows,
     atomic_decomposition,
+    direct_sum,
     exponent_matrix,
     is_invertible,
     parse_polynomial,
@@ -1960,3 +1975,144 @@ def test_cr_classes_match_the_walk_on_every_locus_of_a_chain():
     model = build_bv(E1, chain, [j1, j2] + lift)
     assert_same_factor_classes(model)
     assert_same_cr_table(model)
+
+
+def oracle_enumerate_k3_systems(max_weight: int):
+    """Every sorted quadruple up to the bound, screened one variable at a
+    time and then by the full criterion, with no samples."""
+    found = []
+    for w3 in range(1, max_weight + 1):
+        for w2 in range(w3, max_weight + 1):
+            for w1 in range(w2, max_weight + 1):
+                for w0 in range(w1, max_weight + 1):
+                    d = w0 + w1 + w2 + w3
+                    if math.gcd(w0, w1, w2, w3) != 1:
+                        continue
+                    weights = (w0, w1, w2, w3)
+                    if not all(
+                        d % weights[i] == 0
+                        or any((d - weights[e]) % weights[i] == 0 for e in range(4) if e != i)
+                        for i in range(4)
+                    ):
+                        continue
+                    if quasismooth_general(weights, d):
+                        bv = any(2 * w == d for w in weights)
+                        found.append(WeightSystemRecord(weights, d, True, bv, ""))
+    found.sort(key=lambda r: (r.degree, r.weights))
+    if len(found) < 95:
+        raise BoundTooSmall(
+            f"found {len(found)} systems with max weight {max_weight}; raise the bound"
+        )
+    return found
+
+
+def _enumerated(enumerator, max_weight):
+    try:
+        return [r.fields() for r in enumerator(max_weight)]
+    except BoundTooSmall as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "max_weight, found", [(10, 55), (20, 87), (30, 94), (32, 94), (33, 95), (40, 95), (45, 95)]
+)
+def test_enumeration_matches_the_scan(max_weight, found):
+    """(33,22,6,5;66) has the largest weight of the 95, so 32 misses it."""
+    got = _enumerated(enumerate_k3_systems, max_weight)
+    assert got == _enumerated(oracle_enumerate_k3_systems, max_weight)
+    if found == 95:
+        assert len(got) == 95
+    else:
+        assert got == f"found {found} systems with max weight {max_weight}; raise the bound"
+
+
+def oracle_weight_system(poly: Polynomial) -> WeightSystem:
+    """Gauss-Jordan elimination on Fraction rows, pivot rows normalized."""
+    if poly.is_zero():
+        raise NotQuasihomogeneous("zero polynomial")
+    n = poly.nvars
+    rows = [[Fraction(e) for e in m] + [Fraction(1)] for m in poly.monomials()]
+    pivot_cols = []
+    r = 0
+    for col in range(n):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][col]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivot_cols.append(col)
+        r += 1
+    for i in range(r, len(rows)):
+        if rows[i][n] != 0:
+            raise NotQuasihomogeneous(f"no weight solution for {poly}")
+    if len(pivot_cols) < n:
+        raise NonUniqueWeights(f"rank {len(pivot_cols)} < {n} variables")
+    q = [Fraction(0)] * n
+    for i, col in enumerate(pivot_cols):
+        q[col] = rows[i][n]
+    if any(x <= 0 for x in q):
+        raise NonPositiveWeight(f"non-positive weight quotient in {q}")
+    if any(x >= 1 for x in q):
+        raise NonPositiveWeight(f"weight quotient >= 1 in {q}")
+    d = math.lcm(*(x.denominator for x in q))
+    weights = [int(x * d) for x in q]
+    g = math.gcd(*weights)
+    if g > 1:
+        if d % g:
+            raise NotQuasihomogeneous(f"weights {weights} do not scale to gcd 1")
+        weights = [w // g for w in weights]
+        d //= g
+    return WeightSystem(tuple(weights), d)
+
+
+@st.composite
+def exponent_matrices(draw):
+    """Monomials over 1-4 variables: any small exponents (mostly rank
+    deficient, inconsistent or non-positive), or near-diagonal square
+    matrices, which are mostly quasihomogeneous with positive weights."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=6))
+    else:
+        rows = [
+            tuple(
+                draw(st.integers(2, 9)) if j == i else draw(st.sampled_from([0, 0, 0, 1, 2]))
+                for j in range(n)
+            )
+            for i in range(n)
+        ]
+    return Polynomial([f"x{i}" for i in range(n)], {row: 1 for row in rows})
+
+
+def _solved(solve, poly):
+    try:
+        return solve(poly)
+    except PolyError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_matrices())
+def test_weight_system_matches_fraction_elimination(poly):
+    assert _solved(weight_system, poly) == _solved(oracle_weight_system, poly)
+
+
+def test_weight_system_builds_only_the_quotients(monkeypatch):
+    poly = direct_sum(E1, OCTIC)
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    ws = weight_system(poly)
+    monkeypatch.undo()
+    assert len(built) <= poly.nvars
+    assert ws == oracle_weight_system(poly) == WeightSystem((12, 8, 4, 12, 3, 3, 3, 3), 24)
