@@ -302,21 +302,17 @@ def sample_polynomial(ws: WeightSystem) -> Polynomial:
     raise NoInvertibleRepresentative(f"no invertible z0^2 + f found for {ws}")
 
 
-CSV_HEADER = "w0,w1,w2,w3,d,quasismooth,bv_admissible,sample_poly"
-
-
-def csv_row(r: WeightSystemRecord) -> str:
-    w = r.weights
-    return (
-        f"{w[0]},{w[1]},{w[2]},{w[3]},{r.degree},"
-        f"{int(r.quasismooth)},{int(r.bv_admissible)},{r.sample_poly}"
-    )
-
-
-def save_catalog(records, path):
-    lines = [CSV_HEADER] + [csv_row(r) for r in records]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def csv_text(records) -> str:
+    """The records as CSV, a header line and then one line per record; the
+    one writer of the catalog's CSV, to a file or to standard output."""
+    lines = ["w0,w1,w2,w3,d,quasismooth,bv_admissible,sample_poly"]
+    for r in records:
+        w = r.weights
+        lines.append(
+            f"{w[0]},{w[1]},{w[2]},{w[3]},{r.degree},"
+            f"{int(r.quasismooth)},{int(r.bv_admissible)},{r.sample_poly}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def genericity_spot_check(record: WeightSystemRecord, seed: int = 0) -> bool:

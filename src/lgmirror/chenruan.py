@@ -1,11 +1,12 @@
 """Chen-Ruan orbifold Hodge tables of [X_{W1} x X_{W2} / sigma G~].
 
-The table is assembled from the coset decomposition of sigma*G: for each
-representative and each pair of scaling angles with nontrivial fixed locus,
-the summand is (ambient + primitive) x (ambient + primitive) cohomology of
-the two restricted hypersurfaces, group invariants taken on the tensor
-product (Chen-Ruan, CMP 248, 2004), everything shifted by the tangent-space
-age of the sector.
+The table is assembled from the coset representatives of J in sigma*G,
+int vectors over the exponent of sigma*G: for each representative and each
+pair of scaling angles with nontrivial fixed locus, the summand is
+(ambient + primitive) x (ambient + primitive) cohomology of the two
+restricted hypersurfaces, group invariants taken on the tensor product
+(Chen-Ruan, CMP 248, 2004), everything shifted by the tangent-space age of
+the sector.  Only the bigraded counts are kept.
 
 Ambient pieces are the (i, i) ladder of the ambient weighted projective
 space, of trivial character; primitive pieces are graded pieces of the
@@ -18,7 +19,7 @@ standard monomials of each block ring are bucketed by character once per
 table (`statespace.Invariants`), the classes of a locus come from
 convolving its blocks' (character, degree) counts (`locus_classes`), and
 the table multiplies the counts of complementary characters.  No locus
-basis is walked.
+basis is walked, and no group element is built.
 """
 
 from __future__ import annotations
@@ -31,11 +32,8 @@ from .bvlg import BVModel
 from .milnor import milnor_ring
 from .polyring import WeightSystem, restrict
 from .report import Report
-from .statespace import Invariants, build_state_space, diff_tables, frac_str, poincare_table
+from .statespace import Invariants, build_state_space, diff_tables, poincare_table
 from .symmetry import bv_cosets, span, vector_locus
-
-AMBIENT = "ambient"
-PRIMITIVE = "primitive"
 
 
 def lambda_set(num, den: int, ws: WeightSystem):
@@ -60,7 +58,7 @@ def scaled_element(num, den: int, t: int, D: int, ws: WeightSystem) -> tuple:
 def locus_classes(model: BVModel, locus, invariant: Invariants) -> dict:
     """The cohomology classes of X_{W | locus}, for `locus` a set of the
     model's variables inside one factor W, counted by character under the
-    generators of `invariant`: {character: Counter((p, q, kind))}.  The
+    generators of `invariant`: {character: Counter((p, q))}.  The
     locus ring comes from the model's cache `model.rings`, and the classes
     from convolving the (character, degree) counts of its blocks' buckets."""
     if not locus:
@@ -99,13 +97,13 @@ def locus_classes(model: BVModel, locus, invariant: Invariants) -> dict:
         for w, n in hist.items():
             if w % d == 0:
                 q = w // d - 1
-                out.setdefault(ch, Counter())[(dim - q, q, PRIMITIVE)] += n
+                out.setdefault(ch, Counter())[(dim - q, q)] += n
     return out
 
 
 def _ambient(dim: int) -> Counter:
     """One (i, i) class for i = 0..dim."""
-    return Counter({(i, i, AMBIENT): 1 for i in range(dim + 1)})
+    return Counter({(i, i): 1 for i in range(dim + 1)})
 
 
 def age_shift(s1, s2, t1: int, D1: int, t2: int, D2: int, d1: int, d2: int) -> Fraction:
@@ -119,54 +117,26 @@ def age_shift(s1, s2, t1: int, D1: int, t2: int, D2: int, d1: int, d2: int) -> F
 
 
 class CRTable:
-    """A Chen-Ruan table and its sector provenance, kept as raw tuples
-    (rep, t1, D1, t2, D2, age shift, dim, tags) and formatted when read."""
+    """A Chen-Ruan table {(p, q): dimension}."""
 
-    __slots__ = ("table", "_sectors")
+    __slots__ = ("table",)
 
-    def __init__(self, table, sectors):
-        self.table = dict(table)
-        self._sectors = sectors
-
-    @property
-    def sectors(self) -> list:
-        return [
-            {
-                "rep": str(rep),
-                "lambda1": frac_str(Fraction(t1, D1)),
-                "lambda2": frac_str(Fraction(t2, D2)),
-                "age": frac_str(shift),
-                "dim": count,
-                "tags": sorted(f"{k1}*{k2}" for k1, k2 in tags),
-            }
-            for rep, t1, D1, t2, D2, shift, count, tags in self._sectors
-        ]
+    def __init__(self, table):
+        self.table = table
 
     @property
     def total(self) -> int:
         return sum(self.table.values())
 
-    def to_json(self) -> dict:
-        entries = [
-            {"p": frac_str(p), "q": frac_str(q), "dim": d}
-            for (p, q), d in sorted(self.table.items())
-        ]
-        return {
-            "flavor": "CR",
-            "total": self.total,
-            "entries": entries,
-            "sectors": self.sectors,
-        }
-
 
 def cr_table(model: BVModel) -> CRTable:
-    """Bigraded Chen-Ruan table of the model's orbifold, with provenance;
-    the Milnor rings of its loci are kept in `model.rings`."""
+    """Bigraded Chen-Ruan table of the model's orbifold; the Milnor rings
+    of its loci are kept in `model.rings`."""
     n1 = model.n1
     j_group = span(model.poly.nvars, [model.j1, model.j2])
-    decomposition = bv_cosets(model.sigma_group, j_group, model.slots, model.sigma)
+    L = model.sigma_group.L
+    representatives = bv_cosets(model.sigma_group, j_group, model.slots, model.sigma)
     invariant = Invariants(model.sigma_group)
-    L = invariant.L
     ws1, ws2 = model.ws1, model.ws2
     loci: dict = {}
 
@@ -176,38 +146,31 @@ def cr_table(model: BVModel) -> CRTable:
         return loci[locus]
 
     table: dict = {}  # (p, q) as int numerators over T, a multiple of every age's denominator
-    T = model.sigma_group.L * math.lcm(*ws1.weights, *ws2.weights)
-    sectors = []
-    for rep in decomposition.representatives:
-        g1, g2 = rep.num[:n1], rep.num[n1:]
-        D1, thetas1 = lambda_set(g1, rep.den, ws1)
-        D2, thetas2 = lambda_set(g2, rep.den, ws2)
+    T = L * math.lcm(*ws1.weights, *ws2.weights)
+    for rep in representatives:
+        g1, g2 = rep[:n1], rep[n1:]
+        D1, thetas1 = lambda_set(g1, L, ws1)
+        D2, thetas2 = lambda_set(g2, L, ws2)
         partners = []  # per angle t2: the classes of side 2 keyed by minus their character
         for t2 in thetas2:
-            s2 = scaled_element(g2, rep.den, t2, D2, ws2)
+            s2 = scaled_element(g2, L, t2, D2, ws2)
             cls2 = classes(tuple([n1 + i for i in vector_locus(s2)]))
             if cls2:
-                partners.append((t2, s2, {tuple([-c % L for c in ch]): n for ch, n in cls2.items()}))
+                partners.append((t2, s2, {tuple([-c % invariant.L for c in ch]): n for ch, n in cls2.items()}))
         for t1 in thetas1:
-            s1 = scaled_element(g1, rep.den, t1, D1, ws1)
+            s1 = scaled_element(g1, L, t1, D1, ws1)
             cls1 = classes(vector_locus(s1))
             if not cls1:
                 continue
             for t2, s2, cls2 in partners:
                 shift = age_shift(s1, s2, t1, D1, t2, D2, ws1.degree, ws2.degree)
                 over_t = shift.numerator * (T // shift.denominator)
-                count = 0
-                tags = set()
                 for ch in cls1.keys() & cls2.keys():
-                    for (p1, q1, kind1), k1 in cls1[ch].items():
-                        for (p2, q2, kind2), k2 in cls2[ch].items():
+                    for (p1, q1), k1 in cls1[ch].items():
+                        for (p2, q2), k2 in cls2[ch].items():
                             key = ((p1 + p2) * T + over_t, (q1 + q2) * T + over_t)
                             table[key] = table.get(key, 0) + k1 * k2
-                            count += k1 * k2
-                            tags.add((kind1, kind2))
-                if count:
-                    sectors.append((rep, t1, D1, t2, D2, shift, count, tags))
-    return CRTable({(Fraction(p, T), Fraction(q, T)): c for (p, q), c in table.items()}, sectors)
+    return CRTable({(Fraction(p, T), Fraction(q, T)): c for (p, q), c in table.items()})
 
 
 def verify_lgcy(model: BVModel) -> Report:

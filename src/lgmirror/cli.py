@@ -174,27 +174,24 @@ def cmd_catalog(args) -> int:
         max_weight=args.max_weight, with_samples=args.with_samples
     )
     if args.action == "filter":
-        if args.half_degree_only:
-            records = catalog.filter_bv(records)
-        else:
-            gap = catalog.bv_discrepancy(records)
-            if gap:
-                print(
-                    "half-degree systems without an invertible sample: "
-                    + "; ".join(f"{r.weights};{r.degree}" for r in gap),
-                    file=sys.stderr,
-                )
-            records = catalog.filter_bv_invertible(records)
+        half = catalog.filter_bv(records)
+        records = half if args.half_degree_only else catalog.filter_bv_invertible(half)
+        gap = [r for r in half if r not in records]
+        if gap:
+            print(
+                "half-degree systems without an invertible sample: "
+                + "; ".join(f"{r.weights};{r.degree}" for r in gap),
+                file=sys.stderr,
+            )
     if args.action in ("list", "filter"):
         if args.out:
-            catalog.save_catalog(records, args.out)
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(catalog.csv_text(records))
             print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
         elif args.json:
             _print_json([dict(zip(r.__slots__, r.fields())) for r in records])
         else:
-            print(catalog.CSV_HEADER)
-            for r in records:
-                print(catalog.csv_row(r))
+            sys.stdout.write(catalog.csv_text(records))
         return 0
     if args.action == "genericity":
         import random

@@ -11,9 +11,9 @@ Its order, the product of L / pivot, is checked against the cap before any
 element is built.  Its elements come from one mixed-radix walk of the basis,
 already sorted, as int vectors over L that become `GroupElement`s only when
 read.  Column i of the walk is final once row i is applied, so sector
-classes are counted on merged partial vectors (`sector_classes`) and coset
-minima come from walks bounded by a subgroup's pivots; membership and
-subgroup tests are reductions by the basis.  G^max, SL subgroups, dual
+classes are counted on merged partial vectors (`sector_classes`) and BV
+coset representatives, int vectors too, come from walks bounded by a
+subgroup's pivots; membership and subgroup tests reduce by the basis.  G^max, SL subgroups, dual
 groups and the twist projection are kernels of characters on such
 lattices, so G^max(W^T) is never walked and the cap bounds what is.
 """
@@ -194,7 +194,9 @@ def j_element(ws: WeightSystem) -> GroupElement:
 
 
 def parse_group_elements(text: str, n: int):
-    """Parse `1/2,1/3,1/6;0,1/3,1/3` into group elements of length n."""
+    """Parse `1/2,1/3,1/6;0,1/3,1/3` into group elements of length n.  A
+    wrong component count or a component that is not a rational number is
+    a `PolyError`, an input error."""
     out = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -202,8 +204,11 @@ def parse_group_elements(text: str, n: int):
             continue
         parts = [p.strip() for p in chunk.split(",")]
         if len(parts) != n:
-            raise GroupError(f"expected {n} components, got {len(parts)} in {chunk!r}")
-        out.append(GroupElement(Fraction(p) for p in parts))
+            raise PolyError(f"expected {n} components, got {len(parts)} in {chunk!r}")
+        try:
+            out.append(GroupElement([Fraction(p) for p in parts]))
+        except (ValueError, ZeroDivisionError):
+            raise PolyError(f"components of {chunk!r} must be rational numbers") from None
     return out
 
 
@@ -505,23 +510,10 @@ def transpose_group(group: SymmetryGroup, poly: Polynomial) -> SymmetryGroup:
     return _greedy_group(group.n, L, basis, chars)
 
 
-class CosetDecomposition:
-    """Coset representatives of H in G, each the minimal element of its coset."""
-
-    __slots__ = ("group", "subgroup", "representatives")
-
-    def __init__(self, group, subgroup, representatives):
-        self.group = group
-        self.subgroup = subgroup
-        self.representatives = tuple(representatives)
-
-    def __len__(self):
-        return len(self.representatives)
-
-
-def bv_cosets(sigma_group: SymmetryGroup, j_group: SymmetryGroup, slots, sigma) -> CosetDecomposition:
-    """Cosets of J in sigma*G, normalized so the first M representatives fix
-    both distinguished coordinates and the last M are sigma times the first.
+def bv_cosets(sigma_group: SymmetryGroup, j_group: SymmetryGroup, slots, sigma) -> list:
+    """Representatives of the cosets of J in sigma*G, as int vectors over
+    L = sigma_group.L: the first M fix both distinguished coordinates and
+    the last M are sigma times the first.
 
     A coset is keyed by its minimum, to which J's echelon basis reduces any
     of its elements; an element is a minimum when each coordinate is below
@@ -530,8 +522,8 @@ def bv_cosets(sigma_group: SymmetryGroup, j_group: SymmetryGroup, slots, sigma) 
     of J n K in K = {v in sigma*G : v_i0 = v_j0 = 0}, and the least of them
     is its minimum, so a walk of K bounded by the pivots of J n K lists the
     representatives, each keyed by its reduction by J.  The sigma partner of
-    the coset keyed k is keyed by the reduction of sigma + k.  Only the
-    representatives become elements."""
+    the coset keyed k is keyed by the reduction of sigma + k, and the
+    partner of a representative r is sigma + r mod L."""
     if not j_group.is_subgroup_of(sigma_group):
         raise NotSubgroup("H is not contained in G")
     n, L = sigma_group.n, sigma_group.L
@@ -557,10 +549,9 @@ def bv_cosets(sigma_group: SymmetryGroup, j_group: SymmetryGroup, slots, sigma) 
         partner_key = _reduce([a + b for a, b in zip(key, shift)], rows)
         if partner_key == key:
             raise GroupError("sigma stabilizes a J-coset")
-        first.append(GroupElement._raw(rep, L))
+        first.append(rep)
         paired.add(key)
         paired.add(partner_key)
-    second = [sigma + r for r in first]
     if 2 * len(first) != len(keys):
         raise GroupError("sigma pairing did not halve the cosets")
-    return CosetDecomposition(sigma_group, j_group, first + second)
+    return first + [tuple([(a + b) % L for a, b in zip(shift, r)]) for r in first]

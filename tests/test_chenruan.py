@@ -163,15 +163,6 @@ def test_classical_double_sextic_hodge_numbers():
     }
 
 
-def test_cr_table_provenance_totals():
-    m = model(E1, MINI)
-    cr = cr_table(m)
-    assert cr.total == sum(s["dim"] for s in cr.sectors)
-    data = cr.to_json()
-    assert data["flavor"] == "CR"
-    assert data["total"] == cr.total
-
-
 def test_twist_corollary_small():
     for m in (model(E1, MINI), model(E2, MINI)):
         report = verify_twist_corollary(m)

@@ -110,6 +110,23 @@ def test_bv_corrupted_group_fails(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bv", "lgcy", "--w1", "x0^2+x1^3+x2^6", "--w2", "y0^2+y1^6+y2^6+y3^6", "--gens", gens)
+        for gens in ("a,b,c,d,e,f,g", "1/0,0,0,0,0,0,0", "1/2,1/3,1/6")
+    ]
+    + [("state-space", "A", "--w", "x0^2+x1^3+x2^6", "--gens", "1/2,1/3,1/6;1/x,0,0")],
+)
+def test_malformed_gens_is_a_usage_error(capsys, argv):
+    """A `--gens` component that is not a rational number, or an element
+    with the wrong number of components, is an input error (exit 2)."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+
+
 def test_bv_missing_w2_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bv", "theorem1", "--w1", "x0^2+x1^3+x2^6"])
@@ -163,15 +180,43 @@ def test_catalog_sample_no_invertible(capsys):
     assert code == 3
 
 
-def test_catalog_out_file(tmp_path, capsys):
-    path = tmp_path / "cat.csv"
-    code, out, err = run(capsys, "catalog", "filter", "--out", str(path))
-    assert code == 0
-    assert out == ""
+def test_catalog_out_file(tmp_path):
+    """The file `--out` writes holds the bytes the same command prints to
+    standard output without it, for `list` and for `filter`."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for action, rows in (("list", 95), ("filter", 44)):
+        path = tmp_path / f"{action}.csv"
+        command = [sys.executable, "-m", "lgmirror.cli", "catalog", action]
+        written = subprocess.run(
+            [*command, "--out", str(path)], env=env, capture_output=True, check=True, timeout=120
+        )
+        assert written.stdout == b""
+        assert f"wrote {rows} records".encode() in written.stderr
+        printed = subprocess.run(command, env=env, capture_output=True, check=True, timeout=120)
+        assert path.read_bytes() == printed.stdout
+        assert len(printed.stdout.splitlines()) == 1 + rows
+
+
+def test_catalog_filter_samples_each_half_degree_system_once(monkeypatch, capsys):
+    """`catalog filter` searches a sample for each of the 48 half-degree
+    systems once, and reports the 4 without one from the same search."""
+    from lgmirror import catalog
+
+    calls = []
+    sample = catalog.sample_polynomial
+
+    def counted(ws):
+        calls.append(ws)
+        return sample(ws)
+
+    monkeypatch.setattr(catalog, "sample_polynomial", counted)
     code, out, err = run(capsys, "catalog", "filter")
     assert code == 0
-    assert path.read_text(encoding="utf-8") == out
-    assert len(out.splitlines()) == 1 + 44
+    assert len(calls) == len(set(calls)) == 48
+    assert err == (
+        "half-degree systems without an invertible sample: "
+        "(11, 5, 4, 2);22; (17, 7, 6, 4);34; (17, 10, 4, 3);34; (19, 8, 6, 5);38\n"
+    )
 
 
 def test_catalog_genericity(capsys):
@@ -375,6 +420,33 @@ def test_cold_unclassifiable_potential_exits_3_in_mirror():
     rc, err, _ = cold("bv", "mirror", "--w1", "x0^2+x1^3+x2^6", "--w2", "y0^2+y3^3+y2^3*y3^2+y1^6*y3^2")
     assert rc == 3
     assert "precondition violated" in err and "fits no block" in err
+
+
+PERFBENCH_CHILD = os.path.join(os.path.dirname(SRC), "perfbench", "child.py")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+@pytest.mark.parametrize("verb", ["lgcy", "theorem1"])
+def test_benchmark_traced_cli_reads_the_package(verb):
+    """The benchmark's traced CLI mode on E1 x K3A, in a fresh interpreter:
+    the verdict is the golden report, and the tracer's counters read the
+    package (`cr_table(...).total`, and `sector_dims`, `rings` and `dim`
+    of every state space)."""
+    done = subprocess.run(
+        [sys.executable, PERFBENCH_CHILD, "traced-cli", "bv", verb, *E1K3A, "--json"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["rc"] == 0
+    with open(os.path.join(GOLDEN, f"e1k3a_{verb}.json"), encoding="utf-8") as fh:
+        golden = fh.read()
+    assert result["stdout"] == golden
+    counts = result["trace"]["counts"]
+    if verb == "lgcy":
+        assert counts["chenruan.cr_classes"] == json.loads(golden)["cr_total"] == 136
+    for name in ("sectors", "fixed_loci", "basis_dim", "sector_mu"):
+        assert counts[f"statespace.{name}"] > 0
 
 
 def test_no_module_global_mutable_state():

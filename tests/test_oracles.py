@@ -53,9 +53,10 @@ uses (`chenruan.locus_classes`).  Its oracle is the basis walk it replaced:
 the Milnor ring of the whole locus, every standard monomial graded by
 Griffiths-Steenbrink and its character computed on the generators
 (`block_classes`, `walked_classes`), and every pair of classes counted one
-by one (`walked_cr_table`).  Classes, tables and sector provenance must
-agree; the Hodge-number tests read the walk (`primitive_hodge`,
-`hodge_diamond`).
+by one (`walked_cr_table`), with the coset representatives read as
+canonical `GroupElement`s rather than int vectors over the exponent of
+sigma G.  Classes and tables must agree; the Hodge-number tests read the
+walk (`primitive_hodge`, `hodge_diamond`).
 
 A `SymmetryGroup` is an echelon lattice basis:
 its elements come from a mixed-radix walk, membership from reduction, and
@@ -154,7 +155,6 @@ from lgmirror.polyring import (
 from lgmirror.report import Report
 from lgmirror.statespace import Invariants, SectorElement, build_state_space, frac_str, poincare_table
 from lgmirror.symmetry import (
-    CosetDecomposition,
     GroupElement,
     GroupError,
     NotSubgroup,
@@ -629,7 +629,7 @@ def assert_same_as_eager_sweep(poly, group):
         assert [space_bidegree(space, e) for e in basis] == grades
 
 
-def cosets(group, subgroup) -> CosetDecomposition:
+def cosets(group, subgroup) -> tuple:
     """Coset representatives of H in G, each the least element of its coset,
     from a set of the elements already covered."""
     if not subgroup.is_subgroup_of(group):
@@ -642,16 +642,16 @@ def cosets(group, subgroup) -> CosetDecomposition:
         reps.append(g)
         for h in subgroup.elements:
             seen.add(g + h)
-    return CosetDecomposition(group, subgroup, reps)
+    return tuple(reps)
 
 
 def test_cosets_lagrange():
     g = gmax(E1)
     sl = sl_subgroup(g)
-    dec = cosets(g, sl)
-    assert len(dec) == g.order // sl.order
+    reps = cosets(g, sl)
+    assert len(reps) == g.order // sl.order
     covered = set()
-    for rep in dec.representatives:
+    for rep in reps:
         covered |= {rep + h for h in sl.elements}
     assert covered == set(g.elements)
 
@@ -671,7 +671,7 @@ def oracle_bv_cosets(sigma_group, j_group, slots, sigma):
     base = cosets(sigma_group, j_group)
     i0, j0 = slots
     by_key = {}
-    for rep in base.representatives:
+    for rep in base:
         coset = sorted(rep + h for h in j_group.elements)
         by_key[coset[0]] = coset
     paired = set()
@@ -689,9 +689,14 @@ def oracle_bv_cosets(sigma_group, j_group, slots, sigma):
         first.append(min(zero_slot))
         paired.add(key)
         paired.add(partner_key)
-    if 2 * len(first) != len(base.representatives):
+    if 2 * len(first) != len(base):
         raise GroupError("sigma pairing did not halve the cosets")
     return tuple(first + [sigma + r for r in first])
+
+
+def over_exponent(elements, L: int) -> list:
+    """The elements as int vectors over L, the form `bv_cosets` returns."""
+    return [tuple([a * (L // g.den) for a in g.num]) for g in elements]
 
 
 def walked_bv_cosets(sigma_group, j_group, slots, sigma):
@@ -745,7 +750,7 @@ def test_bounded_bv_cosets_match_the_walk():
         for side in (model, model.mirror()):
             j_group = span(side.poly.nvars, [side.j1, side.j2])
             args = (side.sigma_group, j_group, side.slots, side.sigma)
-            assert bv_cosets(*args).representatives == walked_bv_cosets(*args)
+            assert bv_cosets(*args) == over_exponent(walked_bv_cosets(*args), side.sigma_group.L)
 
 
 @settings(deadline=None, max_examples=80)
@@ -794,7 +799,7 @@ def test_bidegrees_and_bv_cosets_match_oracles(name):
         assert_same_as_eager_sweep(side.poly, side.sigma_group)
         j_group = span(side.poly.nvars, [side.j1, side.j2])
         args = (side.sigma_group, j_group, side.slots, side.sigma)
-        assert bv_cosets(*args).representatives == oracle_bv_cosets(*args)
+        assert bv_cosets(*args) == over_exponent(oracle_bv_cosets(*args), side.sigma_group.L)
 
 
 COMPONENT = st.builds(Fraction, st.integers(0, 23), st.sampled_from([1, 2, 3, 4, 6, 12]))
@@ -929,7 +934,7 @@ def test_bv_cosets_by_reduction_match_oracle(data):
         with pytest.raises(GroupError):
             bv_cosets(*args)
     else:
-        assert bv_cosets(*args).representatives == want
+        assert bv_cosets(*args) == over_exponent(want, sigma_group.L)
 
 
 def test_dual_groups_match_filter_on_bv_models():
@@ -1753,9 +1758,6 @@ def test_character_join_matches_walk_and_filter_on_octic_mirror():
     assert assert_same_sectors(mirror.poly, mirror.sigma_group, mirror.ws) == 172
 
 
-AMBIENT, PRIMITIVE = chenruan.AMBIENT, chenruan.PRIMITIVE
-
-
 def ambient_classes(dim: int):
     """One (i, i) class for i = 0..dim; empty when dim < 0."""
     return [(i, i) for i in range(dim + 1)]
@@ -1800,18 +1802,19 @@ def primitive_classes(poly, active, ws):
 
 
 def block_classes(poly, fixed, ws):
-    """Cohomology classes of X_{W | fixed}: list of (p, q, kind, monomial)."""
+    """Cohomology classes of X_{W | fixed}: list of (p, q, monomial), the
+    monomial None for an ambient class."""
     fixed = tuple(sorted(fixed))
     if not fixed:
         return []
     restricted = restrict(poly, fixed)
     if restricted.is_zero():
-        return [(i, i, AMBIENT, None) for i, _ in ambient_classes(len(fixed) - 1)]
+        return [(i, i, None) for i, _ in ambient_classes(len(fixed) - 1)]
     dim = len(fixed) - 2
     if dim < 0:
         return []
-    classes = [(i, i, AMBIENT, None) for i, _ in ambient_classes(dim)]
-    classes.extend((p, q, PRIMITIVE, m) for p, q, m in primitive_classes(poly, fixed, ws))
+    classes = [(i, i, None) for i, _ in ambient_classes(dim)]
+    classes.extend(primitive_classes(poly, fixed, ws))
     return classes
 
 
@@ -1821,33 +1824,35 @@ def hodge_diamond(poly, ws=None):
     if ws is None:
         ws = weight_system(poly)
     table: dict = {}
-    for p, q, kind, _ in block_classes(poly, tuple(range(poly.nvars)), ws):
+    for p, q, _ in block_classes(poly, tuple(range(poly.nvars)), ws):
         key = (Fraction(p), Fraction(q))
         table[key] = table.get(key, 0) + 1
     return table
 
 
 def walked_classes(poly, ws, gen_vecs, L, fixed):
-    """[(p, q, kind, character)] of X_{W | fixed}: every class of the walk,
-    its character under each generator computed from its monomial."""
+    """[(p, q, character)] of X_{W | fixed}: every class of the walk, its
+    character under each generator computed from its monomial (0 for an
+    ambient class)."""
     out = []
-    for p, q, kind, mono in block_classes(poly, fixed, ws):
-        if kind == AMBIENT:
+    for p, q, mono in block_classes(poly, fixed, ws):
+        if mono is None:
             sig = (0,) * len(gen_vecs)
         else:
             sig = tuple(sum((mono[k] + 1) * h[k] for k in fixed) % L for h in gen_vecs)
-        out.append((p, q, kind, sig))
+        out.append((p, q, sig))
     return out
 
 
 def walked_cr_table(model):
-    """The Chen-Ruan table and its provenance from class lists: the classes
-    of each locus walked, in the model's variables, and every pair of
-    classes with characters summing to 0 counted one by one.  Returns the
-    table, the sectors and the walked classes by locus."""
+    """The Chen-Ruan table from class lists: the classes of each locus
+    walked, in the model's variables, and every pair of classes with
+    characters summing to 0 counted one by one.  The coset representatives
+    are read as canonical elements, each over its own order.  Returns the
+    table and the walked classes by locus."""
     n1 = model.n1
     j_group = span(model.poly.nvars, [model.j1, model.j2])
-    decomposition = bv_cosets(model.sigma_group, j_group, model.slots, model.sigma)
+    vectors = bv_cosets(model.sigma_group, j_group, model.slots, model.sigma)
     L, gen_vecs = int_vectors(model.sigma_group.gens)
     cache: dict = {}
 
@@ -1857,9 +1862,8 @@ def walked_cr_table(model):
         return cache[fixed]
 
     table: dict = {}
-    sectors = []
     ws1, ws2 = model.ws1, model.ws2
-    for rep in decomposition.representatives:
+    for rep in (GroupElement._raw(v, model.sigma_group.L) for v in vectors):
         g1, g2 = rep.num[:n1], rep.num[n1:]
         D1, thetas1 = chenruan.lambda_set(g1, rep.den, ws1)
         D2, thetas2 = chenruan.lambda_set(g2, rep.den, ws2)
@@ -1869,8 +1873,8 @@ def walked_cr_table(model):
             cls2 = classes(tuple(n1 + i for i in vector_locus(s2)))
             if cls2:
                 buckets: dict = {}
-                for p2, q2, kind2, sig2 in cls2:
-                    buckets.setdefault(sig2, []).append((p2, q2, kind2))
+                for p2, q2, sig2 in cls2:
+                    buckets.setdefault(sig2, []).append((p2, q2))
                 side2.append((t2, s2, buckets))
         for t1 in thetas1:
             s1 = chenruan.scaled_element(g1, rep.den, t1, D1, ws1)
@@ -1879,27 +1883,12 @@ def walked_cr_table(model):
                 continue
             for t2, s2, buckets in side2:
                 shift = chenruan.age_shift(s1, s2, t1, D1, t2, D2, ws1.degree, ws2.degree)
-                count = 0
-                tags = set()
-                for p1, q1, kind1, sig1 in cls1:
+                for p1, q1, sig1 in cls1:
                     want = tuple((-s) % L for s in sig1)
-                    for p2, q2, kind2 in buckets.get(want, ()):
+                    for p2, q2 in buckets.get(want, ()):
                         key = (p1 + p2 + shift, q1 + q2 + shift)
                         table[key] = table.get(key, 0) + 1
-                        count += 1
-                        tags.add((kind1, kind2))
-                if count:
-                    sectors.append(
-                        {
-                            "rep": str(rep),
-                            "lambda1": frac_str(Fraction(t1, D1)),
-                            "lambda2": frac_str(Fraction(t2, D2)),
-                            "age": frac_str(shift),
-                            "dim": count,
-                            "tags": sorted(f"{k1}*{k2}" for k1, k2 in tags),
-                        }
-                    )
-    return table, sectors, cache
+    return table, cache
 
 
 def _census_models():
@@ -1915,18 +1904,18 @@ def _census_models():
 
 def _counted(walked):
     out: dict = {}
-    for p, q, kind, sig in walked:
-        out.setdefault(sig, Counter())[(p, q, kind)] += 1
+    for p, q, sig in walked:
+        out.setdefault(sig, Counter())[(p, q)] += 1
     return out
 
 
 def assert_same_cr_table(model):
-    """The table and sectors of `cr_table` are those of the walk, and so
-    are the counted classes of every locus the walk visits."""
+    """The table of `cr_table` is that of the walk, and so are the counted
+    classes of every locus the walk visits."""
     cr = chenruan.cr_table(model)
-    table, sectors, walked = walked_cr_table(model)
+    table, walked = walked_cr_table(model)
     assert cr.table == table
-    assert cr.sectors == sectors
+    assert cr.total == sum(table.values())
     invariant = Invariants(model.sigma_group)
     for locus, classes in walked.items():
         assert chenruan.locus_classes(model, locus, invariant) == _counted(classes)

@@ -21,7 +21,6 @@ from lgmirror.statespace import (
 )
 from lgmirror.symmetry import (
     GroupElement,
-    bv_cosets,
     gmax,
     j_element,
     sl_subgroup,
@@ -255,16 +254,14 @@ WS_OCTIC = weight_system(OCTIC)
 
 def _allowed_elements(model):
     """The elements a sweep of either side may build: the generators of its
-    groups and of the dual group its mirror is built from, sigma, the
-    grading elements and the BV coset representatives."""
+    groups and of the dual group its mirror is built from, sigma and the
+    grading elements.  The BV coset representatives are int vectors."""
     out = set()
     for side in (model, model.mirror()):
         out.update(side.group.gens, side.sigma_group.gens)
         out.update(transpose_group(side.group, side.poly).gens)
         out.update([side.sigma, side.j1, side.j2])
         out.update(j_element(ws) for ws in (side.ws, side.ws1, side.ws2))
-        j_group = span(side.poly.nvars, [side.j1, side.j2])
-        out.update(bv_cosets(side.sigma_group, j_group, side.slots, side.sigma).representatives)
     return out
 
 
@@ -272,8 +269,9 @@ def _allowed_elements(model):
 def test_cold_verdicts_build_no_sector_elements(monkeypatch, verdict):
     """theorem1, lgcy and bvms on a fresh E1 x OCTIC model count sector
     classes: no `SectorElement` is built, and the only `GroupElement`s
-    built are generators, grading elements and coset representatives (the
-    12,288 elements of the mirror's sigma G are never wrapped)."""
+    built are generators and grading elements (the BV coset representatives
+    stay int vectors, and the 12,288 elements of the mirror's sigma G are
+    never wrapped)."""
     sectors = []
     built = []
     canonical, neg = GroupElement._canonical, GroupElement.__neg__

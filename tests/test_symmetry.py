@@ -227,13 +227,14 @@ def test_bv_cosets_structure():
     sigma = GroupElement([Fraction(1, 2), 0, 0, Fraction(1, 2), 0, 0, 0])
     sg = span(7, [j1, j2, sigma])
     assert sg.order == 72
-    dec = bv_cosets(sg, j_grp, (0, 3), sigma)
-    reps = dec.representatives
-    assert len(reps) == 2
+    reps = bv_cosets(sg, j_grp, (0, 3), sigma)
+    assert sg.L == 6
+    assert reps == [(0, 0, 0, 0, 0, 0, 0), (3, 0, 0, 3, 0, 0, 0)]
     m = len(reps) // 2
+    elements = [GroupElement._raw(r, sg.L) for r in reps]
     for r in reps[:m]:
-        assert r.components[0] == 0 and r.components[3] == 0
-    for a, b in zip(reps[:m], reps[m:]):
+        assert r[0] == 0 and r[3] == 0
+    for a, b in zip(elements[:m], elements[m:]):
         assert b == sigma + a
     assert 2 * m * j_grp.order == sg.order
 
