@@ -19,12 +19,12 @@ from .polyring import (
 )
 from .report import PreconditionError, Report
 from .statespace import (
-    SectorElement,
     _degree,
     build_state_space,
     diff_tables,
     frac_str,
     poincare_table,
+    state_name,
 )
 from .symmetry import (
     GroupElement,
@@ -185,8 +185,7 @@ def build_bv(w1: Polynomial, w2: Polynomial, gens) -> BVModel:
 def mirror_pair(model: BVModel) -> BVModel:
     """(W1^T, W2^T) with group sigma * (G^T); re-validated from scratch."""
     dual = transpose_group(model.group, model.poly)
-    gens = dual.gens if dual.gens else [GroupElement.identity(model.poly.nvars)]
-    return build_bv(transpose(model.w1), transpose(model.w2), gens)
+    return build_bv(transpose(model.w1), transpose(model.w2), dual.gens)
 
 
 class TwistModel:
@@ -270,13 +269,15 @@ def twist_model(model: BVModel) -> TwistModel:
     return TwistModel(poly, ws, delta, group, keep, model)
 
 
-def _sector_epsilon(model: BVModel, g: GroupElement) -> int:
-    pair = (2 * g.num[model.slot1], 2 * g.num[model.slot2])
+def _sector_epsilon(model: BVModel, v, L: int) -> int:
+    """1 when the sector v / L acts by -1 on both distinguished slots, 0
+    when it fixes both."""
+    pair = (2 * v[model.slot1], 2 * v[model.slot2])
     if pair == (0, 0):
         return 0
-    if pair == (g.den, g.den):
+    if pair == (L, L):
         return 1
-    raise MalformedSector(f"sector {g} fixes exactly one distinguished variable")
+    raise MalformedSector(f"sector {GroupElement._raw(v, L)} fixes exactly one distinguished variable")
 
 
 def verify_twist_iso(model: BVModel, flavor: str, tw_group_override=None) -> Report:
@@ -285,8 +286,8 @@ def verify_twist_iso(model: BVModel, flavor: str, tw_group_override=None) -> Rep
 
     The map runs on int vectors and monomials, sector by sector of the
     source group, and bidegrees are compared as `StateSpace._grade`
-    numerators; basis elements are built for mismatch records only.  The
-    source is the model's own space of `flavor`."""
+    numerators; states are named (`state_name`) for mismatch records only.
+    The source is the model's own space of `flavor`."""
     tw = model.twist()
     group = tw_group_override if tw_group_override is not None else tw.group
     source = model.space(flavor)
@@ -300,8 +301,7 @@ def verify_twist_iso(model: BVModel, flavor: str, tw_group_override=None) -> Rep
         locus = vector_locus(v)
         if not source.kept[locus]:
             continue
-        g = GroupElement._raw(v, L)
-        _sector_epsilon(model, g)
+        _sector_epsilon(model, v, L)
         image_v = tuple([v[k] for k in tw.keep])
         image_g = GroupElement._raw(image_v, L)
         image_locus = vector_locus(image_v)
@@ -312,7 +312,7 @@ def verify_twist_iso(model: BVModel, flavor: str, tw_group_override=None) -> Rep
             mono = tuple([m[k] for k in tw.keep])
             if mono not in image_kept or (image_v, mono) in images:
                 reason = "image duplicated" if mono in image_kept else "image not in twist basis"
-                mismatches.append({"element": repr(SectorElement(g, m, flavor)), "reason": reason})
+                mismatches.append({"element": state_name(v, L, m, flavor), "reason": reason})
                 continue
             images.add((image_v, mono))
             p, q = source._grade(_degree(m, locus, weights), age, len(locus))
@@ -320,7 +320,7 @@ def verify_twist_iso(model: BVModel, flavor: str, tw_group_override=None) -> Rep
             if p * Dt != pt * D or q * Dt != qt * D:
                 mismatches.append(
                     {
-                        "element": repr(SectorElement(g, m, flavor)),
+                        "element": state_name(v, L, m, flavor),
                         "reason": "bidegree changed",
                         "source": [frac_str(Fraction(x, D)) for x in (p, q)],
                         "target": [frac_str(Fraction(x, Dt)) for x in (pt, qt)],
@@ -344,8 +344,8 @@ def verify_twist_iso(model: BVModel, flavor: str, tw_group_override=None) -> Rep
 
 def verify_group_lemma(model: BVModel) -> Report:
     """tw(G^T) = (tw G)^T as exact element sets: the two lattices are
-    compared by inclusion both ways, and the elements on one side only are
-    listed when they differ."""
+    compared by inclusion both ways, and the members on one side only are
+    listed, from `vectors`, when they differ."""
     mirror = model.mirror()
     tw = model.twist()
     mirror_tw = mirror.twist()
@@ -353,8 +353,7 @@ def verify_group_lemma(model: BVModel) -> Report:
     rhs = transpose_group(tw.group, tw.poly)  # (tw G)^T
     mismatches = []
     if not (lhs.is_subgroup_of(rhs) and rhs.is_subgroup_of(lhs)):
-        only_l = sorted(str(g) for g in lhs if g not in rhs)
-        only_r = sorted(str(g) for g in rhs if g not in lhs)
+        only_l, only_r = _only_in(lhs, rhs), _only_in(rhs, lhs)
         mismatches = [{"only_in_tw_of_dual": only_l, "only_in_dual_of_tw": only_r}]
     return Report(
         "group-lemma",
@@ -362,6 +361,12 @@ def verify_group_lemma(model: BVModel) -> Report:
         {"lhs_order": lhs.order, "rhs_order": rhs.order},
         mismatches,
     )
+
+
+def _only_in(group: SymmetryGroup, other: SymmetryGroup) -> list:
+    """The printed members of `group` outside `other`, sorted as strings."""
+    members = (GroupElement._raw(v, group.L) for v in group.vectors)
+    return sorted(str(g) for g in members if g not in other)
 
 
 def verify_theorem1(model: BVModel) -> Report:

@@ -165,12 +165,6 @@ def filter_bv_invertible(records):
     return out
 
 
-def bv_discrepancy(records):
-    """Half-degree systems with no invertible z0^2 + f representative."""
-    invertible = {(r.weights, r.degree) for r in filter_bv_invertible(records)}
-    return [r for r in filter_bv(records) if (r.weights, r.degree) not in invertible]
-
-
 def _block_polynomials(weights, var_indices, degree):
     """Candidate invertible blocks on the given variables, smallest first.
 

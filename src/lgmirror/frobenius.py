@@ -28,7 +28,7 @@ from .bvlg import BVModel
 from .milnor import MilnorRing, milnor_ring
 from .polyring import atomic_decomposition, transpose
 from .report import PreconditionError, Report
-from .statespace import SectorElement, StateSpace, _degree, build_state_space
+from .statespace import StateSpace, _degree, build_state_space, state_name
 from .symmetry import GroupElement, transpose_group, vector_locus
 
 
@@ -104,9 +104,10 @@ class BAlgebra:
         self.dim = len(self.at)
         self._gamma: dict = {}
 
-    def element(self, g, m) -> SectorElement:
-        """The basis element <m; g> of the int vector g, for mismatch records."""
-        return SectorElement(GroupElement._raw(g, self.L), m, "B")
+    def element(self, g, m) -> str:
+        """The name of the basis element <m; g> of the int vector g, for
+        mismatch records."""
+        return state_name(g, self.L, m, "B")
 
     def grade(self, g, m):
         """`StateSpace._grade` of <m; g>: (p, q) as numerators over space.D."""
@@ -203,7 +204,7 @@ class BAlgebra:
                 for j, m2 in right:
                     terms = normal_form(tuple(map(add, shifted, m2)))
                     if len(terms) > 1:
-                        pair = f"{self.element(g, m1)!r} and {self.element(h, m2)!r}"
+                        pair = f"{self.element(g, m1)} and {self.element(h, m2)}"
                         raise MultiTermProduct(f"the product of {pair} has {len(terms)} terms")
                     for b, c in terms.items():
                         if (gh, b) not in at:
@@ -250,9 +251,9 @@ def phi_bar(alg2: BAlgebra, alg0: BAlgebra, sigma: GroupElement, rescaled: bool 
             elif (moved, m) in at0:
                 phi.append((scale, at0[moved, m]))
             elif GroupElement._raw(moved, L0) in space0.group and m in space0.kept[vector_locus(moved)]:
-                raise OddElement(f"phi maps {alg2.element(g, m)!r} to the odd element {alg0.element(moved, m)!r}")
+                raise OddElement(f"phi maps {alg2.element(g, m)} to the odd element {alg0.element(moved, m)}")
             else:
-                raise NotBasisElement(f"neither {alg2.element(g, m)!r} nor its sigma-shift is in the BV basis")
+                raise NotBasisElement(f"neither {alg2.element(g, m)} nor its sigma-shift is in the BV basis")
     return phi
 
 
@@ -358,7 +359,7 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
     back by phi) are checked in order, times 4 to stay on ints: phi(C2_ij) =
     s_i s_j C0_phi(i)phi(j) and P2_ij = s_i s_j P0_phi(i)phi(j).  Then the
     unit, `associativity_and_frobenius` on C0, P0, and `gamma_lemma_cases`.
-    `SectorElement`s are built for mismatch records only."""
+    States are named (`BAlgebra.element`) for mismatch records only."""
     a_space = model.space("A")
     bhk_group = transpose_group(model.sigma_group, model.poly)
     shared_rings: dict = {}
@@ -381,10 +382,10 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
     preimages: dict = {}  # even0 index -> [even2 index]
     for i, ((g, m), (_, t)) in enumerate(zip(elements2, phi)):
         if t in preimages:
-            mismatches.append({"reason": "phi image duplicated", "element": repr(alg2.element(g, m))})
+            mismatches.append({"reason": "phi image duplicated", "element": alg2.element(g, m)})
         (p2, q2), (p0, q0) = alg2.grade(g, m), alg0.grade(*elements0[t])
         if p2 * D0 != p0 * D2 or q2 * D0 != q0 * D2:
-            mismatches.append({"reason": "phi changed the bidegree", "element": repr(alg2.element(g, m))})
+            mismatches.append({"reason": "phi changed the bidegree", "element": alg2.element(g, m)})
         preimages.setdefault(t, []).append(i)
     if len(preimages) != alg0.dim:
         mismatches.append({"reason": "phi is not onto the even BV basis"})
@@ -410,14 +411,14 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
                 if bad:
                     fails[what] += 1
                     if len(mismatches) < 20:
-                        pair = [repr(alg2.element(*elements2[i])), repr(alg2.element(*elements2[j]))]
+                        pair = [alg2.element(*elements2[i]), alg2.element(*elements2[j])]
                         mismatches.append({"reason": f"{what} not preserved", "pair": pair})
     details.update(product_failures=fails["product"], pairing_failures=fails["pairing"])
 
     u = alg0.unit()
     for i, (g, m) in enumerate(alg0.at):
         if C0[u].get(i) != (i, 1) or C0[i].get(u) != (i, 1):
-            mismatches.append({"reason": "unit fails", "element": repr(alg0.element(g, m))})
+            mismatches.append({"reason": "unit fails", "element": alg0.element(g, m)})
 
     assoc_fail, frob_fail = associativity_and_frobenius(C0, P0)
     details.update(associativity_failures=assoc_fail, frobenius_failures=frob_fail)

@@ -1,18 +1,20 @@
 """A- and B-model state spaces by sector class, and their bigraded tables.
 
-A state is a sector group element g together with a standard monomial of
-the Milnor ring of W restricted to Fix(g); the volume form over the fixed
-coordinates is implicit.  W restricted to Fix(g) is a sum of connected
-blocks, its Milnor ring the tensor product of theirs, and the character of a
-monomial under the acting group the sum of the characters of its block
-factors.  So the invariant monomials of a fixed locus come from a join of
-the blocks' monomials on characters that sum to 0, in integer arithmetic,
-and no locus basis is walked (`Invariants`).  A sector enters the bigraded
-table only through its locus and age (Krawitz, arXiv:0906.0796, §2), so a
-sweep counts the sectors of each class (Fix g, age g) on the group's lattice
-(`sector_classes`), and the table sums count times the degree histogram of
-the locus on integer grades (`StateSpace._grade`).  There is no basis of
-elements: a verdict that needs states reads them off int vectors and `kept`.
+A state is a sector g, an int vector over the group's exponent L, together
+with a standard monomial of the Milnor ring of W restricted to Fix(g); the
+volume form over the fixed coordinates is implicit, and `state_name` prints
+it as <m; g> for mismatch records.  W restricted to Fix(g) is a sum of
+connected blocks, its Milnor ring the tensor product of theirs, and the
+character of a monomial under the acting group the sum of the characters of
+its block factors.  So the invariant monomials of a fixed locus come from a
+join of the blocks' monomials on characters that sum to 0, in integer
+arithmetic, and no locus basis is walked (`Invariants`).  A sector enters
+the bigraded table only through its locus and age (Krawitz, arXiv:0906.0796,
+§2), so a sweep counts the sectors of each class (Fix g, age g) on the
+group's lattice (`sector_classes`), and the table sums count times the
+degree histogram of the locus on integer grades (`StateSpace._grade`).
+There is no basis of state objects: a verdict that needs states reads them
+off int vectors and `kept`.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from .report import PreconditionError
 from .symmetry import (
     GroupElement,
     SymmetryGroup,
-    fixed_indices,
     int_vectors,
     is_b_admissible,
     j_element,
     sector_classes,
+    vector_locus,
 )
 
 
@@ -40,33 +42,10 @@ class NotAdmissible(PreconditionError):
     pass
 
 
-class SectorElement:
-    """<m; g> with flavor tag; the form over Fix(g) is implicit."""
-
-    __slots__ = ("sector", "monomial", "flavor", "_hash")
-
-    def __init__(self, sector: GroupElement, monomial, flavor: str):
-        self.sector = sector
-        self.monomial = tuple(monomial)
-        self.flavor = flavor
-        self._hash = hash((sector.num, sector.den, self.monomial, flavor))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SectorElement)
-            and self.sector == other.sector
-            and self.monomial == other.monomial
-            and self.flavor == other.flavor
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return (self.sector, self.monomial) < (other.sector, other.monomial)
-
-    def __repr__(self):
-        return f"<{self.monomial}; {self.sector}>{self.flavor}"
+def state_name(v, L: int, monomial, flavor: str) -> str:
+    """`<m; g>flavor`, the printed name of the state m of the sector g = v / L
+    in mismatch records; the form over Fix(g) is implicit."""
+    return f"<{tuple(monomial)}; {GroupElement._raw(v, L)}>{flavor}"
 
 
 class StateSpace:
@@ -94,8 +73,9 @@ class StateSpace:
     @property
     def sector_dims(self) -> dict:
         """{g: dimension} over every sector in group order, empty ones with 0.
-        It wraps every group element; only the benchmark tracer reads it."""
-        return {g: len(self.kept[fixed_indices(g)]) for g in self.group.elements}
+        It wraps every group vector; only the benchmark tracer reads it."""
+        L = self.group.L
+        return {GroupElement._raw(v, L): len(self.kept[vector_locus(v)]) for v in self.group.vectors}
 
     def _grade(self, deg: int, age: int, nfixed: int):
         """(p, q) as numerators over D in a sector of age g = age / L fixing
@@ -268,12 +248,9 @@ def frac_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def table_to_json(table: dict, flavor: str, extra: dict | None = None) -> dict:
+def table_to_json(table: dict, flavor: str) -> dict:
     entries = [
         {"p": frac_str(p), "q": frac_str(q), "dim": d}
         for (p, q), d in sorted(table.items())
     ]
-    out = {"flavor": flavor, "total": sum(table.values()), "entries": entries}
-    if extra:
-        out.update(extra)
-    return out
+    return {"flavor": flavor, "total": sum(table.values()), "entries": entries}

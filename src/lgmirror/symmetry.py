@@ -1,21 +1,23 @@
 """Finite diagonal symmetry groups in (Q/Z)^n.
 
-A group element g = (g_1, ..., g_n) is stored as an integer numerator vector
-over one positive denominator: g_i = num[i] / den with 0 <= num[i] < den.
-The form is canonical (den is the order of g and gcd(den, *num) = 1), so
-equality, hashing and the group law all run on ints.  Fractions appear only
-at the edges: parsing, `components`, `str` and ages.
 A group is a lattice, span_Z(gens) + L*Z^n over its exponent L, held by
 an echelon (Hermite) basis whose pivots divide L (Cohen, GTM 138, §2.4).
-Its order, the product of L / pivot, is checked against the cap before any
-element is built.  Its elements come from one mixed-radix walk of the basis,
-already sorted, as int vectors over L that become `GroupElement`s only when
-read.  Column i of the walk is final once row i is applied, so sector
-classes are counted on merged partial vectors (`sector_classes`) and BV
-coset representatives, int vectors too, come from walks bounded by a
-subgroup's pivots; membership and subgroup tests reduce by the basis.  G^max, SL subgroups, dual
-groups and the twist projection are kernels of characters on such
-lattices, so G^max(W^T) is never walked and the cap bounds what is.
+Its members are int vectors over L, and the package holds and combines
+them in no other form.  The order, the product of L / pivot, is checked
+against the cap before any member is listed.  `vectors` comes from one
+mixed-radix walk of the basis, already sorted.  Column i of the walk is
+final once row i is applied, so sector classes are counted on merged
+partial vectors (`sector_classes`) and BV coset representatives come from
+walks bounded by a subgroup's pivots; membership and subgroup tests reduce
+by the basis.  G^max, SL subgroups, dual groups and the twist projection
+are kernels of characters on such lattices, so G^max(W^T) is never walked
+and the cap bounds what is.
+
+A `GroupElement` is the edge form of one member: parsed `--gens`, J, sigma,
+generators and printed names.  It stores an int numerator vector over one
+denominator, g_i = num[i] / den with 0 <= num[i] < den, in canonical form
+(den is the order of g and gcd(den, *num) = 1), so equality and hashing
+run on ints; Fractions appear only in `components`, `str` and ages.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ def _cap() -> int:
 
 class GroupElement:
     """A diagonal symmetry (g_1, ..., g_n) with each g_i in [0, 1), stored as
-    the canonical int numerators `num` over the order `den`."""
+    the canonical int numerators `num` over the order `den`.  It has no
+    group law: members are combined as int vectors over a group's L."""
 
     __slots__ = ("num", "den")
 
@@ -96,10 +99,6 @@ class GroupElement:
         g._canonical(num, den)
         return g
 
-    @classmethod
-    def identity(cls, n: int) -> "GroupElement":
-        return cls._raw((0,) * n, 1)
-
     @property
     def components(self):
         den = self.den
@@ -109,33 +108,8 @@ class GroupElement:
     def n(self) -> int:
         return len(self.num)
 
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        den = math.lcm(self.den, other.den)
-        s1, s2 = den // self.den, den // other.den
-        return GroupElement._raw(
-            [a * s1 + b * s2 for a, b in zip(self.num, other.num)], den
-        )
-
-    def __neg__(self) -> "GroupElement":
-        # -a mod den keeps gcd(den, *num) = 1, so the result is canonical
-        g = GroupElement.__new__(GroupElement)
-        g.num = tuple(-a % self.den for a in self.num)
-        g.den = self.den
-        return g
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self + (-other)
-
-    def __mul__(self, k: int) -> "GroupElement":
-        return GroupElement._raw([a * k for a in self.num], self.den)
-
-    __rmul__ = __mul__
-
     def is_identity(self) -> bool:
         return self.den == 1
-
-    def order(self) -> int:
-        return self.den
 
     def __eq__(self, other):
         return (
@@ -146,14 +120,6 @@ class GroupElement:
 
     def __hash__(self):
         return hash(self.num) ^ self.den
-
-    def __lt__(self, other):
-        """Lexicographic order of the components as rationals (a group's walk
-        emits its elements in this order; this serves `SectorElement`)."""
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            return self.num < other.num
-        return tuple(a * d2 for a in self.num) < tuple(b * d1 for b in other.num)
 
     def __str__(self):
         den = self.den
@@ -220,9 +186,9 @@ class SymmetryGroup:
     its pivot basis[i][i] divides L, so |G| = prod L / pivot.  Membership
     and subgroup tests reduce by the basis.  `vectors`, the int vectors over
     L, is walked from it on first read, already sorted (the lexicographic
-    order of the components); `elements` wraps them only when read."""
+    order of the components); it is the only listing of the members."""
 
-    __slots__ = ("n", "L", "basis", "order", "gens", "_vectors", "_elements")
+    __slots__ = ("n", "L", "basis", "order", "gens", "_vectors")
 
     def __init__(self, n, L, basis, gens):
         self.n = n
@@ -230,7 +196,7 @@ class SymmetryGroup:
         self.basis = tuple(basis)
         self.order = _order(self.basis, L)
         self.gens = tuple(gens)
-        self._vectors = self._elements = None
+        self._vectors = None
 
     @property
     def vectors(self) -> list:
@@ -238,18 +204,6 @@ class SymmetryGroup:
         if self._vectors is None:
             self._vectors = _walk(self.basis, self.L)
         return self._vectors
-
-    @property
-    def elements(self):
-        if self._elements is None:
-            self._elements = tuple(GroupElement._raw(v, self.L) for v in self.vectors)
-        return self._elements
-
-    def __len__(self):
-        return self.order
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def __contains__(self, g: GroupElement) -> bool:
         scale, rest = divmod(self.L, g.den)
@@ -376,23 +330,22 @@ def sector_classes(group: SymmetryGroup) -> dict:
     return {(tuple([i for i in range(n) if mask >> i & 1]), total): k for (mask, total), k in states.items()}
 
 
-def _check_cap(order: int, cap: int | None = None):
+def _check_cap(order: int):
     """Raise before a group of `order` elements over the cap is walked."""
-    if cap is None:
-        cap = _cap()
+    cap = _cap()
     if order > cap:
         raise EnumerationCapExceeded(
             f"|G| = {order} exceeds cap {cap} (set LGMIRROR_MAX_GROUP)"
         )
 
 
-def span(n: int, gens, cap: int | None = None) -> SymmetryGroup:
+def span(n: int, gens) -> SymmetryGroup:
     """Smallest subgroup of (Q/Z)^n containing the generators, as a lattice;
     its order is checked against the cap, and nothing is walked."""
     gens = [g for g in gens if not g.is_identity()]
     L, vecs = int_vectors(gens)
     group = SymmetryGroup(n, *_lattice(n, L, vecs), gens)
-    _check_cap(group.order, cap)
+    _check_cap(group.order)
     return group
 
 

@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 import lgmirror.milnor as milnor
-import lgmirror.symmetry as symmetry
 
 
 def pytest_configure(config):
@@ -24,14 +23,3 @@ def block_ring_calls(monkeypatch):
 
     monkeypatch.setattr(milnor, "_block_ring", counting)
     return calls
-
-
-@pytest.fixture
-def no_group_elements(monkeypatch):
-    """Makes `SymmetryGroup.elements` (and so iterating a group) raise: code
-    run under it reads its groups as lattices and int vectors only."""
-
-    def listed(group):
-        raise AssertionError(f"{group!r} listed its elements")
-
-    monkeypatch.setattr(symmetry.SymmetryGroup, "elements", property(listed))

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from lgmirror.chenruan import verify_lgcy
 from lgmirror.polyring import is_bv_form, parse_polynomial, restrict, weight_system
 from lgmirror.statespace import build_state_space, poincare_table
 from lgmirror.symmetry import GroupElement, span, transpose_group
-from test_oracles import EagerSpace, _models, tw_a_map
+from test_oracles import EagerSpace, _models, add, members, tw_a_map
 
 E1 = parse_polynomial("x0^2+x1^3+x2^6")
 E2 = parse_polynomial("x0^2+x1^4+x2^4")
@@ -54,7 +55,9 @@ def test_build_bv_sigma_group_order():
 
 def test_build_bv_j_sum_in_sigma_group():
     m = model()
-    assert m.j1 + m.j2 in m.sigma_group
+    # J1 and J2 have disjoint supports, so J1 J2 joins their components
+    j = GroupElement(m.j1.components[: m.n1] + m.j2.components[m.n1 :])
+    assert j in m.sigma_group
 
 
 def test_build_bv_bad_form():
@@ -119,7 +122,7 @@ def test_twist_group_order_and_j():
 
 def test_twist_group_identity_present():
     m = model()
-    assert GroupElement.identity(5) in m.twist().group
+    assert GroupElement([0] * 5) in m.twist().group
 
 
 def test_all_or_nothing_lemma():
@@ -127,9 +130,8 @@ def test_all_or_nothing_lemma():
     m = model()
     space = EagerSpace(build_state_space(m.poly, m.sigma_group, "A"))
     seen = set()
-    for e in space.basis:
-        c = e.sector.components
-        pair = (c[m.slot1], c[m.slot2])
+    for v, _ in space.basis:
+        pair = (Fraction(v[m.slot1], space.L), Fraction(v[m.slot2], space.L))
         assert pair in {(0, 0), (Fraction(1, 2), Fraction(1, 2))}
         seen.add(pair)
     assert len(seen) == 2
@@ -140,25 +142,20 @@ def test_tw_map_factor_and_sector():
     tw = m.twist()
     space = EagerSpace(build_state_space(m.poly, m.sigma_group, "A"))
     for e in space.basis:
-        coeff, image = tw_a_map(e, m, tw)
-        eps_zero = e.sector.components[m.slot1] == 0
+        coeff, image = tw_a_map(e, m, tw, space.L)
+        v = e[0]
+        eps_zero = v[m.slot1] == 0
         assert coeff == (2 if eps_zero else 1)
-        assert len(image.monomial) == 5
-        assert image.sector.components == tuple(
-            e.sector.components[k] for k in tw.keep
-        )
+        assert len(image[1]) == 5
+        assert image[0] == tuple(v[k] for k in tw.keep)
 
 
 def test_tw_map_malformed_sector():
     m = model()
     tw = m.twist()
-    from lgmirror.statespace import SectorElement
-
-    bad = SectorElement(
-        GroupElement([Fraction(1, 2), 0, 0, 0, 0, 0, 0]), (0,) * 7, "A"
-    )
+    bad = ((1, 0, 0, 0, 0, 0, 0), (0,) * 7)  # (1/2, 0, ..., 0) over L = 2
     with pytest.raises(MalformedSector):
-        tw_a_map(bad, m, tw)
+        tw_a_map(bad, m, tw, 2)
 
 
 def test_twist_iso_small_models():
@@ -185,6 +182,54 @@ def test_group_lemma_small():
         assert verify_group_lemma(m).passed
 
 
+# the members of tw(G^T) on E1 x K3A outside the corrupted (tw G)^T of
+# `test_corrupted_dual_of_twist_fails_group_lemma`, as the group-lemma
+# verdict printed them when it still iterated group elements
+MISSING_FROM_CORRUPTED_DUAL = (
+    "0,0,0,1/2,1/2 0,0,0,1/3,2/3 0,0,0,1/6,5/6 0,0,0,2/3,1/3 0,0,0,5/6,1/6 0,0,1/2,1/2,0 "
+    "0,0,1/2,1/3,1/6 0,0,1/2,1/6,1/3 0,0,1/2,2/3,5/6 0,0,1/2,5/6,2/3 0,0,1/3,1/2,1/6 "
+    "0,0,1/3,1/3,1/3 0,0,1/3,1/6,1/2 0,0,1/3,2/3,0 0,0,1/3,5/6,5/6 0,0,1/6,1/2,1/3 "
+    "0,0,1/6,1/3,1/2 0,0,1/6,1/6,2/3 0,0,1/6,2/3,1/6 0,0,1/6,5/6,0 0,0,2/3,1/2,5/6 0,0,2/3,1/3,0 "
+    "0,0,2/3,1/6,1/6 0,0,2/3,2/3,2/3 0,0,2/3,5/6,1/2 0,0,5/6,1/2,2/3 0,0,5/6,1/3,5/6 "
+    "0,0,5/6,1/6,0 0,0,5/6,2/3,1/2 0,0,5/6,5/6,1/3 0,1/2,0,1/2,0 0,1/2,0,1/3,1/6 0,1/2,0,1/6,1/3 "
+    "0,1/2,0,2/3,5/6 0,1/2,0,5/6,2/3 0,1/2,1/2,1/2,1/2 0,1/2,1/2,1/3,2/3 0,1/2,1/2,1/6,5/6 "
+    "0,1/2,1/2,2/3,1/3 0,1/2,1/2,5/6,1/6 0,1/2,1/3,1/2,2/3 0,1/2,1/3,1/3,5/6 0,1/2,1/3,1/6,0 "
+    "0,1/2,1/3,2/3,1/2 0,1/2,1/3,5/6,1/3 0,1/2,1/6,1/2,5/6 0,1/2,1/6,1/3,0 0,1/2,1/6,1/6,1/6 "
+    "0,1/2,1/6,2/3,2/3 0,1/2,1/6,5/6,1/2 0,1/2,2/3,1/2,1/3 0,1/2,2/3,1/3,1/2 0,1/2,2/3,1/6,2/3 "
+    "0,1/2,2/3,2/3,1/6 0,1/2,2/3,5/6,0 0,1/2,5/6,1/2,1/6 0,1/2,5/6,1/3,1/3 0,1/2,5/6,1/6,1/2 "
+    "0,1/2,5/6,2/3,0 0,1/2,5/6,5/6,5/6 1/3,1/6,0,1/2,0 1/3,1/6,0,1/3,1/6 1/3,1/6,0,1/6,1/3 "
+    "1/3,1/6,0,2/3,5/6 1/3,1/6,0,5/6,2/3 1/3,1/6,1/2,1/2,1/2 1/3,1/6,1/2,1/3,2/3 "
+    "1/3,1/6,1/2,1/6,5/6 1/3,1/6,1/2,2/3,1/3 1/3,1/6,1/2,5/6,1/6 1/3,1/6,1/3,1/2,2/3 "
+    "1/3,1/6,1/3,1/3,5/6 1/3,1/6,1/3,1/6,0 1/3,1/6,1/3,2/3,1/2 1/3,1/6,1/3,5/6,1/3 "
+    "1/3,1/6,1/6,1/2,5/6 1/3,1/6,1/6,1/3,0 1/3,1/6,1/6,1/6,1/6 1/3,1/6,1/6,2/3,2/3 "
+    "1/3,1/6,1/6,5/6,1/2 1/3,1/6,2/3,1/2,1/3 1/3,1/6,2/3,1/3,1/2 1/3,1/6,2/3,1/6,2/3 "
+    "1/3,1/6,2/3,2/3,1/6 1/3,1/6,2/3,5/6,0 1/3,1/6,5/6,1/2,1/6 1/3,1/6,5/6,1/3,1/3 "
+    "1/3,1/6,5/6,1/6,1/2 1/3,1/6,5/6,2/3,0 1/3,1/6,5/6,5/6,5/6 1/3,2/3,0,1/2,1/2 "
+    "1/3,2/3,0,1/3,2/3 1/3,2/3,0,1/6,5/6 1/3,2/3,0,2/3,1/3 1/3,2/3,0,5/6,1/6 1/3,2/3,1/2,1/2,0 "
+    "1/3,2/3,1/2,1/3,1/6 1/3,2/3,1/2,1/6,1/3 1/3,2/3,1/2,2/3,5/6 1/3,2/3,1/2,5/6,2/3 "
+    "1/3,2/3,1/3,1/2,1/6 1/3,2/3,1/3,1/3,1/3 1/3,2/3,1/3,1/6,1/2 1/3,2/3,1/3,2/3,0 "
+    "1/3,2/3,1/3,5/6,5/6 1/3,2/3,1/6,1/2,1/3 1/3,2/3,1/6,1/3,1/2 1/3,2/3,1/6,1/6,2/3 "
+    "1/3,2/3,1/6,2/3,1/6 1/3,2/3,1/6,5/6,0 1/3,2/3,2/3,1/2,5/6 1/3,2/3,2/3,1/3,0 "
+    "1/3,2/3,2/3,1/6,1/6 1/3,2/3,2/3,2/3,2/3 1/3,2/3,2/3,5/6,1/2 1/3,2/3,5/6,1/2,2/3 "
+    "1/3,2/3,5/6,1/3,5/6 1/3,2/3,5/6,1/6,0 1/3,2/3,5/6,2/3,1/2 1/3,2/3,5/6,5/6,1/3 "
+    "2/3,1/3,0,1/2,1/2 2/3,1/3,0,1/3,2/3 2/3,1/3,0,1/6,5/6 2/3,1/3,0,2/3,1/3 2/3,1/3,0,5/6,1/6 "
+    "2/3,1/3,1/2,1/2,0 2/3,1/3,1/2,1/3,1/6 2/3,1/3,1/2,1/6,1/3 2/3,1/3,1/2,2/3,5/6 "
+    "2/3,1/3,1/2,5/6,2/3 2/3,1/3,1/3,1/2,1/6 2/3,1/3,1/3,1/3,1/3 2/3,1/3,1/3,1/6,1/2 "
+    "2/3,1/3,1/3,2/3,0 2/3,1/3,1/3,5/6,5/6 2/3,1/3,1/6,1/2,1/3 2/3,1/3,1/6,1/3,1/2 "
+    "2/3,1/3,1/6,1/6,2/3 2/3,1/3,1/6,2/3,1/6 2/3,1/3,1/6,5/6,0 2/3,1/3,2/3,1/2,5/6 "
+    "2/3,1/3,2/3,1/3,0 2/3,1/3,2/3,1/6,1/6 2/3,1/3,2/3,2/3,2/3 2/3,1/3,2/3,5/6,1/2 "
+    "2/3,1/3,5/6,1/2,2/3 2/3,1/3,5/6,1/3,5/6 2/3,1/3,5/6,1/6,0 2/3,1/3,5/6,2/3,1/2 "
+    "2/3,1/3,5/6,5/6,1/3 2/3,5/6,0,1/2,0 2/3,5/6,0,1/3,1/6 2/3,5/6,0,1/6,1/3 2/3,5/6,0,2/3,5/6 "
+    "2/3,5/6,0,5/6,2/3 2/3,5/6,1/2,1/2,1/2 2/3,5/6,1/2,1/3,2/3 2/3,5/6,1/2,1/6,5/6 "
+    "2/3,5/6,1/2,2/3,1/3 2/3,5/6,1/2,5/6,1/6 2/3,5/6,1/3,1/2,2/3 2/3,5/6,1/3,1/3,5/6 "
+    "2/3,5/6,1/3,1/6,0 2/3,5/6,1/3,2/3,1/2 2/3,5/6,1/3,5/6,1/3 2/3,5/6,1/6,1/2,5/6 "
+    "2/3,5/6,1/6,1/3,0 2/3,5/6,1/6,1/6,1/6 2/3,5/6,1/6,2/3,2/3 2/3,5/6,1/6,5/6,1/2 "
+    "2/3,5/6,2/3,1/2,1/3 2/3,5/6,2/3,1/3,1/2 2/3,5/6,2/3,1/6,2/3 2/3,5/6,2/3,2/3,1/6 "
+    "2/3,5/6,2/3,5/6,0 2/3,5/6,5/6,1/2,1/6 2/3,5/6,5/6,1/3,1/3 2/3,5/6,5/6,1/6,1/2 "
+    "2/3,5/6,5/6,2/3,0 2/3,5/6,5/6,5/6,5/6"
+).split()
+
+
 def test_corrupted_dual_of_twist_fails_group_lemma(monkeypatch, capsys):
     """(tw G)^T loses a generator: group-lemma must exit 1 and name the
     elements of tw(G^T) that the corrupted side lacks."""
@@ -206,10 +251,10 @@ def test_corrupted_dual_of_twist_fails_group_lemma(monkeypatch, capsys):
     lhs = m.mirror().twist().group
     rhs = corrupted(tw.group, tw.poly)
     assert rhs.order < lhs.order
-    missing = sorted(str(g) for g in lhs if g not in rhs)
+    assert len(MISSING_FROM_CORRUPTED_DUAL) == lhs.order - rhs.order == 180
     report = verify_group_lemma(m)
     assert not report.passed
-    assert report.mismatches == [{"only_in_tw_of_dual": missing, "only_in_dual_of_tw": []}]
+    assert report.mismatches == [{"only_in_tw_of_dual": MISSING_FROM_CORRUPTED_DUAL, "only_in_dual_of_tw": []}]
     argv = ["bv", "group-lemma", "--w1", "x0^2+x1^3+x2^6", "--w2", "y0^2+y1^6+y2^6+y3^6", "--json"]
     assert main(argv) == 1
     out = json.loads(capsys.readouterr().out)
@@ -257,12 +302,9 @@ def test_mirror_group_of_j_product_is_sl_product():
     mirror = m.mirror()
     sl1 = sl_subgroup(gmax(transpose(E1)))
     sl2 = sl_subgroup(gmax(transpose(K3)))
-    expected = {
-        GroupElement(list(a.components) + list(b.components))
-        for a in sl1.elements
-        for b in sl2.elements
-    }
-    assert set(mirror.group.elements) == expected
+    L = math.lcm(sl1.L, sl2.L, mirror.group.L)
+    expected = {a + b for a in members(sl1, L) for b in members(sl2, L)}
+    assert set(members(mirror.group, L)) == expected
 
 
 def test_mirror_pair_is_valid_model_and_involutive_table():
@@ -276,8 +318,6 @@ def test_mirror_pair_is_valid_model_and_involutive_table():
 
 def test_delta_lcm_identity():
     # delta * lcm(d1, d2) = d1 d2 / 2
-    import math
-
     for w1, w2 in ((E1, K3), (E2, K3), (E1, MINI)):
         ws1, ws2 = weight_system(w1), weight_system(w2)
         _, _, delta = twist_polynomial(w1, w2)
@@ -321,15 +361,14 @@ def test_random_intermediate_groups_theorem1_and_lgcy():
     sl1 = sl_subgroup(gmax(w1))
     sl2 = sl_subgroup(gmax(w2))
     base = jgens(w1, w2)
-    lifted = [
-        GroupElement(list(g.components) + [0] * 4) for g in sl1.elements
-    ] + [GroupElement([0] * 3 + list(g.components)) for g in sl2.elements]
+    L = math.lcm(sl1.L, sl2.L)
+    lifted = [v + (0,) * 4 for v in members(sl1, L)] + [(0,) * 3 + v for v in members(sl2, L)]
     checked = 0
     while checked < 2:
         extra = rng.sample(lifted, 2)
-        mixed = [a + b for a, b in zip(extra, reversed(extra))]
+        mixed = [add(a, b, L) for a, b in zip(extra, reversed(extra))]
         try:
-            m = build_bv(w1, w2, base + extra + mixed)
+            m = build_bv(w1, w2, base + [GroupElement._raw(v, L) for v in extra + mixed])
         except Exception:
             continue
         if m.group.order <= 24:
@@ -385,11 +424,10 @@ BV_VERBS = [
 
 
 @pytest.mark.parametrize("name", ["e1k3a", "nonproduct", "chain"])
-def test_every_verb_keeps_only_the_model_rings(monkeypatch, capsys, no_group_elements, name):
-    """Every `bv` verb passes on one model object without reading any
-    group's `elements`, and after them the ring caches of the model and of
-    its mirror hold rings of their own polynomial in their own weights
-    only.  So no ring of the twist (other variables) enters, and on the
+def test_every_verb_keeps_only_the_model_rings(monkeypatch, capsys, name):
+    """Every `bv` verb passes on one model object, and after them the ring
+    caches of the model and of its mirror hold rings of their own
+    polynomial in their own weights only.  So no ring of the twist (other variables) enters, and on the
     chain model, whose transpose differs, no ring of the transposed or
     mirror polynomial where it differs from the model's."""
     m = model(E2, CHAIN_K3) if name == "chain" else _models()[name]

@@ -4,7 +4,6 @@ from lgmirror.catalog import (
     BoundTooSmall,
     NoInvertibleRepresentative,
     WeightSystemRecord,
-    bv_discrepancy,
     enumerate_k3_systems,
     filter_bv,
     filter_bv_invertible,
@@ -117,7 +116,10 @@ def test_invertible_bv_count_is_44(records):
 
 
 def test_bv_discrepancy_set(records):
-    gap = bv_discrepancy(records)
+    half = filter_bv(records)
+    invertible = filter_bv_invertible(half)
+    gap = [r for r in half if r not in invertible]
+    assert (len(half), len(invertible), len(gap)) == (48, 44, 4)
     assert {(r.weights, r.degree) for r in gap} == {
         ((11, 5, 4, 2), 22),
         ((17, 7, 6, 4), 34),

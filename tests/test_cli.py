@@ -426,12 +426,21 @@ PERFBENCH_CHILD = os.path.join(os.path.dirname(SRC), "perfbench", "child.py")
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
-@pytest.mark.parametrize("verb", ["lgcy", "theorem1"])
+# (sectors, fixed_loci, basis_dim, sector_mu) of the `statespace.*` counters
+# on E1 x K3A, as read when every sector was an element-level object
+TRACED_STATESPACE = {
+    "lgcy": (72, 20, 136, 4160),
+    "theorem1": (936, 100, 272, 16192),
+    "twist-iso": (90, 25, 272, 5696),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(TRACED_STATESPACE))
 def test_benchmark_traced_cli_reads_the_package(verb):
     """The benchmark's traced CLI mode on E1 x K3A, in a fresh interpreter:
     the verdict is the golden report, and the tracer's counters read the
     package (`cr_table(...).total`, and `sector_dims`, `rings` and `dim`
-    of every state space)."""
+    of every state space) and keep their values."""
     done = subprocess.run(
         [sys.executable, PERFBENCH_CHILD, "traced-cli", "bv", verb, *E1K3A, "--json"],
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120,
@@ -445,8 +454,8 @@ def test_benchmark_traced_cli_reads_the_package(verb):
     counts = result["trace"]["counts"]
     if verb == "lgcy":
         assert counts["chenruan.cr_classes"] == json.loads(golden)["cr_total"] == 136
-    for name in ("sectors", "fixed_loci", "basis_dim", "sector_mu"):
-        assert counts[f"statespace.{name}"] > 0
+    names = ("sectors", "fixed_loci", "basis_dim", "sector_mu")
+    assert tuple(counts[f"statespace.{name}"] for name in names) == TRACED_STATESPACE[verb]
 
 
 def test_no_module_global_mutable_state():
@@ -471,3 +480,40 @@ def test_no_module_global_mutable_state():
                 if isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"):
                     found.append(f"{owner}.{name}")
     assert not found
+
+
+def test_every_package_definition_is_referenced():
+    """Every top-level function or class and every method that is not a
+    dunder under src/lgmirror is referenced somewhere in src/ or perfbench/:
+    by a name, an attribute, an import, or a string constant equal to its
+    name (the benchmark tracer names what it wraps by string).  A definition
+    that nothing reads is dead code."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(SRC).parent
+    defined, referenced = [], set()
+    for path in sorted((root / "src").rglob("*.py")) + sorted((root / "perfbench").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if "lgmirror" in path.parts:
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append((path.name, node.name))
+                if isinstance(node, ast.ClassDef):
+                    defined.extend(
+                        (path.name, f"{node.name}.{item.name}")
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__"))
+                    )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.update([node.name.rsplit(".", 1)[-1], node.asname])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
+    assert len(defined) > 100
+    assert [d for d in defined if d[1].rsplit(".", 1)[-1] not in referenced] == []

@@ -18,15 +18,18 @@ from lgmirror.frobenius import (
 )
 from lgmirror.milnor import MilnorRing
 from lgmirror.polyring import parse_polynomial, weight_system
-from lgmirror.statespace import SectorElement, build_state_space
+import lgmirror.statespace as statespace
+from lgmirror.statespace import build_state_space
 from lgmirror.symmetry import GroupElement, j_element, span, transpose_group
 from test_oracles import (
     EagerSpace,
     action_weight,
+    add,
+    as_vector,
     check_property1,
     even_basis,
+    neg,
     phi_map,
-    sector_vector,
     z2_grading,
 )
 
@@ -48,32 +51,27 @@ def x3_algebra():
     return space, BAlgebra(space)
 
 
-def even_elements(alg):
-    """The even basis of `alg` as `SectorElement`s, in index order."""
-    return [alg.element(g, m) for g, m in alg.at]
-
-
 def test_z2_grading_examples():
-    narrow = SectorElement(GroupElement([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]), (0, 0, 0), "A")
-    assert z2_grading(narrow, 3) == 0  # N_g = 0
-    broad = SectorElement(GroupElement.identity(3), (0, 0, 0), "A")
-    assert z2_grading(broad, 3) == 1  # N = 3
-    b_identity = SectorElement(GroupElement.identity(5), (0,) * 5, "B")
-    assert z2_grading(b_identity, 5) == 0  # N - N_g = 0
+    narrow = ((3, 2, 1), (0, 0, 0))  # (1/2, 1/3, 1/6) over 6
+    assert z2_grading(narrow, 3, "A") == 0  # N_g = 0
+    broad = ((0, 0, 0), (0, 0, 0))
+    assert z2_grading(broad, 3, "A") == 1  # N = 3
+    b_identity = ((0,) * 5, (0,) * 5)
+    assert z2_grading(b_identity, 5, "B") == 0  # N - N_g = 0
 
 
 def test_gamma_identity_is_one():
     space, alg = x3_algebra()
-    e = sector_vector(alg, GroupElement.identity(1))
+    e = (0,)
     assert alg.gamma(e, e) == 1
 
     m = build_bv(E1, K3, jgens(E1, K3))
     mirror = m.mirror()
     b0 = build_state_space(mirror.poly, mirror.sigma_group, "B")
     alg0 = BAlgebra(b0)
-    ident = sector_vector(alg0, GroupElement.identity(7))
-    for g in list(sorted({e.sector for e in EagerSpace(b0).basis}))[:6]:
-        assert alg0.gamma(ident, sector_vector(alg0, g)) == 1
+    ident = (0,) * 7
+    for g in sorted({v for v, _ in EagerSpace(b0).basis})[:6]:
+        assert alg0.gamma(ident, g) == 1
 
 
 def test_gamma_condition_fails_to_zero():
@@ -81,16 +79,13 @@ def test_gamma_condition_fails_to_zero():
     mirror = m.mirror()
     b0 = build_state_space(mirror.poly, mirror.sigma_group, "B")
     alg0 = BAlgebra(b0)
-    narrow = [
-        e.sector
-        for e in EagerSpace(b0).basis
-        if not [c for c in e.sector.components if c == 0]
-    ]
+    L = alg0.L
+    narrow = [v for v, _ in EagerSpace(b0).basis if all(v)]
     g = narrow[0]
-    h = next(h for h in narrow if not (g + h).is_identity())
+    h = next(h for h in narrow if any(add(g, h, L)))
     # both narrow and gh narrow: the union of fixed sets misses everything
-    if not [c for c in (g + h).components if c == 0]:
-        assert alg0.gamma(sector_vector(alg0, g), sector_vector(alg0, h)) == 0
+    if all(add(g, h, L)):
+        assert alg0.gamma(g, h) == 0
 
 
 def test_product_unit_and_nilpotent():
@@ -119,10 +114,10 @@ def test_pairing_sector_orthogonality():
     alg = BAlgebra(b0)
     P = alg.pairing_table()
     assert any(P)
-    even = even_elements(alg)
+    even = list(alg.at)
     for i, row in enumerate(P):
         for j in row:
-            assert even[j].sector == -even[i].sector
+            assert even[j][0] == neg(even[i][0], alg.L)
 
 
 def test_even_gram_nondegenerate():
@@ -156,9 +151,9 @@ def test_odd_operands_rejected(monkeypatch):
     mirror = m.mirror()
     b0 = build_state_space(mirror.poly, mirror.sigma_group, "B")
     alg = BAlgebra(b0)
-    odd = [e for e in EagerSpace(b0).basis if z2_grading(e, 5)]
+    odd = [e for e in EagerSpace(b0).basis if z2_grading(e, 5, "B")]
     assert odd
-    assert not any((sector_vector(alg, e.sector), e.monomial) in alg.at for e in odd)
+    assert not any(e in alg.at for e in odd)
     # a rescaling map onto an element outside the even basis stops Theorem
     # 2: here the BV algebra of E1 x K3A leaves out every sigma-shifted one
     m = build_bv(E1, K3, jgens(E1, K3))
@@ -187,7 +182,7 @@ def test_phi_bar_without_sigma_leaves_the_basis():
     alg0 = BAlgebra(build_state_space(mirror.poly, mirror.sigma_group, "B"))
     assert phi_bar(alg2, alg0, mirror.sigma)
     with pytest.raises(NotBasisElement, match="nor its sigma-shift"):
-        phi_bar(alg2, alg0, GroupElement.identity(7))
+        phi_bar(alg2, alg0, GroupElement([0] * 7))
 
 
 def test_mixed_spaces_rejected():
@@ -205,32 +200,30 @@ def test_z2_additive_on_products():
     C = alg.structure_constants()
     targets = {k for row in C for k, _ in row.values()}
     assert targets
-    even = even_elements(alg)
+    even = list(alg.at)
     for k in targets:
-        assert z2_grading(even[k], 7) == 0
+        assert z2_grading(even[k], 7, "B") == 0
 
 
 def test_phi_map_cases():
     m = build_bv(E1, K3, jgens(E1, K3))
     mirror = m.mirror()
     shared = {}
-    bhk = EagerSpace(build_state_space(mirror.poly, transpose_group(m.sigma_group, m.poly), "B", rings=shared))
+    L = mirror.sigma_group.L
+    bhk = EagerSpace(build_state_space(mirror.poly, transpose_group(m.sigma_group, m.poly), "B", rings=shared), L)
     bv = EagerSpace(build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared))
     half = Fraction(1, 2)
     saw = set()
     for e in bhk.basis:
         k, image = phi_map(e, bhk, bv, mirror.sigma)
+        v, mono = e
         if image == e:
             assert k == 1
             saw.add("shared")
         else:
-            slots_zero = (
-                e.sector.components[mirror.slot1] == 0
-                and e.sector.components[mirror.slot2] == 0
-            )
+            slots_zero = v[mirror.slot1] == 0 and v[mirror.slot2] == 0
             assert k == (half if slots_zero else 2)
-            assert image.monomial == e.monomial
-            assert image.sector == mirror.sigma + e.sector
+            assert image == (add(as_vector(mirror.sigma, L), v, L), mono)
             saw.add("half" if slots_zero else "double")
     assert "shared" in saw and ("half" in saw or "double" in saw)
 
@@ -240,7 +233,8 @@ def test_phi_membership_criterion():
     m = build_bv(E1, K3, jgens(E1, K3))
     mirror = m.mirror()
     shared = {}
-    bhk = EagerSpace(build_state_space(mirror.poly, transpose_group(m.sigma_group, m.poly), "B", rings=shared))
+    L = mirror.sigma_group.L
+    bhk = EagerSpace(build_state_space(mirror.poly, transpose_group(m.sigma_group, m.poly), "B", rings=shared), L)
     bv = EagerSpace(build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared))
     for e in bhk.basis:
         fixes = action_weight(mirror.j1, e) == 0
@@ -259,7 +253,8 @@ def test_phi_map_all_three_cases_on_nonproduct_model():
     m = nonproduct_model()
     mirror = m.mirror()
     shared = {}
-    bhk = EagerSpace(build_state_space(mirror.poly, transpose_group(m.sigma_group, m.poly), "B", rings=shared))
+    L = mirror.sigma_group.L
+    bhk = EagerSpace(build_state_space(mirror.poly, transpose_group(m.sigma_group, m.poly), "B", rings=shared), L)
     bv = EagerSpace(build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared))
     saw = set()
     for e in bhk.basis:
@@ -283,9 +278,10 @@ def test_phi_not_basis_element():
     m = build_bv(E1, MINI, jgens(E1, MINI))
     mirror = m.mirror()
     shared = {}
-    bhk = EagerSpace(build_state_space(mirror.poly, transpose_group(m.sigma_group, m.poly), "B", rings=shared))
+    L = mirror.sigma_group.L
+    bhk = EagerSpace(build_state_space(mirror.poly, transpose_group(m.sigma_group, m.poly), "B", rings=shared), L)
     bv = EagerSpace(build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared))
-    fake = SectorElement(GroupElement.identity(5), (4, 4, 4, 4, 4), "B")
+    fake = ((0,) * 5, (4, 4, 4, 4, 4))
     with pytest.raises(NotBasisElement):
         phi_map(fake, bhk, bv, mirror.sigma)
 
@@ -333,7 +329,7 @@ def test_gamma_lemma_factors():
     mirror = m.mirror()
     b0 = build_state_space(mirror.poly, mirror.sigma_group, "B")
     alg = BAlgebra(b0)
-    sectors = sorted({e.sector for e in even_basis(EagerSpace(b0))})
+    sectors = sorted({v for v, _ in even_basis(EagerSpace(b0))})
     checked, failures = gamma_lemma_cases(alg, mirror.sigma)
     assert checked == len(sectors) ** 2
     assert not failures
@@ -390,7 +386,26 @@ def test_corrupted_single_term_entry_fails_the_contraction(monkeypatch, capsys):
 
 
 def test_passing_theorem2_builds_no_sector_element(monkeypatch):
-    built = []
-    monkeypatch.setattr(SectorElement, "__init__", lambda self, *args: built.append(args))
-    assert verify_theorem2(nonproduct_model()).passed
-    assert built == []
+    """A passing Theorem 2, with the mirror and the A space prebuilt, names
+    no state (`state_name`) and builds only the generators of the BHK dual
+    group (sigma G)^T as `GroupElement`s: 4 on E1 x K3A, 3 on the
+    nonproduct model."""
+    named, built = [], []
+    canonical = GroupElement._canonical
+
+    def counting_canonical(self, num, den):
+        canonical(self, num, den)
+        built.append(self)
+
+    for module in (statespace, frobenius):
+        monkeypatch.setattr(module, "state_name", lambda *args: named.append(args))
+    for model, count in ((build_bv(E1, K3, jgens(E1, K3)), 4), (nonproduct_model(), 3)):
+        model.mirror()
+        model.space("A")
+        built.clear()
+        monkeypatch.setattr(GroupElement, "_canonical", counting_canonical)
+        assert verify_theorem2(model).passed
+        monkeypatch.setattr(GroupElement, "_canonical", canonical)
+        assert named == []
+        assert len(built) == count
+        assert set(built) == set(transpose_group(model.sigma_group, model.poly).gens)

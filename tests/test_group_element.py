@@ -23,31 +23,15 @@ def ref(components):
 
 
 @settings(deadline=None)
-@given(_vectors(2), st.integers(-7, 7))
-def test_group_law_matches_fraction_tuples(pair, k):
+@given(_vectors(2))
+def test_equality_and_hash_match_fraction_tuples(pair):
     c, d = pair
     g, h = GroupElement(c), GroupElement(d)
     rc, rd = ref(c), ref(d)
     assert g.components == rc
-    assert (g + h).components == ref(a + b for a, b in zip(rc, rd))
-    assert (g - h).components == ref(a - b for a, b in zip(rc, rd))
-    assert (-g).components == ref(-a for a in rc)
-    assert (g * k).components == ref(a * k for a in rc)
-    assert (k * g).components == ref(a * k for a in rc)
-
-
-@settings(deadline=None)
-@given(_vectors(2))
-def test_equality_hash_and_order_match_fraction_tuples(pair):
-    c, d = pair
-    g, h = GroupElement(c), GroupElement(d)
-    rc, rd = ref(c), ref(d)
     assert (g == h) == (rc == rd)
     if g == h:
         assert hash(g) == hash(h)
-    assert (g < h) == (rc < rd)
-    assert (h < g) == (rd < rc)
-    assert sorted([g, h]) == [GroupElement(x) for x in sorted([rc, rd])]
 
 
 @settings(deadline=None)
@@ -58,11 +42,10 @@ def test_invariants_match_fraction_tuples(single):
     rc = ref(c)
     assert age(g) == sum(rc, Fraction(0))
     assert fixed_indices(g) == tuple(i for i, a in enumerate(rc) if a == 0)
-    assert g.order() == math.lcm(*(a.denominator for a in rc))
     assert g.is_identity() == all(a == 0 for a in rc)
     assert str(g) == ",".join(str(a) for a in rc)
     # canonical form: den is the order and the numerators share no factor with it
-    assert g.den == g.order() and math.gcd(g.den, *g.num) == 1
+    assert g.den == math.lcm(*(a.denominator for a in rc)) and math.gcd(g.den, *g.num) == 1
     assert GroupElement._raw([a * 5 for a in g.num], g.den * 5) == g
 
 
@@ -77,5 +60,5 @@ def test_int_hot_paths_build_no_fraction(monkeypatch):
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting)
-    _ = (g == h, hash(g), g < h, h < g, g + h, g - h, -g, 3 * g, fixed_indices(g))
+    _ = (g == h, hash(g), g.is_identity(), fixed_indices(g), GroupElement._raw(h.num, h.den))
     assert built == []

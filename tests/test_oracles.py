@@ -12,9 +12,9 @@ leading term divides.  Elements, generators and basis order must agree.
 pairing tables, built sector pair by sector pair from nonzero entries only,
 and maps the even elements by phi-bar on their int vectors.  Its oracle is
 the elementwise verifier with its own algebra (`ElementwiseAlgebra`): gamma
-solved per pair of group elements, every basis pair multiplied and paired,
-every pair and triple of basis elements checked as `AlgebraElement`
-objects, and phi-bar applied one `SectorElement` at a time (`phi_map`).
+solved per pair of sectors, every basis pair multiplied and paired, every
+pair and triple of basis elements checked as `AlgebraElement` objects, and
+phi-bar applied one state at a time (`phi_map`).
 Its basis-pair tables, unpacked to their one term, must equal the
 sector-pair tables entry for entry, phi-bar must equal `phi_map`, and the
 two reports must be equal, mismatch order included.
@@ -36,14 +36,18 @@ its oracle walks the one-shot basis of the locus and tests every monomial on
 the generators.  The kept monomials must agree, in order.
 
 A `StateSpace` counts its sectors by class (fixed locus, age) and grades on
-integer sums.  Its oracle is the eager sweep it replaced: one `SectorElement`
-per kept monomial per sector (`build_sector`), each graded by summing the
-weight quotients as Fractions.  Tables, dimensions, the states read off
+integer sums.  Its oracle is the eager sweep it replaced: one state per kept
+monomial per sector (`build_sector`), each graded by summing the weight
+quotients as Fractions.  Tables, dimensions, the states read off
 `kept`, sector dimensions and integer bidegrees must agree.  The package has
 no element-level view of a space; tests that read states one by one wrap a
 space in `EagerSpace`, the eager sweep as `basis`, `basis_set` and
-`bidegree`.  On all-Fermat models a second oracle needs no Groebner basis:
-each sector's dimension is a character sum over the group
+`bidegree`.  A state is the tuple (v, m) of a sector v, an int vector over
+the exponent L of the group (or over a common multiple of two groups'
+exponents, where states of two spaces meet), and a monomial m; sectors are
+combined as vectors mod L (`add`, `neg`), and named, in reports, by the
+package's `state_name`.  On all-Fermat models a second oracle needs no
+Groebner basis: each sector's dimension is a character sum over the group
 (`fermat_locus_dims`).
 
 `cr_table` counts the Chen-Ruan classes of a fixed locus, in the model's
@@ -59,16 +63,16 @@ sigma G.  Classes and tables must agree; the Hodge-number tests read the
 walk (`primitive_hodge`, `hodge_diamond`).
 
 A `SymmetryGroup` is an echelon lattice basis:
-its elements come from a mixed-radix walk, membership from reduction, and
-its greedy generators from the lattices (`_greedy_group` of the int
-vectors of an element set rebuilds a group from its elements).  The oracles
-are the BFS closure it replaced, sorted under `GroupElement.__lt__`, its
-element sets, and the greedy rule on those sets.  G^max is an echelon
+its members, int vectors over its exponent, come from a mixed-radix walk,
+membership from reduction, and its greedy generators from the lattices
+(`_greedy_group` of a set of int vectors rebuilds a group from its
+members).  The oracles are the BFS closure it replaced, its vectors sorted,
+its member sets, and the greedy rule on those sets.  G^max is an echelon
 kernel; its oracle is the product of the cyclic groups of a Smith normal
 form.  SL subgroups and the twist projection are kernels too; their oracles
-filter elements.
+filter members.
 `bv_cosets` keys cosets by their minima, the reductions by J's basis; its
-oracle sorts every coset, listed from a set of covered elements (`cosets`),
+oracle sorts every coset, listed from a set of covered vectors (`cosets`),
 and takes minima.  It walks only the coset minima of sigma G and of the
 slot-fixing kernel, by walks bounded by the pivots of J and of its
 slot-fixing part; its second oracle is the walk of every element of sigma G
@@ -153,7 +157,7 @@ from lgmirror.polyring import (
     weight_system,
 )
 from lgmirror.report import Report
-from lgmirror.statespace import Invariants, SectorElement, build_state_space, frac_str, poincare_table
+from lgmirror.statespace import Invariants, build_state_space, frac_str, poincare_table, state_name
 from lgmirror.symmetry import (
     GroupElement,
     GroupError,
@@ -161,7 +165,6 @@ from lgmirror.symmetry import (
     _greedy_group,
     _reduce,
     _walk,
-    age,
     bv_cosets,
     fixed_indices,
     gmax,
@@ -186,6 +189,36 @@ OVERCAP = parse_polynomial("y0^2+y1^3+y2^12+y3^24+y4^24")
 NONPRODUCT = "1/2,1/4,1/4,0,0,0,0;0,0,0,1/2,1/6,1/6,1/6;0,1/4,3/4,0,1/6,5/6,0"
 
 
+def add(u, v, L: int) -> tuple:
+    """u + v mod L, for int vectors over L."""
+    return tuple([(a + b) % L for a, b in zip(u, v)])
+
+
+def neg(v, L: int) -> tuple:
+    """-v mod L, for an int vector over L."""
+    return tuple([-a % L for a in v])
+
+
+def as_vector(g, L: int) -> tuple:
+    """The group element g as an int vector over L, a multiple of its order."""
+    return tuple([a * (L // g.den) for a in g.num])
+
+
+def members(group, L=None) -> list:
+    """The members of `group` as int vectors over L, a multiple of its
+    exponent (the exponent itself by default), in group order."""
+    if L is None or L == group.L:
+        return group.vectors
+    scale = L // group.L
+    return [tuple([a * scale for a in v]) for v in group.vectors]
+
+
+def same_members(a, b) -> bool:
+    """Two groups have the same members: a group's exponent L is the lcm of
+    its members' orders, so equal groups have equal L and vectors."""
+    return (a.n, a.L, a.vectors) == (b.n, b.L, b.vectors)
+
+
 # Helpers with no caller in the package, kept here as oracles.
 
 
@@ -205,8 +238,10 @@ def residue_pairing(f, g, ring):
 
 
 def action_weight(h, e):
-    """Weight of h on m * omega_g: sum over fixed j of (a_j + 1) h_j mod 1."""
-    total = sum((e.monomial[j] + 1) * h.num[j] for j in fixed_indices(e.sector))
+    """Weight of h on the state e = <m; g>, m * omega_g: sum over the fixed
+    j of (m_j + 1) h_j mod 1."""
+    v, m = e
+    total = sum((m[j] + 1) * h.num[j] for j in vector_locus(v))
     return Fraction(total % h.den, h.den)
 
 
@@ -239,58 +274,57 @@ def krawitz_dimension_check(poly, group):
     return True, poincare_table(a_space), poincare_table(b_space)
 
 
-def tw_a_map(e, model, tw):
-    """Image of a basis element under the twist map, with its 2^(1-eps) factor."""
-    eps = _sector_epsilon(model, e.sector)
+def tw_a_map(e, model, tw, L):
+    """Image of a state (v, m), v over L, under the twist map, with its
+    2^(1-eps) factor; the image sector is over L too."""
+    v, m = e
+    eps = _sector_epsilon(model, v, L)
     for s in model.slots:
-        if e.monomial[s]:
+        if m[s]:
             raise MalformedSector("monomial touches a distinguished variable")
-    sector = GroupElement._raw([e.sector.num[k] for k in tw.keep], e.sector.den)
-    mono = tuple(e.monomial[k] for k in tw.keep)
-    return Fraction(2) ** (1 - eps), SectorElement(sector, mono, e.flavor)
+    return Fraction(2) ** (1 - eps), (tuple(v[k] for k in tw.keep), tuple(m[k] for k in tw.keep))
 
 
-def z2_grading(e, nvars):
+def z2_grading(e, nvars, flavor):
     """A-model: N_g mod 2; B-model: N - N_g mod 2."""
-    ng = len(fixed_indices(e.sector))
-    if e.flavor == "A":
+    ng = len(vector_locus(e[0]))
+    if flavor == "A":
         return ng % 2
     return (nvars - ng) % 2
 
 
 def even_basis(space):
     """The even states of an `EagerSpace`, in basis order."""
-    return tuple(e for e in space.basis if z2_grading(e, space.poly.nvars) == 0)
+    return tuple(e for e in space.basis if z2_grading(e, space.poly.nvars, space.flavor) == 0)
 
 
-def sector_vector(alg, g):
-    """The int numerators of the group element g over the exponent of the
-    group of `alg`: a sector of a `BAlgebra`."""
-    return tuple(a * (alg.L // g.den) for a in g.num)
-
-
-def element_key(alg, e):
-    """The key of the basis element e in `BAlgebra.at`."""
-    return sector_vector(alg, e.sector), e.monomial
+def element_key(alg, e, L):
+    """The key in `BAlgebra.at` of the state e, its sector over L."""
+    v, m = e
+    scale = L // alg.L
+    return tuple([a // scale for a in v]), m
 
 
 def phi_map(e, bhk_space, bv_space, sigma, rescaled=True):
-    """Rescaling map B(W^T, (sigma G)^T) -> B(W^T, sigma (G^T)) on one basis
-    element, as (scale, image); the spaces are `EagerSpace`s.
+    """Rescaling map B(W^T, (sigma G)^T) -> B(W^T, sigma (G^T)) on one
+    state, as (scale, image); the spaces are `EagerSpace`s over one L.
 
-    Shared basis elements map to themselves; the others move to the sigma-
-    shifted sector (the volume form toggles dx0+dy0) with factor 1/2 when g
-    fixes the distinguished slots and 2 otherwise.
+    Shared states map to themselves; the others move to the sigma-shifted
+    sector (the volume form toggles dx0+dy0) with factor 1/2 when g fixes
+    the distinguished slots and 2 otherwise.
     """
+    L = bv_space.L
+    assert bhk_space.L == L
+    v, m = e
     if e not in bhk_space.basis_set:
-        raise NotBasisElement(f"{e!r} is not in the BHK-mirror basis")
+        raise NotBasisElement(f"{state_name(v, L, m, 'B')} is not in the BHK-mirror basis")
     if e in bv_space.basis_set:
         return Fraction(1), e
-    moved = SectorElement(sigma + e.sector, e.monomial, "B")
+    s = as_vector(sigma, L)
+    moved = (add(s, v, L), m)
     if moved not in bv_space.basis_set:
-        raise NotBasisElement(f"neither {e!r} nor its sigma-shift is in the BV basis")
-    slots = [k for k, a in enumerate(sigma.num) if a]
-    fixes = all(e.sector.num[k] == 0 for k in slots)
+        raise NotBasisElement(f"neither {state_name(v, L, m, 'B')} nor its sigma-shift is in the BV basis")
+    fixes = all(v[k] == 0 for k, a in enumerate(s) if a)
     if not rescaled:
         return Fraction(1), moved
     return (Fraction(1, 2) if fixes else Fraction(2)), moved
@@ -305,7 +339,7 @@ def check_property1(poly, group, ws=None):
 
 
 def elementwise_property1(a_space, b_space):
-    """`property1` over every group element: each sector wrapped as a
+    """`property1` over every member of the group: each sector wrapped as a
     `GroupElement` and its locus looked up among those that split a block."""
     violations = []
     for space, side in ((a_space, "A"), (b_space, "B-mirror")):
@@ -315,7 +349,7 @@ def elementwise_property1(a_space, b_space):
             for locus, kept in space.kept.items()
             if kept
         }
-        for g in space.group.elements:
+        for g in (GroupElement._raw(v, space.group.L) for v in space.group.vectors):
             for block, inside in split.get(fixed_indices(g), ()):
                 violations.append({"side": side, "sector": str(g), "block": str(block), "fixed_in_block": inside})
     blocks = [str(b) for b in atomic_decomposition(a_space.poly)]
@@ -434,7 +468,7 @@ def assert_same_gmax(poly):
     """The echelon kernel of A_W walks the elements of the Smith normal
     form product, sorted."""
     L, vecs = enumerated_gmax(poly)
-    assert gmax(poly).elements == tuple(sorted(GroupElement._raw(v, L) for v in vecs))
+    assert members(gmax(poly), L) == sorted(vecs)
 
 
 @pytest.mark.parametrize(
@@ -453,12 +487,8 @@ def filtered_dual(group, poly):
     for h in group.gens:
         cnum = [sum(a * b for a, b in zip(row, h.num)) for row in aligned]
         constraints.append((cnum, L * h.den))
-    kept = [
-        GroupElement._raw(vec, L)
-        for vec in vecs
-        if all(sum(a * b for a, b in zip(vec, c)) % m == 0 for c, m in constraints)
-    ]
-    return _greedy_group(group.n, *int_vectors(kept))
+    kept = [vec for vec in vecs if all(sum(a * b for a, b in zip(vec, c)) % m == 0 for c, m in constraints)]
+    return _greedy_group(group.n, L, kept)
 
 
 def box_basis(ring):
@@ -490,14 +520,14 @@ def box_basis(ring):
 def assert_same_dual(group, poly):
     dual = transpose_group(group, poly)
     oracle = filtered_dual(group, poly)
-    assert dual.elements == oracle.elements
+    assert same_members(dual, oracle)
     assert dual.gens == oracle.gens
     return dual
 
 
 def assert_same_bases(poly, group, ws):
     """Every fixed locus of G: the walk's basis is the box's, in order."""
-    for fixed in sorted({fixed_indices(g) for g in group}):
+    for fixed in sorted({vector_locus(v) for v in group.vectors}):
         ring = milnor_ring(poly, active=fixed, ws=ws)
         assert ring.basis == box_basis(ring)
         top = max(ring.wdeg(m) for m in ring.basis)
@@ -527,81 +557,86 @@ def _golden_models():
 
 
 def oracle_deg_m(e, q):
-    fixed = fixed_indices(e.sector)
-    return sum((e.monomial[j] * q[j] for j in fixed), Fraction(0)) + sum(
-        (q[j] for j in fixed), Fraction(0)
-    )
+    v, m = e
+    fixed = vector_locus(v)
+    return sum((m[j] * q[j] for j in fixed), Fraction(0)) + sum((q[j] for j in fixed), Fraction(0))
 
 
-def oracle_a_bidegree(e, q, age_j):
+def oracle_a_bidegree(e, L, q, age_j):
     dm = oracle_deg_m(e, q)
-    a = age(e.sector)
-    ng = len(fixed_indices(e.sector))
+    a = Fraction(sum(e[0]), L)
+    ng = len(vector_locus(e[0]))
     return (dm + a - age_j, ng - dm + a - age_j)
 
 
-def oracle_b_bidegree(e, q, age_j):
+def oracle_b_bidegree(e, L, q, age_j):
     dm = oracle_deg_m(e, q)
-    return (dm + age(e.sector) - age_j, dm + age(-e.sector) - age_j)
+    return (dm + Fraction(sum(e[0]), L) - age_j, dm + Fraction(sum(neg(e[0], L)), L) - age_j)
 
 
-def build_sector(poly, group, g, flavor, ws, rings, invariant=None):
-    """The invariant standard monomials of Milnor(W_g) as sector elements,
-    the ring of Fix g kept in the subset-keyed `rings`; one `Invariants` of
-    the group may serve all its sectors."""
+def build_sector(poly, group, v, ws, rings, invariant=None):
+    """The states (v, m) of the sector v: the invariant standard monomials
+    of Milnor(W_v), the ring of Fix v kept in the subset-keyed `rings`; one
+    `Invariants` of the group may serve all its sectors."""
     if invariant is None:
         invariant = Invariants(group)
-    fixed = fixed_indices(g)
+    fixed = vector_locus(v)
     ring = rings.get(fixed)
     if ring is None:
         ring = rings[fixed] = milnor_ring(poly, active=fixed, ws=ws, rings=rings)
-    return [SectorElement(g, m, flavor) for m in invariant.kept(ring)]
+    return [(v, m) for m in invariant.kept(ring)]
 
 
-def eager_sweep(poly, group, flavor, ws, rings):
-    """The sweep that built one `SectorElement` per kept monomial per
-    sector: (basis, sector dimensions), over the sorted elements.  The
-    monomials of each locus are found once."""
+def eager_sweep(poly, group, ws, rings):
+    """The sweep that built one state per kept monomial per sector: (basis,
+    {v: sector dimension}), over the sorted vectors.  The monomials of each
+    locus are found once."""
     invariant = Invariants(group)
     kept = {}
     basis = []
     sector_dims = {}
-    for g in group.elements:
-        fixed = fixed_indices(g)
+    for v in group.vectors:
+        fixed = vector_locus(v)
         if fixed not in kept:
-            kept[fixed] = [e.monomial for e in build_sector(poly, group, g, flavor, ws, rings, invariant)]
-        got = [SectorElement(g, m, flavor) for m in kept[fixed]]
-        sector_dims[g] = len(got)
+            kept[fixed] = [m for _, m in build_sector(poly, group, v, ws, rings, invariant)]
+        got = [(v, m) for m in kept[fixed]]
+        sector_dims[v] = len(got)
         basis.extend(got)
     return basis, sector_dims
 
 
-def space_bidegree(space, e):
-    """(p, q) of the state <m; g> of `space`, from its integer grades."""
-    g = e.sector
-    fixed = fixed_indices(g)
-    deg = statespace._degree(e.monomial, fixed, space.ws.weights)
-    p, q = space._grade(deg, sum(g.num) * (space.group.L // g.den), len(fixed))
+def space_bidegree(space, e, L=None):
+    """(p, q) of the state (v, m) of `space`, v over L (a multiple of the
+    group's exponent, the exponent by default), from its integer grades."""
+    v, m = e
+    scale = 1 if L is None else L // space.group.L
+    fixed = vector_locus(v)
+    deg = statespace._degree(m, fixed, space.ws.weights)
+    p, q = space._grade(deg, sum(v) // scale, len(fixed))
     return Fraction(p, space.D), Fraction(q, space.D)
 
 
 class EagerSpace:
-    """The element-level view of a `StateSpace`: `basis`, one
-    `SectorElement` per state from the eager sweep over the space's rings
-    (group order, then kept order), `basis_set`, and `bidegree` of one
-    element (`space_bidegree`).  Every other attribute is the space's.
-    Build one per space, where a test reads states one by one."""
+    """The element-level view of a `StateSpace`: `basis`, one state (v, m)
+    per kept monomial per sector from the eager sweep over the space's rings
+    (group order, then kept order), v over `L` (a multiple of the group's
+    exponent, the exponent by default), `basis_set`, and `bidegree` of one
+    state (`space_bidegree`).  Every other attribute is the space's.  Build
+    one per space, where a test reads states one by one."""
 
-    def __init__(self, space):
+    def __init__(self, space, L=None):
         self.space = space
-        self.basis = tuple(eager_sweep(space.poly, space.group, space.flavor, space.ws, space.rings)[0])
+        self.L = space.group.L if L is None else L
+        scale = self.L // space.group.L
+        basis = eager_sweep(space.poly, space.group, space.ws, space.rings)[0]
+        self.basis = tuple((tuple([a * scale for a in v]), m) for v, m in basis)
         self.basis_set = frozenset(self.basis)
 
     def __getattr__(self, name):
         return getattr(self.space, name)
 
     def bidegree(self, e):
-        return space_bidegree(self.space, e)
+        return space_bidegree(self.space, e, self.L)
 
 
 def assert_same_as_eager_sweep(poly, group):
@@ -614,34 +649,37 @@ def assert_same_as_eager_sweep(poly, group):
     q = [Fraction(w, ws.degree) for w in ws.weights]
     age_j = sum(q, Fraction(0))
     rings: dict = {}
+    L = group.L
     for flavor, oracle in (("A", oracle_a_bidegree), ("B", oracle_b_bidegree)):
         space = build_state_space(poly, group, flavor, ws=ws, rings=rings)
-        basis, sector_dims = eager_sweep(poly, group, flavor, ws, rings)
-        grades = [oracle(e, q, age_j) for e in basis]
+        basis, sector_dims = eager_sweep(poly, group, ws, rings)
+        grades = [oracle(e, L, q, age_j) for e in basis]
         table: dict = {}
         for key in grades:
             table[key] = table.get(key, 0) + 1
         assert space.dim == len(basis) > 0
         assert poincare_table(space) == table
-        assert list(space.sector_dims.items()) == list(sector_dims.items())
-        states = [SectorElement(g, m, flavor) for g in group.elements for m in space.kept[fixed_indices(g)]]
+        assert [(as_vector(g, L), d) for g, d in space.sector_dims.items()] == list(sector_dims.items())
+        states = [(v, m) for v in group.vectors for m in space.kept[vector_locus(v)]]
         assert states == basis
         assert [space_bidegree(space, e) for e in basis] == grades
 
 
 def cosets(group, subgroup) -> tuple:
-    """Coset representatives of H in G, each the least element of its coset,
-    from a set of the elements already covered."""
+    """Coset representatives of H in G, int vectors over the exponent of G,
+    each the least member of its coset, from a set of the members already
+    covered."""
     if not subgroup.is_subgroup_of(group):
         raise NotSubgroup("H is not contained in G")
+    L = group.L
+    sub = members(subgroup, L)
     seen = set()
     reps = []
-    for g in group.elements:  # sorted, so reps are coset minima
+    for g in group.vectors:  # sorted, so reps are coset minima
         if g in seen:
             continue
         reps.append(g)
-        for h in subgroup.elements:
-            seen.add(g + h)
+        seen.update(add(g, h, L) for h in sub)
     return tuple(reps)
 
 
@@ -650,10 +688,8 @@ def test_cosets_lagrange():
     sl = sl_subgroup(g)
     reps = cosets(g, sl)
     assert len(reps) == g.order // sl.order
-    covered = set()
-    for rep in reps:
-        covered |= {rep + h for h in sl.elements}
-    assert covered == set(g.elements)
+    covered = {add(rep, h, g.L) for rep in reps for h in members(sl, g.L)}
+    assert covered == set(g.vectors)
 
 
 def test_cosets_whole_group():
@@ -667,12 +703,16 @@ def test_cosets_not_subgroup():
 
 
 def oracle_bv_cosets(sigma_group, j_group, slots, sigma):
-    """Coset representatives from sorted cosets and minima."""
+    """Coset representatives from sorted cosets and minima, as int vectors
+    over the exponent of sigma G."""
     base = cosets(sigma_group, j_group)
     i0, j0 = slots
+    L = sigma_group.L
+    sub = members(j_group, L)
+    s = as_vector(sigma, L)
     by_key = {}
     for rep in base:
-        coset = sorted(rep + h for h in j_group.elements)
+        coset = sorted(add(rep, h, L) for h in sub)
         by_key[coset[0]] = coset
     paired = set()
     first = []
@@ -680,10 +720,10 @@ def oracle_bv_cosets(sigma_group, j_group, slots, sigma):
         if key in paired:
             continue
         coset = by_key[key]
-        zero_slot = [e for e in coset if e.num[i0] == 0 and e.num[j0] == 0]
+        zero_slot = [e for e in coset if e[i0] == 0 and e[j0] == 0]
         if not zero_slot:
             raise GroupError("coset without a representative fixing the distinguished slots")
-        partner_key = min(sigma + e for e in coset)
+        partner_key = min(add(s, e, L) for e in coset)
         if partner_key == key:
             raise GroupError("sigma stabilizes a J-coset")
         first.append(min(zero_slot))
@@ -691,12 +731,7 @@ def oracle_bv_cosets(sigma_group, j_group, slots, sigma):
         paired.add(partner_key)
     if 2 * len(first) != len(base):
         raise GroupError("sigma pairing did not halve the cosets")
-    return tuple(first + [sigma + r for r in first])
-
-
-def over_exponent(elements, L: int) -> list:
-    """The elements as int vectors over L, the form `bv_cosets` returns."""
-    return [tuple([a * (L // g.den) for a in g.num]) for g in elements]
+    return first + [add(s, r, L) for r in first]
 
 
 def walked_bv_cosets(sigma_group, j_group, slots, sigma):
@@ -730,12 +765,12 @@ def walked_bv_cosets(sigma_group, j_group, slots, sigma):
         partner_key = _reduce([a + b for a, b in zip(key, shift)], rows)
         if partner_key == key:
             raise GroupError("sigma stabilizes a J-coset")
-        first.append(GroupElement._raw(rep, L))
+        first.append(rep)
         paired.add(key)
         paired.add(partner_key)
     if 2 * len(first) != len(keys):
         raise GroupError("sigma pairing did not halve the cosets")
-    return tuple(first + [sigma + r for r in first])
+    return first + [add(shift, r, L) for r in first]
 
 
 def test_bounded_bv_cosets_match_the_walk():
@@ -750,7 +785,7 @@ def test_bounded_bv_cosets_match_the_walk():
         for side in (model, model.mirror()):
             j_group = span(side.poly.nvars, [side.j1, side.j2])
             args = (side.sigma_group, j_group, side.slots, side.sigma)
-            assert bv_cosets(*args) == over_exponent(walked_bv_cosets(*args), side.sigma_group.L)
+            assert bv_cosets(*args) == walked_bv_cosets(*args)
 
 
 @settings(deadline=None, max_examples=80)
@@ -799,7 +834,7 @@ def test_bidegrees_and_bv_cosets_match_oracles(name):
         assert_same_as_eager_sweep(side.poly, side.sigma_group)
         j_group = span(side.poly.nvars, [side.j1, side.j2])
         args = (side.sigma_group, j_group, side.slots, side.sigma)
-        assert bv_cosets(*args) == over_exponent(oracle_bv_cosets(*args), side.sigma_group.L)
+        assert bv_cosets(*args) == oracle_bv_cosets(*args)
 
 
 COMPONENT = st.builds(Fraction, st.integers(0, 23), st.sampled_from([1, 2, 3, 4, 6, 12]))
@@ -807,8 +842,8 @@ COMPONENT = st.builds(Fraction, st.integers(0, 23), st.sampled_from([1, 2, 3, 4,
 
 def close_int(gens, n):
     """The BFS closure the lattice walk replaced: every generator added to
-    every element until nothing is new, mod the common denominator.  The
-    elements are sorted under `GroupElement.__lt__`."""
+    every member until nothing is new, mod the common denominator L.
+    Returns L and the int vectors over it, sorted."""
     L, gen_vecs = int_vectors(gens)
     seen = {(0,) * n}
     frontier = list(seen)
@@ -821,19 +856,19 @@ def close_int(gens, n):
                     seen.add(f)
                     new.append(f)
         frontier = new
-    return sorted(GroupElement._raw(v, L) for v in seen)
+    return L, sorted(seen)
 
 
-def oracle_minimal_generators(n, elements):
-    """The greedy rule on element sets: an element is spanned when it lies
-    in the set closed so far."""
-    L, vecs = int_vectors(elements)
+def oracle_minimal_generators(n, L, vecs):
+    """The greedy rule on sorted member sets, int vectors over L: a member
+    is spanned when it lies in the set closed so far.  The generators are
+    returned as `GroupElement`s."""
     spanned = {(0,) * n}
     gens = []
-    for g, v in zip(elements, vecs):
+    for v in vecs:
         if v in spanned:
             continue
-        gens.append(g)
+        gens.append(GroupElement._raw(v, L))
         shifts = []
         acc = v
         while acc not in spanned:
@@ -860,59 +895,61 @@ def mixed_groups(draw, n=None):
 @settings(deadline=None, max_examples=60)
 @given(mixed_groups(), st.randoms(use_true_random=False))
 def test_group_order_is_the_component_order(group, rng):
-    """The lattice walk gives the elements of the BFS closure, sorted under
-    `GroupElement.__lt__`; `_greedy_group` rebuilds the same group from
-    their int vectors in any order, with the oracle's greedy generators."""
-    oracle = close_int(group.gens, group.n)
-    assert group.elements == tuple(oracle)
+    """The lattice walk gives the members of the BFS closure, sorted;
+    `_greedy_group` rebuilds the same group from their int vectors in any
+    order, with the oracle's greedy generators."""
+    L, oracle = close_int(group.gens, group.n)
+    assert members(group, L) == oracle
     assert group.order == len(oracle)
-    assert minimal_generators(group) == oracle_minimal_generators(group.n, oracle)
-    elements = list(oracle)
-    rng.shuffle(elements)
-    rebuilt = _greedy_group(group.n, *int_vectors(elements))
-    assert rebuilt.elements == group.elements
-    assert rebuilt.gens == tuple(oracle_minimal_generators(group.n, oracle))
+    assert minimal_generators(group) == oracle_minimal_generators(group.n, L, oracle)
+    vecs = list(oracle)
+    rng.shuffle(vecs)
+    rebuilt = _greedy_group(group.n, L, vecs)
+    assert same_members(rebuilt, group)
+    assert rebuilt.gens == tuple(oracle_minimal_generators(group.n, L, oracle))
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_kernel_subgroups_match_filters(data):
     """`sl_subgroup` and `subgroup_on` are kernels of characters on the
-    lattice; the oracles filter the closed element set and project it."""
+    lattice; the oracles filter the closed member set and project it."""
     group = data.draw(mixed_groups())
     n = group.n
-    closed = close_int(group.gens, n)
-    sl = [g for g in closed if sum(g.num) % g.den == 0]
+    L, closed = close_int(group.gens, n)
+    sl = [v for v in closed if sum(v) % L == 0]
     got = sl_subgroup(group)
-    assert got.elements == tuple(sl)
-    assert got.gens == tuple(oracle_minimal_generators(n, sl))
+    assert members(got, L) == sl
+    assert got.gens == tuple(oracle_minimal_generators(n, L, sl))
     keep = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
     projected = sorted(
-        GroupElement._raw([g.num[k] for k in keep], g.den)
-        for g in closed
-        if all(g.num[k] == 0 for k in range(n) if k not in keep)
+        tuple([v[k] for k in keep]) for v in closed if all(v[k] == 0 for k in range(n) if k not in keep)
     )
     got = subgroup_on(group, keep)
-    assert got.elements == tuple(projected)
-    assert got.gens == tuple(oracle_minimal_generators(len(keep), projected))
+    assert members(got, L) == projected
+    assert got.gens == tuple(oracle_minimal_generators(len(keep), L, projected))
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_membership_and_subgroups_by_reduction(data):
     """`in` and `is_subgroup_of` reduce by the echelon basis; the oracle
-    looks up the closed element set."""
+    looks up the closed member set, wrapped as canonical `GroupElement`s."""
     group = data.draw(mixed_groups())
     n = group.n
-    closed = set(close_int(group.gens, n))
+    L, vecs = close_int(group.gens, n)
+    closed = {GroupElement._raw(v, L) for v in vecs}
     assert all(g in group for g in closed)
     for _ in range(20):
         g = GroupElement(data.draw(st.lists(COMPONENT, min_size=n, max_size=n)))
         assert (g in group) == (g in closed)
-        shifted = g + data.draw(st.sampled_from(sorted(closed)))
+        M = math.lcm(L, g.den)
+        member = [a * (M // L) for a in data.draw(st.sampled_from(vecs))]
+        shifted = GroupElement._raw(add(as_vector(g, M), member, M), M)
         assert (shifted in group) == (shifted in closed)
     other = data.draw(mixed_groups(n))
-    assert group.is_subgroup_of(other) == (closed <= set(close_int(other.gens, n)))
+    L2, vecs2 = close_int(other.gens, n)
+    assert group.is_subgroup_of(other) == (closed <= {GroupElement._raw(v, L2) for v in vecs2})
     assert group.is_subgroup_of(span(n, group.gens + other.gens))
 
 
@@ -934,7 +971,7 @@ def test_bv_cosets_by_reduction_match_oracle(data):
         with pytest.raises(GroupError):
             bv_cosets(*args)
     else:
-        assert bv_cosets(*args) == over_exponent(want, sigma_group.L)
+        assert bv_cosets(*args) == want
 
 
 def test_dual_groups_match_filter_on_bv_models():
@@ -942,7 +979,7 @@ def test_dual_groups_match_filter_on_bv_models():
         for group in (model.group, model.sigma_group):
             dual = assert_same_dual(group, model.poly)
             back = assert_same_dual(dual, transpose(model.poly))
-            assert back.elements == group.elements
+            assert same_members(back, group)
 
 
 def test_milnor_bases_match_box_on_every_fixed_locus():
@@ -957,7 +994,7 @@ def test_milnor_bases_match_box_on_every_fixed_locus():
             (model.poly, model.sigma_group, model.ws),
             (mirror_poly, dual, mirror_ws),
         ):
-            for fixed in {fixed_indices(g) for g in group}:
+            for fixed in {vector_locus(v) for v in group.vectors}:
                 ring = milnor_ring(poly, active=fixed, ws=ws)
                 assert ring.mu == fermat_mu(ws, fixed)
 
@@ -992,7 +1029,7 @@ def fermat_locus_dims(poly, group):
     for m in poly.terms:
         (j,) = [i for i, e in enumerate(m) if e]
         a[j] = m[j]
-    count = Counter(fixed_indices(h) for h in group.elements)
+    count = Counter(vector_locus(v) for v in group.vectors)
     dims = {}
     for locus in count:
         total = sum(
@@ -1039,7 +1076,9 @@ def test_sector_dims_match_fermat_characters(name):
     assert all(sum(1 for e in m if e) == 1 for m in poly.terms)
     space = build_state_space(poly, group, flavor)
     count, dims = fermat_locus_dims(poly, group)
-    assert space.sector_dims == {g: dims[fixed_indices(g)] for g in group.elements}
+    L = group.L
+    got = [(as_vector(g, L), d) for g, d in space.sector_dims.items()]
+    assert got == [(v, dims[vector_locus(v)]) for v in group.vectors]
     assert space.dim == sum(c * dims[locus] for locus, c in count.items())
 
 
@@ -1067,8 +1106,8 @@ def invertible_models(draw):
     assume(is_invertible(poly))
     ws = weight_system(poly)
     sl = sl_subgroup(gmax(poly))
-    extra = draw(st.lists(st.sampled_from(sl.elements), max_size=2))
-    return poly, ws, span(n, [j_element(ws)] + extra)
+    extra = draw(st.lists(st.sampled_from(sl.vectors), max_size=2))
+    return poly, ws, span(n, [j_element(ws)] + [GroupElement._raw(v, sl.L) for v in extra])
 
 
 @settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.filter_too_much])
@@ -1079,7 +1118,7 @@ def test_random_invertible_models_match_oracles(model):
     assert group.is_subgroup_of(sl_subgroup(gmax(poly)))
     dual = assert_same_dual(group, poly)
     back = assert_same_dual(dual, transpose(poly))
-    assert back.elements == group.elements
+    assert same_members(back, group)
     assert_same_bases(poly, group, ws)
     assert_same_bases(transpose(poly), dual, weight_system(transpose(poly)))
     assert_same_as_eager_sweep(poly, group)
@@ -1124,12 +1163,13 @@ class AlgebraElement:
 
 class ElementwiseAlgebra:
     """The Krawitz product and residue pairing of one B-model space (an
-    `EagerSpace`), one pair of basis elements at a time, with gamma solved
-    per pair of group elements and every normal form reduced afresh (no
-    memo)."""
+    `EagerSpace`), one pair of states at a time, with gamma solved per pair
+    of sectors and every normal form reduced afresh (no memo).  Sectors are
+    int vectors over the space's `L`."""
 
     def __init__(self, space):
         self.space = space
+        self.L = space.L
         self.poly = space.poly
         self.nvars = space.poly.nvars
         self.even = even_basis(space)
@@ -1154,7 +1194,7 @@ class ElementwiseAlgebra:
         fails; see `BAlgebra._gamma_data`."""
         key = (g, h)
         if key not in self._gamma:
-            ig, ih, igh = (set(fixed_indices(x)) for x in (g, h, g + h))
+            ig, ih, igh = (set(vector_locus(x)) for x in (g, h, add(g, h, self.L)))
             if ig | ih | igh != set(range(self.nvars)):
                 self._gamma[key] = (Fraction(0), None)
             else:
@@ -1169,7 +1209,7 @@ class ElementwiseAlgebra:
         return self._gamma_data(g, h)[0]
 
     def unit(self):
-        e = SectorElement(GroupElement.identity(self.nvars), (0,) * self.nvars, "B")
+        e = ((0,) * self.nvars, (0,) * self.nvars)
         if e not in self.space.basis_set:
             raise NotBasisElement("identity-sector unit missing from the basis")
         return AlgebraElement.basis(self.space, e)
@@ -1179,26 +1219,26 @@ class ElementwiseAlgebra:
         key = (i, j)
         if key in self._products:
             return self._products[key]
-        e1, e2 = self.even[i], self.even[j]
-        g, h = e1.sector, e2.sector
+        (g, m1), (h, m2) = self.even[i], self.even[j]
         coeff, extra_socle = self._gamma_data(g, h)
         out = {}
         if coeff:
-            gh = g + h
-            mono = tuple(map(sum, zip(e1.monomial, e2.monomial, extra_socle)))
-            if all(e == 0 or gh.num[k] == 0 for k, e in enumerate(mono)):
-                for b_mono, c in self.normal_form(self.ring(fixed_indices(gh)), mono).items():
-                    target = SectorElement(gh, b_mono, "B")
+            gh = add(g, h, self.L)
+            mono = tuple(map(sum, zip(m1, m2, extra_socle)))
+            if all(e == 0 or gh[k] == 0 for k, e in enumerate(mono)):
+                for b_mono, c in self.normal_form(self.ring(vector_locus(gh)), mono).items():
+                    target = (gh, b_mono)
                     if target not in self.index:
-                        raise NotBasisElement(f"product lands outside the even basis: {target!r}")
+                        name = state_name(gh, self.L, b_mono, "B")
+                        raise NotBasisElement(f"product lands outside the even basis: {name}")
                     out[self.index[target]] = coeff * c
         self._products[key] = out
         return out
 
     def _even_index(self, e):
         if e not in self.space.basis_set:
-            raise NotBasisElement(f"{e!r} is not a basis element")
-        if z2_grading(e, self.nvars):
+            raise NotBasisElement(f"{state_name(e[0], self.L, e[1], 'B')} is not a basis element")
+        if z2_grading(e, self.nvars, "B"):
             raise OddElement("products are defined on the even subspace")
         return self.index[e]
 
@@ -1214,10 +1254,11 @@ class ElementwiseAlgebra:
         return AlgebraElement(self.space, out)
 
     def pairing_basis(self, e1, e2):
-        if e2.sector != -e1.sector:
+        (g, m1), (h, m2) = e1, e2
+        if h != neg(g, self.L):
             return Fraction(0)
-        ring = self.ring(fixed_indices(e1.sector))
-        mono = tuple(map(sum, zip(e1.monomial, e2.monomial)))
+        ring = self.ring(vector_locus(g))
+        mono = tuple(map(sum, zip(m1, m2)))
         return ring.residue(self.normal_form(ring, mono).get(ring.socle, Fraction(0)))
 
     def pairing(self, a, b):
@@ -1251,17 +1292,20 @@ class ElementwiseAlgebra:
 
 
 def elementwise_gamma_lemma(algebra, sigma, sectors):
-    """`gamma_lemma_cases` over every pair of sectors, evaluated."""
-    slots = [k for k, a in enumerate(sigma.num) if a]
+    """`gamma_lemma_cases` over every pair of sectors, int vectors over the
+    algebra's L, evaluated."""
+    L = algebra.L
+    s = as_vector(sigma, L)
+    slots = [k for k, a in enumerate(s) if a]
     failures = []
     checked = 0
     for g in sectors:
-        g_half = all(2 * g.num[k] == g.den for k in slots)
+        g_half = all(2 * g[k] == L for k in slots)
         for h in sectors:
-            h_half = all(2 * h.num[k] == h.den for k in slots)
-            h_zero = all(h.num[k] == 0 for k in slots)
+            h_half = all(2 * h[k] == L for k in slots)
+            h_zero = all(h[k] == 0 for k in slots)
             lhs = algebra.gamma(g, h)
-            rhs = algebra.gamma(g, sigma + h)
+            rhs = algebra.gamma(g, add(s, h, L))
             if g_half and h_half:
                 factor = Fraction(4)
             elif g_half and h_zero:
@@ -1272,8 +1316,8 @@ def elementwise_gamma_lemma(algebra, sigma, sectors):
             if lhs != factor * rhs:
                 failures.append(
                     {
-                        "g": str(g),
-                        "h": str(h),
+                        "g": str(GroupElement._raw(g, L)),
+                        "h": str(GroupElement._raw(h, L)),
                         "gamma": str(lhs),
                         "gamma_sigma": str(rhs),
                         "expected_factor": str(factor),
@@ -1283,15 +1327,22 @@ def elementwise_gamma_lemma(algebra, sigma, sectors):
 
 
 def elementwise_theorem2(model, rescaled=True):
-    """Theorem 2 checked one basis pair and one basis triple at a time."""
+    """Theorem 2 checked one basis pair and one basis triple at a time, the
+    states of both mirrors over the exponent L of sigma (G^T), which the
+    exponent of (sigma G)^T divides."""
     prop = check_property1(model.poly, model.sigma_group, ws=model.ws)
     if not prop.passed:
         raise HypothesisFailed(prop.mismatches)
     mirror = model.mirror()
     bhk_group = transpose_group(model.sigma_group, model.poly)
     shared_rings: dict = {}
-    b2_space = EagerSpace(build_state_space(mirror.poly, bhk_group, "B", rings=shared_rings))
-    b0_space = EagerSpace(build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared_rings))
+    L = mirror.sigma_group.L
+    b2_space = EagerSpace(build_state_space(mirror.poly, bhk_group, "B", rings=shared_rings), L)
+    b0_space = EagerSpace(build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared_rings), L)
+
+    def name(e):
+        return state_name(e[0], L, e[1], "B")
+
     even2 = even_basis(b2_space)
     even0 = even_basis(b0_space)
     mismatches = []
@@ -1310,12 +1361,12 @@ def elementwise_theorem2(model, rescaled=True):
         k, image = phi_map(e, b2_space, b0_space, mirror.sigma, rescaled=rescaled)
         mapping[e] = (k, image)
         if image in images:
-            mismatches.append({"reason": "phi image duplicated", "element": repr(e)})
+            mismatches.append({"reason": "phi image duplicated", "element": name(e)})
         images.add(image)
-        if z2_grading(image, b0_space.poly.nvars):
-            mismatches.append({"reason": "phi image is odd", "element": repr(e)})
+        if z2_grading(image, b0_space.poly.nvars, "B"):
+            mismatches.append({"reason": "phi image is odd", "element": name(e)})
         if b2_space.bidegree(e) != b0_space.bidegree(image):
-            mismatches.append({"reason": "phi changed the bidegree", "element": repr(e)})
+            mismatches.append({"reason": "phi changed the bidegree", "element": name(e)})
     if images != set(even0):
         mismatches.append({"reason": "phi is not onto the even BV basis"})
 
@@ -1344,7 +1395,7 @@ def elementwise_theorem2(model, rescaled=True):
                 product_fail += 1
                 if len(mismatches) < 20:
                     mismatches.append(
-                        {"reason": "product not preserved", "pair": [repr(e1), repr(e2)]}
+                        {"reason": "product not preserved", "pair": [name(e1), name(e2)]}
                     )
             lp = alg2.pairing(a1, a2)
             rp = alg0.pairing(
@@ -1355,7 +1406,7 @@ def elementwise_theorem2(model, rescaled=True):
                 pairing_fail += 1
                 if len(mismatches) < 20:
                     mismatches.append(
-                        {"reason": "pairing not preserved", "pair": [repr(e1), repr(e2)]}
+                        {"reason": "pairing not preserved", "pair": [name(e1), name(e2)]}
                     )
     details["product_failures"] = product_fail
     details["pairing_failures"] = pairing_fail
@@ -1364,7 +1415,7 @@ def elementwise_theorem2(model, rescaled=True):
     for e in even0:
         a = AlgebraElement.basis(b0_space, e)
         if alg0.product(unit, a) != a or alg0.product(a, unit) != a:
-            mismatches.append({"reason": "unit fails", "element": repr(e)})
+            mismatches.append({"reason": "unit fails", "element": name(e)})
 
     assoc_fail = frob_fail = 0
     cache = {
@@ -1392,7 +1443,7 @@ def elementwise_theorem2(model, rescaled=True):
     if frob_fail:
         mismatches.append({"reason": f"{frob_fail} Frobenius-identity failures"})
 
-    sectors = sorted({e.sector for e in even0})
+    sectors = sorted({v for v, _ in even0})
     checked, gamma_failures = elementwise_gamma_lemma(alg0, mirror.sigma, sectors)
     details["gamma_pairs_checked"] = checked
     if gamma_failures:
@@ -1427,7 +1478,7 @@ def test_tables_match_basis_pair_oracle(name):
     for group in (bhk_group, mirror.sigma_group):
         space = build_state_space(mirror.poly, group, "B")
         alg, oracle = BAlgebra(space), ElementwiseAlgebra(EagerSpace(space))
-        assert alg.at == {element_key(alg, e): i for i, e in enumerate(oracle.even)}
+        assert alg.at == {e: i for i, e in enumerate(oracle.even)}
         assert alg.dim == len(oracle.even)
         C = alg.structure_constants()
         assert any(C)
@@ -1459,14 +1510,15 @@ def test_phi_bar_matches_phi_map(name, rescaled):
     the image of `phi_map`, with twice its scale."""
     model = PHI_MODELS[name]()
     bhk, bv, alg2, alg0 = _mirror_algebras(model)
-    bhk, bv = EagerSpace(bhk), EagerSpace(bv)
+    L = alg0.L
+    bhk, bv = EagerSpace(bhk, L), EagerSpace(bv)
     phi = phi_bar(alg2, alg0, model.mirror().sigma, rescaled)
     even2 = even_basis(bhk)
     assert len(phi) == len(even2) == alg2.dim
     scales = set()
     for e in even2:
         k, image = phi_map(e, bhk, bv, model.mirror().sigma, rescaled=rescaled)
-        assert phi[alg2.at[element_key(alg2, e)]] == (2 * k, alg0.at[element_key(alg0, image)])
+        assert phi[alg2.at[element_key(alg2, e, L)]] == (2 * k, alg0.at[image])
         scales.add(k)
     assert len(scales) > 1 if rescaled else scales == {1}
 
@@ -1535,8 +1587,8 @@ def _corrupt_one_gamma(monkeypatch):
     model = _models()["e1k3a"]
     mirror = model.mirror()
     space = EagerSpace(build_state_space(mirror.poly, mirror.sigma_group, "B"))
-    h = next(e.sector for e in even_basis(space) if not e.sector.is_identity())
-    triple = (tuple(range(space.poly.nvars)), fixed_indices(h), fixed_indices(h))
+    h = next(v for v, _ in even_basis(space) if any(v))
+    triple = (tuple(range(space.poly.nvars)), vector_locus(h), vector_locus(h))
     original, oracle = BAlgebra._gamma_data, ElementwiseAlgebra._gamma_data
 
     def corrupted(self, fg, fh, fgh):
@@ -1545,7 +1597,7 @@ def _corrupt_one_gamma(monkeypatch):
 
     def corrupted_oracle(self, g2, h2):
         scalar, socle = oracle(self, g2, h2)
-        loci = (fixed_indices(g2), fixed_indices(h2), fixed_indices(g2 + h2))
+        loci = (vector_locus(g2), vector_locus(h2), vector_locus(add(g2, h2, self.L)))
         return (2 * scalar if loci == triple else scalar), socle
 
     monkeypatch.setattr(BAlgebra, "_gamma_data", corrupted)
@@ -1563,28 +1615,31 @@ def test_theorem2_corrupted_gamma_fails_like_the_oracle(monkeypatch):
 
 
 def elementwise_twist_iso(model, flavor, tw_group_override=None):
-    """`verify_twist_iso` one basis element at a time: each mapped by
-    `tw_a_map`, looked up in the twist basis and graded by Fraction
-    bidegrees."""
+    """`verify_twist_iso` one state at a time: each mapped by `tw_a_map`,
+    looked up in the twist basis and graded by Fraction bidegrees.  The
+    states of both spaces are over one common multiple L of their groups'
+    exponents."""
     tw = model.twist()
     group = tw_group_override if tw_group_override is not None else tw.group
-    source = EagerSpace(build_state_space(model.poly, model.sigma_group, flavor))
-    target = EagerSpace(build_state_space(tw.poly, group, flavor))
+    L = math.lcm(model.sigma_group.L, group.L)
+    source = EagerSpace(build_state_space(model.poly, model.sigma_group, flavor), L)
+    target = EagerSpace(build_state_space(tw.poly, group, flavor), L)
     mismatches = []
     images = set()
     for e in source.basis:
-        _, image = tw_a_map(e, model, tw)
+        _, image = tw_a_map(e, model, tw, L)
+        name = state_name(e[0], L, e[1], flavor)
         if image not in target.basis_set:
-            mismatches.append({"element": repr(e), "reason": "image not in twist basis"})
+            mismatches.append({"element": name, "reason": "image not in twist basis"})
             continue
         if image in images:
-            mismatches.append({"element": repr(e), "reason": "image duplicated"})
+            mismatches.append({"element": name, "reason": "image duplicated"})
             continue
         images.add(image)
         if source.bidegree(e) != target.bidegree(image):
             mismatches.append(
                 {
-                    "element": repr(e),
+                    "element": name,
                     "reason": "bidegree changed",
                     "source": [frac_str(x) for x in source.bidegree(e)],
                     "target": [frac_str(x) for x in target.bidegree(image)],
@@ -1674,10 +1729,10 @@ def assert_same_sectors(poly, group, ws):
     keeps, in the same order.  Returns the number of loci."""
     rings: dict = {}
     invariant = Invariants(group)
-    loci = {fixed_indices(g): g for g in group}
-    for fixed, g in sorted(loci.items()):
-        got = build_sector(poly, group, g, "B", ws, rings, invariant)
-        assert [e.monomial for e in got] == walk_and_filter(poly, group, fixed, ws)
+    loci = {vector_locus(v): v for v in group.vectors}
+    for fixed, v in sorted(loci.items()):
+        got = build_sector(poly, group, v, ws, rings, invariant)
+        assert [m for _, m in got] == walk_and_filter(poly, group, fixed, ws)
     return len(loci)
 
 
@@ -1715,8 +1770,9 @@ def block_sums(draw):
         offset += k
     poly = Polynomial(tuple(f"x{i}" for i in range(n)), terms)
     ws = weight_system(poly)
-    extra = draw(st.lists(st.sampled_from(gmax(poly).elements), max_size=2))
-    return poly, ws, span(n, [j_element(ws)] + extra)
+    big = gmax(poly)
+    extra = draw(st.lists(st.sampled_from(big.vectors), max_size=2))
+    return poly, ws, span(n, [j_element(ws)] + [GroupElement._raw(v, big.L) for v in extra])
 
 
 @settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.filter_too_much])

@@ -14,9 +14,9 @@ from lgmirror.milnor import DegenerateSingularity
 from lgmirror.polyring import direct_sum, parse_polynomial, transpose, weight_system
 from lgmirror.statespace import (
     NotAdmissible,
-    SectorElement,
     build_state_space,
     poincare_table,
+    state_name,
     table_to_json,
 )
 from lgmirror.symmetry import (
@@ -40,30 +40,36 @@ J2 = span(4, [j_element(WS2)])
 
 def test_action_weight_examples():
     j = j_element(WS1)
-    e = SectorElement(GroupElement.identity(3), (0, 1, 4), "A")
+    e = ((0, 0, 0), (0, 1, 4))
     assert action_weight(j, e) == 0  # 2*(1/3) + 5*(1/6) + 1*(1/2) = 2
-    assert action_weight(GroupElement.identity(3), e) == 0
-    unit = SectorElement(GroupElement.identity(3), (0, 0, 0), "A")
+    assert action_weight(GroupElement([0] * 3), e) == 0
+    unit = ((0, 0, 0), (0, 0, 0))
     assert action_weight(j, unit) == 0  # age j = 1 for CY
+
+
+def test_state_name_is_the_printed_state():
+    """A state prints as <m; g>flavor, g in lowest terms whatever the
+    denominator of its int vector."""
+    assert state_name((3, 2, 1), 6, (0, 1, 4), "A") == "<(0, 1, 4); 1/2,1/3,1/6>A"
+    assert state_name((6, 0, 6), 12, [0, 0, 0], "B") == "<(0, 0, 0); 1/2,0,1/2>B"
+    assert state_name((0,) * 3, 1, (0, 0, 0), "B") == "<(0, 0, 0); 0,0,0>B"
 
 
 def test_build_sector_identity():
     rings = {}
-    got = build_sector(E1, J1, GroupElement.identity(3), "A", WS1, rings)
-    assert sorted(e.monomial for e in got) == [(0, 0, 0), (0, 1, 4)]
+    got = build_sector(E1, J1, (0, 0, 0), WS1, rings)
+    assert sorted(m for _, m in got) == [(0, 0, 0), (0, 1, 4)]
 
 
 def test_build_sector_narrow():
     rings = {}
-    j = j_element(WS1)
-    got = build_sector(E1, J1, j, "A", WS1, rings)
-    assert len(got) == 1 and got[0].monomial == (0, 0, 0)
+    got = build_sector(E1, J1, (3, 2, 1), WS1, rings)  # j over L = 6
+    assert got == [((3, 2, 1), (0, 0, 0))]
 
 
 def test_build_sector_empty():
     rings = {}
-    g = GroupElement([Fraction(1, 2), 0, Fraction(1, 2)])  # j^3
-    got = build_sector(E1, J1, g, "A", WS1, rings)
+    got = build_sector(E1, J1, (3, 0, 3), WS1, rings)  # j^3 = (1/2, 0, 1/2)
     assert got == []
 
 
@@ -109,18 +115,17 @@ def test_a_b_same_total_dim():
 
 def test_b_bidegree_identity_broad():
     b = EagerSpace(build_state_space(E1, J1, "B"))
-    unit = next(e for e in b.basis if e.sector.is_identity() and e.monomial == (0, 0, 0))
+    unit = ((0, 0, 0), (0, 0, 0))
+    assert unit in b.basis_set
     assert b.bidegree(unit) == (Fraction(0), Fraction(0))
 
 
 def test_b_bidegree_inverse_swap():
     b = EagerSpace(build_state_space(E1, J1, "B"))
     for e in b.basis:
-        inv = next(
-            (f for f in b.basis if f.sector == -e.sector and f.monomial == e.monomial),
-            None,
-        )
-        assert inv is not None
+        (v, m), L = e, b.L
+        inv = (tuple([-a % L for a in v]), m)
+        assert inv in b.basis_set
         p, q = b.bidegree(e)
         assert b.bidegree(inv) == (q, p)
 
@@ -219,7 +224,7 @@ def test_locus_with_a_variable_in_no_monomial_raises():
     g = GroupElement([0, Fraction(1, 3), 0])
     group = span(3, [j_element(ws), g])
     with pytest.raises(DegenerateSingularity):
-        build_sector(poly, group, g, "A", ws, {})
+        build_sector(poly, group, g.num, ws, {})  # over its own order 3
     with pytest.raises(DegenerateSingularity):
         build_state_space(poly, group, "A", ws=ws)
 
@@ -268,25 +273,22 @@ def _allowed_elements(model):
 @pytest.mark.parametrize("verdict", [verify_theorem1, verify_lgcy, verify_bv_mirror])
 def test_cold_verdicts_build_no_sector_elements(monkeypatch, verdict):
     """theorem1, lgcy and bvms on a fresh E1 x OCTIC model count sector
-    classes: no `SectorElement` is built, and the only `GroupElement`s
-    built are generators and grading elements (the BV coset representatives
-    stay int vectors, and the 12,288 elements of the mirror's sigma G are
-    never wrapped)."""
+    classes: no state is named (`state_name`, wherever a module binds it),
+    and the only `GroupElement`s built are generators and grading elements
+    (the BV coset representatives stay int vectors, and the 12,288 members
+    of the mirror's sigma G are never wrapped)."""
     sectors = []
     built = []
-    canonical, neg = GroupElement._canonical, GroupElement.__neg__
+    canonical = GroupElement._canonical
 
     def counting_canonical(self, num, den):
         canonical(self, num, den)
         built.append(self)
 
-    def counting_neg(self):
-        built.append(neg(self))
-        return built[-1]
-
-    monkeypatch.setattr(SectorElement, "__init__", lambda self, *args: sectors.append(args))
+    for name, module in list(sys.modules.items()):
+        if (name == "lgmirror" or name.startswith("lgmirror.")) and hasattr(module, "state_name"):
+            monkeypatch.setattr(module, "state_name", lambda *args: sectors.append(args))
     monkeypatch.setattr(GroupElement, "_canonical", counting_canonical)
-    monkeypatch.setattr(GroupElement, "__neg__", counting_neg)
     model = build_bv(E1, OCTIC, block_j_elements(WS1, WS_OCTIC))
     assert verdict(model).passed
     monkeypatch.undo()

@@ -34,14 +34,6 @@ def test_group_element_canonical():
     assert g.components == (Fraction(1, 2), Fraction(2, 3), 0)
 
 
-def test_group_element_ops():
-    g = GroupElement([Fraction(1, 2), Fraction(1, 3)])
-    assert (g + g).components == (0, Fraction(2, 3))
-    assert (-g).components == (Fraction(1, 2), Fraction(2, 3))
-    assert (g - g).is_identity()
-    assert g.order() == 6
-
-
 def test_parse_group_elements():
     gens = parse_group_elements("1/2,1/3,1/6;0,1/3,1/3", 3)
     assert len(gens) == 2
@@ -65,8 +57,9 @@ def test_gmax_order_is_determinant():
 def test_gmax_membership_definition():
     # every enumerated element satisfies the defining integrality condition
     for poly in (E1, CHAIN):
-        for g in gmax(poly).elements:
-            assert element_in_gmax(poly, g)
+        group = gmax(poly)
+        for v in group.vectors:
+            assert element_in_gmax(poly, GroupElement._raw(v, group.L))
 
 
 def test_gmax_chain_example_element():
@@ -82,7 +75,8 @@ def test_gmax_brute_force_small():
             g = GroupElement([Fraction(a, 12), Fraction(b, 12)])
             if element_in_gmax(CHAIN, g):
                 found.add(g)
-    assert found == set(gmax(CHAIN).elements)
+    group = gmax(CHAIN)
+    assert found == {GroupElement._raw(v, group.L) for v in group.vectors}
 
 
 def test_j_element():
@@ -106,15 +100,15 @@ def test_j_in_gmax():
 def test_age():
     ws = weight_system(E1)
     assert age(j_element(ws)) == 1
-    assert age(GroupElement.identity(3)) == 0
+    assert age(GroupElement([0] * 3)) == 0
     assert age(GroupElement([Fraction(1, 2), Fraction(2, 3), Fraction(5, 6)])) == 2
 
 
 def test_sl_subgroup_index():
     sl = sl_subgroup(gmax(E1))
     assert sl.order == 6
-    assert GroupElement.identity(3) in sl
-    assert all(age(g).denominator == 1 for g in sl)
+    assert GroupElement([0] * 3) in sl
+    assert all(sum(v) % sl.L == 0 for v in sl.vectors)
 
 
 def test_span():
@@ -128,7 +122,7 @@ def test_span():
 
 
 def test_fixed_indices():
-    assert fixed_indices(GroupElement.identity(3)) == (0, 1, 2)
+    assert fixed_indices(GroupElement([0] * 3)) == (0, 1, 2)
     ws = weight_system(E1)
     assert fixed_indices(j_element(ws)) == ()
     assert fixed_indices(GroupElement([Fraction(1, 2), 0, Fraction(1, 2)])) == (1,)
@@ -141,7 +135,7 @@ def test_transpose_group_j_is_sl():
         j_grp = span(poly.nvars, [j_element(ws)])
         dual = transpose_group(j_grp, poly)
         expected = sl_subgroup(gmax(transpose(poly)))
-        assert dual.elements == expected.elements
+        assert (dual.L, dual.vectors) == (expected.L, expected.vectors)
 
 
 def test_transpose_group_gmax_is_trivial():
@@ -156,11 +150,11 @@ def test_transpose_involution_on_random_subgroups():
         ws = weight_system(poly)
         j = j_element(ws)
         for _ in range(8):
-            gens = [j] + rng.sample(big.elements, 2)
+            gens = [j] + [GroupElement._raw(v, big.L) for v in rng.sample(big.vectors, 2)]
             sub = span(poly.nvars, gens)
             dual = transpose_group(sub, poly)
             back = transpose_group(dual, transpose(poly))
-            assert back.elements == sub.elements
+            assert (back.L, back.vectors) == (sub.L, sub.vectors)
 
 
 def test_duality_exchanges_admissibility():
@@ -172,7 +166,7 @@ def test_duality_exchanges_admissibility():
         j = j_element(ws)
         sl_t = sl_subgroup(gmax(transpose(poly)))
         for _ in range(6):
-            gens = rng.sample(big.elements, 2)
+            gens = [GroupElement._raw(v, big.L) for v in rng.sample(big.vectors, 2)]
             sub = span(poly.nvars, gens)
             dual = transpose_group(sub, poly)
             assert (j in sub) == dual.is_subgroup_of(sl_t)
@@ -181,15 +175,17 @@ def test_duality_exchanges_admissibility():
 def test_minimal_generators_respan():
     g = gmax(K3)
     gens = minimal_generators(g)
-    assert span(4, gens).elements == g.elements
+    respanned = span(4, gens)
+    assert (respanned.L, respanned.vectors) == (g.L, g.vectors)
     assert len(gens) <= 5
 
 
 def test_group_from_elements():
     sl = sl_subgroup(gmax(E1))
-    rebuilt = _greedy_group(3, *int_vectors(sl.elements))
-    assert rebuilt.elements == sl.elements
-    assert span(3, rebuilt.gens).elements == sl.elements
+    rebuilt = _greedy_group(3, *int_vectors([GroupElement._raw(v, sl.L) for v in sl.vectors]))
+    assert (rebuilt.L, rebuilt.vectors) == (sl.L, sl.vectors)
+    respanned = span(3, rebuilt.gens)
+    assert (respanned.L, respanned.vectors) == (sl.L, sl.vectors)
 
 
 def test_admissibility_predicates():
@@ -231,17 +227,17 @@ def test_bv_cosets_structure():
     assert sg.L == 6
     assert reps == [(0, 0, 0, 0, 0, 0, 0), (3, 0, 0, 3, 0, 0, 0)]
     m = len(reps) // 2
-    elements = [GroupElement._raw(r, sg.L) for r in reps]
+    shift = [a * (sg.L // sigma.den) for a in sigma.num]
     for r in reps[:m]:
         assert r[0] == 0 and r[3] == 0
-    for a, b in zip(elements[:m], elements[m:]):
-        assert b == sigma + a
+    for a, b in zip(reps[:m], reps[m:]):
+        assert b == tuple((x + y) % sg.L for x, y in zip(shift, a))
     assert 2 * m * j_grp.order == sg.order
 
 
 def count_walks(monkeypatch):
     """Orders of the lattices walked in full (`_walk` without a bound, as
-    `SymmetryGroup.elements` does) from now on."""
+    `SymmetryGroup.vectors` does) from now on."""
     walked = []
     walk = symmetry._walk
 
@@ -260,15 +256,16 @@ def test_cap_is_checked_on_the_order_before_any_walk(monkeypatch):
     walking nothing when they raise."""
     ws = weight_system(K3)
     j_grp = span(4, [j_element(ws)])
-    order = span(4, gmax(K3).gens).order
+    gens = gmax(K3).gens
+    order = span(4, gens).order
     dual_order = transpose_group(j_grp, K3).order
     walked = count_walks(monkeypatch)
-    assert span(4, gmax(K3).gens, cap=order).order == order
-    with pytest.raises(EnumerationCapExceeded, match=f"{order} exceeds cap {order - 1}"):
-        span(4, gmax(K3).gens, cap=order - 1)
     monkeypatch.setenv("LGMIRROR_MAX_GROUP", str(order))
+    assert span(4, gens).order == order
     assert gmax(K3).order == order
     monkeypatch.setenv("LGMIRROR_MAX_GROUP", str(order - 1))
+    with pytest.raises(EnumerationCapExceeded, match=f"{order} exceeds cap {order - 1}"):
+        span(4, gens)
     with pytest.raises(EnumerationCapExceeded, match=f"{order} exceeds cap {order - 1}"):
         gmax(K3)
     assert walked == []
@@ -293,6 +290,6 @@ def test_mirror_walks_no_dual_lattice(monkeypatch):
     mirror = model.mirror()
     assert (mirror.group.order, mirror.sigma_group.order) == (6144, 12288)
     assert walked == []
-    assert len(mirror.sigma_group.elements) == 12288
+    assert len(mirror.sigma_group.vectors) == 12288
     assert walked == [12288]
     assert not hasattr(symmetry, "_close_int")
