@@ -7,8 +7,10 @@ either some monomial in the I-variables has degree d, or there are |I|
 monomials x^M * x_e (M supported on I) with |I| distinct outside variables e.
 For I = {i} it asks for x_i^a or x_i^a * x_e of degree d, so the largest
 weight w0 divides s or s - w_e, where s is the sum of the other three.  The
-enumeration solves for w0 from these (s/1, s/2, s/3, (s - w_e)/1 and
-(s - w_e)/2) instead of scanning it, before the full subset sweep.
+enumeration solves for w0 from these instead of scanning it, keeps only the
+solutions in range (s, s/2, w1 + w2, w1 + w3, w2 + w3, and w1 when w1 = w2),
+and screens the other three weights by the same divisibility on integers
+before the full subset sweep.
 """
 
 from __future__ import annotations
@@ -90,8 +92,12 @@ def enumerate_k3_systems(max_weight: int = 40, with_samples: bool = False):
     The largest weight w0 is solved for, not scanned.  With s = w1 + w2 + w3,
     the screen below needs w0 to divide d = w0 + s or some d - w_e, that is
     s or s - w_e; as 0 < s <= 3 w0 and 0 < s - w_e <= 2 w0, w0 is one of
-    s/k (k = 1, 2, 3) or (s - w_e)/k (k = 1, 2), at most 9 candidates per
-    triple, of which the integers in [w1, max_weight] are screened.
+    s/k (k = 1, 2, 3) or (s - w_e)/k (k = 1, 2).  Of these only s, s/2 and
+    the pair sums w1 + w2, w1 + w3, w2 + w3 can lie in [w1, max_weight]
+    (s/2 and w2 + w3 when w2 + w3 >= w1); s/3 and the halves of pair sums
+    reach w1 only as w1 itself, when w1 = w2.  Each candidate passes its own
+    w0 clause by construction, so the integer screen tests w1, w2 and w3
+    (w_i divides d or some d - w_e) before gcd and the subset sweep.
 
     Raises BoundTooSmall when fewer than 95 systems are found."""
     found = []
@@ -99,30 +105,25 @@ def enumerate_k3_systems(max_weight: int = 40, with_samples: bool = False):
         for w2 in range(w3, max_weight + 1):
             for w1 in range(w2, max_weight + 1):
                 s = w1 + w2 + w3
-                candidates = {s // k for k in (1, 2, 3) if s % k == 0}
-                candidates.update(
-                    (s - w) // k for w in (w1, w2, w3) for k in (1, 2) if (s - w) % k == 0
-                )
+                candidates = {s, w1 + w2, w1 + w3}
+                if w2 + w3 >= w1:
+                    candidates.add(w2 + w3)
+                    if s % 2 == 0:
+                        candidates.add(s // 2)
+                if w1 == w2:
+                    candidates.add(w1)
                 for w0 in candidates:
-                    if not w1 <= w0 <= max_weight:
+                    if w0 > max_weight:
                         continue
                     d = w0 + s
-                    if math.gcd(w0, w1, w2, w3) != 1:
+                    if not (
+                        (d % w1 == 0 or (d - w0) % w1 == 0 or (d - w2) % w1 == 0 or (d - w3) % w1 == 0)
+                        and (d % w2 == 0 or (d - w0) % w2 == 0 or (d - w1) % w2 == 0 or (d - w3) % w2 == 0)
+                        and (d % w3 == 0 or (d - w0) % w3 == 0 or (d - w1) % w3 == 0 or (d - w2) % w3 == 0)
+                    ) or math.gcd(w0, w1, w2, w3) != 1:
                         continue
                     weights = (w0, w1, w2, w3)
-                    # cheap single-variable screen before the full subset sweep
-                    ok = True
-                    for i in range(4):
-                        if d % weights[i] == 0:
-                            continue
-                        if not any(
-                            (d - weights[e]) % weights[i] == 0
-                            for e in range(4)
-                            if e != i
-                        ):
-                            ok = False
-                            break
-                    if not ok or not quasismooth_general(weights, d):
+                    if not quasismooth_general(weights, d):
                         continue
                     bv = any(2 * w == d for w in weights)
                     sample = ""

@@ -170,6 +170,9 @@ def cmd_catalog(args) -> int:
         print(poly)
         return 0
 
+    if args.action == "genericity" and args.count < 0:
+        print(f"usage error: --count must be non-negative, got {args.count}", file=sys.stderr)
+        return USAGE_ERROR
     records = catalog.enumerate_k3_systems(
         max_weight=args.max_weight, with_samples=args.with_samples
     )
@@ -185,8 +188,12 @@ def cmd_catalog(args) -> int:
             )
     if args.action in ("list", "filter"):
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(catalog.csv_text(records))
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(catalog.csv_text(records))
+            except OSError as exc:
+                print(f"input error: {exc}", file=sys.stderr)
+                return USAGE_ERROR
             print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
         elif args.json:
             _print_json([dict(zip(r.__slots__, r.fields())) for r in records])

@@ -98,6 +98,24 @@ def test_known_members(records):
         assert (tuple(sorted(w, reverse=True)), d) in keys
 
 
+def test_screen_leaves_275_systems_for_the_subset_sweep(monkeypatch):
+    """At the default bound the single-variable screen and the gcd test pass
+    exactly 275 quadruples to the full subset sweep, which keeps 95; a weaker
+    screen sweeps more of them."""
+    from lgmirror import catalog
+
+    swept = []
+    sweep = catalog.quasismooth_general
+
+    def counted(weights, degree):
+        swept.append((weights, degree))
+        return sweep(weights, degree)
+
+    monkeypatch.setattr(catalog, "quasismooth_general", counted)
+    assert len(enumerate_k3_systems(40)) == 95
+    assert len(swept) == len(set(swept)) == 275
+
+
 def test_bound_too_small():
     with pytest.raises(BoundTooSmall):
         enumerate_k3_systems(max_weight=10)

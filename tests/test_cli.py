@@ -197,6 +197,17 @@ def test_catalog_out_file(tmp_path):
         assert len(printed.stdout.splitlines()) == 1 + rows
 
 
+@pytest.mark.parametrize("action", ["list", "filter"])
+def test_catalog_unwritable_out_is_an_input_error(tmp_path, capsys, action):
+    path = tmp_path / "missing" / f"{action}.csv"
+    code, out, err = run(capsys, "catalog", action, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("input error:")]
+    assert len(errors) == 1 and str(path) in errors[0]
+    assert not path.parent.exists()
+
+
 def test_catalog_filter_samples_each_half_degree_system_once(monkeypatch, capsys):
     """`catalog filter` searches a sample for each of the 48 half-degree
     systems once, and reports the 4 without one from the same search."""
@@ -223,6 +234,13 @@ def test_catalog_genericity(capsys):
     code, out, err = run(capsys, "--seed", "5", "catalog", "genericity", "--count", "2")
     assert code == 0
     assert out.count("ok") == 2
+
+
+def test_catalog_genericity_negative_count_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "catalog", "genericity", "--count", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: --count must be non-negative, got -1\n"
 
 
 def test_bv_theorem2_without_property1_exits_3(capsys):

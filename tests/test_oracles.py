@@ -2059,7 +2059,8 @@ def _enumerated(enumerator, max_weight):
 
 
 @pytest.mark.parametrize(
-    "max_weight, found", [(10, 55), (20, 87), (30, 94), (32, 94), (33, 95), (40, 95), (45, 95)]
+    "max_weight, found",
+    [(10, 55), (20, 87), (30, 94), (32, 94), (33, 95), (40, 95), (45, 95), (50, 95), (60, 95)],
 )
 def test_enumeration_matches_the_scan(max_weight, found):
     """(33,22,6,5;66) has the largest weight of the 95, so 32 misses it."""
