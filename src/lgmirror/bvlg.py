@@ -19,6 +19,7 @@ from .polyring import (
 )
 from .report import PreconditionError, Report
 from .statespace import (
+    Invariants,
     _degree,
     build_state_space,
     diff_tables,
@@ -60,8 +61,9 @@ class MalformedSector(BVError):
 
 class BVModel:
     """(W1 + W2, sigma*G) with J1 x J2 <= G <= SL(W1) x SL(W2).  `rings` is
-    the subset-keyed Milnor cache of `poly` (see `milnor_ring`); `mirror()`,
-    `twist()` and each flavor's `space()` are built on first call and kept."""
+    the subset-keyed Milnor cache of `poly` (see `milnor_ring`), bucketed by
+    sigma G character in `invariants`; `mirror()`, `twist()` and each
+    flavor's `space()` are built on first call and kept."""
 
     __slots__ = (
         "w1",
@@ -80,6 +82,7 @@ class BVModel:
         "j1",
         "j2",
         "rings",
+        "invariants",
         "_mirror",
         "_twist",
         "_spaces",
@@ -102,6 +105,7 @@ class BVModel:
         self.j1 = j1
         self.j2 = j2
         self.rings = {}
+        self.invariants = Invariants(sigma_group)
         self._mirror = None
         self._twist = None
         self._spaces = {}
@@ -123,7 +127,7 @@ class BVModel:
     def space(self, flavor: str):
         """The state space of (W, sigma G) of `flavor`, swept over `rings`."""
         if flavor not in self._spaces:
-            space = build_state_space(self.poly, self.sigma_group, flavor, ws=self.ws, rings=self.rings)
+            space = build_state_space(self.poly, self.sigma_group, flavor, self.ws, self.rings, self.invariants)
             self._spaces[flavor] = space
         return self._spaces[flavor]
 

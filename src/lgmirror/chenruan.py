@@ -16,10 +16,10 @@ tensor product of those of its connected blocks (Krawitz, arXiv:0906.0796,
 locus is taken in the model's variables, its ring comes from the
 model's cache that its A-model sweep shares (`BVModel.rings`), the
 standard monomials of each block ring are bucketed by character once per
-table (`statespace.Invariants`), the classes of a locus come from
-convolving its blocks' (character, degree) counts (`locus_classes`), and
-the table multiplies the counts of complementary characters.  No locus
-basis is walked, and no group element is built.
+model, in the buckets its sweeps fill (`BVModel.invariants`), the classes
+of a locus come from convolving its blocks' (character, degree) counts
+(`locus_classes`), and the table multiplies the counts of complementary
+characters.  No locus basis is walked, and no group element is built.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .bvlg import BVModel
 from .milnor import milnor_ring
-from .polyring import WeightSystem, restrict
+from .polyring import WeightSystem
 from .report import Report
 from .statespace import Invariants, build_state_space, diff_tables, poincare_table
 from .symmetry import bv_cosets, span, vector_locus
@@ -64,7 +64,8 @@ def locus_classes(model: BVModel, locus, invariant: Invariants) -> dict:
     if not locus:
         return {}
     zero = (0,) * len(invariant.gen_vecs)
-    if restrict(model.poly, locus).is_zero():
+    outside = ~sum([1 << i for i in locus])
+    if all(s & outside for s in model.poly.supports):
         # the polynomial vanishes on the fixed locus: ambient cohomology
         # of the weighted projective space of dimension |locus| - 1
         return {zero: _ambient(len(locus) - 1)}
@@ -131,12 +132,12 @@ class CRTable:
 
 def cr_table(model: BVModel) -> CRTable:
     """Bigraded Chen-Ruan table of the model's orbifold; the Milnor rings
-    of its loci are kept in `model.rings`."""
+    of its loci are kept in `model.rings`, their buckets in `model.invariants`."""
     n1 = model.n1
     j_group = span(model.poly.nvars, [model.j1, model.j2])
     L = model.sigma_group.L
     representatives = bv_cosets(model.sigma_group, j_group, model.slots, model.sigma)
-    invariant = Invariants(model.sigma_group)
+    invariant = model.invariants
     ws1, ws2 = model.ws1, model.ws2
     loci: dict = {}
 

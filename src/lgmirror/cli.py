@@ -72,6 +72,9 @@ def cmd_analyze(args) -> int:
 def cmd_state_space(args) -> int:
     poly = parse_polynomial(args.w)
     gens = parse_group_elements(args.gens, poly.nvars) if args.gens else []
+    for g in gens:
+        if not symmetry.element_in_gmax(poly, g):
+            raise symmetry.GroupError(f"generator {g} is not a symmetry of {poly}")
     group = symmetry.span(poly.nvars, gens)
     space = statespace.build_state_space(poly, group, args.flavor)
     data = statespace.table_to_json(statespace.poincare_table(space), args.flavor)

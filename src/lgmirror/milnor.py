@@ -10,9 +10,11 @@ the tensor product of the rings of its blocks.  `milnor_ring` builds one
 Groebner basis per block, keeps block and locus rings in the caller's
 subset-keyed cache, and assembles the ring of the sum from them: the union
 of the block bases is the reduced basis of the sum, mu is the product and
-the socle the sum of the block socles.  The standard monomials of an
-assembled ring are walked only when `basis` is read, and the union of its
-blocks' bases is sorted only when a normal form or the walk reads it.
+the socle the sum of the block socles.  Blocks are read off the term
+supports of W, which is restricted only to build a block ring.  The
+standard monomials of an assembled ring are walked only when `basis` is
+read, and the union of its blocks' bases is sorted only when a normal form
+or the walk reads it.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ class MilnorRing:
     """
 
     __slots__ = (
-        "poly",
+        "_poly",
         "active",
         "weights",
         "order",
@@ -202,8 +204,8 @@ class MilnorRing:
     def __init__(self, poly: Polynomial, active, weights, order, basis_entries, parts=()):
         """`parts` are the rings of the connected blocks when there are two
         or more; their reduced bases make up `basis_entries`, which is then
-        None here."""
-        self.poly = poly
+        None here, as is `poly`, W restricted to `active`."""
+        self._poly = poly
         self.active = tuple(sorted(active))
         self.weights = tuple(weights)
         self.order = order
@@ -219,6 +221,14 @@ class MilnorRing:
             self._basis = self._standard_basis()
             self.mu = len(self._basis)
             self.socle = self._socle()
+
+    @property
+    def poly(self) -> Polynomial:
+        """W restricted to the active variables, which an assembled ring
+        sums from its blocks' on first read."""
+        if self._poly is None:
+            self._poly = sum([part.poly for part in self.parts[1:]], self.parts[0].poly)
+        return self._poly
 
     @property
     def basis_entries(self):
@@ -245,7 +255,7 @@ class MilnorRing:
         on the later variables; the last variable's whole range is emitted
         at once, with the weighted degree carried along.
         """
-        n = self.poly.nvars
+        n = len(self.weights)
         active = self.active
         if not active:
             return (tuple([0] * n),)
@@ -352,38 +362,30 @@ def milnor_ring(
     polynomial (a model's is `BVModel.rings`), read and written here only:
     the ring of `active` is served from it when its weights match, and
     otherwise built and kept there, with two or more connected blocks
-    assembled from block rings looked up in and added to the same cache.
+    assembled from block rings looked up in and added to the same cache,
+    in the term order of its first ring when their weights agree.
     """
-    n = poly.nvars
-    if active is None:
-        active = tuple(range(n))
-    active = tuple(sorted(active))
-    if ws is not None:
-        weights = tuple(ws.weights)
-        restricted = None  # a cache hit needs no restriction
-    else:
-        restricted = restrict(poly, active)
-        weights = _grading_weights(restricted, active)
+    active = tuple(sorted(range(poly.nvars) if active is None else active))
+    weights = tuple(ws.weights) if ws is not None else _grading_weights(restrict(poly, active), active)
     if rings is None:
         rings = {}
     ring = rings.get(active)
     if ring is not None and ring.weights == weights:
         return ring
-    if restricted is None:
-        restricted = restrict(poly, active)
-    order = TermOrder(weights)
-    blocks = components(restricted, active)
+    first = next(iter(rings.values()), None)
+    order = first.order if first is not None and first.weights == weights else TermOrder(weights)
+    blocks = components(poly, active)
     if len(blocks) < 2:
-        ring = _block_ring(restricted, active, weights, order)
+        ring = _block_ring(poly, active, weights, order)
     else:
         parts = []
         for block in blocks:
             part = rings.get(block)
             if part is None or part.weights != weights:
-                part = _block_ring(restricted, block, weights, order)
+                part = _block_ring(poly, block, weights, order)
                 rings.setdefault(block, part)
             parts.append(part)
-        ring = MilnorRing(restricted, active, weights, order, None, parts)
+        ring = MilnorRing(None, active, weights, order, None, parts)
     rings.setdefault(active, ring)
     return ring
 
@@ -400,16 +402,16 @@ def _block_ring(poly: Polynomial, block, weights, order: TermOrder) -> MilnorRin
 
 def components(poly: Polynomial, active):
     """Connected blocks of the active variables, two variables joined when
-    they share a monomial of `poly` restricted to them; sorted tuples."""
-    block = {i: (i,) for i in active}
-    for m in poly.terms:
-        used = [i for i, e in enumerate(m) if e]
-        if not all(i in block for i in used):
-            continue
-        merged = tuple(sorted({j for i in used for j in block[i]}))
-        for j in merged:
-            block[j] = merged
-    return sorted(set(block.values()))
+    they share a monomial of `poly` restricted to them (read off its
+    `supports`); sorted tuples."""
+    outside = ~sum([1 << i for i in active])
+    blocks = [1 << i for i in active]
+    for s in poly.supports:
+        if not s & outside:
+            joined = [b for b in blocks if b & s]
+            if len(joined) > 1:
+                blocks = [b for b in blocks if not b & s] + [sum(joined)]
+    return sorted(tuple([i for i in active if b >> i & 1]) for b in blocks)
 
 
 def _grading_weights(poly: Polynomial, active):
@@ -438,9 +440,7 @@ def hessian(poly: Polynomial, active=None) -> Polynomial:
     column masks inside each block).  Empty variable set gives 1.
     """
     n = poly.nvars
-    if active is None:
-        active = tuple(range(n))
-    active = tuple(sorted(active))
+    active = tuple(sorted(range(n) if active is None else active))
     result = Polynomial(poly.variables, {tuple([0] * n): Fraction(1)})
     for comp in components(poly, active):
         rows = [[poly.diff(i).diff(j) for j in comp] for i in comp]

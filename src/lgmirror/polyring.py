@@ -88,7 +88,7 @@ def _mono_sort_key(m: Monomial):
 class Polynomial:
     """Immutable sparse polynomial over Q with an ordered variable list."""
 
-    __slots__ = ("variables", "terms", "_hash")
+    __slots__ = ("variables", "terms", "_hash", "_supports")
 
     def __init__(self, variables, terms):
         self.variables = tuple(variables)
@@ -105,6 +105,7 @@ class Polynomial:
                 clean[mono] = clean.get(mono, Fraction(0)) + coeff
         self.terms = {m: c for m, c in clean.items() if c != 0}
         self._hash = None
+        self._supports = None
 
     @classmethod
     def zero(cls, variables):
@@ -118,6 +119,7 @@ class Polynomial:
         p.variables = variables
         p.terms = terms
         p._hash = None
+        p._supports = None
         return p
 
     @property
@@ -135,6 +137,13 @@ class Polynomial:
                 if e:
                     used.add(i)
         return used
+
+    @property
+    def supports(self) -> tuple:
+        """The variable sets of the monomials as bitmasks, bit i for x_i."""
+        if self._supports is None:
+            self._supports = tuple({sum([1 << i for i, e in enumerate(m) if e]) for m in self.terms})
+        return self._supports
 
     def monomials(self):
         return sorted(self.terms, key=_mono_sort_key, reverse=True)

@@ -99,18 +99,19 @@ def _degree(m, locus, weights) -> int:
 
 
 class Invariants:
-    """One sweep's invariant standard monomials, fixed locus by fixed locus.
+    """Invariant standard monomials under a group, fixed locus by locus.
 
     The character of a monomial m of a block ring under a generator h of
     the group is sum over the block of (m_j + 1) h_j mod L, one entry per
     generator.  The standard monomials of a locus ring are the products of
     those of its block rings, and m * omega_g is invariant exactly when the
     characters of its factors sum to 0.  So each block ring's monomials are
-    bucketed by character once per sweep, the blocks of a locus are split
-    into two halves of balanced size, each half is multiplied out by
-    bucket, and the halves are joined on characters that sum to 0.  Loci
-    share blocks, so a half is multiplied out once per sweep for each tuple
-    of blocks.  No locus basis is walked."""
+    bucketed by character once, the blocks of a locus are split into two
+    halves of balanced size, each half is multiplied out by bucket, and the
+    halves are joined on characters that sum to 0.  Loci share blocks, so a
+    half is multiplied out once per sweep for each tuple of blocks.  Both
+    are keyed by the block rings themselves, so no other polynomial's rings
+    hit them; buckets outlive a sweep, halves do not."""
 
     __slots__ = ("L", "gen_vecs", "by_block", "halves")
 
@@ -127,7 +128,7 @@ class Invariants:
             k = sizes[1] < sizes[0]
             halves[k].append(part)
             sizes[k] *= part.mu
-        zero = (0,) * ring.poly.nvars
+        zero = (0,) * len(ring.weights)
         left, right = (self._half(h, zero) for h in halves)
         L = self.L
         out = []
@@ -139,8 +140,8 @@ class Invariants:
         return [m for _, m in out]
 
     def _half(self, parts, zero) -> dict:
-        """`_product` of `parts`, remembered under the tuple of their blocks."""
-        key = tuple([part.active for part in parts])
+        """`_product` of `parts`, remembered under the tuple of the rings."""
+        key = tuple(parts)
         if key not in self.halves:
             self.halves[key] = self._product(parts, zero)
         return self.halves[key]
@@ -164,11 +165,11 @@ class Invariants:
 
     def buckets(self, part) -> dict:
         """{character: [(wdeg, m)]} over the standard monomials of a block
-        ring, kept per block."""
-        got = self.by_block.get(part.active)
+        ring, kept per ring."""
+        got = self.by_block.get(part)
         if got is None:
             L, block, w = self.L, part.active, part.weights
-            got = self.by_block[block] = {}
+            got = self.by_block[part] = {}
             for m in part.basis:
                 ch = tuple(
                     [sum([(m[j] + 1) * hv[j] for j in block]) % L for hv in self.gen_vecs]
@@ -191,11 +192,12 @@ def build_state_space(
     flavor: str,
     ws: WeightSystem | None = None,
     rings: dict | None = None,
+    invariant: Invariants | None = None,
 ) -> StateSpace:
     """Sweep all sectors of (W, G) by class, counted on the group's lattice
     without listing its elements, each locus once, its ring and those of its
-    blocks kept in the subset-keyed `rings`; raises NotAdmissible on a
-    flavor mismatch."""
+    blocks kept in the subset-keyed `rings` and bucketed in `invariant` (of
+    `group`; fresh by default); raises NotAdmissible on a flavor mismatch."""
     if flavor not in ("A", "B"):
         raise ValueError(f"unknown flavor {flavor!r}")
     if ws is None:
@@ -209,10 +211,11 @@ def build_state_space(
     if rings is None:
         rings = {}
     classes = sector_classes(group)
-    invariant = Invariants(group)
+    invariant = invariant or Invariants(group)
     kept: dict = {}
     for locus in dict.fromkeys(locus for locus, _ in classes):
         kept[locus] = invariant.kept(milnor_ring(poly, locus, ws, rings))
+    invariant.halves.clear()
     return StateSpace(poly, ws, group, flavor, rings, classes, kept)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import lgmirror.bvlg as bvlg
 import lgmirror.cli as cli
+import lgmirror.statespace as statespace
 from lgmirror.bvlg import (
     BadForm,
     GroupOutOfRange,
@@ -407,6 +408,42 @@ def test_theorem1_and_lgcy_share_one_a_space(monkeypatch, block_ring_calls, curv
     assert a_side and built == a_side + b_side
     assert verify_twist_iso(m, "A").passed
     assert [(space.poly, space.flavor) for space in spaces[2:]] == [(m.twist().poly, "A")]
+
+
+@pytest.mark.parametrize("curve, k3", [(E1, K3), (E2, CHAIN_K3)])
+def test_sweeps_restrict_no_assembled_locus_and_bucket_each_block_once(monkeypatch, curve, k3):
+    """After Theorem 1 and LG/CY on one model, no ring assembled from two or
+    more blocks, in the cache of either Theorem 1 sweep, has built its
+    restricted polynomial, and the Chen-Ruan table buckets by character no
+    block ring that the A sweep bucketed (both read `BVModel.invariants`)."""
+    spaces = []
+
+    def recording(*args, **kwargs):
+        spaces.append(build_state_space(*args, **kwargs))
+        return spaces[-1]
+
+    read = []  # (Invariants, block ring, bucketed afresh) for every lookup
+    buckets = statespace.Invariants.buckets
+
+    def recording_buckets(self, part):
+        read.append((self, part, part not in self.by_block))
+        return buckets(self, part)
+
+    monkeypatch.setattr(bvlg, "build_state_space", recording)
+    monkeypatch.setattr(statespace.Invariants, "buckets", recording_buckets)
+    m = model(curve, k3)
+    assert verify_theorem1(m).passed
+    by_a_sweep = {id(part) for inv, part, fresh in read if fresh and inv is m.invariants}
+    assert by_a_sweep
+    read.clear()
+    assert verify_lgcy(m).passed
+    assert by_a_sweep & {id(part) for _, part, _ in read}  # the table reads them
+    assert not by_a_sweep & {id(part) for _, part, fresh in read if fresh}
+    assert [space.flavor for space in spaces] == ["A", "B"]
+    for rings in (spaces[0].rings, spaces[1].rings, m.rings):
+        assembled = [ring for ring in rings.values() if ring.parts]
+        assert assembled
+        assert all(ring._poly is None for ring in assembled)
 
 
 BV_VERBS = [

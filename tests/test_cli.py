@@ -69,14 +69,23 @@ def test_state_space_inadmissible(capsys):
 
 
 def test_state_space_degenerate_locus_exits_3(capsys):
-    # (0, 1/3, 0) fixes x0 and x2, and x0 is in no monomial of W there
+    # (0, 1/3, 0) is no symmetry of W (it would fix x0 and x2, with x0 in no
+    # monomial of W there), and the command names it before any sweep
     code, out, err = run(
         capsys, "state-space", "A", "--w", "x0^2*x1+x1^3+x2^2",
         "--gens", "1/3,1/3,1/2;0,1/3,0", "--json",
     )
     assert code == 3
     assert out == ""
-    assert "precondition violated" in err
+    assert "precondition violated: generator 0,1/3,0 is not a symmetry of" in err
+
+
+def test_state_space_rejects_a_generator_outside_gmax(capsys):
+    """(1/2, 1/2) scales x0^3 by -1: exit 3, naming it, and no table."""
+    code, out, err = run(capsys, "state-space", "A", "--w", "x0^3+x1^3", "--gens", "1/3,1/3;1/2,1/2")
+    assert code == 3
+    assert out == ""
+    assert "generator 1/2,1/2 is not a symmetry of x0^3 + x1^3" in err
 
 
 def test_bv_theorem1_pass(capsys):

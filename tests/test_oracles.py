@@ -31,7 +31,11 @@ when some nonempty locus splits a block).
 from one Groebner basis per block.  Its oracle is the one-shot ring: one
 Buchberger run on the whole locus and its staircase walked at once.  Bases,
 the lazily walked standard monomials, mu, socle, Hessian and normal forms
-must agree.  `Invariants` joins the character buckets of the block rings;
+must agree.  It reads the blocks of a locus off the term supports of W and
+restricts W only to build a block ring; its oracle is the dispatch it
+replaced, restrict then split the restricted monomials
+(`restricted_dispatch`), with the same blocks, block rings and `poly`.
+`Invariants` joins the character buckets of the block rings;
 its oracle walks the one-shot basis of the locus and tests every monomial on
 the generators.  The kept monomials must agree, in order.
 
@@ -85,10 +89,15 @@ its screen asks of it; its oracle is the scan of every sorted quadruple up
 to the bound (`oracle_enumerate_k3_systems`).  `weight_system` eliminates on
 int rows; its oracle is the same Gauss-Jordan elimination on Fraction rows
 (`oracle_weight_system`).  Records, weight systems, and exception classes
-and messages must agree.
+and messages must agree.  The blind scan calls the package's subset
+criterion `quasismooth_general`, so that criterion has an oracle of its own
+with no criterion code: the Milnor ring of a member with every monomial of
+the degree (`dense_member`), finite exactly when the general member is
+quasismooth, on a seeded stride of the swept quadruples.
 """
 
 import math
+import random
 import re
 import warnings
 from collections import Counter
@@ -107,6 +116,7 @@ from lgmirror.bvlg import (
     verify_theorem1,
     verify_twist_iso,
 )
+import lgmirror.catalog as catalog
 import lgmirror.chenruan as chenruan
 import lgmirror.statespace as statespace
 from lgmirror.catalog import (
@@ -116,6 +126,7 @@ from lgmirror.catalog import (
     enumerate_k3_systems,
     filter_bv_invertible,
     quasismooth_general,
+    representable,
     sample_polynomial,
 )
 from lgmirror.frobenius import (
@@ -1802,6 +1813,87 @@ def test_assembled_rings_match_one_shot_rings(model, rng):
                 assert got.normal_form(p) == want.normal_form(p)
 
 
+def restricted_dispatch(poly, active, ws):
+    """The locus dispatch `milnor_ring` replaced: W restricted to the locus,
+    its blocks by union-find on the restricted monomials, and the one-shot
+    ring of each block.  Returns (W | locus, block rings) or raises
+    DegenerateSingularity."""
+    restricted = restrict(poly, active)
+    block = {i: (i,) for i in active}
+    for m in restricted.terms:
+        merged = tuple(sorted({j for i, e in enumerate(m) if e for j in block[i]}))
+        for j in merged:
+            block[j] = merged
+    blocks = sorted(set(block.values())) or [()]  # the empty locus is one block
+    return restricted, [one_shot_ring(restricted, b, ws) for b in blocks]
+
+
+def assert_same_dispatch(poly, ws):
+    """Every subset of the variables, largest first and then smallest first
+    over one cache (so block rings are built both inside an assembly and as
+    loci of their own): the ring `milnor_ring` serves has the blocks, block
+    bases, mu and socle of `restricted_dispatch`, and its `poly`, read last,
+    is W restricted to the locus; or both raise DegenerateSingularity."""
+    n = poly.nvars
+    subsets = [active for size in range(n + 1) for active in combinations(range(n), size)]
+    rings: dict = {}
+    for active in subsets[::-1] + subsets:
+        try:
+            restricted, want = restricted_dispatch(poly, active, ws)
+        except DegenerateSingularity:
+            with pytest.raises(DegenerateSingularity):
+                milnor_ring(poly, active, ws, rings)
+            continue
+        got = milnor_ring(poly, active, ws, rings)
+        parts = got.parts or (got,)
+        assert [(p.active, p.basis_entries, p.mu, p.socle) for p in parts] == [
+            (r.active, r.basis_entries, r.mu, r.socle) for r in want
+        ]
+        socle = tuple(map(sum, zip(*(r.socle for r in want))))
+        assert (got.mu, got.socle) == (math.prod(r.mu for r in want), socle)
+        assert [p.poly for p in parts] == [restrict(restricted, r.active) for r in want]
+        assert got.poly == restricted
+
+
+# terms that cross the boundary of some locus: x0^2*x1 with x1 not fixed, a
+# three-variable term that would join x0 and x1 through x2, and x0 in no
+# monomial of the locus {x0, x2}
+CROSSING = ["x0^2*x1+x1^3+x2^2", "x0^3+x1^3+x2^3+x0*x1*x2", "x0^2*x1+x1^2*x2+x2^3+x3^2*x0+x3*x1*x2"]
+
+
+@settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.filter_too_much])
+@given(block_sums())
+def test_dispatch_matches_restrict_then_components(model):
+    poly, ws, _ = model
+    assert_same_dispatch(poly, ws)
+
+
+@pytest.mark.parametrize("text", CROSSING)
+def test_dispatch_matches_restrict_then_components_across_locus_boundaries(text):
+    poly = parse_polynomial(text)
+    assert_same_dispatch(poly, weight_system(poly))
+
+
+def test_dispatch_oracle_rejects_blocks_joined_outside_the_locus(monkeypatch):
+    """Negative control: a partition that joins the fixed variables of a
+    monomial even when it has a variable outside the locus (x0*x1*x2 joins
+    x0 and x1 on the locus {x0, x1}) fails the oracle."""
+    import lgmirror.milnor as milnor
+
+    def leaky(poly, active):
+        block = {i: (i,) for i in active}
+        for m in poly.terms:
+            merged = tuple(sorted({j for i, e in enumerate(m) if e and i in block for j in block[i]}))
+            for j in merged:
+                block[j] = merged
+        return sorted(set(block.values()))
+
+    monkeypatch.setattr(milnor, "components", leaky)
+    poly = parse_polynomial(CROSSING[1])
+    with pytest.raises(AssertionError):
+        assert_same_dispatch(poly, weight_system(poly))
+
+
 @settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.filter_too_much])
 @given(block_sums())
 def test_character_join_matches_walk_and_filter(model):
@@ -2070,6 +2162,91 @@ def test_enumeration_matches_the_scan(max_weight, found):
         assert len(got) == 95
     else:
         assert got == f"found {found} systems with max weight {max_weight}; raise the bound"
+
+
+def k3_swept_quadruples() -> list:
+    """The (weights, degree) that `enumerate_k3_systems()` hands to the
+    subset sweep `quasismooth_general`, in its order."""
+    swept = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catalog, "quasismooth_general", lambda w, d: swept.append((w, d)) or quasismooth_general(w, d))
+        enumerate_k3_systems()
+    return swept
+
+
+def dense_member(weights, degree: int, rng) -> Polynomial:
+    """Every monomial of weighted degree `degree`, with integer coefficients
+    in 1..9 drawn from `rng`: a general member of the family."""
+    exponents = [
+        e for e in product(*(range(degree // w + 1) for w in weights))
+        if sum(a * w for a, w in zip(e, weights)) == degree
+    ]
+    return Polynomial(("x0", "x1", "x2", "x3"), {e: rng.randint(1, 9) for e in exponents})
+
+
+DENSE_STRIDE = 12
+
+
+@pytest.fixture(scope="module")
+def dense_milnor_numbers():
+    """{(weights, degree): mu or None} over a seeded stride of the swept
+    quadruples: mu of the dense member's Milnor ring, None when it is
+    infinite dimensional (DegenerateSingularity).  The Fermat quartic
+    (1,1,1,1;4), the one system with equal weights, is excluded by rule:
+    its dense member has 35 terms and takes seconds of Buchberger."""
+    swept = k3_swept_quadruples()
+    assert len(swept) == 275
+    rng = random.Random(0)
+    chosen = [(w, d) for w, d in swept[rng.randrange(DENSE_STRIDE) :: DENSE_STRIDE] if len(set(w)) > 1]
+    out = {}
+    for weights, degree in chosen:
+        try:
+            out[weights, degree] = milnor_ring(dense_member(weights, degree, rng), ws=WeightSystem(weights, degree)).mu
+        except DegenerateSingularity:
+            out[weights, degree] = None
+    return out
+
+
+def dense_disagreements(criterion, dense) -> list:
+    """The systems where `criterion` and the dense member disagree: the
+    criterion holds exactly when the dense member's Milnor ring is finite,
+    and then mu = prod(d / w_i - 1)."""
+    return [
+        (weights, degree, mu)
+        for (weights, degree), mu in dense.items()
+        if criterion(weights, degree) != (mu is not None)
+        or (mu is not None and mu != math.prod(Fraction(degree, w) - 1 for w in weights))
+    ]
+
+
+def test_quasismooth_criterion_matches_dense_members(dense_milnor_numbers):
+    """The subset criterion against its definition, with no criterion code
+    on the oracle's side: the general member is quasismooth exactly when
+    its Milnor ring is finite.  The stride holds systems of both kinds."""
+    assert len(dense_milnor_numbers) >= 20
+    assert None in dense_milnor_numbers.values()
+    assert any(mu is not None for mu in dense_milnor_numbers.values())
+    assert dense_disagreements(quasismooth_general, dense_milnor_numbers) == []
+
+
+def test_dense_oracle_rejects_a_criterion_without_its_count_clause(dense_milnor_numbers):
+    """Negative control: with the count clause dropped (one outside
+    variable e with d - w_e representable on I is taken to suffice for any
+    I), the criterion calls (k, k, k, 1; 3k + 1) quasismooth, where the
+    dense member's Milnor ring is infinite dimensional."""
+
+    def without_count(weights, degree):
+        n = len(weights)
+        for size in range(1, n + 1):
+            for subset in combinations(range(n), size):
+                wsub = [weights[i] for i in subset]
+                if not representable(degree, wsub) and not any(
+                    representable(degree - weights[e], wsub) for e in range(n) if e not in subset
+                ):
+                    return False
+        return True
+
+    assert dense_disagreements(without_count, dense_milnor_numbers)
 
 
 def oracle_weight_system(poly: Polynomial) -> WeightSystem:

@@ -10,9 +10,10 @@ import lgmirror.frobenius as frobenius
 import lgmirror.milnor as milnor
 from lgmirror.bvlg import block_j_elements, build_bv, verify_theorem1
 from lgmirror.chenruan import verify_bv_mirror, verify_lgcy
-from lgmirror.milnor import DegenerateSingularity
-from lgmirror.polyring import direct_sum, parse_polynomial, transpose, weight_system
+from lgmirror.milnor import DegenerateSingularity, milnor_ring
+from lgmirror.polyring import WeightSystem, direct_sum, parse_polynomial, transpose, weight_system
 from lgmirror.statespace import (
+    Invariants,
     NotAdmissible,
     build_state_space,
     poincare_table,
@@ -227,6 +228,25 @@ def test_locus_with_a_variable_in_no_monomial_raises():
         build_sector(poly, group, g.num, ws, {})  # over its own order 3
     with pytest.raises(DegenerateSingularity):
         build_state_space(poly, group, "A", ws=ws)
+
+
+def test_one_invariants_keeps_the_buckets_of_each_ring_apart():
+    """One `Invariants` read with rings of the block (x0,) from two
+    polynomials and in two weight systems: each ring gets the buckets and
+    kept monomials a fresh `Invariants` gives it, not those of an earlier
+    ring of the same block."""
+    group = span(2, [GroupElement([Fraction(1, 2), Fraction(1, 2)])])
+    cubic = parse_polynomial("x0^3+x1^3")
+    rings = [
+        milnor_ring(cubic, (0,)),
+        milnor_ring(parse_polynomial("x0^5+x1^5"), (0,)),
+        milnor_ring(cubic, (0,), WeightSystem((2, 1), 6)),
+    ]
+    invariant = Invariants(group)
+    for ring in rings:
+        assert invariant.buckets(ring) == Invariants(group).buckets(ring)
+        assert invariant.kept(ring) == Invariants(group).kept(ring)
+    assert len({str(invariant.buckets(ring)) for ring in rings}) == 3
 
 
 def test_theorem1_walks_no_assembled_locus_basis(monkeypatch):
