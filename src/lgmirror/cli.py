@@ -173,9 +173,6 @@ def cmd_catalog(args) -> int:
         print(poly)
         return 0
 
-    if args.action == "genericity" and args.count < 0:
-        print(f"usage error: --count must be non-negative, got {args.count}", file=sys.stderr)
-        return USAGE_ERROR
     records = catalog.enumerate_k3_systems(
         max_weight=args.max_weight, with_samples=args.with_samples
     )
@@ -189,42 +186,19 @@ def cmd_catalog(args) -> int:
                 + "; ".join(f"{r.weights};{r.degree}" for r in gap),
                 file=sys.stderr,
             )
-    if args.action in ("list", "filter"):
-        if args.out:
-            try:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(catalog.csv_text(records))
-            except OSError as exc:
-                print(f"input error: {exc}", file=sys.stderr)
-                return USAGE_ERROR
-            print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
-        elif args.json:
-            _print_json([dict(zip(r.__slots__, r.fields())) for r in records])
-        else:
-            sys.stdout.write(catalog.csv_text(records))
-        return 0
-    if args.action == "genericity":
-        import random
-
-        rng = random.Random(args.seed)
-        pool = catalog.filter_bv_invertible(records)
-        small = [r for r in pool if r.degree <= 14]
-        picks = rng.sample(small, min(args.count, len(small)))
-        failures = 0
-        for r in picks:
-            rec = catalog.WeightSystemRecord(
-                r.weights,
-                r.degree,
-                r.quasismooth,
-                r.bv_admissible,
-                str(catalog.sample_polynomial(r.weight_system)),
-            )
-            ok = catalog.genericity_spot_check(rec, seed=args.seed)
-            print(f"{r.weights};{r.degree}: {'ok' if ok else 'DEGENERATE'}")
-            failures += 0 if ok else 1
-        return 1 if failures else 0
-    print(f"unknown catalog action {args.action}", file=sys.stderr)
-    return USAGE_ERROR
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(catalog.csv_text(records))
+        except OSError as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+        print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
+    elif args.json:
+        _print_json([dict(zip(r.__slots__, r.fields())) for r in records])
+    else:
+        sys.stdout.write(catalog.csv_text(records))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
             "symmetry groups can be overridden with LGMIRROR_MAX_GROUP."
         ),
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analyze", help="weights, symmetry orders, CY flag, atomic blocks")
@@ -282,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bv.set_defaults(func=cmd_bv)
 
     p_cat = sub.add_parser("catalog", help="K3 weight-system catalog")
-    p_cat.add_argument("action", choices=["list", "filter", "sample", "genericity"])
+    p_cat.add_argument("action", choices=["list", "filter", "sample"])
     p_cat.add_argument("weights", nargs="?", default="", help="for sample: w0,w1,w2,w3,d")
     p_cat.add_argument("--max-weight", type=int, default=40)
     p_cat.add_argument(
@@ -291,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="filter: keep all 48 systems with d = 2 w_i instead of the 44 with invertible samples",
     )
     p_cat.add_argument("--with-samples", action="store_true")
-    p_cat.add_argument("--count", type=int, default=3, help="genericity: sample size")
     p_cat.add_argument("--out", default="", help="write CSV here instead of stdout")
     p_cat.add_argument("--json", action="store_true")
     p_cat.set_defaults(func=cmd_catalog)

@@ -452,28 +452,22 @@ def _int_det(matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def square_matrix_det(poly: Polynomial):
-    """Determinant of the exponent matrix, or None when it is not square."""
-    rows = exponent_matrix(poly)
-    if len(rows) != poly.nvars:
-        return None
-    return _int_det(rows)
-
-
 def is_invertible(poly: Polynomial) -> bool:
-    """Square exponent matrix, nonzero determinant, and finite Milnor number."""
-    try:
-        ws = weight_system(poly)
-    except PolyError:
-        return False
-    det = square_matrix_det(poly)
-    if det is None or det == 0:
-        return False
-    from . import milnor
+    """Invertible in the sense of the BHK mirror: the weights solve and the
+    polynomial is a Thom-Sebastiani sum of Fermat, chain and loop blocks
+    (`atomic_decomposition`).  The blocks make the exponent matrix square,
+    and unique weights give it rank n, so its determinant is nonzero.
 
+    By Kreuzer-Skarke ("On the classification of quasihomogeneous
+    functions", CMP 150, 1992) a quasihomogeneous polynomial with n
+    monomials in n variables and no mass term x_i*x_j (i != j) is
+    nondegenerate exactly when it is such a sum, so no Milnor ring is
+    built.  A nondegenerate polynomial with a mass term that is not such a
+    sum reads False, as `transpose` rejects it."""
     try:
-        milnor.milnor_ring(poly, ws=ws)
-    except milnor.DegenerateSingularity:
+        weight_system(poly)
+        atomic_decomposition(poly)
+    except PolyError:
         return False
     return True
 

@@ -7,9 +7,7 @@ from lgmirror.catalog import (
     enumerate_k3_systems,
     filter_bv,
     filter_bv_invertible,
-    genericity_spot_check,
     quasismooth_general,
-    representable,
     sample_polynomial,
 )
 from lgmirror.polyring import (
@@ -58,13 +56,6 @@ def test_elliptic_systems():
         assert 2 * r.weights[0] == r.degree
         p = parse_polynomial(r.sample_poly)
         assert weight_system(p) == r.weight_system
-
-
-def test_representable():
-    assert representable(6, (3, 2))
-    assert representable(0, (3,))
-    assert not representable(5, (3,))
-    assert not representable(7, (2, 4))
 
 
 def test_quasismooth_examples():
@@ -179,15 +170,33 @@ def test_sample_chain_emitted_when_fermat_impossible():
     assert is_invertible(poly)
 
 
-def test_genericity_spot_check(records):
-    import random
+def test_census_setup_builds_no_groebner_basis(monkeypatch):
+    """Invertibility is decided by the Kreuzer-Skarke classification, so
+    the census set-up (the invertible filter and one sample per kept
+    system) runs no Buchberger."""
+    from lgmirror import milnor
 
-    rng = random.Random(2024)
-    small = [r for r in filter_bv_invertible(records) if r.degree <= 12]
-    picks = rng.sample(small, 3)
-    for r in picks:
-        rec = type(r)(
-            r.weights, r.degree, r.quasismooth, r.bv_admissible,
-            str(sample_polynomial(r.weight_system)),
-        )
-        assert genericity_spot_check(rec, seed=7)
+    calls = []
+    groebner = milnor.groebner
+    monkeypatch.setattr(milnor, "groebner", lambda *a: calls.append(a) or groebner(*a))
+    kept = filter_bv_invertible(enumerate_k3_systems())
+    samples = [sample_polynomial(r.weight_system) for r in kept]
+    assert (len(kept), len(samples), len(calls)) == (44, 44, 0)
+
+
+@pytest.mark.parametrize("module", ["polyring", "catalog"])
+def test_module_imports_nothing_from_milnor(module):
+    import ast
+    import pathlib
+
+    import lgmirror
+
+    path = pathlib.Path(lgmirror.__file__).parent / f"{module}.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not [name for name in imported if name.rsplit(".", 1)[-1] == "milnor"]

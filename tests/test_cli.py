@@ -38,6 +38,17 @@ def test_analyze_parse_error(capsys):
     assert code == 2
 
 
+def test_analyze_nondegenerate_mass_term_is_not_invertible(capsys):
+    # square, nondegenerate, but the mass term x0*x1 leaves no one-term-per-
+    # variable block structure: not invertible, and no blocks to print
+    code, out, err = run(capsys, "analyze", "x1*x2^2+x2^3+x0*x1", "--json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["invertible"] is False
+    assert "atomic_blocks" not in data and "transpose" not in data
+    assert data["weights"] == [1, 1, 2]
+
+
 def test_state_space_elliptic(capsys):
     code, out, err = run(
         capsys, "state-space", "A", "--w", "x0^2+x1^3+x2^6",
@@ -237,19 +248,6 @@ def test_catalog_filter_samples_each_half_degree_system_once(monkeypatch, capsys
         "half-degree systems without an invertible sample: "
         "(11, 5, 4, 2);22; (17, 7, 6, 4);34; (17, 10, 4, 3);34; (19, 8, 6, 5);38\n"
     )
-
-
-def test_catalog_genericity(capsys):
-    code, out, err = run(capsys, "--seed", "5", "catalog", "genericity", "--count", "2")
-    assert code == 0
-    assert out.count("ok") == 2
-
-
-def test_catalog_genericity_negative_count_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "catalog", "genericity", "--count", "-1")
-    assert code == 2
-    assert out == ""
-    assert err == "usage error: --count must be non-negative, got -1\n"
 
 
 def test_bv_theorem2_without_property1_exits_3(capsys):

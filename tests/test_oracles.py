@@ -93,7 +93,16 @@ and messages must agree.  The blind scan calls the package's subset
 criterion `quasismooth_general`, so that criterion has an oracle of its own
 with no criterion code: the Milnor ring of a member with every monomial of
 the degree (`dense_member`), finite exactly when the general member is
-quasismooth, on a seeded stride of the swept quadruples.
+quasismooth, on a seeded stride of the swept quadruples; and it reads one
+bitset of represented degrees per weight subset, whose oracle is the
+recursive coin test it replaced (`recursive_quasismooth`).
+
+`is_invertible` decides by the Kreuzer-Skarke classification
+(`atomic_decomposition`).  Its oracle is the Groebner criterion it replaced
+(`groebner_invertible`), on every small square polynomial and a seeded
+stride of larger ones: a classified polynomial has a finite Milnor ring, and
+one with a finite Milnor ring that is not classified has a mass term
+x_i * x_j.
 """
 
 import math
@@ -102,7 +111,7 @@ import re
 import warnings
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
@@ -126,7 +135,6 @@ from lgmirror.catalog import (
     enumerate_k3_systems,
     filter_bv_invertible,
     quasismooth_general,
-    representable,
     sample_polynomial,
 )
 from lgmirror.frobenius import (
@@ -158,6 +166,7 @@ from lgmirror.polyring import (
     PolyError,
     WeightSystem,
     _head_aligned_rows,
+    _int_det,
     atomic_decomposition,
     direct_sum,
     exponent_matrix,
@@ -2247,6 +2256,155 @@ def test_dense_oracle_rejects_a_criterion_without_its_count_clause(dense_milnor_
         return True
 
     assert dense_disagreements(without_count, dense_milnor_numbers)
+
+
+def representable(target: int, weights) -> bool:
+    """Is target a non-negative integer combination of the weights?  The
+    recursive coin test that `quasismooth_general` used before its table."""
+    if target < 0:
+        return False
+    if target == 0:
+        return True
+    head, *rest = weights
+    if not rest:
+        return target % head == 0
+    return any(representable(target - head * k, rest) for k in range(target // head + 1))
+
+
+def recursive_quasismooth(weights, degree: int) -> bool:
+    """The subset criterion with every clause solved by `representable`."""
+    n = len(weights)
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            wsub = [weights[i] for i in subset]
+            if representable(degree, wsub):
+                continue
+            if sum(representable(degree - weights[e], wsub) for e in range(n) if e not in subset) < size:
+                return False
+    return True
+
+
+def test_quasismooth_table_matches_the_recursive_criterion():
+    """`quasismooth_general` reads one bitset of represented degrees per
+    weight subset; on the 275 swept quadruples and on every quadruple of
+    weights up to 6, at the CY degree and three others, it agrees with the
+    recursive coin test it replaced."""
+    assert representable(6, (3, 2)) and representable(0, (3,))
+    assert not representable(5, (3,)) and not representable(7, (2, 4))
+    cases = k3_swept_quadruples()
+    for weights in product(range(1, 7), repeat=4):
+        s = sum(weights)
+        cases += [(weights, d) for d in (s - 1, s, s + 1, 2 * max(weights))]
+    got = [quasismooth_general(w, d) for w, d in cases]
+    assert got == [recursive_quasismooth(w, d) for w, d in cases]
+    assert True in got and False in got
+
+
+def groebner_invertible(poly: Polynomial) -> bool:
+    """The Groebner criterion `is_invertible` used before the
+    classification: the weights solve, the exponent matrix is square with a
+    nonzero determinant, and the Milnor ring is finite dimensional."""
+    try:
+        ws = weight_system(poly)
+    except PolyError:
+        return False
+    rows = exponent_matrix(poly)
+    if len(rows) != poly.nvars or _int_det(rows) == 0:
+        return False
+    try:
+        milnor_ring(poly, ws=ws)
+    except DegenerateSingularity:
+        return False
+    return True
+
+
+def has_mass_term(poly: Polynomial) -> bool:
+    """Some monomial is x_i * x_j with i != j."""
+    return any(sorted(e for e in m if e) == [1, 1] for m in poly.terms)
+
+
+def square_polynomials(n: int, top: int):
+    """Every choice of n distinct nonconstant monomials in n variables with
+    exponents at most `top`, as exponent tuples."""
+    return combinations([m for m in product(range(top + 1), repeat=n) if any(m)], n)
+
+
+INVERTIBLE_STRIDE = 10
+
+
+@pytest.fixture(scope="module")
+def groebner_verdicts():
+    """[(poly, groebner_invertible(poly))] over every square polynomial on
+    1 or 2 variables with exponents at most 6 and on 3 variables with
+    exponents at most 2, a seeded stride of the 39,711 on 3 variables with
+    exponents at most 3, E1, E2, K3A, OCTIC and the 44 catalog samples."""
+    rng = random.Random(22)
+    rows = [rows for n in (1, 2) for rows in square_polynomials(n, 6)]
+    rows += square_polynomials(3, 2)
+    start = rng.randrange(INVERTIBLE_STRIDE)
+    rows += islice(square_polynomials(3, 3), start, None, INVERTIBLE_STRIDE)
+    polys = [Polynomial([f"x{i}" for i in range(len(r))], dict.fromkeys(r, 1)) for r in rows]
+    polys += [E1, E2, K3A, OCTIC]
+    samples = filter_bv_invertible(enumerate_k3_systems(with_samples=True))
+    polys += [parse_polynomial(r.sample_poly) for r in samples]
+    assert len(samples) == 44
+    return [(poly, groebner_invertible(poly)) for poly in polys]
+
+
+def invertibility_faults(classify, verdicts) -> list:
+    """The polynomials on which `classify` breaks a rule of Kreuzer-Skarke:
+    a classified polynomial has a finite Milnor ring, and one with a finite
+    Milnor ring that is not classified has a mass term x_i * x_j."""
+    faults = []
+    for poly, finite in verdicts:
+        classified = classify(poly)
+        if classified and not finite:
+            faults.append(f"classified, Milnor ring infinite: {poly}")
+        elif finite and not classified and not has_mass_term(poly):
+            faults.append(f"Milnor ring finite, not classified, no mass term: {poly}")
+    return faults
+
+
+def test_is_invertible_matches_the_groebner_criterion(groebner_verdicts):
+    """The domain holds polynomials of each kind: classified (so Milnor
+    finite), Milnor finite with a mass term and not classified, and
+    neither."""
+    kinds = Counter((finite, is_invertible(poly)) for poly, finite in groebner_verdicts)
+    assert kinds[True, True] and kinds[True, False] and kinds[False, False]
+    assert invertibility_faults(is_invertible, groebner_verdicts) == []
+
+
+def test_invertibility_oracle_rejects_a_classifier_that_takes_linear_powers(groebner_verdicts):
+    """Negative control: a classifier that also takes a linear pure power
+    x_i for a Fermat block passes x0 + x1^2, whose weights do not solve."""
+
+    def linear_powers_pass(poly):
+        return is_invertible(poly) or any(sum(m) == 1 for m in poly.terms)
+
+    assert "classified, Milnor ring infinite: x1^2 + x0" in invertibility_faults(
+        linear_powers_pass, groebner_verdicts
+    )
+
+
+def test_invertibility_oracle_rejects_a_classifier_without_one_term_per_variable(groebner_verdicts):
+    """Negative control: a classifier that checks only the shape of each
+    monomial (x_j^a with a >= 2, or x_j^a * x_k) and the weights, and not
+    that each variable heads one term, passes x0^3 + x0^2*x1, whose Milnor
+    ring is infinite (x0 = 0 is critical)."""
+
+    def shapes_only(poly):
+        try:
+            weight_system(poly)
+        except PolyError:
+            return False
+        shapes = [sorted(e for e in m if e) for m in poly.terms]
+        return len(shapes) == poly.nvars and all(
+            e[0] >= 2 if len(e) == 1 else len(e) == 2 and e[0] == 1 for e in shapes
+        )
+
+    assert "classified, Milnor ring infinite: x0^3 + x0^2*x1" in invertibility_faults(
+        shapes_only, groebner_verdicts
+    )
 
 
 def oracle_weight_system(poly: Polynomial) -> WeightSystem:
