@@ -377,7 +377,7 @@ def verify_theorem1(model: BVModel) -> Report:
     """Exact bigraded equality of A(W, sigma G) and B(W^T, sigma(G^T))."""
     a_space = model.space("A")
     mirror = model.mirror()
-    b_space = build_state_space(mirror.poly, mirror.sigma_group, "B", ws=mirror.ws)
+    b_space = mirror.space("B")
     lhs = poincare_table(a_space)
     rhs = poincare_table(b_space)
     mismatches = diff_tables(lhs, rhs, "lhs", "rhs")

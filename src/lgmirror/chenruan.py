@@ -5,34 +5,34 @@ int vectors over the exponent of sigma*G: for each representative and each
 pair of scaling angles with nontrivial fixed locus, the summand is
 (ambient + primitive) x (ambient + primitive) cohomology of the two
 restricted hypersurfaces, group invariants taken on the tensor product
-(Chen-Ruan, CMP 248, 2004), everything shifted by the tangent-space age of
-the sector.  Only the bigraded counts are kept.
+(Chen-Ruan, CMP 248, 2004), shifted by the tangent-space age of the sector.
+Only the bigraded counts are kept.
 
 Ambient pieces are the (i, i) ladder of the ambient weighted projective
 space, of trivial character; primitive pieces are graded pieces of the
 Milnor ring (Griffiths-Steenbrink).  The Milnor ring of a locus is the
-tensor product of those of its connected blocks (Krawitz, arXiv:0906.0796,
-§2), and a class counts only through its character and degree.  So a
-locus is taken in the model's variables, its ring comes from the
-model's cache that its A-model sweep shares (`BVModel.rings`), the
-standard monomials of each block ring are bucketed by character once per
-model, in the buckets its sweeps fill (`BVModel.invariants`), the classes
-of a locus come from convolving its blocks' (character, degree) counts
-(`locus_classes`), and the table multiplies the counts of complementary
-characters.  No locus basis is walked, and no group element is built.
+tensor product of those of its blocks (Krawitz, arXiv:0906.0796, §2), from
+the model's cache (`BVModel.rings`), its block rings bucketed by character
+once per model (`BVModel.invariants`).  So a locus splits its blocks in
+two `balanced_halves`, multiplies each out by (character, weight), and
+joins them only on weights summing to 0 mod d (`locus_classes`).  The age
+is a sum of one share per factor (`age_share`), so the representatives
+fall in families by first-factor part: a family sums its second parts'
+shifted classes, and convolves them once per character with its first
+part's.  No locus basis is walked, and no group element is built.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 from .bvlg import BVModel
 from .milnor import milnor_ring
 from .polyring import WeightSystem
 from .report import Report
-from .statespace import Invariants, build_state_space, diff_tables, poincare_table
+from .statespace import Invariants, balanced_halves, build_state_space, diff_tables, poincare_table
 from .symmetry import bv_cosets, span, vector_locus
 
 
@@ -58,9 +58,8 @@ def scaled_element(num, den: int, t: int, D: int, ws: WeightSystem) -> tuple:
 def locus_classes(model: BVModel, locus, invariant: Invariants) -> dict:
     """The cohomology classes of X_{W | locus}, for `locus` a set of the
     model's variables inside one factor W, counted by character under the
-    generators of `invariant`: {character: Counter((p, q))}.  The
-    locus ring comes from the model's cache `model.rings`, and the classes
-    from convolving the (character, degree) counts of its blocks' buckets."""
+    generators of `invariant`: {character: Counter((p, q))}, from the
+    halves of its ring's blocks joined on weights that sum to 0 mod d."""
     if not locus:
         return {}
     zero = (0,) * len(invariant.gen_vecs)
@@ -73,33 +72,44 @@ def locus_classes(model: BVModel, locus, invariant: Invariants) -> dict:
     if dim < 0:
         return {}  # z^a = 0 inside a weighted point: empty hypersurface
     ring = milnor_ring(model.poly, locus, model.ws, model.rings)
-    L, weights = invariant.L, model.ws.weights
-    totals = {zero: Counter({0: 1})}  # character -> Counter(sum of (m_j + 1) w_j)
-    for part in ring.parts or (ring,):
-        form = sum([weights[j] for j in part.active])
-        nxt: dict = {}
-        for c2, terms in invariant.buckets(part).items():
-            for c1, hist1 in totals.items():
-                acc = nxt.setdefault(tuple([(a + b) % L for a, b in zip(c1, c2)]), Counter())
-                for w1, k1 in hist1.items():
-                    w1 += form
-                    for w2, _ in terms:
-                        acc[w1 + w2] += k1
-        totals = nxt
+    L, d = invariant.L, model.ws.degree
+    left, right = (_half_classes(model, half, invariant, zero) for half in balanced_halves(ring))
+    partners = _residue_index(right, d)
     # Griffiths-Steenbrink: monomial-plus-form weight (q + 1) d gives h^{dim-q, q};
     # each factor has degree d in the model's weights
-    d = model.ws.degree
-    bad = [w for hist in totals.values() for w in hist if w % d == 0 and not 0 < w // d <= dim + 1]
-    if bad:
-        q = min(bad) // d - 1
-        raise ValueError(f"Griffiths-Steenbrink grade {q} outside 0..{dim} for {ring.poly}")
-    out = {zero: _ambient(dim)}
-    for ch, hist in totals.items():
-        for w, n in hist.items():
-            if w % d == 0:
-                q = w // d - 1
-                out.setdefault(ch, Counter())[(dim - q, q)] += n
-    return out
+    out = defaultdict(Counter, {zero: _ambient(dim)})
+    for (c1, w1), n1 in left.items():
+        for c2, w2, n2 in partners.get(w1 % d, ()):
+            q = (w1 + w2) // d - 1
+            if not 0 <= q <= dim:
+                raise ValueError(f"Griffiths-Steenbrink grade {q} outside 0..{dim} for {ring.poly}")
+            ch = tuple([(a + b) % L for a, b in zip(c1, c2)])
+            out[ch][(dim - q, q)] += n1 * n2
+    return dict(out)
+
+
+def _residue_index(half: Counter, d: int) -> dict:
+    """{-w mod d: [(character, w, count)]} over the entries of `half`."""
+    index: dict = {}
+    for (ch, w), n in half.items():
+        index.setdefault(-w % d, []).append((ch, w, n))
+    return index
+
+
+def _half_classes(model: BVModel, parts, invariant: Invariants, zero) -> Counter:
+    """{(character, weight): count} over the standard monomials m of the
+    block rings `parts` multiplied out, of weight sum (m_j + 1) w_j."""
+    L, weights = invariant.L, model.ws.weights
+    acc = Counter({(zero, 0): 1})
+    for part in parts:
+        form = sum([weights[j] for j in part.active])
+        terms = Counter([(ch, form + w) for ch, ts in invariant.buckets(part).items() for w, _ in ts])
+        nxt: Counter = Counter()
+        for (c1, w1), n1 in acc.items():
+            for (c2, w2), n2 in terms.items():
+                nxt[tuple([(a + b) % L for a, b in zip(c1, c2)]), w1 + w2] += n1 * n2
+        acc = nxt
+    return acc
 
 
 def _ambient(dim: int) -> Counter:
@@ -107,14 +117,11 @@ def _ambient(dim: int) -> Counter:
     return Counter({(i, i): 1 for i in range(dim + 1)})
 
 
-def age_shift(s1, s2, t1: int, D1: int, t2: int, D2: int, d1: int, d2: int) -> Fraction:
-    """Tangent-space age: ambient age of (s1 / D1, s2 / D2), the int
-    numerators of `scaled_element`, minus the angles t1 / D1 and t2 / D2 by
-    which the two defining polynomials are scaled (one normal direction per
-    factor)."""
-    M = math.lcm(D1, D2)
-    total = (sum(s1) - d1 * t1 % D1) * (M // D1) + (sum(s2) - d2 * t2 % D2) * (M // D2)
-    return Fraction(total, M)
+def age_share(s, t: int, D: int, d: int) -> int:
+    """One factor's share of the tangent-space age, over D: the ambient age
+    of s / D (see `scaled_element`) minus the angle t / D by which the
+    factor's polynomial of degree d is scaled (its normal direction)."""
+    return sum(s) - d * t % D
 
 
 class CRTable:
@@ -131,47 +138,60 @@ class CRTable:
 
 
 def cr_table(model: BVModel) -> CRTable:
-    """Bigraded Chen-Ruan table of the model's orbifold; the Milnor rings
-    of its loci are kept in `model.rings`, their buckets in `model.invariants`."""
-    n1 = model.n1
-    j_group = span(model.poly.nvars, [model.j1, model.j2])
+    """Bigraded Chen-Ruan table of the model's orbifold, one convolution per
+    coset family and character; the Milnor rings of its loci are kept in
+    `model.rings`, their buckets in `model.invariants`."""
     L = model.sigma_group.L
-    representatives = bv_cosets(model.sigma_group, j_group, model.slots, model.sigma)
     invariant = model.invariants
-    ws1, ws2 = model.ws1, model.ws2
+    # (p, q) as int numerators over T, a multiple of every angle's denominator D
+    T = L * math.lcm(*model.ws1.weights, *model.ws2.weights)
     loci: dict = {}
 
-    def classes(locus):
-        if locus not in loci:
-            loci[locus] = locus_classes(model, locus, invariant)
-        return loci[locus]
+    def shifted(part, offset, ws):
+        """(age share over T, classes) over the angles of the factor part
+        `part`, whose variables start at `offset`."""
+        D, thetas = lambda_set(part, L, ws)
+        for t in thetas:
+            s = scaled_element(part, L, t, D, ws)
+            locus = tuple([offset + i for i in vector_locus(s)])
+            if locus not in loci:
+                loci[locus] = locus_classes(model, locus, invariant)
+            yield age_share(s, t, D, ws.degree) * (T // D), loci[locus]
 
-    table: dict = {}  # (p, q) as int numerators over T, a multiple of every age's denominator
-    T = L * math.lcm(*ws1.weights, *ws2.weights)
-    for rep in representatives:
-        g1, g2 = rep[:n1], rep[n1:]
-        D1, thetas1 = lambda_set(g1, L, ws1)
-        D2, thetas2 = lambda_set(g2, L, ws2)
-        partners = []  # per angle t2: the classes of side 2 keyed by minus their character
-        for t2 in thetas2:
-            s2 = scaled_element(g2, L, t2, D2, ws2)
-            cls2 = classes(tuple([n1 + i for i in vector_locus(s2)]))
-            if cls2:
-                partners.append((t2, s2, {tuple([-c % invariant.L for c in ch]): n for ch, n in cls2.items()}))
-        for t1 in thetas1:
-            s1 = scaled_element(g1, L, t1, D1, ws1)
-            cls1 = classes(vector_locus(s1))
-            if not cls1:
-                continue
-            for t2, s2, cls2 in partners:
-                shift = age_shift(s1, s2, t1, D1, t2, D2, ws1.degree, ws2.degree)
-                over_t = shift.numerator * (T // shift.denominator)
-                for ch in cls1.keys() & cls2.keys():
-                    for (p1, q1), k1 in cls1[ch].items():
-                        for (p2, q2), k2 in cls2[ch].items():
-                            key = ((p1 + p2) * T + over_t, (q1 + q2) * T + over_t)
-                            table[key] = table.get(key, 0) + k1 * k2
+    table: Counter = Counter()
+    for g1, family in _families(model).items():
+        first: dict = defaultdict(Counter)
+        for share, classes in shifted(g1, 0, model.ws1):
+            for ch, hist in classes.items():
+                _add_shifted(first[ch], hist, share, T)
+        second = {tuple([-c % invariant.L for c in ch]): Counter() for ch in first}
+        for g2 in family:
+            for share, classes in shifted(g2, model.n1, model.ws2):
+                for ch, hist in classes.items():
+                    if ch in second:
+                        _add_shifted(second[ch], hist, share, T)
+        for ch, hist1 in first.items():
+            hist2 = second[tuple([-c % invariant.L for c in ch])]
+            for (p1, q1), k1 in hist1.items():
+                for (p2, q2), k2 in hist2.items():
+                    table[p1 + p2, q1 + q2] += k1 * k2
     return CRTable({(Fraction(p, T), Fraction(q, T)): c for (p, q), c in table.items()})
+
+
+def _families(model: BVModel) -> dict:
+    """{first-factor part: [second-factor parts]} of the J-coset
+    representatives of sigma G."""
+    n1, j_group = model.n1, span(model.poly.nvars, [model.j1, model.j2])
+    families: dict = {}
+    for rep in bv_cosets(model.sigma_group, j_group, model.slots, model.sigma):
+        families.setdefault(rep[:n1], []).append(rep[n1:])
+    return families
+
+
+def _add_shifted(acc: Counter, hist: Counter, share: int, T: int) -> None:
+    """Add the classes `hist` to `acc` as numerators over T, shifted by share."""
+    for (p, q), k in hist.items():
+        acc[p * T + share, q * T + share] += k
 
 
 def verify_lgcy(model: BVModel) -> Report:

@@ -26,7 +26,7 @@ from operator import add
 
 from .bvlg import BVModel
 from .milnor import MilnorRing, milnor_ring
-from .polyring import atomic_decomposition, transpose
+from .polyring import atomic_decomposition
 from .report import PreconditionError, Report
 from .statespace import StateSpace, _degree, build_state_space, state_name
 from .symmetry import GroupElement, transpose_group, vector_locus
@@ -361,14 +361,13 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
     unit, `associativity_and_frobenius` on C0, P0, and `gamma_lemma_cases`.
     States are named (`BAlgebra.element`) for mismatch records only."""
     a_space = model.space("A")
+    mirror = model.mirror()  # its polynomial and weights are those of W^T
     bhk_group = transpose_group(model.sigma_group, model.poly)
-    shared_rings: dict = {}
-    b2_space = build_state_space(transpose(model.poly), bhk_group, "B", rings=shared_rings)
+    b2_space = build_state_space(mirror.poly, bhk_group, "B", mirror.ws, mirror.rings)
     prop = property1(a_space, b2_space)
     if not prop.passed:
         raise HypothesisFailed(prop.mismatches)
-    mirror = model.mirror()
-    b0_space = build_state_space(mirror.poly, mirror.sigma_group, "B", rings=shared_rings)
+    b0_space = mirror.space("B")
     alg2, alg0 = BAlgebra(b2_space), BAlgebra(b0_space)
     mismatches = []
     details = {"dim_b2_even": alg2.dim, "dim_b0_even": alg0.dim}

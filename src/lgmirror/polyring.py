@@ -605,8 +605,6 @@ def atomic_decomposition(poly: Polynomial):
     for v, s in succ.items():
         if s is not None:
             incoming[s] += 1
-    if any(c > 1 for c in incoming.values()):
-        raise NotClassifiable(f"variable fed by two terms in {poly}")
 
     blocks = []
     seen = set()

@@ -122,14 +122,8 @@ class Invariants:
 
     def kept(self, ring) -> list:
         """Invariant standard monomials of `ring`, sorted by (wdeg, m)."""
-        halves: tuple = ([], [])
-        sizes = [1, 1]
-        for part in sorted(ring.parts or (ring,), key=lambda r: -r.mu):
-            k = sizes[1] < sizes[0]
-            halves[k].append(part)
-            sizes[k] *= part.mu
         zero = (0,) * len(ring.weights)
-        left, right = (self._half(h, zero) for h in halves)
+        left, right = (self._half(h, zero) for h in balanced_halves(ring))
         L = self.L
         out = []
         for ch, terms in left.items():
@@ -176,6 +170,17 @@ class Invariants:
                 )
                 got.setdefault(ch, []).append((sum([m[j] * w[j] for j in block]), m))
         return got
+
+
+def balanced_halves(ring) -> tuple:
+    """The block rings of `ring`, largest first, each to the half of smaller mu."""
+    halves: tuple = ([], [])
+    sizes = [1, 1]
+    for part in sorted(ring.parts or (ring,), key=lambda r: -r.mu):
+        k = sizes[1] < sizes[0]
+        halves[k].append(part)
+        sizes[k] *= part.mu
+    return halves
 
 
 def _products(terms1, terms2):

@@ -6,7 +6,7 @@ import pytest
 import lgmirror.chenruan as chenruan
 from lgmirror.bvlg import build_bv, verify_theorem1
 from lgmirror.chenruan import (
-    age_shift,
+    age_share,
     cr_table,
     lambda_set,
     scaled_element,
@@ -16,7 +16,7 @@ from lgmirror.chenruan import (
 )
 from lgmirror.polyring import parse_polynomial, weight_system
 from lgmirror.symmetry import GroupElement
-from test_oracles import ambient_classes, hodge_diamond, primitive_hodge
+from test_oracles import age_shift, ambient_classes, hodge_diamond, primitive_hodge
 
 E1 = parse_polynomial("x0^2+x1^3+x2^6")
 E2 = parse_polynomial("x0^2+x1^4+x2^4")
@@ -96,17 +96,17 @@ def test_ambient_classes():
 def test_age_shift_sigma():
     s1 = (1, 0, 0)  # (1/2, 0, 0) over 2
     s2 = (1, 0, 0, 0)
-    assert age_shift(s1, s2, 0, 2, 0, 2, 6, 6) == 1
+    assert Fraction(age_share(s1, 0, 2, 6), 2) + Fraction(age_share(s2, 0, 2, 6), 2) == 1
 
 
 def test_age_shift_identity():
-    s1 = (0, 0, 0)
-    s2 = (0, 0, 0, 0)
-    assert age_shift(s1, s2, 0, 1, 0, 1, 6, 6) == 0
+    assert age_share((0, 0, 0), 0, 1, 6) == 0
+    assert age_share((0, 0, 0, 0), 0, 1, 6) == 0
 
 
 def test_age_shift_additive_over_blocks():
-    # a(g) = a(g1) + a(g2): the two blocks contribute independently
+    # a(g) = a(g1) + a(g2): the two factors contribute independently, one
+    # share each, and the shares sum to the two-factor age of the oracle
     s1 = (1, 2, 0)  # (1/3, 2/3, 0) over 3
     s2 = (0, 1, 1, 0)  # (0, 1/2, 1/2, 0) over 2
     zero1 = (0, 0, 0)
@@ -116,6 +116,9 @@ def test_age_shift_additive_over_blocks():
     left = age_shift(s1, zero2, 1, 3, 0, 2, 6, 6)
     right = age_shift(zero1, s2, 0, 3, 1, 2, 6, 6)
     assert total == left + right
+    assert left == Fraction(age_share(s1, 1, 3, 6), 3)
+    assert right == Fraction(age_share(s2, 1, 2, 6), 2)
+    assert total == Fraction(age_share(s1, 1, 3, 6), 3) + Fraction(age_share(s2, 1, 2, 6), 2)
 
 
 def test_hodge_diamond_k3():
@@ -207,12 +210,13 @@ def test_chain_model_lgcy():
 
 
 def test_corrupted_age_shift_fails(monkeypatch):
-    # drop the normal-direction correction: the LG/CY match must break
-    def bad_shift(s1, s2, t1, D1, t2, D2, d1, d2):
-        return Fraction(sum(s1), D1) + Fraction(sum(s2), D2)
+    # drop the normal-direction correction from each factor's age share:
+    # the LG/CY match must break
+    def bad_share(s, t, D, d):
+        return sum(s)
 
     m = chain_model_with_extended_group()
-    monkeypatch.setattr(chenruan, "age_shift", bad_shift)
+    monkeypatch.setattr(chenruan, "age_share", bad_share)
     report = verify_lgcy(m)
     assert not report.passed
     assert report.mismatches
@@ -257,6 +261,33 @@ def test_corrupted_block_counts_fail(monkeypatch, capsys, verb):
     assert verify_theorem1(m).passed
     report = (verify_lgcy if verb == "lgcy" else verify_bv_mirror)(m)
     assert not report.passed and report.mismatches
+
+
+def test_cr_table_reads_the_angles_of_each_factor_part_once(monkeypatch):
+    """On the E1 x OCTIC mirror, 256 J-coset representatives with 2 distinct
+    first-factor parts and 256 distinct second-factor parts, one `cr_table`
+    reads the angles of each family's first part once and of each second
+    part once: `lambda_set` runs 2 + 256 times, not twice per
+    representative."""
+    from lgmirror.symmetry import bv_cosets, span
+
+    octic = parse_polynomial("y0^2+y1^8+y2^8+y3^8+y4^8")
+    mirror = model(E1, octic).mirror()
+    reps = bv_cosets(mirror.sigma_group, span(mirror.poly.nvars, [mirror.j1, mirror.j2]), mirror.slots, mirror.sigma)
+    n1 = mirror.n1
+    assert len(reps) == 256
+    assert len({r[:n1] for r in reps}) == 2 and len({r[n1:] for r in reps}) == 256
+    calls = Counter()
+    original = chenruan.lambda_set
+
+    def counting(num, den, ws):
+        calls[tuple(num), ws.weights] += 1
+        return original(num, den, ws)
+
+    monkeypatch.setattr(chenruan, "lambda_set", counting)
+    cr_table(mirror)
+    assert set(calls.values()) == {1}
+    assert sum(calls.values()) == 2 + 256
 
 
 def test_cr_table_builds_each_block_ring_once(block_ring_calls):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from lgmirror.bvlg import build_bv
+from lgmirror.bvlg import build_bv, verify_theorem1
 from lgmirror.cli import main
 import lgmirror.frobenius as frobenius
 from lgmirror.frobenius import (
@@ -17,7 +17,7 @@ from lgmirror.frobenius import (
     verify_theorem2,
 )
 from lgmirror.milnor import MilnorRing
-from lgmirror.polyring import parse_polynomial, weight_system
+from lgmirror.polyring import parse_polynomial, transpose, weight_system
 import lgmirror.statespace as statespace
 from lgmirror.statespace import build_state_space
 from lgmirror.symmetry import GroupElement, j_element, span, transpose_group
@@ -322,6 +322,30 @@ def test_theorem2_fermat_k3_and_negative_control():
     bad = verify_theorem2(m, rescaled=False)
     assert not bad.passed
     assert bad.details["product_failures"] or bad.details["pairing_failures"]
+
+
+def test_mirror_polynomial_is_the_transpose_in_equal_weights():
+    """Theorem 2 sweeps (sigma G)^T on the mirror's polynomial and weights,
+    which are those of W^T."""
+    for m in (build_bv(E1, K3, jgens(E1, K3)), nonproduct_model()):
+        mirror = m.mirror()
+        assert transpose(m.poly) == mirror.poly
+        assert weight_system(transpose(m.poly)) == mirror.ws
+
+
+def test_theorem1_then_theorem2_build_each_mirror_block_ring_once(block_ring_calls):
+    """Theorem 1 and then Theorem 2 on one E1 x K3A model take the mirror's
+    B space from `mirror.space("B")`, and Theorem 2's (sigma G)^T sweep
+    reads the mirror's ring cache: once the model's A space is swept, each
+    block ring is built once across both verdicts."""
+    m = build_bv(E1, K3, jgens(E1, K3))
+    m.space("A")
+    block_ring_calls.clear()
+    assert verify_theorem1(m).passed
+    b_space = m.mirror().space("B")
+    assert verify_theorem2(m).passed
+    assert m.mirror().space("B") is b_space
+    assert block_ring_calls and set(block_ring_calls.values()) == {1}
 
 
 def test_gamma_lemma_factors():

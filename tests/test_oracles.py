@@ -55,16 +55,19 @@ Groebner basis: each sector's dimension is a character sum over the group
 (`fermat_locus_dims`).
 
 `cr_table` counts the Chen-Ruan classes of a fixed locus, in the model's
-variables, by convolving the (character, degree) counts of its block rings,
-read from the ring cache and the character buckets that the A-model sweep
-uses (`chenruan.locus_classes`).  Its oracle is the basis walk it replaced:
-the Milnor ring of the whole locus, every standard monomial graded by
+variables, by joining two halves of its block rings' (character, weight)
+counts on weights that sum to 0 mod d, read from the ring cache and the
+character buckets that the A-model sweep uses (`chenruan.locus_classes`),
+and sums the classes of each coset family's factor parts before one
+convolution per character.  Its oracle is the basis walk it replaced: the
+Milnor ring of the whole locus, every standard monomial graded by
 Griffiths-Steenbrink and its character computed on the generators
-(`block_classes`, `walked_classes`), and every pair of classes counted one
-by one (`walked_cr_table`), with the coset representatives read as
-canonical `GroupElement`s rather than int vectors over the exponent of
-sigma G.  Classes and tables must agree; the Hodge-number tests read the
-walk (`primitive_hodge`, `hodge_diamond`).
+(`block_classes`, `walked_classes`), and every pair of classes of every
+representative counted one by one at the two-factor age (`age_shift`,
+`walked_cr_table`), with the coset representatives read as canonical
+`GroupElement`s rather than int vectors over the exponent of sigma G.
+Classes and tables must agree; the Hodge-number tests read the walk
+(`primitive_hodge`, `hodge_diamond`).
 
 A `SymmetryGroup` is an echelon lattice basis:
 its members, int vectors over its exponent, come from a mixed-radix walk,
@@ -2001,6 +2004,16 @@ def walked_classes(poly, ws, gen_vecs, L, fixed):
     return out
 
 
+def age_shift(s1, s2, t1: int, D1: int, t2: int, D2: int, d1: int, d2: int) -> Fraction:
+    """Tangent-space age of a sector of the product: ambient age of
+    (s1 / D1, s2 / D2), the int numerators of `scaled_element`, minus the
+    angles t1 / D1 and t2 / D2 by which the two defining polynomials are
+    scaled (one normal direction per factor)."""
+    M = math.lcm(D1, D2)
+    total = (sum(s1) - d1 * t1 % D1) * (M // D1) + (sum(s2) - d2 * t2 % D2) * (M // D2)
+    return Fraction(total, M)
+
+
 def walked_cr_table(model):
     """The Chen-Ruan table from class lists: the classes of each locus
     walked, in the model's variables, and every pair of classes with
@@ -2039,7 +2052,7 @@ def walked_cr_table(model):
             if not cls1:
                 continue
             for t2, s2, buckets in side2:
-                shift = chenruan.age_shift(s1, s2, t1, D1, t2, D2, ws1.degree, ws2.degree)
+                shift = age_shift(s1, s2, t1, D1, t2, D2, ws1.degree, ws2.degree)
                 for p1, q1, sig1 in cls1:
                     want = tuple((-s) % L for s in sig1)
                     for p2, q2 in buckets.get(want, ()):
@@ -2111,16 +2124,54 @@ def test_cr_classes_and_tables_match_the_walk_on_e1_octic():
         assert_same_cr_table(side)
 
 
+def _chain_model():
+    """E1 x a chain K3, G = J1 x the SL part of Gmax(chain)."""
+    chain = parse_polynomial("y0^2+y1^4*y2+y2^7+y3^7")
+    j1, j2 = block_j_elements(weight_system(E1), weight_system(chain))
+    lift = [GroupElement._raw((0,) * 3 + g.num, g.den) for g in sl_subgroup(gmax(chain)).gens]
+    return build_bv(E1, chain, [j1, j2] + lift)
+
+
 def test_cr_classes_match_the_walk_on_every_locus_of_a_chain():
     """A chain factor and an extended group: loci where the polynomial
     vanishes, and subsets where a variable lies in no monomial and both
     raise."""
-    chain = parse_polynomial("y0^2+y1^4*y2+y2^7+y3^7")
-    j1, j2 = block_j_elements(weight_system(E1), weight_system(chain))
-    lift = [GroupElement._raw((0,) * 3 + g.num, g.den) for g in sl_subgroup(gmax(chain)).gens]
-    model = build_bv(E1, chain, [j1, j2] + lift)
+    model = _chain_model()
     assert_same_factor_classes(model)
     assert_same_cr_table(model)
+
+
+def test_residue_join_on_plus_w1_fails_the_walk(monkeypatch):
+    """A locus join that pairs a left weight w1 with the right weights
+    w2 = +w1 mod d, in place of -w1, fails the walk on E1 x OCTIC and on the
+    chain model: its classes differ from the walked ones, or a pair lands
+    on a grade outside 0..dim."""
+
+    def plus_residue(half, d):
+        index: dict = {}
+        for (ch, w), n in half.items():
+            index.setdefault(w % d, []).append((ch, w, n))
+        return index
+
+    monkeypatch.setattr(chenruan, "_residue_index", plus_residue)
+    for model in (_golden_models()["e1octic"], _chain_model()):
+        with pytest.raises((AssertionError, ValueError)):
+            assert_same_factor_classes(model)
+
+
+def test_family_sum_without_one_second_part_fails_the_walk(monkeypatch):
+    """A coset family whose sum drops one of its second-factor parts fails
+    the walked table on the E1 x OCTIC mirror (2 families of 128)."""
+    original = chenruan._families
+
+    def dropping(model):
+        families = original(model)
+        next(family for family in families.values() if len(family) > 1).pop()
+        return families
+
+    monkeypatch.setattr(chenruan, "_families", dropping)
+    with pytest.raises(AssertionError):
+        assert_same_cr_table(_golden_models()["e1octic"].mirror())
 
 
 def oracle_enumerate_k3_systems(max_weight: int):

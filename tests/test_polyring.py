@@ -8,6 +8,7 @@ from lgmirror.polyring import (
     AtomicBlock,
     NonPositiveWeight,
     NonUniqueWeights,
+    NotClassifiable,
     NotQuasihomogeneous,
     ParseError,
     Polynomial,
@@ -238,6 +239,15 @@ def test_atomic_chain():
 def test_atomic_loop():
     blocks = atomic_decomposition(parse_polynomial("x^2*y+y^2*x"))
     assert len(blocks) == 1 and blocks[0].kind == "loop"
+
+
+def test_atomic_two_chains_into_one_variable_are_not_classified():
+    # x2 is the successor of both x0 and x1 (in-degree 2): the second chain
+    # walked reaches x2 again
+    poly = parse_polynomial("x0^2*x2+x1^2*x2+x2^3")
+    with pytest.raises(NotClassifiable, match="chain re-enters a block"):
+        atomic_decomposition(poly)
+    assert not is_invertible(poly)
 
 
 def test_atomic_mixed():
