@@ -62,8 +62,9 @@ class MalformedSector(BVError):
 class BVModel:
     """(W1 + W2, sigma*G) with J1 x J2 <= G <= SL(W1) x SL(W2).  `rings` is
     the subset-keyed Milnor cache of `poly` (see `milnor_ring`), bucketed by
-    sigma G character in `invariants`; `mirror()`, `twist()` and each
-    flavor's `space()` are built on first call and kept."""
+    sigma G character in `invariants`; `twist()` and each flavor's `space()`
+    are built on first call and kept.  `mirror()` is built anew on each call,
+    so a verdict's mirror and its sweeps are freed when the verdict returns."""
 
     __slots__ = (
         "w1",
@@ -83,7 +84,6 @@ class BVModel:
         "j2",
         "rings",
         "invariants",
-        "_mirror",
         "_twist",
         "_spaces",
     )
@@ -106,7 +106,6 @@ class BVModel:
         self.j2 = j2
         self.rings = {}
         self.invariants = Invariants(sigma_group)
-        self._mirror = None
         self._twist = None
         self._spaces = {}
 
@@ -115,9 +114,7 @@ class BVModel:
         return (self.slot1, self.slot2)
 
     def mirror(self) -> "BVModel":
-        if self._mirror is None:
-            self._mirror = mirror_pair(self)
-        return self._mirror
+        return mirror_pair(self)
 
     def twist(self) -> "TwistModel":
         if self._twist is None:

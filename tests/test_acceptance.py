@@ -1,6 +1,7 @@
 """Acceptance gate: every criterion runs exactly, printing one PASS line."""
 
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -26,6 +27,7 @@ from lgmirror.polyring import (
     Polynomial,
     atomic_decomposition,
     direct_sum,
+    is_bv_form,
     parse_polynomial,
     transpose,
     weight_system,
@@ -342,3 +344,85 @@ def test_criterion_13_overcap_rung():
     assert report.passed, report.mismatches
     assert report.details == {"lhs_total": lhs, "rhs_total": rhs}
     print(f"PASS criterion 13: theorem 1 on the over-cap rung, total {lhs} ({elapsed:.2f}s)")
+
+
+def voisin_invariants(table):
+    """(r, a) solved from Voisin's h^{1,1} = 5 + 3r - 2a and
+    h^{2,1} = 65 - 3r - 2a on the table of (E x S)/sigma, or None when
+    they are not integers."""
+    h11, h21 = table[(1, 1)], table[(2, 1)]
+    r6, a4 = h11 - h21 + 60, 70 - h11 - h21
+    return None if r6 % 6 or a4 % 4 else (r6 // 6, a4 // 4)
+
+
+def fixed_curve_genus(k3):
+    """The genus of {f = 0} in P(w1, w2, w3) for k3 = z0^2 + f: the number
+    of positive solutions of a1 w1 + a2 w2 + a3 w3 = d (Griffiths)."""
+    ws = weight_system(k3)
+    w1, w2, w3 = (w for k, w in enumerate(ws.weights) if k != is_bv_form(k3)[1])
+    d = ws.degree
+    rest = (d - a1 * w1 - a2 * w2 for a1 in range(1, d) for a2 in range(1, d))
+    return sum(1 for c in rest if c > 0 and c % w3 == 0)
+
+
+def voisin_genus_agrees(table, genus):
+    """The table's (r, a) lie in Nikulin's range and r + a = 22 - 2g."""
+    invariants = voisin_invariants(table)
+    if invariants is None:
+        return False
+    r, a = invariants
+    return 1 <= r <= 20 and 0 <= a <= min(r, 11) and r + a == 22 - 2 * genus
+
+
+def test_criterion_14_voisin_genus_oracle():
+    """E1 or E2 times each of the 44 invertible K3 samples, with J1 x J2:
+    the Nikulin invariants read off the A table by Voisin's formulas agree
+    with the genus of the K3's fixed curve, counted with no Groebner basis
+    (Voisin, Asterisque 218, 1993).  A table with h^{1,1} off by one fails."""
+    start = time.perf_counter()
+    invariants = {}
+    for record in filter_bv_invertible(enumerate_k3_systems()):
+        k3 = sample_polynomial(record.weight_system)
+        genus = fixed_curve_genus(k3)
+        for curve in (E1, E2):
+            model = build_bv(curve, k3, j_blocks(curve, k3))
+            table = poincare_table(model.space("A"))
+            assert voisin_genus_agrees(table, genus), (record.weights, curve)
+            invariants.setdefault(record.weights, set()).add(voisin_invariants(table))
+            off = {**table, (1, 1): table[(1, 1)] + 1}
+            assert not voisin_genus_agrees(off, genus)
+    elapsed = time.perf_counter() - start
+    assert len(invariants) == 44
+    assert all(len(pairs) == 1 for pairs in invariants.values())  # E1 and E2 agree
+    distinct = set().union(*invariants.values())
+    assert len(distinct) == 22
+    print(f"PASS criterion 14: 88 E x K3 tables give Nikulin's (r, a), {len(distinct)} distinct ({elapsed:.2f}s)")
+
+
+def fourfold_hodge(invariants1, invariants2, fixed_surfaces=operator.mul):
+    """h^{1,1}, h^{2,1}, h^{3,1}, h^{2,2} of the resolved (S1 x S2)/sigma
+    from the Nikulin invariants of both involutions: S_i fixes a curve of
+    genus g_i and N_i - 1 rational curves, and each of the
+    `fixed_surfaces(N1, N2)` = N1 N2 fixed surfaces is blown up."""
+    (r1, a1), (r2, a2) = invariants1, invariants2
+    g1, g2 = (22 - r1 - a1) // 2, (22 - r2 - a2) // 2
+    n1, n2 = 1 + (r1 - a1) // 2, 1 + (r2 - a2) // 2
+    h11 = r1 + r2 + fixed_surfaces(n1, n2)
+    h21 = n1 * g2 + n2 * g1
+    h31 = 40 - r1 - r2 + g1 * g2
+    return {(1, 1): h11, (2, 1): h21, (3, 1): h31, (2, 2): 2 * (22 + 2 * h11 + 2 * h31 - h21)}
+
+
+def test_k3a_squared_fourfold_closed_form():
+    """The A table of K3A x K3A with J1 x J2 has the Hodge numbers of the
+    Borcea-Voisin fourfold, from K3A's (r, a) = (1, 1), read off the
+    E1 x K3A table.  The form with N1 N2 replaced by N1 + N2 fails."""
+    k3a_x = parse_polynomial("x0^2+x1^6+x2^6+x3^6")
+    threefold = poincare_table(build_bv(E1, K3A, j_blocks(E1, K3A)).space("A"))
+    invariants = voisin_invariants(threefold)
+    assert invariants == (1, 1)
+    table = poincare_table(build_bv(k3a_x, K3A, j_blocks(k3a_x, K3A)).space("A"))
+    assert sum(table.values()) == 934
+    expected = {(1, 1): 3, (2, 1): 20, (3, 1): 138, (2, 2): 568}
+    assert {k: table[k] for k in expected} == fourfold_hodge(invariants, invariants) == expected
+    assert fourfold_hodge(invariants, invariants, operator.add) != expected

@@ -60,6 +60,9 @@ SL_OCTIC = (
     "0,0,0,0,0,1/8,0,7/8;0,0,0,0,1/8,0,0,7/8;0,0,0,1/2,0,0,0,1/2"
 )
 CASES["e1octic_sl_theorem2"] = ["bv", "theorem2", "--w1", E1, "--w2", OCTIC, "--gens", SL_OCTIC, "--json"]
+# the Borcea-Voisin fourfold K3A x K3A, the first factor's variables renamed
+for _verb in ("theorem1", "lgcy", "theorem2"):
+    CASES[f"k3ak3a_{_verb}"] = ["bv", _verb, "--w1", K3A.replace("y", "x"), "--w2", K3A, "--json"]
 # the rung past the Gmax cap: |Gmax(W1 + W2)| = 1,327,104, |G^T| = 13,824
 CASES["e2overcap_theorem1"] = ["bv", "theorem1", "--w1", E2, "--w2", OVERCAP, "--json"]
 # the K3 catalog with the invertible sample of each half-degree system

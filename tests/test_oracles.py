@@ -1535,12 +1535,13 @@ def test_phi_bar_matches_phi_map(name, rescaled):
     bhk, bv, alg2, alg0 = _mirror_algebras(model)
     L = alg0.L
     bhk, bv = EagerSpace(bhk, L), EagerSpace(bv)
-    phi = phi_bar(alg2, alg0, model.mirror().sigma, rescaled)
+    sigma = model.mirror().sigma
+    phi = phi_bar(alg2, alg0, sigma, rescaled)
     even2 = even_basis(bhk)
     assert len(phi) == len(even2) == alg2.dim
     scales = set()
     for e in even2:
-        k, image = phi_map(e, bhk, bv, model.mirror().sigma, rescaled=rescaled)
+        k, image = phi_map(e, bhk, bv, sigma, rescaled=rescaled)
         assert phi[alg2.at[element_key(alg2, e, L)]] == (2 * k, alg0.at[image])
         scales.add(k)
     assert len(scales) > 1 if rescaled else scales == {1}
