@@ -7,6 +7,7 @@ import math
 import warnings
 from fractions import Fraction
 
+from .milnor import adopt_block_rings
 from .polyring import (
     Polynomial,
     WeightSystem,
@@ -159,10 +160,7 @@ def build_bv(w1: Polynomial, w2: Polynomial, gens) -> BVModel:
         raise NotCY(f"{w1} fails the Calabi-Yau condition")
     if not check_cy(ws2):
         raise NotCY(f"{w2} fails the Calabi-Yau condition")
-    try:
-        poly = direct_sum(w1, w2)
-    except ValueError as exc:
-        raise BadForm(str(exc)) from exc
+    poly = direct_sum(w1, w2)
     ws = weight_system(poly)
     n1 = w1.nvars
     n = poly.nvars
@@ -184,9 +182,14 @@ def build_bv(w1: Polynomial, w2: Polynomial, gens) -> BVModel:
 
 
 def mirror_pair(model: BVModel) -> BVModel:
-    """(W1^T, W2^T) with group sigma * (G^T); re-validated from scratch."""
+    """(W1^T, W2^T) with group sigma * (G^T); re-validated from scratch.  Its
+    ring cache starts with the model's block rings that transposition leaves
+    as they are, up to a scale of the weights (`adopt_block_rings`), so only
+    the blocks it changes, chains and loops, run Buchberger again."""
     dual = transpose_group(model.group, model.poly)
-    return build_bv(transpose(model.w1), transpose(model.w2), dual.gens)
+    mirror = build_bv(transpose(model.w1), transpose(model.w2), dual.gens)
+    adopt_block_rings(mirror.rings, model.rings, mirror.poly, mirror.ws)
+    return mirror
 
 
 class TwistModel:

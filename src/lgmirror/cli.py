@@ -201,6 +201,17 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """An int of at least 1, else a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lgmirror",
@@ -257,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cat = sub.add_parser("catalog", help="K3 weight-system catalog")
     p_cat.add_argument("action", choices=["list", "filter", "sample"])
     p_cat.add_argument("weights", nargs="?", default="", help="for sample: w0,w1,w2,w3,d")
-    p_cat.add_argument("--max-weight", type=int, default=40)
+    p_cat.add_argument("--max-weight", type=_positive_int, default=40)
     p_cat.add_argument(
         "--half-degree-only",
         action="store_true",

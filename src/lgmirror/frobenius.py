@@ -7,20 +7,26 @@ with mn carried into the Milnor ring of W restricted to Fix(gh) (monomials
 whose support leaves the fixed locus map to zero).
 
 `BAlgebra` numbers the even elements (g, m), g an int vector, and holds
-its algebra as sparse tables of nonzero entries: C[i] = {j: (k, c)} with
-e_i e_j = c e_k, and P[i] = {j: <e_i, e_j>}, c exact and an int when
-integral.  One term suffices: the Jacobian ideal of an invertible potential
-is binomial, so a monomial normalizes to one term (Eisenbud-Sturmfels,
-"Binomial ideals", Duke Math. J. 84, 1996); `MultiTermProduct` if not.
-A pair (g, h) enters the product only through its locus triple
-(Fix g, Fix h, Fix gh), on which gamma is keyed, and only when it meets the
-index condition I_g u I_h u I_gh = everything; g pairs only with -g
-(Krawitz, arXiv:0906.0796, section 2).  `verify_theorem2` maps the even
-elements by phi-bar on their int vectors and contracts these tables.
+its algebra as sparse tables of nonzero int entries, each table over one
+denominator: C[i] = {j: (k, c)} with e_i e_j = (c / c_den) e_k, and
+P[i] = {j: p} with <e_i, e_j> = p / p_den.  One term suffices: the Jacobian
+ideal of an invertible potential is binomial, so a monomial normalizes to
+one term (Eisenbud-Sturmfels, "Binomial ideals", Duke Math. J. 84, 1996);
+`MultiTermProduct` if not.  A pair (g, h) enters the product only through
+its locus triple (Fix g, Fix h, Fix gh), on which gamma and the products of
+states are keyed, and only when it meets the index condition
+I_g u I_h u I_gh = everything; g pairs only with -g (Krawitz,
+arXiv:0906.0796, section 2).  The ring of a locus is the tensor product of
+its block rings, each zero above the weighted degree of its socle, so a
+product is reduced only when each block's part of it fits under that
+block's socle degree, and a pairing only when each part meets it.
+`verify_theorem2` maps the even elements by phi-bar on their int vectors
+and contracts these tables.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add
 
@@ -73,9 +79,49 @@ class HypothesisFailed(FrobeniusError):
         )
 
 
-def _exact(c: Fraction):
-    """c as an int when it is integral: the contraction multiplies ints."""
-    return c.numerator if c.denominator == 1 else c
+def _over_one_denominator(scalar: Fraction, values: list) -> tuple:
+    """(d, numerators): scalar * c = n / d for each c of `values`, d the
+    least such denominator."""
+    lcm = math.lcm(*{c.denominator for c in values})
+    a = scalar.numerator
+    numerators = [a * c.numerator * (lcm // c.denominator) for c in values]
+    d = scalar.denominator * lcm
+    common = math.gcd(d, *numerators)
+    return d // common, [n // common for n in numerators]
+
+
+def _block_grading(ring: MilnorRing):
+    """(degrees, tops): the map from a monomial to the tuple of its weighted
+    degrees on the blocks of `ring`, and that tuple of the socle, whose
+    entries are the socle degrees of the blocks."""
+    w = ring.weights
+    blocks = [part.active for part in ring.parts or (ring,)]
+
+    def degrees(m) -> tuple:
+        return tuple([sum([m[i] * w[i] for i in block]) for block in blocks])
+
+    return degrees, degrees(ring.socle)
+
+
+def _degree_index(entries, depth: int) -> list:
+    """The items of `entries`, (degree tuple, item) pairs, nested by their
+    degrees: a level is a list of (degree, next level), and the last level
+    the list of items."""
+    if not depth:
+        return [item for _, item in entries]
+    groups: dict = {}
+    for degrees, item in entries:
+        groups.setdefault(degrees[0], []).append((degrees[1:], item))
+    return [(d, _degree_index(sub, depth - 1)) for d, sub in groups.items()]
+
+
+def _fitting(index: list, caps) -> list:
+    """The item lists of a `_degree_index` whose degree at each level is at
+    most the cap of that level."""
+    nodes = [index]
+    for cap in caps:
+        nodes = [sub for node in nodes for d, sub in node if d <= cap]
+    return nodes
 
 
 class BAlgebra:
@@ -103,6 +149,9 @@ class BAlgebra:
                 self.at.update({(g, m): i for i, m in elems})
         self.dim = len(self.at)
         self._gamma: dict = {}
+        self._products: dict = {}  # locus triple -> (d, [(k1, k2, p, n)])
+        self._pairings: dict = {}  # locus -> (d, [(k1, k2, n)])
+        self._c_den = self._p_den = None
 
     def element(self, g, m) -> str:
         """The name of the basis element <m; g> of the int vector g, for
@@ -183,52 +232,135 @@ class BAlgebra:
         """The index of the unit <1; 0>, invariant since G <= SL."""
         return self.at[(0,) * self.nvars, (0,) * self.nvars]
 
-    def structure_constants(self) -> list:
-        """C[i] = {j: (k, c)}: e_i e_j = c e_k, nonzero products only, over
-        the sector pairs (g, h) of `pairs`.  Per pair, gh, gamma and the ring
-        of Fix gh are found once, and only the factors that vanish where gh
-        does not are multiplied."""
-        sectors, at = self.sectors, self.at
-        C: list = [{} for _ in range(self.dim)]
-        for g, h in self.pairs(sectors, sectors):
-            (fg, g_elems), (fh, h_elems) = sectors[g], sectors[h]
-            gh = self._add(g, h)
-            fgh = vector_locus(gh)
+    def products(self, g, h) -> tuple:
+        """(d, [(k1, k2, p, n)]): the nonzero products of the k1-th state of
+        Fix g and the k2-th of Fix h, each n / d times the p-th state of
+        Fix gh, gamma included; kept per locus triple until C holds them.
+        The right-hand factors are indexed by their degrees on the blocks of
+        the ring of Fix gh, and a left one meets only those whose product
+        fits under every block's socle degree; `monomial_normal_form` judges
+        each product it meets."""
+        (fg, _), (fh, _) = self.sectors[g], self.sectors[h]
+        gh = self._add(g, h)
+        fgh = vector_locus(gh)
+        key = (fg, fh, fgh)
+        hit = self._products.get(key)
+        if hit is None:
             scalar, socle = self._gamma_data(fg, fh, fgh)
-            normal_form = self.ring(fgh).monomial_normal_form
+            ring = self.ring(fgh)
+            degrees, tops = _block_grading(ring)
+            normal_form = ring.monomial_normal_form
+            position = {m: k for k, m in enumerate(self.space.kept[fgh])}
             gone = [k for k, a in enumerate(gh) if a]
-            left = [(i, m) for i, m in g_elems if not any([m[k] for k in gone])]
-            right = [(j, m) for j, m in h_elems if not any([m[k] for k in gone])]
-            for i, m1 in left:
-                shifted, row = tuple(map(add, m1, socle)), C[i]
-                for j, m2 in right:
-                    terms = normal_form(tuple(map(add, shifted, m2)))
-                    if len(terms) > 1:
-                        pair = f"{self.element(g, m1)} and {self.element(h, m2)}"
-                        raise MultiTermProduct(f"the product of {pair} has {len(terms)} terms")
-                    for b, c in terms.items():
-                        if (gh, b) not in at:
-                            raise NotBasisElement(f"a product lands outside the even basis: {(gh, b)!r}")
-                        row[j] = (at[gh, b], _exact(scalar * c))
+            kept_g, kept_h = self.space.kept[fg], self.space.kept[fh]
+            right = [(degrees(m), (k, m)) for k, m in enumerate(kept_h) if not any([m[i] for i in gone])]
+            index = _degree_index(right, len(tops))
+            found = []
+            for k1, m1 in enumerate(kept_g):
+                if any([m1[i] for i in gone]):
+                    continue
+                shifted = tuple(map(add, m1, socle))
+                caps = [t - d for t, d in zip(tops, degrees(shifted))]
+                for items in _fitting(index, caps):
+                    for k2, m2 in items:
+                        terms = normal_form(tuple(map(add, shifted, m2)))
+                        if len(terms) > 1:
+                            pair = f"{self.element(g, m1)} and {self.element(h, m2)}"
+                            raise MultiTermProduct(f"the product of {pair} has {len(terms)} terms")
+                        for b, c in terms.items():
+                            if b not in position:
+                                raise NotBasisElement(f"a product lands outside the even basis: {(gh, b)!r}")
+                            found.append((k1, k2, position[b], c))
+            d, numerators = _over_one_denominator(scalar, [c for *_, c in found])
+            hit = self._products[key] = (d, [(k1, k2, p, n) for (k1, k2, p, _), n in zip(found, numerators)])
+        return hit
+
+    def pairings(self, g) -> tuple:
+        """(d, [(k1, k2, n)]): the nonzero pairings, n / d, of the k1-th and
+        k2-th states of Fix g, the locus of g and -g, on its ring: its residue
+        scale times the socle coefficient of the product; kept per locus.
+        Only products whose degree on each block is that block's socle
+        degree are reduced."""
+        locus = self.sectors[g][0]
+        hit = self._pairings.get(locus)
+        if hit is None:
+            ring = self.ring(locus)
+            degrees, tops = _block_grading(ring)
+            normal_form = ring.monomial_normal_form
+            kept = self.space.kept[locus]
+            index: dict = {}
+            for k, m in enumerate(kept):
+                index.setdefault(degrees(m), []).append((k, m))
+            found = []
+            for k1, m1 in enumerate(kept):
+                for k2, m2 in index.get(tuple([t - d for t, d in zip(tops, degrees(m1))]), ()):
+                    c = normal_form(tuple(map(add, m1, m2))).get(ring.socle)
+                    if c:
+                        found.append((k1, k2, c))
+            d, numerators = _over_one_denominator(ring.residue(1), [c for *_, c in found])
+            hit = self._pairings[locus] = (d, [(k1, k2, n) for (k1, k2, _), n in zip(found, numerators)])
+        return hit
+
+    @property
+    def c_den(self) -> int:
+        """The denominator of C: the least common multiple of those of the
+        `products` of every locus triple."""
+        if self._c_den is None:
+            sectors = self.sectors
+            self._c_den = math.lcm(*{self.products(g, h)[0] for g, h in self.pairs(sectors, sectors)})
+        return self._c_den
+
+    @property
+    def p_den(self) -> int:
+        """The denominator of P: the least common multiple of those of the
+        `pairings` of every locus."""
+        if self._p_den is None:
+            self._p_den = math.lcm(*{self.pairings(g)[0] for g in self.sectors})
+        return self._p_den
+
+    def structure_constants(self) -> list:
+        """C[i] = {j: (k, c)}: e_i e_j = (c / c_den) e_k, nonzero products
+        only, over the sector pairs (g, h) of `pairs`, each filled in from
+        the `products` of its locus triple, which are then dropped."""
+        den, sectors = self.c_den, self.sectors
+        C: list = [{} for _ in range(self.dim)]
+        numerators: dict = {}  # locus triple -> its products over den
+        for g, h in self.pairs(sectors, sectors):
+            d, products = self.products(g, h)
+            if not products:
+                continue
+            gh = self._add(g, h)
+            key = (sectors[g][0], sectors[h][0], vector_locus(gh))
+            scaled = numerators.get(key)
+            if scaled is None:
+                f = den // d
+                scaled = numerators[key] = products if f == 1 else [(k1, k2, p, c * f) for k1, k2, p, c in products]
+            if gh not in sectors:
+                b = self.space.kept[vector_locus(gh)][products[0][2]]
+                raise NotBasisElement(f"a product lands outside the even basis: {(gh, b)!r}")
+            rows = [C[i] for i, _ in sectors[g][1]]
+            cols, targets = ([i for i, _ in sectors[v][1]] for v in (h, gh))
+            for k1, k2, p, c in scaled:
+                rows[k1][cols[k2]] = (targets[p], c)
+        self._products.clear()
         return C
 
     def pairing_table(self) -> list:
-        """P[i] = {j: <e_i, e_j>}, nonzero pairings only.  Sector g pairs
-        only with -g, on the ring of Fix g: its residue scale times the socle
-        coefficient of the product."""
-        L = self.L
+        """P[i] = {j: p}: <e_i, e_j> = p / p_den, nonzero pairings only.
+        Sector g pairs only with -g; its entries are the `pairings` of its
+        locus."""
+        den, sectors, L = self.p_den, self.sectors, self.L
         P: list = [{} for _ in range(self.dim)]
-        for g, (locus, elems) in self.sectors.items():
-            partner = self.sectors.get(tuple([-a % L for a in g]), (None, ()))[1]
-            ring = self.ring(locus)
-            scale = ring.residue(1)
-            normal_form = ring.monomial_normal_form
-            for i, m1 in elems:
-                row = P[i]
-                for j, m2 in partner:
-                    c = normal_form(tuple(map(add, m1, m2))).get(ring.socle)
-                    if c:
-                        row[j] = _exact(scale * c)
+        for g, (_, elems) in sectors.items():
+            partner = sectors.get(tuple([-a % L for a in g]))
+            if partner is None:
+                continue
+            d, pairings = self.pairings(g)
+            f = den // d
+            rows = [P[i] for i, _ in elems]
+            cols = [j for j, _ in partner[1]]
+            for k1, k2, c in pairings:
+                rows[k1][cols[k2]] = c * f
         return P
 
 
@@ -322,7 +454,9 @@ def associativity_and_frobenius(C: list, P: list):
     of one algebra, one row i at a time: with e_i e_j = c e_l, (e_i e_j) e_k
     = c C_lk over C_l, and e_i (e_j e_k) = c C_il over the inverse index
     l -> [(j, k, c)] of the l in C_i; likewise with P.  Each side sets one
-    value per (j, k)."""
+    value per (j, k).  The tables may hold numerators over one denominator
+    each (as `BAlgebra` holds them, ints): both sides of each identity carry
+    the same powers of the two."""
     inverse: dict = {}
     for j, cj in enumerate(C):
         for k, (l, c) in cj.items():
@@ -330,18 +464,10 @@ def associativity_and_frobenius(C: list, P: list):
     assoc_fail = frob_fail = 0
     for ci, pi in zip(C, P):
         # (j, k) -> (e_i e_j) e_k and e_i (e_j e_k) as (m, c), and the pairings
-        left, right, pleft, pright = {}, {}, {}, {}
-        for j, (l, c) in ci.items():
-            for k, (m, d) in C[l].items():
-                left[j, k] = (m, c * d)
-            for k, p in P[l].items():
-                pleft[j, k] = c * p
-        for l, (m, d) in ci.items():
-            for j, k, c in inverse.get(l, ()):
-                right[j, k] = (m, c * d)
-        for l, p in pi.items():
-            for j, k, c in inverse.get(l, ()):
-                pright[j, k] = c * p
+        left = {(j, k): (m, c * d) for j, (l, c) in ci.items() for k, (m, d) in C[l].items()}
+        right = {(j, k): (m, c * d) for l, (m, d) in ci.items() for j, k, c in inverse.get(l, ())}
+        pleft = {(j, k): c * p for j, (l, c) in ci.items() for k, p in P[l].items()}
+        pright = {(j, k): c * p for l, p in pi.items() for j, k, c in inverse.get(l, ())}
         assoc_fail += _differing(left, right)
         frob_fail += _differing(pleft, pright)
     return assoc_fail, frob_fail
@@ -353,12 +479,13 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
     identity, and the gamma-factor lemma.  Raises HypothesisFailed when the
     model lacks property 1, on which the theorem rests.
 
-    Each even algebra is built once as its tables C, P (see `BAlgebra`) and
-    phi-bar as the index map i -> (2 s_i, phi(i)) (`phi_bar`).  For each i,
-    the j in the nonzero supports of C2_i, P2_i, C0_phi(i), P0_phi(i) (pulled
-    back by phi) are checked in order, times 4 to stay on ints: phi(C2_ij) =
-    s_i s_j C0_phi(i)phi(j) and P2_ij = s_i s_j P0_phi(i)phi(j).  Then the
-    unit, `associativity_and_frobenius` on C0, P0, and `gamma_lemma_cases`.
+    Each even algebra is built once as its tables C, P over their
+    denominators (see `BAlgebra`) and phi-bar as the index map i -> (2 s_i, phi(i))
+    (`phi_bar`).  For each i, the j in the nonzero supports of C2_i, P2_i,
+    C0_phi(i), P0_phi(i) (pulled back by phi) are checked in order, times 4
+    and both denominators to stay on ints: phi(C2_ij) = s_i s_j
+    C0_phi(i)phi(j) and P2_ij = s_i s_j P0_phi(i)phi(j).  Then the unit,
+    `associativity_and_frobenius` on C0, P0, and `gamma_lemma_cases`.
     States are named (`BAlgebra.element`) for mismatch records only."""
     a_space = model.space("A")
     mirror = model.mirror()  # its polynomial and weights are those of W^T
@@ -391,6 +518,7 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
 
     C2, P2 = alg2.structure_constants(), alg2.pairing_table()
     C0, P0 = alg0.structure_constants(), alg0.pairing_table()
+    cd2, pd2, cd0, pd0 = alg2.c_den, alg2.p_den, alg0.c_den, alg0.p_den
     fails = {"product": 0, "pairing": 0}
     for i, (w1, t1) in enumerate(phi):
         row2, prow2, row0, prow0 = C2[i], P2[i], C0[t1], P0[t1]
@@ -401,11 +529,11 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
             w2, t2 = phi[j]
             w12 = w1 * w2  # 4 s_i s_j
             k, c = row2.get(j, (0, 0))
-            w, t = phi[k]  # 4 phi(C2_ij) = 2 w c e_t
+            w, t = phi[k]  # 4 phi(C2_ij) = 2 w (c / cd2) e_t
             k0, c0 = row0.get(t2, (0, 0))
             for what, bad in (
-                ("product", 2 * w * c != w12 * c0 or (c and t != k0)),
-                ("pairing", 4 * prow2.get(j, 0) != w12 * prow0.get(t2, 0)),
+                ("product", 2 * w * c * cd0 != w12 * c0 * cd2 or (c and t != k0)),
+                ("pairing", 4 * prow2.get(j, 0) * pd0 != w12 * prow0.get(t2, 0) * pd2),
             ):
                 if bad:
                     fails[what] += 1
@@ -416,7 +544,7 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
 
     u = alg0.unit()
     for i, (g, m) in enumerate(alg0.at):
-        if C0[u].get(i) != (i, 1) or C0[i].get(u) != (i, 1):
+        if C0[u].get(i) != (i, cd0) or C0[i].get(u) != (i, cd0):
             mismatches.append({"reason": "unit fails", "element": alg0.element(g, m)})
 
     assoc_fail, frob_fail = associativity_and_frobenius(C0, P0)

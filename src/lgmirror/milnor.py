@@ -14,7 +14,9 @@ the socle the sum of the block socles.  Blocks are read off the term
 supports of W, which is restricted only to build a block ring.  The
 standard monomials of an assembled ring are walked only when `basis` is
 read, and the union of its blocks' bases is sorted only when a normal form
-or the walk reads it.
+or the walk reads it.  A cache may start with another polynomial's block
+rings where W restricted to the block is the same and the weights there are
+proportional (`adopt_block_rings`), as a BHK mirror does with its model's.
 """
 
 from __future__ import annotations
@@ -309,6 +311,17 @@ class MilnorRing:
     def wdeg(self, mono) -> int:
         return sum(e * w for e, w in zip(mono, self.weights))
 
+    def regraded(self, weights, order: TermOrder) -> "MilnorRing":
+        """This block ring under `weights`, proportional to its own on the
+        block, and `order`, which then orders the block's monomials as its
+        own does: the Groebner and standard bases, socle, mu and Hessian
+        socle coefficient are shared, the normal forms remembered afresh."""
+        ring = MilnorRing.__new__(MilnorRing)
+        for name in MilnorRing.__slots__:
+            setattr(ring, name, getattr(self, name))
+        ring.weights, ring.order, ring._nf = tuple(weights), order, {}
+        return ring
+
     def normal_form(self, p: Polynomial) -> Polynomial:
         if not p.support() <= set(self.active):
             raise ValueError("polynomial uses variables outside the ring")
@@ -359,11 +372,12 @@ def milnor_ring(
     `ws` supplies the grading; by default the weight system is solved from
     the restricted polynomial itself (all-ones fallback when non-unique, the
     order is still valid).  `rings` is the subset-keyed cache of one
-    polynomial (a model's is `BVModel.rings`), read and written here only:
-    the ring of `active` is served from it when its weights match, and
-    otherwise built and kept there, with two or more connected blocks
-    assembled from block rings looked up in and added to the same cache,
-    in the term order of its first ring when their weights agree.
+    polynomial (a model's is `BVModel.rings`), read and written here and
+    seeded only by `adopt_block_rings`: the ring of `active` is served from
+    it when its weights match, and otherwise built and kept there, with two
+    or more connected blocks assembled from block rings looked up in and
+    added to the same cache, in the term order of its first ring when their
+    weights agree.
     """
     active = tuple(sorted(range(poly.nvars) if active is None else active))
     weights = tuple(ws.weights) if ws is not None else _grading_weights(restrict(poly, active), active)
@@ -388,6 +402,33 @@ def milnor_ring(
         ring = MilnorRing(None, active, weights, order, None, parts)
     rings.setdefault(active, ring)
     return ring
+
+
+def adopt_block_rings(rings: dict, donor: dict, poly: Polynomial, ws: WeightSystem) -> None:
+    """Put into `rings`, the subset-keyed cache of `poly` graded by `ws`,
+    each block ring of the cache `donor` (of another polynomial) that is
+    poly's own up to a scale of its weights (`_adoptable`), regraded by ws
+    in one term order.  Scaling one block's weights leaves weighted-degrevlex
+    on its monomials unchanged, so no Buchberger run is needed for it."""
+    weights = tuple(ws.weights)
+    order = None
+    for active, ring in donor.items():
+        if ring.parts or active in rings or not _adoptable(ring, poly, weights):
+            continue
+        if order is None:
+            first = next(iter(rings.values()), None)
+            order = first.order if first is not None and first.weights == weights else TermOrder(weights)
+        rings[active] = ring.regraded(weights, order)
+
+
+def _adoptable(ring: MilnorRing, poly: Polynomial, weights) -> bool:
+    """Whether the block ring `ring` is that of `poly` on its block under
+    `weights`: W restricted to the block is the same, and the weights there
+    are proportional."""
+    scales = [(ring.weights[i], weights[i]) for i in ring.active]
+    if any(a * scales[0][1] != b * scales[0][0] for a, b in scales):
+        return False
+    return ring.poly == restrict(poly, ring.active)
 
 
 def _block_ring(poly: Polynomial, block, weights, order: TermOrder) -> MilnorRing:

@@ -42,6 +42,10 @@ class NotClassifiable(PolyError):
     """Square invertible polynomial that is not a sum of Fermat/chain/loop blocks."""
 
 
+class VariableCollision(PolyError):
+    """Two potentials to be summed share a variable name."""
+
+
 Monomial = tuple  # tuple[int, ...], length == number of ambient variables
 
 
@@ -636,8 +640,9 @@ def atomic_decomposition(poly: Polynomial):
 
 def direct_sum(p1: Polynomial, p2: Polynomial) -> Polynomial:
     """Place two polynomials in disjoint variables side by side."""
-    if set(p1.variables) & set(p2.variables):
-        raise ValueError("variable names collide")
+    shared = sorted(set(p1.variables) & set(p2.variables))
+    if shared:
+        raise VariableCollision(f"variable names collide: {', '.join(shared)}")
     variables = p1.variables + p2.variables
     n1, n2 = p1.nvars, p2.nvars
     terms = {m + (0,) * n2: c for m, c in p1.terms.items()}

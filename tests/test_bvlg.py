@@ -25,7 +25,7 @@ from lgmirror.bvlg import (
 )
 from lgmirror.catalog import enumerate_k3_systems, filter_bv_invertible, sample_polynomial
 from lgmirror.chenruan import verify_lgcy
-from lgmirror.polyring import is_bv_form, parse_polynomial, restrict, weight_system
+from lgmirror.polyring import VariableCollision, is_bv_form, parse_polynomial, restrict, weight_system
 from lgmirror.statespace import build_state_space, poincare_table
 from lgmirror.symmetry import GroupElement, span, transpose_group
 from test_oracles import EagerSpace, _models, add, members, tw_a_map
@@ -331,8 +331,10 @@ def test_delta_lcm_identity():
 
 
 def test_colliding_variable_names_rejected():
+    """Shared variable names are malformed input (a `PolyError`, exit 2),
+    not a precondition on the model."""
     clash = parse_polynomial("x0^2+x1^2")
-    with pytest.raises(BadForm):
+    with pytest.raises(VariableCollision, match="collide: x0, x1$"):
         build_bv(E1, clash, [])
 
 
@@ -389,8 +391,10 @@ def test_random_intermediate_groups_theorem1_and_lgcy():
 def test_theorem1_and_lgcy_share_one_a_space(monkeypatch, block_ring_calls, curve, k3):
     """Theorem 1 and then LG/CY on one model sweep A(W, sigma G) once: the
     A side calls `build_state_space` once, and across the two verdicts each
-    block ring of the model's polynomial is built once, beside those of the
-    mirror's B sweep, which builds its own.  Twist-iso after them reads the
+    block ring of the model's polynomial is built once.  The mirror's B
+    sweep builds only the block rings its model lacks, those whose
+    restricted polynomial the model has no ring of (the chain block on the
+    chain model); it adopts the others.  Twist-iso after them reads the
     same A space and sweeps only the twist."""
     spaces = []
 
@@ -410,7 +414,12 @@ def test_theorem1_and_lgcy_share_one_a_space(monkeypatch, block_ring_calls, curv
     build_state_space(mirror.poly, mirror.sigma_group, "B", ws=mirror.ws)
     b_side = Counter(block_ring_calls)
     a_side = Counter({(m.poly.variables, k): 1 for k, ring in m.rings.items() if not ring.parts})
-    assert a_side and built == a_side + b_side
+    lacks = Counter(
+        {key: n for key, n in b_side.items() if key[1] not in m.rings or m.rings[key[1]].poly != restrict(mirror.poly, key[1])}
+    )
+    assert a_side and built == a_side + lacks
+    assert lacks != b_side  # some block ring was adopted
+    assert bool(lacks) == (k3 == CHAIN_K3)  # only the chain block changes under transposition
     assert verify_twist_iso(m, "A").passed
     assert [(space.poly, space.flavor) for space in spaces[2:]] == [(m.twist().poly, "A")]
 
@@ -472,23 +481,36 @@ def test_every_verb_keeps_only_the_model_rings(monkeypatch, capsys, name):
     `mirror_pair`) hold rings of their own polynomial in their own weights
     only.  So no ring of the twist (other variables) enters, and on the
     chain model, whose transpose differs, no ring of the transposed or
-    mirror polynomial where it differs from the model's."""
+    mirror polynomial where it differs from the model's.  A mirror built
+    after the model's first sweep starts with the block rings it adopts
+    from the model; of the others, theorem1, theorem2 and bvms build only
+    block rings the model lacked then, and group-lemma, which sweeps
+    nothing, none."""
     m = model(E2, CHAIN_K3) if name == "chain" else _models()[name]
     monkeypatch.setattr(cli, "_build_model", lambda args: m)
-    mirrors = []
+    mirrors = []  # (verb, the model's rings when the mirror was built, mirror)
+    verb = None
 
     def recording(model):
-        mirrors.append(mirror_pair(model))
-        return mirrors[-1]
+        donor = dict(model.rings)
+        mirrors.append((verb, donor, mirror_pair(model)))
+        return mirrors[-1][2]
 
     monkeypatch.setattr(bvlg, "mirror_pair", recording)
     for verb in BV_VERBS:
         assert cli.main(["bv", verb, "--w1", str(m.w1), "--w2", str(m.w2), "--json"]) == 0, verb
     capsys.readouterr()
     tw = m.twist()
-    swept = [mirror for mirror in mirrors if mirror.rings]
-    assert len(swept) == 3  # theorem1, theorem2 and bvms
-    for side in (m, *swept):
+    assert [verb for verb, _, _ in mirrors] == ["mirror", "group-lemma", "theorem1", "theorem2", "bvms"]
+    assert not mirrors[0][1] and not mirrors[0][2].rings  # nothing to adopt yet
+    for verb, donor, mirror in mirrors[1:]:
+        adopted = {a for a, ring in mirror.rings.items() if a in donor and ring.basis_entries is donor[a].basis_entries}
+        built = {a: ring for a, ring in mirror.rings.items() if a not in adopted}
+        assert adopted
+        assert bool(built) == (verb != "group-lemma")
+        for active, ring in built.items():
+            assert ring.parts or active not in donor or donor[active].poly != ring.poly
+    for side in (m, *(mirror for _, _, mirror in mirrors[1:])):
         assert side.rings
         for active, ring in side.rings.items():
             assert ring.active == active

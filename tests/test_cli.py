@@ -200,6 +200,28 @@ def test_catalog_sample_no_invertible(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("bound", ["0", "-3", "x"])
+def test_catalog_bound_below_one_is_a_usage_error(capsys, bound):
+    """A `--max-weight` below 1 is malformed input (exit 2), not a bound
+    to raise (exit 3, as for a positive bound that finds too few)."""
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "list", f"--max-weight={bound}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-weight: expected a positive integer" in captured.err
+    assert run(capsys, "catalog", "list", "--max-weight", "5")[0] == 3
+
+
+def test_bv_shared_variable_name_is_an_input_error(capsys):
+    """`--w1` and `--w2` that share a variable name are malformed input:
+    exit 2, naming the shared variable."""
+    code, out, err = run(capsys, "bv", "mirror", "--w1", "x0^2+x1^3+x2^6", "--w2", "x0^2+y1^6+y2^6+y3^6")
+    assert code == 2
+    assert out == ""
+    assert err == "input error: variable names collide: x0\n"
+
+
 def test_catalog_out_file(tmp_path):
     """The file `--out` writes holds the bytes the same command prints to
     standard output without it, for `list` and for `filter`."""

@@ -18,7 +18,7 @@ from lgmirror.frobenius import (
     verify_theorem2,
 )
 from lgmirror.milnor import MilnorRing
-from lgmirror.polyring import parse_polynomial, transpose, weight_system
+from lgmirror.polyring import parse_polynomial, restrict, transpose, weight_system
 import lgmirror.statespace as statespace
 from lgmirror.statespace import build_state_space
 from lgmirror.symmetry import GroupElement, j_element, span, transpose_group
@@ -36,6 +36,7 @@ from test_oracles import (
 
 E1 = parse_polynomial("x0^2+x1^3+x2^6")
 K3 = parse_polynomial("y0^2+y1^6+y2^6+y3^6")
+CHAIN_K3 = parse_polynomial("y0^2+y1^3*y2+y2^10+y3^10")  # a census sample, weights (5,3,1,1;10)
 MINI = parse_polynomial("y0^2+y1^2")
 X3 = parse_polynomial("x^3")
 
@@ -94,6 +95,7 @@ def test_product_unit_and_nilpotent():
     C = alg.structure_constants()
     u = alg.unit()
     x = alg.at[(0,), (1,)]
+    assert alg.c_den == 1
     assert C[u][x] == (x, 1)
     assert C[x][u] == (x, 1)
     assert x not in C[x]  # nf(x^2) = 0 in Q(x^3)
@@ -104,7 +106,7 @@ def test_pairing_examples():
     P = alg.pairing_table()
     one = alg.at[(0,), (0,)]
     x = alg.at[(0,), (1,)]
-    assert P[one][x] == Fraction(1, 3)
+    assert (P[one][x], alg.p_den) == (1, 3)  # 1/3
     assert one not in P[one]
 
 
@@ -336,18 +338,26 @@ def test_mirror_polynomial_is_the_transpose_in_equal_weights():
 
 
 def test_theorem2_builds_each_mirror_block_ring_once(block_ring_calls):
-    """Within one Theorem 2 on E1 x K3A, the (sigma G)^T sweep and the
-    mirror's B sweep read one mirror ring cache, so once the model's A space
-    is swept each mirror block ring is built once.  A mirror is built per
-    verdict and not kept on the model, so Theorem 1 before it builds its own
-    mirror's rings again: that reuse across verdicts is given up to free the
-    mirror's sweeps when each verdict returns."""
-    m = build_bv(E1, K3, jgens(E1, K3))
-    m.space("A")
-    assert verify_theorem1(m).passed
-    block_ring_calls.clear()
-    assert verify_theorem2(m).passed
-    assert block_ring_calls and set(block_ring_calls.values()) == {1}
+    """Within one Theorem 2 on E1 x K3A and on E1 x the chain K3, the
+    (sigma G)^T sweep and the mirror's B sweep read one mirror ring cache,
+    which starts with the model's block rings that the mirror adopts.  So
+    once the model's A space is swept, each mirror block ring is built at
+    most once, and only where the model has no ring of W^T restricted to
+    the block: none on E1 x K3A, where W^T = W, and the chain blocks on the
+    chain model.  A mirror is built per verdict and not kept on the model,
+    so Theorem 1 before it builds those again: that reuse across verdicts
+    is given up to free the mirror's sweeps when each verdict returns."""
+    for k3 in (K3, CHAIN_K3):
+        m = build_bv(E1, k3, jgens(E1, k3))
+        m.space("A")
+        assert verify_theorem1(m).passed
+        block_ring_calls.clear()
+        assert verify_theorem2(m).passed
+        assert set(block_ring_calls.values()) <= {1}
+        mirror_poly = transpose(m.poly)
+        lacking = [b for _, b in block_ring_calls if b not in m.rings or m.rings[b].poly != restrict(mirror_poly, b)]
+        assert len(lacking) == len(block_ring_calls)
+        assert bool(lacking) == (k3 == CHAIN_K3)
 
 
 def test_gamma_lemma_factors():

@@ -106,6 +106,16 @@ recursive coin test it replaced (`recursive_quasismooth`).
 stride of larger ones: a classified polynomial has a finite Milnor ring, and
 one with a finite Milnor ring that is not classified has a mass term
 x_i * x_j.
+
+A BHK mirror adopts its model's block rings where W^T restricted to the
+block is the same polynomial and the weights are proportional
+(`adopt_block_rings`).  Its oracle is the one-shot ring of the mirror's own
+polynomial in its own weights: Groebner entries, basis, socle, mu and
+Hessian socle coefficient must agree (`adopted_ring_mismatches`).
+`BAlgebra` builds only the products that fit under every block socle, on
+int tables over one denominator each; its oracle is the all-pairs build it
+replaced, every basis pair of each sector pair reduced
+(`all_pairs_tables`), read back as exact values (`over_den`).
 """
 
 import math
@@ -152,11 +162,14 @@ from lgmirror.frobenius import (
     property1,
     verify_theorem2,
 )
+import lgmirror.frobenius as frobenius
+import lgmirror.milnor as milnor
 from lgmirror.milnor import (
     DegenerateSingularity,
     MilnorRing,
     TermOrder,
     _reduce_terms,
+    adopt_block_rings,
     groebner,
     jacobian_ideal,
     milnor_ring,
@@ -208,6 +221,11 @@ E2 = parse_polynomial("x0^2+x1^4+x2^4")
 K3A = parse_polynomial("y0^2+y1^6+y2^6+y3^6")
 MINI = parse_polynomial("y0^2+y1^2")
 OCTIC = parse_polynomial("y0^2+y1^8+y2^8+y3^8+y4^8")
+# G = SL(W1) x SL(W2) on E1 x OCTIC, the largest admissible group of the rung
+SL_OCTIC = (
+    "0,1/3,2/3,0,0,0,0,0;1/2,0,1/2,0,0,0,0,0;0,0,0,0,0,0,1/8,7/8;"
+    "0,0,0,0,0,1/8,0,7/8;0,0,0,0,1/8,0,0,7/8;0,0,0,1/2,0,0,0,1/2"
+)
 OVERCAP = parse_polynomial("y0^2+y1^3+y2^12+y3^24+y4^24")
 NONPRODUCT = "1/2,1/4,1/4,0,0,0,0;0,0,0,1/2,1/6,1/6,1/6;0,1/4,3/4,0,1/6,5/6,0"
 
@@ -1503,10 +1521,59 @@ def test_tables_match_basis_pair_oracle(name):
         alg, oracle = BAlgebra(space), ElementwiseAlgebra(EagerSpace(space))
         assert alg.at == {e: i for i, e in enumerate(oracle.even)}
         assert alg.dim == len(oracle.even)
-        C = alg.structure_constants()
+        C, P = over_den(alg)
         assert any(C)
         assert C == oracle.structure_constants()
-        assert alg.pairing_table() == oracle.pairing_table()
+        assert P == oracle.pairing_table()
+
+
+def over_den(alg):
+    """C and P of `alg` with each int entry divided by its table's
+    denominator, as exact values: ints where integral, Fractions elsewhere."""
+    def exact(c, den):
+        c = Fraction(c, den)
+        return c.numerator if c.denominator == 1 else c
+
+    C = [{j: (k, exact(c, alg.c_den)) for j, (k, c) in row.items()} for row in alg.structure_constants()]
+    P = [{j: exact(p, alg.p_den) for j, p in row.items()} for row in alg.pairing_table()]
+    return C, P
+
+
+def all_pairs_tables(alg):
+    """C and P of a `BAlgebra` as they were built before the degree index:
+    over the sector pairs of `pairs`, every basis pair whose factors vanish
+    where gh does not is reduced, and every pair of states of g and -g;
+    entries exact, ints where integral."""
+    def exact(c):
+        return c.numerator if c.denominator == 1 else c
+
+    sectors, at, L = alg.sectors, alg.at, alg.L
+    C = [{} for _ in range(alg.dim)]
+    for g, h in alg.pairs(sectors, sectors):
+        (fg, g_elems), (fh, h_elems) = sectors[g], sectors[h]
+        gh = alg._add(g, h)
+        fgh = vector_locus(gh)
+        scalar, socle = alg._gamma_data(fg, fh, fgh)
+        ring = alg.ring(fgh)
+        gone = [k for k, a in enumerate(gh) if a]
+        left = [(i, m) for i, m in g_elems if not any(m[k] for k in gone)]
+        right = [(j, m) for j, m in h_elems if not any(m[k] for k in gone)]
+        for i, m1 in left:
+            for j, m2 in right:
+                terms = ring.monomial_normal_form(tuple(map(sum, zip(m1, socle, m2))))
+                assert len(terms) <= 1
+                for b, c in terms.items():
+                    C[i][j] = (at[gh, b], exact(scalar * c))
+    P = [{} for _ in range(alg.dim)]
+    for g, (locus, elems) in sectors.items():
+        partner = sectors.get(tuple([-a % L for a in g]), (None, ()))[1]
+        ring = alg.ring(locus)
+        for i, m1 in elems:
+            for j, m2 in partner:
+                c = ring.monomial_normal_form(tuple(map(sum, zip(m1, m2)))).get(ring.socle)
+                if c:
+                    P[i][j] = exact(ring.residue(c))
+    return C, P
 
 
 CHAIN_K3 = parse_polynomial("y0^2+y1^3*y2+y2^10+y3^10")
@@ -1549,17 +1616,22 @@ def test_phi_bar_matches_phi_map(name, rescaled):
 
 def test_chain_tables_keep_fractions():
     """The chain model passes Theorem 2 with exact coefficients: its tables
-    hold non-integral Fractions, and ints everywhere else."""
+    hold ints over a denominator above 1, and the entries they stand for
+    are non-integral Fractions at as many places as the all-pairs tables
+    have them."""
     model = PHI_MODELS["e1chain"]()
     assert verify_theorem2(model).passed
     _, _, alg2, alg0 = _mirror_algebras(model)
     products = pairings = 0
     for alg in (alg2, alg0):
-        C = [c for row in alg.structure_constants() for _, c in row.values()]
-        P = [c for row in alg.pairing_table() for c in row.values()]
-        assert all(type(c) is int or c.denominator > 1 for c in C + P)
-        products += sum(type(c) is Fraction for c in C)
-        pairings += sum(type(c) is Fraction for c in P)
+        C, P = alg.structure_constants(), alg.pairing_table()
+        assert alg.c_den > 1 and alg.p_den > 1
+        assert all(type(c) is int for row in C for _, c in row.values())
+        assert all(type(p) is int for row in P for p in row.values())
+        C, P = over_den(alg)
+        assert (C, P) == all_pairs_tables(alg)
+        products += sum(type(c) is Fraction for row in C for _, c in row.values())
+        pairings += sum(type(p) is Fraction for row in P for p in row.values())
     assert (products, pairings) == (34, 52)
 
 
@@ -2549,3 +2621,168 @@ def test_weight_system_builds_only_the_quotients(monkeypatch):
     monkeypatch.undo()
     assert len(built) <= poly.nvars
     assert ws == oracle_weight_system(poly) == WeightSystem((12, 8, 4, 12, 3, 3, 3, 3), 24)
+
+
+def adopted_ring_mismatches(model, mirror) -> tuple:
+    """(adopted, mismatched): the block rings `mirror` adopted from `model`
+    (sharing its Groebner entries), and those of them that differ from the
+    one-shot ring of the mirror's polynomial in the mirror's weights, in
+    entries, basis, socle, mu, Hessian socle coefficient, polynomial or
+    weights, or that it cannot build."""
+    adopted = [
+        ring
+        for active, ring in mirror.rings.items()
+        if active in model.rings and ring.basis_entries is model.rings[active].basis_entries
+    ]
+    mismatched = []
+    for ring in adopted:
+        try:
+            want = one_shot_ring(mirror.poly, ring.active, mirror.ws)
+        except DegenerateSingularity:
+            mismatched.append(ring)
+            continue
+        got = (ring.basis_entries, ring.basis, ring.socle, ring.mu, ring.hessian_socle_coefficient())
+        if got != (want.basis_entries, want.basis, want.socle, want.mu, want.hessian_socle_coefficient()):
+            mismatched.append(ring)
+        elif (ring.poly, ring.weights) != (want.poly, want.weights):
+            mismatched.append(ring)
+    return adopted, mismatched
+
+
+LOOP_K3 = parse_polynomial("y0^2+y1^5*y2+y2^5*y3+y3^5*y1")  # weights (3,1,1,1;6); W^T differs
+
+
+def _adoption_models():
+    """The models whose mirrors the adoption oracle checks: every fourth of
+    E1 and E2 times the 44 invertible K3 samples, E1 x OCTIC, the
+    nonproduct model and the chain model, each with its A space swept."""
+    models = []
+    for record in filter_bv_invertible(enumerate_k3_systems())[::4]:
+        k3 = sample_polynomial(record.weight_system)
+        for curve in (E1, E2):
+            models.append(build_bv(curve, k3, block_j_elements(weight_system(curve), weight_system(k3))))
+    models += [_golden_models()["e1octic"], _models()["nonproduct"], PHI_MODELS["e1chain"]()]
+    for model in models:
+        model.space("A")
+    return models
+
+
+def test_adopted_rings_match_rings_built_from_scratch():
+    """Every block ring the mirror of each model adopts is the one-shot ring
+    of the mirror's polynomial; the chain block, which transposition
+    changes, is built afresh."""
+    adopted_total = 0
+    for model in _adoption_models():
+        adopted, mismatched = adopted_ring_mismatches(model, model.mirror())
+        assert not mismatched
+        adopted_total += len(adopted)
+    assert adopted_total == 165
+    chain = PHI_MODELS["e1chain"]()
+    chain.space("A")
+    mirror = chain.mirror()
+    changed = [a for a, ring in chain.rings.items() if not ring.parts and ring.poly != restrict(mirror.poly, a)]
+    assert changed and not set(changed) & set(mirror.rings)
+
+
+def test_adoption_without_polynomial_equality_fails_the_oracle(monkeypatch):
+    """A rule that adopts on proportional weights alone takes over the ring
+    of the loop block, whose transpose is another loop of the same weights."""
+    model = build_bv(E1, LOOP_K3, block_j_elements(weight_system(E1), weight_system(LOOP_K3)))
+    model.space("A")
+    assert not adopted_ring_mismatches(model, model.mirror())[1]
+
+    def weights_only(ring, poly, weights):
+        scales = [(ring.weights[i], weights[i]) for i in ring.active]
+        return all(a * scales[0][1] == b * scales[0][0] for a, b in scales)
+
+    monkeypatch.setattr(milnor, "_adoptable", weights_only)
+    mismatched = adopted_ring_mismatches(model, model.mirror())[1]
+    assert [ring.active for ring in mismatched if len(ring.active) > 1]
+
+
+def test_adoption_without_proportional_weights_fails_the_oracle(monkeypatch):
+    """Equal restricted polynomials of an isolated singularity have
+    proportional weights (its weights are unique), so no model's cache
+    offers a block under other weights.  A donor cache of the mirror's own
+    polynomial graded by all-ones weights does: the real rule refuses its
+    chain block, and a rule that compares polynomials alone adopts it,
+    under another term order, and fails the oracle."""
+    model = PHI_MODELS["e1chain"]()
+    model.space("A")
+    mirror = model.mirror()
+    n = mirror.poly.nvars
+    chain = next(b for b in milnor.components(mirror.poly, range(n)) if len(b) > 1)
+    donor: dict = {}
+    milnor_ring(mirror.poly, chain, WeightSystem((1,) * n, 2), donor)
+    rings: dict = {}
+    adopt_block_rings(rings, donor, mirror.poly, mirror.ws)
+    assert chain not in rings
+    monkeypatch.setattr(milnor, "_adoptable", lambda ring, poly, weights: ring.poly == restrict(poly, ring.active))
+    adopt_block_rings(rings, donor, mirror.poly, mirror.ws)
+    want = one_shot_ring(mirror.poly, chain, mirror.ws)
+    assert (rings[chain].basis_entries, rings[chain].basis) != (want.basis_entries, want.basis)
+
+
+def _table_models():
+    """The census models, the chain model and E1 x OCTIC."""
+    return _census_models() + [PHI_MODELS["e1chain"](), _golden_models()["e1octic"]]
+
+
+def test_tables_match_the_all_pairs_build():
+    """C and P of both mirror B-algebras of every table model, built only
+    where a product fits under every block socle, equal the all-pairs
+    tables; off property 1 both builds raise NonProportional."""
+    built = undefined = 0
+    for model in _table_models():
+        for alg in _mirror_algebras(model)[2:]:
+            try:
+                want = all_pairs_tables(alg)
+            except NonProportional:
+                with pytest.raises(NonProportional):
+                    alg.structure_constants()
+                undefined += 1
+                continue
+            assert over_den(alg) == want
+            built += 1
+    assert (built, undefined) == (60, 4)
+
+
+def test_a_filter_that_drops_one_product_fails_the_table_oracle(monkeypatch):
+    """A degree index that loses one fitting right-hand factor, once, drops
+    one nonzero product, and the tables no longer equal the all-pairs build."""
+    original = frobenius._fitting
+    dropped = []
+
+    def lossy(index, caps):
+        nodes = original(index, caps)
+        if not dropped and any(nodes):
+            first = next(k for k, items in enumerate(nodes) if items)
+            dropped.append(nodes[first][0])
+            nodes = nodes[:first] + [nodes[first][1:]] + nodes[first + 1 :]
+        return nodes
+
+    alg = _mirror_algebras(_models()["e1k3a"])[3]
+    want = all_pairs_tables(alg)
+    monkeypatch.setattr(frobenius, "_fitting", lossy)
+    C, P = over_den(alg)
+    assert dropped and P == want[1]
+    assert sum(map(len, C)) < sum(map(len, want[0]))
+
+
+def test_octic_sl_theorem2_reduces_close_to_only_its_nonzero_products(monkeypatch):
+    """Theorem 2 on E1 x OCTIC with G = SL(W1) x SL(W2) has 457,120 nonzero
+    products and pairings of basis pairs over its sector pairs; the tables
+    call `monomial_normal_form` at most 10% more often than that."""
+    calls = []
+    original = MilnorRing.monomial_normal_form
+
+    def counting(self, mono):
+        nf = original(self, mono)
+        calls.append(bool(nf))
+        return nf
+
+    model = build_bv(E1, OCTIC, parse_group_elements(SL_OCTIC, 8))
+    model.space("A")
+    monkeypatch.setattr(MilnorRing, "monomial_normal_form", counting)
+    assert verify_theorem2(model).passed
+    assert len(calls) <= 1.1 * 457_120
