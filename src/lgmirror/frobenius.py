@@ -6,27 +6,24 @@ Products follow the convention <m;g> * <n;h> = gamma_{g,h} nf(mn) <1;gh>,
 with mn carried into the Milnor ring of W restricted to Fix(gh) (monomials
 whose support leaves the fixed locus map to zero).
 
-`BAlgebra` numbers the even elements (g, m), g an int vector, and holds
-its algebra as sparse tables of nonzero int entries, each table over one
-denominator: C[i] = {j: (k, c)} with e_i e_j = (c / c_den) e_k, and
-P[i] = {j: p} with <e_i, e_j> = p / p_den.  One term suffices: the Jacobian
-ideal of an invertible potential is binomial, so a monomial normalizes to
-one term (Eisenbud-Sturmfels, "Binomial ideals", Duke Math. J. 84, 1996);
-`MultiTermProduct` if not.  A pair (g, h) enters the product only through
-its locus triple (Fix g, Fix h, Fix gh), on which gamma and the products of
-states are keyed, and only when it meets the index condition
+A pair (g, h) of int vectors enters the product only through its locus
+triple (Fix g, Fix h, Fix gh), and only when it meets the index condition
 I_g u I_h u I_gh = everything; g pairs only with -g (Krawitz,
-arXiv:0906.0796, section 2).  The ring of a locus is the tensor product of
-its block rings, each zero above the weighted degree of its socle, so a
-product is reduced only when each block's part of it fits under that
-block's socle degree, and a pairing only when each part meets it.
-`verify_theorem2` maps the even elements by phi-bar on their int vectors
-and contracts these tables.
+arXiv:0906.0796, section 2).  So `BAlgebra` holds an even algebra only as
+the nonzero products of each locus triple and the nonzero pairings of each
+locus, as ints over one denominator each.  A monomial normalizes to one
+term, as the Jacobian ideal of an invertible potential is binomial
+(Eisenbud-Sturmfels, "Binomial ideals", Duke Math. J. 84, 1996);
+`MultiTermProduct` if not.  The ring of a locus is the tensor product of its
+block rings, each zero above the weighted degree of its socle, so a product
+is reduced only when each block's part fits under that block's socle
+degree, and a pairing only when each part meets it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from operator import add
 
@@ -81,13 +78,13 @@ class HypothesisFailed(FrobeniusError):
 
 def _over_one_denominator(scalar: Fraction, values: list) -> tuple:
     """(d, numerators): scalar * c = n / d for each c of `values`, d the
-    least such denominator."""
+    least such denominator, and an iterator over the n in that order."""
     lcm = math.lcm(*{c.denominator for c in values})
     a = scalar.numerator
     numerators = [a * c.numerator * (lcm // c.denominator) for c in values]
     d = scalar.denominator * lcm
     common = math.gcd(d, *numerators)
-    return d // common, [n // common for n in numerators]
+    return d // common, iter([n // common for n in numerators])
 
 
 def _block_grading(ring: MilnorRing):
@@ -140,6 +137,7 @@ class BAlgebra:
         self.rings = space.rings  # shared subset-keyed Milnor cache
         self.at: dict = {}
         self.sectors: dict = {}
+        self.where: list = []  # index -> (g, place among the states of g)
         for g in space.group.vectors:
             locus = vector_locus(g)
             kept = space.kept[locus]
@@ -147,11 +145,11 @@ class BAlgebra:
                 elems = [(len(self.at) + k, m) for k, m in enumerate(kept)]
                 self.sectors[g] = (locus, elems)
                 self.at.update({(g, m): i for i, m in elems})
+                self.where.extend([(g, k) for k in range(len(kept))])
         self.dim = len(self.at)
         self._gamma: dict = {}
-        self._products: dict = {}  # locus triple -> (d, [(k1, k2, p, n)])
-        self._pairings: dict = {}  # locus -> (d, [(k1, k2, n)])
-        self._c_den = self._p_den = None
+        self._products: dict = {}  # locus triple -> (d, rows of (k2, p, n))
+        self._pairings: dict = {}  # locus -> (d, rows of (k2, n))
 
     def element(self, g, m) -> str:
         """The name of the basis element <m; g> of the int vector g, for
@@ -229,17 +227,19 @@ class BAlgebra:
         return self._gamma_data(self.locus(g), self.locus(h), vector_locus(gh))[0]
 
     def unit(self) -> int:
-        """The index of the unit <1; 0>, invariant since G <= SL."""
-        return self.at[(0,) * self.nvars, (0,) * self.nvars]
+        """The place of the unit <1; 0>, invariant since G <= SL, among the
+        states of the identity sector."""
+        return self.space.kept[tuple(range(self.nvars))].index((0,) * self.nvars)
 
     def products(self, g, h) -> tuple:
-        """(d, [(k1, k2, p, n)]): the nonzero products of the k1-th state of
-        Fix g and the k2-th of Fix h, each n / d times the p-th state of
-        Fix gh, gamma included; kept per locus triple until C holds them.
-        The right-hand factors are indexed by their degrees on the blocks of
-        the ring of Fix gh, and a left one meets only those whose product
-        fits under every block's socle degree; `monomial_normal_form` judges
-        each product it meets."""
+        """(d, rows): rows[k1] lists the nonzero products (k2, p, n) of the
+        k1-th state of Fix g and the k2-th of Fix h, each n / d times the p-th
+        state of Fix gh, gamma included; kept per locus triple.  The
+        right-hand factors are indexed by their degrees on the blocks of the
+        ring of Fix gh, and a left one meets only those whose product fits
+        under every block's socle degree; `monomial_normal_form` judges each
+        product it meets.  A product on an odd locus, or on a monomial that
+        the locus does not keep, lands outside the even basis."""
         (fg, _), (fh, _) = self.sectors[g], self.sectors[h]
         gh = self._add(g, h)
         fgh = vector_locus(gh)
@@ -250,13 +250,14 @@ class BAlgebra:
             ring = self.ring(fgh)
             degrees, tops = _block_grading(ring)
             normal_form = ring.monomial_normal_form
-            position = {m: k for k, m in enumerate(self.space.kept[fgh])}
+            even = (self.nvars - len(fgh)) % 2 == 0
+            position = {m: k for k, m in enumerate(self.space.kept[fgh] if even else ())}
             gone = [k for k, a in enumerate(gh) if a]
             kept_g, kept_h = self.space.kept[fg], self.space.kept[fh]
             right = [(degrees(m), (k, m)) for k, m in enumerate(kept_h) if not any([m[i] for i in gone])]
             index = _degree_index(right, len(tops))
-            found = []
-            for k1, m1 in enumerate(kept_g):
+            rows: list = [[] for _ in kept_g]
+            for row, m1 in zip(rows, kept_g):
                 if any([m1[i] for i in gone]):
                     continue
                 shifted = tuple(map(add, m1, socle))
@@ -270,17 +271,17 @@ class BAlgebra:
                         for b, c in terms.items():
                             if b not in position:
                                 raise NotBasisElement(f"a product lands outside the even basis: {(gh, b)!r}")
-                            found.append((k1, k2, position[b], c))
-            d, numerators = _over_one_denominator(scalar, [c for *_, c in found])
-            hit = self._products[key] = (d, [(k1, k2, p, n) for (k1, k2, p, _), n in zip(found, numerators)])
+                            row.append((k2, position[b], c))
+            d, numerators = _over_one_denominator(scalar, [c for row in rows for *_, c in row])
+            hit = self._products[key] = (d, [[(k2, p, next(numerators)) for k2, p, _ in row] for row in rows])
         return hit
 
     def pairings(self, g) -> tuple:
-        """(d, [(k1, k2, n)]): the nonzero pairings, n / d, of the k1-th and
-        k2-th states of Fix g, the locus of g and -g, on its ring: its residue
-        scale times the socle coefficient of the product; kept per locus.
-        Only products whose degree on each block is that block's socle
-        degree are reduced."""
+        """(d, rows): rows[k1] lists the nonzero pairings (k2, n), n / d, of
+        the k1-th and k2-th states of Fix g, the locus of g and -g, on its
+        ring: its residue scale times the socle coefficient of the product;
+        kept per locus.  Only products whose degree on each block is that
+        block's socle degree are reduced."""
         locus = self.sectors[g][0]
         hit = self._pairings.get(locus)
         if hit is None:
@@ -291,77 +292,40 @@ class BAlgebra:
             index: dict = {}
             for k, m in enumerate(kept):
                 index.setdefault(degrees(m), []).append((k, m))
-            found = []
-            for k1, m1 in enumerate(kept):
+            rows: list = [[] for _ in kept]
+            for row, m1 in zip(rows, kept):
                 for k2, m2 in index.get(tuple([t - d for t, d in zip(tops, degrees(m1))]), ()):
                     c = normal_form(tuple(map(add, m1, m2))).get(ring.socle)
                     if c:
-                        found.append((k1, k2, c))
-            d, numerators = _over_one_denominator(ring.residue(1), [c for *_, c in found])
-            hit = self._pairings[locus] = (d, [(k1, k2, n) for (k1, k2, _), n in zip(found, numerators)])
+                        row.append((k2, c))
+            d, numerators = _over_one_denominator(ring.residue(1), [c for row in rows for _, c in row])
+            hit = self._pairings[locus] = (d, [[(k2, next(numerators)) for k2, _ in row] for row in rows])
         return hit
 
-    @property
-    def c_den(self) -> int:
-        """The denominator of C: the least common multiple of those of the
-        `products` of every locus triple."""
-        if self._c_den is None:
-            sectors = self.sectors
-            self._c_den = math.lcm(*{self.products(g, h)[0] for g, h in self.pairs(sectors, sectors)})
-        return self._c_den
+    def nonzero_products(self) -> dict:
+        """g -> {h: `products(g, h)`} over the pairs (g, h) of `pairs` with a
+        nonzero product, in that order."""
+        out: dict = {g: {} for g in self.sectors}
+        for g, h in self.pairs(self.sectors, self.sectors):
+            d, rows = self.products(g, h)
+            if any(rows):
+                out[g][h] = (d, rows)
+        return out
 
-    @property
-    def p_den(self) -> int:
-        """The denominator of P: the least common multiple of those of the
-        `pairings` of every locus."""
-        if self._p_den is None:
-            self._p_den = math.lcm(*{self.pairings(g)[0] for g in self.sectors})
-        return self._p_den
-
-    def structure_constants(self) -> list:
-        """C[i] = {j: (k, c)}: e_i e_j = (c / c_den) e_k, nonzero products
-        only, over the sector pairs (g, h) of `pairs`, each filled in from
-        the `products` of its locus triple, which are then dropped."""
-        den, sectors = self.c_den, self.sectors
-        C: list = [{} for _ in range(self.dim)]
-        numerators: dict = {}  # locus triple -> its products over den
-        for g, h in self.pairs(sectors, sectors):
-            d, products = self.products(g, h)
-            if not products:
-                continue
-            gh = self._add(g, h)
-            key = (sectors[g][0], sectors[h][0], vector_locus(gh))
-            scaled = numerators.get(key)
-            if scaled is None:
-                f = den // d
-                scaled = numerators[key] = products if f == 1 else [(k1, k2, p, c * f) for k1, k2, p, c in products]
-            if gh not in sectors:
-                b = self.space.kept[vector_locus(gh)][products[0][2]]
-                raise NotBasisElement(f"a product lands outside the even basis: {(gh, b)!r}")
-            rows = [C[i] for i, _ in sectors[g][1]]
-            cols, targets = ([i for i, _ in sectors[v][1]] for v in (h, gh))
-            for k1, k2, p, c in scaled:
-                rows[k1][cols[k2]] = (targets[p], c)
-        self._products.clear()
-        return C
-
-    def pairing_table(self) -> list:
-        """P[i] = {j: p}: <e_i, e_j> = p / p_den, nonzero pairings only.
-        Sector g pairs only with -g; its entries are the `pairings` of its
-        locus."""
-        den, sectors, L = self.p_den, self.sectors, self.L
-        P: list = [{} for _ in range(self.dim)]
-        for g, (_, elems) in sectors.items():
-            partner = sectors.get(tuple([-a % L for a in g]))
-            if partner is None:
-                continue
-            d, pairings = self.pairings(g)
-            f = den // d
-            rows = [P[i] for i, _ in elems]
-            cols = [j for j, _ in partner[1]]
-            for k1, k2, c in pairings:
-                rows[k1][cols[k2]] = c * f
-        return P
+    def row(self, i: int, nonzero: dict) -> tuple:
+        """(products, pairings) of the i-th state, nonzero ones only, as
+        [(j, t, n, d)] with e_i e_j = (n / d) e_t and [(j, n, d)] with
+        <e_i, e_j> = n / d; `nonzero` is `nonzero_products`."""
+        sectors, (g, k) = self.sectors, self.where[i]
+        products = [
+            (hs[k2][0], ghs[p][0], n, d)
+            for h, (d, rows) in nonzero[g].items()
+            for hs, ghs in [(sectors[h][1], sectors[self._add(g, h)][1])]
+            for k2, p, n in rows[k]
+        ]
+        d, rows = self.pairings(g)
+        minus = sectors[tuple([-a % self.L for a in g])][1]
+        return products, [(minus[k2][0], n, d) for k2, n in rows[k]]
 
 
 def phi_bar(alg2: BAlgebra, alg0: BAlgebra, sigma: GroupElement, rescaled: bool = True) -> list:
@@ -443,34 +407,67 @@ def gamma_lemma_cases(algebra: BAlgebra, sigma: GroupElement):
     return len(sectors) ** 2, failures
 
 
-def _differing(a: dict, b: dict) -> int:
-    """The number of keys at which two sparse tables differ (missing: 0)."""
-    return 0 if a == b else sum([a.get(key, 0) != b.get(key, 0) for key in a.keys() | b.keys()])
+def _lowest(n: int, d: int) -> tuple:
+    """n / d in lowest terms, as (numerator, denominator)."""
+    c = math.gcd(n, d)
+    return n // c, d // c
 
 
-def associativity_and_frobenius(C: list, P: list):
-    """Count the triples (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), and
-    with <e_i e_j, e_k> != <e_i, e_j e_k>, from the single-term tables C, P
-    of one algebra, one row i at a time: with e_i e_j = c e_l, (e_i e_j) e_k
-    = c C_lk over C_l, and e_i (e_j e_k) = c C_il over the inverse index
-    l -> [(j, k, c)] of the l in C_i; likewise with P.  Each side sets one
-    value per (j, k).  The tables may hold numerators over one denominator
-    each (as `BAlgebra` holds them, ints): both sides of each identity carry
-    the same powers of the two."""
-    inverse: dict = {}
-    for j, cj in enumerate(C):
-        for k, (l, c) in cj.items():
-            inverse.setdefault(l, []).append((j, k, c))
-    assoc_fail = frob_fail = 0
-    for ci, pi in zip(C, P):
-        # (j, k) -> (e_i e_j) e_k and e_i (e_j e_k) as (m, c), and the pairings
-        left = {(j, k): (m, c * d) for j, (l, c) in ci.items() for k, (m, d) in C[l].items()}
-        right = {(j, k): (m, c * d) for l, (m, d) in ci.items() for j, k, c in inverse.get(l, ())}
-        pleft = {(j, k): c * p for j, (l, c) in ci.items() for k, p in P[l].items()}
-        pright = {(j, k): c * p for l, p in pi.items() for j, k, c in inverse.get(l, ())}
-        assoc_fail += _differing(left, right)
-        frob_fail += _differing(pleft, pright)
-    return assoc_fail, frob_fail
+def identity_failures(alg: BAlgebra, nonzero: dict) -> tuple:
+    """(associativity failures, Frobenius failures): the basis triples with
+    (e_i e_j) e_k != e_i (e_j e_k), and with <e_i e_j, e_k> != <e_i, e_j e_k>,
+    counted over the sector triples (g, h, q) where a side can be nonzero, one
+    state k1 of g at a time: (e_i e_j) e_k = (n1 n2 / d1 d2) e_m over the row
+    k1 of (g, h) and the rows p of (gh, q), and e_i (e_j e_k) = (n3 n4 / d3 d4)
+    e_m over the row k1 of (g, hq) and the inverse index p -> [(k2, k3, n3)]
+    of (h, q); likewise with the pairings of gh and g, for q = -gh.  Each side
+    is scaled by the other's denominators to stay on ints."""
+    sectors, L = alg.sectors, alg.L
+    right_of: dict = {}  # (a, k) -> the b with a nonzero product by the k-th state of a
+    left_of: dict = {}  # (b, k) -> the a with a nonzero product by the k-th state of b
+    inverses: dict = {}  # (a, b) -> p -> [(k1, k2, n)]: the products of a, b on the p-th state of ab
+    for a, found in nonzero.items():
+        for b, (_, rows) in found.items():
+            inverse = inverses[a, b] = {}
+            for k1, row in enumerate(rows):
+                if row:
+                    right_of.setdefault((a, k1), []).append(b)
+                for k2, p, n in row:
+                    inverse.setdefault(p, []).append((k1, k2, n))
+                    left_of.setdefault((b, k2), set()).add(a)
+    triples = set()
+    for (a, b), inverse in inverses.items():
+        ab = alg._add(a, b)
+        minus = tuple([-x % L for x in ab])
+        triples.update([(a, b, minus), (minus, a, b)])
+        for p in inverse:
+            triples.update((a, b, c) for c in right_of.get((ab, p), ()))
+            triples.update((c, a, b) for c in left_of.get((ab, p), ()))
+    fails = [0, 0]
+    for g, h, q in sorted(triples):
+        gh, hq = alg._add(g, h), alg._add(h, q)
+        none = (1, defaultdict(tuple))  # every row empty
+        (d1, one), (d2, two) = nonzero[g].get(h, none), nonzero.get(gh, {}).get(q, none)
+        (d3, _), (d4, four) = nonzero[h].get(q, none), nonzero[g].get(hq, none)
+        inverse = inverses.get((h, q), {})
+        frobenius = not any(alg._add(gh, q))
+        (e1, at_gh), (e2, at_g) = alg.pairings(gh) if h in nonzero[g] else none, alg.pairings(g)
+        for k1 in range(len(sectors[g][1])):
+            # (k2, k3) -> (e_i e_j) e_k; each e_i (e_j e_k) takes its key out, and fails unless equal
+            left = {(k2, k3): (m, c * n2) for k2, p, n1 in one[k1] for c in [n1 * d3 * d4] for k3, m, n2 in two[p]}
+            right = [
+                left.pop((k2, k3), None) != (m, c * n3)
+                for l, m, n4 in four[k1] for c in [n4 * d1 * d2] for k2, k3, n3 in inverse.get(l, ())
+            ]
+            fails[0] += sum(right) + len(left)
+            if frobenius:
+                left = {(k2, k3): c * n for k2, p, n1 in one[k1] for c in [n1 * e2 * d3] for k3, n in at_gh[p]}
+                right = [
+                    left.pop((k2, k3), None) != c * n3
+                    for l, n in at_g[k1] for c in [n * d1 * e1] for k2, k3, n3 in inverse.get(l, ())
+                ]
+                fails[1] += sum(right) + len(left)
+    return tuple(fails)
 
 
 def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
@@ -479,14 +476,12 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
     identity, and the gamma-factor lemma.  Raises HypothesisFailed when the
     model lacks property 1, on which the theorem rests.
 
-    Each even algebra is built once as its tables C, P over their
-    denominators (see `BAlgebra`) and phi-bar as the index map i -> (2 s_i, phi(i))
-    (`phi_bar`).  For each i, the j in the nonzero supports of C2_i, P2_i,
-    C0_phi(i), P0_phi(i) (pulled back by phi) are checked in order, times 4
-    and both denominators to stay on ints: phi(C2_ij) = s_i s_j
-    C0_phi(i)phi(j) and P2_ij = s_i s_j P0_phi(i)phi(j).  Then the unit,
-    `associativity_and_frobenius` on C0, P0, and `gamma_lemma_cases`.
-    States are named (`BAlgebra.element`) for mismatch records only."""
+    phi-bar is the index map i -> (2 s_i, phi(i)) (`phi_bar`).  One state i
+    of the BHK mirror at a time, its nonzero products and pairings (`row`)
+    are set beside those of phi(i) in the BV mirror, pulled back by phi, and
+    compared times 4, in lowest terms, in the order of j: phi(e_i e_j) =
+    s_i s_j phi(e_i) phi(e_j) and <e_i, e_j> = s_i s_j <phi(e_i), phi(e_j)>.
+    States are named for mismatch records only."""
     a_space = model.space("A")
     mirror = model.mirror()  # its polynomial and weights are those of W^T
     bhk_group = transpose_group(model.sigma_group, model.poly)
@@ -516,38 +511,42 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
     if len(preimages) != alg0.dim:
         mismatches.append({"reason": "phi is not onto the even BV basis"})
 
-    C2, P2 = alg2.structure_constants(), alg2.pairing_table()
-    C0, P0 = alg0.structure_constants(), alg0.pairing_table()
-    cd2, pd2, cd0, pd0 = alg2.c_den, alg2.p_den, alg0.c_den, alg0.p_den
-    fails = {"product": 0, "pairing": 0}
+    nonzero2, nonzero0 = alg2.nonzero_products(), alg0.nonzero_products()
+    fails = [0, 0]
     for i, (w1, t1) in enumerate(phi):
-        row2, prow2, row0, prow0 = C2[i], P2[i], C0[t1], P0[t1]
-        support = row2.keys() | prow2.keys()
-        for t in row0.keys() | prow0.keys():
-            support.update(preimages.get(t, ()))
-        for j in sorted(support):
-            w2, t2 = phi[j]
-            w12 = w1 * w2  # 4 s_i s_j
-            k, c = row2.get(j, (0, 0))
-            w, t = phi[k]  # 4 phi(C2_ij) = 2 w (c / cd2) e_t
-            k0, c0 = row0.get(t2, (0, 0))
-            for what, bad in (
-                ("product", 2 * w * c * cd0 != w12 * c0 * cd2 or (c and t != k0)),
-                ("pairing", 4 * prow2.get(j, 0) * pd0 != w12 * prow0.get(t2, 0) * pd2),
-            ):
-                if bad:
-                    fails[what] += 1
-                    if len(mismatches) < 20:
-                        pair = [alg2.element(*elements2[i]), alg2.element(*elements2[j])]
-                        mismatches.append({"reason": f"{what} not preserved", "pair": pair})
-    details.update(product_failures=fails["product"], pairing_failures=fails["pairing"])
+        # (j, 0) -> 4 e_i e_j, (j, 1) -> 4 <e_i, e_j>, under phi and in lowest terms; in rhs, by the images
+        lhs: dict = {}
+        rhs: dict = {}
+        products, pairings = alg2.row(i, nonzero2)
+        for j, t, n, d in products:
+            w, t = phi[t]
+            lhs[j, 0] = (t, *_lowest(2 * w * n, d))
+        for j, n, d in pairings:
+            lhs[j, 1] = _lowest(4 * n, d)
+        products, pairings = alg0.row(t1, nonzero0)
+        for j0, t, n, d in products:
+            for j in preimages.get(j0, ()):
+                rhs[j, 0] = (t, *_lowest(w1 * phi[j][0] * n, d))
+        for j0, n, d in pairings:
+            for j in preimages.get(j0, ()):
+                rhs[j, 1] = _lowest(w1 * phi[j][0] * n, d)
+        for j, what in sorted(lhs.keys() | rhs.keys()):
+            if lhs.get((j, what)) != rhs.get((j, what)):
+                fails[what] += 1
+                if len(mismatches) < 20:
+                    pair = [alg2.element(*elements2[i]), alg2.element(*elements2[j])]
+                    mismatches.append({"reason": f"{('product', 'pairing')[what]} not preserved", "pair": pair})
+    details.update(product_failures=fails[0], pairing_failures=fails[1])
 
-    u = alg0.unit()
-    for i, (g, m) in enumerate(alg0.at):
-        if C0[u].get(i) != (i, cd0) or C0[i].get(u) != (i, cd0):
-            mismatches.append({"reason": "unit fails", "element": alg0.element(g, m)})
+    zero, u = (0,) * alg0.nvars, alg0.unit()
+    for g, (_, elems) in alg0.sectors.items():
+        (d, on_left), (e, on_right) = alg0.products(zero, g), alg0.products(g, zero)
+        left = {k2: (p, n) for k2, p, n in on_left[u]}
+        for k, (_, m) in enumerate(elems):
+            if left.get(k) != (k, d) or [(p, n) for k2, p, n in on_right[k] if k2 == u] != [(k, e)]:
+                mismatches.append({"reason": "unit fails", "element": alg0.element(g, m)})
 
-    assoc_fail, frob_fail = associativity_and_frobenius(C0, P0)
+    assoc_fail, frob_fail = identity_failures(alg0, nonzero0)
     details.update(associativity_failures=assoc_fail, frobenius_failures=frob_fail)
     if assoc_fail:
         mismatches.append({"reason": f"{assoc_fail} associativity failures"})

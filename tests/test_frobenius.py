@@ -12,8 +12,8 @@ from lgmirror.frobenius import (
     MultiTermProduct,
     NotBasisElement,
     OddElement,
-    associativity_and_frobenius,
     gamma_lemma_cases,
+    identity_failures,
     phi_bar,
     verify_theorem2,
 )
@@ -92,22 +92,22 @@ def test_gamma_condition_fails_to_zero():
 
 def test_product_unit_and_nilpotent():
     space, alg = x3_algebra()
-    C = alg.structure_constants()
+    d, rows = alg.products((0,), (0,))
     u = alg.unit()
     x = alg.at[(0,), (1,)]
-    assert alg.c_den == 1
-    assert C[u][x] == (x, 1)
-    assert C[x][u] == (x, 1)
-    assert x not in C[x]  # nf(x^2) = 0 in Q(x^3)
+    assert d == 1
+    assert (x, x, 1) in rows[u]
+    assert (u, x, 1) in rows[x]
+    assert x not in [k2 for k2, _, _ in rows[x]]  # nf(x^2) = 0 in Q(x^3)
 
 
 def test_pairing_examples():
     space, alg = x3_algebra()
-    P = alg.pairing_table()
+    d, rows = alg.pairings((0,))
     one = alg.at[(0,), (0,)]
     x = alg.at[(0,), (1,)]
-    assert (P[one][x], alg.p_den) == (1, 3)  # 1/3
-    assert one not in P[one]
+    assert (rows[one], d) == ([(x, 1)], 3)  # 1/3
+    assert one not in [k2 for k2, _ in rows[one]]
 
 
 def test_pairing_sector_orthogonality():
@@ -115,11 +115,12 @@ def test_pairing_sector_orthogonality():
     mirror = m.mirror()
     b0 = build_state_space(mirror.poly, mirror.sigma_group, "B")
     alg = BAlgebra(b0)
-    P = alg.pairing_table()
-    assert any(P)
+    nonzero = alg.nonzero_products()
+    pairings = [alg.row(i, nonzero)[1] for i in range(alg.dim)]
+    assert any(pairings)
     even = list(alg.at)
-    for i, row in enumerate(P):
-        for j in row:
+    for i, row in enumerate(pairings):
+        for j, _, _ in row:
             assert even[j][0] == neg(even[i][0], alg.L)
 
 
@@ -128,9 +129,12 @@ def test_even_gram_nondegenerate():
     mirror = m.mirror()
     b0 = build_state_space(mirror.poly, mirror.sigma_group, "B")
     alg = BAlgebra(b0)
-    P = alg.pairing_table()
+    nonzero = alg.nonzero_products()
     n = alg.dim
-    gram = [[P[i].get(j, Fraction(0)) for j in range(n)] for i in range(n)]
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j, p, d in alg.row(i, nonzero)[1]:
+            gram[i][j] = Fraction(p, d)
     # exact determinant via fraction Gaussian elimination
     det = Fraction(1)
     mat = [row[:] for row in gram]
@@ -201,8 +205,8 @@ def test_z2_additive_on_products():
     b0 = build_state_space(mirror.poly, mirror.sigma_group, "B")
     alg = BAlgebra(b0)
     # a product landing outside the even basis raises NotBasisElement
-    C = alg.structure_constants()
-    targets = {k for row in C for k, _ in row.values()}
+    nonzero = alg.nonzero_products()
+    targets = {t for i in range(alg.dim) for _, t, _, _ in alg.row(i, nonzero)[0]}
     assert targets
     even = list(alg.at)
     for k in targets:
@@ -392,14 +396,25 @@ def test_two_term_product_raises(monkeypatch, capsys):
     assert "has 2 terms" in capsys.readouterr().err
 
 
-def corrupt_one_entry(C):
-    """C with the first entry off the unit row and column doubled."""
-    for i, row in enumerate(C[1:], 1):
-        for j, (k, c) in row.items():
-            if j:
-                C[i] = {**row, j: (k, 2 * c)}
-                return C
-    raise AssertionError("no entry off the unit")
+def corrupt_one_entry(monkeypatch):
+    """Double, in every `BAlgebra`, the numerator of the first product off
+    the unit's row and column on the locus triple (everything, everything,
+    everything) of the identity sector with itself."""
+    original = BAlgebra.products
+
+    def corrupted(self, g, h):
+        d, rows = original(self, g, h)
+        zero = (0,) * self.nvars
+        if g == h == zero:
+            u = self.unit()
+            k1 = next(k for k, row in enumerate(rows) if k != u and any(k2 != u for k2, _, _ in row))
+            e = next(e for e, (k2, _, _) in enumerate(rows[k1]) if k2 != u)
+            rows = [list(row) for row in rows]
+            k2, p, n = rows[k1][e]
+            rows[k1][e] = (k2, p, 2 * n)
+        return d, rows
+
+    monkeypatch.setattr(BAlgebra, "products", corrupted)
 
 
 def test_corrupted_single_term_entry_fails_the_contraction(monkeypatch, capsys):
@@ -407,18 +422,37 @@ def test_corrupted_single_term_entry_fails_the_contraction(monkeypatch, capsys):
     mirror = m.mirror()
     alg = BAlgebra(build_state_space(mirror.poly, mirror.sigma_group, "B"))
     assert alg.unit() == 0
-    C, P = alg.structure_constants(), alg.pairing_table()
-    assert associativity_and_frobenius(C, P) == (0, 0)
-    assoc, frob = associativity_and_frobenius(corrupt_one_entry(C), P)
+    assert identity_failures(alg, alg.nonzero_products()) == (0, 0)
+    corrupt_one_entry(monkeypatch)
+    alg = BAlgebra(alg.space)
+    assoc, frob = identity_failures(alg, alg.nonzero_products())
     assert assoc > 0 and frob > 0
 
-    original = BAlgebra.structure_constants
-    monkeypatch.setattr(BAlgebra, "structure_constants", lambda self: corrupt_one_entry(original(self)))
     report = verify_theorem2(m)
     assert not report.passed
     assert report.details["associativity_failures"] > 0
     assert main([*E1K3A_ARGV, "--json"]) == 1
     capsys.readouterr()
+
+
+def test_product_outside_the_even_basis_raises(monkeypatch, capsys):
+    """A product that normalizes to a monomial its locus does not keep, or
+    that lands on a locus that is not even, raises NotBasisElement: Theorem 2
+    stops (exit 3)."""
+    space, alg = x3_algebra()
+    alg.nvars += 1  # every locus odd
+    with pytest.raises(NotBasisElement, match="lands outside the even basis"):
+        alg.products((0,), (0,))
+    original = MilnorRing.monomial_normal_form
+
+    def off_basis(self, mono):
+        return {tuple([e + 100 for e in b]): c for b, c in original(self, mono).items()}
+
+    monkeypatch.setattr(MilnorRing, "monomial_normal_form", off_basis)
+    with pytest.raises(NotBasisElement, match="lands outside the even basis"):
+        verify_theorem2(build_bv(E1, K3, jgens(E1, K3)))
+    assert main(list(E1K3A_ARGV)) == 3
+    assert "lands outside the even basis" in capsys.readouterr().err
 
 
 def test_passing_theorem2_builds_no_sector_element(monkeypatch):

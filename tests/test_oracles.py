@@ -112,10 +112,19 @@ block is the same polynomial and the weights are proportional
 (`adopt_block_rings`).  Its oracle is the one-shot ring of the mirror's own
 polynomial in its own weights: Groebner entries, basis, socle, mu and
 Hessian socle coefficient must agree (`adopted_ring_mismatches`).
-`BAlgebra` builds only the products that fit under every block socle, on
-int tables over one denominator each; its oracle is the all-pairs build it
-replaced, every basis pair of each sector pair reduced
-(`all_pairs_tables`), read back as exact values (`over_den`).
+`BAlgebra` builds only the products that fit under every block socle, as
+ints over one denominator per locus triple; its oracle is the all-pairs
+build it replaced, every basis pair of each sector pair reduced
+(`all_pairs_tables`), against the products laid out over the sector pairs
+(`reference_tables`) and read back as exact values (`over_den`).
+
+`verify_theorem2` reads those products per locus triple and the pairings
+per locus, sector pair by sector pair and sector triple by sector triple.
+Its reference is the table path it replaced (`reference_theorem2`): the
+tables C and P over one denominator each, phi-bar compared on the union of
+the nonzero supports, and the row contraction through the inverse index
+(`table_contraction`).  The reports must agree field for field, also with
+one product and one pairing corrupted.
 """
 
 import math
@@ -152,12 +161,13 @@ from lgmirror.catalog import (
 )
 from lgmirror.frobenius import (
     BAlgebra,
+    FrobeniusError,
     HypothesisFailed,
     MixedSpaces,
     NonProportional,
     NotBasisElement,
     OddElement,
-    associativity_and_frobenius,
+    gamma_lemma_cases,
     phi_bar,
     property1,
     verify_theorem2,
@@ -1510,9 +1520,10 @@ def test_theorem2_matches_elementwise_oracle(name, rescaled):
 
 @pytest.mark.parametrize("name", sorted(THEOREM2_MODELS))
 def test_tables_match_basis_pair_oracle(name):
-    """C and P of both mirror B-models, built sector pair by sector pair,
-    equal the basis-pair tables entry for entry.  The tables do not depend
-    on the rescaling, which acts only on phi-bar."""
+    """The products and pairings of both mirror B-models, kept per locus
+    triple and per locus and laid out over every sector pair by
+    `reference_tables`, equal the basis-pair tables entry for entry.  They
+    do not depend on the rescaling, which acts only on phi-bar."""
     model = THEOREM2_MODELS[name]()
     mirror = model.mirror()
     bhk_group = transpose_group(model.sigma_group, model.poly)
@@ -1527,16 +1538,157 @@ def test_tables_match_basis_pair_oracle(name):
         assert P == oracle.pairing_table()
 
 
+def reference_tables(alg):
+    """(C, P, c_den, p_den): the tables of a `BAlgebra` that Theorem 2 read
+    before it kept only the products of locus triples and the pairings of
+    loci.  C[i] = {j: (k, c)} with e_i e_j = (c / c_den) e_k over the sector
+    pairs of `pairs`, and P[i] = {j: p} with <e_i, e_j> = p / p_den, nonzero
+    entries only, ints over the least common multiples of the denominators
+    of `products` and of `pairings`.  A product into a sector that is not
+    even raises NotBasisElement."""
+    sectors = alg.sectors
+    pairs = list(alg.pairs(sectors, sectors))
+    c_den = math.lcm(*{alg.products(g, h)[0] for g, h in pairs})
+    p_den = math.lcm(*{alg.pairings(g)[0] for g in sectors})
+    C = [{} for _ in range(alg.dim)]
+    for g, h in pairs:
+        d, rows = alg.products(g, h)
+        gh = alg._add(g, h)
+        if any(rows) and gh not in sectors:
+            raise NotBasisElement(f"a product lands outside the even basis: {gh!r}")
+        hs, ghs = sectors[h][1], sectors.get(gh, (None, ()))[1]
+        for (i, _), row in zip(sectors[g][1], rows):
+            for k2, p, n in row:
+                C[i][hs[k2][0]] = (ghs[p][0], n * (c_den // d))
+    P = [{} for _ in range(alg.dim)]
+    for g, (_, elems) in sectors.items():
+        d, rows = alg.pairings(g)
+        minus = sectors[neg(g, alg.L)][1]
+        for (i, _), row in zip(elems, rows):
+            for k2, n in row:
+                P[i][minus[k2][0]] = n * (p_den // d)
+    return C, P, c_den, p_den
+
+
 def over_den(alg):
-    """C and P of `alg` with each int entry divided by its table's
-    denominator, as exact values: ints where integral, Fractions elsewhere."""
+    """C and P of `reference_tables` with each int entry divided by its
+    table's denominator, as exact values: ints where integral, Fractions
+    elsewhere."""
     def exact(c, den):
         c = Fraction(c, den)
         return c.numerator if c.denominator == 1 else c
 
-    C = [{j: (k, exact(c, alg.c_den)) for j, (k, c) in row.items()} for row in alg.structure_constants()]
-    P = [{j: exact(p, alg.p_den) for j, p in row.items()} for row in alg.pairing_table()]
+    C, P, c_den, p_den = reference_tables(alg)
+    C = [{j: (k, exact(c, c_den)) for j, (k, c) in row.items()} for row in C]
+    P = [{j: exact(p, p_den) for j, p in row.items()} for row in P]
     return C, P
+
+
+def table_contraction(C, P, visit=None):
+    """The associativity and Frobenius failure counts of the single-term
+    tables C, P of one algebra, contracted one row i at a time: with
+    e_i e_j = c e_l, (e_i e_j) e_k = c C_lk over C_l, and e_i (e_j e_k) =
+    c C_il over the inverse index l -> [(j, k, c)] of the l in C_i; likewise
+    with P.  Each side sets one value per (j, k), and each (j, k) where the
+    two differ (missing: 0) counts, when `visit(i, j, k)` accepts it.  The
+    tables may hold numerators over one denominator each: both sides of each
+    identity carry the same powers of the two."""
+    inverse: dict = {}
+    for j, cj in enumerate(C):
+        for k, (l, c) in cj.items():
+            inverse.setdefault(l, []).append((j, k, c))
+    counts = [0, 0]
+    for i, (ci, pi) in enumerate(zip(C, P)):
+        # (j, k) -> (e_i e_j) e_k and e_i (e_j e_k) as (m, c), and the pairings
+        left = {(j, k): (m, c * d) for j, (l, c) in ci.items() for k, (m, d) in C[l].items()}
+        right = {(j, k): (m, c * d) for l, (m, d) in ci.items() for j, k, c in inverse.get(l, ())}
+        pleft = {(j, k): c * p for j, (l, c) in ci.items() for k, p in P[l].items()}
+        pright = {(j, k): c * p for l, p in pi.items() for j, k, c in inverse.get(l, ())}
+        for which, (a, b) in enumerate(((left, right), (pleft, pright))):
+            if a != b:
+                differ = [key for key in a.keys() | b.keys() if a.get(key, 0) != b.get(key, 0)]
+                counts[which] += sum(visit is None or visit(i, *key) for key in differ)
+    return tuple(counts)
+
+
+def reference_theorem2(model, rescaled=True, contraction=None):
+    """`verify_theorem2` on the tables of `reference_tables`: phi-bar is
+    compared for each i on the union of the nonzero supports of C2_i, P2_i,
+    C0_phi(i), P0_phi(i) (pulled back by phi), in order, times 4 and both
+    denominators; then the unit, `table_contraction` on C0, P0 (or
+    `contraction(alg0, C0, P0)`), and the gamma lemma."""
+    a_space = model.space("A")
+    mirror = model.mirror()
+    bhk_group = transpose_group(model.sigma_group, model.poly)
+    b2_space = build_state_space(mirror.poly, bhk_group, "B", mirror.ws, mirror.rings)
+    prop = property1(a_space, b2_space)
+    if not prop.passed:
+        raise HypothesisFailed(prop.mismatches)
+    b0_space = mirror.space("B")
+    alg2, alg0 = BAlgebra(b2_space), BAlgebra(b0_space)
+    mismatches = []
+    details = {"dim_b2_even": alg2.dim, "dim_b0_even": alg0.dim}
+    details.update(b2_total=b2_space.dim, b0_total=b0_space.dim)
+    if alg2.dim != alg0.dim:
+        mismatches.append({"reason": "even subspace dimensions differ"})
+
+    phi = phi_bar(alg2, alg0, mirror.sigma, rescaled)
+    elements2, elements0 = list(alg2.at), list(alg0.at)
+    D2, D0 = b2_space.D, b0_space.D
+    preimages: dict = {}
+    for i, ((g, m), (_, t)) in enumerate(zip(elements2, phi)):
+        if t in preimages:
+            mismatches.append({"reason": "phi image duplicated", "element": alg2.element(g, m)})
+        (p2, q2), (p0, q0) = alg2.grade(g, m), alg0.grade(*elements0[t])
+        if p2 * D0 != p0 * D2 or q2 * D0 != q0 * D2:
+            mismatches.append({"reason": "phi changed the bidegree", "element": alg2.element(g, m)})
+        preimages.setdefault(t, []).append(i)
+    if len(preimages) != alg0.dim:
+        mismatches.append({"reason": "phi is not onto the even BV basis"})
+
+    C2, P2, cd2, pd2 = reference_tables(alg2)
+    C0, P0, cd0, pd0 = reference_tables(alg0)
+    fails = {"product": 0, "pairing": 0}
+    for i, (w1, t1) in enumerate(phi):
+        row2, prow2, row0, prow0 = C2[i], P2[i], C0[t1], P0[t1]
+        support = row2.keys() | prow2.keys()
+        for t in row0.keys() | prow0.keys():
+            support.update(preimages.get(t, ()))
+        for j in sorted(support):
+            w2, t2 = phi[j]
+            w12 = w1 * w2
+            k, c = row2.get(j, (0, 0))
+            w, t = phi[k]
+            k0, c0 = row0.get(t2, (0, 0))
+            for what, bad in (
+                ("product", 2 * w * c * cd0 != w12 * c0 * cd2 or (c and t != k0)),
+                ("pairing", 4 * prow2.get(j, 0) * pd0 != w12 * prow0.get(t2, 0) * pd2),
+            ):
+                if bad:
+                    fails[what] += 1
+                    if len(mismatches) < 20:
+                        pair = [alg2.element(*elements2[i]), alg2.element(*elements2[j])]
+                        mismatches.append({"reason": f"{what} not preserved", "pair": pair})
+    details.update(product_failures=fails["product"], pairing_failures=fails["pairing"])
+
+    zero = (0,) * alg0.nvars
+    u = alg0.at[zero, zero]
+    for i, (g, m) in enumerate(alg0.at):
+        if C0[u].get(i) != (i, cd0) or C0[i].get(u) != (i, cd0):
+            mismatches.append({"reason": "unit fails", "element": alg0.element(g, m)})
+
+    assoc_fail, frob_fail = contraction(alg0, C0, P0) if contraction else table_contraction(C0, P0)
+    details.update(associativity_failures=assoc_fail, frobenius_failures=frob_fail)
+    if assoc_fail:
+        mismatches.append({"reason": f"{assoc_fail} associativity failures"})
+    if frob_fail:
+        mismatches.append({"reason": f"{frob_fail} Frobenius-identity failures"})
+
+    checked, gamma_failures = gamma_lemma_cases(alg0, mirror.sigma)
+    details["gamma_pairs_checked"] = checked
+    if gamma_failures:
+        mismatches.append({"reason": "gamma lemma failures", "cases": gamma_failures[:10]})
+    return Report("theorem2", not mismatches, details, mismatches)
 
 
 def all_pairs_tables(alg):
@@ -1615,19 +1767,21 @@ def test_phi_bar_matches_phi_map(name, rescaled):
 
 
 def test_chain_tables_keep_fractions():
-    """The chain model passes Theorem 2 with exact coefficients: its tables
-    hold ints over a denominator above 1, and the entries they stand for
-    are non-integral Fractions at as many places as the all-pairs tables
-    have them."""
+    """The chain model passes Theorem 2 with exact coefficients: the
+    products of some locus triple and the pairings of some locus are ints
+    over a denominator above 1, and the entries they stand for are
+    non-integral Fractions at as many places as the all-pairs tables have
+    them."""
     model = PHI_MODELS["e1chain"]()
     assert verify_theorem2(model).passed
     _, _, alg2, alg0 = _mirror_algebras(model)
     products = pairings = 0
     for alg in (alg2, alg0):
-        C, P = alg.structure_constants(), alg.pairing_table()
-        assert alg.c_den > 1 and alg.p_den > 1
-        assert all(type(c) is int for row in C for _, c in row.values())
-        assert all(type(p) is int for row in P for p in row.values())
+        found = [found for row in alg.nonzero_products().values() for found in row.values()]
+        found_pairings = [alg.pairings(g) for g in alg.sectors]
+        assert max(d for d, _ in found) > 1 and max(d for d, _ in found_pairings) > 1
+        assert all(type(n) is int for _, rows in found for row in rows for *_, n in row)
+        assert all(type(n) is int for _, rows in found_pairings for row in rows for _, n in row)
         C, P = over_den(alg)
         assert (C, P) == all_pairs_tables(alg)
         products += sum(type(c) is Fraction for row in C for _, c in row.values())
@@ -1637,25 +1791,171 @@ def test_chain_tables_keep_fractions():
 
 def test_census_tables_have_single_terms():
     """Both B-algebras of every third census model: every product has one
-    term (`structure_constants` raises MultiTermProduct on a second), a
-    target inside the even basis and a nonzero exact coefficient.  Off
-    property 1, W on some Fix gh has cross terms and gamma is undefined."""
+    term (`products` raises MultiTermProduct on a second), a target inside
+    the even basis and a nonzero exact coefficient.  Off property 1, W on
+    some Fix gh has cross terms and gamma is undefined."""
     built = undefined = 0
     for model in _census_models():
         _, _, alg2, alg0 = _mirror_algebras(model)
         for alg in (alg2, alg0):
             try:
-                C = alg.structure_constants()
+                nonzero = alg.nonzero_products()
             except NonProportional:
                 assert not check_property1(model.poly, model.sigma_group, ws=model.ws).passed
                 undefined += 1
                 continue
             built += 1
-            assert any(C)
-            for row in C:
-                for k, c in row.values():
-                    assert 0 <= k < alg.dim and c
+            assert any(nonzero.values())
+            for g, found in nonzero.items():
+                for h, (d, rows) in found.items():
+                    assert d > 0
+                    for row in rows:
+                        for _, p, n in row:
+                            assert 0 <= p < len(alg.sectors[alg._add(g, h)][1]) and n
     assert (built, undefined) == (56, 4)
+
+
+def _corrupt_one_product_and_pairing(monkeypatch, model):
+    """Double, in every `BAlgebra`, one numerator of the products of one
+    locus triple and one of the pairings of one locus: the first product,
+    in the order of `nonzero_products` on the BV mirror, of the unit by a
+    state that is not the unit, and the first pairing of the locus of that
+    state; returns the corrupted locus triple.  The product of that state
+    by its dual is nonzero, so associativity and the Frobenius identity
+    fail."""
+    alg = _mirror_algebras(model)[3]
+    zero = (0,) * alg.nvars
+    u = alg.unit()
+    key, k1, e = next(
+        ((alg.sectors[zero][0], alg.sectors[h][0], alg.sectors[h][0]), u, e)
+        for h, (_, rows) in alg.nonzero_products()[zero].items()
+        for e, (k2, _, _) in enumerate(rows[u])
+        if (h, k2) != (zero, u)
+    )
+    locus = key[1]
+    products, pairings = BAlgebra.products, BAlgebra.pairings
+
+    def doubled(rows, k, e):
+        rows = [list(row) for row in rows]
+        *rest, n = rows[k][e]
+        rows[k][e] = (*rest, 2 * n)
+        return rows
+
+    def corrupted_products(self, g, h):
+        d, rows = products(self, g, h)
+        if (self.sectors[g][0], self.sectors[h][0], vector_locus(self._add(g, h))) == key:
+            rows = doubled(rows, k1, e)
+        return d, rows
+
+    def corrupted_pairings(self, g):
+        d, rows = pairings(self, g)
+        if self.sectors[g][0] == locus:
+            rows = doubled(rows, next(k for k, row in enumerate(rows) if row), 0)
+        return d, rows
+
+    monkeypatch.setattr(BAlgebra, "products", corrupted_products)
+    monkeypatch.setattr(BAlgebra, "pairings", corrupted_pairings)
+    return key
+
+
+def _reports(model, rescaled):
+    """The reports of `verify_theorem2` and of `reference_theorem2`, or the
+    class of the precondition error that both raise."""
+    out = []
+    for verify in (verify_theorem2, reference_theorem2):
+        try:
+            out.append(verify(model, rescaled).to_json())
+        except FrobeniusError as error:
+            out.append(type(error))
+    return out
+
+
+DIFFERENTIAL_MODELS = {
+    "e1mini": THEOREM2_MODELS["e1mini"],
+    "e1k3a": THEOREM2_MODELS["e1k3a"],
+    "nonproduct": THEOREM2_MODELS["nonproduct"],
+    "e1chain": PHI_MODELS["e1chain"],
+}
+
+
+@pytest.mark.parametrize("rescaled", [True, False])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_MODELS))
+def test_theorem2_matches_the_table_reference(monkeypatch, name, rescaled):
+    """Theorem 2 on locus-triple products gives the report of the table
+    path, field for field and mismatch records in order, as given and with
+    one product and one pairing corrupted, which it then fails."""
+    model = DIFFERENTIAL_MODELS[name]()
+    new, reference = _reports(model, rescaled)
+    assert new == reference
+    _corrupt_one_product_and_pairing(monkeypatch, model)
+    new, reference = _reports(model, rescaled)
+    assert new == reference
+    assert new["associativity_failures"] and new["frobenius_failures"] and not new["pass"]
+
+
+@pytest.mark.parametrize("rescaled", [True, False])
+def test_census_theorem2_matches_the_table_reference(monkeypatch, rescaled):
+    """Every third census model, corrupted: the same failing reports, or the
+    same precondition error off property 1, on 12 of the 30."""
+    failed = 0
+    for model in _census_models():
+        if not check_property1(model.poly, model.sigma_group, ws=model.ws).passed:
+            failed += 1
+            assert _reports(model, rescaled) == [HypothesisFailed] * 2
+            continue
+        with monkeypatch.context() as patch:
+            _corrupt_one_product_and_pairing(patch, model)
+            new, reference = _reports(model, rescaled)
+        assert new == reference
+        assert new["associativity_failures"] and new["frobenius_failures"]
+    assert failed == 12
+
+
+def test_octic_sl_theorem2_matches_the_table_reference(monkeypatch):
+    """E1 x OCTIC with G = SL(W1) x SL(W2), corrupted, one run: the report
+    of the table path, with 363 associativity failures."""
+    model = build_bv(E1, OCTIC, parse_group_elements(SL_OCTIC, 8))
+    _corrupt_one_product_and_pairing(monkeypatch, model)
+    new, reference = _reports(model, True)
+    assert new == reference
+    assert (new["associativity_failures"], new["frobenius_failures"]) == (363, 1823)
+
+
+@pytest.mark.parametrize("name", ["e1k3a", "e1chain"])
+def test_a_contraction_once_per_configuration_fails_the_reference(monkeypatch, name):
+    """A negative control: with the corrupted product on a locus triple
+    that several sector triples of one configuration share, a contraction
+    that visits each configuration once, unweighted, counts fewer
+    associativity failures than the reference and `identity_failures`."""
+    model = DIFFERENTIAL_MODELS[name]()
+    _corrupt_one_product_and_pairing(monkeypatch, model)
+    once = []
+
+    def contraction(alg, C, P):
+        once.append(once_per_configuration(alg, C, P))
+        return table_contraction(C, P)
+
+    new = verify_theorem2(model).to_json()
+    assert new == reference_theorem2(model, contraction=contraction).to_json()
+    assert once[0][0] < new["associativity_failures"]
+
+
+def once_per_configuration(alg, C, P):
+    """A negative control for `identity_failures`: the contraction of the
+    tables C, P of `alg`, where a failing basis triple counts only in the
+    first sector triple with failures of its locus configuration (Fix g,
+    Fix h, Fix q, Fix gh, Fix hq, Fix ghq); the others of that configuration
+    are skipped, not weighted in."""
+    sector = [g for g, _ in alg.at]
+    first: dict = {}
+
+    def visit(i, j, k):
+        g, h, q = triple = sector[i], sector[j], sector[k]
+        gh = alg._add(g, h)
+        loci = tuple(vector_locus(v) for v in (g, h, q, gh, alg._add(h, q), alg._add(gh, q)))
+        return first.setdefault(loci, triple) == triple
+
+    return table_contraction(C, P, visit)
 
 
 def test_property1_matches_the_element_walk():
@@ -1763,8 +2063,8 @@ def test_twist_iso_matches_elementwise_map(name, flavor):
 
 
 def dense_triple_counts(C, P, n):
-    """The failure counts of associativity_and_frobenius from dense arrays,
-    one triple at a time."""
+    """The failure counts of `table_contraction` from dense arrays, one
+    triple at a time."""
     T = [[[0] * n for j in range(n)] for i in range(n)]
     for i, row in enumerate(C):
         for j, (k, c) in row.items():
@@ -1797,7 +2097,7 @@ def sparse_tables(draw):
 @given(sparse_tables())
 def test_sparse_contraction_matches_dense_triples(tables):
     C, P, n = tables
-    assert associativity_and_frobenius(C, P) == dense_triple_counts(C, P, n)
+    assert table_contraction(C, P) == dense_triple_counts(C, P, n)
 
 
 def one_shot_ring(poly, active, ws):
@@ -2729,9 +3029,10 @@ def _table_models():
 
 
 def test_tables_match_the_all_pairs_build():
-    """C and P of both mirror B-algebras of every table model, built only
-    where a product fits under every block socle, equal the all-pairs
-    tables; off property 1 both builds raise NonProportional."""
+    """The products and pairings of both mirror B-algebras of every table
+    model, found only where a product fits under every block socle and laid
+    out by `reference_tables`, equal the all-pairs tables; off property 1
+    both builds raise NonProportional."""
     built = undefined = 0
     for model in _table_models():
         for alg in _mirror_algebras(model)[2:]:
@@ -2739,7 +3040,7 @@ def test_tables_match_the_all_pairs_build():
                 want = all_pairs_tables(alg)
             except NonProportional:
                 with pytest.raises(NonProportional):
-                    alg.structure_constants()
+                    alg.nonzero_products()
                 undefined += 1
                 continue
             assert over_den(alg) == want
@@ -2771,8 +3072,9 @@ def test_a_filter_that_drops_one_product_fails_the_table_oracle(monkeypatch):
 
 def test_octic_sl_theorem2_reduces_close_to_only_its_nonzero_products(monkeypatch):
     """Theorem 2 on E1 x OCTIC with G = SL(W1) x SL(W2) has 457,120 nonzero
-    products and pairings of basis pairs over its sector pairs; the tables
-    call `monomial_normal_form` at most 10% more often than that."""
+    products and pairings of basis pairs over its sector pairs; its products
+    and pairings call `monomial_normal_form` at most 10% more often than
+    that."""
     calls = []
     original = MilnorRing.monomial_normal_form
 
