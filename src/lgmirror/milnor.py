@@ -364,7 +364,7 @@ class MilnorRing:
 
 
 def milnor_ring(
-    poly: Polynomial, active=None, ws: WeightSystem | None = None, rings: dict | None = None
+    poly: Polynomial, active=None, ws: WeightSystem | None = None, rings: dict | None = None, halves=None
 ) -> MilnorRing:
     """Build the Milnor ring of `poly` restricted to `active` variables.
 
@@ -377,7 +377,8 @@ def milnor_ring(
     it when its weights match, and otherwise built and kept there, with two
     or more connected blocks assembled from block rings looked up in and
     added to the same cache, in the term order of its first ring when their
-    weights agree.
+    weights agree.  Loci that split `active` along the blocks of `poly` give
+    it their rings' blocks as `halves`, with no `components` pass.
     """
     active = tuple(sorted(range(poly.nvars) if active is None else active))
     weights = tuple(ws.weights) if ws is not None else _grading_weights(restrict(poly, active), active)
@@ -388,7 +389,11 @@ def milnor_ring(
         return ring
     first = next(iter(rings.values()), None)
     order = first.order if first is not None and first.weights == weights else TermOrder(weights)
-    blocks = components(poly, active)
+    if halves is None:
+        blocks = components(poly, active)
+    else:
+        sides = [milnor_ring(poly, half, ws, rings) for half in halves if half]
+        blocks = sorted([part.active for side in sides for part in side.parts or (side,)])
     if len(blocks) < 2:
         ring = _block_ring(poly, active, weights, order)
     else:

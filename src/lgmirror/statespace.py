@@ -8,7 +8,7 @@ connected blocks, its Milnor ring the tensor product of theirs, and the
 character of a monomial under the acting group the sum of the characters of
 its block factors.  So the invariant monomials of a fixed locus come from a
 join of the blocks' monomials on characters that sum to 0, in integer
-arithmetic, and no locus basis is walked (`Invariants`).  A sector enters
+arithmetic, and no locus basis is walked (`build_state_space`).  A sector enters
 the bigraded table only through its locus and age (Krawitz, arXiv:0906.0796,
 §2), so a sweep counts the sectors of each class (Fix g, age g) on the
 group's lattice (`sector_classes`), and the table sums count times the
@@ -20,6 +20,7 @@ off int vectors and `kept`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from operator import add
@@ -52,11 +53,12 @@ class StateSpace:
     """The sectors of (W, G) by class.  `classes` maps (Fix g, a) to the
     number of sectors g with that locus and age a / L, L the exponent of G;
     `kept` maps each locus to its invariant standard monomials, sorted by
-    (wdeg, m).  The states of a sector g, in order, are kept[Fix g]."""
+    (wdeg, m), and `degrees` to their histogram of `_degree`.  The states of
+    a sector g, in order, are kept[Fix g]."""
 
-    __slots__ = ("poly", "ws", "group", "flavor", "rings", "classes", "kept", "D")
+    __slots__ = ("poly", "ws", "group", "flavor", "rings", "classes", "kept", "degrees", "D")
 
-    def __init__(self, poly, ws, group, flavor, rings, classes, kept):
+    def __init__(self, poly, ws, group, flavor, rings, classes, kept, degrees):
         self.poly = poly
         self.ws = ws
         self.group = group
@@ -64,6 +66,7 @@ class StateSpace:
         self.rings = rings
         self.classes = classes
         self.kept = kept
+        self.degrees = degrees
         self.D = math.lcm(ws.degree, group.L)  # grades are int numerators over D
 
     @property
@@ -99,84 +102,38 @@ def _degree(m, locus, weights) -> int:
 
 
 class Invariants:
-    """Invariant standard monomials under a group, fixed locus by locus.
+    """The standard monomials of each block ring by character under a group
+    (sum over the block of (m_j + 1) h_j mod L per generator h), kept across
+    sweeps under the block ring itself: other polynomials' rings miss them."""
 
-    The character of a monomial m of a block ring under a generator h of
-    the group is sum over the block of (m_j + 1) h_j mod L, one entry per
-    generator.  The standard monomials of a locus ring are the products of
-    those of its block rings, and m * omega_g is invariant exactly when the
-    characters of its factors sum to 0.  So each block ring's monomials are
-    bucketed by character once, the blocks of a locus are split into two
-    halves of balanced size, each half is multiplied out by bucket, and the
-    halves are joined on characters that sum to 0.  Loci share blocks, so a
-    half is multiplied out once per sweep for each tuple of blocks.  Both
-    are keyed by the block rings themselves, so no other polynomial's rings
-    hit them; buckets outlive a sweep, halves do not."""
-
-    __slots__ = ("L", "gen_vecs", "by_block", "halves")
+    __slots__ = ("L", "gen_vecs", "by_block")
 
     def __init__(self, group: SymmetryGroup):
         self.L, self.gen_vecs = int_vectors(group.gens)
         self.by_block: dict = {}
-        self.halves: dict = {}
-
-    def kept(self, ring) -> list:
-        """Invariant standard monomials of `ring`, sorted by (wdeg, m)."""
-        zero = (0,) * len(ring.weights)
-        left, right = (self._half(h, zero) for h in balanced_halves(ring))
-        L = self.L
-        out = []
-        for ch, terms in left.items():
-            partner = right.get(tuple([-a % L for a in ch]))
-            if partner:
-                out.extend(_products(terms, partner))
-        out.sort()
-        return [m for _, m in out]
-
-    def _half(self, parts, zero) -> dict:
-        """`_product` of `parts`, remembered under the tuple of the rings."""
-        key = tuple(parts)
-        if key not in self.halves:
-            self.halves[key] = self._product(parts, zero)
-        return self.halves[key]
-
-    def _product(self, parts, zero) -> dict:
-        """{character: [(wdeg, m)]} over the monomials of the product of
-        the block rings `parts`."""
-        if not parts:
-            return {(0,) * len(self.gen_vecs): [(0, zero)]}
-        L = self.L
-        acc = self.buckets(parts[0])
-        for part in parts[1:]:
-            buckets = self.buckets(part)
-            nxt: dict = {}
-            for c1, terms1 in acc.items():
-                for c2, terms2 in buckets.items():
-                    key = tuple([(a + b) % L for a, b in zip(c1, c2)])
-                    nxt.setdefault(key, []).extend(_products(terms1, terms2))
-            acc = nxt
-        return acc
 
     def buckets(self, part) -> dict:
-        """{character: [(wdeg, m)]} over the standard monomials of a block
-        ring, kept per ring."""
+        """{character: [(wdeg, m)]} over the standard monomials of a block ring."""
         got = self.by_block.get(part)
         if got is None:
             L, block, w = self.L, part.active, part.weights
             got = self.by_block[part] = {}
             for m in part.basis:
-                ch = tuple(
-                    [sum([(m[j] + 1) * hv[j] for j in block]) % L for hv in self.gen_vecs]
-                )
+                ch = tuple([sum([(m[j] + 1) * hv[j] for j in block]) % L for hv in self.gen_vecs])
                 got.setdefault(ch, []).append((sum([m[j] * w[j] for j in block]), m))
         return got
+
+
+def _blocks(ring) -> list:
+    """The block rings of `ring`, largest mu first."""
+    return sorted(ring.parts or (ring,), key=lambda part: -part.mu)
 
 
 def balanced_halves(ring) -> tuple:
     """The block rings of `ring`, largest first, each to the half of smaller mu."""
     halves: tuple = ([], [])
     sizes = [1, 1]
-    for part in sorted(ring.parts or (ring,), key=lambda r: -r.mu):
+    for part in _blocks(ring):
         k = sizes[1] < sizes[0]
         halves[k].append(part)
         sizes[k] *= part.mu
@@ -184,11 +141,36 @@ def balanced_halves(ring) -> tuple:
 
 
 def _products(terms1, terms2):
-    """(d1 + d2, m1 + m2) for each pair; the monomials live on disjoint
-    variables."""
-    return [
-        (d1 + d2, tuple(map(add, m1, m2))) for d1, m1 in terms1 for d2, m2 in terms2
-    ]
+    """(d1 + d2, m1 + m2) for each pair of monomials on disjoint variables."""
+    return [(d1 + d2, tuple(map(add, m1, m2))) for d1, m1 in terms1 for d2, m2 in terms2]
+
+
+def _half_product(products: dict, invariant: Invariants, parts) -> dict:
+    """{character: [(wdeg, m)]} over the standard monomials of the block
+    rings `parts`, largest first: all but the last part times the last, each
+    kept in `products` under its half-locus for one sweep, prefixes shared."""
+    half = tuple(sorted([i for part in parts for i in part.active]))
+    got = products.get(half)
+    if got is None:
+        got = last = invariant.buckets(parts[-1])
+        if len(parts) > 1:
+            got, L = {}, invariant.L
+            for c1, terms1 in _half_product(products, invariant, parts[:-1]).items():
+                for c2, terms2 in last.items():
+                    key = tuple([(a + b) % L for a, b in zip(c1, c2)])
+                    got.setdefault(key, []).extend(_products(terms1, terms2))
+        products[half] = got
+    return got
+
+
+def _histogram(out, form: int) -> dict:
+    """{wdeg + form: count} over `out`, sorted (wdeg, m), by bisection."""
+    hist, start = {}, 0
+    while start < len(out):
+        end = bisect_left(out, (out[start][0] + 1,), start)
+        hist[out[start][0] + form] = end - start
+        start = end
+    return hist
 
 
 def build_state_space(
@@ -200,9 +182,11 @@ def build_state_space(
     invariant: Invariants | None = None,
 ) -> StateSpace:
     """Sweep all sectors of (W, G) by class, counted on the group's lattice
-    without listing its elements, each locus once, its ring and those of its
-    blocks kept in the subset-keyed `rings` and bucketed in `invariant` (of
-    `group`; fresh by default); raises NotAdmissible on a flavor mismatch."""
+    without listing its elements, each locus once as the join of its two
+    half-loci under one split of W's blocks (`balanced_halves`), on
+    characters that sum to 0; raises NotAdmissible on a flavor mismatch.
+    Rings go to the subset-keyed `rings`, a locus's assembled from its
+    half-loci's, and buckets to `invariant` (of `group`; fresh by default)."""
     if flavor not in ("A", "B"):
         raise ValueError(f"unknown flavor {flavor!r}")
     if ws is None:
@@ -217,25 +201,36 @@ def build_state_space(
         rings = {}
     classes = sector_classes(group)
     invariant = invariant or Invariants(group)
-    kept: dict = {}
+    sides = [{i for b in half for i in b.active} for half in balanced_halves(milnor_ring(poly, None, ws, rings))]
+    L = invariant.L
+    products, kept, degrees = {}, {}, {}
     for locus in dict.fromkeys(locus for locus, _ in classes):
-        kept[locus] = invariant.kept(milnor_ring(poly, locus, ws, rings))
-    invariant.halves.clear()
-    return StateSpace(poly, ws, group, flavor, rings, classes, kept)
+        halves = [tuple([i for i in locus if i in side]) for side in sides]
+        left, right = (
+            products.get(half) or _half_product(products, invariant, _blocks(milnor_ring(poly, half, ws, rings)))
+            for half in halves
+        )
+        milnor_ring(poly, locus, ws, rings, halves)
+        out = []
+        for ch, terms in left.items():
+            partner = right.get(tuple([-a % L for a in ch]))
+            if partner:
+                out.extend(_products(terms, partner))
+        out.sort()
+        kept[locus] = [m for _, m in out]
+        degrees[locus] = _histogram(out, sum([ws.weights[j] for j in locus]))
+    return StateSpace(poly, ws, group, flavor, rings, classes, kept, degrees)
 
 
 def poincare_table(space: StateSpace) -> dict:
     """Map (p, q) -> dimension over exact rationals.  Every sector class
-    adds its count times the histogram of the degrees kept on its locus, on
+    adds its count times the degree histogram of its locus (`degrees`), on
     int numerators; Fractions are built for the keys only."""
-    w = space.ws.weights
-    degrees = {locus: Counter([_degree(m, locus, w) for m in ms]) for locus, ms in space.kept.items()}
     counts: Counter = Counter()
     for (locus, age), count in space.classes.items():
-        for deg, k in degrees[locus].items():
+        for deg, k in space.degrees[locus].items():
             counts[space._grade(deg, age, len(locus))] += count * k
-    D = space.D
-    return {(Fraction(p, D), Fraction(q, D)): c for (p, q), c in counts.items()}
+    return {(Fraction(p, space.D), Fraction(q, space.D)): c for (p, q), c in counts.items()}
 
 
 def diff_tables(lhs: dict, rhs: dict, lname: str, rname: str):

@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import tracemalloc
 import types
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 
 import lgmirror.bvlg as bvlg
 import lgmirror.cli as cli
+import lgmirror.milnor as milnor
 import lgmirror.statespace as statespace
 from lgmirror.bvlg import (
     BadForm,
@@ -576,3 +578,35 @@ def test_census_verdicts_retain_a_bounded_share_per_model():
         tracemalloc.stop()
     assert len(models) == 15
     assert retained / len(models) < 100_000
+
+
+def test_census_pass_splits_its_loci_along_one_split_of_w(monkeypatch):
+    """One census pass as the benchmark runs it at seed 1: Theorem 1 and
+    LG/CY on the 15 models of the stride, each K3 sample paired with E1 or
+    E2 in the order the seed picks.  Each sweep splits W's blocks once, so
+    loci get their blocks from their half-loci: at most 620
+    `milnor.components` calls (955 with a split per locus), and at most 580
+    half-products multiplied out (696 per-locus halves)."""
+    records = filter_bv_invertible(enumerate_k3_systems())[::3]
+    rng = random.Random(1)
+    pairs = [(rng.randrange(2), i) for i in range(len(records))]
+    rng.shuffle(pairs)
+    models = [model((E1, E2)[c], sample_polynomial(records[i].weight_system)) for c, i in pairs]
+    calls = Counter()
+    components, half_product = milnor.components, statespace._half_product
+
+    def counted_components(poly, active):
+        calls["components"] += 1
+        return components(poly, active)
+
+    def counted_half_product(products, invariant, parts):
+        calls["half-products"] += tuple(sorted(i for part in parts for i in part.active)) not in products
+        return half_product(products, invariant, parts)
+
+    monkeypatch.setattr(milnor, "components", counted_components)
+    monkeypatch.setattr(statespace, "_half_product", counted_half_product)
+    for m in models:
+        assert verify_theorem1(m).passed and verify_lgcy(m).passed
+    assert len(models) == 15
+    assert calls["components"] <= 620
+    assert calls["half-products"] <= 580

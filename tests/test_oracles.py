@@ -35,9 +35,13 @@ must agree.  It reads the blocks of a locus off the term supports of W and
 restricts W only to build a block ring; its oracle is the dispatch it
 replaced, restrict then split the restricted monomials
 (`restricted_dispatch`), with the same blocks, block rings and `poly`.
-`Invariants` joins the character buckets of the block rings;
-its oracle walks the one-shot basis of the locus and tests every monomial on
-the generators.  The kept monomials must agree, in order.
+The sweep splits the blocks of W once into two sides and joins each locus
+from its two half-loci, each multiplied out once per sweep from the
+character buckets of the block rings (`Invariants`).  Its oracles are the
+per-locus join it replaced, each locus split in `balanced_halves` of its own
+(`balanced_join`), and the walk over the one-shot basis of the locus that
+tests every monomial on the generators.  The kept monomials must agree, in
+order, and so must the degree histograms and the dimension.
 
 A `StateSpace` counts its sectors by class (fixed locus, age) and grades on
 integer sums.  Its oracle is the eager sweep it replaced: one state per kept
@@ -128,12 +132,14 @@ one product and one pairing corrupted.
 """
 
 import math
+import operator
 import random
 import re
 import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, islice, product
+from types import SimpleNamespace
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
@@ -176,6 +182,7 @@ import lgmirror.frobenius as frobenius
 import lgmirror.milnor as milnor
 from lgmirror.milnor import (
     DegenerateSingularity,
+    MilnorError,
     MilnorRing,
     TermOrder,
     _reduce_terms,
@@ -203,7 +210,7 @@ from lgmirror.polyring import (
     weight_system,
 )
 from lgmirror.report import Report
-from lgmirror.statespace import Invariants, build_state_space, frac_str, poincare_table, state_name
+from lgmirror.statespace import Invariants, balanced_halves, build_state_space, frac_str, poincare_table, state_name
 from lgmirror.symmetry import (
     GroupElement,
     GroupError,
@@ -625,17 +632,46 @@ def oracle_b_bidegree(e, L, q, age_j):
     return (dm + Fraction(sum(e[0]), L) - age_j, dm + Fraction(sum(neg(e[0], L)), L) - age_j)
 
 
+def balanced_join(invariant, ring) -> list:
+    """(wdeg, m) over the invariant standard monomials of a locus ring,
+    sorted: the per-locus join the sweep replaced.  The blocks of the ring
+    are split in two `balanced_halves` of its own, each half is multiplied
+    out from the block buckets of `invariant`, and the halves are joined on
+    characters that sum to 0."""
+    L = invariant.L
+    halves = []
+    for parts in balanced_halves(ring):
+        acc = {(0,) * len(invariant.gen_vecs): [(0, (0,) * len(ring.weights))]}
+        for part in parts:
+            nxt = {}
+            for c1, terms1 in acc.items():
+                for c2, terms2 in invariant.buckets(part).items():
+                    key = tuple((a + b) % L for a, b in zip(c1, c2))
+                    nxt.setdefault(key, []).extend(
+                        (d1 + d2, tuple(map(operator.add, m1, m2))) for d1, m1 in terms1 for d2, m2 in terms2
+                    )
+            acc = nxt
+        halves.append(acc)
+    left, right = halves
+    out = []
+    for ch, terms in left.items():
+        for d2, m2 in right.get(tuple(-a % L for a in ch), ()):
+            out.extend((d1 + d2, tuple(map(operator.add, m1, m2))) for d1, m1 in terms)
+    return sorted(out)
+
+
 def build_sector(poly, group, v, ws, rings, invariant=None):
     """The states (v, m) of the sector v: the invariant standard monomials
-    of Milnor(W_v), the ring of Fix v kept in the subset-keyed `rings`; one
-    `Invariants` of the group may serve all its sectors."""
+    of Milnor(W_v) by the per-locus join (`balanced_join`), the ring of
+    Fix v kept in the subset-keyed `rings`; one `Invariants` of the group
+    may serve all its sectors."""
     if invariant is None:
         invariant = Invariants(group)
     fixed = vector_locus(v)
     ring = rings.get(fixed)
     if ring is None:
         ring = rings[fixed] = milnor_ring(poly, active=fixed, ws=ws, rings=rings)
-    return [(v, m) for m in invariant.kept(ring)]
+    return [(v, m) for _, m in balanced_join(invariant, ring)]
 
 
 def eager_sweep(poly, group, ws, rings):
@@ -2121,14 +2157,37 @@ def walk_and_filter(poly, group, fixed, ws):
 
 
 def assert_same_sectors(poly, group, ws):
-    """Every locus of G: the character join keeps the monomials the walk
-    keeps, in the same order.  Returns the number of loci."""
+    """Every locus of G: the sweep and the per-locus join keep the monomials
+    the walk keeps, in the same order, and the sweep's degree histogram is
+    theirs.  Returns the number of loci."""
     rings: dict = {}
     invariant = Invariants(group)
+    space = build_state_space(poly, group, "A" if j_element(ws) in group else "B", ws=ws)
     loci = {vector_locus(v): v for v in group.vectors}
+    assert set(space.kept) == set(space.degrees) == set(loci)
     for fixed, v in sorted(loci.items()):
-        got = build_sector(poly, group, v, ws, rings, invariant)
-        assert [m for _, m in got] == walk_and_filter(poly, group, fixed, ws)
+        walked = walk_and_filter(poly, group, fixed, ws)
+        assert [m for _, m in build_sector(poly, group, v, ws, rings, invariant)] == walked
+        assert space.kept[fixed] == walked
+        assert space.degrees[fixed] == Counter([statespace._degree(m, fixed, ws.weights) for m in walked])
+    return len(loci)
+
+
+def assert_same_sweep(space) -> int:
+    """`space` against the per-locus join (`balanced_join`) on a fresh ring
+    cache and `Invariants`: each locus keeps the same monomials in the same
+    order, with the same degree histogram, and the dimension is the same.
+    Returns the number of loci."""
+    rings: dict = {}
+    invariant = Invariants(space.group)
+    loci = list(dict.fromkeys(locus for locus, _ in space.classes))
+    assert list(space.kept) == list(space.degrees) == loci
+    want = {}
+    for locus in loci:
+        want[locus] = [m for _, m in balanced_join(invariant, milnor_ring(space.poly, locus, space.ws, rings))]
+        assert space.kept[locus] == want[locus]
+        assert space.degrees[locus] == Counter([statespace._degree(m, locus, space.ws.weights) for m in want[locus]])
+    assert space.dim == sum(n * len(want[locus]) for (locus, _), n in space.classes.items())
     return len(loci)
 
 
@@ -2289,6 +2348,49 @@ def test_character_join_matches_walk_and_filter(model):
 def test_character_join_matches_walk_and_filter_on_octic_mirror():
     mirror = _golden_models()["e1octic"].mirror()
     assert assert_same_sectors(mirror.poly, mirror.sigma_group, mirror.ws) == 172
+
+
+def _swept_models():
+    """{name: models} whose A space and mirror B space the sweep oracle
+    reads: the census stride, E1 x OCTIC with J1 x J2 and with SL, E2 x K3A
+    with the nonproduct group, and E1 x chain."""
+    return {
+        "census": _census_models(),
+        "e1octic": [_golden_models()["e1octic"], build_bv(E1, OCTIC, parse_group_elements(SL_OCTIC, 8))],
+        "nonproduct": [_models()["nonproduct"]],
+        "e1chain": [PHI_MODELS["e1chain"]()],
+    }
+
+
+@pytest.mark.parametrize("name", ["census", "e1octic", "nonproduct", "e1chain"])
+def test_sweep_matches_the_per_locus_join(name):
+    """Both sweeps of each model, locus by locus, equal the per-locus join:
+    kept monomials in order, degree histograms and dimension."""
+    models = _swept_models()[name]
+    loci = sum(assert_same_sweep(m.space("A")) + assert_same_sweep(m.mirror().space("B")) for m in models)
+    assert loci > 2 * len(models)
+
+
+def test_twist_sweep_matches_the_per_locus_join():
+    tw = _golden_models()["e1octic"].twist()
+    assert assert_same_sweep(build_state_space(tw.poly, tw.group, "A", ws=tw.ws)) == 5
+
+
+def test_a_side_split_that_cuts_a_block_fails_the_sweep_oracle(monkeypatch):
+    """Negative control: sides that put the first variable of the chain
+    block of W on one side and the rest of it on the other split a locus
+    ring across that block, and the sweep no longer equals the per-locus
+    join (or its half-locus ring is degenerate)."""
+
+    def cutting(ring):
+        chain = next(part.active for part in ring.parts if len(part.active) > 1)
+        rest = tuple(i for i in ring.active if i != chain[0])
+        return [SimpleNamespace(active=chain[:1])], [SimpleNamespace(active=rest)]
+
+    model = PHI_MODELS["e1chain"]()
+    monkeypatch.setattr(statespace, "balanced_halves", cutting)
+    with pytest.raises((AssertionError, MilnorError)):
+        assert_same_sweep(model.space("A"))
 
 
 def ambient_classes(dim: int):

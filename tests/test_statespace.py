@@ -8,6 +8,7 @@ import pytest
 import lgmirror.bvlg as bvlg
 import lgmirror.frobenius as frobenius
 import lgmirror.milnor as milnor
+import lgmirror.statespace as statespace
 from lgmirror.bvlg import block_j_elements, build_bv, verify_theorem1
 from lgmirror.chenruan import verify_bv_mirror, verify_lgcy
 from lgmirror.milnor import DegenerateSingularity, milnor_ring
@@ -28,7 +29,7 @@ from lgmirror.symmetry import (
     span,
     transpose_group,
 )
-from test_oracles import EagerSpace, action_weight, build_sector, krawitz_dimension_check
+from test_oracles import EagerSpace, action_weight, balanced_join, build_sector, krawitz_dimension_check
 from test_symmetry import count_walks
 
 E1 = parse_polynomial("x0^2+x1^3+x2^6")
@@ -232,9 +233,9 @@ def test_locus_with_a_variable_in_no_monomial_raises():
 
 def test_one_invariants_keeps_the_buckets_of_each_ring_apart():
     """One `Invariants` read with rings of the block (x0,) from two
-    polynomials and in two weight systems: each ring gets the buckets and
-    kept monomials a fresh `Invariants` gives it, not those of an earlier
-    ring of the same block."""
+    polynomials and in two weight systems: each ring gets the buckets, and
+    the kept monomials of their join, that a fresh `Invariants` gives it,
+    not those of an earlier ring of the same block."""
     group = span(2, [GroupElement([Fraction(1, 2), Fraction(1, 2)])])
     cubic = parse_polynomial("x0^3+x1^3")
     rings = [
@@ -245,7 +246,7 @@ def test_one_invariants_keeps_the_buckets_of_each_ring_apart():
     invariant = Invariants(group)
     for ring in rings:
         assert invariant.buckets(ring) == Invariants(group).buckets(ring)
-        assert invariant.kept(ring) == Invariants(group).kept(ring)
+        assert balanced_join(invariant, ring) == balanced_join(Invariants(group), ring)
     assert len({str(invariant.buckets(ring)) for ring in rings}) == 3
 
 
@@ -367,20 +368,21 @@ def test_benchmark_tracer_still_binds_the_sweep(monkeypatch):
     assert counts["statespace.basis_dim"] == 272
 
 
-def test_half_products_keyed_without_blocks_fail(monkeypatch, capsys):
-    """A half-product memo keyed by the number of blocks, not the blocks,
-    lets loci share stale halves: Theorem 1 on E1 x K3A must report a
-    mismatch (exit 1), not a precondition."""
+def test_half_products_keyed_by_size_fail(monkeypatch, capsys):
+    """A half-product memo keyed by the size of the half-locus, not the
+    half-locus, lets loci share stale halves: Theorem 1 on E1 x K3A must
+    report a mismatch (exit 1), not a precondition."""
     from lgmirror.cli import main
-    from lgmirror.statespace import Invariants
 
-    def stale(self, parts, zero):
-        got = self.halves.get(len(parts))
-        if got is None:
-            got = self.halves[len(parts)] = self._product(parts, zero)
-        return got
+    half_product = statespace._half_product
 
-    monkeypatch.setattr(Invariants, "_half", stale)
+    def stale(products, invariant, parts):
+        size = sum(len(part.active) for part in parts)
+        if size not in products:
+            products[size] = half_product(products, invariant, parts)
+        return products[size]
+
+    monkeypatch.setattr(statespace, "_half_product", stale)
     argv = ["bv", "theorem1", "--w1", str(E1), "--w2", str(K3), "--json"]
     assert main(argv) == 1
     assert '"pass": false' in capsys.readouterr().out
