@@ -290,38 +290,48 @@ def verify_twist_iso(model: BVModel, flavor: str, tw_group_override=None) -> Rep
 
     The map runs on int vectors and monomials, sector by sector of the
     source group, and bidegrees are compared as `StateSpace._grade`
-    numerators; states are named (`state_name`) for mismatch records only.
-    The source is the model's own space of `flavor`."""
+    numerators of each locus's distinct (source, target) degrees, its images
+    checked as sets; only a sector where something fails is walked state by
+    state, named (`state_name`) for mismatch records.  The source is the
+    model's own space of `flavor`."""
     tw = model.twist()
     group = tw_group_override if tw_group_override is not None else tw.group
     source = model.space(flavor)
     target = build_state_space(tw.poly, group, flavor, ws=tw.ws)
     L, Lt, D, Dt = source.group.L, target.group.L, source.D, target.D
-    weights, tw_weights = source.ws.weights, target.ws.weights
+    weights, tw_weights, grade, tw_grade = source.ws.weights, target.ws.weights, source._grade, target._grade
     kept = {locus: set(ms) for locus, ms in target.kept.items()}
     mismatches = []
-    images = set()
+    images, per_locus = {}, {}  # image sector -> its monomials matched so far; locus -> its states
     for v in source.group.vectors:
         locus = vector_locus(v)
         if not source.kept[locus]:
             continue
         _sector_epsilon(model, v, L)
         image_v = tuple([v[k] for k in tw.keep])
-        image_g = GroupElement._raw(image_v, L)
-        image_locus = vector_locus(image_v)
-        image_kept = kept[image_locus] if image_g in target.group else ()
+        if locus not in per_locus:
+            # the distinguished slots are z^2 blocks: no kept monomial touches them
+            image_locus = vector_locus(image_v)
+            states = [(m, tuple([m[k] for k in tw.keep])) for m in source.kept[locus]]
+            states = [(m, t, (_degree(m, locus, weights), _degree(t, image_locus, tw_weights))) for m, t in states]
+            per_locus[locus] = (image_locus, states, {s[1] for s in states}, {s[2] for s in states})
+        image_locus, states, monos, pairs = per_locus[locus]
+        image_kept = kept[image_locus] if GroupElement._raw(image_v, L) in target.group else set()
         age, image_age = sum(v), sum(image_v) * Lt // L
-        # the distinguished slots are z^2 blocks: no kept monomial touches them
-        for m in source.kept[locus]:
-            mono = tuple([m[k] for k in tw.keep])
-            if mono not in image_kept or (image_v, mono) in images:
+        graded = {(a, b): (grade(a, age, len(locus)), tw_grade(b, image_age, len(image_locus))) for a, b in pairs}
+        bad = {pair for pair, ((p, q), (pt, qt)) in graded.items() if p * Dt != pt * D or q * Dt != qt * D}
+        matched = images.setdefault(image_v, set())
+        if not bad and len(monos) == len(states) and monos <= image_kept and matched.isdisjoint(monos):
+            matched |= monos
+            continue
+        for m, mono, pair in states:
+            if mono not in image_kept or mono in matched:
                 reason = "image duplicated" if mono in image_kept else "image not in twist basis"
                 mismatches.append({"element": state_name(v, L, m, flavor), "reason": reason})
                 continue
-            images.add((image_v, mono))
-            p, q = source._grade(_degree(m, locus, weights), age, len(locus))
-            pt, qt = target._grade(_degree(mono, image_locus, tw_weights), image_age, len(image_locus))
-            if p * Dt != pt * D or q * Dt != qt * D:
+            matched.add(mono)
+            if pair in bad:
+                (p, q), (pt, qt) = graded[pair]
                 mismatches.append(
                     {
                         "element": state_name(v, L, m, flavor),
@@ -330,7 +340,7 @@ def verify_twist_iso(model: BVModel, flavor: str, tw_group_override=None) -> Rep
                         "target": [frac_str(Fraction(x, Dt)) for x in (pt, qt)],
                     }
                 )
-    unmatched = target.dim - len(images)
+    unmatched = target.dim - sum([len(matched) for matched in images.values()])
     if unmatched:
         mismatches.append({"reason": f"{unmatched} twist basis elements unmatched"})
     return Report(

@@ -12,11 +12,11 @@ Ambient pieces are the (i, i) ladder of the ambient weighted projective
 space, of trivial character; primitive pieces are graded pieces of the
 Milnor ring (Griffiths-Steenbrink).  The Milnor ring of a locus is the
 tensor product of those of its blocks (Krawitz, arXiv:0906.0796, §2), from
-the model's cache (`BVModel.rings`), its block rings bucketed by character
-once per model (`BVModel.invariants`).  So a locus splits its blocks in
-two `balanced_halves`, multiplies each out by (character, weight), and
-joins them only on weights summing to 0 mod d (`locus_classes`).  The age
-is a sum of one share per factor (`age_share`), so the representatives
+the model's cache (`BVModel.rings`), its block rings bucketed by `Packed`
+character once per model (`BVModel.invariants`).  So a locus splits its
+blocks in two `balanced_halves`, multiplies each out by (character, weight),
+and joins them only on weights summing to 0 mod d (`locus_classes`).  The
+age is a sum of one share per factor (`age_share`), so the representatives
 fall in families by first-factor part: a family sums its second parts'
 shifted classes, and convolves them once per character with its first
 part's.  No locus basis is walked, and no group element is built.
@@ -62,29 +62,27 @@ def locus_classes(model: BVModel, locus, invariant: Invariants) -> dict:
     halves of its ring's blocks joined on weights that sum to 0 mod d."""
     if not locus:
         return {}
-    zero = (0,) * len(invariant.gen_vecs)
     outside = ~sum([1 << i for i in locus])
     if all(s & outside for s in model.poly.supports):
         # the polynomial vanishes on the fixed locus: ambient cohomology
         # of the weighted projective space of dimension |locus| - 1
-        return {zero: _ambient(len(locus) - 1)}
+        return {0: _ambient(len(locus) - 1)}
     dim = len(locus) - 2
     if dim < 0:
         return {}  # z^a = 0 inside a weighted point: empty hypersurface
     ring = milnor_ring(model.poly, locus, model.ws, model.rings)
-    L, d = invariant.L, model.ws.degree
-    left, right = (_half_classes(model, half, invariant, zero) for half in balanced_halves(ring))
+    add, d = invariant.chars.add, model.ws.degree
+    left, right = (_half_classes(model, half, invariant) for half in balanced_halves(ring))
     partners = _residue_index(right, d)
     # Griffiths-Steenbrink: monomial-plus-form weight (q + 1) d gives h^{dim-q, q};
     # each factor has degree d in the model's weights
-    out = defaultdict(Counter, {zero: _ambient(dim)})
+    out = defaultdict(Counter, {0: _ambient(dim)})
     for (c1, w1), n1 in left.items():
         for c2, w2, n2 in partners.get(w1 % d, ()):
             q = (w1 + w2) // d - 1
             if not 0 <= q <= dim:
                 raise ValueError(f"Griffiths-Steenbrink grade {q} outside 0..{dim} for {ring.poly}")
-            ch = tuple([(a + b) % L for a, b in zip(c1, c2)])
-            out[ch][(dim - q, q)] += n1 * n2
+            out[add(c1, c2)][(dim - q, q)] += n1 * n2
     return dict(out)
 
 
@@ -96,18 +94,18 @@ def _residue_index(half: Counter, d: int) -> dict:
     return index
 
 
-def _half_classes(model: BVModel, parts, invariant: Invariants, zero) -> Counter:
+def _half_classes(model: BVModel, parts, invariant: Invariants) -> Counter:
     """{(character, weight): count} over the standard monomials m of the
     block rings `parts` multiplied out, of weight sum (m_j + 1) w_j."""
-    L, weights = invariant.L, model.ws.weights
-    acc = Counter({(zero, 0): 1})
+    add, weights = invariant.chars.add, model.ws.weights
+    acc = Counter({(0, 0): 1})
     for part in parts:
         form = sum([weights[j] for j in part.active])
         terms = Counter([(ch, form + w) for ch, ts in invariant.buckets(part).items() for w, _ in ts])
         nxt: Counter = Counter()
         for (c1, w1), n1 in acc.items():
             for (c2, w2), n2 in terms.items():
-                nxt[tuple([(a + b) % L for a, b in zip(c1, c2)]), w1 + w2] += n1 * n2
+                nxt[add(c1, c2), w1 + w2] += n1 * n2
         acc = nxt
     return acc
 
@@ -142,7 +140,7 @@ def cr_table(model: BVModel) -> CRTable:
     coset family and character; the Milnor rings of its loci are kept in
     `model.rings`, their buckets in `model.invariants`."""
     L = model.sigma_group.L
-    invariant = model.invariants
+    invariant, neg = model.invariants, model.invariants.chars.neg
     # (p, q) as int numerators over T, a multiple of every angle's denominator D
     T = L * math.lcm(*model.ws1.weights, *model.ws2.weights)
     loci: dict = {}
@@ -164,14 +162,14 @@ def cr_table(model: BVModel) -> CRTable:
         for share, classes in shifted(g1, 0, model.ws1):
             for ch, hist in classes.items():
                 _add_shifted(first[ch], hist, share, T)
-        second = {tuple([-c % invariant.L for c in ch]): Counter() for ch in first}
+        second = {neg(ch): Counter() for ch in first}
         for g2 in family:
             for share, classes in shifted(g2, model.n1, model.ws2):
                 for ch, hist in classes.items():
                     if ch in second:
                         _add_shifted(second[ch], hist, share, T)
         for ch, hist1 in first.items():
-            hist2 = second[tuple([-c % invariant.L for c in ch])]
+            hist2 = second[neg(ch)]
             for (p1, q1), k1 in hist1.items():
                 for (p2, q2), k2 in hist2.items():
                     table[p1 + p2, q1 + q2] += k1 * k2

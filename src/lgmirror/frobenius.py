@@ -76,15 +76,14 @@ class HypothesisFailed(FrobeniusError):
         )
 
 
-def _over_one_denominator(scalar: Fraction, values: list) -> tuple:
-    """(d, numerators): scalar * c = n / d for each c of `values`, d the
-    least such denominator, and an iterator over the n in that order."""
-    lcm = math.lcm(*{c.denominator for c in values})
-    a = scalar.numerator
-    numerators = [a * c.numerator * (lcm // c.denominator) for c in values]
+def _over_one_denominator(scalar: Fraction, rows: list) -> tuple:
+    """(d, rows): each entry (*head, c) of `rows`, c a Fraction, as the int
+    entry (*head, n) with scalar * c = n / d, d the least such denominator."""
+    a, lcm = scalar.numerator, math.lcm(*{c.denominator for row in rows for *_, c in row})
     d = scalar.denominator * lcm
-    common = math.gcd(d, *numerators)
-    return d // common, iter([n // common for n in numerators])
+    common = math.gcd(d, *[a * c.numerator * (lcm // c.denominator) for row in rows for *_, c in row])
+    rows = [[(*head, a * c.numerator * (lcm // c.denominator) // common) for *head, c in row] for row in rows]
+    return d // common, rows
 
 
 def _block_grading(ring: MilnorRing):
@@ -272,8 +271,7 @@ class BAlgebra:
                             if b not in position:
                                 raise NotBasisElement(f"a product lands outside the even basis: {(gh, b)!r}")
                             row.append((k2, position[b], c))
-            d, numerators = _over_one_denominator(scalar, [c for row in rows for *_, c in row])
-            hit = self._products[key] = (d, [[(k2, p, next(numerators)) for k2, p, _ in row] for row in rows])
+            hit = self._products[key] = _over_one_denominator(scalar, rows)
         return hit
 
     def pairings(self, g) -> tuple:
@@ -298,8 +296,7 @@ class BAlgebra:
                     c = normal_form(tuple(map(add, m1, m2))).get(ring.socle)
                     if c:
                         row.append((k2, c))
-            d, numerators = _over_one_denominator(ring.residue(1), [c for row in rows for _, c in row])
-            hit = self._pairings[locus] = (d, [[(k2, next(numerators)) for k2, _ in row] for row in rows])
+            hit = self._pairings[locus] = _over_one_denominator(ring.residue(1), rows)
         return hit
 
     def nonzero_products(self) -> dict:

@@ -7,8 +7,8 @@ it as <m; g> for mismatch records.  W restricted to Fix(g) is a sum of
 connected blocks, its Milnor ring the tensor product of theirs, and the
 character of a monomial under the acting group the sum of the characters of
 its block factors.  So the invariant monomials of a fixed locus come from a
-join of the blocks' monomials on characters that sum to 0, in integer
-arithmetic, and no locus basis is walked (`build_state_space`).  A sector enters
+join of the blocks' monomials on characters that sum to 0, each a `Packed`
+int, and no locus basis is walked (`build_state_space`).  A sector enters
 the bigraded table only through its locus and age (Krawitz, arXiv:0906.0796,
 §2), so a sweep counts the sectors of each class (Fix g, age g) on the
 group's lattice (`sector_classes`), and the table sums count times the
@@ -23,6 +23,7 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from operator import add
 
 from .milnor import milnor_ring
@@ -30,6 +31,7 @@ from .polyring import Polynomial, WeightSystem, weight_system
 from .report import PreconditionError
 from .symmetry import (
     GroupElement,
+    Packed,
     SymmetryGroup,
     int_vectors,
     is_b_admissible,
@@ -103,23 +105,27 @@ def _degree(m, locus, weights) -> int:
 
 class Invariants:
     """The standard monomials of each block ring by character under a group
-    (sum over the block of (m_j + 1) h_j mod L per generator h), kept across
-    sweeps under the block ring itself: other polynomials' rings miss them."""
+    (sum over the block of (m_j + 1) h_j mod L per generator h, `Packed` in
+    `chars`), kept across sweeps under the block ring itself: other
+    polynomials' rings miss them."""
 
-    __slots__ = ("L", "gen_vecs", "by_block")
+    __slots__ = ("chars", "gen_vecs", "by_block")
 
     def __init__(self, group: SymmetryGroup):
-        self.L, self.gen_vecs = int_vectors(group.gens)
+        L, self.gen_vecs = int_vectors(group.gens)
+        self.chars = Packed(L, len(self.gen_vecs))
         self.by_block: dict = {}
 
     def buckets(self, part) -> dict:
         """{character: [(wdeg, m)]} over the standard monomials of a block ring."""
         got = self.by_block.get(part)
         if got is None:
-            L, block, w = self.L, part.active, part.weights
+            add, pack, block, w = self.chars.add, self.chars.pack, part.active, part.weights
+            tops = {j: max([m[j] for m in part.basis]) + 2 for j in block}
+            multiples = {j: [pack([e * h[j] for h in self.gen_vecs]) for e in range(tops[j])] for j in block}
             got = self.by_block[part] = {}
             for m in part.basis:
-                ch = tuple([sum([(m[j] + 1) * hv[j] for j in block]) % L for hv in self.gen_vecs])
+                ch = reduce(add, [multiples[j][m[j] + 1] for j in block], 0)
                 got.setdefault(ch, []).append((sum([m[j] * w[j] for j in block]), m))
         return got
 
@@ -154,11 +160,10 @@ def _half_product(products: dict, invariant: Invariants, parts) -> dict:
     if got is None:
         got = last = invariant.buckets(parts[-1])
         if len(parts) > 1:
-            got, L = {}, invariant.L
+            got, add = {}, invariant.chars.add
             for c1, terms1 in _half_product(products, invariant, parts[:-1]).items():
                 for c2, terms2 in last.items():
-                    key = tuple([(a + b) % L for a, b in zip(c1, c2)])
-                    got.setdefault(key, []).extend(_products(terms1, terms2))
+                    got.setdefault(add(c1, c2), []).extend(_products(terms1, terms2))
         products[half] = got
     return got
 
@@ -202,7 +207,7 @@ def build_state_space(
     classes = sector_classes(group)
     invariant = invariant or Invariants(group)
     sides = [{i for b in half for i in b.active} for half in balanced_halves(milnor_ring(poly, None, ws, rings))]
-    L = invariant.L
+    neg = invariant.chars.neg
     products, kept, degrees = {}, {}, {}
     for locus in dict.fromkeys(locus for locus, _ in classes):
         halves = [tuple([i for i in locus if i in side]) for side in sides]
@@ -213,7 +218,7 @@ def build_state_space(
         milnor_ring(poly, locus, ws, rings, halves)
         out = []
         for ch, terms in left.items():
-            partner = right.get(tuple([-a % L for a in ch]))
+            partner = right.get(neg(ch))
             if partner:
                 out.extend(_products(terms, partner))
         out.sort()

@@ -7,11 +7,11 @@ them in no other form.  The order, the product of L / pivot, is checked
 against the cap before any member is listed.  `vectors` comes from one
 mixed-radix walk of the basis, already sorted.  Column i of the walk is
 final once row i is applied, so sector classes are counted on merged
-partial vectors (`sector_classes`) and BV coset representatives come from
-walks bounded by a subgroup's pivots; membership and subgroup tests reduce
-by the basis.  G^max, SL subgroups, dual groups and the twist projection
-are kernels of characters on such lattices, so G^max(W^T) is never walked
-and the cap bounds what is.
+partial vectors, packed into one int (`Packed`, `sector_classes`), and BV
+coset representatives come from walks bounded by a subgroup's pivots.
+G^max, SL subgroups, dual groups and the twist projection are kernels of
+characters on such lattices, so G^max(W^T) is never walked and the cap
+bounds what is.
 
 A `GroupElement` is the edge form of one member: parsed `--gens`, J, sigma,
 generators and printed names.  It stores an int numerator vector over one
@@ -137,6 +137,33 @@ def int_vectors(elements):
         scale = L // g.den
         vecs.append(g.num if scale == 1 else tuple([a * scale for a in g.num]))
     return L, vecs
+
+
+class Packed:
+    """Int vectors mod L of at most n entries, each packed into one int, entry
+    k at bit kB, B = (2L).bit_length() + 1 (SWAR, Fisher-Dietz, LCPC 1998).
+    Entries lie in [0, L), so a sum of two is below 2L < 2^(B-1) and never
+    carries into the next entry; `add` and `neg` bring each entry z >= L back
+    by one masked conditional subtract, z - (((z + K) & H) >> (B - 1)) * L,
+    K holding 2^(B-1) - L and H the top bit in every entry.  Zero is 0."""
+
+    __slots__ = ("L", "bits", "_over", "_top", "_mod")
+
+    def __init__(self, L: int, n: int):
+        self.L, self.bits = L, (2 * L).bit_length() + 1
+        ones = sum([1 << (k * self.bits) for k in range(n)])
+        self._over, self._top, self._mod = ((1 << (self.bits - 1)) - L) * ones, ones << (self.bits - 1), L * ones
+
+    def pack(self, v) -> int:
+        """The packed form of the int vector v, each entry reduced mod L."""
+        return sum([a % self.L << (k * self.bits) for k, a in enumerate(v)])
+
+    def add(self, x: int, y: int) -> int:
+        z = x + y
+        return z - (((z + self._over) & self._top) >> (self.bits - 1)) * self.L
+
+    def neg(self, x: int) -> int:
+        return self.add(self._mod, -x)
 
 
 def age(g: GroupElement) -> Fraction:
@@ -305,29 +332,32 @@ def sector_classes(group: SymmetryGroup) -> dict:
     order of their least members, without listing them.  The steps are
     those of `_walk`, on partial vectors; column i is final once row i is
     applied, so the partial vectors that share the mask of their fixed
-    columns, their sum and their unfinished columns are merged and counted."""
+    columns, their sum and their unfinished columns, `Packed` with column i
+    lowest, are merged and counted: a step adds one packed vector."""
     L, n = group.L, group.n
-    states = {(0, 0) + (0,) * n: 1}
+    vec = Packed(L, n)
+    add, bits, low = vec.add, vec.bits, (1 << vec.bits) - 1
+    states = {(0, 0, 0): 1}
     for i, h in enumerate(group.basis):
-        p, tail, bit = h[i], h[i + 1 :], 1 << i
+        p, bit = h[i], 1 << i
         out: dict = {}
         if p == L:  # the row adds nothing: column i is final as it stands
-            for state, k in states.items():
-                a = state[2]
-                key = (state[0] if a else state[0] | bit, state[1] + a, *state[3:])
+            for (mask, total, cols), k in states.items():
+                a = cols & low
+                key = (mask if a else mask | bit, total + a, cols >> bits)
                 out[key] = out.get(key, 0) + k
         else:
-            steps = [(c * p, [c * b for b in tail]) for c in range(L // p)]
-            for state, k in states.items():
-                mask, total = state[0], state[1]
-                q, r = divmod(state[2], p)
-                base = [a - q * b for a, b in zip(state[3:], tail)]
-                for s, step in steps:
-                    a = r + s
-                    key = (mask if a else mask | bit, total + a, *[(x + y) % L for x, y in zip(base, step)])
+            steps = [vec.pack([c * b for b in h[i + 1 :]]) for c in range(L // p)]  # c * tail
+            shifts = [vec.neg(step) for step in steps]  # -q * tail
+            for (mask, total, cols), k in states.items():
+                q, r = divmod(cols & low, p)
+                base = add(cols >> bits, shifts[q])
+                for c, step in enumerate(steps):
+                    a = r + c * p
+                    key = (mask if a else mask | bit, total + a, add(base, step))
                     out[key] = out.get(key, 0) + k
         states = out
-    return {(tuple([i for i in range(n) if mask >> i & 1]), total): k for (mask, total), k in states.items()}
+    return {(tuple([i for i in range(n) if mask >> i & 1]), total): k for (mask, total, _), k in states.items()}
 
 
 def _check_cap(order: int):

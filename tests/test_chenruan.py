@@ -247,7 +247,8 @@ def test_corrupted_block_counts_fail(monkeypatch, capsys, verb):
                 del hist[key]
             if not hist:
                 del classes[ch]
-            classes.setdefault(tuple((c + 1) % invariant.L for c in ch), Counter())[key] += 1
+            shift = invariant.chars.pack([1] * len(m.sigma_group.gens))
+            classes.setdefault(invariant.chars.add(ch, shift), Counter())[key] += 1
             corrupted_loci.append(locus)
         return classes
 

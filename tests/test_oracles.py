@@ -37,10 +37,12 @@ replaced, restrict then split the restricted monomials
 (`restricted_dispatch`), with the same blocks, block rings and `poly`.
 The sweep splits the blocks of W once into two sides and joins each locus
 from its two half-loci, each multiplied out once per sweep from the
-character buckets of the block rings (`Invariants`).  Its oracles are the
-per-locus join it replaced, each locus split in `balanced_halves` of its own
-(`balanced_join`), and the walk over the one-shot basis of the locus that
-tests every monomial on the generators.  The kept monomials must agree, in
+character buckets of the block rings (`Invariants`), the characters packed
+into one int each (`Packed`).  Its oracles are the per-locus join it
+replaced, each locus split in `balanced_halves` of its own, joined on tuple
+characters it computes from the generators and checked against the decoded
+bucket keys (`balanced_join`, `unpacked`), and the walk over the one-shot
+basis of the locus that tests every monomial on the generators.  The kept monomials must agree, in
 order, and so must the degree histograms and the dimension.
 
 A `StateSpace` counts its sectors by class (fixed locus, age) and grades on
@@ -70,7 +72,8 @@ Griffiths-Steenbrink and its character computed on the generators
 representative counted one by one at the two-factor age (`age_shift`,
 `walked_cr_table`), with the coset representatives read as canonical
 `GroupElement`s rather than int vectors over the exponent of sigma G.
-Classes and tables must agree; the Hodge-number tests read the walk
+Classes, their packed characters decoded (`decoded_classes`), and tables
+must agree; the Hodge-number tests read the walk
 (`primitive_hodge`, `hodge_diamond`).
 
 A `SymmetryGroup` is an echelon lattice basis:
@@ -88,8 +91,10 @@ and takes minima.  It walks only the coset minima of sigma G and of the
 slot-fixing kernel, by walks bounded by the pivots of J and of its
 slot-fixing part; its second oracle is the walk of every element of sigma G
 it replaced (`walked_bv_cosets`).  A state space counts its sector classes on
-the lattice (`sector_classes`); the oracle counts (Fix v, sum v) over the
-full walk.
+the lattice (`sector_classes`), on packed partial vectors; the oracle
+counts (Fix v, sum v) over the full walk, on random spans and on the large
+groups of the census, the E1 x OCTIC mirror and E2 x the over-cap block.
+`Packed` has its own oracle: tuple arithmetic mod L.
 
 `enumerate_k3_systems` solves for the largest weight from the divisibility
 its screen asks of it; its oracle is the scan of every sorted quadruple up
@@ -215,6 +220,7 @@ from lgmirror.symmetry import (
     GroupElement,
     GroupError,
     NotSubgroup,
+    Packed,
     _greedy_group,
     _reduce,
     _walk,
@@ -632,22 +638,40 @@ def oracle_b_bidegree(e, L, q, age_j):
     return (dm + Fraction(sum(e[0]), L) - age_j, dm + Fraction(sum(neg(e[0], L)), L) - age_j)
 
 
-def balanced_join(invariant, ring) -> list:
+def unpacked(chars, x: int, n: int) -> tuple:
+    """The n entries of the packed vector x of `chars` (a `Packed`)."""
+    low = (1 << chars.bits) - 1
+    return tuple([x >> (k * chars.bits) & low for k in range(n)])
+
+
+def tuple_character(m, block, L, gen_vecs) -> tuple:
+    """sum over the block of (m_j + 1) h_j mod L, one entry per generator h."""
+    return tuple([sum((m[j] + 1) * h[j] for j in block) % L for h in gen_vecs])
+
+
+def balanced_join(invariant, ring, group) -> list:
     """(wdeg, m) over the invariant standard monomials of a locus ring,
     sorted: the per-locus join the sweep replaced.  The blocks of the ring
     are split in two `balanced_halves` of its own, each half is multiplied
-    out from the block buckets of `invariant`, and the halves are joined on
-    characters that sum to 0."""
-    L = invariant.L
+    out from the monomials in the block buckets of `invariant`, and the
+    halves are joined on tuple characters that sum to 0, computed here from
+    the generators of `group`; each packed bucket key must decode to the
+    characters of its monomials."""
+    L, gen_vecs = int_vectors(group.gens)
     halves = []
     for parts in balanced_halves(ring):
-        acc = {(0,) * len(invariant.gen_vecs): [(0, (0,) * len(ring.weights))]}
+        acc = {(0,) * len(gen_vecs): [(0, (0,) * len(ring.weights))]}
         for part in parts:
+            buckets = {}
+            for key, terms in invariant.buckets(part).items():
+                for d, m in terms:
+                    ch = tuple_character(m, part.active, L, gen_vecs)
+                    assert unpacked(invariant.chars, key, len(gen_vecs)) == ch
+                    buckets.setdefault(ch, []).append((d, m))
             nxt = {}
             for c1, terms1 in acc.items():
-                for c2, terms2 in invariant.buckets(part).items():
-                    key = tuple((a + b) % L for a, b in zip(c1, c2))
-                    nxt.setdefault(key, []).extend(
+                for c2, terms2 in buckets.items():
+                    nxt.setdefault(add(c1, c2, L), []).extend(
                         (d1 + d2, tuple(map(operator.add, m1, m2))) for d1, m1 in terms1 for d2, m2 in terms2
                     )
             acc = nxt
@@ -655,7 +679,7 @@ def balanced_join(invariant, ring) -> list:
     left, right = halves
     out = []
     for ch, terms in left.items():
-        for d2, m2 in right.get(tuple(-a % L for a in ch), ()):
+        for d2, m2 in right.get(neg(ch, L), ()):
             out.extend((d1 + d2, tuple(map(operator.add, m1, m2))) for d1, m1 in terms)
     return sorted(out)
 
@@ -671,7 +695,7 @@ def build_sector(poly, group, v, ws, rings, invariant=None):
     ring = rings.get(fixed)
     if ring is None:
         ring = rings[fixed] = milnor_ring(poly, active=fixed, ws=ws, rings=rings)
-    return [(v, m) for _, m in balanced_join(invariant, ring)]
+    return [(v, m) for _, m in balanced_join(invariant, ring, group)]
 
 
 def eager_sweep(poly, group, ws, rings):
@@ -890,6 +914,50 @@ def test_class_count_and_bounded_walk_match_the_full_walk(data):
     L = group.L
     bound = [row[i] * data.draw(st.integers(1, L // row[i])) for i, row in enumerate(group.basis)]
     assert _walk(group.basis, L, bound) == [v for v in full if all(a < b for a, b in zip(v, bound))]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_packed_vectors_match_tuple_arithmetic(data):
+    """L in [1, 2^20] and up to nine entries: `Packed.pack` reduces mod L
+    and decodes back, and `add` and `neg` are `add` and `neg` on tuples,
+    also with every entry at L - 1."""
+    L = data.draw(st.integers(1, 2**20))
+    n = data.draw(st.integers(0, 9))
+    chars = Packed(L, n)
+    entries = st.lists(st.integers(0, L - 1), min_size=n, max_size=n).map(tuple)
+    u, v = data.draw(entries), data.draw(entries)
+    wide = data.draw(st.lists(st.integers(-(4**20), 4**20), min_size=n, max_size=n))
+    assert unpacked(chars, chars.pack(wide), n) == tuple([a % L for a in wide])
+    top = (L - 1,) * n
+    for x, y in ((u, v), (top, top), (u, top), ((0,) * n, top)):
+        px, py = chars.pack(x), chars.pack(y)
+        assert unpacked(chars, px, n) == x
+        assert unpacked(chars, chars.add(px, py), n) == add(x, y, L)
+        assert unpacked(chars, chars.neg(px), n) == neg(x, L)
+        assert chars.add(px, chars.neg(px)) == 0
+
+
+def _lifted_sl_gens(w1, w2) -> list:
+    """The generators of SL(W1) x SL(W2) over the variables of W1 + W2."""
+    n1, n2 = w1.nvars, w2.nvars
+    gens = [GroupElement._raw(g.num + (0,) * n2, g.den) for g in sl_subgroup(gmax(w1)).gens]
+    return gens + [GroupElement._raw((0,) * n1 + g.num, g.den) for g in sl_subgroup(gmax(w2)).gens]
+
+
+def test_sector_classes_match_the_walk_on_large_groups():
+    """Both sides of the 30 census models, the E1 x OCTIC mirror (12,288
+    members) and E2 x the over-cap block with SL(W1) x SL(W2): the classes
+    counted on the lattice are Counter((Fix v, sum v)) over the walk, in the
+    same order."""
+    groups = [side.sigma_group for model in _census_models() for side in (model, model.mirror())]
+    assert len(groups) == 60
+    octic_mirror = _golden_models()["e1octic"].mirror().sigma_group
+    assert octic_mirror.order == 12288
+    overcap = build_bv(E2, OVERCAP, _lifted_sl_gens(E2, OVERCAP)).sigma_group
+    for group in groups + [octic_mirror, overcap]:
+        want = Counter([(vector_locus(v), sum(v)) for v in _walk(group.basis, group.L)])
+        assert list(sector_classes(group).items()) == list(want.items())
 
 
 def test_class_count_off_by_one_fails_theorem1(monkeypatch):
@@ -2184,7 +2252,8 @@ def assert_same_sweep(space) -> int:
     assert list(space.kept) == list(space.degrees) == loci
     want = {}
     for locus in loci:
-        want[locus] = [m for _, m in balanced_join(invariant, milnor_ring(space.poly, locus, space.ws, rings))]
+        ring = milnor_ring(space.poly, locus, space.ws, rings)
+        want[locus] = [m for _, m in balanced_join(invariant, ring, space.group)]
         assert space.kept[locus] == want[locus]
         assert space.degrees[locus] == Counter([statespace._degree(m, locus, space.ws.weights) for m in want[locus]])
     assert space.dim == sum(n * len(want[locus]) for (locus, _), n in space.classes.items())
@@ -2474,7 +2543,7 @@ def walked_classes(poly, ws, gen_vecs, L, fixed):
         if mono is None:
             sig = (0,) * len(gen_vecs)
         else:
-            sig = tuple(sum((mono[k] + 1) * h[k] for k in fixed) % L for h in gen_vecs)
+            sig = tuple_character(mono, fixed, L, gen_vecs)
         out.append((p, q, sig))
     return out
 
@@ -2554,22 +2623,29 @@ def _counted(walked):
     return out
 
 
+def decoded_classes(model, locus, invariant) -> dict:
+    """`chenruan.locus_classes` with each packed character decoded to the
+    tuple over the generators of sigma G."""
+    n = len(model.sigma_group.gens)
+    return {unpacked(invariant.chars, ch, n): hist for ch, hist in chenruan.locus_classes(model, locus, invariant).items()}
+
+
 def assert_same_cr_table(model):
     """The table of `cr_table` is that of the walk, and so are the counted
-    classes of every locus the walk visits."""
+    classes of every locus the walk visits, their characters decoded."""
     cr = chenruan.cr_table(model)
     table, walked = walked_cr_table(model)
     assert cr.table == table
     assert cr.total == sum(table.values())
     invariant = Invariants(model.sigma_group)
     for locus, classes in walked.items():
-        assert chenruan.locus_classes(model, locus, invariant) == _counted(classes)
+        assert decoded_classes(model, locus, invariant) == _counted(classes)
 
 
 def assert_same_factor_classes(model):
     """Every subset of either factor's variables, taken in the model's
-    variables: the classes counted from the block buckets are the walked
-    classes, or both raise alike."""
+    variables: the classes counted from the block buckets, their characters
+    decoded, are the walked classes, or both raise alike."""
     L, gen_vecs = int_vectors(model.sigma_group.gens)
     invariant = Invariants(model.sigma_group)
     for factor in (range(model.n1), range(model.n1, model.poly.nvars)):
@@ -2581,7 +2657,7 @@ def assert_same_factor_classes(model):
                     with pytest.raises(DegenerateSingularity, match=re.escape(str(exc))):
                         chenruan.locus_classes(model, locus, invariant)
                     continue
-                assert chenruan.locus_classes(model, locus, invariant) == _counted(walked)
+                assert decoded_classes(model, locus, invariant) == _counted(walked)
 
 
 def test_cr_tables_match_the_walk_on_the_census():

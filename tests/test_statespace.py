@@ -246,7 +246,7 @@ def test_one_invariants_keeps_the_buckets_of_each_ring_apart():
     invariant = Invariants(group)
     for ring in rings:
         assert invariant.buckets(ring) == Invariants(group).buckets(ring)
-        assert balanced_join(invariant, ring) == balanced_join(Invariants(group), ring)
+        assert balanced_join(invariant, ring, group) == balanced_join(Invariants(group), ring, group)
     assert len({str(invariant.buckets(ring)) for ring in rings}) == 3
 
 
