@@ -62,10 +62,11 @@ class MalformedSector(BVError):
 
 class BVModel:
     """(W1 + W2, sigma*G) with J1 x J2 <= G <= SL(W1) x SL(W2).  `rings` is
-    the subset-keyed Milnor cache of `poly` (see `milnor_ring`), bucketed by
-    sigma G character in `invariants`; `twist()` and each flavor's `space()`
-    are built on first call and kept.  `mirror()` is built anew on each call,
-    so a verdict's mirror and its sweeps are freed when the verdict returns."""
+    the subset-keyed Milnor cache of `poly` (see `milnor_ring`), its block
+    rings counted or listed by sigma G character in `invariants`; `twist()`
+    and each flavor's `space()` are built on first call and kept.  `mirror()`
+    is built anew on each call, so a verdict's mirror and its sweeps are
+    freed when the verdict returns."""
 
     __slots__ = (
         "w1",
@@ -305,7 +306,7 @@ def verify_twist_iso(model: BVModel, flavor: str, tw_group_override=None) -> Rep
     images, per_locus = {}, {}  # image sector -> its monomials matched so far; locus -> its states
     for v in source.group.vectors:
         locus = vector_locus(v)
-        if not source.kept[locus]:
+        if locus not in source.kept:
             continue
         _sector_epsilon(model, v, L)
         image_v = tuple([v[k] for k in tw.keep])
@@ -316,7 +317,7 @@ def verify_twist_iso(model: BVModel, flavor: str, tw_group_override=None) -> Rep
             states = [(m, t, (_degree(m, locus, weights), _degree(t, image_locus, tw_weights))) for m, t in states]
             per_locus[locus] = (image_locus, states, {s[1] for s in states}, {s[2] for s in states})
         image_locus, states, monos, pairs = per_locus[locus]
-        image_kept = kept[image_locus] if GroupElement._raw(image_v, L) in target.group else set()
+        image_kept = kept.get(image_locus, set()) if GroupElement._raw(image_v, L) in target.group else set()
         age, image_age = sum(v), sum(image_v) * Lt // L
         graded = {(a, b): (grade(a, age, len(locus)), tw_grade(b, image_age, len(image_locus))) for a, b in pairs}
         bad = {pair for pair, ((p, q), (pt, qt)) in graded.items() if p * Dt != pt * D or q * Dt != qt * D}

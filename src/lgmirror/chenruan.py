@@ -12,10 +12,12 @@ Ambient pieces are the (i, i) ladder of the ambient weighted projective
 space, of trivial character; primitive pieces are graded pieces of the
 Milnor ring (Griffiths-Steenbrink).  The Milnor ring of a locus is the
 tensor product of those of its blocks (Krawitz, arXiv:0906.0796, §2), from
-the model's cache (`BVModel.rings`), its block rings bucketed by `Packed`
-character once per model (`BVModel.invariants`).  So a locus splits its
-blocks in two `balanced_halves`, multiplies each out by (character, weight),
-and joins them only on weights summing to 0 mod d (`locus_classes`).  The
+the model's cache (`BVModel.rings`), its block rings counted by `Packed`
+character and weight once per model (`BVModel.invariants`, the counts the
+A-model sweep reads).  So a locus splits its blocks in two
+`balanced_halves`, multiplies each out by (character, weight) with the
+sweep's count kernel (`half_counts`, memoized per table), and joins them
+only on weights summing to 0 mod d (`locus_classes`).  The
 age is a sum of one share per factor (`age_share`), so the representatives
 fall in families by first-factor part: a family sums its second parts'
 shifted classes, and convolves them once per character with its first
@@ -32,7 +34,7 @@ from .bvlg import BVModel
 from .milnor import milnor_ring
 from .polyring import WeightSystem
 from .report import Report
-from .statespace import Invariants, balanced_halves, build_state_space, diff_tables, poincare_table
+from .statespace import Invariants, balanced_halves, build_state_space, diff_tables, half_counts, poincare_table
 from .symmetry import bv_cosets, span, vector_locus
 
 
@@ -55,11 +57,12 @@ def scaled_element(num, den: int, t: int, D: int, ws: WeightSystem) -> tuple:
     return tuple([(a * scale + t * w) % D for a, w in zip(num, ws.weights)])
 
 
-def locus_classes(model: BVModel, locus, invariant: Invariants) -> dict:
+def locus_classes(model: BVModel, locus, invariant: Invariants, products: dict) -> dict:
     """The cohomology classes of X_{W | locus}, for `locus` a set of the
     model's variables inside one factor W, counted by character under the
     generators of `invariant`: {character: Counter((p, q))}, from the
-    halves of its ring's blocks joined on weights that sum to 0 mod d."""
+    halves of its ring's blocks counted by `half_counts` (memoized in
+    `products`, one table's) and joined on weights that sum to 0 mod d."""
     if not locus:
         return {}
     outside = ~sum([1 << i for i in locus])
@@ -72,42 +75,28 @@ def locus_classes(model: BVModel, locus, invariant: Invariants) -> dict:
         return {}  # z^a = 0 inside a weighted point: empty hypersurface
     ring = milnor_ring(model.poly, locus, model.ws, model.rings)
     add, d = invariant.chars.add, model.ws.degree
-    left, right = (_half_classes(model, half, invariant) for half in balanced_halves(ring))
+    left, right = (half_counts(products, invariant, half) for half in balanced_halves(ring))
     partners = _residue_index(right, d)
     # Griffiths-Steenbrink: monomial-plus-form weight (q + 1) d gives h^{dim-q, q};
     # each factor has degree d in the model's weights
     out = defaultdict(Counter, {0: _ambient(dim)})
-    for (c1, w1), n1 in left.items():
-        for c2, w2, n2 in partners.get(w1 % d, ()):
-            q = (w1 + w2) // d - 1
-            if not 0 <= q <= dim:
-                raise ValueError(f"Griffiths-Steenbrink grade {q} outside 0..{dim} for {ring.poly}")
-            out[add(c1, c2)][(dim - q, q)] += n1 * n2
+    for c1, hist in left.items():
+        for w1, n1 in hist.items():
+            for c2, w2, n2 in partners.get(w1 % d, ()):
+                q = (w1 + w2) // d - 1
+                if not 0 <= q <= dim:
+                    raise ValueError(f"Griffiths-Steenbrink grade {q} outside 0..{dim} for {ring.poly}")
+                out[add(c1, c2)][(dim - q, q)] += n1 * n2
     return dict(out)
 
 
-def _residue_index(half: Counter, d: int) -> dict:
-    """{-w mod d: [(character, w, count)]} over the entries of `half`."""
+def _residue_index(half: dict, d: int) -> dict:
+    """{-w mod d: [(character, w, count)]} over the counts of `half`."""
     index: dict = {}
-    for (ch, w), n in half.items():
-        index.setdefault(-w % d, []).append((ch, w, n))
+    for ch, hist in half.items():
+        for w, n in hist.items():
+            index.setdefault(-w % d, []).append((ch, w, n))
     return index
-
-
-def _half_classes(model: BVModel, parts, invariant: Invariants) -> Counter:
-    """{(character, weight): count} over the standard monomials m of the
-    block rings `parts` multiplied out, of weight sum (m_j + 1) w_j."""
-    add, weights = invariant.chars.add, model.ws.weights
-    acc = Counter({(0, 0): 1})
-    for part in parts:
-        form = sum([weights[j] for j in part.active])
-        terms = Counter([(ch, form + w) for ch, ts in invariant.buckets(part).items() for w, _ in ts])
-        nxt: Counter = Counter()
-        for (c1, w1), n1 in acc.items():
-            for (c2, w2), n2 in terms.items():
-                nxt[add(c1, c2), w1 + w2] += n1 * n2
-        acc = nxt
-    return acc
 
 
 def _ambient(dim: int) -> Counter:
@@ -138,9 +127,10 @@ class CRTable:
 def cr_table(model: BVModel) -> CRTable:
     """Bigraded Chen-Ruan table of the model's orbifold, one convolution per
     coset family and character; the Milnor rings of its loci are kept in
-    `model.rings`, their buckets in `model.invariants`."""
+    `model.rings`, their block counts in `model.invariants`."""
     L = model.sigma_group.L
     invariant, neg = model.invariants, model.invariants.chars.neg
+    products: dict = {}  # half-locus -> its block counts multiplied out
     # (p, q) as int numerators over T, a multiple of every angle's denominator D
     T = L * math.lcm(*model.ws1.weights, *model.ws2.weights)
     loci: dict = {}
@@ -153,7 +143,7 @@ def cr_table(model: BVModel) -> CRTable:
             s = scaled_element(part, L, t, D, ws)
             locus = tuple([offset + i for i in vector_locus(s)])
             if locus not in loci:
-                loci[locus] = locus_classes(model, locus, invariant)
+                loci[locus] = locus_classes(model, locus, invariant, products)
             yield age_share(s, t, D, ws.degree) * (T // D), loci[locus]
 
     table: Counter = Counter()

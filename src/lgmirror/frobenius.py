@@ -81,9 +81,9 @@ def _over_one_denominator(scalar: Fraction, rows: list) -> tuple:
     entry (*head, n) with scalar * c = n / d, d the least such denominator."""
     a, lcm = scalar.numerator, math.lcm(*{c.denominator for row in rows for *_, c in row})
     d = scalar.denominator * lcm
-    common = math.gcd(d, *[a * c.numerator * (lcm // c.denominator) for row in rows for *_, c in row])
-    rows = [[(*head, a * c.numerator * (lcm // c.denominator) // common) for *head, c in row] for row in rows]
-    return d // common, rows
+    rows = [[(*head, a * c.numerator * (lcm // c.denominator)) for *head, c in row] for row in rows]
+    common = math.gcd(d, *[n for row in rows for *_, n in row])
+    return d // common, [[(*head, n // common) for *head, n in row] for row in rows]
 
 
 def _block_grading(ring: MilnorRing):
@@ -139,7 +139,7 @@ class BAlgebra:
         self.where: list = []  # index -> (g, place among the states of g)
         for g in space.group.vectors:
             locus = vector_locus(g)
-            kept = space.kept[locus]
+            kept = space.kept.get(locus)
             if kept and (n - len(locus)) % 2 == 0:
                 elems = [(len(self.at) + k, m) for k, m in enumerate(kept)]
                 self.sectors[g] = (locus, elems)
@@ -250,7 +250,7 @@ class BAlgebra:
             degrees, tops = _block_grading(ring)
             normal_form = ring.monomial_normal_form
             even = (self.nvars - len(fgh)) % 2 == 0
-            position = {m: k for k, m in enumerate(self.space.kept[fgh] if even else ())}
+            position = {m: k for k, m in enumerate(self.space.kept.get(fgh, ()) if even else ())}
             gone = [k for k, a in enumerate(gh) if a]
             kept_g, kept_h = self.space.kept[fg], self.space.kept[fh]
             right = [(degrees(m), (k, m)) for k, m in enumerate(kept_h) if not any([m[i] for i in gone])]
@@ -343,7 +343,7 @@ def phi_bar(alg2: BAlgebra, alg0: BAlgebra, sigma: GroupElement, rescaled: bool 
                 phi.append((2, at0[g0, m]))
             elif (moved, m) in at0:
                 phi.append((scale, at0[moved, m]))
-            elif GroupElement._raw(moved, L0) in space0.group and m in space0.kept[vector_locus(moved)]:
+            elif GroupElement._raw(moved, L0) in space0.group and m in space0.kept.get(vector_locus(moved), ()):
                 raise OddElement(f"phi maps {alg2.element(g, m)} to the odd element {alg0.element(moved, m)}")
             else:
                 raise NotBasisElement(f"neither {alg2.element(g, m)} nor its sigma-shift is in the BV basis")

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import lgmirror.bvlg as bvlg
+import lgmirror.chenruan as chenruan
 import lgmirror.cli as cli
 import lgmirror.milnor as milnor
 import lgmirror.statespace as statespace
@@ -430,23 +431,23 @@ def test_theorem1_and_lgcy_share_one_a_space(monkeypatch, block_ring_calls, curv
 def test_sweeps_restrict_no_assembled_locus_and_bucket_each_block_once(monkeypatch, curve, k3):
     """After Theorem 1 and LG/CY on one model, no ring assembled from two or
     more blocks, in the cache of either Theorem 1 sweep, has built its
-    restricted polynomial, and the Chen-Ruan table buckets by character no
-    block ring that the A sweep bucketed (both read `BVModel.invariants`)."""
+    restricted polynomial, and the Chen-Ruan table counts by character no
+    block ring that the A sweep counted (both read `BVModel.invariants`)."""
     spaces = []
 
     def recording(*args, **kwargs):
         spaces.append(build_state_space(*args, **kwargs))
         return spaces[-1]
 
-    read = []  # (Invariants, block ring, bucketed afresh) for every lookup
-    buckets = statespace.Invariants.buckets
+    read = []  # (Invariants, block ring, counted afresh) for every lookup
+    counts = statespace.Invariants.counts
 
-    def recording_buckets(self, part):
-        read.append((self, part, part not in self.by_block))
-        return buckets(self, part)
+    def recording_counts(self, part):
+        read.append((self, part, part not in self.counted))
+        return counts(self, part)
 
     monkeypatch.setattr(bvlg, "build_state_space", recording)
-    monkeypatch.setattr(statespace.Invariants, "buckets", recording_buckets)
+    monkeypatch.setattr(statespace.Invariants, "counts", recording_counts)
     m = model(curve, k3)
     assert verify_theorem1(m).passed
     by_a_sweep = {id(part) for inv, part, fresh in read if fresh and inv is m.invariants}
@@ -558,10 +559,12 @@ def test_every_verb_leaves_no_mirror_on_the_model(monkeypatch, capsys):
 def test_census_verdicts_retain_a_bounded_share_per_model():
     """Theorem 1 and LG/CY on the 15 models of a census stride (every third
     of the 44 invertible K3 samples, paired with E1 and E2 in turn), all
-    held until the end as a census pass holds them, leave at most 100 kB
-    traced per model once collected: the model's rings, buckets and A space,
-    and no mirror.  About 72 kB is measured (py 3.11); a model that kept its
-    mirror held about 171 kB."""
+    held until the end as a census pass holds them, leave at most 69 kB
+    traced per model once collected: the model's rings, block counts and A
+    space with its degree histograms, and no mirror and no listed state.
+    About 63 kB is measured (py 3.11); with every swept locus's states
+    listed it was about 77 kB, and a model that kept its mirror held about
+    171 kB."""
     records = filter_bv_invertible(enumerate_k3_systems())[::3]
     models = [model((E1, E2)[i % 2], sample_polynomial(r.weight_system)) for i, r in enumerate(records)]
     warm = model()  # first-call costs of the interpreter are not the model's
@@ -577,7 +580,7 @@ def test_census_verdicts_retain_a_bounded_share_per_model():
     finally:
         tracemalloc.stop()
     assert len(models) == 15
-    assert retained / len(models) < 100_000
+    assert retained / len(models) < 69_000
 
 
 def test_census_pass_splits_its_loci_along_one_split_of_w(monkeypatch):
@@ -586,27 +589,45 @@ def test_census_pass_splits_its_loci_along_one_split_of_w(monkeypatch):
     E2 in the order the seed picks.  Each sweep splits W's blocks once, so
     loci get their blocks from their half-loci: at most 620
     `milnor.components` calls (955 with a split per locus), and at most 580
-    half-products multiplied out (696 per-locus halves)."""
+    half-products multiplied out by the sweeps (696 per-locus halves).
+    Each block ring is counted by character once per `Invariants`, and the
+    pass lists no state."""
     records = filter_bv_invertible(enumerate_k3_systems())[::3]
     rng = random.Random(1)
     pairs = [(rng.randrange(2), i) for i in range(len(records))]
     rng.shuffle(pairs)
     models = [model((E1, E2)[c], sample_polynomial(records[i].weight_system)) for c, i in pairs]
-    calls = Counter()
-    components, half_product = milnor.components, statespace._half_product
+    calls, tables, counted = Counter(), [], Counter()
+    components, half_counts, counts = milnor.components, statespace.half_counts, statespace.Invariants.counts
 
     def counted_components(poly, active):
         calls["components"] += 1
         return components(poly, active)
 
-    def counted_half_product(products, invariant, parts):
-        calls["half-products"] += tuple(sorted(i for part in parts for i in part.active)) not in products
-        return half_product(products, invariant, parts)
+    def counted_half_counts(products, invariant, parts):
+        if parts and not any(products is table for table in tables):
+            calls["half-products"] += tuple(sorted(i for part in parts for i in part.active)) not in products
+        return half_counts(products, invariant, parts)
+
+    def table_half_counts(products, invariant, parts):
+        tables.append(products)  # a Chen-Ruan table's memo, held so its id stays its own
+        return counted_half_counts(products, invariant, parts)
+
+    def counted_counts(self, part):
+        counted[self, part] += part not in self.counted  # held, so no id is reused
+        return counts(self, part)
+
+    def unlisted(self, part):
+        raise AssertionError("a census verdict listed a block's monomials")
 
     monkeypatch.setattr(milnor, "components", counted_components)
-    monkeypatch.setattr(statespace, "_half_product", counted_half_product)
+    monkeypatch.setattr(statespace, "half_counts", counted_half_counts)
+    monkeypatch.setattr(chenruan, "half_counts", table_half_counts)
+    monkeypatch.setattr(statespace.Invariants, "counts", counted_counts)
+    monkeypatch.setattr(statespace.Invariants, "buckets", unlisted)
     for m in models:
         assert verify_theorem1(m).passed and verify_lgcy(m).passed
     assert len(models) == 15
     assert calls["components"] <= 620
-    assert calls["half-products"] <= 580
+    assert 0 < calls["half-products"] <= 580
+    assert tables and set(counted.values()) == {1}

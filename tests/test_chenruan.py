@@ -237,8 +237,8 @@ def test_corrupted_block_counts_fail(monkeypatch, capsys, verb):
     original = chenruan.locus_classes
     corrupted_loci = []
 
-    def corrupted(m, locus, invariant):
-        classes = original(m, locus, invariant)
+    def corrupted(m, locus, invariant, products):
+        classes = original(m, locus, invariant, products)
         if classes and not corrupted_loci:
             ch, hist = next(iter(classes.items()))
             key = next(iter(hist))

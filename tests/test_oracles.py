@@ -771,7 +771,7 @@ def assert_same_as_eager_sweep(poly, group):
         assert space.dim == len(basis) > 0
         assert poincare_table(space) == table
         assert [(as_vector(g, L), d) for g, d in space.sector_dims.items()] == list(sector_dims.items())
-        states = [(v, m) for v in group.vectors for m in space.kept[vector_locus(v)]]
+        states = [(v, m) for v in group.vectors for m in space.kept.get(vector_locus(v), ())]
         assert states == basis
         assert [space_bidegree(space, e) for e in basis] == grades
 
@@ -2227,35 +2227,40 @@ def walk_and_filter(poly, group, fixed, ws):
 def assert_same_sectors(poly, group, ws):
     """Every locus of G: the sweep and the per-locus join keep the monomials
     the walk keeps, in the same order, and the sweep's degree histogram is
-    theirs.  Returns the number of loci."""
+    theirs; only the loci that keep a monomial have an entry in either view
+    of the sweep.  Returns the number of loci."""
     rings: dict = {}
     invariant = Invariants(group)
     space = build_state_space(poly, group, "A" if j_element(ws) in group else "B", ws=ws)
     loci = {vector_locus(v): v for v in group.vectors}
-    assert set(space.kept) == set(space.degrees) == set(loci)
+    nonempty = set()
     for fixed, v in sorted(loci.items()):
         walked = walk_and_filter(poly, group, fixed, ws)
         assert [m for _, m in build_sector(poly, group, v, ws, rings, invariant)] == walked
-        assert space.kept[fixed] == walked
-        assert space.degrees[fixed] == Counter([statespace._degree(m, fixed, ws.weights) for m in walked])
+        assert space.kept.get(fixed, []) == walked
+        assert space.degrees.get(fixed, {}) == Counter([statespace._degree(m, fixed, ws.weights) for m in walked])
+        nonempty |= {fixed} if walked else set()
+    assert set(space.kept) == set(space.degrees) == nonempty
     return len(loci)
 
 
 def assert_same_sweep(space) -> int:
     """`space` against the per-locus join (`balanced_join`) on a fresh ring
     cache and `Invariants`: each locus keeps the same monomials in the same
-    order, with the same degree histogram, and the dimension is the same.
-    Returns the number of loci."""
+    order, with the same degree histogram, and the dimension is the same;
+    the loci that keep nothing have no entry in either view, and the others
+    come in class order.  Returns the number of loci."""
     rings: dict = {}
     invariant = Invariants(space.group)
     loci = list(dict.fromkeys(locus for locus, _ in space.classes))
-    assert list(space.kept) == list(space.degrees) == loci
     want = {}
     for locus in loci:
         ring = milnor_ring(space.poly, locus, space.ws, rings)
         want[locus] = [m for _, m in balanced_join(invariant, ring, space.group)]
-        assert space.kept[locus] == want[locus]
-        assert space.degrees[locus] == Counter([statespace._degree(m, locus, space.ws.weights) for m in want[locus]])
+        assert space.kept.get(locus, []) == want[locus]
+        degrees = Counter([statespace._degree(m, locus, space.ws.weights) for m in want[locus]])
+        assert space.degrees.get(locus, {}) == degrees
+    assert list(space.kept) == list(space.degrees) == [locus for locus in loci if want[locus]]
     assert space.dim == sum(n * len(want[locus]) for (locus, _), n in space.classes.items())
     return len(loci)
 
@@ -2445,6 +2450,85 @@ def test_twist_sweep_matches_the_per_locus_join():
     assert assert_same_sweep(build_state_space(tw.poly, tw.group, "A", ws=tw.ws)) == 5
 
 
+def assert_same_views(space, walk=False) -> int:
+    """A fresh sweep of the polynomial, group and flavor of `space`: `dim`
+    and `sector_dims` read from the counts before any state is listed, then
+    each locus's count histogram (`degrees`) against the `_degree` of its
+    listed states (`kept`), on the same loci in the same order, and `dim`
+    and `sector_dims` again from the listing; with `walk`, the listing also
+    against the walked oracle (`walk_and_filter`) on every locus.  Returns
+    the number of loci with states."""
+    fresh = build_state_space(space.poly, space.group, space.flavor, space.ws)
+    by_counts = (fresh.dim, fresh.sector_dims)
+    assert fresh._kept is None
+    kept, degrees = fresh.kept, fresh.degrees
+    assert list(degrees) == list(kept)
+    for locus, states in kept.items():
+        assert degrees[locus] == Counter([statespace._degree(m, locus, fresh.ws.weights) for m in states])
+    assert (fresh.dim, fresh.sector_dims) == by_counts
+    for locus in fresh.loci() if walk else ():
+        assert kept.get(locus, []) == walk_and_filter(fresh.poly, fresh.group, locus, fresh.ws)
+    return len(kept)
+
+
+def _view_spaces():
+    """{name: state spaces} whose two views `assert_same_views` compares:
+    the census stride (A and the mirror's B), E1 x OCTIC (A and B), the
+    twist spaces (A and B) of E1 x OCTIC and E1 x K3A, and the nonproduct
+    group (A and the mirror's B)."""
+    models = _golden_models()
+    octic = models["e1octic"]
+    twists = [m.twist() for m in (octic, models["e1k3a"])]
+    return {
+        "census": [s for m in _census_models() for s in (m.space("A"), m.mirror().space("B"))],
+        "e1octic": [octic.space("A"), octic.space("B")],
+        "twist": [build_state_space(tw.poly, tw.group, f, ws=tw.ws) for tw in twists for f in ("A", "B")],
+        "nonproduct": [models["nonproduct"].space("A"), models["nonproduct"].mirror().space("B")],
+    }
+
+
+@pytest.mark.parametrize("name", ["census", "e1octic", "twist", "nonproduct"])
+def test_counted_and_listed_views_agree(name):
+    """Both views of each space agree locus by locus, and `dim` and
+    `sector_dims` read the same off either; the twist and nonproduct spaces
+    also match the walk on every locus."""
+    spaces = _view_spaces()[name]
+    loci = sum(assert_same_views(space, walk=name in ("twist", "nonproduct")) for space in spaces)
+    assert loci >= len(spaces)
+
+
+def test_count_kernel_without_a_form_weight_fails_the_views(monkeypatch):
+    """Negative control: a count kernel that leaves out the form weight of
+    one block ring (the first it counts on some variable) shifts the degrees of every locus
+    through that block, and the counted view of the E1 x OCTIC A space no
+    longer equals the listed one."""
+    counts = statespace.Invariants.counts
+    formless = []
+
+    def dropping(self, part):
+        got = counts(self, part)
+        if not formless and part.active:
+            formless.append(part)
+        if part is formless[0]:
+            form = sum(part.weights[j] for j in part.active)
+            got = {ch: {w - form: n for w, n in hist.items()} for ch, hist in got.items()}
+        return got
+
+    monkeypatch.setattr(statespace.Invariants, "counts", dropping)
+    with pytest.raises(AssertionError):
+        assert_same_views(_golden_models()["e1octic"].space("A"))
+
+
+def test_count_join_without_negation_fails_the_views(monkeypatch):
+    """Negative control: a count join that pairs each left character with
+    the same right character, the negation skipped, fails the listed view
+    on the E1 x OCTIC A space and on the nonproduct A space."""
+    monkeypatch.setattr(statespace, "_negated", lambda chars, half: half)
+    for name in ("e1octic", "nonproduct"):
+        with pytest.raises(AssertionError):
+            assert_same_views(_golden_models()[name].space("A"))
+
+
 def test_a_side_split_that_cuts_a_block_fails_the_sweep_oracle(monkeypatch):
     """Negative control: sides that put the first variable of the chain
     block of W on one side and the rest of it on the other split a locus
@@ -2627,7 +2711,8 @@ def decoded_classes(model, locus, invariant) -> dict:
     """`chenruan.locus_classes` with each packed character decoded to the
     tuple over the generators of sigma G."""
     n = len(model.sigma_group.gens)
-    return {unpacked(invariant.chars, ch, n): hist for ch, hist in chenruan.locus_classes(model, locus, invariant).items()}
+    classes = chenruan.locus_classes(model, locus, invariant, {})
+    return {unpacked(invariant.chars, ch, n): hist for ch, hist in classes.items()}
 
 
 def assert_same_cr_table(model):
@@ -2655,7 +2740,7 @@ def assert_same_factor_classes(model):
                     walked = walked_classes(model.poly, model.ws, gen_vecs, L, locus)
                 except DegenerateSingularity as exc:
                     with pytest.raises(DegenerateSingularity, match=re.escape(str(exc))):
-                        chenruan.locus_classes(model, locus, invariant)
+                        chenruan.locus_classes(model, locus, invariant, {})
                     continue
                 assert decoded_classes(model, locus, invariant) == _counted(walked)
 
@@ -2700,8 +2785,9 @@ def test_residue_join_on_plus_w1_fails_the_walk(monkeypatch):
 
     def plus_residue(half, d):
         index: dict = {}
-        for (ch, w), n in half.items():
-            index.setdefault(w % d, []).append((ch, w, n))
+        for ch, hist in half.items():
+            for w, n in hist.items():
+                index.setdefault(w % d, []).append((ch, w, n))
         return index
 
     monkeypatch.setattr(chenruan, "_residue_index", plus_residue)

@@ -29,7 +29,14 @@ from lgmirror.symmetry import (
     span,
     transpose_group,
 )
-from test_oracles import EagerSpace, action_weight, balanced_join, build_sector, krawitz_dimension_check
+from test_oracles import (
+    EagerSpace,
+    _census_models,
+    action_weight,
+    balanced_join,
+    build_sector,
+    krawitz_dimension_check,
+)
 from test_symmetry import count_walks
 
 E1 = parse_polynomial("x0^2+x1^3+x2^6")
@@ -233,9 +240,9 @@ def test_locus_with_a_variable_in_no_monomial_raises():
 
 def test_one_invariants_keeps_the_buckets_of_each_ring_apart():
     """One `Invariants` read with rings of the block (x0,) from two
-    polynomials and in two weight systems: each ring gets the buckets, and
-    the kept monomials of their join, that a fresh `Invariants` gives it,
-    not those of an earlier ring of the same block."""
+    polynomials and in two weight systems: each ring gets the buckets, the
+    counts, and the kept monomials of their join, that a fresh `Invariants`
+    gives it, not those of an earlier ring of the same block."""
     group = span(2, [GroupElement([Fraction(1, 2), Fraction(1, 2)])])
     cubic = parse_polynomial("x0^3+x1^3")
     rings = [
@@ -246,8 +253,10 @@ def test_one_invariants_keeps_the_buckets_of_each_ring_apart():
     invariant = Invariants(group)
     for ring in rings:
         assert invariant.buckets(ring) == Invariants(group).buckets(ring)
+        assert invariant.counts(ring) == Invariants(group).counts(ring)
         assert balanced_join(invariant, ring, group) == balanced_join(Invariants(group), ring, group)
     assert len({str(invariant.buckets(ring)) for ring in rings}) == 3
+    assert len({str(invariant.counts(ring)) for ring in rings}) == 3
 
 
 def test_theorem1_walks_no_assembled_locus_basis(monkeypatch):
@@ -368,21 +377,49 @@ def test_benchmark_tracer_still_binds_the_sweep(monkeypatch):
     assert counts["statespace.basis_dim"] == 272
 
 
+def _unread(*args, **kwargs):
+    raise AssertionError("this view is not the verdict's")
+
+
+def test_table_verdicts_list_no_state(monkeypatch):
+    """Theorem 1 and LG/CY on the census stride read the counted view only:
+    no block ring's monomials are listed and no locus's states are joined."""
+    monkeypatch.setattr(statespace.Invariants, "buckets", _unread)
+    monkeypatch.setattr(statespace, "_list_join", _unread)
+    for model in _census_models():
+        assert verify_theorem1(model).passed and verify_lgcy(model).passed
+        assert model.space("A")._kept is None
+
+
+def test_state_verdicts_run_no_count_join(monkeypatch):
+    """The twist isomorphism (A and B) and Theorem 2 on E1 x K3A read the
+    listed view only, their dimensions included: no block ring is counted
+    and no count join runs."""
+    monkeypatch.setattr(statespace.Invariants, "counts", _unread)
+    monkeypatch.setattr(statespace, "_count_join", _unread)
+    for flavor in ("A", "B"):
+        model = build_bv(E1, K3, block_j_elements(WS1, WS2))
+        assert bvlg.verify_twist_iso(model, flavor).passed
+        assert model.space(flavor)._degrees is None
+    assert frobenius.verify_theorem2(build_bv(E1, K3, block_j_elements(WS1, WS2))).passed
+
+
 def test_half_products_keyed_by_size_fail(monkeypatch, capsys):
-    """A half-product memo keyed by the size of the half-locus, not the
-    half-locus, lets loci share stale halves: Theorem 1 on E1 x K3A must
-    report a mismatch (exit 1), not a precondition."""
+    """A memo of half-locus count products keyed by the size of the
+    half-locus, not the half-locus, lets loci share stale halves: Theorem 1
+    on E1 x K3A, which reads counts only, must report a mismatch (exit 1),
+    not a precondition."""
     from lgmirror.cli import main
 
-    half_product = statespace._half_product
+    half_counts = statespace.half_counts
 
     def stale(products, invariant, parts):
         size = sum(len(part.active) for part in parts)
         if size not in products:
-            products[size] = half_product(products, invariant, parts)
+            products[size] = half_counts(products, invariant, parts)
         return products[size]
 
-    monkeypatch.setattr(statespace, "_half_product", stale)
+    monkeypatch.setattr(statespace, "half_counts", stale)
     argv = ["bv", "theorem1", "--w1", str(E1), "--w2", str(K3), "--json"]
     assert main(argv) == 1
     assert '"pass": false' in capsys.readouterr().out
