@@ -285,7 +285,7 @@ def _sector_epsilon(model: BVModel, v, L: int) -> int:
     raise MalformedSector(f"sector {GroupElement._raw(v, L)} fixes exactly one distinguished variable")
 
 
-def verify_twist_iso(model: BVModel, flavor: str, tw_group_override=None) -> Report:
+def verify_twist_iso(model: BVModel, flavor: str) -> Report:
     """tw maps the (W, sigma G) basis bijectively onto the twist basis,
     preserving bidegrees; a corrupted twist group makes this fail.
 
@@ -296,9 +296,8 @@ def verify_twist_iso(model: BVModel, flavor: str, tw_group_override=None) -> Rep
     state, named (`state_name`) for mismatch records.  The source is the
     model's own space of `flavor`."""
     tw = model.twist()
-    group = tw_group_override if tw_group_override is not None else tw.group
     source = model.space(flavor)
-    target = build_state_space(tw.poly, group, flavor, ws=tw.ws)
+    target = build_state_space(tw.poly, tw.group, flavor, ws=tw.ws)
     L, Lt, D, Dt = source.group.L, target.group.L, source.D, target.D
     weights, tw_weights, grade, tw_grade = source.ws.weights, target.ws.weights, source._grade, target._grade
     kept = {locus: set(ms) for locus, ms in target.kept.items()}

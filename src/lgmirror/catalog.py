@@ -192,14 +192,9 @@ def _block_polynomials(weights, var_indices, degree):
                 terms.append({var: degree // w})
         if good:
             yield ("chain", terms)
-    seen_loops = set()
     for order in permutations(var_indices):
         if order[0] != min(order):
             continue  # loops are rotation-invariant; pin the smallest first
-        key = order
-        if key in seen_loops:
-            continue
-        seen_loops.add(key)
         terms = []
         good = True
         for pos, var in enumerate(order):

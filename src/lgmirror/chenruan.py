@@ -16,8 +16,8 @@ the model's cache (`BVModel.rings`), its block rings counted by `Packed`
 character and weight once per model (`BVModel.invariants`, the counts the
 A-model sweep reads).  So a locus splits its blocks in two
 `balanced_halves`, multiplies each out by (character, weight) with the
-sweep's count kernel (`half_counts`, memoized per table), and joins them
-only on weights summing to 0 mod d (`locus_classes`).  The
+sweep's kernel on counts (`half_product`, memoized per table), and joins
+them only on weights summing to 0 mod d (`locus_classes`).  The
 age is a sum of one share per factor (`age_share`), so the representatives
 fall in families by first-factor part: a family sums its second parts'
 shifted classes, and convolves them once per character with its first
@@ -34,7 +34,15 @@ from .bvlg import BVModel
 from .milnor import milnor_ring
 from .polyring import WeightSystem
 from .report import Report
-from .statespace import Invariants, balanced_halves, build_state_space, diff_tables, half_counts, poincare_table
+from .statespace import (
+    Invariants,
+    balanced_halves,
+    build_state_space,
+    convolve_counts,
+    diff_tables,
+    half_product,
+    poincare_table,
+)
 from .symmetry import bv_cosets, span, vector_locus
 
 
@@ -61,7 +69,7 @@ def locus_classes(model: BVModel, locus, invariant: Invariants, products: dict) 
     """The cohomology classes of X_{W | locus}, for `locus` a set of the
     model's variables inside one factor W, counted by character under the
     generators of `invariant`: {character: Counter((p, q))}, from the
-    halves of its ring's blocks counted by `half_counts` (memoized in
+    halves of its ring's blocks counted by `half_product` (memoized in
     `products`, one table's) and joined on weights that sum to 0 mod d."""
     if not locus:
         return {}
@@ -75,7 +83,9 @@ def locus_classes(model: BVModel, locus, invariant: Invariants, products: dict) 
         return {}  # z^a = 0 inside a weighted point: empty hypersurface
     ring = milnor_ring(model.poly, locus, model.ws, model.rings)
     add, d = invariant.chars.add, model.ws.degree
-    left, right = (half_counts(products, invariant, half) for half in balanced_halves(ring))
+    products.setdefault((), {0: {0: 1}})  # an empty half counts the unit
+    halves = balanced_halves(ring)
+    left, right = (half_product(products, invariant, Invariants.counts, convolve_counts, half) for half in halves)
     partners = _residue_index(right, d)
     # Griffiths-Steenbrink: monomial-plus-form weight (q + 1) d gives h^{dim-q, q};
     # each factor has degree d in the model's weights
@@ -211,13 +221,12 @@ def verify_bv_mirror(model: BVModel) -> Report:
     )
 
 
-def verify_twist_corollary(model: BVModel, tw_group_override=None) -> Report:
+def verify_twist_corollary(model: BVModel) -> Report:
     """CR table of the model equals the table of the twist hypersurface,
     computed through the LG route A(tw W, tw G)."""
     cr = cr_table(model)
     tw = model.twist()
-    group = tw_group_override if tw_group_override is not None else tw.group
-    tw_space = build_state_space(tw.poly, group, "A", ws=tw.ws)
+    tw_space = build_state_space(tw.poly, tw.group, "A", ws=tw.ws)
     tw_table = poincare_table(tw_space)
     mismatches = diff_tables(cr.table, tw_table, "cr", "twist_lg")
     return Report(

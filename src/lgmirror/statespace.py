@@ -6,19 +6,18 @@ volume form over the fixed coordinates is implicit, and `state_name` prints
 it as <m; g> for mismatch records.  W restricted to Fix(g) is a sum of
 connected blocks, its Milnor ring the tensor product of theirs, and the
 character of a monomial under the acting group the sum of the characters of
-its block factors.  So the invariant monomials of a fixed locus come from a
-join of the blocks' monomials on characters that sum to 0, each a `Packed`
-int, and no locus basis is walked (`build_state_space`).  A sector enters
-the bigraded table only through its locus and age (Krawitz, arXiv:0906.0796,
-§2), so a sweep counts the sectors of each class (Fix g, age g) on the
-group's lattice (`sector_classes`), and the table sums count times the
-degree histogram of the locus on integer grades (`StateSpace._grade`).
-That histogram is the orbifold Poincare polynomial of the locus (Vafa, Mod.
-Phys. Lett. A 4, 1989), joined from (character, weight) counts of the
-blocks (`Invariants.counts`, `half_counts`) with no state listed; the
-states themselves are listed (`kept`) only when a verdict reads them.
-There is no basis of state objects: a verdict that needs states reads them
-off int vectors and `kept`.
+its block factors.  A sector enters the bigraded table only through its
+locus and age (Krawitz, arXiv:0906.0796, §2), so a sweep counts the sectors
+of each class (Fix g, age g) on the group's lattice (`sector_classes`), and
+the table sums count times the degree histogram of the locus on integer
+grades (`StateSpace._grade`).  That histogram is the orbifold Poincare
+polynomial of the locus (Vafa, Mod. Phys. Lett. A 4, 1989); a verdict that
+names states reads the invariant monomials (`kept`) instead.  Both come
+from one multiply-out: each half-locus, under one split of W's blocks, is
+the product of its blocks' leaves by `Packed` character and weight
+(`half_product`), and a locus joins its two halves on characters summing
+to 0 (`_join`), on counts or on monomial lists (`Invariants`).  No locus
+basis is walked, and there is no basis of state objects.
 """
 
 from __future__ import annotations
@@ -57,10 +56,10 @@ def state_name(v, L: int, monomial, flavor: str) -> str:
 class StateSpace:
     """The sectors of (W, G) by class.  `classes` maps (Fix g, a) to the
     number of sectors g with that locus and age a / L, L the exponent of G.
-    Two views of the loci with invariant states, each built on first read:
-    `degrees` maps each to the histogram of `_degree` over its states,
-    joined from counts, and `kept` to its invariant standard monomials,
-    sorted by (wdeg, m).  A locus with no invariant state is in neither.
+    Two views of the loci with invariant states, each joined on first read:
+    `degrees` maps each to the histogram of `_degree` over its states, and
+    `kept` to its invariant standard monomials, sorted by (`_degree`, m),
+    which is (wdeg, m).  A locus with no invariant state is in neither.
     The states of a sector g, in order, are kept.get(Fix g, ())."""
 
     __slots__ = ("poly", "ws", "group", "flavor", "rings", "classes", "invariant", "sides", "D", "_kept", "_degrees")
@@ -80,13 +79,14 @@ class StateSpace:
     @property
     def degrees(self) -> dict:
         if self._degrees is None:
-            self._degrees = _count_join(self)
+            self._degrees = _join(self, Invariants.counts, convolve_counts)
         return self._degrees
 
     @property
     def kept(self) -> dict:
         if self._kept is None:
-            self._kept = _list_join(self)
+            joined = _join(self, Invariants.monomials, convolve_monomials)
+            self._kept = {locus: [m for w in sorted(hist) for m in sorted(hist[w])] for locus, hist in joined.items()}
         return self._kept
 
     def loci(self) -> dict:
@@ -138,51 +138,63 @@ def _degree(m, locus, weights) -> int:
 
 
 class Invariants:
-    """The standard monomials of each block ring by character under a group
-    (sum over the block of (m_j + 1) h_j mod L per generator h, `Packed` in
-    `chars`), listed (`buckets`) or counted (`counts`), each kept across
-    sweeps under the block ring itself: other polynomials' rings miss them."""
+    """The leaves of `half_product`: the standard monomials m of each block
+    ring by character (sum over the block of (m_j + 1) h_j mod L per
+    generator h, `Packed` in `chars`) and weight (sum of (m_j + 1) w_j, the
+    form included), counted or listed, each kept across sweeps under the
+    block ring itself: other polynomials' rings miss them."""
 
-    __slots__ = ("chars", "gen_vecs", "by_block", "counted")
+    __slots__ = ("chars", "gen_vecs", "counted", "listed")
 
     def __init__(self, group: SymmetryGroup):
         L, self.gen_vecs = int_vectors(group.gens)
         self.chars = Packed(L, len(self.gen_vecs))
-        self.by_block: dict = {}
         self.counted: dict = {}
+        self.listed: dict = {}
 
     def _characters(self, part) -> list:
-        """(character, m) over the standard monomials m of a block ring."""
-        add, pack, block = self.chars.add, self.chars.pack, part.active
-        if not block:
-            return [(0, m) for m in part.basis]
+        """(character, weight, m) over the standard monomials m of a block ring."""
+        add, pack, block, w = self.chars.add, self.chars.pack, part.active, part.weights
         tops = {j: max([m[j] for m in part.basis]) + 2 for j in block}
         multiples = {j: [pack([e * h[j] for h in self.gen_vecs]) for e in range(tops[j])] for j in block}
-        return [(reduce(add, [multiples[j][m[j] + 1] for j in block]), m) for m in part.basis]
-
-    def buckets(self, part) -> dict:
-        """{character: [(wdeg, m)]} over the standard monomials of a block ring."""
-        got = self.by_block.get(part)
-        if got is None:
-            block, w = part.active, part.weights
-            got = self.by_block[part] = {}
-            for ch, m in self._characters(part):
-                got.setdefault(ch, []).append((sum([m[j] * w[j] for j in block]), m))
-        return got
+        return [
+            (reduce(add, [multiples[j][m[j] + 1] for j in block], 0), sum([(m[j] + 1) * w[j] for j in block]), m)
+            for m in part.basis
+        ]
 
     def counts(self, part) -> dict:
-        """{character: {weight: count}} over the standard monomials m of a
-        block ring, of weight sum over the block of (m_j + 1) w_j, its form
-        included."""
+        """{character: {weight: count}} over the standard monomials of a block ring."""
         got = self.counted.get(part)
         if got is None:
-            block, w = part.active, part.weights
             got = self.counted[part] = {}
-            for ch, m in self._characters(part):
+            for ch, weight, _ in self._characters(part):
                 hist = got.setdefault(ch, {})
-                weight = sum([(m[j] + 1) * w[j] for j in block])
                 hist[weight] = hist.get(weight, 0) + 1
         return got
+
+    def monomials(self, part) -> dict:
+        """{character: {weight: [m]}} over the standard monomials of a block ring."""
+        got = self.listed.get(part)
+        if got is None:
+            got = self.listed[part] = {}
+            for ch, weight, m in self._characters(part):
+                got.setdefault(ch, {}).setdefault(weight, []).append(m)
+        return got
+
+
+def convolve_counts(hist: dict, hist1: dict, hist2: dict) -> None:
+    """Add to `hist` the product of two {weight: count} histograms."""
+    for w1, n1 in hist1.items():
+        for w2, n2 in hist2.items():
+            hist[w1 + w2] = hist.get(w1 + w2, 0) + n1 * n2
+
+
+def convolve_monomials(hist: dict, hist1: dict, hist2: dict) -> None:
+    """Add to `hist` the product of two {weight: [m]} histograms, each
+    monomial m1 m2 on the disjoint variables of its factors."""
+    for w1, ms1 in hist1.items():
+        for w2, ms2 in hist2.items():
+            hist.setdefault(w1 + w2, []).extend([tuple(map(add, m1, m2)) for m1 in ms1 for m2 in ms2])
 
 
 def _blocks(ring) -> list:
@@ -201,105 +213,50 @@ def balanced_halves(ring) -> tuple:
     return halves
 
 
-def _products(terms1, terms2):
-    """(d1 + d2, m1 + m2) for each pair of monomials on disjoint variables."""
-    return [(d1 + d2, tuple(map(add, m1, m2))) for d1, m1 in terms1 for d2, m2 in terms2]
-
-
-def _half_product(products: dict, invariant: Invariants, parts) -> dict:
-    """{character: [(wdeg, m)]} over the standard monomials of the block
-    rings `parts`, largest first: all but the last part times the last, each
-    kept in `products` under its half-locus for one listing, prefixes shared."""
+def half_product(products: dict, invariant: Invariants, leaf, convolve, parts) -> dict:
+    """{character: {weight: entry}} over the block rings `parts` multiplied
+    out, largest first: all but the last part times the last, each kept in
+    `products` under its half-locus for one join, prefixes shared.  `leaf`
+    and `convolve` are `Invariants.counts` and `convolve_counts`, or
+    `Invariants.monomials` and `convolve_monomials`."""
     half = tuple(sorted([i for part in parts for i in part.active]))
     got = products.get(half)
     if got is None:
-        got = last = invariant.buckets(parts[-1])
+        got = last = leaf(invariant, parts[-1])
         if len(parts) > 1:
             got, add = {}, invariant.chars.add
-            for c1, terms1 in _half_product(products, invariant, parts[:-1]).items():
-                for c2, terms2 in last.items():
-                    got.setdefault(add(c1, c2), []).extend(_products(terms1, terms2))
-        products[half] = got
-    return got
-
-
-def half_counts(products: dict, invariant: Invariants, parts) -> dict:
-    """{character: {weight: count}} over the standard monomials of the block
-    rings `parts` multiplied out, largest first, of weight sum (m_j + 1) w_j
-    (`Invariants.counts`): all but the last part times the last, each kept
-    in `products` under its half-locus for one sweep or table, prefixes
-    shared.  No parts count the unit alone."""
-    if not parts:
-        return {0: {0: 1}}
-    half = tuple(sorted([i for part in parts for i in part.active]))
-    got = products.get(half)
-    if got is None:
-        got = last = invariant.counts(parts[-1])
-        if len(parts) > 1:
-            got, add = {}, invariant.chars.add
-            for c1, hist1 in half_counts(products, invariant, parts[:-1]).items():
+            for c1, hist1 in half_product(products, invariant, leaf, convolve, parts[:-1]).items():
                 for c2, hist2 in last.items():
-                    hist = got.setdefault(add(c1, c2), {})
-                    for w1, n1 in hist1.items():
-                        for w2, n2 in hist2.items():
-                            hist[w1 + w2] = hist.get(w1 + w2, 0) + n1 * n2
+                    convolve(got.setdefault(add(c1, c2), {}), hist1, hist2)
         products[half] = got
     return got
 
 
-def _half(space: StateSpace, products: dict, product, half) -> dict:
-    """`product` (`half_counts` or `_half_product`) of the half-locus `half`
-    of `space`, from the blocks of its ring, memoized in `products`."""
-    got = products.get(half)
-    if got is None:
-        got = product(products, space.invariant, _blocks(milnor_ring(space.poly, half, space.ws, space.rings)))
-    return got
+def _join(space: StateSpace, leaf, convolve) -> dict:
+    """{locus: {weight: entry}} over the loci with an invariant state, the
+    weight that of `_degree`: the `half_product`s of its two half-loci on
+    characters that sum to 0, the right one keyed by negated character once
+    per half-locus, so the join is a set intersection of keys."""
+    neg, products, flipped, joined = space.invariant.chars.neg, {}, {}, {}
 
+    def product(half) -> dict:
+        got = products.get(half)
+        if got is None:
+            ring = milnor_ring(space.poly, half, space.ws, space.rings)
+            got = half_product(products, space.invariant, leaf, convolve, _blocks(ring))
+        return got
 
-def _count_join(space: StateSpace) -> dict:
-    """{locus: {degree: count}} over the loci with an invariant state: the
-    count products of its two half-loci on characters that sum to 0, the
-    right one keyed by negated character once per half-locus (`_negated`),
-    so the join is a set intersection of keys.  The degree includes the
-    form."""
-    chars, products, flipped, degrees = space.invariant.chars, {}, {}, {}
     for locus in space.loci():
         half1, half2 = space.halves(locus)
-        left, right = _half(space, products, half_counts, half1), flipped.get(half2)
+        left, right = product(half1), flipped.get(half2)
         if right is None:
-            right = flipped[half2] = _negated(chars, _half(space, products, half_counts, half2))
+            right = flipped[half2] = {neg(ch): hist for ch, hist in product(half2).items()}
         hist: dict = {}
         for ch in left.keys() & right.keys():
-            for w1, n1 in left[ch].items():
-                for w2, n2 in right[ch].items():
-                    hist[w1 + w2] = hist.get(w1 + w2, 0) + n1 * n2
+            convolve(hist, left[ch], right[ch])
         if hist:
-            degrees[locus] = hist
-    return degrees
-
-
-def _negated(chars: Packed, half: dict) -> dict:
-    """The entries of `half` keyed by the negated characters."""
-    return {chars.neg(ch): hist for ch, hist in half.items()}
-
-
-def _list_join(space: StateSpace) -> dict:
-    """{locus: invariant standard monomials, sorted (wdeg, m)} over the loci
-    with an invariant state: the monomial products of its two half-loci on
-    characters that sum to 0, the right one looked up at `neg` of the left
-    one's."""
-    neg, products, kept = space.invariant.chars.neg, {}, {}
-    for locus in space.loci():
-        left, right = (_half(space, products, _half_product, half) for half in space.halves(locus))
-        out = []
-        for ch, terms in left.items():
-            partner = right.get(neg(ch))
-            if partner:
-                out.extend(_products(terms, partner))
-        if out:
-            out.sort()
-            kept[locus] = [m for _, m in out]
-    return kept
+            joined[locus] = hist
+    return joined
 
 
 def build_state_space(
@@ -315,8 +272,8 @@ def build_state_space(
     under one split of W's blocks (`balanced_halves`); raises NotAdmissible
     on a flavor mismatch.  Rings go to the subset-keyed `rings`, a locus's
     assembled here from its half-loci's; the joins (`degrees`, `kept`) run
-    on first read, on the block counts or buckets of `invariant` (of
-    `group`; fresh by default)."""
+    on first read, on the block leaves of `invariant` (of `group`; fresh by
+    default)."""
     if flavor not in ("A", "B"):
         raise ValueError(f"unknown flavor {flavor!r}")
     if ws is None:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from lgmirror.bvlg import (
+    TwistModel,
     build_bv,
     verify_group_lemma,
     verify_theorem1,
@@ -156,7 +157,7 @@ def test_criterion_03_theorem1_model_set(models):
     assert nonproduct >= 1
 
 
-def test_criterion_04_twist_theorem(models):
+def test_criterion_04_twist_theorem(models, monkeypatch):
     for name, model in models:
         for flavor in ("A", "B"):
             start = time.perf_counter()
@@ -170,7 +171,8 @@ def test_criterion_04_twist_theorem(models):
     tw = model.twist()
     smaller = span(tw.group.n, [j_element(tw.ws)])
     assert smaller.order < tw.group.order
-    bad = verify_twist_iso(model, "A", tw_group_override=smaller)
+    monkeypatch.setattr(model, "_twist", TwistModel(tw.poly, tw.ws, tw.delta, smaller, tw.keep, model))
+    bad = verify_twist_iso(model, "A")
     assert not bad.passed
     print("PASS criterion 4: corrupted twist group fails")
 

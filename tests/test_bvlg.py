@@ -19,6 +19,7 @@ from lgmirror.bvlg import (
     GroupOutOfRange,
     MalformedSector,
     NotCY,
+    TwistModel,
     build_bv,
     mirror_pair,
     twist_polynomial,
@@ -173,7 +174,7 @@ def test_twist_iso_small_models():
         assert verify_twist_iso(m, "B").passed
 
 
-def test_twist_iso_negative_control():
+def test_twist_iso_negative_control(monkeypatch):
     # corrupt tw G down to its J subgroup (still A-admissible, strictly smaller)
     from lgmirror.symmetry import j_element
 
@@ -181,7 +182,8 @@ def test_twist_iso_negative_control():
     tw = m.twist()
     smaller = span(tw.group.n, [j_element(tw.ws)])
     assert smaller.order < tw.group.order
-    report = verify_twist_iso(m, "A", tw_group_override=smaller)
+    monkeypatch.setattr(m, "_twist", TwistModel(tw.poly, tw.ws, tw.delta, smaller, tw.keep, m))
+    report = verify_twist_iso(m, "A")
     assert not report.passed
     assert report.mismatches
 
@@ -598,20 +600,20 @@ def test_census_pass_splits_its_loci_along_one_split_of_w(monkeypatch):
     rng.shuffle(pairs)
     models = [model((E1, E2)[c], sample_polynomial(records[i].weight_system)) for c, i in pairs]
     calls, tables, counted = Counter(), [], Counter()
-    components, half_counts, counts = milnor.components, statespace.half_counts, statespace.Invariants.counts
+    components, half_product, counts = milnor.components, statespace.half_product, statespace.Invariants.counts
 
     def counted_components(poly, active):
         calls["components"] += 1
         return components(poly, active)
 
-    def counted_half_counts(products, invariant, parts):
+    def counted_half_product(products, invariant, leaf, convolve, parts):
         if parts and not any(products is table for table in tables):
             calls["half-products"] += tuple(sorted(i for part in parts for i in part.active)) not in products
-        return half_counts(products, invariant, parts)
+        return half_product(products, invariant, leaf, convolve, parts)
 
-    def table_half_counts(products, invariant, parts):
+    def table_half_product(products, invariant, leaf, convolve, parts):
         tables.append(products)  # a Chen-Ruan table's memo, held so its id stays its own
-        return counted_half_counts(products, invariant, parts)
+        return counted_half_product(products, invariant, leaf, convolve, parts)
 
     def counted_counts(self, part):
         counted[self, part] += part not in self.counted  # held, so no id is reused
@@ -621,10 +623,10 @@ def test_census_pass_splits_its_loci_along_one_split_of_w(monkeypatch):
         raise AssertionError("a census verdict listed a block's monomials")
 
     monkeypatch.setattr(milnor, "components", counted_components)
-    monkeypatch.setattr(statespace, "half_counts", counted_half_counts)
-    monkeypatch.setattr(chenruan, "half_counts", table_half_counts)
+    monkeypatch.setattr(statespace, "half_product", counted_half_product)
+    monkeypatch.setattr(chenruan, "half_product", table_half_product)
     monkeypatch.setattr(statespace.Invariants, "counts", counted_counts)
-    monkeypatch.setattr(statespace.Invariants, "buckets", unlisted)
+    monkeypatch.setattr(statespace.Invariants, "monomials", unlisted)
     for m in models:
         assert verify_theorem1(m).passed and verify_lgcy(m).passed
     assert len(models) == 15

@@ -179,14 +179,16 @@ def test_bv_mirror_rotation_small():
     assert report.details["N"] == 1
 
 
-def test_twist_corollary_negative_control():
+def test_twist_corollary_negative_control(monkeypatch):
+    from lgmirror.bvlg import TwistModel
     from lgmirror.symmetry import j_element, span
 
     m = model()
     tw = m.twist()
     smaller = span(tw.group.n, [j_element(tw.ws)])
     assert smaller.order < tw.group.order
-    report = verify_twist_corollary(m, tw_group_override=smaller)
+    monkeypatch.setattr(m, "_twist", TwistModel(tw.poly, tw.ws, tw.delta, smaller, tw.keep, m))
+    report = verify_twist_corollary(m)
     assert not report.passed
     assert report.mismatches
 
@@ -231,7 +233,7 @@ def test_corrupted_block_counts_fail(monkeypatch, capsys, verb):
     to a shifted character: lgcy and bvms must report a mismatch (exit 1),
     not a precondition, also on a model whose A space Theorem 1 has
     already swept and the model holds.  Only the CR side reads these
-    counts; the buckets that the A-model sweep shares stay intact."""
+    counts; the block counts that the A-model sweep shares stay intact."""
     from lgmirror.cli import main
 
     original = chenruan.locus_classes

@@ -564,3 +564,26 @@ def test_every_package_definition_is_referenced():
                 referenced.add(node.value)
     assert len(defined) > 100
     assert [d for d in defined if d[1].rsplit(".", 1)[-1] not in referenced] == []
+
+
+def test_every_package_import_is_read():
+    """Every module-level import under src/lgmirror, `__future__` aside, is
+    read by name in its module.  An import that nothing reads is a leftover,
+    such as a helper's import kept after the helper went."""
+    import ast
+    import pathlib
+
+    imported, unread = 0, []
+    for path in sorted((pathlib.Path(SRC) / "lgmirror").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [
+            alias.asname or alias.name.split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imported += len(names)
+        unread += [(path.name, name) for name in names if name not in read]
+    assert imported > 50
+    assert unread == []

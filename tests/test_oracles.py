@@ -37,7 +37,7 @@ replaced, restrict then split the restricted monomials
 (`restricted_dispatch`), with the same blocks, block rings and `poly`.
 The sweep splits the blocks of W once into two sides and joins each locus
 from its two half-loci, each multiplied out once per sweep from the
-character buckets of the block rings (`Invariants`), the characters packed
+(character, weight) leaves of the block rings (`Invariants`), the characters packed
 into one int each (`Packed`).  Its oracles are the per-locus join it
 replaced, each locus split in `balanced_halves` of its own, joined on tuple
 characters it computes from the generators and checked against the decoded
@@ -63,7 +63,7 @@ Groebner basis: each sector's dimension is a character sum over the group
 `cr_table` counts the Chen-Ruan classes of a fixed locus, in the model's
 variables, by joining two halves of its block rings' (character, weight)
 counts on weights that sum to 0 mod d, read from the ring cache and the
-character buckets that the A-model sweep uses (`chenruan.locus_classes`),
+block counts that the A-model sweep uses (`chenruan.locus_classes`),
 and sums the classes of each coset family's factor parts before one
 convolution per character.  Its oracle is the basis walk it replaced: the
 Milnor ring of the whole locus, every standard monomial graded by
@@ -152,6 +152,7 @@ import pytest
 
 from lgmirror.bvlg import (
     MalformedSector,
+    TwistModel,
     _sector_epsilon,
     block_j_elements,
     build_bv,
@@ -650,24 +651,27 @@ def tuple_character(m, block, L, gen_vecs) -> tuple:
 
 
 def balanced_join(invariant, ring, group) -> list:
-    """(wdeg, m) over the invariant standard monomials of a locus ring,
-    sorted: the per-locus join the sweep replaced.  The blocks of the ring
-    are split in two `balanced_halves` of its own, each half is multiplied
-    out from the monomials in the block buckets of `invariant`, and the
-    halves are joined on tuple characters that sum to 0, computed here from
-    the generators of `group`; each packed bucket key must decode to the
-    characters of its monomials."""
+    """(d * deg, m) over the invariant standard monomials of a locus ring,
+    form included, sorted: the per-locus join the sweep replaced.  The
+    blocks of the ring are split in two `balanced_halves` of its own, each
+    half is multiplied out from the monomials listed in the block leaves of
+    `invariant`, and the halves are joined on tuple characters that sum to
+    0, computed here from the generators of `group`; each packed leaf key
+    must decode to the characters of its monomials, and each weight key be
+    their weight."""
     L, gen_vecs = int_vectors(group.gens)
     halves = []
     for parts in balanced_halves(ring):
         acc = {(0,) * len(gen_vecs): [(0, (0,) * len(ring.weights))]}
         for part in parts:
             buckets = {}
-            for key, terms in invariant.buckets(part).items():
-                for d, m in terms:
-                    ch = tuple_character(m, part.active, L, gen_vecs)
-                    assert unpacked(invariant.chars, key, len(gen_vecs)) == ch
-                    buckets.setdefault(ch, []).append((d, m))
+            for key, hist in invariant.monomials(part).items():
+                for d, ms in hist.items():
+                    for m in ms:
+                        ch = tuple_character(m, part.active, L, gen_vecs)
+                        assert unpacked(invariant.chars, key, len(gen_vecs)) == ch
+                        assert d == statespace._degree(m, part.active, ring.weights)
+                        buckets.setdefault(ch, []).append((d, m))
             nxt = {}
             for c1, terms1 in acc.items():
                 for c2, terms2 in buckets.items():
@@ -2114,16 +2118,15 @@ def test_theorem2_corrupted_gamma_fails_like_the_oracle(monkeypatch):
     assert report == elementwise_theorem2(model).to_json()
 
 
-def elementwise_twist_iso(model, flavor, tw_group_override=None):
+def elementwise_twist_iso(model, flavor):
     """`verify_twist_iso` one state at a time: each mapped by `tw_a_map`,
     looked up in the twist basis and graded by Fraction bidegrees.  The
     states of both spaces are over one common multiple L of their groups'
     exponents."""
     tw = model.twist()
-    group = tw_group_override if tw_group_override is not None else tw.group
-    L = math.lcm(model.sigma_group.L, group.L)
+    L = math.lcm(model.sigma_group.L, tw.group.L)
     source = EagerSpace(build_state_space(model.poly, model.sigma_group, flavor), L)
-    target = EagerSpace(build_state_space(tw.poly, group, flavor), L)
+    target = EagerSpace(build_state_space(tw.poly, tw.group, flavor), L)
     mismatches = []
     images = set()
     for e in source.basis:
@@ -2154,16 +2157,17 @@ def elementwise_twist_iso(model, flavor, tw_group_override=None):
 
 @pytest.mark.parametrize("flavor", ["A", "B"])
 @pytest.mark.parametrize("name", ["e1k3a", "nonproduct"])
-def test_twist_iso_matches_elementwise_map(name, flavor):
+def test_twist_iso_matches_elementwise_map(monkeypatch, name, flavor):
     """The same reports, and under a twist group cut down (to its J
     subgroup for A, to the identity for B) the same mismatches, in order."""
     model = THEOREM2_MODELS[name]()
     assert verify_twist_iso(model, flavor).to_json() == elementwise_twist_iso(model, flavor).to_json()
     tw = model.twist()
     smaller = span(tw.group.n, [j_element(tw.ws)] if flavor == "A" else [])
-    bad = verify_twist_iso(model, flavor, tw_group_override=smaller).to_json()
+    monkeypatch.setattr(model, "_twist", TwistModel(tw.poly, tw.ws, tw.delta, smaller, tw.keep, model))
+    bad = verify_twist_iso(model, flavor).to_json()
     assert not bad["pass"]
-    assert bad == elementwise_twist_iso(model, flavor, tw_group_override=smaller).to_json()
+    assert bad == elementwise_twist_iso(model, flavor).to_json()
 
 
 def dense_triple_counts(C, P, n):
@@ -2519,14 +2523,64 @@ def test_count_kernel_without_a_form_weight_fails_the_views(monkeypatch):
         assert_same_views(_golden_models()["e1octic"].space("A"))
 
 
+def test_count_leaves_are_the_list_leaves_counted():
+    """Every block ring that the sweeps of the census stride (A and the
+    mirror's B) and of E1 x OCTIC (A and B) count: its count leaf, built
+    from its standard basis, is its list leaf counted, character by
+    character and weight by weight."""
+    spaces = _view_spaces()
+    blocks = set()
+    for space in spaces["census"] + spaces["e1octic"]:
+        assert space.degrees  # the sweep's join counts its blocks
+        invariant = Invariants(space.group)
+        for part in space.invariant.counted:
+            listed = invariant.monomials(part)
+            assert invariant.counts(part) == {
+                ch: {w: len(ms) for w, ms in hist.items()} for ch, hist in listed.items()
+            }
+            blocks.add(id(part))
+    assert len(blocks) > len(spaces["census"])
+
+
+def test_a_list_leaf_missing_a_monomial_fails_the_views(monkeypatch):
+    """Negative control: a list leaf with one monomial dropped (the first
+    of the first block ring with variables that is listed) no longer counts
+    to its count leaf, and the listed view of the E1 x OCTIC A space no
+    longer equals the counted one."""
+    monomials = statespace.Invariants.monomials
+    short = []
+
+    def dropping(self, part):
+        got = monomials(self, part)
+        if not short and part.active:
+            short.append(part)
+        if part is short[0]:
+            ch, hist = next(iter(got.items()))
+            w, ms = next(iter(hist.items()))
+            got = {**got, ch: {**hist, w: ms[1:]}}
+        return got
+
+    monkeypatch.setattr(statespace.Invariants, "monomials", dropping)
+    with pytest.raises(AssertionError):
+        assert_same_views(_golden_models()["e1octic"].space("A"))
+
+
 def test_count_join_without_negation_fails_the_views(monkeypatch):
-    """Negative control: a count join that pairs each left character with
-    the same right character, the negation skipped, fails the listed view
-    on the E1 x OCTIC A space and on the nonproduct A space."""
-    monkeypatch.setattr(statespace, "_negated", lambda chars, half: half)
+    """Negative control: a join that pairs each left character with the
+    same right character, the negation skipped in the packed characters of
+    every `Invariants`, fails the views against the walk on the E1 x OCTIC
+    A space and on the nonproduct A space."""
+
+    class Unnegated(statespace.Packed):
+        __slots__ = ()
+
+        def neg(self, x: int) -> int:
+            return x
+
+    monkeypatch.setattr(statespace, "Packed", Unnegated)
     for name in ("e1octic", "nonproduct"):
         with pytest.raises(AssertionError):
-            assert_same_views(_golden_models()[name].space("A"))
+            assert_same_views(_golden_models()[name].space("A"), walk=True)
 
 
 def test_a_side_split_that_cuts_a_block_fails_the_sweep_oracle(monkeypatch):
@@ -2729,7 +2783,7 @@ def assert_same_cr_table(model):
 
 def assert_same_factor_classes(model):
     """Every subset of either factor's variables, taken in the model's
-    variables: the classes counted from the block buckets, their characters
+    variables: the classes counted from the block counts, their characters
     decoded, are the walked classes, or both raise alike."""
     L, gen_vecs = int_vectors(model.sigma_group.gens)
     invariant = Invariants(model.sigma_group)

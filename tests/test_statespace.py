@@ -240,9 +240,9 @@ def test_locus_with_a_variable_in_no_monomial_raises():
 
 def test_one_invariants_keeps_the_buckets_of_each_ring_apart():
     """One `Invariants` read with rings of the block (x0,) from two
-    polynomials and in two weight systems: each ring gets the buckets, the
-    counts, and the kept monomials of their join, that a fresh `Invariants`
-    gives it, not those of an earlier ring of the same block."""
+    polynomials and in two weight systems: each ring gets the listed and
+    the counted leaves, and the kept monomials of their join, that a fresh
+    `Invariants` gives it, not those of an earlier ring of the same block."""
     group = span(2, [GroupElement([Fraction(1, 2), Fraction(1, 2)])])
     cubic = parse_polynomial("x0^3+x1^3")
     rings = [
@@ -252,10 +252,10 @@ def test_one_invariants_keeps_the_buckets_of_each_ring_apart():
     ]
     invariant = Invariants(group)
     for ring in rings:
-        assert invariant.buckets(ring) == Invariants(group).buckets(ring)
+        assert invariant.monomials(ring) == Invariants(group).monomials(ring)
         assert invariant.counts(ring) == Invariants(group).counts(ring)
         assert balanced_join(invariant, ring, group) == balanced_join(Invariants(group), ring, group)
-    assert len({str(invariant.buckets(ring)) for ring in rings}) == 3
+    assert len({str(invariant.monomials(ring)) for ring in rings}) == 3
     assert len({str(invariant.counts(ring)) for ring in rings}) == 3
 
 
@@ -383,9 +383,9 @@ def _unread(*args, **kwargs):
 
 def test_table_verdicts_list_no_state(monkeypatch):
     """Theorem 1 and LG/CY on the census stride read the counted view only:
-    no block ring's monomials are listed and no locus's states are joined."""
-    monkeypatch.setattr(statespace.Invariants, "buckets", _unread)
-    monkeypatch.setattr(statespace, "_list_join", _unread)
+    no block ring's monomials are listed and no monomials are multiplied."""
+    monkeypatch.setattr(statespace.Invariants, "monomials", _unread)
+    monkeypatch.setattr(statespace, "convolve_monomials", _unread)
     for model in _census_models():
         assert verify_theorem1(model).passed and verify_lgcy(model).passed
         assert model.space("A")._kept is None
@@ -394,9 +394,9 @@ def test_table_verdicts_list_no_state(monkeypatch):
 def test_state_verdicts_run_no_count_join(monkeypatch):
     """The twist isomorphism (A and B) and Theorem 2 on E1 x K3A read the
     listed view only, their dimensions included: no block ring is counted
-    and no count join runs."""
+    and no counts are convolved."""
     monkeypatch.setattr(statespace.Invariants, "counts", _unread)
-    monkeypatch.setattr(statespace, "_count_join", _unread)
+    monkeypatch.setattr(statespace, "convolve_counts", _unread)
     for flavor in ("A", "B"):
         model = build_bv(E1, K3, block_j_elements(WS1, WS2))
         assert bvlg.verify_twist_iso(model, flavor).passed
@@ -411,15 +411,15 @@ def test_half_products_keyed_by_size_fail(monkeypatch, capsys):
     not a precondition."""
     from lgmirror.cli import main
 
-    half_counts = statespace.half_counts
+    half_product = statespace.half_product
 
-    def stale(products, invariant, parts):
+    def stale(products, invariant, leaf, convolve, parts):
         size = sum(len(part.active) for part in parts)
         if size not in products:
-            products[size] = half_counts(products, invariant, parts)
+            products[size] = half_product(products, invariant, leaf, convolve, parts)
         return products[size]
 
-    monkeypatch.setattr(statespace, "half_counts", stale)
+    monkeypatch.setattr(statespace, "half_product", stale)
     argv = ["bv", "theorem1", "--w1", str(E1), "--w2", str(K3), "--json"]
     assert main(argv) == 1
     assert '"pass": false' in capsys.readouterr().out
