@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 check passed, 1 verification failure, 2 usage or parse error,
-3 mathematical precondition violation (`report.PreconditionError`).
+3 mathematical precondition violation (`report.PreconditionError`) or a
+run out of memory (`MemoryError`), named on one line of standard error.
 
 A command imports the verifier modules `chenruan`, `frobenius` and `catalog`
 only when it runs them, so a cold process loads the code of its own verdict.
@@ -294,6 +295,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
+        return MATH_ERROR
+    except MemoryError:
+        print("resource limit: out of memory (MemoryError)", file=sys.stderr)
         return MATH_ERROR
 
 

@@ -160,11 +160,6 @@ class BAlgebra:
         locus = vector_locus(g)
         return self.space._grade(_degree(m, locus, self.space.ws.weights), sum(g), len(locus))
 
-    def locus(self, g) -> tuple:
-        """Fix g of the int vector g, read from `sectors` when g is one."""
-        hit = self.sectors.get(g)
-        return vector_locus(g) if hit is None else hit[0]
-
     def _add(self, g, h) -> tuple:
         L = self.L
         return tuple([(a + b) % L for a, b in zip(g, h)])
@@ -182,7 +177,7 @@ class BAlgebra:
         by_h: dict = {}
         for vectors, by in ((gs, by_g), (hs, by_h)):
             for v in vectors:
-                by.setdefault(self.locus(v), []).append(v)
+                by.setdefault(vector_locus(v), []).append(v)
         for g_list in by_g.values():
             for h_list in by_h.values():
                 off = [k for k, (a, b) in enumerate(zip(g_list[0], h_list[0])) if a and b]
@@ -223,7 +218,7 @@ class BAlgebra:
         gh = self._add(g, h)
         if any(a and b and c for a, b, c in zip(g, h, gh)):
             return Fraction(0)
-        return self._gamma_data(self.locus(g), self.locus(h), vector_locus(gh))[0]
+        return self._gamma_data(vector_locus(g), vector_locus(h), vector_locus(gh))[0]
 
     def unit(self) -> int:
         """The place of the unit <1; 0>, invariant since G <= SL, among the
@@ -325,19 +320,20 @@ class BAlgebra:
         return products, [(minus[k2][0], n, d) for k2, n in rows[k]]
 
 
-def phi_bar(alg2: BAlgebra, alg0: BAlgebra, sigma: GroupElement, rescaled: bool = True) -> list:
+def phi_bar(alg2: BAlgebra, alg0: BAlgebra, sigma: GroupElement) -> list:
     """Rescaling map B(W^T, (sigma G)^T) -> B(W^T, sigma (G^T)) on the even
     elements as the list i -> (2 s_i, index in alg0).  (g, m) maps to itself
     (s = 1) when alg0 holds it, else to its sigma-shift (g + sigma, m), the
     volume form toggling dx0+dy0, with s = 1/2 when g fixes the slots and 2
-    otherwise (1 unscaled).  (sigma G)^T <= G^T <= sigma (G^T): L2 | L0."""
+    otherwise: the one map of Theorem 2, the rescaled one.  (sigma G)^T <=
+    G^T <= sigma (G^T): L2 | L0."""
     L0, up, at0, space0 = alg0.L, alg0.L // alg2.L, alg0.at, alg0.space
     s = tuple([a * (L0 // sigma.den) for a in sigma.num])
     phi = []
     for g, (_, elems) in alg2.sectors.items():
         g0 = tuple([a * up for a in g])
         moved = tuple([(a + b) % L0 for a, b in zip(g0, s)])
-        scale = (4 if any([a and b for a, b in zip(g0, s)]) else 1) if rescaled else 2
+        scale = 4 if any([a and b for a, b in zip(g0, s)]) else 1
         for _, m in elems:
             if (g0, m) in at0:
                 phi.append((2, at0[g0, m]))
@@ -353,17 +349,17 @@ def phi_bar(alg2: BAlgebra, alg0: BAlgebra, sigma: GroupElement, rescaled: bool 
 def property1(a_space: StateSpace, b_space: StateSpace) -> Report:
     """All-or-nothing fixing of atomic blocks across the nonempty sectors of
     A(W, G) and B(W^T, G^T), already built: the nonempty loci that split a
-    block are read from `kept`, and only when there is one are the group's
-    int vectors walked, each sector on such a locus reported in group
-    order."""
+    block are read from the counted view (`degrees`), and only when there is
+    one are the group's int vectors walked, each sector on such a locus
+    reported in group order."""
     violations = []
     for space, side in ((a_space, "A"), (b_space, "B-mirror")):
         blocks = [(b, set(b.variables)) for b in atomic_decomposition(space.poly)]
         split = {}
-        for locus, kept in space.kept.items():
+        for locus in space.degrees:
             fixed = set(locus)
             cut = [(b, sorted(v & fixed)) for b, v in blocks if 0 < len(v & fixed) < len(v)]
-            if kept and cut:
+            if cut:
                 split[locus] = cut
         L = space.group.L
         for v in space.group.vectors if split else ():
@@ -467,15 +463,17 @@ def identity_failures(alg: BAlgebra, nonzero: dict) -> tuple:
     return tuple(fails)
 
 
-def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
+def verify_theorem2(model: BVModel) -> Report:
     """phi-bar preserves products and pairings between the even subspaces of
     the two mirror B-models; also checks unit, associativity, the Frobenius
     identity, and the gamma-factor lemma.  Raises HypothesisFailed when the
     model lacks property 1, on which the theorem rests.
 
-    phi-bar is the index map i -> (2 s_i, phi(i)) (`phi_bar`).  One state i
-    of the BHK mirror at a time, its nonzero products and pairings (`row`)
-    are set beside those of phi(i) in the BV mirror, pulled back by phi, and
+    phi-bar is the index map i -> (2 s_i, phi(i)) of the rescaled map
+    (`phi_bar`), the only one the theorem is stated for.  Property 1 reads
+    the counted views, so no state of A(W, G) is listed.  One state i of the
+    BHK mirror at a time, its nonzero products and pairings (`row`) are set
+    beside those of phi(i) in the BV mirror, pulled back by phi, and
     compared times 4, in lowest terms, in the order of j: phi(e_i e_j) =
     s_i s_j phi(e_i) phi(e_j) and <e_i, e_j> = s_i s_j <phi(e_i), phi(e_j)>.
     States are named for mismatch records only."""
@@ -494,7 +492,7 @@ def verify_theorem2(model: BVModel, rescaled: bool = True) -> Report:
     if alg2.dim != alg0.dim:
         mismatches.append({"reason": "even subspace dimensions differ"})
 
-    phi = phi_bar(alg2, alg0, mirror.sigma, rescaled)
+    phi = phi_bar(alg2, alg0, mirror.sigma)
     elements2, elements0 = list(alg2.at), list(alg0.at)
     D2, D0 = b2_space.D, b0_space.D
     preimages: dict = {}  # even0 index -> [even2 index]

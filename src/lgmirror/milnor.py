@@ -3,6 +3,8 @@ Hessians, and the residue pairing.
 
 Everything is computed with `fractions.Fraction`; term orders are weighted
 degree + reverse lexicographic, which respects the quasihomogeneous grading.
+A ring on any set of active variables is graded by the weights of the whole
+potential, which every caller passes with its cache of rings.
 
 A potential whose variables split into connected blocks (variables joined
 when they share a monomial) is a Thom-Sebastiani sum, and its Milnor ring is
@@ -25,13 +27,7 @@ import heapq
 import math
 from fractions import Fraction
 
-from .polyring import (
-    Polynomial,
-    PolyError,
-    WeightSystem,
-    restrict,
-    weight_system,
-)
+from .polyring import Polynomial, WeightSystem, restrict
 from .report import PreconditionError
 
 
@@ -175,10 +171,8 @@ def groebner(gens, order: TermOrder):
     return reduced
 
 
-def jacobian_ideal(poly: Polynomial, active=None):
+def jacobian_ideal(poly: Polynomial, active):
     """All first partials of `poly` with respect to the active variables."""
-    if active is None:
-        active = range(poly.nvars)
     return [poly.diff(i) for i in active]
 
 
@@ -323,7 +317,8 @@ class MilnorRing:
         return ring
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        if not p.support() <= set(self.active):
+        outside = ~sum([1 << i for i in self.active])
+        if any(s & outside for s in p.supports):
             raise ValueError("polynomial uses variables outside the ring")
         rem = _reduce_terms(p.terms, self.basis_entries, self.order)
         return Polynomial(p.variables, rem)
@@ -363,27 +358,22 @@ class MilnorRing:
         return self._hess_socle_coeff
 
 
-def milnor_ring(
-    poly: Polynomial, active=None, ws: WeightSystem | None = None, rings: dict | None = None, halves=None
-) -> MilnorRing:
-    """Build the Milnor ring of `poly` restricted to `active` variables.
+def milnor_ring(poly: Polynomial, active, ws: WeightSystem, rings: dict, halves=None) -> MilnorRing:
+    """Build the Milnor ring of `poly` restricted to `active` variables,
+    graded by the weights of `ws`, the weight system of `poly` itself.
 
     Raises DegenerateSingularity when the quotient is infinite dimensional.
-    `ws` supplies the grading; by default the weight system is solved from
-    the restricted polynomial itself (all-ones fallback when non-unique, the
-    order is still valid).  `rings` is the subset-keyed cache of one
-    polynomial (a model's is `BVModel.rings`), read and written here and
-    seeded only by `adopt_block_rings`: the ring of `active` is served from
-    it when its weights match, and otherwise built and kept there, with two
-    or more connected blocks assembled from block rings looked up in and
-    added to the same cache, in the term order of its first ring when their
-    weights agree.  Loci that split `active` along the blocks of `poly` give
-    it their rings' blocks as `halves`, with no `components` pass.
+    `rings` is the subset-keyed cache of one polynomial (a model's is
+    `BVModel.rings`), read and written here and seeded only by
+    `adopt_block_rings`: the ring of `active` is served from it when its
+    weights match, and otherwise built and kept there, with two or more
+    connected blocks assembled from block rings looked up in and added to
+    the same cache, in the term order of its first ring when their weights
+    agree.  Loci that split `active` along the blocks of `poly` give it
+    their rings' blocks as `halves`, with no `components` pass.
     """
-    active = tuple(sorted(range(poly.nvars) if active is None else active))
-    weights = tuple(ws.weights) if ws is not None else _grading_weights(restrict(poly, active), active)
-    if rings is None:
-        rings = {}
+    active = tuple(sorted(active))
+    weights = tuple(ws.weights)
     ring = rings.get(active)
     if ring is not None and ring.weights == weights:
         return ring
@@ -460,34 +450,14 @@ def components(poly: Polynomial, active):
     return sorted(tuple([i for i in active if b >> i & 1]) for b in blocks)
 
 
-def _grading_weights(poly: Polynomial, active):
-    n = poly.nvars
-    if poly.is_zero():
-        return tuple([1] * n)
-    sub = Polynomial(
-        tuple(poly.variables[i] for i in active),
-        {tuple(m[i] for i in active): c for m, c in poly.terms.items()},
-    )
-    try:
-        sub_ws = weight_system(sub)
-    except PolyError:
-        return tuple([1] * n)
-    weights = [1] * n
-    for slot, i in enumerate(active):
-        weights[i] = sub_ws.weights[slot]
-    return tuple(weights)
-
-
-def hessian(poly: Polynomial, active=None) -> Polynomial:
+def hessian(poly: Polynomial, active) -> Polynomial:
     """Determinant of the matrix of second partials on the active variables.
 
     The variable-interaction graph splits the matrix into diagonal blocks, so
     the determinant is computed blockwise (cofactor expansion with memoized
     column masks inside each block).  Empty variable set gives 1.
     """
-    n = poly.nvars
-    active = tuple(sorted(range(n) if active is None else active))
-    result = Polynomial(poly.variables, {tuple([0] * n): Fraction(1)})
+    result = Polynomial(poly.variables, {tuple([0] * poly.nvars): Fraction(1)})
     for comp in components(poly, active):
         rows = [[poly.diff(i).diff(j) for j in comp] for i in comp]
         result = result * _poly_det(rows, poly.variables)

@@ -133,15 +133,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self):
-        """Indices of variables that actually occur."""
-        used = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(i)
-        return used
-
     @property
     def supports(self) -> tuple:
         """The variable sets of the monomials as bitmasks, bit i for x_i."""

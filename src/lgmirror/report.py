@@ -10,11 +10,11 @@ class PreconditionError(Exception):
 class Report:
     __slots__ = ("check", "passed", "details", "mismatches")
 
-    def __init__(self, check: str, passed: bool, details=None, mismatches=None):
+    def __init__(self, check: str, passed: bool, details, mismatches):
         self.check = check
         self.passed = bool(passed)
-        self.details = dict(details or {})
-        self.mismatches = list(mismatches or [])
+        self.details = dict(details)
+        self.mismatches = list(mismatches)
 
     def __bool__(self):
         return self.passed

@@ -286,7 +286,7 @@ def build_state_space(
         raise NotAdmissible("B-model requires G inside SL (integral ages)")
     if rings is None:
         rings = {}
-    halves = balanced_halves(milnor_ring(poly, None, ws, rings))
+    halves = balanced_halves(milnor_ring(poly, range(poly.nvars), ws, rings))
     sides = tuple([sum([1 << i for part in half for i in part.active]) for half in halves])
     space = StateSpace(poly, ws, group, flavor, rings, sector_classes(group), invariant or Invariants(group), sides)
     for locus in space.loci():

@@ -4,7 +4,8 @@ A group is a lattice, span_Z(gens) + L*Z^n over its exponent L, held by
 an echelon (Hermite) basis whose pivots divide L (Cohen, GTM 138, §2.4).
 Its members are int vectors over L, and the package holds and combines
 them in no other form.  The order, the product of L / pivot, is checked
-against the cap before any member is listed.  `vectors` comes from one
+against the cap once, when a `SymmetryGroup` is made, so before any member
+is listed.  `vectors` comes from one
 mixed-radix walk of the basis, already sorted.  Column i of the walk is
 final once row i is applied, so sector classes are counted on merged
 partial vectors, packed into one int (`Packed`, `sector_classes`), and BV
@@ -210,7 +211,9 @@ class SymmetryGroup:
 
     The group is the lattice span_Z(gens) + L*Z^n over its exponent L,
     held as an echelon basis: row i of `basis` vanishes before column i and
-    its pivot basis[i][i] divides L, so |G| = prod L / pivot.  Membership
+    its pivot basis[i][i] divides L, so |G| = prod L / pivot, which is
+    checked against the cap here, where every group is made, before any
+    member can be walked (EnumerationCapExceeded).  Membership
     and subgroup tests reduce by the basis.  `vectors`, the int vectors over
     L, is walked from it on first read, already sorted (the lexicographic
     order of the components); it is the only listing of the members."""
@@ -222,6 +225,9 @@ class SymmetryGroup:
         self.L = L
         self.basis = tuple(basis)
         self.order = _order(self.basis, L)
+        cap = _cap()
+        if self.order > cap:
+            raise EnumerationCapExceeded(f"|G| = {self.order} exceeds cap {cap} (set LGMIRROR_MAX_GROUP)")
         self.gens = tuple(gens)
         self._vectors = None
 
@@ -360,30 +366,17 @@ def sector_classes(group: SymmetryGroup) -> dict:
     return {(tuple([i for i in range(n) if mask >> i & 1]), total): k for (mask, total, _), k in states.items()}
 
 
-def _check_cap(order: int):
-    """Raise before a group of `order` elements over the cap is walked."""
-    cap = _cap()
-    if order > cap:
-        raise EnumerationCapExceeded(
-            f"|G| = {order} exceeds cap {cap} (set LGMIRROR_MAX_GROUP)"
-        )
-
-
 def span(n: int, gens) -> SymmetryGroup:
     """Smallest subgroup of (Q/Z)^n containing the generators, as a lattice;
-    its order is checked against the cap, and nothing is walked."""
+    nothing is walked."""
     gens = [g for g in gens if not g.is_identity()]
     L, vecs = int_vectors(gens)
-    group = SymmetryGroup(n, *_lattice(n, L, vecs), gens)
-    _check_cap(group.order)
-    return group
+    return SymmetryGroup(n, *_lattice(n, L, vecs), gens)
 
 
 def _greedy_group(n: int, L: int, vecs, chars=()) -> SymmetryGroup:
-    """The group of `_lattice(n, L, vecs, chars)`, its order checked against
-    the cap, with `minimal_generators`."""
+    """The group of `_lattice(n, L, vecs, chars)`, with `minimal_generators`."""
     group = SymmetryGroup(n, *_lattice(n, L, vecs, chars), ())
-    _check_cap(group.order)
     group.gens = tuple(minimal_generators(group))
     return group
 
@@ -424,15 +417,12 @@ def gmax(poly: Polynomial) -> SymmetryGroup:
     """Maximal diagonal symmetry group {g : A_W g integral}, generated by
     the rows of its echelon basis.
 
-    Requires the exponent matrix to have full column rank; |Gmax| is checked
-    against the cap before anything is walked.
+    Requires the exponent matrix to have full column rank; nothing is
+    walked.
     """
-    n = poly.nvars
     L, basis = _gmax_lattice(poly)
     gens = [g for g in (GroupElement._raw(row, L) for row in basis) if not g.is_identity()]
-    group = SymmetryGroup(n, L, basis, gens)
-    _check_cap(group.order)
-    return group
+    return SymmetryGroup(poly.nvars, L, basis, gens)
 
 
 def element_in_gmax(poly: Polynomial, g: GroupElement) -> bool:
@@ -469,7 +459,7 @@ def transpose_group(group: SymmetryGroup, poly: Polynomial) -> SymmetryGroup:
     Built from its constraint lattice, without walking Gmax(W^T): for each
     generator h of G, A_W h is an integral vector c, and the dual group is
     the kernel of x -> c.x mod L on the echelon basis of Gmax(W^T) over its
-    exponent L.  Its order is checked against the cap; nothing is walked.
+    exponent L.  Nothing is walked.
     The pairing uses the head-aligned exponent matrix.  A W that is not
     invertible has no dual group: NoDualGroup, a precondition of the mirror.
     """

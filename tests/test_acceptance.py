@@ -22,8 +22,8 @@ from lgmirror.catalog import (
     sample_polynomial,
 )
 from lgmirror.chenruan import verify_bv_mirror, verify_lgcy
+import lgmirror.frobenius as frobenius
 from lgmirror.frobenius import verify_theorem2
-from lgmirror.milnor import milnor_ring
 from lgmirror.polyring import (
     Polynomial,
     atomic_decomposition,
@@ -43,7 +43,7 @@ from lgmirror.symmetry import (
     span,
     transpose_group,
 )
-from test_oracles import fermat_milnor_number, fermat_total, residue_pairing
+from test_oracles import fermat_milnor_number, fermat_total, residue_pairing, unscaled_phi_bar, whole_ring
 
 E1 = parse_polynomial("x0^2+x1^3+x2^6")        # (3,2,1;6)
 E2 = parse_polynomial("x0^2+x1^4+x2^4")        # (2,1,1;4)
@@ -213,7 +213,7 @@ def test_criterion_07_bv_mirror_symmetry(models, octic_model):
     assert saw_big
 
 
-def test_criterion_08_theorem2(models):
+def test_criterion_08_theorem2(models, monkeypatch):
     model = models[0][1]  # Fermat E x K3
     start = time.perf_counter()
     report = verify_theorem2(model)
@@ -224,7 +224,8 @@ def test_criterion_08_theorem2(models):
     assert report.details["associativity_failures"] == 0
     assert report.details["frobenius_failures"] == 0
     assert report.details["gamma_pairs_checked"] >= 1
-    bad = verify_theorem2(model, rescaled=False)
+    monkeypatch.setattr(frobenius, "phi_bar", unscaled_phi_bar)
+    bad = verify_theorem2(model)
     assert not bad.passed
     assert bad.details["product_failures"] or bad.details["pairing_failures"]
     print(
@@ -267,18 +268,18 @@ def test_criterion_10_milnor_engine():
         blocks = atomic_decomposition(poly)
         if all(b.kind == "fermat" for b in blocks):
             ws = weight_system(poly)
-            assert milnor_ring(poly).mu == fermat_milnor_number(ws)
+            assert whole_ring(poly).mu == fermat_milnor_number(ws)
             fermat_checked += 1
     assert fermat_checked >= 5
     # multiplicativity across disjoint sums
     for w1, w2 in ((E1, K3A), (E2, K3C)):
         assert (
-            milnor_ring(direct_sum(w1, w2)).mu
-            == milnor_ring(w1).mu * milnor_ring(w2).mu
+            whole_ring(direct_sum(w1, w2)).mu
+            == whole_ring(w1).mu * whole_ring(w2).mu
         )
     # nondegenerate residue Gram matrices on three rings
     for text in ("x^3", "x0^2+x1^3+x2^6", "x^3*y+y^4"):
-        ring = milnor_ring(parse_polynomial(text))
+        ring = whole_ring(parse_polynomial(text))
         basis = [Polynomial(ring.poly.variables, {m: 1}) for m in ring.basis]
         gram = [[residue_pairing(a, b, ring) for b in basis] for a in basis]
         det = _exact_det(gram)

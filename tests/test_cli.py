@@ -284,6 +284,21 @@ def test_bv_theorem2_without_property1_exits_3(capsys):
     assert "property 1" in err
 
 
+def test_bv_theorem2_out_of_memory_exits_3(monkeypatch, capsys):
+    """A run that runs out of memory names the limit on one line of standard
+    error and exits 3, not 1 (a mismatch) with a traceback."""
+    import lgmirror.frobenius as frobenius
+
+    def exhausted(model):
+        raise MemoryError
+
+    monkeypatch.setattr(frobenius, "verify_theorem2", exhausted)
+    code, out, err = run(capsys, "bv", "theorem2", "--w1", "x0^2+x1^3+x2^6", "--w2", "y0^2+y1^6+y2^6+y3^6", "--json")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "MemoryError" in err
+
+
 # |Gmax(W1 + W2)| = 1,327,104 is over the default cap of 10^6, but no step
 # enumerates Gmax: the largest group built is G^T, of order 13,824
 OVER_GMAX_CAP = (
@@ -587,3 +602,49 @@ def test_every_package_import_is_read():
         unread += [(path.name, name) for name in names if name not in read]
     assert imported > 50
     assert unread == []
+
+
+def test_every_defaulted_parameter_is_set_and_left_by_some_call():
+    """Each defaulted parameter of a function or method under src/lgmirror is
+    set by some call in src/ or perfbench/, and left at its default by some
+    other.  A default that no such call leaves is no default, and one that
+    no such call sets is an option that only tests use.  Calls are matched
+    by name, an `__init__` by its class's name; a starred argument sets
+    every parameter it can reach."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(SRC).parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted((root / "src").rglob("*.py"))}
+    trees.update({path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted((root / "perfbench").rglob("*.py"))})
+    defaulted = []  # (name, positional parameters, parameter)
+    for path, tree in trees.items():
+        if "lgmirror" not in path.parts:
+            continue
+        methods = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            optional = positional[len(positional) - len(args.defaults) :]
+            optional += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            if id(node) in methods:
+                positional = positional[1:]
+            name = methods[id(node)] if node.name == "__init__" else node.name
+            defaulted += [(name, positional, arg) for arg in optional]
+    calls: dict = {}  # name -> [(positional count, keywords, starred)]
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                starred = any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords)
+                calls.setdefault(name, []).append((len(node.args), {k.arg for k in node.keywords}, starred))
+    unused = []
+    for name, positional, arg in defaulted:
+        index = positional.index(arg) if arg in positional else len(positional)
+        sets = [starred or count > index or arg in keywords for count, keywords, starred in calls.get(name, ())]
+        if not (any(sets) and not all(sets)):
+            unused.append(f"{name}({arg})")
+    assert len(defaulted) >= 10
+    assert unused == []

@@ -31,6 +31,7 @@ from test_oracles import (
     even_basis,
     neg,
     phi_map,
+    unscaled_phi_bar,
     z2_grading,
 )
 
@@ -321,13 +322,14 @@ def test_theorem2_mini():
     assert report.passed, report.mismatches
 
 
-def test_theorem2_fermat_k3_and_negative_control():
+def test_theorem2_fermat_k3_and_negative_control(monkeypatch):
     m = build_bv(E1, K3, jgens(E1, K3))
     report = verify_theorem2(m)
     assert report.passed, report.mismatches
     assert report.details["associativity_failures"] == 0
     assert report.details["frobenius_failures"] == 0
-    bad = verify_theorem2(m, rescaled=False)
+    monkeypatch.setattr(frobenius, "phi_bar", unscaled_phi_bar)
+    bad = verify_theorem2(m)
     assert not bad.passed
     assert bad.details["product_failures"] or bad.details["pairing_failures"]
 

@@ -9,8 +9,9 @@ them after a deliberate change of a report, run
     PYTHONPATH=src python tests/test_golden.py
 
 The unscaled Theorem 2 control has no CLI verb; its reports are stored the
-same way from ``verify_theorem2(model, rescaled=False)``, so its failure
-counts and the order of its mismatches are pinned too.  So is the report
+same way from ``verify_theorem2(model)`` with ``frobenius.phi_bar``
+patched to the unscaled map (``unscaled_phi_bar``), so its failure counts
+and the order of its mismatches are pinned too.  So is the report
 of twist-iso B on E1 x K3A with the first two weights of the twist swapped,
 the control whose mismatches are ``bidegree changed`` records.
 """
@@ -20,14 +21,16 @@ import io
 import json
 import pathlib
 import sys
+from unittest import mock
 
 import pytest
 
 from lgmirror.bvlg import TwistModel, block_j_elements, build_bv, verify_twist_iso
 from lgmirror.cli import main
-from lgmirror.frobenius import verify_theorem2
+import lgmirror.frobenius as frobenius
 from lgmirror.polyring import WeightSystem, parse_polynomial, weight_system
 from lgmirror.symmetry import parse_group_elements
+from test_oracles import unscaled_phi_bar
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 
@@ -99,7 +102,8 @@ def run_unscaled(w1, w2, gens):
         elements = parse_group_elements(gens, p1.nvars + p2.nvars)
     else:
         elements = block_j_elements(weight_system(p1), weight_system(p2))
-    report = verify_theorem2(build_bv(p1, p2, elements), rescaled=False)
+    with mock.patch.object(frobenius, "phi_bar", unscaled_phi_bar):
+        report = frobenius.verify_theorem2(build_bv(p1, p2, elements))
     return json.dumps(report.to_json(), sort_keys=True) + "\n"
 
 

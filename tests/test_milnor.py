@@ -15,13 +15,22 @@ from lgmirror.polyring import Polynomial, WeightSystem, parse_polynomial, weight
 from test_oracles import fermat_milnor_number, residue_pairing
 
 
-def ring(text, active=None):
-    return milnor_ring(parse_polynomial(text), active=active)
+def everything(p):
+    """Every variable of `p`, the active set of its whole Milnor ring."""
+    return range(p.nvars)
+
+
+def ring(poly, active=None, ws=None):
+    """The Milnor ring of `poly`, a Polynomial or its text, on `active`
+    (every variable by default), graded by `ws` (its own weight system by
+    default), in a fresh cache."""
+    p = parse_polynomial(poly) if isinstance(poly, str) else poly
+    return milnor_ring(p, everything(p) if active is None else active, ws or weight_system(p), {})
 
 
 def test_jacobian_fermat():
     p = parse_polynomial("x0^2+x1^3+x2^6")
-    parts = jacobian_ideal(p)
+    parts = jacobian_ideal(p, everything(p))
     assert parts[0].terms == {(1, 0, 0): 2}
     assert parts[1].terms == {(0, 2, 0): 3}
     assert parts[2].terms == {(0, 0, 5): 6}
@@ -29,14 +38,14 @@ def test_jacobian_fermat():
 
 def test_jacobian_chain():
     p = parse_polynomial("x^3+x*y^4")
-    parts = jacobian_ideal(p)
+    parts = jacobian_ideal(p, everything(p))
     assert parts[0].terms == {(2, 0): 3, (0, 4): 1}
     assert parts[1].terms == {(1, 3): 4}
 
 
 def test_jacobian_constant():
     const = Polynomial(("x", "y"), {(0, 0): 5})
-    parts = jacobian_ideal(const)
+    parts = jacobian_ideal(const, everything(const))
     assert len(parts) == 2
     assert all(q.is_zero() for q in parts)
 
@@ -44,7 +53,7 @@ def test_jacobian_constant():
 def test_groebner_monomial_ideal_unchanged():
     p = parse_polynomial("x0^2+x1^3+x2^6")
     order = TermOrder(weight_system(p).weights)
-    basis = groebner(jacobian_ideal(p), order)
+    basis = groebner(jacobian_ideal(p, everything(p)), order)
     assert sorted(lt for lt, _ in basis) == [(0, 0, 5), (0, 2, 0), (1, 0, 0)]
 
 
@@ -75,8 +84,9 @@ def test_milnor_k3():
 
 
 def test_milnor_degenerate():
+    # x^2*y has no unique weights; (1, 1; 3) grades it
     with pytest.raises(DegenerateSingularity):
-        ring("x^2*y")
+        ring("x^2*y", ws=WeightSystem((1, 1), 3))
 
 
 def test_milnor_chain_matches_weight_formula():
@@ -96,15 +106,13 @@ def test_milnor_chain_matches_weight_formula():
 
 
 def test_milnor_restricted_active():
-    p = parse_polynomial("x0^2+x1^3+x2^6")
-    r = milnor_ring(p, active=(1,))
+    r = ring("x0^2+x1^3+x2^6", active=(1,))
     assert r.mu == 2
     assert set(r.basis) == {(0, 0, 0), (0, 1, 0)}
 
 
 def test_milnor_empty_active():
-    p = parse_polynomial("x0^2+x1^3+x2^6")
-    r = milnor_ring(p, active=())
+    r = ring("x0^2+x1^3+x2^6", active=())
     assert r.mu == 1
     assert r.basis == ((0, 0, 0),)
     assert r.socle == (0, 0, 0)
@@ -115,7 +123,7 @@ def test_mu_multiplicative_disjoint_sum():
 
     p = parse_polynomial("x0^2+x1^3+x2^6")
     q = parse_polynomial("y0^2+y1^6+y2^6+y3^6")
-    assert milnor_ring(direct_sum(p, q)).mu == milnor_ring(p).mu * milnor_ring(q).mu
+    assert ring(direct_sum(p, q)).mu == ring(p).mu * ring(q).mu
 
 
 def test_components_split_on_shared_monomials():
@@ -130,7 +138,7 @@ def test_block_rings_go_to_the_cache():
     p = parse_polynomial("x0^2*x1+x1^3+x2^4")
     rings = {}
     ws = weight_system(p)
-    r = milnor_ring(p, ws=ws, rings=rings)
+    r = milnor_ring(p, everything(p), ws, rings)
     assert sorted(rings) == [(0, 1), (0, 1, 2), (2,)]
     assert rings[(0, 1, 2)] is r
     assert [part.active for part in r.parts] == [(0, 1), (2,)]
@@ -138,16 +146,16 @@ def test_block_rings_go_to_the_cache():
     assert r.socle == (0, 2, 2)  # x1^2 times x2^2
     assert len(r.basis) == r.mu
     # a second call is served from the cache, a block ring too
-    assert milnor_ring(p, ws=ws, rings=rings) is r
-    assert milnor_ring(p, active=(2,), ws=ws, rings=rings) is rings[(2,)]
+    assert milnor_ring(p, everything(p), ws, rings) is r
+    assert milnor_ring(p, (2,), ws, rings) is rings[(2,)]
     # a different weight system is not: the ring and its blocks are rebuilt
     flat = WeightSystem((1, 1, 1), 2)
-    other = milnor_ring(p, ws=flat, rings=rings)
+    other = milnor_ring(p, everything(p), flat, rings)
     assert other is not r and other.weights == flat.weights
     assert all(part.weights == flat.weights for part in other.parts)
     assert other.mu == r.mu
     with pytest.raises(DegenerateSingularity):
-        milnor_ring(p, active=(0, 2), ws=weight_system(p), rings=rings)
+        milnor_ring(p, (0, 2), weight_system(p), rings)
 
 
 def test_cache_hit_restricts_nothing(monkeypatch):
@@ -156,7 +164,7 @@ def test_cache_hit_restricts_nothing(monkeypatch):
     p = parse_polynomial("x0^2*x1+x1^3+x2^4")
     ws = weight_system(p)
     rings = {}
-    r = milnor_ring(p, ws=ws, rings=rings)
+    r = milnor_ring(p, everything(p), ws, rings)
     calls = []
     original = milnor.restrict
 
@@ -165,11 +173,11 @@ def test_cache_hit_restricts_nothing(monkeypatch):
         return original(poly, fixed)
 
     monkeypatch.setattr(milnor, "restrict", counting)
-    assert milnor_ring(p, ws=ws, rings=rings) is r
-    assert milnor_ring(p, active=(2,), ws=ws, rings=rings) is rings[(2,)]
+    assert milnor_ring(p, everything(p), ws, rings) is r
+    assert milnor_ring(p, (2,), ws, rings) is rings[(2,)]
     assert calls == []
     # a miss still restricts
-    milnor_ring(p, active=(1,), ws=ws, rings=rings)
+    milnor_ring(p, (1,), ws, rings)
     assert calls
 
 
@@ -184,8 +192,20 @@ def test_normal_form_examples():
     r2 = ring("x0^2+x1^3+x2^6")
     m = Polynomial(("x0", "x1", "x2"), {(0, 1, 4): 1})
     assert r2.normal_form(m) == m
-    for gen in jacobian_ideal(parse_polynomial("x0^2+x1^3+x2^6")):
+    p = parse_polynomial("x0^2+x1^3+x2^6")
+    for gen in jacobian_ideal(p, everything(p)):
         assert r2.normal_form(gen).is_zero()
+
+
+def test_normal_form_rejects_an_inactive_variable():
+    """A ring on some of the variables reduces only polynomials in those:
+    x0 is inactive on the ring of x0^2+x1^3+x2^6 on (x1, x2)."""
+    r = ring("x0^2+x1^3+x2^6", active=(1, 2))
+    variables = ("x0", "x1", "x2")
+    assert r.normal_form(Polynomial(variables, {(0, 1, 4): 1})).terms == {(0, 1, 4): 1}
+    for mono in ((1, 0, 0), (1, 1, 0)):
+        with pytest.raises(ValueError, match="outside the ring"):
+            r.normal_form(Polynomial(variables, {mono: 1, (0, 0, 1): 1}))
 
 
 def test_monomial_normal_form_remembered_per_ring():
@@ -216,32 +236,31 @@ def test_normal_form_idempotent_and_graded():
 def test_socle_degree_matches_sum_rule():
     # weighted socle degree equals sum(d - 2 w_i) in w-units
     for text in ("x0^2+x1^3+x2^6", "y0^2+y1^6+y2^6+y3^6", "x^3*y+y^4"):
-        p = parse_polynomial(text)
-        ws = weight_system(p)
-        r = milnor_ring(p)
+        ws = weight_system(parse_polynomial(text))
+        r = ring(text)
         assert r.wdeg(r.socle) == sum(ws.degree - 2 * w for w in ws.weights)
 
 
 def test_hessian_one_variable():
     p = parse_polynomial("x^3")
-    assert hessian(p).terms == {(1,): 6}
+    assert hessian(p, everything(p)).terms == {(1,): 6}
 
 
 def test_hessian_fermat_diagonal():
     p = parse_polynomial("x0^2+x1^3+x2^6")
-    assert hessian(p).terms == {(0, 1, 4): 360}
+    assert hessian(p, everything(p)).terms == {(0, 1, 4): 360}
 
 
 def test_hessian_empty_convention():
     p = parse_polynomial("x0^2+x1^3+x2^6")
-    h = hessian(p, active=())
+    h = hessian(p, ())
     assert h.terms == {(0, 0, 0): 1}
 
 
 def test_hessian_offdiagonal_block():
     # W = x^2 y + y^2 x: H = [[2y, 2x+2y],[2x+2y, 2x]]
     p = parse_polynomial("x^2*y+y^2*x")
-    h = hessian(p)
+    h = hessian(p, everything(p))
     direct = p.diff(0).diff(0) * p.diff(1).diff(1) - p.diff(0).diff(1) * p.diff(1).diff(0)
     assert h == direct
 

@@ -297,6 +297,12 @@ def fermat_milnor_number(ws):
     return total
 
 
+def whole_ring(poly):
+    """The Milnor ring of `poly` on every variable, graded by its own weight
+    system, in a fresh cache."""
+    return milnor_ring(poly, range(poly.nvars), weight_system(poly), {})
+
+
 def residue_pairing(f, g, ring):
     """<f, g> = mu * socle-coeff(nf(f*g)) / socle-coeff(nf(Hess(W)))."""
     return ring.residue(ring.socle_coefficient(f * g))
@@ -393,6 +399,13 @@ def phi_map(e, bhk_space, bv_space, sigma, rescaled=True):
     if not rescaled:
         return Fraction(1), moved
     return (Fraction(1, 2) if fixes else Fraction(2)), moved
+
+
+def unscaled_phi_bar(alg2, alg0, sigma):
+    """`phi_bar` with every scale 2 (s = 1 for every image): the unscaled
+    map of the Theorem 2 negative controls, patched in as
+    `frobenius.phi_bar`; `phi_map(..., rescaled=False)` is its oracle."""
+    return [(2, t) for _, t in phi_bar(alg2, alg0, sigma)]
 
 
 def check_property1(poly, group, ws=None):
@@ -593,7 +606,7 @@ def assert_same_dual(group, poly):
 def assert_same_bases(poly, group, ws):
     """Every fixed locus of G: the walk's basis is the box's, in order."""
     for fixed in sorted({vector_locus(v) for v in group.vectors}):
-        ring = milnor_ring(poly, active=fixed, ws=ws)
+        ring = milnor_ring(poly, fixed, ws, {})
         assert ring.basis == box_basis(ring)
         top = max(ring.wdeg(m) for m in ring.basis)
         assert [m for m in ring.basis if ring.wdeg(m) == top] == [ring.socle]
@@ -1154,14 +1167,14 @@ def test_milnor_bases_match_box_on_every_fixed_locus():
             (mirror_poly, dual, mirror_ws),
         ):
             for fixed in {vector_locus(v) for v in group.vectors}:
-                ring = milnor_ring(poly, active=fixed, ws=ws)
+                ring = milnor_ring(poly, fixed, ws, {})
                 assert ring.mu == fermat_mu(ws, fixed)
 
 
 def test_milnor_basis_chain_and_loop():
     for text in ("x^3+x*y^4", "x^2*y+y^3*z+z^4", "x^3*y+y^3*z+z^3*x"):
         poly = parse_polynomial(text)
-        ring = milnor_ring(poly)
+        ring = whole_ring(poly)
         assert ring.basis == box_basis(ring)
 
 
@@ -1620,9 +1633,11 @@ THEOREM2_MODELS = {
 
 @pytest.mark.parametrize("rescaled", [True, False])
 @pytest.mark.parametrize("name", sorted(THEOREM2_MODELS))
-def test_theorem2_matches_elementwise_oracle(name, rescaled):
+def test_theorem2_matches_elementwise_oracle(monkeypatch, name, rescaled):
     model = THEOREM2_MODELS[name]()
-    report = verify_theorem2(model, rescaled=rescaled).to_json()
+    if not rescaled:
+        monkeypatch.setattr(frobenius, "phi_bar", unscaled_phi_bar)
+    report = verify_theorem2(model).to_json()
     assert report == elementwise_theorem2(model, rescaled=rescaled).to_json()
 
 
@@ -1719,8 +1734,9 @@ def table_contraction(C, P, visit=None):
     return tuple(counts)
 
 
-def reference_theorem2(model, rescaled=True, contraction=None):
-    """`verify_theorem2` on the tables of `reference_tables`: phi-bar is
+def reference_theorem2(model, contraction=None):
+    """`verify_theorem2` on the tables of `reference_tables`: phi-bar
+    (`frobenius.phi_bar`, so a patched map serves both) is
     compared for each i on the union of the nonzero supports of C2_i, P2_i,
     C0_phi(i), P0_phi(i) (pulled back by phi), in order, times 4 and both
     denominators; then the unit, `table_contraction` on C0, P0 (or
@@ -1740,7 +1756,7 @@ def reference_theorem2(model, rescaled=True, contraction=None):
     if alg2.dim != alg0.dim:
         mismatches.append({"reason": "even subspace dimensions differ"})
 
-    phi = phi_bar(alg2, alg0, mirror.sigma, rescaled)
+    phi = frobenius.phi_bar(alg2, alg0, mirror.sigma)
     elements2, elements0 = list(alg2.at), list(alg0.at)
     D2, D0 = b2_space.D, b0_space.D
     preimages: dict = {}
@@ -1863,7 +1879,7 @@ def test_phi_bar_matches_phi_map(name, rescaled):
     L = alg0.L
     bhk, bv = EagerSpace(bhk, L), EagerSpace(bv)
     sigma = model.mirror().sigma
-    phi = phi_bar(alg2, alg0, sigma, rescaled)
+    phi = (phi_bar if rescaled else unscaled_phi_bar)(alg2, alg0, sigma)
     even2 = even_basis(bhk)
     assert len(phi) == len(even2) == alg2.dim
     scales = set()
@@ -1966,13 +1982,13 @@ def _corrupt_one_product_and_pairing(monkeypatch, model):
     return key
 
 
-def _reports(model, rescaled):
+def _reports(model):
     """The reports of `verify_theorem2` and of `reference_theorem2`, or the
     class of the precondition error that both raise."""
     out = []
     for verify in (verify_theorem2, reference_theorem2):
         try:
-            out.append(verify(model, rescaled).to_json())
+            out.append(verify(model).to_json())
         except FrobeniusError as error:
             out.append(type(error))
     return out
@@ -1993,10 +2009,12 @@ def test_theorem2_matches_the_table_reference(monkeypatch, name, rescaled):
     path, field for field and mismatch records in order, as given and with
     one product and one pairing corrupted, which it then fails."""
     model = DIFFERENTIAL_MODELS[name]()
-    new, reference = _reports(model, rescaled)
+    if not rescaled:
+        monkeypatch.setattr(frobenius, "phi_bar", unscaled_phi_bar)
+    new, reference = _reports(model)
     assert new == reference
     _corrupt_one_product_and_pairing(monkeypatch, model)
-    new, reference = _reports(model, rescaled)
+    new, reference = _reports(model)
     assert new == reference
     assert new["associativity_failures"] and new["frobenius_failures"] and not new["pass"]
 
@@ -2005,15 +2023,17 @@ def test_theorem2_matches_the_table_reference(monkeypatch, name, rescaled):
 def test_census_theorem2_matches_the_table_reference(monkeypatch, rescaled):
     """Every third census model, corrupted: the same failing reports, or the
     same precondition error off property 1, on 12 of the 30."""
+    if not rescaled:
+        monkeypatch.setattr(frobenius, "phi_bar", unscaled_phi_bar)
     failed = 0
     for model in _census_models():
         if not check_property1(model.poly, model.sigma_group, ws=model.ws).passed:
             failed += 1
-            assert _reports(model, rescaled) == [HypothesisFailed] * 2
+            assert _reports(model) == [HypothesisFailed] * 2
             continue
         with monkeypatch.context() as patch:
             _corrupt_one_product_and_pairing(patch, model)
-            new, reference = _reports(model, rescaled)
+            new, reference = _reports(model)
         assert new == reference
         assert new["associativity_failures"] and new["frobenius_failures"]
     assert failed == 12
@@ -2024,7 +2044,7 @@ def test_octic_sl_theorem2_matches_the_table_reference(monkeypatch):
     of the table path, with 363 associativity failures."""
     model = build_bv(E1, OCTIC, parse_group_elements(SL_OCTIC, 8))
     _corrupt_one_product_and_pairing(monkeypatch, model)
-    new, reference = _reports(model, True)
+    new, reference = _reports(model)
     assert new == reference
     assert (new["associativity_failures"], new["frobenius_failures"]) == (363, 1823)
 
@@ -2627,7 +2647,7 @@ def primitive_classes(poly, active, ws):
     dim = len(active) - 2
     if dim < 0:
         return []
-    ring = milnor_ring(poly, active=active, ws=ws)
+    ring = milnor_ring(poly, active, ws, {})
     form_weight = sum(ws.weights[k] for k in active)
     out = []
     for m in ring.basis:
@@ -2952,7 +2972,8 @@ def dense_milnor_numbers():
     out = {}
     for weights, degree in chosen:
         try:
-            out[weights, degree] = milnor_ring(dense_member(weights, degree, rng), ws=WeightSystem(weights, degree)).mu
+            poly = dense_member(weights, degree, rng)
+            out[weights, degree] = milnor_ring(poly, range(poly.nvars), WeightSystem(weights, degree), {}).mu
         except DegenerateSingularity:
             out[weights, degree] = None
     return out
@@ -3054,7 +3075,7 @@ def groebner_invertible(poly: Polynomial) -> bool:
     if len(rows) != poly.nvars or _int_det(rows) == 0:
         return False
     try:
-        milnor_ring(poly, ws=ws)
+        milnor_ring(poly, range(poly.nvars), ws, {})
     except DegenerateSingularity:
         return False
     return True

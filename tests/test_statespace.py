@@ -244,11 +244,11 @@ def test_one_invariants_keeps_the_buckets_of_each_ring_apart():
     the counted leaves, and the kept monomials of their join, that a fresh
     `Invariants` gives it, not those of an earlier ring of the same block."""
     group = span(2, [GroupElement([Fraction(1, 2), Fraction(1, 2)])])
-    cubic = parse_polynomial("x0^3+x1^3")
+    cubic, quintic = parse_polynomial("x0^3+x1^3"), parse_polynomial("x0^5+x1^5")
     rings = [
-        milnor_ring(cubic, (0,)),
-        milnor_ring(parse_polynomial("x0^5+x1^5"), (0,)),
-        milnor_ring(cubic, (0,), WeightSystem((2, 1), 6)),
+        milnor_ring(cubic, (0,), weight_system(cubic), {}),
+        milnor_ring(quintic, (0,), weight_system(quintic), {}),
+        milnor_ring(cubic, (0,), WeightSystem((2, 1), 6), {}),
     ]
     invariant = Invariants(group)
     for ring in rings:
@@ -392,16 +392,20 @@ def test_table_verdicts_list_no_state(monkeypatch):
 
 
 def test_state_verdicts_run_no_count_join(monkeypatch):
-    """The twist isomorphism (A and B) and Theorem 2 on E1 x K3A read the
-    listed view only, their dimensions included: no block ring is counted
-    and no counts are convolved."""
-    monkeypatch.setattr(statespace.Invariants, "counts", _unread)
-    monkeypatch.setattr(statespace, "convolve_counts", _unread)
-    for flavor in ("A", "B"):
-        model = build_bv(E1, K3, block_j_elements(WS1, WS2))
-        assert bvlg.verify_twist_iso(model, flavor).passed
-        assert model.space(flavor)._degrees is None
-    assert frobenius.verify_theorem2(build_bv(E1, K3, block_j_elements(WS1, WS2))).passed
+    """The twist isomorphism (A and B) on E1 x K3A reads the listed view
+    only, its dimensions included: no block ring is counted and no counts
+    are convolved.  Theorem 2 reads the model's A space only through
+    property 1, on the counted view, so it lists no A state."""
+    with monkeypatch.context() as patch:
+        patch.setattr(statespace.Invariants, "counts", _unread)
+        patch.setattr(statespace, "convolve_counts", _unread)
+        for flavor in ("A", "B"):
+            model = build_bv(E1, K3, block_j_elements(WS1, WS2))
+            assert bvlg.verify_twist_iso(model, flavor).passed
+            assert model.space(flavor)._degrees is None
+    model = build_bv(E1, K3, block_j_elements(WS1, WS2))
+    assert frobenius.verify_theorem2(model).passed
+    assert model.space("A")._kept is None
 
 
 def test_half_products_keyed_by_size_fail(monkeypatch, capsys):
