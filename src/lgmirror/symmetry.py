@@ -5,8 +5,8 @@ an echelon (Hermite) basis whose pivots divide L (Cohen, GTM 138, §2.4).
 Its members are int vectors over L, and the package holds and combines
 them in no other form.  The order, the product of L / pivot, is checked
 against the cap once, when a `SymmetryGroup` is made, so before any member
-is listed.  `vectors` comes from one
-mixed-radix walk of the basis, already sorted.  Column i of the walk is
+is listed.  `vectors` comes from one mixed-radix walk of the basis, already
+sorted.  Column i of the walk is
 final once row i is applied, so sector classes are counted on merged
 partial vectors, packed into one int (`Packed`, `sector_classes`), and BV
 coset representatives come from walks bounded by a subgroup's pivots.

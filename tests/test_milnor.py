@@ -15,22 +15,17 @@ from lgmirror.polyring import Polynomial, WeightSystem, parse_polynomial, weight
 from test_oracles import fermat_milnor_number, residue_pairing
 
 
-def everything(p):
-    """Every variable of `p`, the active set of its whole Milnor ring."""
-    return range(p.nvars)
-
-
 def ring(poly, active=None, ws=None):
     """The Milnor ring of `poly`, a Polynomial or its text, on `active`
     (every variable by default), graded by `ws` (its own weight system by
     default), in a fresh cache."""
     p = parse_polynomial(poly) if isinstance(poly, str) else poly
-    return milnor_ring(p, everything(p) if active is None else active, ws or weight_system(p), {})
+    return milnor_ring(p, range(p.nvars) if active is None else active, ws or weight_system(p), {})
 
 
 def test_jacobian_fermat():
     p = parse_polynomial("x0^2+x1^3+x2^6")
-    parts = jacobian_ideal(p, everything(p))
+    parts = jacobian_ideal(p, range(p.nvars))
     assert parts[0].terms == {(1, 0, 0): 2}
     assert parts[1].terms == {(0, 2, 0): 3}
     assert parts[2].terms == {(0, 0, 5): 6}
@@ -38,14 +33,14 @@ def test_jacobian_fermat():
 
 def test_jacobian_chain():
     p = parse_polynomial("x^3+x*y^4")
-    parts = jacobian_ideal(p, everything(p))
+    parts = jacobian_ideal(p, range(p.nvars))
     assert parts[0].terms == {(2, 0): 3, (0, 4): 1}
     assert parts[1].terms == {(1, 3): 4}
 
 
 def test_jacobian_constant():
     const = Polynomial(("x", "y"), {(0, 0): 5})
-    parts = jacobian_ideal(const, everything(const))
+    parts = jacobian_ideal(const, range(const.nvars))
     assert len(parts) == 2
     assert all(q.is_zero() for q in parts)
 
@@ -53,7 +48,7 @@ def test_jacobian_constant():
 def test_groebner_monomial_ideal_unchanged():
     p = parse_polynomial("x0^2+x1^3+x2^6")
     order = TermOrder(weight_system(p).weights)
-    basis = groebner(jacobian_ideal(p, everything(p)), order)
+    basis = groebner(jacobian_ideal(p, range(p.nvars)), order)
     assert sorted(lt for lt, _ in basis) == [(0, 0, 5), (0, 2, 0), (1, 0, 0)]
 
 
@@ -138,7 +133,7 @@ def test_block_rings_go_to_the_cache():
     p = parse_polynomial("x0^2*x1+x1^3+x2^4")
     rings = {}
     ws = weight_system(p)
-    r = milnor_ring(p, everything(p), ws, rings)
+    r = milnor_ring(p, range(p.nvars), ws, rings)
     assert sorted(rings) == [(0, 1), (0, 1, 2), (2,)]
     assert rings[(0, 1, 2)] is r
     assert [part.active for part in r.parts] == [(0, 1), (2,)]
@@ -146,11 +141,11 @@ def test_block_rings_go_to_the_cache():
     assert r.socle == (0, 2, 2)  # x1^2 times x2^2
     assert len(r.basis) == r.mu
     # a second call is served from the cache, a block ring too
-    assert milnor_ring(p, everything(p), ws, rings) is r
+    assert milnor_ring(p, range(p.nvars), ws, rings) is r
     assert milnor_ring(p, (2,), ws, rings) is rings[(2,)]
     # a different weight system is not: the ring and its blocks are rebuilt
     flat = WeightSystem((1, 1, 1), 2)
-    other = milnor_ring(p, everything(p), flat, rings)
+    other = milnor_ring(p, range(p.nvars), flat, rings)
     assert other is not r and other.weights == flat.weights
     assert all(part.weights == flat.weights for part in other.parts)
     assert other.mu == r.mu
@@ -164,7 +159,7 @@ def test_cache_hit_restricts_nothing(monkeypatch):
     p = parse_polynomial("x0^2*x1+x1^3+x2^4")
     ws = weight_system(p)
     rings = {}
-    r = milnor_ring(p, everything(p), ws, rings)
+    r = milnor_ring(p, range(p.nvars), ws, rings)
     calls = []
     original = milnor.restrict
 
@@ -173,7 +168,7 @@ def test_cache_hit_restricts_nothing(monkeypatch):
         return original(poly, fixed)
 
     monkeypatch.setattr(milnor, "restrict", counting)
-    assert milnor_ring(p, everything(p), ws, rings) is r
+    assert milnor_ring(p, range(p.nvars), ws, rings) is r
     assert milnor_ring(p, (2,), ws, rings) is rings[(2,)]
     assert calls == []
     # a miss still restricts
@@ -193,7 +188,7 @@ def test_normal_form_examples():
     m = Polynomial(("x0", "x1", "x2"), {(0, 1, 4): 1})
     assert r2.normal_form(m) == m
     p = parse_polynomial("x0^2+x1^3+x2^6")
-    for gen in jacobian_ideal(p, everything(p)):
+    for gen in jacobian_ideal(p, range(p.nvars)):
         assert r2.normal_form(gen).is_zero()
 
 
@@ -243,12 +238,12 @@ def test_socle_degree_matches_sum_rule():
 
 def test_hessian_one_variable():
     p = parse_polynomial("x^3")
-    assert hessian(p, everything(p)).terms == {(1,): 6}
+    assert hessian(p, range(p.nvars)).terms == {(1,): 6}
 
 
 def test_hessian_fermat_diagonal():
     p = parse_polynomial("x0^2+x1^3+x2^6")
-    assert hessian(p, everything(p)).terms == {(0, 1, 4): 360}
+    assert hessian(p, range(p.nvars)).terms == {(0, 1, 4): 360}
 
 
 def test_hessian_empty_convention():
@@ -260,7 +255,7 @@ def test_hessian_empty_convention():
 def test_hessian_offdiagonal_block():
     # W = x^2 y + y^2 x: H = [[2y, 2x+2y],[2x+2y, 2x]]
     p = parse_polynomial("x^2*y+y^2*x")
-    h = hessian(p, everything(p))
+    h = hessian(p, range(p.nvars))
     direct = p.diff(0).diff(0) * p.diff(1).diff(1) - p.diff(0).diff(1) * p.diff(1).diff(0)
     assert h == direct
 
