@@ -349,14 +349,14 @@ def phi_bar(alg2: BAlgebra, alg0: BAlgebra, sigma: GroupElement) -> list:
 def property1(a_space: StateSpace, b_space: StateSpace) -> Report:
     """All-or-nothing fixing of atomic blocks across the nonempty sectors of
     A(W, G) and B(W^T, G^T), already built: the nonempty loci that split a
-    block are read from the counted view (`degrees`), and only when there is
-    one are the group's int vectors walked, each sector on such a locus
-    reported in group order."""
+    block are read from the view each space has joined (`_sizes`), and only
+    when there is one are the group's int vectors walked, each sector on
+    such a locus reported in group order."""
     violations = []
     for space, side in ((a_space, "A"), (b_space, "B-mirror")):
         blocks = [(b, set(b.variables)) for b in atomic_decomposition(space.poly)]
         split = {}
-        for locus in space.degrees:
+        for locus in space._sizes():
             fixed = set(locus)
             cut = [(b, sorted(v & fixed)) for b, v in blocks if 0 < len(v & fixed) < len(v)]
             if cut:
@@ -470,9 +470,10 @@ def verify_theorem2(model: BVModel) -> Report:
     model lacks property 1, on which the theorem rests.
 
     phi-bar is the index map i -> (2 s_i, phi(i)) of the rescaled map
-    (`phi_bar`), the only one the theorem is stated for.  Property 1 reads
-    the counted views, so no state of A(W, G) is listed.  One state i of the
-    BHK mirror at a time, its nonzero products and pairings (`row`) are set
+    (`phi_bar`), the only one the theorem is stated for.  The BHK mirror's
+    B space is listed once, before property 1 reads it with the counted view
+    of A(W, G), so no state of A(W, G) is listed.  One state i of the BHK
+    mirror at a time, its nonzero products and pairings (`row`) are set
     beside those of phi(i) in the BV mirror, pulled back by phi, and
     compared times 4, in lowest terms, in the order of j: phi(e_i e_j) =
     s_i s_j phi(e_i) phi(e_j) and <e_i, e_j> = s_i s_j <phi(e_i), phi(e_j)>.
@@ -481,6 +482,7 @@ def verify_theorem2(model: BVModel) -> Report:
     mirror = model.mirror()  # its polynomial and weights are those of W^T
     bhk_group = transpose_group(model.sigma_group, model.poly)
     b2_space = build_state_space(mirror.poly, bhk_group, "B", mirror.ws, mirror.rings)
+    b2_space.kept  # listed here, for property 1 and BAlgebra alike
     prop = property1(a_space, b2_space)
     if not prop.passed:
         raise HypothesisFailed(prop.mismatches)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from operator import add, le, mul, neg, sub
 
 from .polyring import Polynomial, WeightSystem, restrict
 from .report import PreconditionError
@@ -53,10 +54,10 @@ class TermOrder:
         self.weights = tuple(int(w) for w in weights)
 
     def wdeg(self, mono) -> int:
-        return sum(e * w for e, w in zip(mono, self.weights))
+        return sum(map(mul, mono, self.weights))
 
     def key(self, mono):
-        return (self.wdeg(mono), tuple(-e for e in reversed(mono)))
+        return (sum(map(mul, mono, self.weights)), tuple(map(neg, reversed(mono))))
 
 
 def _leading(terms: dict, order: TermOrder):
@@ -71,11 +72,11 @@ def _monic(terms: dict, order: TermOrder) -> dict:
 
 
 def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _lcm_mono(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _reduce_terms(terms: dict, basis, order: TermOrder) -> dict:
@@ -89,11 +90,11 @@ def _reduce_terms(terms: dict, basis, order: TermOrder) -> dict:
             continue
         for lt, g in basis:
             if _divides(lt, m):
-                shift = tuple(x - y for x, y in zip(m, lt))
+                shift = tuple(map(sub, m, lt))
                 for m2, c2 in g.items():
                     if m2 == lt:
                         continue
-                    mm = tuple(x + y for x, y in zip(m2, shift))
+                    mm = tuple(map(add, m2, shift))
                     nv = work.get(mm, Fraction(0)) - c * c2
                     if nv:
                         work[mm] = nv
@@ -101,7 +102,7 @@ def _reduce_terms(terms: dict, basis, order: TermOrder) -> dict:
                         work.pop(mm, None)
                 break
         else:
-            remainder[m] = remainder.get(m, Fraction(0)) + c
+            remainder[m] = c  # later monomials are smaller: m comes back no more
     return remainder
 
 
@@ -131,16 +132,13 @@ def groebner(gens, order: TermOrder):
         lti, gi = basis[i]
         ltj, gj = basis[j]
         lcm = _lcm_mono(lti, ltj)
-        if tuple(a + b for a, b in zip(lti, ltj)) == lcm:
+        if tuple(map(add, lti, ltj)) == lcm:
             continue  # coprime leading terms
-        si = tuple(a - b for a, b in zip(lcm, lti))
-        sj = tuple(a - b for a, b in zip(lcm, ltj))
-        s: dict = {}
-        for m, c in gi.items():
-            mm = tuple(a + b for a, b in zip(m, si))
-            s[mm] = s.get(mm, Fraction(0)) + c
+        si = tuple(map(sub, lcm, lti))
+        sj = tuple(map(sub, lcm, ltj))
+        s = {tuple(map(add, m, si)): c for m, c in gi.items()}
         for m, c in gj.items():
-            mm = tuple(a + b for a, b in zip(m, sj))
+            mm = tuple(map(add, m, sj))
             nv = s.get(mm, Fraction(0)) - c
             if nv:
                 s[mm] = nv
@@ -257,10 +255,7 @@ class MilnorRing:
             return (tuple([0] * n),)
         lead = [lt for lt, _ in self.basis_entries]
         for i in active:
-            if not any(
-                lt[i] > 0 and all(e == 0 for j, e in enumerate(lt) if j != i)
-                for lt in lead
-            ):
+            if not any(0 < lt[i] == sum(lt) for lt in lead):
                 raise DegenerateSingularity(
                     f"no pure power of variable {self.poly.variables[i]} in the "
                     f"leading-term ideal of {self.poly}"
@@ -303,7 +298,7 @@ class MilnorRing:
         return self.basis[-1]
 
     def wdeg(self, mono) -> int:
-        return sum(e * w for e, w in zip(mono, self.weights))
+        return sum(map(mul, mono, self.weights))
 
     def regraded(self, weights, order: TermOrder) -> "MilnorRing":
         """This block ring under `weights`, proportional to its own on the
@@ -370,7 +365,8 @@ def milnor_ring(poly: Polynomial, active, ws: WeightSystem, rings: dict, halves=
     connected blocks assembled from block rings looked up in and added to
     the same cache, in the term order of its first ring when their weights
     agree.  Loci that split `active` along the blocks of `poly` give it
-    their rings' blocks as `halves`, with no `components` pass.
+    their rings' blocks as `halves`, with no `components` pass; a locus on
+    one side is that side's ring.
     """
     active = tuple(sorted(active))
     weights = tuple(ws.weights)
@@ -383,6 +379,8 @@ def milnor_ring(poly: Polynomial, active, ws: WeightSystem, rings: dict, halves=
         blocks = components(poly, active)
     else:
         sides = [milnor_ring(poly, half, ws, rings) for half in halves if half]
+        if len(sides) == 1:  # the locus is one side, its ring cached as such
+            return sides[0]
         blocks = sorted([part.active for side in sides for part in side.parts or (side,)])
     if len(blocks) < 2:
         ring = _block_ring(poly, active, weights, order)

@@ -179,12 +179,9 @@ class Polynomial:
     __rmul__ = __mul__
 
     def diff(self, i: int) -> "Polynomial":
-        res = {}
-        for m, c in self.terms.items():
-            if m[i] > 0:
-                dm = m[:i] + (m[i] - 1,) + m[i + 1 :]
-                res[dm] = res.get(dm, Fraction(0)) + c * m[i]
-        return Polynomial(self.variables, res)
+        # canonical as it stands: m -> m - e_i is one-to-one, and c * m[i] != 0
+        terms = {m[:i] + (m[i] - 1,) + m[i + 1 :]: c * m[i] for m, c in self.terms.items() if m[i]}
+        return Polynomial._clean(self.variables, terms)
 
     def normalized(self) -> "Polynomial":
         """Same monomials with every coefficient set to 1."""

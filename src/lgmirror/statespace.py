@@ -62,7 +62,7 @@ class StateSpace:
     which is (wdeg, m).  A locus with no invariant state is in neither.
     The states of a sector g, in order, are kept.get(Fix g, ())."""
 
-    __slots__ = ("poly", "ws", "group", "flavor", "rings", "classes", "invariant", "sides", "D", "_kept", "_degrees")
+    __slots__ = ("poly", "ws", "group", "flavor", "rings", "classes", "invariant", "sides", "D", "_kept", "_degrees", "_table")
 
     def __init__(self, poly, ws, group, flavor, rings, classes, invariant, sides):
         self.poly = poly
@@ -74,7 +74,7 @@ class StateSpace:
         self.invariant = invariant
         self.sides = sides  # two variable bitmasks: one split of W's blocks
         self.D = math.lcm(ws.degree, group.L)  # grades are int numerators over D
-        self._kept = self._degrees = None
+        self._kept = self._degrees = self._table = None
 
     @property
     def degrees(self) -> dict:
@@ -153,13 +153,23 @@ class Invariants:
         self.listed: dict = {}
 
     def _characters(self, part) -> list:
-        """(character, weight, m) over the standard monomials m of a block ring."""
-        add, pack, block, w = self.chars.add, self.chars.pack, part.active, part.weights
-        tops = {j: max([m[j] for m in part.basis]) + 2 for j in block}
-        multiples = {j: [pack([e * h[j] for h in self.gen_vecs]) for e in range(tops[j])] for j in block}
+        """(character, weight, m) over the standard monomials m of a block
+        ring.  The multiples e h_j of each variable's packed generator column
+        h_j are stepped by one `add` each; a one-variable block reads its
+        characters straight from them."""
+        add, block, w, basis = self.chars.add, part.active, part.weights, part.basis
+        multiples = {}
+        for j in block:
+            column = self.chars.pack([h[j] for h in self.gen_vecs])
+            multiples[j] = steps = [0]
+            for _ in range(max([m[j] for m in basis]) + 1):
+                steps.append(add(steps[-1], column))
+        if len(block) == 1:
+            (j,) = block
+            return [(multiples[j][m[j] + 1], (m[j] + 1) * w[j], m) for m in basis]
         return [
             (reduce(add, [multiples[j][m[j] + 1] for j in block], 0), sum([(m[j] + 1) * w[j] for j in block]), m)
-            for m in part.basis
+            for m in basis
         ]
 
     def counts(self, part) -> dict:
@@ -297,13 +307,16 @@ def build_state_space(
 def poincare_table(space: StateSpace) -> dict:
     """Map (p, q) -> dimension over exact rationals.  Every sector class
     adds its count times the degree histogram of its locus (`degrees`), on
-    int numerators; Fractions are built for the keys only."""
-    counts: Counter = Counter()
-    degrees = space.degrees
-    for (locus, age), count in space.classes.items():
-        for deg, k in degrees.get(locus, {}).items():
-            counts[space._grade(deg, age, len(locus))] += count * k
-    return {(Fraction(p, space.D), Fraction(q, space.D)): c for (p, q), c in counts.items()}
+    int numerators; Fractions are built for the keys only.  Graded once and
+    kept on the space, as `degrees` is, so readers must not change it."""
+    if space._table is None:
+        counts: Counter = Counter()
+        degrees = space.degrees
+        for (locus, age), count in space.classes.items():
+            for deg, k in degrees.get(locus, {}).items():
+                counts[space._grade(deg, age, len(locus))] += count * k
+        space._table = {(Fraction(p, space.D), Fraction(q, space.D)): c for (p, q), c in counts.items()}
+    return space._table
 
 
 def diff_tables(lhs: dict, rhs: dict, lname: str, rname: str):

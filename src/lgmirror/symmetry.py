@@ -402,12 +402,14 @@ def minimal_generators(group: SymmetryGroup):
 
 def _gmax_lattice(poly: Polynomial):
     """(exponent, echelon basis) of Gmax(W) = {x / L : A_W x = 0 mod L}, the
-    kernel of the rows of A_W.  L = det(A^T A) is a multiple of the exponent
-    (A g integral gives A^T A g integral), and 0 exactly when the rank is
-    short.  Nothing is walked."""
+    kernel of the rows of A_W.  L is a multiple of the exponent, and 0
+    exactly when the rank is short: |det A| when A is square (the members
+    are the columns of A^-1 = adj(A) / det A, summed), and det(A^T A)
+    otherwise (A g integral gives A^T A g integral).  Nothing is walked."""
     rows = exponent_matrix(poly)
     n = poly.nvars
-    L = abs(_int_det([[sum(r[i] * r[j] for r in rows) for j in range(n)] for i in range(n)]))
+    square = rows if len(rows) == n else [[sum(r[i] * r[j] for r in rows) for j in range(n)] for i in range(n)]
+    L = abs(_int_det(square))
     if L == 0:
         raise RankDeficient(f"exponent matrix of {poly} has rank < {n}")
     return _lattice(n, L, [[int(i == j) for j in range(n)] for i in range(n)], rows)

@@ -563,10 +563,10 @@ def test_census_verdicts_retain_a_bounded_share_per_model():
     of the 44 invertible K3 samples, paired with E1 and E2 in turn), all
     held until the end as a census pass holds them, leave at most 69 kB
     traced per model once collected: the model's rings, block counts and A
-    space with its degree histograms, and no mirror and no listed state.
-    About 63 kB is measured (py 3.11); with every swept locus's states
-    listed it was about 77 kB, and a model that kept its mirror held about
-    171 kB."""
+    space with its degree histograms and graded table, and no mirror and no
+    listed state.  About 64.3 kB is measured (py 3.11), 62.8 kB before the
+    A space kept its table; with every swept locus's states listed it was
+    about 77 kB, and a model that kept its mirror held about 171 kB."""
     records = filter_bv_invertible(enumerate_k3_systems())[::3]
     models = [model((E1, E2)[i % 2], sample_polynomial(r.weight_system)) for i, r in enumerate(records)]
     warm = model()  # first-call costs of the interpreter are not the model's

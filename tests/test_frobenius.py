@@ -366,6 +366,41 @@ def test_theorem2_builds_each_mirror_block_ring_once(block_ring_calls):
         assert bool(lacking) == (k3 == CHAIN_K3)
 
 
+def test_theorem2_joins_the_bhk_mirror_space_once(monkeypatch):
+    """Theorem 2 lists the B space of (sigma G)^T once, before property 1
+    reads it, and never counts it; the model's A space is counted only.  On
+    E1 x the chain K3 y0^2 + y1^4*y2 + y2^7 + y3^7, which lacks property 1,
+    the HypothesisFailed message is that of property 1 on spaces built
+    afresh (`check_property1`)."""
+    built, joins = [], []
+    build, join = frobenius.build_state_space, statespace._join
+
+    def recording_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def recording_join(space, leaf, convolve):
+        joins.append((space, leaf))
+        return join(space, leaf, convolve)
+
+    monkeypatch.setattr(frobenius, "build_state_space", recording_build)
+    monkeypatch.setattr(statespace, "_join", recording_join)
+    for m in (build_bv(E1, K3, jgens(E1, K3)), nonproduct_model()):
+        built.clear()
+        assert verify_theorem2(m).passed
+        (b2_space,) = built
+        assert b2_space._degrees is None and b2_space._kept is not None
+        assert [leaf for space, leaf in joins if space is b2_space] == [statespace.Invariants.monomials]
+        assert m.space("A")._kept is None
+    chain = parse_polynomial("y0^2+y1^4*y2+y2^7+y3^7")
+    m = build_bv(E1, chain, jgens(E1, chain))
+    with pytest.raises(frobenius.HypothesisFailed) as failed:
+        verify_theorem2(m)
+    expected = check_property1(m.poly, m.sigma_group, ws=m.ws)
+    assert not expected.passed
+    assert str(failed.value) == str(frobenius.HypothesisFailed(expected.mismatches))
+
+
 def test_gamma_lemma_factors():
     m = build_bv(E1, K3, jgens(E1, K3))
     mirror = m.mirror()

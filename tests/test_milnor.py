@@ -1,6 +1,10 @@
-import pytest
+import random
 from fractions import Fraction
 from itertools import product
+
+import pytest
+import sympy
+from sympy.polys.orderings import MonomialOrder
 
 from lgmirror.milnor import (
     DegenerateSingularity,
@@ -336,3 +340,114 @@ def test_monomial_normal_form_matches_polynomial_normal_form():
             mono = tuple(rng.randint(0, 8) if k in r.active else 0 for k in range(r.poly.nvars))
             want = r.normal_form(Polynomial(r.poly.variables, {mono: 1})).terms
             assert r.monomial_normal_form(mono) == want
+
+
+def test_a_locus_on_one_side_is_that_sides_ring(block_ring_calls):
+    """A locus that lies on one side of the split and is one block gets its
+    ring built once, and the call returns the cached ring of that side."""
+    p = parse_polynomial("x0^2+x1^3+x2^6+y0^2+y1^4*y2+y2^7+y3^7")
+    ws, rings = weight_system(p), {}
+    r = milnor_ring(p, (4, 5), ws, rings, [(4, 5), ()])
+    assert r is rings[(4, 5)]
+    assert sum(block_ring_calls.values()) == 1
+    assert r.basis == ring(p, (4, 5)).basis
+
+
+class WeightedRevlex(MonomialOrder):
+    """`TermOrder.key` as a sympy monomial order: (weighted degree, reversed
+    negated exponents).  Equal and hashed by its weights, as sympy caches its
+    polynomial rings by their order."""
+
+    alias = "wdegrevlex"
+    is_global = True
+
+    def __init__(self, weights):
+        self.weights = tuple(weights)
+
+    def __call__(self, mono):
+        return (sum(w * e for w, e in zip(self.weights, mono)), tuple(-e for e in reversed(mono)))
+
+    def __eq__(self, other):
+        return isinstance(other, WeightedRevlex) and self.weights == other.weights
+
+    def __hash__(self):
+        return hash((WeightedRevlex, self.weights))
+
+
+def sympy_reduced_basis(gens, block, weights):
+    """The reduced Groebner basis of the ideal of `gens`, Polynomials in the
+    variables of `block` only, computed by sympy in its order of decreasing
+    leading term, as {ambient exponent tuple: Fraction} dicts."""
+    symbols = sympy.symbols([f"v{i}" for i in block])
+    exprs = []
+    for g in gens:
+        terms = {tuple(m[i] for i in block): sympy.Rational(c.numerator, c.denominator) for m, c in g.terms.items()}
+        exprs.append(sympy.Poly.from_dict(terms, *symbols, domain="QQ").as_expr())
+    order = WeightedRevlex([weights[i] for i in block])
+    out = []
+    for poly in sympy.groebner(exprs, *symbols, order=order, domain="QQ").polys:
+        terms = {}
+        for mono, c in poly.as_dict().items():
+            full = [0] * len(weights)
+            for i, e in zip(block, mono):
+                full[i] = e
+            terms[tuple(full)] = Fraction(int(c.p), int(c.q))
+        out.append(terms)
+    return out
+
+
+def _block_ideals(monkeypatch):
+    """(restricted W, block, weights) of every block ring built by one census
+    pass at seed 1 (Theorem 1 and LG/CY on the 15 models of the stride, in
+    the benchmark's order), and of every block of the ladder models E1 x K3A,
+    E1 x OCTIC and E2 x the over-cap block and their BHK mirrors, once each;
+    and the D4 block x^2*y + x*y^2, whose basis needs its tails reduced."""
+    import lgmirror.milnor as milnor
+    from lgmirror.bvlg import block_j_elements, build_bv, verify_theorem1
+    from lgmirror.catalog import enumerate_k3_systems, filter_bv_invertible, sample_polynomial
+    from lgmirror.chenruan import verify_lgcy
+    from lgmirror.polyring import direct_sum, restrict, transpose
+    from test_oracles import E1, E2, K3A, OCTIC, OVERCAP
+
+    ideals = {}
+    original = milnor._block_ring
+
+    def recording(poly, block, weights, order):
+        if block:  # the empty locus has no ideal
+            ideals.setdefault((restrict(poly, block), block, weights), None)
+        return original(poly, block, weights, order)
+
+    monkeypatch.setattr(milnor, "_block_ring", recording)
+    records = filter_bv_invertible(enumerate_k3_systems())[::3]
+    rng = random.Random(1)
+    pairs = [(rng.randrange(2), i) for i in range(len(records))]
+    rng.shuffle(pairs)
+    for c, i in pairs:
+        curve, k3 = (E1, E2)[c], sample_polynomial(records[i].weight_system)
+        model = build_bv(curve, k3, block_j_elements(weight_system(curve), weight_system(k3)))
+        assert verify_theorem1(model).passed and verify_lgcy(model).passed
+    census = len(ideals)
+    for curve, k3 in ((E1, K3A), (E1, OCTIC), (E2, OVERCAP)):
+        for w in (direct_sum(curve, k3), transpose(direct_sum(curve, k3))):
+            ws = weight_system(w).weights
+            for block in components(w, range(w.nvars)):
+                ideals.setdefault((restrict(w, block), block, ws), None)
+    d4 = parse_polynomial("x^2*y+x*y^2")
+    ideals[d4, (0, 1), weight_system(d4).weights] = None
+    assert census >= 30 and len(ideals) > census
+    return list(ideals)
+
+
+def test_groebner_matches_sympy_on_the_census_and_ladder_blocks(monkeypatch):
+    """`groebner` on the Jacobian ideal of every block a census pass builds,
+    and of every ladder block, is the reduced basis sympy computes in the
+    same weighted-degrevlex order, term for term; and with one generator
+    dropped it is not (the negative control)."""
+    for poly, block, weights in _block_ideals(monkeypatch):
+        gens = jacobian_ideal(poly, block)
+        want = sympy_reduced_basis(gens, block, weights)
+        got = [terms for _, terms in groebner(gens, TermOrder(weights))]
+        assert got[::-1] == want, (str(poly), block)
+        for k in range(len(gens)):
+            dropped = [terms for _, terms in groebner(gens[:k] + gens[k + 1 :], TermOrder(weights))]
+            assert dropped[::-1] != want

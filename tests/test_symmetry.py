@@ -54,6 +54,28 @@ def test_gmax_order_is_determinant():
         assert gmax(poly).order == abs(det)
 
 
+def test_gmax_lattice_of_a_square_matrix_is_that_of_its_gram_matrix():
+    """For a square A, Gmax taken modulo |det A| has the exponent and the
+    echelon basis of Gmax taken modulo det(A^T A), on the ladder blocks, the
+    stride of invertible K3 samples times E1 and E2, and their transposes."""
+    from lgmirror.catalog import enumerate_k3_systems, filter_bv_invertible, sample_polynomial
+    from lgmirror.polyring import _int_det, direct_sum, exponent_matrix
+
+    from test_oracles import E2, OCTIC, OVERCAP
+
+    polys = [E1, K3, CHAIN, direct_sum(E1, K3), direct_sum(E1, OCTIC), direct_sum(E2, OVERCAP)]
+    for record in filter_bv_invertible(enumerate_k3_systems())[::3]:
+        k3 = sample_polynomial(record.weight_system)
+        polys += [direct_sum(E1, k3), direct_sum(E2, k3)]
+    polys += [transpose(p) for p in polys]
+    for poly in polys:
+        rows, n = exponent_matrix(poly), poly.nvars
+        assert len(rows) == n
+        gram = abs(_int_det([[sum(r[i] * r[j] for r in rows) for j in range(n)] for i in range(n)]))
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert symmetry._gmax_lattice(poly) == symmetry._lattice(n, gram, identity, rows)
+
+
 def test_gmax_membership_definition():
     # every enumerated element satisfies the defining integrality condition
     for poly in (E1, CHAIN):
